@@ -31,8 +31,7 @@ from .groups import (
     Metacyclic,
     PermGens,
     catalog_group,
-    is_generalized_quaternion16,
-    two_sylow,
+    sylow2_is_q16,
 )
 from .oracles import (
     isotropy_grid_check,
@@ -161,10 +160,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_catalog(args: argparse.Namespace) -> int:
     for name in CATALOG_NAMES:
         g = catalog_group(name)
-        P = two_sylow(g)
-        q16 = is_generalized_quaternion16(P)
-        sylow = "= itself" if P.order == g.order else f"order {P.order}"
-        print(f"{name}: order {g.order}, sylow2 {sylow}, Q16 = {'yes' if q16 else 'no'}")
+        sylow = "= itself" if g.sylow2_order == g.order else f"order {g.sylow2_order}"
+        print(f"{name}: order {g.order}, sylow2 {sylow}, Q16 = {'yes' if sylow2_is_q16(g) else 'no'}")
     return 0
 
 

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import FieldDescriptor, QQ, Rational, factorize, padic_valuation, square_class
-from .groups import (
-    GroupSpec,
-    abelian_invariants,
-    build_group,
-    is_generalized_quaternion16,
-    max_cyclic_two_quotient,
-    two_sylow,
-)
+from .groups import GroupSpec, abelian_invariants, build_group, sylow2_is_q16
 from .localfields import REAL_PLACE, DiagonalForm, Place, hilbert_symbol
 from .quadforms import Decision, isotropic_Q, isotropic_quad
 
@@ -260,11 +253,13 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
     """
     G = build_group(spec)
     invs = abelian_invariants(G)
-    d1 = max_cyclic_two_quotient(G)
     dvec = tuple(padic_valuation(m, 2) for m in invs if m % 2 == 0)
+    # the invariant factors divide one another, so the first carries the
+    # largest 2-power
+    d1 = dvec[0] if dvec else 0
     bailey_e, _ = bailey_group(field, dvec)
-    P = two_sylow(G)
-    q16 = is_generalized_quaternion16(P)
+    sylow_order = G.sylow2_order
+    q16 = sylow2_is_q16(G)
 
     checks: list[Check] = []
     reasons: list[str] = []
@@ -300,7 +295,7 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
             checks.append(Check("sylow2_q16", "pass", "2-Sylow subgroup is Q16"))
             ok = True
         else:
-            detail = f"2-Sylow subgroup is not Q16 (order {P.order})"
+            detail = f"2-Sylow subgroup is not Q16 (order {sylow_order})"
             checks.append(Check("sylow2_q16", "fail", detail))
             reasons.append(detail)
             ok = False
@@ -325,7 +320,7 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
         bailey_e=bailey_e,
         abelian_invariants=invs,
         group_order=G.order,
-        sylow_order=P.order,
+        sylow_order=sylow_order,
         sylow_is_q16=q16,
         checks=tuple(checks),
     )

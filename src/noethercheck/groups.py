@@ -1,36 +1,37 @@
-"""Finite groups from generators: multiplication tables, derived subgroups,
-abelian invariants, 2-Sylow subgroups, and the recognizers used by the
-obstruction tests.
+"""Finite groups from generators: closure, abelian invariants, 2-Sylow
+subgroups, and the recognizers used by the obstruction tests.
 
 Groups are built by breadth-first closure of a generating set under an
 associative compose function and then handled purely as integer indices,
-with 0 the identity. Small groups get a dense multiplication table built
-through parent links (each non-identity element is parent * generator, so
-its row is a permutation composition of two known rows); larger groups fall
-back to composing raw elements on demand.
+with 0 the identity. Nothing quadratic in the order is ever stored: a
+product composes the two raw elements and looks the result up. The closure
+also yields the abelian invariants, since every edge it finds off its
+spanning tree is a relator of the group (Reidemeister-Schreier for the
+trivial subgroup); their exponent sums span the relation lattice of the
+abelianization, whose Smith normal form gives the invariant factors. The
+2-Sylow subgroup is searched for only by callers that need it.
 """
 
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
+from operator import add, sub
 
-from .exact import factorize
+from .exact import factorize, padic_valuation
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
 # memory: permutation/matrix closures stop at 10**6 elements, metacyclic
-# presentations at 10**5. Tables are dense up to this order, lazy above.
+# presentations at 10**5.
 PERM_CLOSURE_CAP = 10**6
 METACYCLIC_CAP = 10**5
-DENSE_TABLE_LIMIT = 4096
 
 
 def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Apply p, then q."""
-    return tuple(q[i] for i in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def _parse_cycle_string(s: str) -> tuple[list[list[int]], int]:
@@ -132,82 +133,141 @@ class Catalog:
 GroupSpec = PermGens | Metacyclic | Catalog
 
 
+def _add_relator(rows: list, v: list[int]) -> None:
+    """Add v to the lattice spanned by rows, kept in echelon form: rows[j]
+    is None or has its first nonzero entry, positive, at column j."""
+    for j in range(len(rows)):
+        if not v[j]:
+            continue
+        row = rows[j]
+        if row is None:
+            rows[j] = v if v[j] > 0 else [-x for x in v]
+            return
+        # Euclid's algorithm on column j by unimodular row operations: row
+        # ends with the gcd of the two entries, v with 0
+        while v[j]:
+            q = row[j] // v[j]
+            row, v = v, [x - q * y for x, y in zip(row, v)]
+        rows[j] = row if row[j] > 0 else [-x for x in row]
+
+
+def _smith_invariants(m: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors of Z^n / (row span of the nonsingular n x n integer
+    matrix m), descending and without 1s: the diagonal of its Smith normal
+    form, by unimodular row and column operations."""
+    m = [list(row) for row in m]
+    n = len(m)
+    diag = []
+    for t in range(n):
+        while True:
+            _, i, j = min(
+                (abs(m[i][j]), i, j) for i in range(t, n) for j in range(t, n) if m[i][j]
+            )
+            m[t], m[i] = m[i], m[t]
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+            p = m[t][t]
+            for i in range(t + 1, n):
+                if q := m[i][t] // p:
+                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+            for j in range(t + 1, n):
+                if q := m[t][j] // p:
+                    for row in m:
+                        row[j] -= q * row[t]
+            if any(m[i][t] for i in range(t + 1, n)) or any(m[t][j] for j in range(t + 1, n)):
+                continue  # a remainder below |p| is left and becomes the pivot
+            # p must divide the rest of the block; else fold in a row that
+            # it does not divide and pivot again on the smaller remainder
+            bad = next(
+                (i for i in range(t + 1, n) if any(m[i][j] % p for j in range(t + 1, n))),
+                None,
+            )
+            if bad is None:
+                break
+            m[t] = [x + y for x, y in zip(m[t], m[bad])]
+        diag.append(abs(m[t][t]))
+    return tuple(d for d in reversed(diag) if d != 1)
+
+
 def _enumerate(identity, gens, compose, cap):
-    """BFS closure of the generators. Returns (elements in discovery order,
-    index dict, parent links): element k > 0 satisfies
-    elems[k] = elems[parents[k][0]] * gens[parents[k][1]], with parent index
-    strictly smaller than k."""
+    """BFS closure of the generators, with the abelian invariants of the
+    group read off the closure's own edges (Reidemeister-Schreier for the
+    trivial subgroup).
+
+    Each element x carries the exponent vector ev(x) in Z^r of its word
+    along the BFS tree, r = len(gens). Every edge x*g = y off the tree is a
+    relator of the group, with image ev(x) + e_g - ev(y) in Z^r, and these
+    images span the lattice L with G/[G, G] = Z^r / L. Returns (elements in
+    discovery order, index dict, invariant factors of Z^r / L).
+    """
+    r = len(gens)
     elems = [identity]
     index = {identity: 0}
-    parents = [(-1, -1)]
-    frontier = [identity]
+    evs = [(0,) * r]
+    units = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    rows: list[list[int] | None] = [None] * r
+    seen: set[tuple[int, ...]] = set()
+    frontier = [0]
     while frontier:
         new = []
-        for x in frontier:
-            xi = index[x]
+        for xi in frontier:
+            x, xv = elems[xi], evs[xi]
             for gi, g in enumerate(gens):
                 y = compose(x, g)
-                if y not in index:
+                yv = tuple(map(add, xv, units[gi]))
+                yi = index.get(y)
+                if yi is None:
                     if len(elems) >= cap:
                         raise ValueError(f"closure exceeded cap {cap}")
                     index[y] = len(elems)
+                    new.append(len(elems))
                     elems.append(y)
-                    parents.append((xi, gi))
-                    new.append(y)
+                    evs.append(yv)
+                elif yv != evs[yi]:
+                    # the same relator recurs along many edges
+                    rel = tuple(map(sub, yv, evs[yi]))
+                    if rel not in seen:
+                        seen.add(rel)
+                        _add_relator(rows, list(rel))
         frontier = new
-    return elems, index, parents
+    if any(row is None for row in rows):
+        raise AssertionError("the relation lattice of a finite group has full rank")
+    return elems, index, _smith_invariants(rows)
 
 
 class FiniteGroupTable:
-    """A finite group as indices 0..order-1 with 0 the identity."""
+    """A finite group as indices 0..order-1 with 0 the identity. Products
+    compose the raw elements on demand; nothing quadratic in the order is
+    stored."""
 
     identity = 0
 
-    def __init__(self, elems, index, parents, compose, raw_gens, label):
+    def __init__(self, elems, index, invariants, compose, raw_gens, label):
         self.order = len(elems)
         self.label = label
+        self.abelian_invariants: tuple[int, ...] = invariants
         self._elems = elems
         self._index = index
         self._compose = compose
         self.generator_indices = tuple(index[g] for g in raw_gens)
         self._inv_cache: dict[int, int] = {}
-        self._derived = None
-        self._rows = self._build_rows(parents, raw_gens) if self.order <= DENSE_TABLE_LIMIT else None
+        self._sylow2_is_q16: bool | None = None
 
     @classmethod
     def from_generators(cls, identity, gens, compose, cap, label):
-        elems, index, parents = _enumerate(identity, list(gens), compose, cap)
-        return cls(elems, index, parents, compose, list(gens), label)
-
-    def _build_rows(self, parents, raw_gens):
-        n = self.order
-        gen_rows = [
-            array("i", (self._index[self._compose(g, e)] for e in self._elems))
-            for g in raw_gens
-        ]
-        rows = [array("i", range(n))]
-        # x = p*g, so x*e = p*(g*e) and the row of x is rows[p] o gen_rows[g]
-        for k in range(1, n):
-            pi, gi = parents[k]
-            rows.append(array("i", map(rows[pi].__getitem__, gen_rows[gi])))
-        return rows
+        elems, index, invariants = _enumerate(identity, list(gens), compose, cap)
+        return cls(elems, index, invariants, compose, list(gens), label)
 
     def __repr__(self) -> str:
         return f"<group {self.label} of order {self.order}>"
 
     def mult(self, x: int, y: int) -> int:
-        if self._rows is not None:
-            return self._rows[x][y]
         return self._index[self._compose(self._elems[x], self._elems[y])]
 
     def inv(self, x: int) -> int:
         out = self._inv_cache.get(x)
         if out is None:
-            if self._rows is not None:
-                out = self._rows[x].index(0)
-            else:
-                out = self.power(x, self.order - 1)
-            self._inv_cache[x] = out
+            out = self._inv_cache[x] = self.power(x, self.order - 1)
         return out
 
     def power(self, x: int, k: int) -> int:
@@ -220,6 +280,11 @@ class FiniteGroupTable:
             x = self.mult(x, x)
             k >>= 1
         return out
+
+    @property
+    def sylow2_order(self) -> int:
+        """The 2-part of the order, which is the order of a 2-Sylow subgroup."""
+        return self.order & -self.order
 
     def element_order(self, x: int) -> int:
         o = self.order
@@ -273,104 +338,10 @@ class Subgroup:
         return len(self.members)
 
 
-def derived_subgroup(G: FiniteGroupTable) -> Subgroup:
-    """Commutator subgroup: the normal closure of the commutators of the
-    generators. Saturating the generating set under conjugation by the
-    group's generators is enough, since conjugation is an automorphism and
-    stability forces g*N*g**-1 = N for every generator g."""
-    if G._derived is None:
-        gi = G.generator_indices
-        seed: list[int] = []
-        seen = {0}
-        for x in gi:
-            for y in gi:
-                c = G.mult(G.mult(x, y), G.inv(G.mult(y, x)))
-                if c not in seen:
-                    seen.add(c)
-                    seed.append(c)
-        members = G.closure(seed)
-        changed = True
-        while changed:
-            changed = False
-            for g in gi:
-                ginv = G.inv(g)
-                for s in list(seed):
-                    t = G.mult(G.mult(g, s), ginv)
-                    if t not in members:
-                        seed.append(t)
-                        members = G.closure(seed)
-                        changed = True
-        G._derived = Subgroup(G, members)
-    return G._derived
-
-
-def quotient_by(G: FiniteGroupTable, N: Subgroup) -> FiniteGroupTable:
-    """G/N for a normal subgroup N, as a table over canonical coset
-    representatives (the least index in each coset)."""
-    if N.group is not G:
-        raise ValueError("subgroup belongs to a different group")
-    for g in G.generator_indices:
-        ginv = G.inv(g)
-        for x in N.members:
-            if G.mult(G.mult(g, x), ginv) not in N.members:
-                raise ValueError("subgroup is not normal")
-    rep_of = array("i", [-1]) * G.order
-    for x in range(G.order):
-        if rep_of[x] == -1:
-            for m in N.members:
-                rep_of[G.mult(x, m)] = x
-
-    def compose(u: int, v: int) -> int:
-        return rep_of[G.mult(u, v)]
-
-    gens = [rep_of[g] for g in G.generator_indices]
-    label = f"{G.label}/(subgroup of order {N.order})"
-    return FiniteGroupTable.from_generators(0, gens, compose, G.order, label)
-
-
 def abelian_invariants(G: FiniteGroupTable) -> tuple[int, ...]:
     """Invariant factors (n_1, n_2, ...) of G/[G, G], descending, each
-    dividing the previous.
-
-    In the abelianization Q the count of x with x**(p**k) = 1 equals
-    p**(number of cyclic p-power factors of order >= p**1..p**k summed), so
-    successive count ratios read off how many factors have order >= p**k.
-    """
-    Q = quotient_by(G, derived_subgroup(G))
-    n = Q.order
-    if n == 1:
-        return ()
-    orders = [Q.element_order(x) for x in range(n)]
-    per_prime: dict[int, list[int]] = {}
-    for p, emax in sorted(factorize(n).items()):
-        logs = [
-            _ilog(sum(1 for o in orders if p**k % o == 0), p)
-            for k in range(emax + 2)
-        ]
-        # lam[k-1] = number of cyclic p-factors of order >= p**k; the last
-        # entry is 0 since no factor exceeds p**emax
-        lam = [logs[k] - logs[k - 1] for k in range(1, emax + 2)]
-        factors = []
-        for k in range(emax, 0, -1):
-            factors.extend([p**k] * (lam[k - 1] - lam[k]))
-        per_prime[p] = factors
-    width = max(len(f) for f in per_prime.values())
-    invs = []
-    for i in range(width):
-        m = 1
-        for factors in per_prime.values():
-            if i < len(factors):
-                m *= factors[i]
-        invs.append(m)
-    return tuple(invs)
-
-
-def _ilog(n: int, p: int) -> int:
-    k = 0
-    while n % p == 0 and n > 1:
-        n //= p
-        k += 1
-    return k
+    dividing the previous; computed when G was enumerated."""
+    return G.abelian_invariants
 
 
 def two_sylow(G: FiniteGroupTable) -> Subgroup:
@@ -380,13 +351,11 @@ def two_sylow(G: FiniteGroupTable) -> Subgroup:
     |P| is below the full 2-part, because the normalizer of a proper
     2-subgroup inside a Sylow overgroup is strictly larger and contains an
     involution of the quotient."""
-    target = 1
-    n = G.order
-    while n % 2 == 0:
-        target *= 2
-        n //= 2
+    target = G.sylow2_order
     if target == 1:
         return Subgroup(G, frozenset({0}))
+    if target == G.order:
+        return Subgroup(G, frozenset(range(G.order)))
     seed = next(
         x
         for x in range(1, G.order)
@@ -427,21 +396,20 @@ def is_generalized_quaternion16(H: Subgroup) -> bool:
     return False
 
 
-def max_cyclic_two_quotient(G: FiniteGroupTable) -> int:
-    """Largest n such that G surjects onto the cyclic group of order 2**n.
+def sylow2_is_q16(G: FiniteGroupTable) -> bool:
+    """Is the 2-Sylow subgroup of G the generalized quaternion group of
+    order 16? That needs the 2-part of |G| to be 16, so no Sylow subgroup
+    is searched for otherwise. The answer is memoized on G, because a
+    long-lived caller asks about the same catalog group for many fields."""
+    if G._sylow2_is_q16 is None:
+        G._sylow2_is_q16 = G.sylow2_order == 16 and is_generalized_quaternion16(two_sylow(G))
+    return G._sylow2_is_q16
 
-    Cyclic quotients factor through the abelianization, and the largest
-    invariant factor carries the maximal 2-part.
-    """
-    invs = abelian_invariants(G)
-    if not invs or invs[0] % 2:
-        return 0
-    n = 0
-    m = invs[0]
-    while m % 2 == 0:
-        n += 1
-        m //= 2
-    return n
+
+def max_cyclic_two_quotient(G: FiniteGroupTable) -> int:
+    """Largest n such that G surjects onto the cyclic group of order 2**n:
+    the 2-adic valuation of the largest invariant factor of G/[G, G]."""
+    return padic_valuation(G.abelian_invariants[0], 2) if G.abelian_invariants else 0
 
 
 def _build_metacyclic(m: Metacyclic, label: str | None = None) -> FiniteGroupTable:

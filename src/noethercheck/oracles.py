@@ -1,21 +1,26 @@
-"""Independent cross-checks for the quadratic form machinery.
+"""Independent cross-checks for the quadratic form machinery and the
+group layer.
 
 Nothing here uses Hilbert symbols or Hasse invariants to produce an answer;
 local isotropy is decided by counting zeros modulo a fixed prime power, and
-global isotropy by exhibiting an integer zero. That makes these functions
-slow but trustworthy, which is exactly what the formula-driven code is
-tested against.
+global isotropy by exhibiting an integer zero. Abelian invariants come from
+the derived subgroup, the quotient by it, and element orders counted in
+that quotient, never from relators. That makes these functions slow but
+trustworthy, which is exactly what the formula-driven code is tested
+against.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from functools import lru_cache
 from math import lcm
 
 from .exact import Rational, factorize
+from .groups import FiniteGroupTable, Subgroup
 from .localfields import DiagonalForm, Place, REAL_PLACE, hilbert_symbol
 from .quadforms import isotropic_Q
 
@@ -248,3 +253,101 @@ def _random_rational(rng: random.Random) -> Rational:
     num = rng.randint(1, 10**4) * rng.choice((1, -1))
     den = rng.randint(1, 10**4)
     return Fraction(num, den)
+
+
+def derived_subgroup(G: FiniteGroupTable) -> Subgroup:
+    """Commutator subgroup: the normal closure of the commutators of the
+    generators. Saturating the generating set under conjugation by the
+    group's generators is enough, since conjugation is an automorphism and
+    stability forces g*N*g**-1 = N for every generator g."""
+    gi = G.generator_indices
+    seed: list[int] = []
+    seen = {0}
+    for x in gi:
+        for y in gi:
+            c = G.mult(G.mult(x, y), G.inv(G.mult(y, x)))
+            if c not in seen:
+                seen.add(c)
+                seed.append(c)
+    members = G.closure(seed)
+    changed = True
+    while changed:
+        changed = False
+        for g in gi:
+            ginv = G.inv(g)
+            for s in list(seed):
+                t = G.mult(G.mult(g, s), ginv)
+                if t not in members:
+                    seed.append(t)
+                    members = G.closure(seed)
+                    changed = True
+    return Subgroup(G, members)
+
+
+def quotient_by(G: FiniteGroupTable, N: Subgroup) -> FiniteGroupTable:
+    """G/N for a normal subgroup N, as a table over canonical coset
+    representatives (the least index in each coset)."""
+    if N.group is not G:
+        raise ValueError("subgroup belongs to a different group")
+    for g in G.generator_indices:
+        ginv = G.inv(g)
+        for x in N.members:
+            if G.mult(G.mult(g, x), ginv) not in N.members:
+                raise ValueError("subgroup is not normal")
+    rep_of = array("i", [-1]) * G.order
+    for x in range(G.order):
+        if rep_of[x] == -1:
+            for m in N.members:
+                rep_of[G.mult(x, m)] = x
+
+    def compose(u: int, v: int) -> int:
+        return rep_of[G.mult(u, v)]
+
+    gens = [rep_of[g] for g in G.generator_indices]
+    label = f"{G.label}/(subgroup of order {N.order})"
+    return FiniteGroupTable.from_generators(0, gens, compose, G.order, label)
+
+
+def abelian_invariants_by_quotient(G: FiniteGroupTable) -> tuple[int, ...]:
+    """Invariant factors of G/[G, G], descending, by counting element orders
+    in the quotient table.
+
+    In the abelianization Q the count of x with x**(p**k) = 1 equals
+    p**(number of cyclic p-power factors of order >= p**1..p**k summed), so
+    successive count ratios read off how many factors have order >= p**k.
+    """
+    Q = quotient_by(G, derived_subgroup(G))
+    n = Q.order
+    if n == 1:
+        return ()
+    orders = [Q.element_order(x) for x in range(n)]
+    per_prime: dict[int, list[int]] = {}
+    for p, emax in sorted(factorize(n).items()):
+        logs = [
+            _ilog(sum(1 for o in orders if p**k % o == 0), p)
+            for k in range(emax + 2)
+        ]
+        # lam[k-1] = number of cyclic p-factors of order >= p**k; the last
+        # entry is 0 since no factor exceeds p**emax
+        lam = [logs[k] - logs[k - 1] for k in range(1, emax + 2)]
+        factors = []
+        for k in range(emax, 0, -1):
+            factors.extend([p**k] * (lam[k - 1] - lam[k]))
+        per_prime[p] = factors
+    width = max(len(f) for f in per_prime.values())
+    invs = []
+    for i in range(width):
+        m = 1
+        for factors in per_prime.values():
+            if i < len(factors):
+                m *= factors[i]
+        invs.append(m)
+    return tuple(invs)
+
+
+def _ilog(n: int, p: int) -> int:
+    k = 0
+    while n % p == 0 and n > 1:
+        n //= p
+        k += 1
+    return k

@@ -1,8 +1,11 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from noethercheck import groups
 from noethercheck import (
     BrauerClass2,
     Catalog,
@@ -10,6 +13,7 @@ from noethercheck import (
     DiagonalForm,
     FieldDescriptor,
     Metacyclic,
+    PermGens,
     Place,
     QQ,
     REAL_PLACE,
@@ -365,3 +369,52 @@ def test_verdict_inconclusive_reasons():
 
 def test_verdict_ignores_presentation():
     assert verdict(Metacyclic(8, 2, 4, 7)) == verdict(Catalog("Q16"))
+
+
+def test_verdict_order_98304_within_seconds():
+    start = time.perf_counter()
+    v = verdict(Metacyclic(49152, 2, 0, 1))
+    elapsed = time.perf_counter() - start
+    assert v.theorem == "1.2" and v.witness == {"n": 3, "d1": 14}
+    assert v.abelian_invariants == (49152, 2)
+    assert v.group_order == 98304 and v.sylow_order == 32768 and not v.sylow_is_q16
+    assert elapsed < 10
+
+
+def test_verdict_s7():
+    v = verdict(PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6 7)"))
+    assert v.outcome == "inconclusive" and v.theorem is None
+    assert v.abelian_invariants == (2,)
+    assert v.group_order == 5040 and v.sylow_order == 16 and not v.sylow_is_q16
+    assert v.reasons == (
+        "no cyclic quotient of order 2^n with n >= 3 (largest is 2^1)",
+        "2-Sylow subgroup is not Q16 (order 16)",
+    )
+
+
+def test_sylow_work_only_when_two_part_is_16(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_enumerate", "two_sylow", "is_generalized_quaternion16"):
+        monkeypatch.setattr(groups, name, counted(name, getattr(groups, name)))
+    monkeypatch.setattr(
+        groups.FiniteGroupTable, "mult", counted("mult", groups.FiniteGroupTable.mult)
+    )
+    for spec, two_part in ((Metacyclic(4096, 1, 0, 1), 4096), (Metacyclic(3, 2048, 0, 2), 2048)):
+        assert verdict(spec).sylow_order == two_part
+    assert calls["two_sylow"] == calls["is_generalized_quaternion16"] == 0
+    # dicyclic of order 48: 2-part 16, so the search runs, once per table
+    assert verdict(Metacyclic(24, 2, 12, 23)).sylow_is_q16
+    assert calls["two_sylow"] == calls["is_generalized_quaternion16"] == 1
+    verdict(Catalog("SL2_9"))
+    calls.clear()
+    v = verdict(Catalog("SL2_9"), FieldDescriptor(17))
+    assert v.theorem == "1.5" and v.sylow_is_q16
+    assert not calls

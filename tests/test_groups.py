@@ -19,6 +19,7 @@ from noethercheck import (
     quotient_by,
     two_sylow,
 )
+from noethercheck.oracles import abelian_invariants_by_quotient
 
 
 def _mc(a, b, c, r):
@@ -192,7 +193,7 @@ def test_abelian_invariants_known():
 
 def test_abelian_invariants_of_products():
     # C_a x C_b has invariant factors (lcm, gcd).
-    for a, b in ((6, 4), (8, 2), (9, 3), (12, 18), (5, 7), (2, 2)):
+    for a, b in ((6, 4), (8, 2), (9, 3), (12, 18), (5, 7), (2, 2), (64, 64), (4096, 1), (65536, 1)):
         expect = [x for x in (a * b // gcd(a, b), gcd(a, b)) if x > 1]
         assert abelian_invariants(_mc(a, b, 0, 1)) == tuple(expect)
 
@@ -206,6 +207,12 @@ def test_abelian_invariants_properties():
             prod *= m
         assert prod == G.order // derived_subgroup(G).order
         assert all(invs[i + 1] > 1 and invs[i] % invs[i + 1] == 0 for i in range(len(invs) - 1))
+
+
+def test_abelian_invariants_match_quotient_oracle():
+    for name in CATALOG_NAMES:
+        G = catalog_group(name)
+        assert abelian_invariants(G) == abelian_invariants_by_quotient(G), name
 
 
 def test_isomorphic_presentations_agree():
