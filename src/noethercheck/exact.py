@@ -10,18 +10,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 
 Rational = Fraction
 
-# Trial division only; inputs whose absolute value exceeds this are rejected
-# with an explicit error instead of looping for hours.
-FACTORIZATION_CAP = 10**12
+# Miller-Rabin with the bases _MR_BASES is proven exact only below
+# 3.3 * 10**24, so inputs whose absolute value exceeds this cap are rejected
+# with an explicit error. At the cap, the hardest input, a product of two
+# primes near 10**12, takes rho under a second.
+FACTORIZATION_CAP = 10**24
+
+# Trial division runs through the primes below this bound; a cofactor left
+# over is tested by Miller-Rabin and, if composite, split by Brent's rho.
+TRIAL_BOUND = 1000
+_TRIAL_SQUARE = TRIAL_BOUND * TRIAL_BOUND
+
+# The first 13 primes: a strong probable prime to all of them below
+# 3.3 * 10**24 is prime (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}, by trial division.
+    """Prime factorization of |n| as {prime: exponent}, keys ascending.
 
-    Raises ValueError for n = 0 or |n| > FACTORIZATION_CAP.
+    Trial division by the primes below TRIAL_BOUND; what is left after
+    that goes to Miller-Rabin and Brent's rho. Raises ValueError for n = 0
+    or |n| > FACTORIZATION_CAP.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -33,6 +47,9 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    if n >= _TRIAL_SQUARE:
+        return _factorize_rough(n, out)
+    # below TRIAL_BOUND**2 trial division finishes under the bound
     f = 5
     while f * f <= n:
         for p in (f, f + 2):
@@ -45,11 +62,97 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _factorize_rough(n: int, out: dict[int, int]) -> dict[int, int]:
+    """Finish factorize for n >= TRIAL_BOUND**2 with no factor 2 or 3.
+
+    Every prime below the final f is divided out, so a cofactor below f**2
+    is prime; larger ones are tested and split, and their primes, all
+    above every key already in out, are added in ascending order.
+    """
+    f = 5
+    while f < TRIAL_BOUND and f * f <= n:
+        for p in (f, f + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        f += 6
+    primes = []
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < f * f or _strong_probable_prime(m):
+            primes.append(m)
+            continue
+        r = isqrt(m)
+        if r * r == m:
+            stack += (r, r)
+            continue
+        c = 1
+        while (g := _brent_rho(m, c)) == m:
+            c += 1
+        stack += (g, m // g)
+    for p in sorted(primes):
+        out[p] = out.get(p, 0) + 1
+    return out
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Is odd n > 41 a strong probable prime to every base in _MR_BASES?
+    Exact below 3.3 * 10**24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_rho(n: int, c: int) -> int:
+    """A divisor of the odd composite n other than 1, from Brent's cycle
+    search on x -> x**2 + c starting at 2, with the differences multiplied
+    together and one gcd per batch of 128; n itself when this c fails."""
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = gcd(q, n)
+            k += 128
+        r *= 2
+    if g == n:
+        # the batch overshot: replay it one gcd at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(x - ys, n)
+    return g
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError for n above
+    FACTORIZATION_CAP, where it is not proven exact."""
     if n < 2:
         return False
-    return factorize(n) == {n: 1}
+    if n > FACTORIZATION_CAP:
+        raise ValueError(f"|n| exceeds factorization cap {FACTORIZATION_CAP}")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    return _strong_probable_prime(n)
 
 
 def squarefree_part(n: int) -> tuple[int, int]:

@@ -211,6 +211,31 @@ def isotropy_grid_check(height: int = 60) -> int:
     return checked
 
 
+def factorize_by_trial_division(n: int) -> dict[int, int]:
+    """Prime factorization of |n| > 0 as {prime: exponent}, keys ascending,
+    by trial division through 2, 3 and every 6k +- 1 up to the square root
+    of what is left. Slow above 10**12, but it shares nothing with the
+    Miller-Rabin and rho path of exact.factorize."""
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    n = abs(n)
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        f += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def three_squares_sieve(bound: int) -> bytearray:
     """out[n] is 1 iff n is a sum of three integer squares, for n <= bound,
     by plain enumeration."""

@@ -181,21 +181,18 @@ def unsupported(reason: str) -> IsotropyOutcome:
     return IsotropyOutcome("unsupported", reason)
 
 
-def _split_primes(f: DiagonalForm, d: int) -> list[int]:
-    """Rational primes among the candidate places of f that split in
-    Q(sqrt d): odd p iff p does not divide d and d is a square mod p;
-    p = 2 iff d = 1 mod 8."""
-    ps = {2}
-    for c in f.coeffs:
-        ps.update(factorize(c.numerator))
-        ps.update(factorize(c.denominator))
+def _split_places(f: DiagonalForm, d: int) -> list[Place]:
+    """The finite candidate places of f whose prime splits in Q(sqrt d):
+    odd p iff p does not divide d and d is a square mod p; p = 2 iff
+    d = 1 mod 8."""
     out = []
-    for p in sorted(ps):
+    for v in candidate_places(f):
+        p = v.p
         if p == 2:
             if d % 8 == 1:
-                out.append(p)
-        elif d % p != 0 and legendre_symbol(d, p) == 1:
-            out.append(p)
+                out.append(v)
+        elif p is not None and d % p != 0 and legendre_symbol(d, p) == 1:
+            out.append(v)
     return out
 
 
@@ -229,8 +226,8 @@ def isotropic_quad(f: DiagonalForm, d: int) -> IsotropyOutcome:
         return ANISOTROPIC
     if n >= 5:
         return ISOTROPIC
-    for p in _split_primes(f, d):
-        if not local_isotropic(f, Place(p)):
+    for v in _split_places(f, d):
+        if not local_isotropic(f, v):
             return ANISOTROPIC
     return ISOTROPIC
 

@@ -282,3 +282,37 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     code, _, err = _run(capsys, "oracle", "three-squares")
     assert code == 1
+
+
+# 20-digit primes, one in each odd class mod 8
+_BIG_PRIMES = (
+    10000000000000000097,  # 1 mod 8
+    10000000000000000051,  # 3 mod 8
+    10000000000000000381,  # 5 mod 8
+    10000000000000000087,  # 7 mod 8
+)
+
+
+@pytest.mark.parametrize("D", [s * p for p in _BIG_PRIMES for s in (1, -1)])
+def test_check_twenty_digit_prime_field(capsys, D):
+    code, out, err = _run(
+        capsys, "check", "--group", "catalog:Q16", "--field", f"Q(sqrt {D})", "--json"
+    )
+    assert err == ""
+    data = json.loads(out)
+    assert data["field"] == f"Q(sqrt {D})"
+    fires = D > 0 and D % 8 == 1
+    assert code == (0 if fires else 2)
+    assert data["theorem"] == ("1.5" if fires else None)
+
+
+def test_check_field_above_cap_exits_1(capsys):
+    from noethercheck.exact import FACTORIZATION_CAP
+
+    code, out, err = _run(
+        capsys, "check", "--group", "catalog:Q16", "--field", f"Q(sqrt {FACTORIZATION_CAP + 7})"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert str(FACTORIZATION_CAP) in err
