@@ -21,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from .exact import QQ, FieldDescriptor
 from .galois import verdict
@@ -195,7 +196,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and then reused: building it costs
+    more than parsing a typical command line."""
     parser = _Parser(prog="noethercheck")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -137,8 +137,13 @@ def hilbert_symbol(a: Rational | int, b: Rational | int, v: Place) -> int:
     symbols, at p = 2 via the residues mod 8 of the unit parts, at the real
     place by signs.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
+    # callers mostly pass Fractions already, and Fraction(x) on one still
+    # pays for its abstract-base-class checks, a quarter of this function
+    if type(a) is not Fraction:
+        a = Fraction(a)
+    if type(b) is not Fraction:
+        b = Fraction(b)
+    if not a or not b:
         raise ValueError("hilbert_symbol needs nonzero entries")
     if v.is_real:
         return -1 if (a < 0 and b < 0) else 1

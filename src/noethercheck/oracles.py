@@ -5,9 +5,9 @@ Nothing here uses Hilbert symbols or Hasse invariants to produce an answer;
 local isotropy is decided by counting zeros modulo a fixed prime power, and
 global isotropy by exhibiting an integer zero. Abelian invariants come from
 the derived subgroup, the quotient by it, and element orders counted in
-that quotient, never from relators. That makes these functions slow but
-trustworthy, which is exactly what the formula-driven code is tested
-against.
+that quotient, never from relators. These functions favour a short,
+independent argument over speed, which is what the formula-driven code is
+tested against.
 """
 
 from __future__ import annotations
@@ -48,9 +48,14 @@ class LocalZeroOracle:
     2*v + 1 more than twice the derivative's valuation) lets Hensel's lemma
     lift it back to Z_p. No Hilbert symbol is consulted anywhere.
 
-    Value sets are bitmasks over residues mod m; the set of values of a sum
-    of two subforms is an OR of rotations, and representing zero with the
-    right primitivity pattern is a single AND against a reflected mask.
+    Value sets are bitmasks over residues mod m, and representing zero with
+    the right primitivity pattern is a single AND against a reflected mask.
+    Every value mask here, primitive or not, is closed under multiplication
+    by the unit squares U**2 of Z/m: c*(u*x)**2 = u**2 * c*x**2, and
+    x -> u*x keeps p from dividing x. A sum of two such sets is again a
+    union of U**2-orbits, so _sumset decides membership once per orbit
+    (11 orbits for odd p, 16 for m = 32) instead of once per residue; the
+    orbit of t is exactly _single_mask(t, True).
     """
 
     def __init__(self, p: int):
@@ -60,6 +65,7 @@ class LocalZeroOracle:
         self._single: dict[tuple[int, bool], int] = {}
         self._pair: dict[tuple[int, int, bool], int] = {}
         self._refl: dict[int, int] = {}
+        self._orbit_list: list[tuple[int, int]] | None = None
 
     def _single_mask(self, c: int, prim: bool) -> int:
         key = (c, prim)
@@ -67,12 +73,30 @@ class LocalZeroOracle:
         if out is None:
             m, p = self.m, self.p
             ci = c % m
-            out = 0
-            for x in range(m):
+            # digit m-1-r of the binary string is bit r; x and m - x give
+            # the same value and the same primitivity, so x <= m/2 suffices
+            digits, one = bytearray(b"0") * m, ord("1")
+            for x in range(m // 2 + 1):
                 if prim and x % p == 0:
                     continue
-                out |= 1 << (ci * x * x % m)
+                digits[m - 1 - ci * x * x % m] = one
+            out = int(digits, 2)
             self._single[key] = out
+        return out
+
+    def _orbits(self) -> list[tuple[int, int]]:
+        """(representative, orbit mask) for each U**2-orbit of Z/m, the
+        representative being the least residue of its orbit."""
+        out = self._orbit_list
+        if out is None:
+            out = []
+            rest = self._full
+            while rest:
+                t = (rest & -rest).bit_length() - 1
+                orbit = self._single_mask(t, True)
+                out.append((t, orbit))
+                rest &= ~orbit
+            self._orbit_list = out
         return out
 
     def _rotate(self, mask: int, s: int) -> int:
@@ -83,13 +107,14 @@ class LocalZeroOracle:
         return ((mask << s) | (mask >> (m - s))) & self._full
 
     def _sumset(self, a: int, b: int) -> int:
-        """Values of x + y with x from a, y from b, as a mask."""
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
+        """Values of x + y with x from a, y from b, as a mask. Exact only
+        when a and b are U**2-invariant: t lies in a + b iff a meets t - b,
+        and then so does its whole orbit."""
+        neg_b = self._reflect(b)
         out = 0
-        while a:
-            out |= self._rotate(b, (a & -a).bit_length() - 1)
-            a &= a - 1
+        for t, orbit in self._orbits():
+            if a & self._rotate(neg_b, t):
+                out |= orbit
         return out
 
     def _pair_mask(self, c1: int, c2: int, prim: bool) -> int:
@@ -196,17 +221,20 @@ def isotropy_grid_check(height: int = 60) -> int:
     """Cross-check isotropic_Q over the whole coefficient grid: every form
     claimed isotropic must yield an explicit verified integer zero, and
     every form claimed anisotropic must show a local obstruction the oracle
-    can see. Returns the number of forms checked."""
+    can see. Returns the number of forms checked; the first disagreement
+    raises AssertionError, explicitly, so the check also runs under -O."""
     checked = 0
     for f in grid_forms():
         if isotropic_Q(f):
             w = isotropy_witness(f, height)
-            assert w is not None, f"no integer zero up to {height} for {f}"
-            assert any(w), f"degenerate witness for {f}"
-            total = sum(c * x * x for c, x in zip(f.coeffs, w))
-            assert total == 0, f"witness {w} fails for {f}"
-        else:
-            assert _has_local_obstruction(f), f"no local obstruction for {f}"
+            if w is None:
+                raise AssertionError(f"no integer zero up to {height} for {f}")
+            if not any(w):
+                raise AssertionError(f"degenerate witness for {f}")
+            if sum(c * x * x for c, x in zip(f.coeffs, w)) != 0:
+                raise AssertionError(f"witness {w} fails for {f}")
+        elif not _has_local_obstruction(f):
+            raise AssertionError(f"no local obstruction for {f}")
         checked += 1
     return checked
 

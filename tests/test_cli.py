@@ -284,6 +284,17 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_reused_parser_keeps_error_bytes(capsys):
+    # the parser is built once per process; a parse, good or bad, must
+    # leave nothing behind for the next one
+    bad = ("check", "--group", "catalog:C8")
+    first = _run(capsys, *bad)
+    assert _run(capsys, "check", "--group", "catalog:C8", "--field", "Q")[0] == 0
+    assert _run(capsys, "oracle", "nope", "5")[0] == 1
+    assert _run(capsys, *bad) == first
+    assert first[2].startswith("usage: noethercheck check ")
+
+
 # 20-digit primes, one in each odd class mod 8
 _BIG_PRIMES = (
     10000000000000000097,  # 1 mod 8

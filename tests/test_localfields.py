@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -15,7 +17,7 @@ from noethercheck import (
     local_isotropic,
     local_isotropic_unramified_ext,
 )
-from noethercheck import grid_forms, local_oracle
+from noethercheck import LocalZeroOracle, grid_forms, local_oracle
 
 _PLACES = [Place(2), Place(3), Place(5), Place(7), Place(11), REAL_PLACE]
 
@@ -162,6 +164,36 @@ def test_local_isotropic_matches_zero_counting_oracle():
             assert local_isotropic(f, Place(p)) == local_oracle(p).has_primitive_zero(f)
         pos, neg = f.signature()
         assert local_isotropic(f, REAL_PLACE) == (pos > 0 and neg > 0)
+
+
+def test_hilbert_symbol_matches_zero_counting_oracle():
+    # (a, b)_p = +1 iff z**2 = a*x**2 + b*y**2 has a nonzero solution over
+    # Q_p, that is iff <a, b, -1> is isotropic there. With a, b squarefree
+    # every |v_p| <= 1, where the modular oracle is exact.
+    values = []
+    for k in range(4):
+        for combo in combinations((2, 3, 5, 7, 11, 13), k):
+            values += [prod(combo), -prod(combo)]
+    for p in (2, 3, 5, 7):
+        oracle, v = LocalZeroOracle(p), Place(p)
+        for a in values:
+            for b in values:
+                zero = oracle.has_primitive_zero(DiagonalForm.of(a, b, -1))
+                assert hilbert_symbol(a, b, v) == (1 if zero else -1), (a, b, p)
+
+
+def test_hilbert_symbol_input_types_agree():
+    # int, integral Fraction and non-integral Fraction in one square class
+    def variants(n):
+        return (n, Fraction(n), Fraction(9 * n, 4), Fraction(n, 49))
+
+    for a in (1, -1, 2, -6, 35, -7):
+        for b in (3, -2, 10, -1, 14):
+            for v in _PLACES:
+                want = hilbert_symbol(a, b, v)
+                for x in variants(a):
+                    for y in variants(b):
+                        assert hilbert_symbol(x, y, v) == want, (x, y, v)
 
 
 class _UnramExt:

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import noethercheck
 from noethercheck import (
     DiagonalForm,
     GRID_COEFFS,
+    LocalZeroOracle,
     grid_forms,
     isotropy_witness,
     local_oracle,
@@ -72,3 +79,91 @@ def test_three_squares_sieve():
 def test_reciprocity_failures():
     assert reciprocity_failures(200) == 0
     assert reciprocity_failures(50, seed=7) == 0
+
+
+def _residues(mask):
+    return [r for r in range(mask.bit_length()) if mask >> r & 1]
+
+
+def _set_sumset(o, a, b):
+    """{(x + y) mod m} by plain Python sets, as a mask."""
+    ys = _residues(b)
+    out = 0
+    for r in {(x + y) % o.m for x in _residues(a) for y in ys}:
+        out |= 1 << r
+    return out
+
+
+def _set_pair_mask(o, c1, c2, prim):
+    s1p, s1a = o._single_mask(c1, True), o._single_mask(c1, False)
+    s2p, s2a = o._single_mask(c2, True), o._single_mask(c2, False)
+    if prim:
+        return _set_sumset(o, s1p, s2a) | _set_sumset(o, s1a, s2p)
+    return _set_sumset(o, s1a, s2a)
+
+
+_ALL_PAIRS = list(combinations_with_replacement(GRID_COEFFS, 2))
+
+
+@pytest.mark.parametrize(
+    "p, pairs",
+    [(2, _ALL_PAIRS), (3, _ALL_PAIRS), (5, [(1, 1), (-3, 5), (2, -7), (5, -5)])],
+    ids=("p2", "p3", "p5"),
+)
+def test_orbit_sumset_matches_set_sumset(p, pairs):
+    o = LocalZeroOracle(p)
+    m = o.m
+    for c in {c for pair in pairs for c in pair}:
+        for prim in (True, False):
+            values = {c * x * x % m for x in range(m) if not prim or x % p}
+            assert set(_residues(o._single_mask(c, prim))) == values, (c, prim)
+    for c1, c2 in pairs:
+        a, b = o._single_mask(c1, True), o._single_mask(c2, False)
+        assert o._sumset(a, b) == _set_sumset(o, a, b), (c1, c2)
+        for prim in (True, False):
+            want = _set_pair_mask(o, c1, c2, prim)
+            assert o._pair_mask(c1, c2, prim) == want, (c1, c2, prim)
+
+
+def test_orbit_count_and_rotations():
+    assert len(LocalZeroOracle(2)._orbits()) == 16
+    for p in (3, 5, 7):
+        assert len(LocalZeroOracle(p)._orbits()) == 11
+    o = LocalZeroOracle(7)
+    rotate = o._rotate
+    calls = 0
+
+    def counted(mask, s):
+        nonlocal calls
+        calls += 1
+        return rotate(mask, s)
+
+    o._rotate = counted
+    o._pair_mask(3, -5, False)
+    assert calls <= 11
+    # the primitive pair mask is a union of two sumsets
+    calls = 0
+    o._pair_mask(2, -7, True)
+    assert calls <= 22
+
+
+def test_isotropy_grid_check_fails_under_optimize():
+    # a lying isotropic_Q must be caught even when asserts are stripped
+    code = (
+        "import sys\n"
+        "if not sys.flags.optimize: sys.exit(3)\n"
+        "import noethercheck.oracles as o\n"
+        "o.isotropic_Q = lambda f: False\n"
+        "from noethercheck.cli import main\n"
+        "sys.exit(main(['oracle', 'isotropy', '60']))\n"
+    )
+    src = str(Path(noethercheck.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 1, r.stderr
+    assert r.stdout == ""
+    assert r.stderr == "mismatch: no local obstruction for <1,-1>\n"
