@@ -6,7 +6,8 @@ Subcommands:
   oracle {three-squares,isotropy,hilbert} N   run a self-contained cross-check
 
 Group specs: "catalog:NAME", "perm:(1 2);(1 2 3 4)" (generators separated
-by semicolons, cycles on 1-based points), or "metacyclic:a=8,b=2,c=4,r=7".
+by semicolons, cycles on 1-based points), or "metacyclic:a=8,b=2,c=4,r=7"
+(order a*b up to the metacyclic cap 10**24).
 Fields: "Q" or "Q(sqrt D)" with D a nonsquare integer; D is reduced to its
 squarefree part.
 
@@ -31,8 +32,7 @@ from .groups import (
     GroupSpec,
     Metacyclic,
     PermGens,
-    catalog_group,
-    sylow2_is_q16,
+    group_facts,
 )
 from .oracles import (
     isotropy_grid_check,
@@ -160,9 +160,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     for name in CATALOG_NAMES:
-        g = catalog_group(name)
+        g = group_facts(Catalog(name))
         sylow = "= itself" if g.sylow2_order == g.order else f"order {g.sylow2_order}"
-        print(f"{name}: order {g.order}, sylow2 {sylow}, Q16 = {'yes' if sylow2_is_q16(g) else 'no'}")
+        print(f"{name}: order {g.order}, sylow2 {sylow}, Q16 = {'yes' if g.sylow2_is_q16 else 'no'}")
     return 0
 
 

@@ -1,11 +1,12 @@
 """Galois-side data for the two obstruction criteria and the verdict engine
 that combines them.
 
-The first criterion needs the Galois group of k(zeta_{2^n})/k as a subgroup
-of the units mod 2^n and a cyclicity test; the second needs the 2-Sylow
-recognizer together with anisotropy of two fixed forms over k. Everything
-is assembled into a Verdict with named checks so a caller can see which
-hypothesis failed.
+The first criterion needs to know whether k(zeta_{2^n})/k is cyclic, which
+is_cyclic_ext answers in closed form; the Galois group enumerated as a
+subgroup of the units mod 2^n is the cross-check of that rule. The second
+criterion needs the 2-Sylow recognizer together with anisotropy of two
+fixed forms over k. Everything is assembled into a Verdict with named
+checks so a caller can see which hypothesis failed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import FieldDescriptor, QQ, Rational, factorize, padic_valuation, square_class
-from .groups import GroupSpec, abelian_invariants, build_group, sylow2_is_q16
+from .groups import GroupSpec, group_facts
 from .localfields import REAL_PLACE, DiagonalForm, Place, hilbert_symbol
 from .quadforms import Decision, isotropic_Q, isotropic_quad
 
@@ -86,8 +87,20 @@ def cyclotomic_galois(k: FieldDescriptor, n: int) -> UnitSubgroup2n:
 
 
 def is_cyclic_ext(k: FieldDescriptor, n: int) -> bool:
-    """Is k(zeta_{2^n})/k a cyclic extension?"""
-    return cyclotomic_galois(k, n).is_cyclic()
+    """Is k(zeta_{2^n})/k a cyclic extension?
+
+    Yes iff n <= 2, or k is Q(sqrt -1) or Q(sqrt -2), or k = Q(sqrt 2) and
+    n = 3. The only quadratic subfields of Q(zeta_{2^n}) are Q(i) and
+    Q(sqrt +-2), so over every other k the Galois group is all of
+    (Z/2^n)*, which is cyclic only for n <= 2. Over Q(i) it is
+    {x = 1 mod 4}, generated by 5; over Q(sqrt -2) it is {x = 1, 3 mod 8},
+    generated by 3; over Q(sqrt 2) it is {x = +-1 mod 8} = <-1> x <9>,
+    whose second factor is trivial only for n = 3. cyclotomic_galois
+    enumerates the same groups, and the tests compare the two.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return n <= 2 or k.d in (-1, -2) or (k.d == 2 and n == 3)
 
 
 def bailey_group(k: FieldDescriptor, dvec: tuple[int, ...]) -> tuple[int, str]:
@@ -251,15 +264,15 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
     otherwise the verdict is "inconclusive" with one reason per failed
     hypothesis.
     """
-    G = build_group(spec)
-    invs = abelian_invariants(G)
+    facts = group_facts(spec)
+    invs = facts.abelian_invariants
     dvec = tuple(padic_valuation(m, 2) for m in invs if m % 2 == 0)
     # the invariant factors divide one another, so the first carries the
     # largest 2-power
     d1 = dvec[0] if dvec else 0
     bailey_e, _ = bailey_group(field, dvec)
-    sylow_order = G.sylow2_order
-    q16 = sylow2_is_q16(G)
+    sylow_order = facts.sylow2_order
+    q16 = facts.sylow2_is_q16
 
     checks: list[Check] = []
     reasons: list[str] = []
@@ -319,7 +332,7 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
         reasons=tuple(reasons),
         bailey_e=bailey_e,
         abelian_invariants=invs,
-        group_order=G.order,
+        group_order=facts.order,
         sylow_order=sylow_order,
         sylow_is_q16=q16,
         checks=tuple(checks),

@@ -1,7 +1,17 @@
-"""Finite groups from generators: closure, abelian invariants, 2-Sylow
-subgroups, and the recognizers used by the obstruction tests.
+"""Finite groups from generators: the facts the verdict reads, closure,
+abelian invariants, 2-Sylow subgroups, and the recognizers used by the
+obstruction tests.
 
-Groups are built by breadth-first closure of a generating set under an
+The verdict reads one GroupFacts record per spec: the order, the abelian
+invariants, the 2-part of the order and whether the 2-Sylow subgroup is
+Q16. A metacyclic presentation gives them from its parameters without
+enumerating the group: the invariants are the Smith normal form of its
+relators, and only when the 2-part is 16 are the 16 elements of a 2-Sylow
+subgroup, whose generators are known in closed form, closed and tested.
+Permutation specs and the catalog's other groups go through a closure
+table, which for metacyclic specs is the oracle the tests compare against.
+
+A table is built by breadth-first closure of a generating set under an
 associative compose function and then handled purely as integer indices,
 with 0 the identity. Nothing quadratic in the order is ever stored: a
 product composes the two raw elements and looks the result up. The closure
@@ -19,14 +29,17 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
 from operator import add, sub
+from typing import NamedTuple
 
-from .exact import factorize, padic_valuation
+from .exact import FACTORIZATION_CAP, factorize, padic_valuation
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
-# memory: permutation/matrix closures stop at 10**6 elements, metacyclic
-# presentations at 10**5.
-PERM_CLOSURE_CAP = 10**6
-METACYCLIC_CAP = 10**5
+# memory: every closure (permutation, matrix, or a metacyclic table) stops
+# at 10**6 elements. A metacyclic presentation is answered without
+# enumeration, so its cap only bounds the size of the input: a*b up to the
+# factorization cap.
+CLOSURE_CAP = 10**6
+METACYCLIC_CAP = FACTORIZATION_CAP
 
 
 def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -111,6 +124,8 @@ class Metacyclic:
         a, b, c, r = self.a, self.b, self.c, self.r
         if a < 1 or b < 1:
             raise ValueError("a and b must be positive")
+        if a * b > METACYCLIC_CAP:
+            raise ValueError(f"order a*b = {a * b} exceeds metacyclic cap {METACYCLIC_CAP}")
         if not (0 <= c < a and 0 <= r < a):
             raise ValueError("c and r must lie in [0, a)")
         if gcd(r, a) != 1:
@@ -119,8 +134,6 @@ class Metacyclic:
             raise ValueError(f"r**b != 1 mod a for r = {r}, b = {b}, a = {a}")
         if c * (r - 1) % a != 0:
             raise ValueError(f"c*(r - 1) != 0 mod a for c = {c}, r = {r}, a = {a}")
-        if a * b > METACYCLIC_CAP:
-            raise ValueError(f"order {a * b} exceeds cap {METACYCLIC_CAP}")
 
 
 @dataclass(frozen=True)
@@ -251,7 +264,6 @@ class FiniteGroupTable:
         self._compose = compose
         self.generator_indices = tuple(index[g] for g in raw_gens)
         self._inv_cache: dict[int, int] = {}
-        self._sylow2_is_q16: bool | None = None
 
     @classmethod
     def from_generators(cls, identity, gens, compose, cap, label):
@@ -399,11 +411,8 @@ def is_generalized_quaternion16(H: Subgroup) -> bool:
 def sylow2_is_q16(G: FiniteGroupTable) -> bool:
     """Is the 2-Sylow subgroup of G the generalized quaternion group of
     order 16? That needs the 2-part of |G| to be 16, so no Sylow subgroup
-    is searched for otherwise. The answer is memoized on G, because a
-    long-lived caller asks about the same catalog group for many fields."""
-    if G._sylow2_is_q16 is None:
-        G._sylow2_is_q16 = G.sylow2_order == 16 and is_generalized_quaternion16(two_sylow(G))
-    return G._sylow2_is_q16
+    is searched for otherwise."""
+    return G.sylow2_order == 16 and is_generalized_quaternion16(two_sylow(G))
 
 
 def max_cyclic_two_quotient(G: FiniteGroupTable) -> int:
@@ -412,24 +421,33 @@ def max_cyclic_two_quotient(G: FiniteGroupTable) -> int:
     return padic_valuation(G.abelian_invariants[0], 2) if G.abelian_invariants else 0
 
 
-def _build_metacyclic(m: Metacyclic, label: str | None = None) -> FiniteGroupTable:
+def _metacyclic_compose(m: Metacyclic):
+    """The product of elements s**i t**j of m, stored as pairs (i, j) with
+    0 <= i < a and 0 <= j < b. It computes r**j mod a with pow, so no list
+    of length b is built."""
     a, b, c, r = m.a, m.b, m.c, m.r
-    rpow = [pow(r, j, a) for j in range(b)]
 
     def compose(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         # s**i1 t**j1 s**i2 t**j2 = s**(i1 + i2*r**j1) t**(j1 + j2), and a
         # wrapped t**b turns into a central-in-<s> factor s**c
-        i = (x[0] + y[0] * rpow[x[1]]) % a
+        i = (x[0] + y[0] * pow(r, x[1], a)) % a
         j = x[1] + y[1]
         if j >= b:
             j -= b
             i = (i + c) % a
         return (i, j)
 
+    return compose
+
+
+def _build_metacyclic(m: Metacyclic, label: str | None = None) -> FiniteGroupTable:
+    a, b, c, r = m.a, m.b, m.c, m.r
+    if a * b > CLOSURE_CAP:
+        raise ValueError(f"a table of order {a * b} exceeds closure cap {CLOSURE_CAP}")
     gens = [(1 % a, 0), (0, 1 % b)]
     if label is None:
         label = f"metacyclic(a={a},b={b},c={c},r={r})"
-    t = FiniteGroupTable.from_generators((0, 0), gens, compose, a * b, label)
+    t = FiniteGroupTable.from_generators((0, 0), gens, _metacyclic_compose(m), a * b, label)
     assert t.order == a * b
     return t
 
@@ -439,7 +457,7 @@ def _build_perm(pg: PermGens, label: str | None = None) -> FiniteGroupTable:
     if label is None:
         label = f"perm(degree {pg.degree})"
     return FiniteGroupTable.from_generators(
-        identity, list(pg.generators), _perm_compose, PERM_CLOSURE_CAP, label
+        identity, list(pg.generators), _perm_compose, CLOSURE_CAP, label
     )
 
 
@@ -457,7 +475,7 @@ def _sl2_7_table() -> FiniteGroupTable:
         )
 
     t = FiniteGroupTable.from_generators(
-        (1, 0, 0, 1), [(1, 1, 0, 1), (1, 0, 1, 1)], mul, PERM_CLOSURE_CAP, "SL2_7"
+        (1, 0, 0, 1), [(1, 1, 0, 1), (1, 0, 1, 1)], mul, CLOSURE_CAP, "SL2_7"
     )
     assert t.order == 336  # 7 * (49 - 1)
     return t
@@ -488,7 +506,7 @@ def _sl2_9_table() -> FiniteGroupTable:
     # E12(1) and E21(1) only generate a copy of SL2(F_3); E12(t) is needed
     # to reach the full group
     gens = [(1, 1, 0, 1), (1, 0, 1, 1), (1, 3, 0, 1)]
-    t = FiniteGroupTable.from_generators((1, 0, 0, 1), gens, mul, PERM_CLOSURE_CAP, "SL2_9")
+    t = FiniteGroupTable.from_generators((1, 0, 0, 1), gens, mul, CLOSURE_CAP, "SL2_9")
     assert t.order == 720  # 9 * (81 - 1)
     return t
 
@@ -543,3 +561,71 @@ def build_group(spec: GroupSpec) -> FiniteGroupTable:
     if isinstance(spec, PermGens):
         return _build_perm(spec)
     raise TypeError(f"not a group spec: {spec!r}")
+
+
+class GroupFacts(NamedTuple):
+    """All the verdict reads about a group. A NamedTuple rather than a
+    frozen dataclass, which would cost about a millisecond at import."""
+
+    order: int
+    abelian_invariants: tuple[int, ...]
+    sylow2_order: int
+    sylow2_is_q16: bool
+
+
+def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
+    """The facts of a metacyclic group from its parameters alone.
+
+    The abelianization is Z^2 modulo the exponent sums of the relators,
+    the rows [a, 0], [-c, b] and [r - 1, 0]. A 2-Sylow subgroup is
+    generated by s**(a/a_2), which generates the 2-Sylow subgroup of the
+    normal subgroup <s>, and by u = t'**o'. Here t' = t**(b/b_2) has order
+    b_2 * a/gcd(a, c), since its b_2-th power is t**b = s**c, and o' is
+    the odd part of that order; the image of u then generates the 2-part
+    of G/<s> = C_b. Those 16 elements are closed only when the 2-part of
+    the order is 16.
+    """
+    a, b, c, r = m.a, m.b, m.c, m.r
+    order = a * b
+    rows: list[list[int] | None] = [None, None]
+    for v in ([a, 0], [-c, b], [r - 1, 0]):
+        _add_relator(rows, v)
+    two_part = order & -order
+    q16 = False
+    if two_part == 16:
+        b2 = b & -b
+        t_order = b2 * (a // gcd(a, c))
+        # u = t**k for k = (b/b_2) * o', and t**k = (s**c)**(k // b)
+        # t**(k % b) because s**c is central
+        k = b // b2 * (t_order // (t_order & -t_order))
+        u = (c * (k // b) % a, k % b)
+        gens = [(a // (a & -a) % a, 0), u]
+        P = FiniteGroupTable.from_generators(
+            (0, 0), gens, _metacyclic_compose(m), 16, "2-Sylow"
+        )
+        assert P.order == 16
+        q16 = is_generalized_quaternion16(Subgroup(P, frozenset(range(P.order))))
+    return GroupFacts(order, _smith_invariants(rows), two_part, q16)
+
+
+def _table_facts(G: FiniteGroupTable) -> GroupFacts:
+    return GroupFacts(G.order, G.abelian_invariants, G.sylow2_order, sylow2_is_q16(G))
+
+
+@lru_cache(maxsize=None)
+def _catalog_facts(name: str) -> GroupFacts:
+    spec = _catalog_spec(name)
+    if isinstance(spec, Metacyclic):
+        return _metacyclic_facts(spec)
+    return _table_facts(build_group(Catalog(name)))
+
+
+def group_facts(spec: GroupSpec) -> GroupFacts:
+    """The facts the verdict needs: from the presentation for metacyclic
+    specs, memoized per name for catalog specs, and from the closure
+    table for permutation specs."""
+    if isinstance(spec, Metacyclic):
+        return _metacyclic_facts(spec)
+    if isinstance(spec, Catalog):
+        return _catalog_facts(spec.name)
+    return _table_facts(build_group(spec))

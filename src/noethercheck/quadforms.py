@@ -77,10 +77,13 @@ def equivalent_Q(f: DiagonalForm, g: DiagonalForm) -> bool:
     return form_invariants(f) == form_invariants(g)
 
 
-def _relevant_places(inv: FormInvariants) -> set[Place]:
+def _relevant_places(inv: FormInvariants) -> list[Place]:
+    """The places where a local condition can fail, in Place.sort_key
+    order: a scan that stops at the first failure then does the same work
+    in every process, whatever the set order."""
     places = {Place(2), REAL_PLACE} | set(inv.hasse_bad)
     places.update(Place(p) for p in factorize(inv.disc) if p != 2)
-    return places
+    return sorted(places, key=Place.sort_key)
 
 
 def _invariants_isotropic(inv: FormInvariants) -> bool:

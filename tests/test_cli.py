@@ -327,3 +327,14 @@ def test_check_field_above_cap_exits_1(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert str(FACTORIZATION_CAP) in err
+
+
+def test_check_metacyclic_above_cap_exits_1(capsys):
+    from noethercheck.groups import METACYCLIC_CAP
+
+    spec = f"metacyclic:a={METACYCLIC_CAP},b=2,c=0,r=1"
+    code, out, err = _run(capsys, "check", "--group", spec, "--field", "Q")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"metacyclic cap {METACYCLIC_CAP}" in err

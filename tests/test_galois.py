@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from noethercheck import groups
+from noethercheck import galois, groups
 from noethercheck import (
     BrauerClass2,
     Catalog,
@@ -381,6 +381,33 @@ def test_verdict_order_98304_within_seconds():
     assert elapsed < 10
 
 
+def test_verdict_dicyclic_near_metacyclic_cap_within_a_second():
+    from noethercheck.groups import METACYCLIC_CAP
+
+    q = 6 * 10**22 + 1
+    spec = Metacyclic(8 * q, 2, 4 * q, 8 * q - 1)
+    assert METACYCLIC_CAP // 2 < spec.a * spec.b <= METACYCLIC_CAP
+    start = time.perf_counter()
+    v = verdict(spec)
+    elapsed = time.perf_counter() - start
+    assert v.theorem == "1.5" and v.sylow_is_q16
+    assert v.abelian_invariants == (2, 2) and v.sylow_order == 16
+    assert elapsed < 1
+
+
+def test_verdict_huge_b_closes_only_the_sylow_within_a_second():
+    # b = 16 * odd: the 2-Sylow of the cyclic quotient is reached through
+    # t**(b/16), whose powers are computed without a list of length b
+    b = 16 * (10**19 + 1)
+    start = time.perf_counter()
+    v = verdict(Metacyclic(3, b, 0, 2))
+    elapsed = time.perf_counter() - start
+    assert v.group_order == 3 * b and v.sylow_order == 16 and not v.sylow_is_q16
+    assert v.abelian_invariants == (b,)
+    assert v.theorem == "1.2" and v.witness == {"n": 3, "d1": 4}
+    assert elapsed < 1
+
+
 def test_verdict_s7():
     v = verdict(PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6 7)"))
     assert v.outcome == "inconclusive" and v.theorem is None
@@ -394,6 +421,7 @@ def test_verdict_s7():
 
 def test_sylow_work_only_when_two_part_is_16(monkeypatch):
     calls = Counter()
+    closed = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -402,19 +430,41 @@ def test_sylow_work_only_when_two_part_is_16(monkeypatch):
 
         return wrapper
 
-    for name in ("_enumerate", "two_sylow", "is_generalized_quaternion16"):
+    enumerate_ = groups._enumerate
+
+    def enumerate_recorded(*args):
+        out = enumerate_(*args)
+        closed.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(groups, "_enumerate", enumerate_recorded)
+    for name in ("two_sylow", "is_generalized_quaternion16"):
         monkeypatch.setattr(groups, name, counted(name, getattr(groups, name)))
+    monkeypatch.setattr(galois, "cyclotomic_galois", counted("cyclotomic_galois", cyclotomic_galois))
     monkeypatch.setattr(
         groups.FiniteGroupTable, "mult", counted("mult", groups.FiniteGroupTable.mult)
     )
+    # metacyclic specs answer from the presentation: nothing is enumerated
+    # unless the 2-part is 16, and then only the 16 elements of a 2-Sylow
     for spec, two_part in ((Metacyclic(4096, 1, 0, 1), 4096), (Metacyclic(3, 2048, 0, 2), 2048)):
         assert verdict(spec).sylow_order == two_part
-    assert calls["two_sylow"] == calls["is_generalized_quaternion16"] == 0
-    # dicyclic of order 48: 2-part 16, so the search runs, once per table
+    assert calls["is_generalized_quaternion16"] == 0 and closed == []
+    # dicyclic of order 48: 2-part 16, so the Q16 test runs once
     assert verdict(Metacyclic(24, 2, 12, 23)).sylow_is_q16
-    assert calls["two_sylow"] == calls["is_generalized_quaternion16"] == 1
+    assert calls["is_generalized_quaternion16"] == 1 and closed == [16]
+    assert calls["two_sylow"] == calls["cyclotomic_galois"] == 0
     verdict(Catalog("SL2_9"))
     calls.clear()
+    closed.clear()
     v = verdict(Catalog("SL2_9"), FieldDescriptor(17))
     assert v.theorem == "1.5" and v.sylow_is_q16
-    assert not calls
+    assert not calls and not closed
+
+
+@pytest.mark.parametrize("d", [None, -1, 2, -2, 3, -3, 5, -7, 17, 6, -6])
+def test_is_cyclic_ext_matches_enumeration(d):
+    k = QQ if d is None else FieldDescriptor(d)
+    for n in range(1, 13):
+        assert is_cyclic_ext(k, n) == cyclotomic_galois(k, n).is_cyclic(), (k, n)
+    with pytest.raises(ValueError):
+        is_cyclic_ext(k, 0)

@@ -1,14 +1,24 @@
 """Property tests for the group layer: abelian invariants read off the BFS
 relators against a Smith normal form of the defining relations and
-against the derived-subgroup quotient oracle, and the reported 2-Sylow
-order against the 2-part of |G|."""
+against the derived-subgroup quotient oracle, the reported 2-Sylow order
+against the 2-part of |G|, and the facts a metacyclic presentation gives
+without enumeration against the closure table."""
 
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noethercheck import Metacyclic, PermGens, abelian_invariants, build_group, verdict
+from noethercheck import (
+    CATALOG_NAMES,
+    Catalog,
+    Metacyclic,
+    PermGens,
+    abelian_invariants,
+    build_group,
+    verdict,
+)
+from noethercheck.groups import GroupFacts, group_facts, sylow2_is_q16
 from noethercheck.oracles import abelian_invariants_by_quotient
 
 
@@ -38,6 +48,29 @@ def metacyclic_specs(draw):
     r = draw(st.sampled_from([r for r in range(a) if gcd(r, a) == 1 and pow(r, b, a) == 1 % a]))
     c = draw(st.sampled_from([c for c in range(a) if c * (r - 1) % a == 0]))
     return Metacyclic(a, b, c, r)
+
+
+@st.composite
+def metacyclic_specs_two_part_16(draw):
+    """Metacyclic specs of order at most 2000, three in four of them with
+    2-part 16, the only case that closes a 2-Sylow subgroup."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(metacyclic_specs())
+    e = draw(st.integers(0, 4))
+    odd_a = 2 * draw(st.integers(0, 20)) + 1
+    odd_b = 2 * draw(st.integers(0, (125 // odd_a - 1) // 2)) + 1
+    a, b = odd_a << e, odd_b << (4 - e)
+    rs = [r for r in range(a) if gcd(r, a) == 1 and pow(r, b, a) == 1 % a]
+    # r = -1 and c = a/2 give the dicyclic groups, most of the Q16 cases
+    r = a - 1 if a - 1 in rs and draw(st.booleans()) else draw(st.sampled_from(rs))
+    cs = [c for c in range(a) if c * (r - 1) % a == 0]
+    c = a // 2 if a // 2 in cs and draw(st.booleans()) else draw(st.sampled_from(cs))
+    return Metacyclic(a, b, c, r)
+
+
+def _table_facts(spec):
+    G = build_group(spec)
+    return GroupFacts(G.order, abelian_invariants(G), G.sylow2_order, sylow2_is_q16(G))
 
 
 @st.composite
@@ -75,3 +108,14 @@ def test_permutation_invariants_match_oracle(spec):
 def test_sylow_order_is_two_part(spec):
     v = verdict(spec)
     assert v.sylow_order == _two_part(v.group_order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metacyclic_specs_two_part_16())
+def test_metacyclic_facts_match_table(spec):
+    assert group_facts(spec) == _table_facts(spec)
+
+
+def test_catalog_facts_match_table():
+    for name in CATALOG_NAMES:
+        assert group_facts(Catalog(name)) == _table_facts(Catalog(name)), name

@@ -19,6 +19,7 @@ from noethercheck import (
     quotient_by,
     two_sylow,
 )
+from noethercheck.groups import CLOSURE_CAP, METACYCLIC_CAP
 from noethercheck.oracles import abelian_invariants_by_quotient
 
 
@@ -80,8 +81,11 @@ def test_metacyclic_validation():
         Metacyclic(4, 2, 4, 1)
     with pytest.raises(ValueError):
         Metacyclic(-2, 1, 0, 1)
-    with pytest.raises(ValueError):
-        Metacyclic(1000, 101, 0, 1)
+    with pytest.raises(ValueError, match=f"metacyclic cap {METACYCLIC_CAP}"):
+        Metacyclic(10**12, 10**12 + 1, 0, 1)
+    # inside the cap, a table is still refused above the closure cap
+    with pytest.raises(ValueError, match=f"closure cap {CLOSURE_CAP}"):
+        build_group(Metacyclic(1000, 1001, 0, 1))
 
 
 def test_build_orders():
@@ -121,7 +125,7 @@ def test_group_axioms_sampled():
             assert G.mult(G.mult(x, y), z) == G.mult(x, G.mult(y, z))
 
 
-def test_lazy_table_above_dense_limit():
+def test_metacyclic_table_of_order_10000():
     G = _mc(5000, 2, 0, 4999)
     assert G.order == 10000
     s, t = G.generator_indices

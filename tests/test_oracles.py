@@ -167,3 +167,41 @@ def test_isotropy_grid_check_fails_under_optimize():
     assert r.returncode == 1, r.stderr
     assert r.stdout == ""
     assert r.stderr == "mismatch: no local obstruction for <1,-1>\n"
+
+
+def test_hilbert_symbol_count_is_reproducible_across_processes():
+    # the isotropy scan stops at the first failing place, so the number of
+    # symbols it computes depends on the order it visits places in; that
+    # order must not depend on hashing, which differs between processes
+    code = (
+        "import noethercheck\n"
+        "from noethercheck import localfields, oracles\n"
+        "real = localfields.hilbert_symbol\n"
+        "calls = 0\n"
+        "def counted(*args):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return real(*args)\n"
+        "for mod in (noethercheck, *(getattr(noethercheck, m) for m in\n"
+        "        ('exact', 'localfields', 'quadforms', 'galois', 'oracles'))):\n"
+        "    for name, val in list(vars(mod).items()):\n"
+        "        if val is real:\n"
+        "            setattr(mod, name, counted)\n"
+        "oracles.isotropy_grid_check(60)\n"
+        "print(calls)\n"
+    )
+    src = str(Path(noethercheck.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    counts = []
+    for seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=src + (os.pathsep + path if path else ""),
+            PYTHONHASHSEED=seed,
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert r.returncode == 0, r.stderr
+        counts.append(int(r.stdout))
+    assert counts[0] == counts[1] > 0
