@@ -1,156 +1,30 @@
 """Exact obstruction tests for retract rationality of invariant fields of
-finite groups over Q and quadratic number fields."""
+finite groups over Q and quadratic number fields.
 
-from .exact import (
-    FACTORIZATION_CAP,
-    FieldDescriptor,
-    QQ,
-    QuadFieldElem,
-    Rational,
-    factorize,
-    is_prime,
-    is_square,
-    padic_valuation,
-    quad_norm,
-    square_class,
-    squarefree_part,
-)
-from .localfields import (
-    REAL_PLACE,
-    DiagonalForm,
-    Place,
-    hasse_invariant,
-    hilbert_symbol,
-    is_local_square,
-    legendre_symbol,
-    local_isotropic,
-    local_isotropic_unramified_ext,
-)
-from .quadforms import (
-    ANISOTROPIC,
-    ISOTROPIC,
-    Decision,
-    FormInvariants,
-    IsotropyOutcome,
-    equivalent_Q,
-    form_invariants,
-    isotropic_Q,
-    isotropic_quad,
-    level,
-    sum_of_squares,
-    three_squares_nat,
-    unsupported,
-    witt_index_Q,
-)
-from .groups import (
-    CATALOG_NAMES,
-    Catalog,
-    FiniteGroupTable,
-    GroupSpec,
-    Metacyclic,
-    PermGens,
-    Subgroup,
-    abelian_invariants,
-    build_group,
-    catalog_group,
-    is_generalized_quaternion16,
-    max_cyclic_two_quotient,
-    two_sylow,
-)
-from .galois import (
-    BrauerClass2,
-    Check,
-    UnitSubgroup2n,
-    Verdict,
-    bailey_group,
-    cyclotomic_galois,
-    is_cyclic_ext,
-    quaternion_class,
-    trace_form_conditions,
-    verdict,
-    w1w2,
-)
-from .oracles import (
-    GRID_COEFFS,
-    LocalZeroOracle,
-    derived_subgroup,
-    grid_forms,
-    isotropy_grid_check,
-    isotropy_witness,
-    local_oracle,
-    quotient_by,
-    reciprocity_failures,
-    three_squares_sieve,
-)
+The package exports the verdict, the group specs it takes, the field
+descriptor and the two isotropy decisions for diagonal forms. Everything
+else lives in the submodules (exact, localfields, quadforms, groups,
+galois, oracles, cli).
+"""
+
+from .exact import QQ, FieldDescriptor
+from .galois import Check, Verdict, verdict
+from .groups import CATALOG_NAMES, Catalog, GroupSpec, Metacyclic, PermGens
+from .localfields import DiagonalForm
+from .quadforms import isotropic_Q, isotropic_quad
 
 __all__ = [
-    "ANISOTROPIC",
-    "BrauerClass2",
     "CATALOG_NAMES",
     "Catalog",
     "Check",
-    "Decision",
     "DiagonalForm",
-    "FACTORIZATION_CAP",
     "FieldDescriptor",
-    "FiniteGroupTable",
-    "FormInvariants",
-    "GRID_COEFFS",
     "GroupSpec",
-    "ISOTROPIC",
-    "IsotropyOutcome",
-    "LocalZeroOracle",
     "Metacyclic",
     "PermGens",
-    "Place",
     "QQ",
-    "QuadFieldElem",
-    "REAL_PLACE",
-    "Rational",
-    "Subgroup",
-    "UnitSubgroup2n",
     "Verdict",
-    "abelian_invariants",
-    "bailey_group",
-    "build_group",
-    "catalog_group",
-    "cyclotomic_galois",
-    "derived_subgroup",
-    "equivalent_Q",
-    "factorize",
-    "form_invariants",
-    "grid_forms",
-    "hasse_invariant",
-    "hilbert_symbol",
-    "is_cyclic_ext",
-    "is_generalized_quaternion16",
-    "is_local_square",
-    "is_prime",
-    "is_square",
     "isotropic_Q",
     "isotropic_quad",
-    "isotropy_grid_check",
-    "isotropy_witness",
-    "legendre_symbol",
-    "level",
-    "local_isotropic",
-    "local_isotropic_unramified_ext",
-    "local_oracle",
-    "max_cyclic_two_quotient",
-    "padic_valuation",
-    "quad_norm",
-    "quaternion_class",
-    "quotient_by",
-    "reciprocity_failures",
-    "square_class",
-    "squarefree_part",
-    "sum_of_squares",
-    "three_squares_nat",
-    "three_squares_sieve",
-    "trace_form_conditions",
-    "two_sylow",
-    "unsupported",
     "verdict",
-    "w1w2",
-    "witt_index_Q",
 ]

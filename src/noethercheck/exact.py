@@ -1,5 +1,5 @@
-"""Exact arithmetic foundation: rationals, squarefree decomposition, p-adic
-valuations, and elements of quadratic fields.
+"""Exact arithmetic foundation: rationals, factorization, squarefree
+decomposition, p-adic valuations, and the base field descriptor.
 
 Every scalar in this package is a ``fractions.Fraction`` (aliased Rational)
 or an arbitrary-precision int. Nothing here or downstream touches floats.
@@ -241,54 +241,3 @@ def is_square(x: Rational | int, field: FieldDescriptor = QQ) -> bool:
     if field.is_rational:
         return c == 1
     return c == 1 or c == field.d
-
-
-@dataclass(frozen=True)
-class QuadFieldElem:
-    """a + b*sqrt(d) in the quadratic field described by ``field``."""
-
-    a: Rational
-    b: Rational
-    field: FieldDescriptor
-
-    def __post_init__(self) -> None:
-        if self.field.is_rational:
-            raise ValueError("QuadFieldElem needs a quadratic field")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-
-    def _same_field(self, other: QuadFieldElem) -> None:
-        if self.field != other.field:
-            raise ValueError(f"mixed fields: {self.field} vs {other.field}")
-
-    def __add__(self, other: QuadFieldElem) -> QuadFieldElem:
-        self._same_field(other)
-        return QuadFieldElem(self.a + other.a, self.b + other.b, self.field)
-
-    def __sub__(self, other: QuadFieldElem) -> QuadFieldElem:
-        self._same_field(other)
-        return QuadFieldElem(self.a - other.a, self.b - other.b, self.field)
-
-    def __neg__(self) -> QuadFieldElem:
-        return QuadFieldElem(-self.a, -self.b, self.field)
-
-    def __mul__(self, other: QuadFieldElem) -> QuadFieldElem:
-        self._same_field(other)
-        d = self.field.d
-        return QuadFieldElem(
-            self.a * other.a + d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.field,
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __str__(self) -> str:
-        return f"{self.a} + {self.b}*sqrt({self.field.d})"
-
-
-def quad_norm(e: QuadFieldElem) -> Rational:
-    """Field norm a**2 - d*b**2 of a + b*sqrt(d)."""
-    return e.a * e.a - e.field.d * e.b * e.b

@@ -12,12 +12,11 @@ checks so a caller can see which hypothesis failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import FieldDescriptor, QQ, Rational, factorize, padic_valuation, square_class
+from .exact import FieldDescriptor, QQ, padic_valuation
 from .groups import GroupSpec, group_facts
-from .localfields import REAL_PLACE, DiagonalForm, Place, hilbert_symbol
-from .quadforms import Decision, isotropic_Q, isotropic_quad
+from .localfields import DiagonalForm
+from .quadforms import isotropic_Q, isotropic_quad
 
 
 @dataclass(frozen=True)
@@ -121,70 +120,6 @@ def bailey_group(k: FieldDescriptor, dvec: tuple[int, ...]) -> tuple[int, str]:
 
 
 @dataclass(frozen=True)
-class BrauerClass2:
-    """A 2-torsion Brauer class of Q as its even set of ramified places.
-    Addition of classes is symmetric difference."""
-
-    places: frozenset[Place]
-
-    def __post_init__(self) -> None:
-        if len(self.places) % 2:
-            raise ValueError("ramification sets have even size")
-
-    def __add__(self, other: BrauerClass2) -> BrauerClass2:
-        return BrauerClass2(self.places ^ other.places)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.places
-
-    def __str__(self) -> str:
-        if not self.places:
-            return "0"
-        return "{" + ",".join(str(v) for v in sorted(self.places, key=Place.sort_key)) + "}"
-
-
-def _support_places(*values: Rational) -> set[Place]:
-    out = {Place(2), REAL_PLACE}
-    for x in values:
-        out.update(Place(p) for p in factorize(x.numerator) if p != 2)
-        out.update(Place(p) for p in factorize(x.denominator) if p != 2)
-    return out
-
-
-def quaternion_class(a: Rational | int, b: Rational | int) -> BrauerClass2:
-    """Class of the quaternion algebra (a, b) over Q: the places where the
-    local Hilbert symbol is -1. Outside the support of a and b the symbol
-    is +1, so the scan is finite; reciprocity makes the set even."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("quaternion_class needs nonzero entries")
-    return BrauerClass2(
-        frozenset(v for v in _support_places(a, b) if hilbert_symbol(a, b, v) == -1)
-    )
-
-
-def w1w2(f: DiagonalForm) -> tuple[int, BrauerClass2]:
-    """First and second invariants of the form: the square class of the
-    discriminant, and the sum of quaternion classes over coefficient pairs."""
-    w2 = BrauerClass2(frozenset())
-    cs = f.coeffs
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            w2 = w2 + quaternion_class(cs[i], cs[j])
-    return square_class(f.disc()), w2
-
-
-def trace_form_conditions(c: Rational | int) -> tuple[bool, bool]:
-    """The two scalar conditions used when a trace form is rescaled by c:
-    triviality of the quaternion class (2, c), and positivity of c."""
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    return quaternion_class(2, c).is_trivial, c > 0
-
-
-@dataclass(frozen=True)
 class Check:
     """One named hypothesis test inside a verdict."""
 
@@ -193,7 +128,7 @@ class Check:
     detail: str
 
     def __post_init__(self) -> None:
-        if self.result not in ("pass", "fail", "unsupported"):
+        if self.result not in ("pass", "fail"):
             raise ValueError(f"bad check result: {self.result}")
 
 
@@ -219,17 +154,6 @@ F7 = DiagonalForm.of(1, 1, 1, -7)
 F8 = DiagonalForm.repeated(8)
 
 
-def _anisotropic_over(f: DiagonalForm, k: FieldDescriptor) -> Decision:
-    if k.is_rational:
-        iso = isotropic_Q(f)
-        return Decision(not iso, f"{f} {'isotropic' if iso else 'anisotropic'} over Q")
-    out = isotropic_quad(f, k.d)
-    if not out.decided:
-        return Decision(None, out.reason)
-    iso = out.is_isotropic
-    return Decision(not iso, f"{f} {'isotropic' if iso else 'anisotropic'} over {k}")
-
-
 def _form_check(
     name: str,
     form: DiagonalForm,
@@ -238,17 +162,18 @@ def _form_check(
     checks: list[Check],
     reasons: list[str],
 ) -> bool:
-    dec = _anisotropic_over(form, field)
-    if dec.value is None:
-        checks.append(Check(name, "unsupported", dec.reason))
-        reasons.append(dec.reason)
+    """Append the check that form is anisotropic over field; True if it is."""
+    if field.is_rational:
+        iso = isotropic_Q(form)
+    else:
+        iso = isotropic_quad(form, field.d).is_isotropic
+    detail = f"{form} {'isotropic' if iso else 'anisotropic'} over {field}"
+    if iso:
+        checks.append(Check(name, "fail", detail))
+        reasons.append(f"{display} isotropic over {field}")
         return False
-    if dec.value:
-        checks.append(Check(name, "pass", dec.reason))
-        return True
-    checks.append(Check(name, "fail", dec.reason))
-    reasons.append(f"{display} isotropic over {field}")
-    return False
+    checks.append(Check(name, "pass", detail))
+    return True
 
 
 def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:

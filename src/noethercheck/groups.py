@@ -31,7 +31,7 @@ from math import gcd
 from operator import add, sub
 from typing import NamedTuple
 
-from .exact import FACTORIZATION_CAP, factorize, padic_valuation
+from .exact import FACTORIZATION_CAP, factorize
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
 # memory: every closure (permutation, matrix, or a metacyclic table) stops
@@ -413,12 +413,6 @@ def sylow2_is_q16(G: FiniteGroupTable) -> bool:
     order 16? That needs the 2-part of |G| to be 16, so no Sylow subgroup
     is searched for otherwise."""
     return G.sylow2_order == 16 and is_generalized_quaternion16(two_sylow(G))
-
-
-def max_cyclic_two_quotient(G: FiniteGroupTable) -> int:
-    """Largest n such that G surjects onto the cyclic group of order 2**n:
-    the 2-adic valuation of the largest invariant factor of G/[G, G]."""
-    return padic_valuation(G.abelian_invariants[0], 2) if G.abelian_invariants else 0
 
 
 def _metacyclic_compose(m: Metacyclic):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Rational, is_prime, padic_valuation
+from .exact import Rational, is_prime
 
 
 @dataclass(frozen=True)
@@ -219,24 +219,3 @@ def local_isotropic(f: DiagonalForm, v: Place) -> bool:
             and hasse_invariant(f, v) == -hilbert_symbol(-1, -1, v)
         )
     return True
-
-
-def local_isotropic_unramified_ext(f: DiagonalForm, p: int) -> bool:
-    """Isotropy of f over the unramified quadratic extension of Q_p, p odd.
-
-    Every p-unit of Q_p becomes a square there (all residues of F_p are
-    squares in F_{p**2}, and units lift), so only coefficient valuations
-    matter: for dim >= 3 two valuations share a parity and the corresponding
-    binary subform is isotropic; a binary form is isotropic iff its two
-    valuations agree mod 2; dim 1 never.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    n = f.dim
-    if n >= 3:
-        return True
-    if n == 2:
-        v0 = padic_valuation(f.coeffs[0], p)
-        v1 = padic_valuation(f.coeffs[1], p)
-        return (v0 - v1) % 2 == 0
-    return False

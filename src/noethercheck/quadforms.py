@@ -1,6 +1,6 @@
 """Global decisions for quadratic forms: classification over Q, isotropy by
-Hasse-Minkowski, Witt index, the quadratic-extension decision, sums of
-squares, the three-square theorem, and field levels.
+Hasse-Minkowski, the quadratic-extension decision, the three-square
+theorem, and field levels.
 
 Everything over Q is decided from the complete invariant set
 (dim, disc class, signature, bad Hasse places); no isotropic vectors are
@@ -9,14 +9,10 @@ ever searched for here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import (
     FieldDescriptor,
-    QQ,
-    Rational,
     factorize,
     is_square,
     square_class,
@@ -39,8 +35,7 @@ class FormInvariants:
     """Complete set of rational invariants of a nondegenerate form.
 
     disc is the squarefree class of the determinant; hasse_bad is the finite
-    set of places with Hasse invariant -1. dim 0 is allowed so a fully split
-    form can report an empty anisotropic kernel.
+    set of places with Hasse invariant -1.
     """
 
     dim: int
@@ -70,11 +65,6 @@ def form_invariants(f: DiagonalForm) -> FormInvariants:
     pos, neg = f.signature()
     bad = frozenset(v for v in candidate_places(f) if hasse_invariant(f, v) == -1)
     return FormInvariants(f.dim, square_class(d), pos, neg, bad)
-
-
-def equivalent_Q(f: DiagonalForm, g: DiagonalForm) -> bool:
-    """Rational equivalence, by completeness of the invariant set."""
-    return form_invariants(f) == form_invariants(g)
 
 
 def _relevant_places(inv: FormInvariants) -> list[Place]:
@@ -119,69 +109,30 @@ def isotropic_Q(f: DiagonalForm) -> bool:
     return _invariants_isotropic(form_invariants(f))
 
 
-def _split_hyperbolic(inv: FormInvariants) -> FormInvariants:
-    """Invariants of g where f = <1,-1> perp g.
-
-    disc flips sign; the Hasse invariant picks up (-1, disc g)_v from the
-    cross terms of the orthogonal sum.
-    """
-    disc2 = square_class(-inv.disc)
-    places = {Place(2), REAL_PLACE} | set(inv.hasse_bad)
-    places.update(Place(p) for p in factorize(disc2) if p != 2)
-    bad = frozenset(
-        v
-        for v in places
-        if (-1 if v in inv.hasse_bad else 1) * hilbert_symbol(-1, disc2, v) == -1
-    )
-    return FormInvariants(inv.dim - 2, disc2, inv.pos - 1, inv.neg - 1, bad)
-
-
-def witt_index_Q(f: DiagonalForm) -> tuple[int, FormInvariants]:
-    """Witt index over Q and the invariants of the anisotropic kernel,
-    computed by repeatedly cancelling a hyperbolic plane."""
-    inv = form_invariants(f)
-    w = 0
-    while _invariants_isotropic(inv):
-        inv = _split_hyperbolic(inv)
-        w += 1
-    return w, inv
-
-
 @dataclass(frozen=True)
 class IsotropyOutcome:
-    """Three-valued isotropy answer over a quadratic field.
-
-    kind is "isotropic", "anisotropic", or "unsupported" with a reason. The
-    unsupported variant is part of the interface; the decision procedure in
-    isotropic_quad is total for rational coefficients and never produces it.
+    """Isotropy answer over a quadratic field: kind is "isotropic" or
+    "anisotropic". isotropic_quad is total for rational coefficients, so
+    every outcome is decided.
     """
 
     kind: str
-    reason: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("isotropic", "anisotropic", "unsupported"):
+        if self.kind not in ("isotropic", "anisotropic"):
             raise ValueError(f"bad kind: {self.kind}")
-        if self.kind == "unsupported" and not self.reason:
-            raise ValueError("unsupported outcomes carry a reason")
 
     @property
     def decided(self) -> bool:
-        return self.kind != "unsupported"
+        return True
 
     @property
     def is_isotropic(self) -> bool:
-        if not self.decided:
-            raise ValueError("undecided outcome")
         return self.kind == "isotropic"
 
 
 ISOTROPIC = IsotropyOutcome("isotropic")
 ANISOTROPIC = IsotropyOutcome("anisotropic")
-
-
-def unsupported(reason: str) -> IsotropyOutcome:
-    return IsotropyOutcome("unsupported", reason)
 
 
 def _split_places(f: DiagonalForm, d: int) -> list[Place]:
@@ -235,60 +186,21 @@ def isotropic_quad(f: DiagonalForm, d: int) -> IsotropyOutcome:
     return ISOTROPIC
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Yes/no with a reason; value None means the question was not decided."""
-
-    value: bool | None
-    reason: str
-
-    @property
-    def decided(self) -> bool:
-        return self.value is not None
-
-
-def level(k: FieldDescriptor) -> int | float:
-    """Level of the field: least s with -1 a sum of s squares, math.inf for
-    formally real fields.
+def level(k: FieldDescriptor) -> int | None:
+    """Level of the field: least s with -1 a sum of s squares, or None for
+    Q and real quadratic fields, where -1 is no sum of squares at all.
 
     For imaginary quadratic fields the level is 1 for Q(i), 4 when d = 1
     mod 8 (the dyadic place splits and 3<1> stays anisotropic there), and 2
     otherwise.
     """
     if k.is_rational or k.d > 0:
-        return math.inf
+        return None
     if k.d == -1:
         return 1
     if k.d % 8 == 1:
         return 4
     return 2
-
-
-def sum_of_squares(alpha: Rational | int, n: int, k: FieldDescriptor = QQ) -> Decision:
-    """Is alpha a sum of n squares in k?
-
-    When n exceeds the level, n*<1> is isotropic and hence universal;
-    otherwise alpha is represented by n*<1> iff n*<1> perp <-alpha> is
-    isotropic, decided over Q or Q(sqrt d) exactly.
-    """
-    alpha = Fraction(alpha)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if level(k) < n:
-        return Decision(True, f"{n}*<1> is isotropic over {k} (level {level(k)}), hence universal")
-    form = DiagonalForm((Fraction(1),) * n + (-alpha,))
-    if k.is_rational:
-        iso = isotropic_Q(form)
-        return Decision(iso, f"{form} {'isotropic' if iso else 'anisotropic'} over Q")
-    out = isotropic_quad(form, k.d)
-    if not out.decided:
-        return Decision(None, out.reason)
-    return Decision(
-        out.is_isotropic,
-        f"{form} {'isotropic' if out.is_isotropic else 'anisotropic'} over {k}",
-    )
 
 
 def three_squares_nat(n: int) -> bool:

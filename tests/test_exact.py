@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from noethercheck import (
+from noethercheck.exact import (
     FACTORIZATION_CAP,
-    FieldDescriptor,
     QQ,
-    QuadFieldElem,
+    FieldDescriptor,
     factorize,
     is_prime,
     is_square,
     padic_valuation,
-    quad_norm,
     square_class,
     squarefree_part,
 )
@@ -110,43 +108,3 @@ def test_is_square():
     assert is_square(18, k2)
     assert not is_square(-2, k2)
     assert is_square(-4, FieldDescriptor(-1))
-
-
-def test_quad_norm_known():
-    assert quad_norm(QuadFieldElem(1, 1, FieldDescriptor(-1))) == 2
-    assert quad_norm(QuadFieldElem(3, 1, FieldDescriptor(17))) == -8
-
-
-def test_quad_norm_multiplicative():
-    rng = random.Random(5)
-    for d in (-1, 2, -7, 17):
-        k = FieldDescriptor(d)
-        for _ in range(50):
-            x = QuadFieldElem(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                k,
-            )
-            y = QuadFieldElem(rng.randint(-9, 9), rng.randint(-9, 9), k)
-            assert quad_norm(x * y) == quad_norm(x) * quad_norm(y)
-
-
-def test_quad_elem_arithmetic():
-    k = FieldDescriptor(5)
-    x = QuadFieldElem(1, 2, k)
-    y = QuadFieldElem(3, -1, k)
-    assert (x + y).a == 4 and (x + y).b == 1
-    assert (x - y).a == -2 and (x - y).b == 3
-    assert (-x).b == -2
-    prod = x * y
-    assert prod.a == 1 * 3 + 5 * 2 * -1 and prod.b == 1 * -1 + 2 * 3
-    assert not x.is_zero
-    assert (x - x).is_zero
-
-
-def test_quad_elem_rejects():
-    with pytest.raises(ValueError):
-        QuadFieldElem(1, 1, QQ)
-    k5, k7 = FieldDescriptor(5), FieldDescriptor(7)
-    with pytest.raises(ValueError):
-        QuadFieldElem(1, 1, k5) * QuadFieldElem(1, 1, k7)

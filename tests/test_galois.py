@@ -1,32 +1,20 @@
 import random
 import time
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from noethercheck import galois, groups
-from noethercheck import (
-    BrauerClass2,
-    Catalog,
+from noethercheck.exact import QQ, FieldDescriptor
+from noethercheck.galois import (
     Check,
-    DiagonalForm,
-    FieldDescriptor,
-    Metacyclic,
-    PermGens,
-    Place,
-    QQ,
-    REAL_PLACE,
     UnitSubgroup2n,
     bailey_group,
     cyclotomic_galois,
     is_cyclic_ext,
-    quaternion_class,
-    square_class,
-    trace_form_conditions,
     verdict,
-    w1w2,
 )
+from noethercheck.groups import Catalog, Metacyclic, PermGens
 
 K_I = FieldDescriptor(-1)
 K2 = FieldDescriptor(2)
@@ -216,80 +204,11 @@ def test_bailey_group():
         bailey_group(QQ, (2, 3))
 
 
-def test_brauer_class():
-    zero = BrauerClass2(frozenset())
-    assert zero.is_trivial
-    c = BrauerClass2(frozenset({Place(2), REAL_PLACE}))
-    assert not c.is_trivial
-    assert (c + c).is_trivial
-    assert c + zero == c
-    assert str(c) == "{2,oo}"
-    assert str(zero) == "0"
-    with pytest.raises(ValueError):
-        BrauerClass2(frozenset({Place(2)}))
-
-
-def test_quaternion_class_known():
-    assert quaternion_class(-1, -1).places == frozenset({Place(2), REAL_PLACE})
-    assert quaternion_class(-1, -2).places == frozenset({Place(2), REAL_PLACE})
-    assert quaternion_class(2, 3).places == frozenset({Place(2), Place(3)})
-    assert quaternion_class(-1, 3).places == frozenset({Place(2), Place(3)})
-    assert quaternion_class(1, 5).is_trivial
-    assert quaternion_class(5, 5).is_trivial
-    with pytest.raises(ValueError):
-        quaternion_class(0, 3)
-
-
-def test_quaternion_class_relations():
-    rng = random.Random(19)
-    vals = [Fraction(n, d) * s for n in (1, 2, 3, 5, 7, 10) for d in (1, 3) for s in (1, -1)]
-    for _ in range(100):
-        a, b, c = (rng.choice(vals) for _ in range(3))
-        # even size never raises: reciprocity
-        left = quaternion_class(a, b) + quaternion_class(a, c)
-        assert left == quaternion_class(a, b * c)
-        assert quaternion_class(a, -a).is_trivial
-        assert (quaternion_class(a, b) + quaternion_class(b, a)).is_trivial
-
-
-def test_w1w2():
-    w1, w2 = w1w2(DiagonalForm.of(1, 1, 1, -7))
-    assert w1 == -7 and w2.is_trivial
-    w1, w2 = w1w2(DiagonalForm.of(-1, -1))
-    assert w1 == 1 and w2.places == frozenset({Place(2), REAL_PLACE})
-    w1, w2 = w1w2(DiagonalForm.of(2, 3))
-    assert w1 == 6 and w2.places == frozenset({Place(2), Place(3)})
-    w1, w2 = w1w2(DiagonalForm.of(5))
-    assert w1 == 5 and w2.is_trivial
-
-
-def test_w1w2_sum_formula():
-    rng = random.Random(47)
-    pool = [1, 2, 3, 5, 6, -1, -2, -7]
-    for _ in range(60):
-        f = DiagonalForm.of(*(rng.choice(pool) for _ in range(rng.randint(1, 3))))
-        g = DiagonalForm.of(*(rng.choice(pool) for _ in range(rng.randint(1, 3))))
-        w1f, w2f = w1w2(f)
-        w1g, w2g = w1w2(g)
-        w1s, w2s = w1w2(f.perp(g))
-        assert w1s == square_class(Fraction(w1f) * w1g)
-        assert w2s == w2f + w2g + quaternion_class(w1f, w1g)
-
-
-def test_trace_form_conditions():
-    assert trace_form_conditions(-7) == (True, False)
-    assert trace_form_conditions(2) == (True, True)
-    assert trace_form_conditions(-1) == (True, False)
-    assert trace_form_conditions(3) == (False, True)
-    assert trace_form_conditions(Fraction(1, 2)) == (True, True)
-    with pytest.raises(ValueError):
-        trace_form_conditions(0)
-
-
 def test_check_validation():
     assert Check("x", "pass", "ok").name == "x"
-    with pytest.raises(ValueError):
-        Check("x", "maybe", "d")
+    for bad in ("maybe", "unsupported"):
+        with pytest.raises(ValueError):
+            Check("x", bad, "d")
 
 
 def test_verdict_fires_12():

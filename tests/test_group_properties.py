@@ -9,16 +9,18 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noethercheck import (
+from noethercheck.galois import verdict
+from noethercheck.groups import (
     CATALOG_NAMES,
     Catalog,
+    GroupFacts,
     Metacyclic,
     PermGens,
     abelian_invariants,
     build_group,
-    verdict,
+    group_facts,
+    sylow2_is_q16,
 )
-from noethercheck.groups import GroupFacts, group_facts, sylow2_is_q16
 from noethercheck.oracles import abelian_invariants_by_quotient
 
 

@@ -1,10 +1,14 @@
 import random
+import re
 from math import gcd
 
 import pytest
 
-from noethercheck import (
+from noethercheck.galois import verdict
+from noethercheck.groups import (
     CATALOG_NAMES,
+    CLOSURE_CAP,
+    METACYCLIC_CAP,
     Catalog,
     FiniteGroupTable,
     Metacyclic,
@@ -13,14 +17,10 @@ from noethercheck import (
     abelian_invariants,
     build_group,
     catalog_group,
-    derived_subgroup,
     is_generalized_quaternion16,
-    max_cyclic_two_quotient,
-    quotient_by,
     two_sylow,
 )
-from noethercheck.groups import CLOSURE_CAP, METACYCLIC_CAP
-from noethercheck.oracles import abelian_invariants_by_quotient
+from noethercheck.oracles import abelian_invariants_by_quotient, derived_subgroup, quotient_by
 
 
 def _mc(a, b, c, r):
@@ -230,15 +230,23 @@ def test_isomorphic_presentations_agree():
 
 
 def test_max_cyclic_two_quotient():
-    assert max_cyclic_two_quotient(catalog_group("C8")) == 3
-    assert max_cyclic_two_quotient(catalog_group("C12")) == 2
-    assert max_cyclic_two_quotient(catalog_group("C7")) == 0
-    assert max_cyclic_two_quotient(catalog_group("Q16")) == 1
-    assert max_cyclic_two_quotient(catalog_group("S4")) == 1
-    assert max_cyclic_two_quotient(catalog_group("A4")) == 0
-    assert max_cyclic_two_quotient(catalog_group("SL2_7")) == 0
-    assert max_cyclic_two_quotient(catalog_group("Ex3_3")) == 4
-    assert max_cyclic_two_quotient(_mc(7, 4, 0, 6)) == 2
+    # the largest n with G onto the cyclic group of order 2**n, as the
+    # verdict's cyclic_2power_quotient check reports it
+    expected = {
+        Catalog("C8"): 3,
+        Catalog("C12"): 2,
+        Catalog("C7"): 0,
+        Catalog("Q16"): 1,
+        Catalog("S4"): 1,
+        Catalog("A4"): 0,
+        Catalog("SL2_7"): 0,
+        Catalog("Ex3_3"): 4,
+        Metacyclic(7, 4, 0, 6): 2,
+    }
+    for spec, n in expected.items():
+        check = verdict(spec).checks[0]
+        assert check.name == "cyclic_2power_quotient"
+        assert re.search(r"2\^(\d+)\)?$", check.detail).group(1) == str(n), spec
 
 
 def test_two_sylow():

@@ -5,19 +5,18 @@ from math import prod
 
 import pytest
 
-from noethercheck import (
+from noethercheck.exact import factorize
+from noethercheck.localfields import (
+    REAL_PLACE,
     DiagonalForm,
     Place,
-    REAL_PLACE,
-    factorize,
     hasse_invariant,
     hilbert_symbol,
     is_local_square,
     legendre_symbol,
     local_isotropic,
-    local_isotropic_unramified_ext,
 )
-from noethercheck import LocalZeroOracle, grid_forms, local_oracle
+from noethercheck.oracles import LocalZeroOracle, grid_forms, local_oracle
 
 _PLACES = [Place(2), Place(3), Place(5), Place(7), Place(11), REAL_PLACE]
 
@@ -194,83 +193,3 @@ def test_hilbert_symbol_input_types_agree():
                 for x in variants(a):
                     for y in variants(b):
                         assert hilbert_symbol(x, y, v) == want, (x, y, v)
-
-
-class _UnramExt:
-    """Honest model of the unramified quadratic extension of Q_p, p odd.
-
-    Works in R = (Z/p**3)[t]/(t**2 - 2) for p with legendre(2, p) = -1, which
-    is the ring of integers mod p**3. Counting primitive zeros mod p**3 is
-    exact for coefficient valuations in {0, 1}: a primitive zero has a unit
-    coordinate and its coefficient's valuation is at most 1, so 3 > 2*v and
-    the zero lifts.
-    """
-
-    def __init__(self, p):
-        assert legendre_symbol(2, p) == -1
-        self.p = p
-        self.m = p**3
-        sq_prim = set()
-        sq_any = {(0, 0)}
-        for a in range(self.m):
-            for b in range(self.m):
-                s = ((a * a + 2 * b * b) % self.m, (2 * a * b) % self.m)
-                sq_any.add(s)
-                if a % p != 0 or b % p != 0:
-                    sq_prim.add(s)
-        self.sq_prim = sq_prim
-        self.sq_any = sq_any
-
-    def _scaled(self, c, vals):
-        return {(c * a % self.m, c * b % self.m) for a, b in vals}
-
-    def isotropic(self, coeffs):
-        assert all(v % self.m != 0 for v in coeffs)
-        if len(coeffs) == 1:
-            return (0, 0) in self._scaled(coeffs[0], self.sq_prim)
-        if len(coeffs) == 2:
-            c1, c2 = coeffs
-            return bool(
-                self._scaled(c1, self.sq_prim) & self._scaled(-c2, self.sq_any)
-                or self._scaled(c1, self.sq_any) & self._scaled(-c2, self.sq_prim)
-            )
-        c1, c2, c3 = coeffs
-        third = self._scaled(c3, self.sq_any)
-        for v1 in self._scaled(c1, self.sq_prim):
-            for v2 in self._scaled(c2, self.sq_any):
-                if ((-v1[0] - v2[0]) % self.m, (-v1[1] - v2[1]) % self.m) in third:
-                    return True
-        return False
-
-
-def test_local_isotropic_unramified_ext_matches_model():
-    for p in (3, 5):
-        ext = _UnramExt(p)
-        coeffs = [1, 2, -1, p, -p, 2 * p]
-        for c1 in coeffs:
-            f1 = DiagonalForm.of(c1)
-            assert local_isotropic_unramified_ext(f1, p) == ext.isotropic([c1])
-            for c2 in coeffs:
-                f2 = DiagonalForm.of(c1, c2)
-                assert local_isotropic_unramified_ext(f2, p) == ext.isotropic([c1, c2])
-    # dim 3 is always isotropic; confirm by exhibiting honest witnesses where
-    # the search is cheap.
-    ext3 = _UnramExt(3)
-    for cs in ([1, 1, 1], [1, 2, 3], [1, -1, 3], [3, 6, 2], [3, 3, 3]):
-        assert local_isotropic_unramified_ext(DiagonalForm.of(*cs), 3)
-        assert ext3.isotropic(cs)
-
-
-def test_local_isotropic_unramified_ext_values():
-    assert not local_isotropic_unramified_ext(DiagonalForm.of(5), 5)
-    assert local_isotropic_unramified_ext(DiagonalForm.of(1, 1), 3)
-    assert local_isotropic_unramified_ext(DiagonalForm.of(2, -5), 3)
-    assert not local_isotropic_unramified_ext(DiagonalForm.of(1, 3), 3)
-    assert local_isotropic_unramified_ext(DiagonalForm.of(3, 12), 3)
-    assert local_isotropic_unramified_ext(DiagonalForm.of(Fraction(1, 3), 3), 3)
-    assert not local_isotropic_unramified_ext(DiagonalForm.of(Fraction(1, 3), 1), 3)
-    assert local_isotropic_unramified_ext(DiagonalForm.repeated(5, 7), 7)
-    with pytest.raises(ValueError):
-        local_isotropic_unramified_ext(DiagonalForm.of(1, 1), 2)
-    with pytest.raises(ValueError):
-        local_isotropic_unramified_ext(DiagonalForm.of(1, 1), 9)

@@ -8,17 +8,17 @@ from pathlib import Path
 import pytest
 
 import noethercheck
-from noethercheck import (
-    DiagonalForm,
+from noethercheck.localfields import DiagonalForm
+from noethercheck.oracles import (
     GRID_COEFFS,
     LocalZeroOracle,
     grid_forms,
     isotropy_witness,
     local_oracle,
     reciprocity_failures,
-    three_squares_nat,
     three_squares_sieve,
 )
+from noethercheck.quadforms import three_squares_nat
 
 
 def test_grid_forms():

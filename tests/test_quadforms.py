@@ -1,30 +1,22 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from noethercheck import (
+from noethercheck.exact import QQ, FieldDescriptor
+from noethercheck.localfields import REAL_PLACE, DiagonalForm, Place
+from noethercheck.quadforms import (
     ANISOTROPIC,
-    DiagonalForm,
-    FieldDescriptor,
-    FormInvariants,
     ISOTROPIC,
+    FormInvariants,
     IsotropyOutcome,
-    Place,
-    QQ,
-    REAL_PLACE,
-    equivalent_Q,
+    candidate_places,
     form_invariants,
     isotropic_Q,
     isotropic_quad,
     level,
-    sum_of_squares,
     three_squares_nat,
-    unsupported,
-    witt_index_Q,
 )
-from noethercheck.quadforms import candidate_places
 
 F7 = DiagonalForm.of(1, 1, 1, -7)
 
@@ -45,13 +37,18 @@ def test_form_invariants():
         FormInvariants(2, 1, 1, 0, frozenset())
 
 
+def _equivalent_Q(f, g):
+    # the invariant set is complete: equal invariants iff rationally equivalent
+    return form_invariants(f) == form_invariants(g)
+
+
 def test_equivalent_Q():
-    assert equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(2, 2))
-    assert equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(1, 4))
-    assert equivalent_Q(DiagonalForm.of(1, -2), DiagonalForm.of(2, -1))
-    assert not equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(1, -1))
-    assert not equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(1, 2))
-    assert not equivalent_Q(DiagonalForm.of(1), DiagonalForm.of(1, 1))
+    assert _equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(2, 2))
+    assert _equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(1, 4))
+    assert _equivalent_Q(DiagonalForm.of(1, -2), DiagonalForm.of(2, -1))
+    assert not _equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(1, -1))
+    assert not _equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(1, 2))
+    assert not _equivalent_Q(DiagonalForm.of(1), DiagonalForm.of(1, 1))
 
 
 def test_witt_cancellation():
@@ -60,7 +57,7 @@ def test_witt_cancellation():
         f = _sample_form(rng, rng.randint(1, 3))
         g = _sample_form(rng, f.dim)
         h = _sample_form(rng, rng.randint(1, 2))
-        assert equivalent_Q(f.perp(h), g.perp(h)) == equivalent_Q(f, g)
+        assert _equivalent_Q(f.perp(h), g.perp(h)) == _equivalent_Q(f, g)
 
 
 def test_isotropic_Q_known():
@@ -72,38 +69,13 @@ def test_isotropic_Q_known():
     assert not isotropic_Q(DiagonalForm.repeated(8))
     assert not isotropic_Q(DiagonalForm.of(1))
     assert isotropic_Q(DiagonalForm.of(1, 1, 1, 1, -7))
-
-
-def test_witt_index_known():
-    w, ker = witt_index_Q(DiagonalForm.of(1, -1))
-    assert w == 1 and ker.dim == 0
-    w, ker = witt_index_Q(DiagonalForm.of(1, 1, -1, -1))
-    assert w == 2 and ker.dim == 0
-    w, ker = witt_index_Q(F7)
-    assert w == 0 and ker == form_invariants(F7)
-    w, ker = witt_index_Q(DiagonalForm.of(1, 1, -1))
-    assert w == 1 and ker == FormInvariants(1, 1, 1, 0, frozenset())
-
-
-def test_witt_index_consistency():
-    rng = random.Random(7)
-    hyp = DiagonalForm.of(1, -1)
-    for _ in range(60):
-        f = _sample_form(rng, rng.randint(1, 5))
-        w, ker = witt_index_Q(f)
-        assert ker.dim == f.dim - 2 * w
-        assert isotropic_Q(f) == (w >= 1)
-        w2, ker2 = witt_index_Q(f.perp(hyp))
-        assert w2 == w + 1 and ker2 == ker
+    # 7/2 is a sum of three rational squares though 7 is not
+    assert isotropic_Q(DiagonalForm.of(1, 1, 1, Fraction(-7, 2)))
 
 
 def test_isotropy_outcome():
     assert ISOTROPIC.decided and ISOTROPIC.is_isotropic
     assert ANISOTROPIC.decided and not ANISOTROPIC.is_isotropic
-    u = unsupported("no procedure")
-    assert not u.decided
-    with pytest.raises(ValueError):
-        u.is_isotropic
     with pytest.raises(ValueError):
         IsotropyOutcome("maybe")
     with pytest.raises(ValueError):
@@ -115,6 +87,7 @@ def test_isotropic_quad_known():
     assert isotropic_quad(F7, 17) == ANISOTROPIC
     assert isotropic_quad(F7, 5) == ISOTROPIC
     assert isotropic_quad(F7, -1) == ISOTROPIC
+    assert isotropic_quad(DiagonalForm.of(1, 1, 1, Fraction(-7, 4)), 17) == ANISOTROPIC
     f8 = DiagonalForm.repeated(8)
     assert isotropic_quad(f8, 17) == ANISOTROPIC
     assert isotropic_quad(f8, 2) == ANISOTROPIC
@@ -123,6 +96,8 @@ def test_isotropic_quad_known():
     assert isotropic_quad(three, 2) == ANISOTROPIC
     assert isotropic_quad(three, -7) == ANISOTROPIC
     assert isotropic_quad(three, -2) == ISOTROPIC
+    assert isotropic_quad(DiagonalForm.repeated(4), -7) == ANISOTROPIC
+    assert isotropic_quad(DiagonalForm.repeated(5), -7) == ISOTROPIC
     assert isotropic_quad(DiagonalForm.of(1, -2), 2) == ISOTROPIC
     assert isotropic_quad(DiagonalForm.of(1, -2), 3) == ANISOTROPIC
     assert isotropic_quad(DiagonalForm.of(1, 1), -1) == ISOTROPIC
@@ -148,8 +123,8 @@ def test_isotropic_quad_extension_is_monotone():
 
 
 def test_level():
-    assert level(QQ) == math.inf
-    assert level(FieldDescriptor(17)) == math.inf
+    assert level(QQ) is None
+    assert level(FieldDescriptor(17)) is None
     assert level(FieldDescriptor(-1)) == 1
     assert level(FieldDescriptor(-2)) == 2
     assert level(FieldDescriptor(-3)) == 2
@@ -158,42 +133,20 @@ def test_level():
     assert level(FieldDescriptor(-15)) == 4
 
 
-def test_sum_of_squares_known():
-    out = sum_of_squares(7, 3)
-    assert out.value is False and out.decided
-    assert out.reason == "<1,1,1,-7> anisotropic over Q"
-    assert sum_of_squares(7, 4).value is True
-    assert sum_of_squares(6, 3).value is True
-    assert sum_of_squares(Fraction(7, 2), 3).value is True
-    assert sum_of_squares(7, 3, FieldDescriptor(2)).value is True
-    assert sum_of_squares(7, 3, FieldDescriptor(17)).value is False
-    ki = FieldDescriptor(-1)
-    out = sum_of_squares(-1, 2, ki)
-    assert out.value is True
-    assert out.reason == "2*<1> is isotropic over Q(sqrt -1) (level 1), hence universal"
-    assert sum_of_squares(-1, 1, ki).value is True
-    assert sum_of_squares(-1, 2, FieldDescriptor(-7)).value is False
-    assert sum_of_squares(-1, 4, FieldDescriptor(-7)).value is True
-
-
 def test_sum_of_squares_properties():
+    # alpha is a sum of n squares in k iff n<1> + <-alpha> is isotropic over
+    # k, and a sum of n squares is also one of n + 1
     rng = random.Random(13)
-    fields = [QQ, FieldDescriptor(-1), FieldDescriptor(-7), FieldDescriptor(2)]
     for _ in range(80):
         alpha = Fraction(rng.randint(1, 30), rng.randint(1, 8)) * rng.choice((1, -1))
         n = rng.randint(1, 5)
-        k = rng.choice(fields)
-        a, b = sum_of_squares(alpha, n, k), sum_of_squares(alpha, n + 1, k)
-        assert a.decided and b.decided
-        if a.value:
-            assert b.value
-
-
-def test_sum_of_squares_rejects():
-    with pytest.raises(ValueError):
-        sum_of_squares(0, 3)
-    with pytest.raises(ValueError):
-        sum_of_squares(5, 0)
+        d = rng.choice((None, -1, -7, 2))
+        iso = []
+        for m in (n, n + 1):
+            f = DiagonalForm.repeated(m).perp(DiagonalForm.of(-alpha))
+            iso.append(isotropic_Q(f) if d is None else isotropic_quad(f, d).is_isotropic)
+        if iso[0]:
+            assert iso[1]
 
 
 def test_three_squares_nat():
@@ -221,6 +174,7 @@ def test_three_squares_nat_brute_force():
 
 
 def test_three_squares_matches_rational_case():
-    # Integers are sums of three rational squares iff of three integer ones.
+    # Integers are sums of three rational squares iff of three integer ones,
+    # and n is a sum of three rational squares iff <1,1,1,-n> is isotropic.
     for n in range(1, 60):
-        assert sum_of_squares(n, 3).value == three_squares_nat(n)
+        assert isotropic_Q(DiagonalForm.of(1, 1, 1, -n)) == three_squares_nat(n)
