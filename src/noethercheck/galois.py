@@ -2,87 +2,21 @@
 that combines them.
 
 The first criterion needs to know whether k(zeta_{2^n})/k is cyclic, which
-is_cyclic_ext answers in closed form; the Galois group enumerated as a
-subgroup of the units mod 2^n is the cross-check of that rule. The second
-criterion needs the 2-Sylow recognizer together with anisotropy of two
-fixed forms over k. Everything is assembled into a Verdict with named
-checks so a caller can see which hypothesis failed.
+is_cyclic_ext answers in closed form. The second criterion needs the
+2-Sylow recognizer together with anisotropy of two fixed forms over k,
+which forms_anisotropic answers in closed form from d alone. Everything is
+assembled into a Verdict with named checks so a caller can see which
+hypothesis failed. The general procedures both rules stand in for, the
+enumerated Galois group in oracles and Hasse-Minkowski in quadforms, are
+what the tests compare them against; nothing here calls either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import FieldDescriptor, QQ, padic_valuation
+from .exact import FieldDescriptor, QQ
 from .groups import GroupSpec, group_facts
-from .localfields import DiagonalForm
-from .quadforms import isotropic_Q, isotropic_quad
-
-
-@dataclass(frozen=True)
-class UnitSubgroup2n:
-    """A subgroup of the units of Z/2^n, given by its member residues.
-
-    Only cheap shape checks run here; closure is an invariant the tests
-    assert, since validating it for large n would square the member count.
-    """
-
-    n: int
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        mod = 1 << self.n
-        if 1 not in self.members:
-            raise ValueError("unit subgroups contain 1")
-        if any(x % 2 == 0 or not 0 < x < mod for x in self.members):
-            raise ValueError(f"members must be odd residues in (0, {mod})")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def is_cyclic(self) -> bool:
-        return max(_order_mod_2n(x, self.n) for x in self.members) == self.size
-
-
-def _order_mod_2n(x: int, n: int) -> int:
-    """Multiplicative order of an odd residue mod 2^n. All such orders are
-    powers of 2, so repeated squaring reaches 1."""
-    mod = 1 << n
-    x %= mod
-    o = 1
-    while x != 1:
-        x = x * x % mod
-        o *= 2
-    return o
-
-
-def cyclotomic_galois(k: FieldDescriptor, n: int) -> UnitSubgroup2n:
-    """Gal(k(zeta_{2^n})/k) inside (Z/2^n)*.
-
-    The restriction to Q(zeta_{2^n}) is injective and its image is the
-    stabilizer of k intersect Q(zeta_{2^n}). The only quadratic subfields of
-    any Q(zeta_{2^n}) are Q(i), Q(sqrt 2), Q(sqrt -2), so for every other k
-    the image is everything; for those three it is the kernel of the
-    matching character (x = 1 mod 4; x = +-1 mod 8; x = 1, 3 mod 8), once n
-    is large enough for the subfield to be present at all.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    units = range(1, 1 << n, 2)
-    if k.is_rational:
-        members = frozenset(units)
-    elif k.d == -1:
-        members = frozenset(x for x in units if x % 4 == 1)
-    elif k.d == 2 and n >= 3:
-        members = frozenset(x for x in units if x % 8 in (1, 7))
-    elif k.d == -2 and n >= 3:
-        members = frozenset(x for x in units if x % 8 in (1, 3))
-    else:
-        members = frozenset(units)
-    return UnitSubgroup2n(n, members)
 
 
 def is_cyclic_ext(k: FieldDescriptor, n: int) -> bool:
@@ -94,12 +28,27 @@ def is_cyclic_ext(k: FieldDescriptor, n: int) -> bool:
     (Z/2^n)*, which is cyclic only for n <= 2. Over Q(i) it is
     {x = 1 mod 4}, generated by 5; over Q(sqrt -2) it is {x = 1, 3 mod 8},
     generated by 3; over Q(sqrt 2) it is {x = +-1 mod 8} = <-1> x <9>,
-    whose second factor is trivial only for n = 3. cyclotomic_galois
+    whose second factor is trivial only for n = 3. oracles.cyclotomic_galois
     enumerates the same groups, and the tests compare the two.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     return n <= 2 or k.d in (-1, -2) or (k.d == 2 and n == 3)
+
+
+def forms_anisotropic(k: FieldDescriptor) -> tuple[bool, bool]:
+    """Are 3<1>+<-7> and 8<1> anisotropic over k = Q(sqrt D), in that order?
+
+    The first iff D = 1 mod 8, the second iff D > 0, with k = Q counted as
+    D = 1 (Lam). 8<1> has dimension at least 5, so it is isotropic at every
+    finite place and anisotropic iff k has a real place. 3<1>+<-7> has
+    discriminant -7, a square in Q_2; over Q its only local obstruction is
+    at 2 and every quadratic extension of Q_2 splits it, so it stays
+    anisotropic iff 2 splits in k. quadforms.isotropic_quad decides both
+    by Hasse-Minkowski, and the tests compare the two.
+    """
+    D = 1 if k.is_rational else k.d
+    return D % 8 == 1, D > 0
 
 
 def bailey_group(k: FieldDescriptor, dvec: tuple[int, ...]) -> tuple[int, str]:
@@ -150,30 +99,11 @@ class Verdict:
         return self.outcome == "not_retract_rational"
 
 
-F7 = DiagonalForm.of(1, 1, 1, -7)
-F8 = DiagonalForm.repeated(8)
-
-
-def _form_check(
-    name: str,
-    form: DiagonalForm,
-    display: str,
-    field: FieldDescriptor,
-    checks: list[Check],
-    reasons: list[str],
-) -> bool:
-    """Append the check that form is anisotropic over field; True if it is."""
-    if field.is_rational:
-        iso = isotropic_Q(form)
-    else:
-        iso = isotropic_quad(form, field.d).is_isotropic
-    detail = f"{form} {'isotropic' if iso else 'anisotropic'} over {field}"
-    if iso:
-        checks.append(Check(name, "fail", detail))
-        reasons.append(f"{display} isotropic over {field}")
-        return False
-    checks.append(Check(name, "pass", detail))
-    return True
+# (check name, form, short name) in the order forms_anisotropic answers
+_FORMS = (
+    ("form_3_1_m7_anisotropic", "<1,1,1,-7>", "3<1>+<-7>"),
+    ("form_8_1_anisotropic", "<1,1,1,1,1,1,1,1>", "8<1>"),
+)
 
 
 def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
@@ -191,7 +121,8 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
     """
     facts = group_facts(spec)
     invs = facts.abelian_invariants
-    dvec = tuple(padic_valuation(m, 2) for m in invs if m % 2 == 0)
+    # the exponent of 2 in m is the index of its lowest set bit
+    dvec = tuple((m & -m).bit_length() - 1 for m in invs if m % 2 == 0)
     # the invariant factors divide one another, so the first carries the
     # largest 2-power
     d1 = dvec[0] if dvec else 0
@@ -237,10 +168,12 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
             checks.append(Check("sylow2_q16", "fail", detail))
             reasons.append(detail)
             ok = False
-        ok &= _form_check(
-            "form_3_1_m7_anisotropic", F7, "3<1>+<-7>", field, checks, reasons
-        )
-        ok &= _form_check("form_8_1_anisotropic", F8, "8<1>", field, checks, reasons)
+        for (name, form, short), anisotropic in zip(_FORMS, forms_anisotropic(field)):
+            detail = f"{form} {'anisotropic' if anisotropic else 'isotropic'} over {field}"
+            checks.append(Check(name, "pass" if anisotropic else "fail", detail))
+            if not anisotropic:
+                reasons.append(f"{short} isotropic over {field}")
+                ok = False
         if ok:
             fired = "1.5"
             witness = {

@@ -1,9 +1,11 @@
-"""Independent cross-checks for the quadratic form machinery and the
-group layer.
+"""Independent cross-checks for the quadratic form machinery, the
+cyclotomic Galois rule and the group layer.
 
 Nothing here uses Hilbert symbols or Hasse invariants to produce an answer;
 local isotropy is decided by counting zeros modulo a fixed prime power, and
-global isotropy by exhibiting an integer zero. Abelian invariants come from
+global isotropy by exhibiting an integer zero. The Galois group of
+k(zeta_{2^n})/k is enumerated as a subgroup of the units mod 2^n, which is
+what galois.is_cyclic_ext is compared against. Abelian invariants come from
 the derived subgroup, the quotient by it, and element orders counted in
 that quotient, never from relators. These functions favour a short,
 independent argument over speed, which is what the formula-driven code is
@@ -14,12 +16,13 @@ from __future__ import annotations
 
 import random
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from functools import lru_cache
 from math import lcm
 
-from .exact import Rational, factorize
+from .exact import FieldDescriptor, Rational, factorize
 from .groups import FiniteGroupTable, Subgroup
 from .localfields import DiagonalForm, Place, REAL_PLACE, hilbert_symbol
 from .quadforms import isotropic_Q
@@ -306,6 +309,63 @@ def _random_rational(rng: random.Random) -> Rational:
     num = rng.randint(1, 10**4) * rng.choice((1, -1))
     den = rng.randint(1, 10**4)
     return Fraction(num, den)
+
+
+@dataclass(frozen=True)
+class UnitSubgroup2n:
+    """A subgroup of the units of Z/2^n, given by its member residues.
+
+    Only cheap shape checks run here; closure is an invariant the tests
+    assert, since validating it for large n would square the member count.
+    """
+
+    n: int
+    members: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        mod = 1 << self.n
+        if 1 not in self.members:
+            raise ValueError("unit subgroups contain 1")
+        if any(x % 2 == 0 or not 0 < x < mod for x in self.members):
+            raise ValueError(f"members must be odd residues in (0, {mod})")
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    def is_cyclic(self) -> bool:
+        """The size is a power of 2, so some member generates iff its
+        power to half the size is not 1."""
+        half = self.size // 2
+        return half == 0 or any(pow(x, half, 1 << self.n) != 1 for x in self.members)
+
+
+def cyclotomic_galois(k: FieldDescriptor, n: int) -> UnitSubgroup2n:
+    """Gal(k(zeta_{2^n})/k) inside (Z/2^n)*.
+
+    The restriction to Q(zeta_{2^n}) is injective and its image is the
+    stabilizer of k intersect Q(zeta_{2^n}). The only quadratic subfields of
+    any Q(zeta_{2^n}) are Q(i), Q(sqrt 2), Q(sqrt -2), so for every other k
+    the image is everything; for those three it is the kernel of the
+    matching character (x = 1 mod 4; x = +-1 mod 8; x = 1, 3 mod 8), once n
+    is large enough for the subfield to be present at all.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    units = range(1, 1 << n, 2)
+    if k.is_rational:
+        members = frozenset(units)
+    elif k.d == -1:
+        members = frozenset(x for x in units if x % 4 == 1)
+    elif k.d == 2 and n >= 3:
+        members = frozenset(x for x in units if x % 8 in (1, 7))
+    elif k.d == -2 and n >= 3:
+        members = frozenset(x for x in units if x % 8 in (1, 3))
+    else:
+        members = frozenset(units)
+    return UnitSubgroup2n(n, members)
 
 
 def derived_subgroup(G: FiniteGroupTable) -> Subgroup:

@@ -1,20 +1,28 @@
+import inspect
 import random
+import sys
 import time
 from collections import Counter
 
 import pytest
 
-from noethercheck import galois, groups
-from noethercheck.exact import QQ, FieldDescriptor
-from noethercheck.galois import (
-    Check,
-    UnitSubgroup2n,
-    bailey_group,
-    cyclotomic_galois,
-    is_cyclic_ext,
-    verdict,
-)
+from noethercheck import groups, localfields, oracles, quadforms
+from noethercheck.exact import QQ, FieldDescriptor, squarefree_part
+from noethercheck.galois import Check, bailey_group, forms_anisotropic, is_cyclic_ext, verdict
 from noethercheck.groups import Catalog, Metacyclic, PermGens
+from noethercheck.localfields import DiagonalForm
+from noethercheck.oracles import UnitSubgroup2n, cyclotomic_galois
+from noethercheck.quadforms import isotropic_Q, isotropic_quad
+
+F7 = DiagonalForm.of(1, 1, 1, -7)
+F8 = DiagonalForm.repeated(8)
+# the 20-digit primes of test_cli, one in each odd class mod 8
+BIG_PRIMES = (
+    10000000000000000097,
+    10000000000000000051,
+    10000000000000000381,
+    10000000000000000087,
+)
 
 K_I = FieldDescriptor(-1)
 K2 = FieldDescriptor(2)
@@ -359,7 +367,7 @@ def test_sylow_work_only_when_two_part_is_16(monkeypatch):
     monkeypatch.setattr(groups, "_enumerate", enumerate_recorded)
     for name in ("two_sylow", "is_generalized_quaternion16"):
         monkeypatch.setattr(groups, name, counted(name, getattr(groups, name)))
-    monkeypatch.setattr(galois, "cyclotomic_galois", counted("cyclotomic_galois", cyclotomic_galois))
+    monkeypatch.setattr(oracles, "cyclotomic_galois", counted("cyclotomic_galois", cyclotomic_galois))
     monkeypatch.setattr(
         groups.FiniteGroupTable, "mult", counted("mult", groups.FiniteGroupTable.mult)
     )
@@ -387,3 +395,55 @@ def test_is_cyclic_ext_matches_enumeration(d):
         assert is_cyclic_ext(k, n) == cyclotomic_galois(k, n).is_cyclic(), (k, n)
     with pytest.raises(ValueError):
         is_cyclic_ext(k, 0)
+
+
+def test_forms_anisotropic_matches_hasse_minkowski():
+    assert forms_anisotropic(QQ) == (not isotropic_Q(F7), not isotropic_Q(F8)) == (True, True)
+    ds = [d for d in range(-999, 1000) if abs(d) > 1 and squarefree_part(d)[0] == d]
+    ds += [s * p for p in BIG_PRIMES for s in (1, -1)]
+    assert len(ds) == 1214 + 8
+    for d in ds:
+        general = tuple(not isotropic_quad(f, d).is_isotropic for f in (F7, F8))
+        assert forms_anisotropic(FieldDescriptor(d)) == general, d
+
+
+def test_form_3_1_m7_has_no_dyadic_zero():
+    # the local obstruction behind D = 1 mod 8, found by counting zeros mod
+    # 32 rather than by Hilbert symbols; 7 is a place where it has one
+    assert not oracles.local_oracle(2).has_primitive_zero(F7)
+    assert oracles.local_oracle(7).has_primitive_zero(F7)
+
+
+def test_verdict_stays_off_the_form_stack(monkeypatch):
+    fields = [QQ] + [
+        FieldDescriptor(d) for d in (-1, 2, -2, 3, -7, -15, 17, 33, 41, 65, BIG_PRIMES[0])
+    ]
+    specs = [Catalog(name) for name in ("Q16", "SL2_7", "C16", "S4")]
+    before = [verdict(spec, k) for spec in specs for k in fields]
+    banned = [
+        (f"{mod.__name__}.{name}", fn)
+        for mod in (quadforms, localfields)
+        for name, fn in inspect.getmembers(mod, inspect.isfunction)
+        if not name.startswith("_") and fn.__module__ == mod.__name__
+    ]
+    assert len(banned) >= 8
+
+    def raiser(qualname):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"verdict reached {qualname}")
+
+        return fail
+
+    # rebind each one wherever the package holds it, not only at home
+    package = [m for n, m in sys.modules.items() if n.split(".")[0] == "noethercheck"]
+    for qualname, fn in banned:
+        for mod in package:
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, raiser(qualname))
+    after = [verdict(spec, k) for spec in specs for k in fields]
+    assert after == before
+    # Q16 and SL2_7 (2-Sylow Q16) over Q, 17, 33, 41, 65 and the prime
+    assert sum(v.theorem == "1.5" for v in after) == 12
+    forms = {c.detail.split(" ")[0] for v in after for c in v.checks if c.name.startswith("form_")}
+    assert forms == {str(F7), str(F8)}

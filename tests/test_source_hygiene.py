@@ -4,6 +4,8 @@ Outside __init__, every module-level import is used: code deleted from a
 module must take its imports with it. And the arithmetic stays exact, so
 no module writes a float literal, calls float() or reaches for math.inf or
 math.nan.
+And galois, which decides both criteria in closed form, imports nothing
+from the package beyond exact and groups.
 """
 
 import ast
@@ -52,6 +54,24 @@ def _float_uses(tree):
     return out
 
 
+def _package_imports(tree):
+    """Modules of this package that tree imports from, by short name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            top, _, rest = (node.module or "").partition(".")
+            if not node.level and top != "noethercheck":
+                continue
+            module = node.module if node.level else rest
+            # "from . import x" names modules, "from .x import y" one module
+            out.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            out.update(
+                a.name.partition(".")[2] for a in node.names if a.name.startswith("noethercheck.")
+            )
+    return out
+
+
 def test_no_unused_module_imports():
     problems = {}
     for path in MODULES:
@@ -72,6 +92,10 @@ def test_no_floats():
     assert problems == {}
 
 
+def test_galois_imports_only_exact_and_groups():
+    assert _package_imports(_tree(PACKAGE / "galois.py")) == {"exact", "groups"}
+
+
 def test_checks_catch_what_they_claim():
     tree = ast.parse(
         "import math\nfrom fractions import Fraction\nfrom .x import y as z\n"
@@ -79,3 +103,8 @@ def test_checks_catch_what_they_claim():
     )
     assert _unused_imports(tree) == ["Fraction (line 2)", "z (line 3)"]
     assert _float_uses(tree) == ["math.inf (line 4)", "float() (line 5)", "literal 0.5 (line 6)"]
+    tree = ast.parse(
+        "import random\nfrom .exact import QQ\nfrom . import quadforms\nimport noethercheck.oracles\n"
+        "from noethercheck import cli\ndef f():\n    from noethercheck.localfields import Place\n"
+    )
+    assert _package_imports(tree) == {"exact", "quadforms", "oracles", "cli", "localfields"}
