@@ -104,21 +104,30 @@ def legendre_symbol(a: int, p: int) -> int:
     """(a/p) in {-1, 0, +1} for an odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
+    """(a/p) by Euler's criterion, for a p already known to be an odd
+    prime: legendre_symbol has checked it, and the callers below take p
+    from a Place, which proved it on construction."""
     a %= p
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _unit_part(x: Fraction, p: int) -> tuple[int, int]:
-    """(v_p(x), integer congruent to the unit part of x mod any p-power).
+def _unit_part(n: int, d: int, p: int) -> tuple[int, int]:
+    """(v_p(x), integer congruent to the unit part of x mod any p-power)
+    for x = n/d.
 
     The denominator is folded in by multiplication: num*den represents
     num/den modulo squares of p-units, and for the residues used here
     (Legendre symbols, classes mod 8) that is exactly what is needed since
     den**2 is a unit square.
     """
-    n, d = x.numerator, x.denominator
+    if n % p and d % p:
+        return 0, n * d
     v = 0
     while n % p == 0:
         n //= p
@@ -135,7 +144,9 @@ def hilbert_symbol(a: Rational | int, b: Rational | int, v: Place) -> int:
 
     Computed by the standard unit/valuation formulas: at odd p via Legendre
     symbols, at p = 2 via the residues mod 8 of the unit parts, at the real
-    place by signs.
+    place by the signs of the numerators. The Place has already proved p
+    prime, so the Legendre symbols come from Euler's criterion without a
+    second primality test.
     """
     # callers mostly pass Fractions already, and Fraction(x) on one still
     # pays for its abstract-base-class checks, a quarter of this function
@@ -143,21 +154,22 @@ def hilbert_symbol(a: Rational | int, b: Rational | int, v: Place) -> int:
         a = Fraction(a)
     if type(b) is not Fraction:
         b = Fraction(b)
-    if not a or not b:
+    an, bn = a.numerator, b.numerator
+    if not an or not bn:
         raise ValueError("hilbert_symbol needs nonzero entries")
-    if v.is_real:
-        return -1 if (a < 0 and b < 0) else 1
     p = v.p
-    alpha, u = _unit_part(a, p)
-    beta, w = _unit_part(b, p)
+    if p is None:
+        return -1 if (an < 0 and bn < 0) else 1
+    alpha, u = _unit_part(an, a.denominator, p)
+    beta, w = _unit_part(bn, b.denominator, p)
     if p != 2:
         sign = 1
         if (alpha % 2) and (beta % 2) and (p - 1) // 2 % 2:
             sign = -sign
         if beta % 2:
-            sign *= legendre_symbol(u, p)
+            sign *= _legendre(u, p)
         if alpha % 2:
-            sign *= legendre_symbol(w, p)
+            sign *= _legendre(w, p)
         return sign
     um, wm = u % 8, w % 8
     # eps(u) = (u-1)/2 mod 2, omega(u) = (u**2-1)/8 mod 2 on odd residues
@@ -184,15 +196,15 @@ def is_local_square(x: Rational | int, v: Place) -> bool:
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 is trivially square; callers pass nonzero values")
-    if v.is_real:
-        return x > 0
     p = v.p
-    val, u = _unit_part(x, p)
+    if p is None:
+        return x.numerator > 0
+    val, u = _unit_part(x.numerator, x.denominator, p)
     if val % 2:
         return False
     if p == 2:
         return u % 8 == 1
-    return legendre_symbol(u, p) == 1
+    return _legendre(u, p) == 1
 
 
 def local_isotropic(f: DiagonalForm, v: Place) -> bool:

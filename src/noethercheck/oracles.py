@@ -197,9 +197,25 @@ def _left_table(coeffs: tuple[int, ...], height: int) -> dict[int, tuple[int, ..
 def isotropy_witness(form: DiagonalForm, height: int) -> tuple[int, ...] | None:
     """A nonzero nonnegative integer zero of the form with entries up to
     height, by meeting two half-sums in the middle, or None. Signs never
-    matter since only squares of the entries appear."""
+    matter since only squares of the entries appear.
+
+    The search deepens: it tries heights 1, 2, 4, ... below height and
+    makes its last try at height itself, so None still means no zero with
+    entries up to height, while a form with a small zero never pays for
+    the tables of the full height."""
     scale = lcm(*(c.denominator for c in form.coeffs))
     cs = tuple(int(c * scale) for c in form.coeffs)
+    h = 1
+    while h < height:
+        found = _witness_at(cs, h)
+        if found is not None:
+            return found
+        h *= 2
+    return _witness_at(cs, height)
+
+
+def _witness_at(cs: tuple[int, ...], height: int) -> tuple[int, ...] | None:
+    """The meet-in-the-middle search at one height."""
     k = (len(cs) + 1) // 2
     table = _left_table(cs[:k], height)
     right = cs[k:]
@@ -286,17 +302,25 @@ def three_squares_sieve(bound: int) -> bytearray:
 
 def reciprocity_failures(samples: int, seed: int = 0) -> int:
     """Count sampled pairs of nonzero rationals violating the product
-    formula for Hilbert symbols over the support places. Symbols are +1
-    outside the support, so the finite product is the full one."""
+    formula for Hilbert symbols over the support places: 2, the real place
+    and every odd prime of a numerator or denominator. Symbols are +1
+    outside the support, so the finite product is the full one. Each
+    integer is factored once per call; its odd places are memoized."""
     rng = random.Random(seed)
+    base = (Place(2), REAL_PLACE)
+    odd_places: dict[int, tuple[Place, ...]] = {}
     fails = 0
     for _ in range(samples):
         a = _random_rational(rng)
         b = _random_rational(rng)
-        places = {Place(2), REAL_PLACE}
-        for x in (a, b):
-            places.update(Place(p) for p in factorize(x.numerator) if p != 2)
-            places.update(Place(p) for p in factorize(x.denominator) if p != 2)
+        places = set(base)
+        for n in (a.numerator, a.denominator, b.numerator, b.denominator):
+            n = abs(n)
+            support = odd_places.get(n)
+            if support is None:
+                support = tuple(Place(p) for p in factorize(n) if p != 2)
+                odd_places[n] = support
+            places.update(support)
         prod = 1
         for v in places:
             prod *= hilbert_symbol(a, b, v)

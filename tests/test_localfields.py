@@ -4,7 +4,10 @@ from itertools import combinations
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from noethercheck import localfields
 from noethercheck.exact import factorize
 from noethercheck.localfields import (
     REAL_PLACE,
@@ -16,7 +19,12 @@ from noethercheck.localfields import (
     legendre_symbol,
     local_isotropic,
 )
-from noethercheck.oracles import LocalZeroOracle, grid_forms, local_oracle
+from noethercheck.oracles import (
+    LocalZeroOracle,
+    factorize_by_trial_division,
+    grid_forms,
+    local_oracle,
+)
 
 _PLACES = [Place(2), Place(3), Place(5), Place(7), Place(11), REAL_PLACE]
 
@@ -83,6 +91,64 @@ def test_hilbert_symbol_properties():
         assert hilbert_symbol(a, b * b, v) == 1
         if a != 1:
             assert hilbert_symbol(a, 1 - a, v) == 1
+
+
+def _support_places(*xs):
+    """2, the real place and every odd prime of a numerator or denominator."""
+    primes = {2}
+    for x in xs:
+        primes.update(factorize_by_trial_division(x.numerator))
+        primes.update(factorize_by_trial_division(x.denominator))
+    return [Place(p) for p in sorted(primes)] + [REAL_PLACE]
+
+
+_RATIONALS = st.builds(
+    Fraction,
+    st.integers(1, 10**6).flatmap(lambda n: st.sampled_from((n, -n))),
+    st.integers(1, 10**6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RATIONALS, _RATIONALS, _RATIONALS)
+def test_hilbert_symbol_laws(a, b, c):
+    # laws that hold at every place and never mention unit parts or
+    # valuations, checked wherever a symbol can be -1
+    support = (a, b, c) if a == 1 else (a, b, c, 1 - a)
+    for v in _support_places(*support):
+        ab = hilbert_symbol(a, b, v)
+        assert ab == hilbert_symbol(b, a, v), (a, b, v)
+        assert hilbert_symbol(a, b * c, v) == ab * hilbert_symbol(a, c, v), (a, b, c, v)
+        assert hilbert_symbol(a, -a, v) == 1, (a, v)
+        if a != 1:
+            assert hilbert_symbol(a, 1 - a, v) == 1, (a, v)
+
+
+def test_symbols_at_a_place_skip_the_primality_check(monkeypatch):
+    # a Place has proved its prime, so neither hilbert_symbol nor
+    # is_local_square may test it again or go through legendre_symbol
+    rng = random.Random(3)
+    places = [Place(p) for p in (2, 3, 5, 7, 11, 13, 97, 101, 9973)] + [REAL_PLACE]
+
+    def draw():
+        return Fraction(rng.randint(1, 10**4) * rng.choice((1, -1)), rng.randint(1, 10**4))
+
+    cases = [(draw(), draw(), rng.choice(places)) for _ in range(10**4)]
+    symbols = [hilbert_symbol(a, b, v) for a, b, v in cases]
+    squares = [is_local_square(a, v) for a, _, v in cases]
+
+    def forbidden(*args):
+        raise AssertionError("primality re-checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(localfields, "is_prime", forbidden)
+        m.setattr(localfields, "legendre_symbol", forbidden)
+        assert [hilbert_symbol(a, b, v) for a, b, v in cases] == symbols
+        assert [is_local_square(a, v) for a, _, v in cases] == squares
+    with pytest.raises(ValueError):
+        legendre_symbol(1, 2)
+    with pytest.raises(ValueError):
+        legendre_symbol(3, 9)
 
 
 def test_hilbert_reciprocity_small():

@@ -1,18 +1,21 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
 import noethercheck
+from noethercheck import oracles
 from noethercheck.localfields import DiagonalForm
 from noethercheck.oracles import (
     GRID_COEFFS,
     LocalZeroOracle,
     grid_forms,
+    isotropy_grid_check,
     isotropy_witness,
     local_oracle,
     reciprocity_failures,
@@ -68,6 +71,44 @@ def test_isotropy_witness():
     assert isotropy_witness(DiagonalForm.repeated(4), 10) is None
 
 
+def _witness_at_one_height(cs, height):
+    """Reference: the meet-in-the-middle search at the given height
+    alone, with no deepening and no shared table cache."""
+    k = (len(cs) + 1) // 2
+    table = {}
+    for vec in product(range(height + 1), repeat=k):
+        val = sum(c * x * x for c, x in zip(cs, vec))
+        if val not in table or (not any(table[val]) and any(vec)):
+            table[val] = vec
+    for vec in product(range(height + 1), repeat=len(cs) - k):
+        hit = table.get(-sum(c * x * x for c, x in zip(cs[k:], vec)))
+        if hit is not None and (any(hit) or any(vec)):
+            return hit + vec
+    return None
+
+
+def test_deepening_witness_search_is_exact():
+    forms = grid_forms() + [
+        DiagonalForm.of(1, 1, 1, -6),
+        DiagonalForm.of(1, -1),
+        DiagonalForm.of(Fraction(1, 2), Fraction(-3, 2), 1),
+    ]
+    for f in forms:
+        # every denominator here divides 2, and scaling keeps the zeros
+        cs = tuple(int(c * 2) for c in f.coeffs)
+        for h in (0, 1, 2, 3, 5, 8, 13, 25):
+            w = isotropy_witness(f, h)
+            assert (w is None) == (_witness_at_one_height(cs, h) is None), (f, h)
+            if w is not None:
+                assert any(w) and max(w) <= h, (f, h, w)
+                assert sum(c * x * x for c, x in zip(f.coeffs, w)) == 0, (f, h, w)
+    # every isotropic grid form has a zero with entries up to 7, so a cold
+    # check at height 60 stops deepening at 8
+    oracles._WITNESS_TABLES.clear()
+    assert isotropy_grid_check(60) == 1000
+    assert max(height for _, height in oracles._WITNESS_TABLES) <= 8
+
+
 def test_three_squares_sieve():
     sieve = three_squares_sieve(300)
     assert len(sieve) == 301
@@ -79,6 +120,31 @@ def test_three_squares_sieve():
 def test_reciprocity_failures():
     assert reciprocity_failures(200) == 0
     assert reciprocity_failures(50, seed=7) == 0
+
+
+@pytest.mark.parametrize("bad", (3, 7, 101))
+@pytest.mark.parametrize("seed", (0, 5))
+def test_reciprocity_failures_catches_a_wrong_place(monkeypatch, bad, seed):
+    # a symbol with its sign flipped at one place breaks the product
+    # formula on exactly the samples whose support holds that place
+    rng = random.Random(seed)
+    expected = 0
+    for _ in range(2000):
+        a, b = oracles._random_rational(rng), oracles._random_rational(rng)
+        ns = (a.numerator, a.denominator, b.numerator, b.denominator)
+        if any(bad in oracles.factorize_by_trial_division(n) for n in ns):
+            expected += 1
+    assert expected > 0
+    real = oracles.hilbert_symbol
+
+    def flipped(a, b, v):
+        s = real(a, b, v)
+        return -s if v.p == bad else s
+
+    monkeypatch.setattr(oracles, "hilbert_symbol", flipped)
+    assert reciprocity_failures(2000, seed) == expected
+    monkeypatch.undo()
+    assert reciprocity_failures(2000, seed) == 0
 
 
 def _residues(mask):
