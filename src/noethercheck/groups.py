@@ -35,7 +35,8 @@ from .exact import FACTORIZATION_CAP, factorize
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
 # memory: every closure (permutation, matrix, or a metacyclic table) stops
-# at 10**6 elements. A metacyclic presentation is answered without
+# at 10**6 elements, and a permutation degree above 10**6 is refused before
+# its image tuples are built. A metacyclic presentation is answered without
 # enumeration, so its cap only bounds the size of the input: a*b up to the
 # factorization cap.
 CLOSURE_CAP = 10**6
@@ -99,6 +100,9 @@ class PermGens:
             raise ValueError("at least one generator is required")
         parsed = [_parse_cycle_string(s) for s in specs]
         degree = max(1, max(maxpt for _, maxpt in parsed))
+        # each generator is an image tuple of this length, built below
+        if degree > CLOSURE_CAP:
+            raise ValueError(f"degree {degree} exceeds closure cap {CLOSURE_CAP}")
         identity = tuple(range(degree))
         gens = tuple(
             reduce(_perm_compose, (_cycle_perm(c, degree) for c in cycles), identity)

@@ -1,52 +1,26 @@
-"""Global decisions for quadratic forms: classification over Q, isotropy by
-Hasse-Minkowski, the quadratic-extension decision, the three-square
-theorem, and field levels.
+"""Global decisions for quadratic forms: isotropy over Q and over Q(sqrt d)
+by one Hasse-Minkowski scan, field levels, and the three-square theorem.
 
-Everything over Q is decided from the complete invariant set
-(dim, disc class, signature, bad Hasse places); no isotropic vectors are
-ever searched for here.
+The scan counts Q as d = 1. A rational form of dim >= 3 can fail to be
+isotropic over k = Q(sqrt d) only at a place of Q that splits in k, one
+where d is a square in Q_v (the real place included), so it asks
+localfields.local_isotropic at each candidate place of f where
+is_local_square(d, v) holds. No isotropic vectors are ever searched for
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import (
-    FieldDescriptor,
-    factorize,
-    is_square,
-    square_class,
-    squarefree_part,
-)
+from .exact import QQ, FieldDescriptor, factorize, is_square
 from .localfields import (
     DiagonalForm,
     Place,
     REAL_PLACE,
-    hasse_invariant,
-    hilbert_symbol,
     is_local_square,
-    legendre_symbol,
     local_isotropic,
 )
-
-
-@dataclass(frozen=True)
-class FormInvariants:
-    """Complete set of rational invariants of a nondegenerate form.
-
-    disc is the squarefree class of the determinant; hasse_bad is the finite
-    set of places with Hasse invariant -1.
-    """
-
-    dim: int
-    disc: int
-    pos: int
-    neg: int
-    hasse_bad: frozenset[Place]
-
-    def __post_init__(self) -> None:
-        if self.dim < 0 or self.pos < 0 or self.neg < 0 or self.pos + self.neg != self.dim:
-            raise ValueError("inconsistent signature")
 
 
 def candidate_places(f: DiagonalForm) -> tuple[Place, ...]:
@@ -60,53 +34,32 @@ def candidate_places(f: DiagonalForm) -> tuple[Place, ...]:
     return tuple(Place(p) for p in finite) + (REAL_PLACE,)
 
 
-def form_invariants(f: DiagonalForm) -> FormInvariants:
-    d = f.disc()
-    pos, neg = f.signature()
-    bad = frozenset(v for v in candidate_places(f) if hasse_invariant(f, v) == -1)
-    return FormInvariants(f.dim, square_class(d), pos, neg, bad)
+def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:
+    """Hasse-Minkowski over k = Q(sqrt d), with Q counted as d = 1.
 
-
-def _relevant_places(inv: FormInvariants) -> list[Place]:
-    """The places where a local condition can fail, in Place.sort_key
-    order: a scan that stops at the first failure then does the same work
-    in every process, whatever the set order."""
-    places = {Place(2), REAL_PLACE} | set(inv.hasse_bad)
-    places.update(Place(p) for p in factorize(inv.disc) if p != 2)
-    return sorted(places, key=Place.sort_key)
-
-
-def _invariants_isotropic(inv: FormInvariants) -> bool:
-    """Hasse-Minkowski on invariant data alone.
-
-    Outside the relevant places every Hilbert symbol in sight is +1, so the
-    dim 3 and dim 4 local conditions hold automatically there.
+    dim 1 is never isotropic, and dim 2 is isotropic iff -a1*a2 is a
+    square in k. For dim >= 3: at a place w of k over a prime that does not
+    split, the completion E is a proper quadratic extension of Q_p (inert
+    or ramified, dyadic included), restriction doubles Brauer-class
+    invariants, so every Hilbert symbol with rational entries is +1 over E
+    and a rational form of dim >= 3 is isotropic at w; complex places never
+    obstruct. At a split place k_w = Q_v, and outside the candidate places
+    of f the coefficients are odd units and f is isotropic. The candidate
+    places come sorted, so a scan that stops at the first failure does the
+    same work in every process.
     """
-    if inv.dim <= 1:
+    n = f.dim
+    if n == 1:
         return False
-    if inv.pos == 0 or inv.neg == 0:
-        return False
-    if inv.dim >= 5:
-        return True
-    if inv.dim == 2:
-        return inv.disc == -1
-    places = _relevant_places(inv)
-    if inv.dim == 3:
-        for v in places:
-            eps = -1 if v in inv.hasse_bad else 1
-            if eps != hilbert_symbol(-1, -inv.disc, v):
-                return False
-        return True
-    for v in places:
-        eps = -1 if v in inv.hasse_bad else 1
-        if is_local_square(inv.disc, v) and eps == -hilbert_symbol(-1, -1, v):
-            return False
-    return True
+    if n == 2:
+        return is_square(-f.coeffs[0] * f.coeffs[1], k)
+    d = 1 if k.is_rational else k.d
+    return all(local_isotropic(f, v) for v in candidate_places(f) if is_local_square(d, v))
 
 
 def isotropic_Q(f: DiagonalForm) -> bool:
     """Does f have a nontrivial rational zero?"""
-    return _invariants_isotropic(form_invariants(f))
+    return _isotropic_over(f, QQ)
 
 
 @dataclass(frozen=True)
@@ -135,55 +88,20 @@ ISOTROPIC = IsotropyOutcome("isotropic")
 ANISOTROPIC = IsotropyOutcome("anisotropic")
 
 
-def _split_places(f: DiagonalForm, d: int) -> list[Place]:
-    """The finite candidate places of f whose prime splits in Q(sqrt d):
-    odd p iff p does not divide d and d is a square mod p; p = 2 iff
-    d = 1 mod 8."""
-    out = []
-    for v in candidate_places(f):
-        p = v.p
-        if p == 2:
-            if d % 8 == 1:
-                out.append(v)
-        elif p is not None and d % p != 0 and legendre_symbol(d, p) == 1:
-            out.append(v)
-    return out
-
-
 def isotropic_quad(f: DiagonalForm, d: int) -> IsotropyOutcome:
     """Decide isotropy of the rational form f over Q(sqrt d).
 
-    d must be squarefree, not 0 or 1. The procedure is total: at any place w
-    of Q(sqrt d) whose completion E is a proper quadratic extension of Q_p
-    (inert or ramified, dyadic included), restriction doubles Brauer-class
-    invariants, so every Hilbert symbol with rational entries becomes +1
-    over E; by the local classification a rational form of dim 3 or 4 is
-    then automatically isotropic at w. The only places that can obstruct are
-    the real embeddings (d > 0 with f definite) and the primes that split
-    (completion Q_p itself), and both are checked exactly. dim 2 reduces to
-    a global square class test, dim >= 5 to the real embeddings alone.
+    d must be squarefree, not 0 or 1; it is factored once, to build the
+    field. The decision is the one scan of isotropic_Q with k = Q(sqrt d)
+    in place of Q (d = 1): dim 2 is a square-class test in k, and for
+    dim >= 3 f must be isotropic over Q_v at each candidate place v of f
+    that splits in k, that is where d is a square in Q_v. The real place
+    is one of them when d > 0.
     """
-    s, m = squarefree_part(d)
-    if m != 1 or s == 1:
+    k = FieldDescriptor(d) if d not in (0, 1) else None
+    if k is None or k.d != d:
         raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")
-    n = f.dim
-    if n == 1:
-        return ANISOTROPIC
-    if isotropic_Q(f):
-        return ISOTROPIC
-    pos, neg = f.signature()
-    definite = pos == 0 or neg == 0
-    if n == 2:
-        field = FieldDescriptor(d)
-        return ISOTROPIC if is_square(-f.coeffs[0] * f.coeffs[1], field) else ANISOTROPIC
-    if d > 0 and definite:
-        return ANISOTROPIC
-    if n >= 5:
-        return ISOTROPIC
-    for v in _split_places(f, d):
-        if not local_isotropic(f, v):
-            return ANISOTROPIC
-    return ISOTROPIC
+    return ISOTROPIC if _isotropic_over(f, k) else ANISOTROPIC
 
 
 def level(k: FieldDescriptor) -> int | None:

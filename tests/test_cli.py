@@ -6,6 +6,7 @@ for byte; the rest is checked structurally.
 """
 
 import json
+import time
 
 import pytest
 
@@ -338,3 +339,20 @@ def test_check_metacyclic_above_cap_exits_1(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert f"metacyclic cap {METACYCLIC_CAP}" in err
+
+
+def test_check_permutation_degree_above_cap_exits_1(capsys):
+    from noethercheck.groups import CLOSURE_CAP
+
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "check", "--group", "perm:(1 1000000000000)", "--field", "Q")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"closure cap {CLOSURE_CAP}" in err
+    # a transposition on the largest degree the cap allows still answers
+    code, out, err = _run(capsys, "check", "--group", "perm:(1 1000000)", "--field", "Q")
+    assert code == 2
+    assert err == ""
+    assert out.startswith("group: perm:(1 1000000) (order 2)\n")

@@ -66,6 +66,10 @@ def test_perm_gens_validation():
         PermGens(0, ((0,),))
     with pytest.raises(ValueError):
         PermGens.from_cycles()
+    # the degree is checked before any image tuple is built
+    assert PermGens.from_cycles(f"(1 {CLOSURE_CAP})").degree == CLOSURE_CAP
+    with pytest.raises(ValueError, match=f"degree {CLOSURE_CAP + 1} exceeds closure cap {CLOSURE_CAP}"):
+        PermGens.from_cycles("(1 2)", f"({CLOSURE_CAP + 1})")
 
 
 def test_metacyclic_validation():

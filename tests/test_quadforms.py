@@ -2,16 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noethercheck.exact import QQ, FieldDescriptor
+from noethercheck import localfields, quadforms
+from noethercheck.exact import QQ, FieldDescriptor, squarefree_part
 from noethercheck.localfields import REAL_PLACE, DiagonalForm, Place
 from noethercheck.quadforms import (
     ANISOTROPIC,
     ISOTROPIC,
-    FormInvariants,
     IsotropyOutcome,
     candidate_places,
-    form_invariants,
     isotropic_Q,
     isotropic_quad,
     level,
@@ -26,38 +27,10 @@ def _sample_form(rng, dim):
     return DiagonalForm.of(*(rng.choice(pool) * rng.choice((1, -1)) for _ in range(dim)))
 
 
-def test_form_invariants():
-    inv = form_invariants(F7)
-    assert inv == FormInvariants(4, -7, 3, 1, frozenset())
-    inv3 = form_invariants(DiagonalForm.of(-1, -1, -1))
-    assert inv3.dim == 3 and inv3.disc == -1
-    assert inv3.hasse_bad == frozenset({Place(2), REAL_PLACE})
+def test_candidate_places():
     assert candidate_places(F7) == (Place(2), Place(7), REAL_PLACE)
-    with pytest.raises(ValueError):
-        FormInvariants(2, 1, 1, 0, frozenset())
-
-
-def _equivalent_Q(f, g):
-    # the invariant set is complete: equal invariants iff rationally equivalent
-    return form_invariants(f) == form_invariants(g)
-
-
-def test_equivalent_Q():
-    assert _equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(2, 2))
-    assert _equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(1, 4))
-    assert _equivalent_Q(DiagonalForm.of(1, -2), DiagonalForm.of(2, -1))
-    assert not _equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(1, -1))
-    assert not _equivalent_Q(DiagonalForm.of(1, 1), DiagonalForm.of(1, 2))
-    assert not _equivalent_Q(DiagonalForm.of(1), DiagonalForm.of(1, 1))
-
-
-def test_witt_cancellation():
-    rng = random.Random(41)
-    for _ in range(120):
-        f = _sample_form(rng, rng.randint(1, 3))
-        g = _sample_form(rng, f.dim)
-        h = _sample_form(rng, rng.randint(1, 2))
-        assert _equivalent_Q(f.perp(h), g.perp(h)) == _equivalent_Q(f, g)
+    f = DiagonalForm.of(Fraction(-9, 5), 21, 1)
+    assert candidate_places(f) == (Place(2), Place(3), Place(5), Place(7), REAL_PLACE)
 
 
 def test_isotropic_Q_known():
@@ -104,6 +77,12 @@ def test_isotropic_quad_known():
     assert isotropic_quad(DiagonalForm.of(1, 1), -2) == ANISOTROPIC
     assert isotropic_quad(DiagonalForm.of(5), 5) == ANISOTROPIC
     assert isotropic_quad(DiagonalForm.of(1, -1), 7) == ISOTROPIC
+    # no candidate place of a dim-1 form splits here, so the scan itself
+    # has nothing to refute: dim 1 must be answered before it
+    for d in (-1, -2, -3):
+        assert isotropic_quad(DiagonalForm.of(1), d) == ANISOTROPIC
+        assert isotropic_quad(DiagonalForm.of(-3), d) == ANISOTROPIC
+    assert isotropic_quad(DiagonalForm.of(1, -3), 3) == ISOTROPIC
 
 
 def test_isotropic_quad_rejects():
@@ -120,6 +99,87 @@ def test_isotropic_quad_extension_is_monotone():
         d = rng.choice((-7, -2, -1, 2, 3, 5, 17))
         if isotropic_Q(f):
             assert isotropic_quad(f, d) == ISOTROPIC
+
+
+_SQUAREFREE = [d for d in range(-60, 61) if d not in (0, 1) and squarefree_part(d) == (d, 1)]
+_NONZERO = st.builds(
+    Fraction,
+    st.integers(1, 400).flatmap(lambda n: st.sampled_from((n, -n))),
+    st.integers(1, 60),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_NONZERO, min_size=1, max_size=6),
+    st.sampled_from(_SQUAREFREE),
+    _NONZERO,
+    _NONZERO,
+    st.randoms(use_true_random=False),
+)
+def test_isotropy_invariances_and_rules(coeffs, d, c, q, rng):
+    f = DiagonalForm(tuple(coeffs))
+
+    def answers(g):
+        return isotropic_Q(g), isotropic_quad(g, d).is_isotropic
+
+    base = answers(f)
+    shuffled = list(f.coeffs)
+    rng.shuffle(shuffled)
+    i = rng.randrange(f.dim)
+    times_square = list(f.coeffs)
+    times_square[i] *= q * q
+    assert answers(f.scaled(c)) == base
+    assert answers(DiagonalForm(tuple(shuffled))) == base
+    assert answers(DiagonalForm(tuple(times_square))) == base
+    # isotropic over Q stays so over Q(sqrt d)
+    if base[0]:
+        assert base[1]
+    # a hyperbolic plane is isotropic, a line never
+    assert answers(f.perp(DiagonalForm.of(c, -c))) == (True, True)
+    assert answers(DiagonalForm.of(c)) == (False, False)
+
+
+def test_one_factorization_per_coefficient_and_no_checked_legendre(monkeypatch):
+    # a form of dim >= 3 costs one factorization of each numerator and each
+    # denominator per call, and its primes come from Places, so the checked
+    # legendre_symbol (a second primality test) is never needed
+    forms = [
+        F7,
+        DiagonalForm.of(1, 1, -3),
+        DiagonalForm.of(Fraction(2, 15), 7, -11, Fraction(5, 3), 1),
+        DiagonalForm.of(Fraction(-7, 4), 3, 3, 13, 17, -1),
+    ]
+    ds = (2, 17, -7, 5, -1, 3, 1001, -15)
+    before = [(isotropic_Q(f), [isotropic_quad(f, d) for d in ds]) for f in forms]
+    real_factorize = quadforms.factorize
+    factored = []
+
+    def counted(n):
+        factored.append(n)
+        return real_factorize(n)
+
+    def refuse(*args):
+        raise AssertionError("checked legendre_symbol called")
+
+    monkeypatch.setattr(quadforms, "factorize", counted)
+    real_legendre = localfields.legendre_symbol
+    for mod in (localfields, quadforms):
+        for name, val in list(vars(mod).items()):
+            if val is real_legendre:
+                monkeypatch.setattr(mod, name, refuse)
+    for f, (iso_q, iso_k) in zip(forms, before):
+        factored.clear()
+        assert isotropic_Q(f) == iso_q
+        assert len(factored) == 2 * f.dim
+        for d, expected in zip(ds, iso_k):
+            factored.clear()
+            assert isotropic_quad(f, d) == expected
+            assert len(factored) == 2 * f.dim
+    factored.clear()
+    for d in (2, 17, -7, 5):
+        isotropic_quad(F7, d)
+    assert len(factored) == 32
 
 
 def test_level():

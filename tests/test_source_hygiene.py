@@ -5,7 +5,9 @@ module must take its imports with it. And the arithmetic stays exact, so
 no module writes a float literal, calls float() or reaches for math.inf or
 math.nan.
 And galois, which decides both criteria in closed form, imports nothing
-from the package beyond exact and groups.
+from the package beyond exact and groups, while quadforms takes its local
+criteria whole from localfields and imports none of the symbols they are
+built from.
 """
 
 import ast
@@ -72,6 +74,16 @@ def _package_imports(tree):
     return out
 
 
+def _imported_names(tree):
+    """Names bound by the from-imports anywhere in tree."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
 def test_no_unused_module_imports():
     problems = {}
     for path in MODULES:
@@ -96,6 +108,11 @@ def test_galois_imports_only_exact_and_groups():
     assert _package_imports(_tree(PACKAGE / "galois.py")) == {"exact", "groups"}
 
 
+def test_quadforms_imports_no_local_symbols():
+    names = _imported_names(_tree(PACKAGE / "quadforms.py"))
+    assert names & {"hilbert_symbol", "hasse_invariant", "legendre_symbol"} == set()
+
+
 def test_checks_catch_what_they_claim():
     tree = ast.parse(
         "import math\nfrom fractions import Fraction\nfrom .x import y as z\n"
@@ -108,3 +125,4 @@ def test_checks_catch_what_they_claim():
         "from noethercheck import cli\ndef f():\n    from noethercheck.localfields import Place\n"
     )
     assert _package_imports(tree) == {"exact", "quadforms", "oracles", "cli", "localfields"}
+    assert _imported_names(tree) == {"QQ", "quadforms", "cli", "Place"}
