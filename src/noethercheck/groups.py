@@ -8,8 +8,15 @@ Q16. A metacyclic presentation gives them from its parameters without
 enumerating the group: the invariants are the Smith normal form of its
 relators, and only when the 2-part is 16 are the 16 elements of a 2-Sylow
 subgroup, whose generators are known in closed form, closed and tested.
-Permutation specs and the catalog's other groups go through a closure
-table, which for metacyclic specs is the oracle the tests compare against.
+A permutation spec with one generator is the cyclic presentation of the
+lcm of its cycle lengths. Any other permutation spec is answered from a
+deterministic Schreier-Sims stabilizer chain: the order is the product of
+its orbit lengths, and the invariants come from a chain for the derived
+subgroup G' and the indices of G'<g**(p**k)> along the p-power series of
+G/G'. Only when the 2-part of |G| is 16 is G closed, within CLOSURE_CAP
+elements, for the 2-Sylow search. The catalog's other groups go through a
+closure table, which for the other specs is the oracle the tests compare
+against.
 
 A table is built by breadth-first closure of a generating set under an
 associative compose function and then handled purely as integer indices,
@@ -27,8 +34,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import gcd
-from operator import add, sub
+from math import gcd, lcm
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .exact import FACTORIZATION_CAP, factorize
@@ -38,14 +45,19 @@ from .exact import FACTORIZATION_CAP, factorize
 # at 10**6 elements, and a permutation degree above 10**6 is refused before
 # its image tuples are built. A metacyclic presentation is answered without
 # enumeration, so its cap only bounds the size of the input: a*b up to the
-# factorization cap.
+# factorization cap. A stabilizer chain stores two image tuples of length
+# degree per orbit point of each level; it stops once their total length
+# would pass 10**7, about 80 MB of tuple slots.
 CLOSURE_CAP = 10**6
 METACYCLIC_CAP = FACTORIZATION_CAP
+CHAIN_CAP = 10**7
 
 
 def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply p, then q."""
-    return tuple(map(q.__getitem__, p))
+    """Apply p, then q. An itemgetter of several indices returns a tuple,
+    and does so several times faster than a map; the identity is the only
+    permutation of degree 1."""
+    return itemgetter(*p)(q) if len(p) > 1 else q
 
 
 def _parse_cycle_string(s: str) -> tuple[list[list[int]], int]:
@@ -395,19 +407,24 @@ def two_sylow(G: FiniteGroupTable) -> Subgroup:
 
 def is_generalized_quaternion16(H: Subgroup) -> bool:
     """Does H have the presentation <a, b | a**8 = 1, b**2 = a**4,
-    b*a*b**-1 = a**-1>?"""
+    b*a*b**-1 = a**-1>?
+
+    Every element of H has order dividing 16, so a has order 8 iff
+    a**4 != 1 = a**8, and b**2 = a**4 gives b order 4 and b**-1 = b*a**4:
+    the test multiplies inside H and never raises to powers near |G|."""
     if H.order != 16:
         return False
-    G = H.group
+    mult = H.group.mult
     for a in sorted(H.members):
-        if G.element_order(a) != 8:
+        a4 = mult(mult(a, a), mult(a, a))
+        if a4 == 0 or mult(a4, a4) != 0:
             continue
         pw = [0]
         for _ in range(7):
-            pw.append(G.mult(pw[-1], a))
+            pw.append(mult(pw[-1], a))
         cyc = set(pw)
         for b in sorted(H.members - cyc):
-            if G.mult(b, b) == pw[4] and G.mult(G.mult(b, a), G.inv(b)) == pw[7]:
+            if mult(b, b) == a4 and mult(mult(b, a), mult(b, a4)) == pw[7]:
                 return True
     return False
 
@@ -457,6 +474,200 @@ def _build_perm(pg: PermGens, label: str | None = None) -> FiniteGroupTable:
     return FiniteGroupTable.from_generators(
         identity, list(pg.generators), _perm_compose, CLOSURE_CAP, label
     )
+
+
+def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _perm_power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
+    out = tuple(range(len(p)))
+    while k:
+        if k & 1:
+            out = _perm_compose(out, p)
+        p = _perm_compose(p, p)
+        k >>= 1
+    return out
+
+
+def _perm_order(p: tuple[int, ...]) -> int:
+    """The lcm of the cycle lengths of p."""
+    seen = bytearray(len(p))
+    out = 1
+    for i in range(len(p)):
+        if not seen[i]:
+            n = 0
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = p[j]
+                n += 1
+            out = lcm(out, n)
+    return out
+
+
+class _Level:
+    """One level of a stabilizer chain: the base point, the strong
+    generators that fix the earlier base points (each with its inverse),
+    the orbit of the base point under them in discovery order, and for each
+    orbit point x the coset representative reps[x] that sends x to the base
+    point and its inverse coreps[x]. The Schreier generators pairing
+    orbit[i] with gens[:tested[i]] have been sifted; every orbit point
+    before `todo` has been paired with every generator."""
+
+    __slots__ = ("base", "gens", "orbit", "reps", "coreps", "tested", "todo")
+
+    def __init__(self, base: int) -> None:
+        self.base = base
+        self.gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.orbit: list[int] = []
+        self.reps: dict[int, tuple[int, ...]] = {}
+        self.coreps: dict[int, tuple[int, ...]] = {}
+        self.tested: list[int] = []
+        self.todo = 0
+
+    def copy(self) -> _Level:
+        new = _Level(self.base)
+        new.gens, new.orbit, new.tested = self.gens[:], self.orbit[:], self.tested[:]
+        new.reps, new.coreps = dict(self.reps), dict(self.coreps)
+        new.todo = self.todo
+        return new
+
+
+class _StabilizerChain:
+    """A base and strong generating set of a permutation group, grown by
+    the deterministic Schreier-Sims algorithm (Holt-Eick-O'Brien,
+    Handbook of Computational Group Theory, section 4.4; Seress,
+    Permutation Group Algorithms, ch. 4). Every Schreier generator of
+    every level is sifted through the levels below it, and a nontrivial
+    residue becomes a strong generator. Then the order of the group is the
+    product of the orbit lengths. Each orbit point stores two image
+    tuples, its coset representative and that one's inverse, so the chain
+    holds at most 2|G| permutations; their point images are counted as they
+    are stored and refused past CHAIN_CAP."""
+
+    def __init__(self, degree: int) -> None:
+        self.identity = tuple(range(degree))
+        self.levels: list[_Level] = []
+        self.images = 0
+
+    def copy(self) -> _StabilizerChain:
+        new = _StabilizerChain(len(self.identity))
+        new.levels = [lev.copy() for lev in self.levels]
+        new.images = self.images
+        return new
+
+    def order(self) -> int:
+        out = 1
+        for lev in self.levels:
+            out *= len(lev.orbit)
+        return out
+
+    def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...] | None, int]:
+        """Strip g through the levels from start on. Returns the residue, or
+        None if g strips to the identity, and the level whose orbit misses
+        g, or len(levels) if none does."""
+        levels, identity = self.levels, self.identity
+        for j in range(start, len(levels)):
+            lev = levels[j]
+            x = g[lev.base]
+            if x == lev.base:
+                continue
+            rep = lev.reps.get(x)
+            if rep is None:
+                return g, j
+            g = _perm_compose(g, rep)
+            if g == identity:
+                return None, len(levels)
+        return (None if g == identity else g), len(levels)
+
+    def contains(self, g: tuple[int, ...]) -> bool:
+        return self.sift(g)[0] is None
+
+    def add(self, g: tuple[int, ...]) -> bool:
+        """Extend the group by g. Returns False, changing nothing, if g is
+        already a member."""
+        residue, j = self.sift(g)
+        if residue is None:
+            return False
+        self._insert(residue, 0, j)
+        self._complete(j)
+        return True
+
+    def _store(self, lev: _Level, point: int, rep: tuple[int, ...], corep: tuple[int, ...]) -> None:
+        degree = len(self.identity)
+        if self.images + 2 * degree > CHAIN_CAP:
+            raise ValueError(
+                f"a stabilizer chain of degree {degree} needs more than "
+                f"chain cap {CHAIN_CAP} stored point images"
+            )
+        self.images += 2 * degree
+        lev.orbit.append(point)
+        lev.reps[point] = rep
+        lev.coreps[point] = corep
+        lev.tested.append(0)
+
+    def _insert(self, h: tuple[int, ...], lo: int, hi: int) -> None:
+        """Make h, which fixes the base points before level hi, a strong
+        generator of levels lo..hi, opening level hi if it is new."""
+        if hi == len(self.levels):
+            lev = _Level(next(i for i, x in enumerate(h) if i != x))
+            self._store(lev, lev.base, self.identity, self.identity)
+            self.levels.append(lev)
+        gen = (h, _perm_inverse(h))
+        for lev in self.levels[lo : hi + 1]:
+            lev.gens.append(gen)
+            lev.todo = 0
+
+    def _complete(self, i: int) -> None:
+        """Levels below i are complete; make levels i, i-1, ..., 0 complete
+        too. A residue found at level i joins the levels after i, down to
+        the one that stopped it, and the work resumes there."""
+        while i >= 0:
+            found = self._schreier_residue(i)
+            if found is None:
+                i -= 1
+            else:
+                h, j = found
+                self._insert(h, i + 1, j)
+                i = j
+
+    def _schreier_residue(self, i: int):
+        """Sift the untested Schreier generators of level i, extending its
+        orbit along the way, until one leaves a nontrivial residue below
+        level i. Returns (residue, level) for that one, or None."""
+        lev = self.levels[i]
+        gens, orbit, reps, coreps, tested = lev.gens, lev.orbit, lev.reps, lev.coreps, lev.tested
+        k = lev.todo
+        while k < len(orbit):
+            x = orbit[k]
+            while tested[k] < len(gens):
+                s, s_inv = gens[tested[k]]
+                tested[k] += 1
+                y = s[x]
+                rep = reps.get(y)
+                if rep is None:
+                    self._store(lev, y, _perm_compose(s_inv, reps[x]), _perm_compose(coreps[x], s))
+                    continue
+                if y == x == lev.base:
+                    # the Schreier generator is s, which _insert also made
+                    # a strong generator of the next level
+                    continue
+                # the Schreier generator coreps[x] * s * rep fixes the base
+                # point; it is the identity on the orbit's tree edges
+                h = _perm_compose(_perm_compose(coreps[x], s), rep)
+                if h == self.identity:
+                    continue
+                h, j = self.sift(h, i + 1)
+                if h is not None:
+                    lev.todo = k
+                    return h, j
+            k += 1
+        lev.todo = k
+        return None
 
 
 def _sl2_7_table() -> FiniteGroupTable:
@@ -606,6 +817,128 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     return GroupFacts(order, _smith_invariants(rows), two_part, q16)
 
 
+def _derived_subgroup(pg: PermGens) -> _StabilizerChain:
+    """A chain for G', the normal closure of the commutators of the
+    generators: a subgroup whose generators' conjugates by the generators
+    of G all lie in it is normal, and membership is decided by sifting."""
+    gens = pg.generators
+    invs = [_perm_inverse(g) for g in gens]
+    N = _StabilizerChain(pg.degree)
+    queue = []
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            c = reduce(_perm_compose, (invs[i], invs[j], gens[i], gens[j]))
+            if N.add(c):
+                queue.append(c)
+    for x in queue:  # grows while it is read
+        for g, g_inv in zip(gens, invs):
+            y = _perm_compose(_perm_compose(g_inv, x), g)
+            if N.add(y):
+                queue.append(y)
+    return N
+
+
+def _chain_invariants(
+    gens: tuple[tuple[int, ...], ...], order: int, primes: list[int], derived: _StabilizerChain
+) -> tuple[int, ...]:
+    """Invariant factors of G/G', descending and without 1s, from the order
+    of G, the primes that may divide it and a chain for G'. For each prime
+    p of |G/G'|, the subgroups G'<g**(p**k)> for the generators g have
+    index |A/p**k A| in G, with A = G/G' written additively; the growth of
+    that index with k counts the invariant factors divisible by each power
+    of p."""
+    index, rest = divmod(order, derived.order())
+    if rest:
+        raise AssertionError("the order of G' divides the order of G")
+    counts: dict[int, list[int]] = {}  # p -> [#factors divisible by p**k for k = 1, 2, ...]
+    for p in primes:
+        if index % p:
+            continue
+        p_part, e = 1, 0
+        while index % (p_part * p) == 0:
+            p_part, e = p_part * p, e + 1
+        pows = list(gens)
+        seen = 1
+        counts[p] = []
+        # no invariant factor has a p-part above p_part, so the quotient
+        # reaches it within e steps
+        for _ in range(e):
+            if seen == p_part:
+                break
+            pows = [g for g in (_perm_power(g, p) for g in pows) if not derived.contains(g)]
+            K = derived.copy()
+            for g in pows:
+                K.add(g)
+            quotient = order // K.order()
+            # quotient / seen = p**step, step = #factors divisible by p**k
+            step, r = 0, quotient // seen
+            while r > 1:
+                r //= p
+                step += 1
+            counts[p].append(step)
+            seen = quotient
+    factors = []
+    for t in range(max((c[0] for c in counts.values()), default=0)):
+        n = 1
+        for p, c in counts.items():
+            n *= p ** sum(1 for r in c if r > t)
+        factors.append(n)
+    return tuple(factors)
+
+
+def _perm_closure(pg: PermGens) -> tuple[list, dict]:
+    """The elements of a permutation group in the breadth-first order of
+    _enumerate, and their index, without the relators it also tracks."""
+    identity = tuple(range(pg.degree))
+    elems = [identity]
+    index = {identity: 0}
+    for x in elems:  # grows while it is read
+        for g in pg.generators:
+            y = _perm_compose(x, g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    return elems, index
+
+
+def _perm_facts(pg: PermGens) -> GroupFacts:
+    """The facts of a permutation group from a stabilizer chain, with no
+    element of G listed unless the 2-part of |G| is 16.
+
+    One generator of order m generates C_m, which _metacyclic_facts answers
+    without the chain's O(degree**2) work on a long cycle. Otherwise the
+    order is that of the chain and the invariants come from G' and the
+    p-power quotients of G/G'. The 2-Sylow test closes G, within
+    CLOSURE_CAP elements, and searches the table as for any other group."""
+    gens = pg.generators
+    if len(gens) == 1:
+        m = _perm_order(gens[0])
+        return _metacyclic_facts(Metacyclic(m, 1, 0, 1 % m))
+    G = _StabilizerChain(pg.degree)
+    for g in gens:
+        G.add(g)
+    order = G.order()
+    two_part = order & -order
+    if two_part == 16 and order > CLOSURE_CAP:
+        raise ValueError(
+            f"the 2-Sylow test of a group of order {order} needs its closure, "
+            f"above closure cap {CLOSURE_CAP}"
+        )
+    # the primes of |G| are those of its orbit lengths, all at most degree
+    primes = sorted({p for lev in G.levels for p in factorize(len(lev.orbit))})
+    del G
+    invariants = _chain_invariants(gens, order, primes, _derived_subgroup(pg))
+    q16 = False
+    if two_part == 16:
+        elems, index = _perm_closure(pg)
+        assert len(elems) == order
+        table = FiniteGroupTable(
+            elems, index, invariants, _perm_compose, gens, f"perm(degree {pg.degree})"
+        )
+        q16 = sylow2_is_q16(table)
+    return GroupFacts(order, invariants, two_part, q16)
+
+
 def _table_facts(G: FiniteGroupTable) -> GroupFacts:
     return GroupFacts(G.order, G.abelian_invariants, G.sylow2_order, sylow2_is_q16(G))
 
@@ -620,10 +953,10 @@ def _catalog_facts(name: str) -> GroupFacts:
 
 def group_facts(spec: GroupSpec) -> GroupFacts:
     """The facts the verdict needs: from the presentation for metacyclic
-    specs, memoized per name for catalog specs, and from the closure
-    table for permutation specs."""
+    specs, memoized per name for catalog specs, and from a stabilizer
+    chain for permutation specs."""
     if isinstance(spec, Metacyclic):
         return _metacyclic_facts(spec)
     if isinstance(spec, Catalog):
         return _catalog_facts(spec.name)
-    return _table_facts(build_group(spec))
+    return _perm_facts(spec)

@@ -1,14 +1,18 @@
 """Property tests for the group layer: abelian invariants read off the BFS
 relators against a Smith normal form of the defining relations and
 against the derived-subgroup quotient oracle, the reported 2-Sylow order
-against the 2-part of |G|, and the facts a metacyclic presentation gives
-without enumeration against the closure table."""
+against the 2-part of |G|, and the facts that a metacyclic presentation
+and a permutation group's stabilizer chain give without enumeration
+against the closure table and, where it is installed, sympy."""
 
-from math import gcd
+import random
+from math import gcd, lcm, prod
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from noethercheck.exact import factorize
 from noethercheck.galois import verdict
 from noethercheck.groups import (
     CATALOG_NAMES,
@@ -76,9 +80,9 @@ def _table_facts(spec):
 
 
 @st.composite
-def perm_specs(draw):
+def perm_specs(draw, min_gens=2):
     degree = draw(st.integers(1, 7))
-    gens = draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=3))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=min_gens, max_size=3))
     return PermGens(degree, tuple(tuple(g) for g in gens))
 
 
@@ -121,3 +125,97 @@ def test_metacyclic_facts_match_table(spec):
 def test_catalog_facts_match_table():
     for name in CATALOG_NAMES:
         assert group_facts(Catalog(name)) == _table_facts(Catalog(name)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_specs(min_gens=1))
+def test_permutation_facts_match_table(spec):
+    # one generator goes through the cyclic presentation, more through the
+    # stabilizer chain; both against the closure's relators and 2-Sylow
+    assert group_facts(spec) == _table_facts(spec)
+
+
+def _random_perm_gens(rng, degree):
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        p = list(range(degree))
+        if rng.random() < 0.6:
+            rng.shuffle(p)
+        else:  # a few transpositions, for the groups a shuffle rarely gives
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.sample(range(degree), 2)
+                p[a], p[b] = p[b], p[a]
+        gens.append(tuple(p))
+    return PermGens(degree, tuple(gens))
+
+
+def test_chain_facts_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(11)
+    for _ in range(200):
+        spec = _random_perm_gens(rng, rng.randint(3, 10))
+        facts = group_facts(spec)
+        G = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in spec.generators])
+        # sympy lists the prime-power invariants, ascending
+        prime_powers = sorted(p**e for n in facts.abelian_invariants for p, e in factorize(n).items())
+        assert (facts.order, prime_powers) == (G.order(), sorted(G.abelian_invariants())), spec
+
+
+def _cycle(n):
+    return "(" + " ".join(map(str, range(1, n + 1))) + ")"
+
+
+def test_large_symmetric_and_alternating_groups():
+    expected = {
+        ("(1 2)", _cycle(9)): (362880, (2,)),
+        ("(1 2)", _cycle(10)): (3628800, (2,)),
+        ("(1 2 3)", "(2 3 4 5 6 7 8 9 10)"): (1814400, ()),
+        ("(1 2)", _cycle(12)): (479001600, (2,)),
+    }
+    for gens, (order, invariants) in expected.items():
+        facts = group_facts(PermGens.from_cycles(*gens))
+        assert (facts.order, facts.abelian_invariants) == (order, invariants), gens
+        assert facts.sylow2_order == order & -order and not facts.sylow2_is_q16
+
+
+@st.composite
+def disjoint_cycle_products(draw):
+    """Generators on disjoint points, each one or two cycles: G is the
+    product of the cyclic groups they generate. Orders with 2-part 16,
+    whose Q16 test closes G, are left to the closure tests."""
+    gens, orders, first = [], [], 1
+    for _ in range(draw(st.integers(2, 4))):
+        lengths = draw(st.lists(st.integers(2, 9), min_size=1, max_size=2))
+        cycles = ""
+        for n in lengths:
+            cycles += "(" + " ".join(map(str, range(first, first + n))) + ")"
+            first += n
+        gens.append(cycles)
+        orders.append(lcm(*lengths))
+    assume(prod(orders) & -prod(orders) != 16)
+    return gens, orders
+
+
+def _cyclic_product_invariants(orders):
+    """Invariant factors of the product of the cyclic groups C_n: the t-th
+    largest power of each prime goes to the t-th factor."""
+    powers = {}
+    for n in orders:
+        for p, e in factorize(n).items():
+            powers.setdefault(p, []).append(p**e)
+    factors = []
+    for t in range(max(map(len, powers.values()), default=0)):
+        f = 1
+        for ps in powers.values():
+            f *= sorted(ps, reverse=True)[t] if t < len(ps) else 1
+        factors.append(f)
+    return tuple(factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(disjoint_cycle_products())
+def test_chain_invariants_of_cyclic_products(case):
+    gens, orders = case
+    facts = group_facts(PermGens.from_cycles(*gens))
+    assert facts.abelian_invariants == _cyclic_product_invariants(orders)
+    assert facts.order == prod(orders)

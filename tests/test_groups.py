@@ -274,6 +274,35 @@ def test_is_generalized_quaternion16():
     assert is_generalized_quaternion16(two_sylow(catalog_group("SL2_9")))
 
 
+def _q16_by_element_orders(H):
+    """The recognizer as first written, with element orders and inverses
+    taken in the whole group: the reference for the one that multiplies
+    inside H."""
+    if H.order != 16:
+        return False
+    G = H.group
+    for a in sorted(H.members):
+        if G.element_order(a) != 8:
+            continue
+        pw = [0]
+        for _ in range(7):
+            pw.append(G.mult(pw[-1], a))
+        for b in sorted(H.members - set(pw)):
+            if G.mult(b, b) == pw[4] and G.mult(G.mult(b, a), G.inv(b)) == pw[7]:
+                return True
+    return False
+
+
+def test_q16_recognizer_matches_reference():
+    subgroups = {name: two_sylow(catalog_group(name)) for name in CATALOG_NAMES}
+    for name in ("D16", "SD16", "Q16", "C16"):
+        subgroups[name + " whole"] = _whole(catalog_group(name))
+    subgroups["C8xC2"] = _whole(_mc(8, 2, 0, 1))
+    answers = {name: is_generalized_quaternion16(H) for name, H in subgroups.items()}
+    assert answers == {name: _q16_by_element_orders(H) for name, H in subgroups.items()}
+    assert {name for name, yes in answers.items() if yes} == {"Q16", "Q16 whole", "SL2_7", "SL2_9"}
+
+
 def test_quotient_by():
     S4 = catalog_group("S4")
     Q = quotient_by(S4, derived_subgroup(S4))

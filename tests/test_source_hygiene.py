@@ -7,7 +7,8 @@ math.nan.
 And galois, which decides both criteria in closed form, imports nothing
 from the package beyond exact and groups, while quadforms takes its local
 criteria whole from localfields and imports none of the symbols they are
-built from.
+built from. sympy may be installed, as a test oracle, but the package
+depends on nothing outside the standard library and never imports it.
 """
 
 import ast
@@ -113,6 +114,21 @@ def test_quadforms_imports_no_local_symbols():
     assert names & {"hilbert_symbol", "hasse_invariant", "legendre_symbol"} == set()
 
 
+def _top_level_imports(tree):
+    """Top-level names of the absolute imports anywhere in tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.partition(".")[0] for a in node.names)
+    return out
+
+
+def test_no_module_imports_sympy():
+    assert {p.name for p in MODULES if "sympy" in _top_level_imports(_tree(p))} == set()
+
+
 def test_checks_catch_what_they_claim():
     tree = ast.parse(
         "import math\nfrom fractions import Fraction\nfrom .x import y as z\n"
@@ -126,3 +142,5 @@ def test_checks_catch_what_they_claim():
     )
     assert _package_imports(tree) == {"exact", "quadforms", "oracles", "cli", "localfields"}
     assert _imported_names(tree) == {"QQ", "quadforms", "cli", "Place"}
+    tree = ast.parse("import sympy.combinatorics\nfrom . import x\ndef f():\n    from sympy import S\n")
+    assert _top_level_imports(tree) == {"sympy"}
