@@ -7,16 +7,15 @@ invariants, the 2-part of the order and whether the 2-Sylow subgroup is
 Q16. A metacyclic presentation gives them from its parameters without
 enumerating the group: the invariants are the Smith normal form of its
 relators, and only when the 2-part is 16 are the 16 elements of a 2-Sylow
-subgroup, whose generators are known in closed form, closed and tested.
-A permutation spec with one generator is the cyclic presentation of the
-lcm of its cycle lengths. Any other permutation spec is answered from a
-deterministic Schreier-Sims stabilizer chain: the order is the product of
-its orbit lengths, and the invariants come from a chain for the derived
-subgroup G' and the indices of G'<g**(p**k)> along the p-power series of
-G/G'. Only when the 2-part of |G| is 16 is G closed, within CLOSURE_CAP
-elements, for the 2-Sylow search. The catalog's other groups go through a
-closure table, which for the other specs is the oracle the tests compare
-against.
+subgroup, known in closed form, listed and tested. A permutation spec with
+one generator is the cyclic presentation of the lcm of its cycle lengths.
+Any other permutation spec is answered from a deterministic Schreier-Sims
+stabilizer chain: the order is the product of its orbit lengths, and the
+invariants come from a chain for the derived subgroup G' and the indices
+of G'<g**(p**k)> along the p-power series of G/G'. Only when the 2-part of
+|G| is 16, and |G| is within CLOSURE_CAP, are the elements of G walked,
+one product of coset representatives at a time, for the Q16 test. Every
+catalog group is one of these two kinds of spec.
 
 A table is built by breadth-first closure of a generating set under an
 associative compose function and then handled purely as integer indices,
@@ -26,7 +25,8 @@ also yields the abelian invariants, since every edge it finds off its
 spanning tree is a relator of the group (Reidemeister-Schreier for the
 trivial subgroup); their exponent sums span the relation lattice of the
 abelianization, whose Smith normal form gives the invariant factors. The
-2-Sylow subgroup is searched for only by callers that need it.
+tables, with their 2-Sylow search, are what the tests compare the facts
+against; the verdict builds none.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ from typing import NamedTuple
 from .exact import FACTORIZATION_CAP, factorize
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
-# memory: every closure (permutation, matrix, or a metacyclic table) stops
-# at 10**6 elements, and a permutation degree above 10**6 is refused before
-# its image tuples are built. A metacyclic presentation is answered without
+# memory: every closure (permutation or metacyclic table) stops at 10**6
+# elements, the Q16 test walks the elements of a permutation group only up
+# to that order, and a permutation degree above 10**6 is refused before its
+# image tuples are built. A metacyclic presentation is answered without
 # enumeration, so its cap only bounds the size of the input: a*b up to the
 # factorization cap. A stabilizer chain stores two image tuples of length
 # degree per orbit point of each level; it stops once their total length
@@ -429,11 +430,30 @@ def is_generalized_quaternion16(H: Subgroup) -> bool:
     return False
 
 
-def sylow2_is_q16(G: FiniteGroupTable) -> bool:
-    """Is the 2-Sylow subgroup of G the generalized quaternion group of
-    order 16? That needs the 2-part of |G| to be 16, so no Sylow subgroup
-    is searched for otherwise."""
-    return G.sylow2_order == 16 and is_generalized_quaternion16(two_sylow(G))
+def _q16_search(elements, mult, identity) -> bool:
+    """Is a 2-Sylow subgroup of the group Q16, given that the 2-part of its
+    order is 16? elements lists the group and restarts on each iteration,
+    and mult composes two of them.
+
+    It is iff, for any one element a of order 8, some b has b**2 = a**4 and
+    b*a*b**-1 = a**-1. Every cyclic subgroup of order 8 lies in a Sylow
+    subgroup, and Q16 has exactly one, so in a Q16 the pair exists for
+    every such a. Conversely such a pair generates a Q16, of order 16, so a
+    Sylow subgroup. The first pass finds a, the second looks for b; b**2 =
+    a**4 gives b order 4 and b**-1 = b*a**4, and no b in <a> conjugates a
+    to a**-1, which has order 8."""
+    for a in elements:
+        a2 = mult(a, a)
+        a4 = mult(a2, a2)
+        if a4 != identity and mult(a4, a4) == identity:
+            break
+    else:
+        return False
+    a_inv = mult(mult(a4, a2), a)
+    for b in elements:
+        if mult(b, b) == a4 and mult(mult(b, a), mult(b, a4)) == a_inv:
+            return True
+    return False
 
 
 def _metacyclic_compose(m: Metacyclic):
@@ -566,6 +586,28 @@ class _StabilizerChain:
             out *= len(lev.orbit)
         return out
 
+    def __iter__(self):
+        """Every element of the group once, by one composition each: g is
+        the product c_n * ... * c_1 * c_0 of one coset representative c_i
+        per level i, which sends the base point of level i to a point of its
+        orbit, and c_0 varies fastest. Only the partial products on
+        the current path are kept."""
+        levels = self.levels
+
+        def walk(i: int, prefix: tuple[int, ...]):
+            coreps = levels[i].coreps
+            for x in levels[i].orbit:
+                g = _perm_compose(prefix, coreps[x])
+                if i:
+                    yield from walk(i - 1, g)
+                else:
+                    yield g
+
+        if levels:
+            yield from walk(len(levels) - 1, self.identity)
+        else:
+            yield self.identity
+
     def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...] | None, int]:
         """Strip g through the levels from start on. Returns the residue, or
         None if g strips to the identity, and the level whose orbit misses
@@ -670,92 +712,58 @@ class _StabilizerChain:
         return None
 
 
-def _sl2_7_table() -> FiniteGroupTable:
-    p = 7
+# SL2(q) acting on the q**2 - 1 nonzero column vectors (x, y) of F_q**2,
+# the vector (x, y) numbered x + q*y. F_9 is F_3[i] with i**2 = -1, and
+# u + v*i is numbered u + 3*v. SL2_7 is generated by [[1, 1], [0, 1]] and
+# [[1, 0], [1, 1]]; SL2_9 by [[1, 1], [0, 1]] and [[0, 1], [-1, 1 + i]],
+# 1 + i of multiplicative order 8 (with [[1, 0], [i, 1]] in its place the
+# two generate a group of order 120 only).
+_SL2_7 = (
+    "(7 8 9 10 11 12 13)(14 16 18 20 15 17 19)(21 24 27 23 26 22 25)"
+    "(28 32 29 33 30 34 31)(35 40 38 36 41 39 37)(42 48 47 46 45 44 43)",
+    "(1 8 15 22 29 36 43)(2 16 30 44 9 23 37)(3 24 45 17 38 10 31)"
+    "(4 32 11 39 18 46 25)(5 40 26 12 47 33 19)(6 48 41 34 27 20 13)",
+)
+_SL2_9 = (
+    "(9 10 11)(12 13 14)(15 16 17)(18 20 19)(21 23 22)(24 26 25)(27 30 33)"
+    "(28 31 34)(29 32 35)(36 40 44)(37 41 42)(38 39 43)(45 50 52)(46 48 53)"
+    "(47 49 51)(54 60 57)(55 61 58)(56 62 59)(63 70 68)(64 71 66)(65 69 67)"
+    "(72 80 76)(73 78 77)(74 79 75)",
+    "(1 18 74 44 13)(2 9 37 76 26)(3 54 69 52 32)(4 72 35 57 42)(5 63 25 11 46)"
+    "(6 27 48 68 61)(7 45 14 19 65)(8 36 58 33 75)(10 28 39 31 12)"
+    "(15 64 16 55 60)(17 73 53 50 77)(20 56 78 62 24)(21 47 23 29 30)"
+    "(22 38 67 70 43)(34 66 79 80 71)(40 49 59 51 41)",
+)
 
-    def mul(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return (
-            (a * e + b * g) % p,
-            (a * f + b * h) % p,
-            (c * e + d * g) % p,
-            (c * f + d * h) % p,
-        )
+# the catalog beyond C1..C64, each spec built only when its name is asked for
+_CATALOG_SPECS = {
+    "D16": lambda: Metacyclic(8, 2, 0, 7),
+    "SD16": lambda: Metacyclic(8, 2, 0, 3),
+    "Q16": lambda: Metacyclic(8, 2, 4, 7),
+    "S4": lambda: PermGens.from_cycles("(1 2)", "(1 2 3 4)"),
+    "A4": lambda: PermGens.from_cycles("(1 2 3)", "(1 2)(3 4)"),
+    "SL2_7": lambda: PermGens.from_cycles(*_SL2_7),
+    "SL2_9": lambda: PermGens.from_cycles(*_SL2_9),
+    "Ex3_3": lambda: Metacyclic(64, 16, 32, 7),
+}
 
-    t = FiniteGroupTable.from_generators(
-        (1, 0, 0, 1), [(1, 1, 0, 1), (1, 0, 1, 1)], mul, CLOSURE_CAP, "SL2_7"
-    )
-    assert t.order == 336  # 7 * (49 - 1)
-    return t
-
-
-def _f9_add(x: int, y: int) -> int:
-    return (x + y) % 3 + 3 * ((x // 3 + y // 3) % 3)
-
-
-def _f9_mul(x: int, y: int) -> int:
-    # elements u + v*t of F_9 = F_3[t]/(t**2 + 1) coded as u + 3*v, t**2 = 2
-    u1, v1 = x % 3, x // 3
-    u2, v2 = y % 3, y // 3
-    return (u1 * u2 + 2 * v1 * v2) % 3 + 3 * ((u1 * v2 + v1 * u2) % 3)
-
-
-def _sl2_9_table() -> FiniteGroupTable:
-    def mul(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return (
-            _f9_add(_f9_mul(a, e), _f9_mul(b, g)),
-            _f9_add(_f9_mul(a, f), _f9_mul(b, h)),
-            _f9_add(_f9_mul(c, e), _f9_mul(d, g)),
-            _f9_add(_f9_mul(c, f), _f9_mul(d, h)),
-        )
-
-    # E12(1) and E21(1) only generate a copy of SL2(F_3); E12(t) is needed
-    # to reach the full group
-    gens = [(1, 1, 0, 1), (1, 0, 1, 1), (1, 3, 0, 1)]
-    t = FiniteGroupTable.from_generators((1, 0, 0, 1), gens, mul, CLOSURE_CAP, "SL2_9")
-    assert t.order == 720  # 9 * (81 - 1)
-    return t
+CATALOG_NAMES = tuple(f"C{n}" for n in range(1, 65)) + tuple(_CATALOG_SPECS)
 
 
-def _catalog_spec(name: str) -> GroupSpec | None:
+def _catalog_spec(name: str) -> Metacyclic | PermGens:
     m = re.fullmatch(r"C([1-9]\d*)", name)
-    if m and 1 <= int(m.group(1)) <= 64:
+    if m and int(m.group(1)) <= 64:
         n = int(m.group(1))
         return Metacyclic(n, 1, 0, 1 % n)
-    return {
-        "D16": Metacyclic(8, 2, 0, 7),
-        "SD16": Metacyclic(8, 2, 0, 3),
-        "Q16": Metacyclic(8, 2, 4, 7),
-        "S4": PermGens.from_cycles("(1 2)", "(1 2 3 4)"),
-        "A4": PermGens.from_cycles("(1 2 3)", "(1 2)(3 4)"),
-        "Ex3_3": Metacyclic(64, 16, 32, 7),
-    }.get(name)
-
-
-CATALOG_NAMES = tuple(f"C{n}" for n in range(1, 65)) + (
-    "D16",
-    "SD16",
-    "Q16",
-    "S4",
-    "A4",
-    "SL2_7",
-    "SL2_9",
-    "Ex3_3",
-)
+    make = _CATALOG_SPECS.get(name)
+    if make is None:
+        raise ValueError(f"unknown catalog group: {name}")
+    return make()
 
 
 @lru_cache(maxsize=None)
 def catalog_group(name: str) -> FiniteGroupTable:
-    if name == "SL2_7":
-        return _sl2_7_table()
-    if name == "SL2_9":
-        return _sl2_9_table()
     spec = _catalog_spec(name)
-    if spec is None:
-        raise ValueError(f"unknown catalog group: {name}")
     if isinstance(spec, Metacyclic):
         return _build_metacyclic(spec, label=name)
     return _build_perm(spec, label=name)
@@ -786,13 +794,14 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     """The facts of a metacyclic group from its parameters alone.
 
     The abelianization is Z^2 modulo the exponent sums of the relators,
-    the rows [a, 0], [-c, b] and [r - 1, 0]. A 2-Sylow subgroup is
-    generated by s**(a/a_2), which generates the 2-Sylow subgroup of the
-    normal subgroup <s>, and by u = t'**o'. Here t' = t**(b/b_2) has order
-    b_2 * a/gcd(a, c), since its b_2-th power is t**b = s**c, and o' is
-    the odd part of that order; the image of u then generates the 2-part
-    of G/<s> = C_b. Those 16 elements are closed only when the 2-part of
-    the order is 16.
+    the rows [a, 0], [-c, b] and [r - 1, 0]. A 2-Sylow subgroup P is the
+    product of <s'>, for s' = s**(a/a_2), the 2-Sylow subgroup of the
+    normal subgroup <s>, and <u>, for u = t'**o'. Here t' = t**(b/b_2) has
+    order b_2 * a/gcd(a, c), since its b_2-th power is t**b = s**c, and o'
+    is the odd part of that order; the image of u then generates the 2-part
+    of G/<s> = C_b, so u**j for j < b_2 lie in distinct cosets of <s>.
+    Those 16 elements s'**i u**j are listed only when the 2-part of the
+    order is 16.
     """
     a, b, c, r = m.a, m.b, m.c, m.r
     order = a * b
@@ -802,18 +811,19 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     two_part = order & -order
     q16 = False
     if two_part == 16:
-        b2 = b & -b
+        a2, b2 = a & -a, b & -b
         t_order = b2 * (a // gcd(a, c))
         # u = t**k for k = (b/b_2) * o', and t**k = (s**c)**(k // b)
         # t**(k % b) because s**c is central
         k = b // b2 * (t_order // (t_order & -t_order))
         u = (c * (k // b) % a, k % b)
-        gens = [(a // (a & -a) % a, 0), u]
-        P = FiniteGroupTable.from_generators(
-            (0, 0), gens, _metacyclic_compose(m), 16, "2-Sylow"
-        )
-        assert P.order == 16
-        q16 = is_generalized_quaternion16(Subgroup(P, frozenset(range(P.order))))
+        mult = _metacyclic_compose(m)
+        u_powers = [(0, 0)]
+        for _ in range(b2 - 1):
+            u_powers.append(mult(u_powers[-1], u))
+        sylow = [mult((i * (a // a2), 0), y) for i in range(a2) for y in u_powers]
+        assert len(set(sylow)) == 16
+        q16 = _q16_search(sylow, mult, (0, 0))
     return GroupFacts(order, _smith_invariants(rows), two_part, q16)
 
 
@@ -886,30 +896,16 @@ def _chain_invariants(
     return tuple(factors)
 
 
-def _perm_closure(pg: PermGens) -> tuple[list, dict]:
-    """The elements of a permutation group in the breadth-first order of
-    _enumerate, and their index, without the relators it also tracks."""
-    identity = tuple(range(pg.degree))
-    elems = [identity]
-    index = {identity: 0}
-    for x in elems:  # grows while it is read
-        for g in pg.generators:
-            y = _perm_compose(x, g)
-            if y not in index:
-                index[y] = len(elems)
-                elems.append(y)
-    return elems, index
-
-
 def _perm_facts(pg: PermGens) -> GroupFacts:
     """The facts of a permutation group from a stabilizer chain, with no
-    element of G listed unless the 2-part of |G| is 16.
+    element of G listed.
 
     One generator of order m generates C_m, which _metacyclic_facts answers
     without the chain's O(degree**2) work on a long cycle. Otherwise the
     order is that of the chain and the invariants come from G' and the
-    p-power quotients of G/G'. The 2-Sylow test closes G, within
-    CLOSURE_CAP elements, and searches the table as for any other group."""
+    p-power quotients of G/G'. When the 2-part of |G| is 16 the Q16 test
+    walks the chain's products of coset representatives, within
+    CLOSURE_CAP elements, keeping none of them."""
     gens = pg.generators
     if len(gens) == 1:
         m = _perm_order(gens[0])
@@ -924,31 +920,17 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
             f"the 2-Sylow test of a group of order {order} needs its closure, "
             f"above closure cap {CLOSURE_CAP}"
         )
+    q16 = two_part == 16 and _q16_search(G, _perm_compose, G.identity)
     # the primes of |G| are those of its orbit lengths, all at most degree
     primes = sorted({p for lev in G.levels for p in factorize(len(lev.orbit))})
     del G
     invariants = _chain_invariants(gens, order, primes, _derived_subgroup(pg))
-    q16 = False
-    if two_part == 16:
-        elems, index = _perm_closure(pg)
-        assert len(elems) == order
-        table = FiniteGroupTable(
-            elems, index, invariants, _perm_compose, gens, f"perm(degree {pg.degree})"
-        )
-        q16 = sylow2_is_q16(table)
     return GroupFacts(order, invariants, two_part, q16)
-
-
-def _table_facts(G: FiniteGroupTable) -> GroupFacts:
-    return GroupFacts(G.order, G.abelian_invariants, G.sylow2_order, sylow2_is_q16(G))
 
 
 @lru_cache(maxsize=None)
 def _catalog_facts(name: str) -> GroupFacts:
-    spec = _catalog_spec(name)
-    if isinstance(spec, Metacyclic):
-        return _metacyclic_facts(spec)
-    return _table_facts(build_group(Catalog(name)))
+    return group_facts(_catalog_spec(name))
 
 
 def group_facts(spec: GroupSpec) -> GroupFacts:

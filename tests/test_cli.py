@@ -213,6 +213,88 @@ def test_catalog(capsys):
     assert "SL2_9: order 720, sylow2 order 16, Q16 = yes" in lines
 
 
+# the whole `catalog` output, as printed before SL2_7 and SL2_9 became
+# permutation specs
+CATALOG_OUTPUT = """\
+C1: order 1, sylow2 = itself, Q16 = no
+C2: order 2, sylow2 = itself, Q16 = no
+C3: order 3, sylow2 order 1, Q16 = no
+C4: order 4, sylow2 = itself, Q16 = no
+C5: order 5, sylow2 order 1, Q16 = no
+C6: order 6, sylow2 order 2, Q16 = no
+C7: order 7, sylow2 order 1, Q16 = no
+C8: order 8, sylow2 = itself, Q16 = no
+C9: order 9, sylow2 order 1, Q16 = no
+C10: order 10, sylow2 order 2, Q16 = no
+C11: order 11, sylow2 order 1, Q16 = no
+C12: order 12, sylow2 order 4, Q16 = no
+C13: order 13, sylow2 order 1, Q16 = no
+C14: order 14, sylow2 order 2, Q16 = no
+C15: order 15, sylow2 order 1, Q16 = no
+C16: order 16, sylow2 = itself, Q16 = no
+C17: order 17, sylow2 order 1, Q16 = no
+C18: order 18, sylow2 order 2, Q16 = no
+C19: order 19, sylow2 order 1, Q16 = no
+C20: order 20, sylow2 order 4, Q16 = no
+C21: order 21, sylow2 order 1, Q16 = no
+C22: order 22, sylow2 order 2, Q16 = no
+C23: order 23, sylow2 order 1, Q16 = no
+C24: order 24, sylow2 order 8, Q16 = no
+C25: order 25, sylow2 order 1, Q16 = no
+C26: order 26, sylow2 order 2, Q16 = no
+C27: order 27, sylow2 order 1, Q16 = no
+C28: order 28, sylow2 order 4, Q16 = no
+C29: order 29, sylow2 order 1, Q16 = no
+C30: order 30, sylow2 order 2, Q16 = no
+C31: order 31, sylow2 order 1, Q16 = no
+C32: order 32, sylow2 = itself, Q16 = no
+C33: order 33, sylow2 order 1, Q16 = no
+C34: order 34, sylow2 order 2, Q16 = no
+C35: order 35, sylow2 order 1, Q16 = no
+C36: order 36, sylow2 order 4, Q16 = no
+C37: order 37, sylow2 order 1, Q16 = no
+C38: order 38, sylow2 order 2, Q16 = no
+C39: order 39, sylow2 order 1, Q16 = no
+C40: order 40, sylow2 order 8, Q16 = no
+C41: order 41, sylow2 order 1, Q16 = no
+C42: order 42, sylow2 order 2, Q16 = no
+C43: order 43, sylow2 order 1, Q16 = no
+C44: order 44, sylow2 order 4, Q16 = no
+C45: order 45, sylow2 order 1, Q16 = no
+C46: order 46, sylow2 order 2, Q16 = no
+C47: order 47, sylow2 order 1, Q16 = no
+C48: order 48, sylow2 order 16, Q16 = no
+C49: order 49, sylow2 order 1, Q16 = no
+C50: order 50, sylow2 order 2, Q16 = no
+C51: order 51, sylow2 order 1, Q16 = no
+C52: order 52, sylow2 order 4, Q16 = no
+C53: order 53, sylow2 order 1, Q16 = no
+C54: order 54, sylow2 order 2, Q16 = no
+C55: order 55, sylow2 order 1, Q16 = no
+C56: order 56, sylow2 order 8, Q16 = no
+C57: order 57, sylow2 order 1, Q16 = no
+C58: order 58, sylow2 order 2, Q16 = no
+C59: order 59, sylow2 order 1, Q16 = no
+C60: order 60, sylow2 order 4, Q16 = no
+C61: order 61, sylow2 order 1, Q16 = no
+C62: order 62, sylow2 order 2, Q16 = no
+C63: order 63, sylow2 order 1, Q16 = no
+C64: order 64, sylow2 = itself, Q16 = no
+D16: order 16, sylow2 = itself, Q16 = no
+SD16: order 16, sylow2 = itself, Q16 = no
+Q16: order 16, sylow2 = itself, Q16 = yes
+S4: order 24, sylow2 order 8, Q16 = no
+A4: order 12, sylow2 order 4, Q16 = no
+SL2_7: order 336, sylow2 order 16, Q16 = yes
+SL2_9: order 720, sylow2 order 16, Q16 = yes
+Ex3_3: order 1024, sylow2 = itself, Q16 = no
+"""
+
+
+def test_catalog_output_frozen(capsys):
+    assert _run(capsys, "catalog") == (0, CATALOG_OUTPUT, "")
+
+
 def test_oracle_three_squares(capsys):
     code, out, err = _run(capsys, "oracle", "three-squares", "500")
     assert code == 0
@@ -399,20 +481,25 @@ def _q16_regular_with_cycles(lengths):
     return f"perm:{cycles(times_s)}{extra};{cycles(times_t)}"
 
 
-def _child_check(spec):
+def _child_check(spec, *flags):
     """`check --group spec --field Q` in a fresh interpreter: (exit code,
-    stderr, peak RSS in MB)."""
+    stdout, stderr, peak RSS in MB). The peak is the child's own VmHWM:
+    Linux carries ru_maxrss across exec, so that would report the RSS of
+    this test process whenever it is the larger."""
     code = (
-        "import resource, sys\n"
+        "import sys\n"
         "from noethercheck.cli import main\n"
-        "rc = main(['check', '--group', sys.argv[1], '--field', 'Q'])\n"
-        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024\n"
-        "print('rss', rss, file=sys.stderr)\n"
+        "rc = main(['check', '--group', sys.argv[1], '--field', 'Q', *sys.argv[2:]])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "print('rss', kb // 1024, file=sys.stderr)\n"
         "sys.exit(rc)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code, spec], capture_output=True, text=True, timeout=60)
+    out = subprocess.run(
+        [sys.executable, "-c", code, spec, *flags], capture_output=True, text=True, timeout=60
+    )
     *err, last = out.stderr.splitlines()
-    return out.returncode, "\n".join(err), int(last.split()[1])
+    return out.returncode, out.stdout, "\n".join(err), int(last.split()[1])
 
 
 def test_check_q16_sylow_above_closure_cap_exits_1(capsys):
@@ -429,11 +516,23 @@ def test_check_q16_sylow_above_closure_cap_exits_1(capsys):
     assert code == 0 and "(order 16)" in out and "theorem 1.5" in out
 
 
+def test_check_q16_times_cycles_walks_the_chain():
+    # order 16 * 15015 = 240240 on 55 points: the Q16 test walks the chain
+    # and keeps no element, so neither time nor memory grows with |G|
+    start = time.perf_counter()
+    code, out, err, rss_mb = _child_check(_q16_regular_with_cycles((3, 5, 7, 11, 13)), "--json")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    group = json.loads(out)["group"]
+    assert (group["order"], group["sylow2_is_q16"]) == (240240, True)
+    assert rss_mb < 60
+
+
 def test_check_permutation_chain_above_cap_exits_1():
     from noethercheck.groups import CHAIN_CAP
 
     start = time.perf_counter()
-    code, err, rss_mb = _child_check("perm:(1 2);" + _cycle(1, 3000))
+    code, _, err, rss_mb = _child_check("perm:(1 2);" + _cycle(1, 3000))
     assert time.perf_counter() - start < 10
     assert code == 1
     assert err.startswith("error:") and f"chain cap {CHAIN_CAP}" in err

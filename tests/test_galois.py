@@ -365,24 +365,25 @@ def test_sylow_work_only_when_two_part_is_16(monkeypatch):
         return out
 
     monkeypatch.setattr(groups, "_enumerate", enumerate_recorded)
-    for name in ("two_sylow", "is_generalized_quaternion16"):
+    for name in ("two_sylow", "is_generalized_quaternion16", "_q16_search"):
         monkeypatch.setattr(groups, name, counted(name, getattr(groups, name)))
     monkeypatch.setattr(oracles, "cyclotomic_galois", counted("cyclotomic_galois", cyclotomic_galois))
     monkeypatch.setattr(
         groups.FiniteGroupTable, "mult", counted("mult", groups.FiniteGroupTable.mult)
     )
-    # metacyclic specs answer from the presentation: nothing is enumerated
-    # unless the 2-part is 16, and then only the 16 elements of a 2-Sylow
+    # metacyclic specs answer from the presentation: nothing is enumerated,
+    # and the Q16 search runs only when the 2-part is 16, on the 16 listed
+    # elements of a 2-Sylow subgroup
     for spec, two_part in ((Metacyclic(4096, 1, 0, 1), 4096), (Metacyclic(3, 2048, 0, 2), 2048)):
         assert verdict(spec).sylow_order == two_part
-    assert calls["is_generalized_quaternion16"] == 0 and closed == []
-    # dicyclic of order 48: 2-part 16, so the Q16 test runs once
+    assert calls["_q16_search"] == 0
+    # dicyclic of order 48: 2-part 16, so the Q16 search runs once
     assert verdict(Metacyclic(24, 2, 12, 23)).sylow_is_q16
-    assert calls["is_generalized_quaternion16"] == 1 and closed == [16]
-    assert calls["two_sylow"] == calls["cyclotomic_galois"] == 0
+    assert calls["_q16_search"] == 1
+    assert calls["two_sylow"] == calls["is_generalized_quaternion16"] == 0
+    assert calls["cyclotomic_galois"] == calls["mult"] == 0 and closed == []
     verdict(Catalog("SL2_9"))
     calls.clear()
-    closed.clear()
     v = verdict(Catalog("SL2_9"), FieldDescriptor(17))
     assert v.theorem == "1.5" and v.sylow_is_q16
     assert not calls and not closed

@@ -23,7 +23,8 @@ from noethercheck.groups import (
     abelian_invariants,
     build_group,
     group_facts,
-    sylow2_is_q16,
+    is_generalized_quaternion16,
+    two_sylow,
 )
 from noethercheck.oracles import abelian_invariants_by_quotient
 
@@ -75,8 +76,11 @@ def metacyclic_specs_two_part_16(draw):
 
 
 def _table_facts(spec):
+    # the Q16 answer from a 2-Sylow subgroup of the closure, not from the
+    # element-of-order-8 search that group_facts runs
     G = build_group(spec)
-    return GroupFacts(G.order, abelian_invariants(G), G.sylow2_order, sylow2_is_q16(G))
+    q16 = G.sylow2_order == 16 and is_generalized_quaternion16(two_sylow(G))
+    return GroupFacts(G.order, abelian_invariants(G), G.sylow2_order, q16)
 
 
 @st.composite

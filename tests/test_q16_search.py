@@ -1,0 +1,174 @@
+"""The Q16 test of the group facts against the 2-Sylow route.
+
+group_facts decides whether a 2-Sylow subgroup is Q16 from one element a
+of order 8 and a search for b with b^2 = a^4 and b a b^-1 = a^-1, over the
+16 listed elements of a metacyclic Sylow subgroup or a walk of a
+stabilizer chain. The reference here closes G into a table, finds a
+2-Sylow subgroup with two_sylow and recognizes it with
+is_generalized_quaternion16, which share none of that code.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from noethercheck import groups
+from noethercheck.galois import verdict
+from noethercheck.groups import (
+    Catalog,
+    FiniteGroupTable,
+    Metacyclic,
+    PermGens,
+    build_group,
+    catalog_group,
+    group_facts,
+    is_generalized_quaternion16,
+    two_sylow,
+)
+
+# groups of order 16 with a metacyclic presentation: the six with an
+# element of order 8, and two without
+ORDER_16 = {
+    "Q16": Metacyclic(8, 2, 4, 7),
+    "D16": Metacyclic(8, 2, 0, 7),
+    "SD16": Metacyclic(8, 2, 0, 3),
+    "C16": Metacyclic(16, 1, 0, 1),
+    "C8xC2": Metacyclic(8, 2, 0, 1),
+    "M16": Metacyclic(8, 2, 0, 5),
+    "C4:C4": Metacyclic(4, 4, 0, 3),
+    "C4xC4": Metacyclic(4, 4, 0, 1),
+}
+
+
+def _by_sylow(G):
+    return G.sylow2_order == 16 and is_generalized_quaternion16(two_sylow(G))
+
+
+def _cycle(first, n):
+    return tuple(range(first + 1, first + n)) + (first,)
+
+
+def _regular(m, odd=(), carried=False):
+    """m acting on its 16 elements by right multiplication, times one cycle
+    of each odd length on further points: as generators of their own, or
+    carried by the first generator of m, which gives the same product
+    since the orders are coprime."""
+    G = build_group(m)
+    gens = [tuple(G.mult(x, g) for x in range(G.order)) for g in G.generator_indices]
+    degree = G.order + sum(odd)
+    gens = [g + tuple(range(G.order, degree)) for g in gens]
+    first = G.order
+    for n in odd:
+        cyc = tuple(range(first)) + _cycle(first, n) + tuple(range(first + n, degree))
+        if carried:
+            gens[0] = tuple(cyc[x] for x in gens[0])
+        else:
+            gens.append(cyc)
+        first += n
+    return PermGens(degree, tuple(gens))
+
+
+def test_regular_groups_of_order_16():
+    for name, m in ORDER_16.items():
+        for spec in (
+            m,
+            _regular(m),
+            _regular(m, (3,)),
+            _regular(m, (3, 5)),
+            _regular(m, (3, 9), carried=True),
+        ):
+            facts = group_facts(spec)
+            assert facts.sylow2_order == 16, (name, spec)
+            assert facts.sylow2_is_q16 == _by_sylow(build_group(spec)) == (name == "Q16"), (name, spec)
+
+
+def test_symmetric_and_special_linear_groups():
+    specs = {
+        "S6": PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6)"),
+        "S7": PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6 7)"),
+        "SL2_7": Catalog("SL2_7"),
+        "SL2_9": Catalog("SL2_9"),
+    }
+    for name, spec in specs.items():
+        facts = group_facts(spec)
+        assert facts.sylow2_order == 16, name
+        assert facts.sylow2_is_q16 == _by_sylow(build_group(spec)) == name.startswith("SL2"), name
+
+
+@st.composite
+def perm_specs_two_part_16(draw):
+    """Permutation groups of degree at most 8 with 2-part 16. Each
+    generator permutes the points inside the same blocks, so the group lies
+    in a product of small symmetric groups. With three generators, these
+    block sizes give that 2-part to about half of the groups drawn, of
+    orders 16 to 720."""
+    sizes = draw(st.sampled_from([(6,), (4, 3), (5, 3), (4, 2), (5, 2), (4, 2, 2)]))
+    gens = []
+    for _ in range(3):
+        g, first = [], 0
+        for n in sizes:
+            g += [first + x for x in draw(st.permutations(range(n)))]
+            first += n
+        gens.append(tuple(g))
+    spec = PermGens(sum(sizes), tuple(gens))
+    assume(group_facts(spec).sylow2_order == 16)
+    return spec
+
+
+def test_small_permutation_groups():
+    seen = set()
+
+    @settings(max_examples=210, derandomize=True, deadline=None)
+    @given(perm_specs_two_part_16())
+    def check(spec):
+        facts = group_facts(spec)
+        G = build_group(spec)
+        assert (facts.order, facts.sylow2_is_q16) == (G.order, _by_sylow(G))
+        seen.add(spec)
+
+    check()
+    # no permutation group of degree below 16 contains Q16, and none of
+    # these has an element of order 8, so they show that the walk answers
+    # no where the Sylow route does
+    assert len(seen) >= 200
+
+
+def test_verdict_builds_no_table(monkeypatch):
+    calls = []
+    enumerate_ = groups._enumerate
+    init = FiniteGroupTable.__init__
+
+    def enumerate_counted(*args):
+        calls.append("_enumerate")
+        return enumerate_(*args)
+
+    def init_counted(self, *args):
+        calls.append("FiniteGroupTable")
+        init(self, *args)
+
+    monkeypatch.setattr(groups, "_enumerate", enumerate_counted)
+    monkeypatch.setattr(FiniteGroupTable, "__init__", init_counted)
+    groups._catalog_facts.cache_clear()
+    catalog_group.cache_clear()
+    assert not verdict(PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6)")).sylow_is_q16
+    assert verdict(Catalog("SL2_9")).sylow_is_q16
+    assert verdict(Metacyclic(24, 2, 12, 23)).sylow_is_q16
+    assert calls == []
+    # the counters see a table when one is built
+    catalog_group("SL2_9")
+    assert calls == ["_enumerate", "FiniteGroupTable"]
+
+
+def test_catalog_spec_builds_only_the_name_asked_for(monkeypatch):
+    built = []
+    from_cycles = PermGens.from_cycles
+
+    def counted(cls, *specs):
+        built.append(specs)
+        return from_cycles(*specs)
+
+    monkeypatch.setattr(PermGens, "from_cycles", classmethod(counted))
+    assert groups._catalog_spec("C8") == Metacyclic(8, 1, 0, 1)
+    assert groups._catalog_spec("Q16") == Metacyclic(8, 2, 4, 7)
+    assert built == []
+    assert groups._catalog_spec("SL2_9").degree == 80
+    assert len(built) == 1
