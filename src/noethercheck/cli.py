@@ -220,12 +220,36 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _plain_check_args(argv: list[str]) -> argparse.Namespace | None:
+    """The arguments of `check --group SPEC --field FIELD [--json]`, with
+    the options in any order and no value starting with "-", as argparse
+    would read them; None for any other line. Building the argparse parser
+    costs several times a typical check, and running it half of one."""
+    if argv[:1] != ["check"]:
+        return None
+    opts: dict[str, str | bool] = {"--json": False}
+    rest = iter(argv[1:])
+    for opt in rest:
+        if opt == "--json":
+            opts[opt] = True
+        elif opt in ("--group", "--field") and not (value := next(rest, "-")).startswith("-"):
+            opts[opt] = value
+        else:
+            return None
+    if len(opts) != 3:
+        return None
+    return argparse.Namespace(
+        command="check", group=opts["--group"], field=opts["--field"], json=opts["--json"], func=cmd_check
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    argv = sys.argv[1:] if argv is None else argv
+    if (args := _plain_check_args(argv)) is None:
+        try:  # every other line, and every usage error, goes through argparse
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
     except ValueError as exc:

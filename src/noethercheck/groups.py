@@ -5,28 +5,27 @@ obstruction tests.
 The verdict reads one GroupFacts record per spec: the order, the abelian
 invariants, the 2-part of the order and whether the 2-Sylow subgroup is
 Q16. A metacyclic presentation gives them from its parameters without
-enumerating the group: the invariants are the Smith normal form of its
-relators, and only when the 2-part is 16 are the 16 elements of a 2-Sylow
-subgroup, known in closed form, listed and tested. A permutation spec with
-one generator is the cyclic presentation of the lcm of its cycle lengths.
-Any other permutation spec is answered from a deterministic Schreier-Sims
-stabilizer chain: the order is the product of its orbit lengths, and the
-invariants come from a chain for the derived subgroup G' and the indices
-of G'<g**(p**k)> along the p-power series of G/G'. Only when the 2-part of
-|G| is 16, and |G| is within CLOSURE_CAP, are the elements of G walked,
-one product of coset representatives at a time, for the Q16 test. Every
-catalog group is one of these two kinds of spec.
+enumerating the group: the invariants are (h*b/d, d) without 1s, for
+h = gcd(a, r - 1) and d = gcd(h, c, b), and only when the 2-part is 16 are
+the 16 elements of a 2-Sylow subgroup, known in closed form, listed and
+tested. A permutation spec with one generator is the cyclic presentation
+of the lcm of its cycle lengths. Any other permutation spec is answered
+from a deterministic Schreier-Sims stabilizer chain: the order is the
+product of its orbit lengths, and the invariants come from a chain for the
+derived subgroup G' and the indices of G'<g**(p**k)> along the p-power
+series of G/G'. Only when the 2-part of |G| is 16, and |G| is within
+CLOSURE_CAP, are the elements of G walked, one product of coset
+representatives at a time, for the Q16 test. Every catalog group is one
+of these two kinds of spec.
 
 A table is built by breadth-first closure of a generating set under an
 associative compose function and then handled purely as integer indices,
 with 0 the identity. Nothing quadratic in the order is ever stored: a
-product composes the two raw elements and looks the result up. The closure
-also yields the abelian invariants, since every edge it finds off its
-spanning tree is a relator of the group (Reidemeister-Schreier for the
-trivial subgroup); their exponent sums span the relation lattice of the
-abelianization, whose Smith normal form gives the invariant factors. The
-tables, with their 2-Sylow search, are what the tests compare the facts
-against; the verdict builds none.
+product composes the two raw elements and looks the result up. A table
+built from a spec carries the abelian invariants group_facts gives for
+that spec, so there is one source for them. The tables, with their 2-Sylow
+search, are what the tests compare the facts against; the verdict builds
+none.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import add, itemgetter, sub
+from operator import itemgetter
 from typing import NamedTuple
 
 from .exact import FACTORIZATION_CAP, factorize
@@ -163,106 +162,25 @@ class Catalog:
 GroupSpec = PermGens | Metacyclic | Catalog
 
 
-def _add_relator(rows: list, v: list[int]) -> None:
-    """Add v to the lattice spanned by rows, kept in echelon form: rows[j]
-    is None or has its first nonzero entry, positive, at column j."""
-    for j in range(len(rows)):
-        if not v[j]:
-            continue
-        row = rows[j]
-        if row is None:
-            rows[j] = v if v[j] > 0 else [-x for x in v]
-            return
-        # Euclid's algorithm on column j by unimodular row operations: row
-        # ends with the gcd of the two entries, v with 0
-        while v[j]:
-            q = row[j] // v[j]
-            row, v = v, [x - q * y for x, y in zip(row, v)]
-        rows[j] = row if row[j] > 0 else [-x for x in row]
-
-
-def _smith_invariants(m: list[list[int]]) -> tuple[int, ...]:
-    """Invariant factors of Z^n / (row span of the nonsingular n x n integer
-    matrix m), descending and without 1s: the diagonal of its Smith normal
-    form, by unimodular row and column operations."""
-    m = [list(row) for row in m]
-    n = len(m)
-    diag = []
-    for t in range(n):
-        while True:
-            _, i, j = min(
-                (abs(m[i][j]), i, j) for i in range(t, n) for j in range(t, n) if m[i][j]
-            )
-            m[t], m[i] = m[i], m[t]
-            for row in m:
-                row[t], row[j] = row[j], row[t]
-            p = m[t][t]
-            for i in range(t + 1, n):
-                if q := m[i][t] // p:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-            for j in range(t + 1, n):
-                if q := m[t][j] // p:
-                    for row in m:
-                        row[j] -= q * row[t]
-            if any(m[i][t] for i in range(t + 1, n)) or any(m[t][j] for j in range(t + 1, n)):
-                continue  # a remainder below |p| is left and becomes the pivot
-            # p must divide the rest of the block; else fold in a row that
-            # it does not divide and pivot again on the smaller remainder
-            bad = next(
-                (i for i in range(t + 1, n) if any(m[i][j] % p for j in range(t + 1, n))),
-                None,
-            )
-            if bad is None:
-                break
-            m[t] = [x + y for x, y in zip(m[t], m[bad])]
-        diag.append(abs(m[t][t]))
-    return tuple(d for d in reversed(diag) if d != 1)
-
-
 def _enumerate(identity, gens, compose, cap):
-    """BFS closure of the generators, with the abelian invariants of the
-    group read off the closure's own edges (Reidemeister-Schreier for the
-    trivial subgroup).
-
-    Each element x carries the exponent vector ev(x) in Z^r of its word
-    along the BFS tree, r = len(gens). Every edge x*g = y off the tree is a
-    relator of the group, with image ev(x) + e_g - ev(y) in Z^r, and these
-    images span the lattice L with G/[G, G] = Z^r / L. Returns (elements in
-    discovery order, index dict, invariant factors of Z^r / L).
-    """
-    r = len(gens)
+    """BFS closure of the generators. Returns the elements in discovery
+    order and the index dict that numbers them."""
     elems = [identity]
     index = {identity: 0}
-    evs = [(0,) * r]
-    units = [tuple(int(i == k) for i in range(r)) for k in range(r)]
-    rows: list[list[int] | None] = [None] * r
-    seen: set[tuple[int, ...]] = set()
-    frontier = [0]
+    frontier = [identity]
     while frontier:
         new = []
-        for xi in frontier:
-            x, xv = elems[xi], evs[xi]
-            for gi, g in enumerate(gens):
+        for x in frontier:
+            for g in gens:
                 y = compose(x, g)
-                yv = tuple(map(add, xv, units[gi]))
-                yi = index.get(y)
-                if yi is None:
+                if y not in index:
                     if len(elems) >= cap:
                         raise ValueError(f"closure exceeded cap {cap}")
                     index[y] = len(elems)
-                    new.append(len(elems))
                     elems.append(y)
-                    evs.append(yv)
-                elif yv != evs[yi]:
-                    # the same relator recurs along many edges
-                    rel = tuple(map(sub, yv, evs[yi]))
-                    if rel not in seen:
-                        seen.add(rel)
-                        _add_relator(rows, list(rel))
+                    new.append(y)
         frontier = new
-    if any(row is None for row in rows):
-        raise AssertionError("the relation lattice of a finite group has full rank")
-    return elems, index, _smith_invariants(rows)
+    return elems, index
 
 
 class FiniteGroupTable:
@@ -272,10 +190,11 @@ class FiniteGroupTable:
 
     identity = 0
 
-    def __init__(self, elems, index, invariants, compose, raw_gens, label):
+    def __init__(self, elems, index, compose, raw_gens, label):
         self.order = len(elems)
         self.label = label
-        self.abelian_invariants: tuple[int, ...] = invariants
+        # set by build_group and catalog_group from group_facts of the spec
+        self.abelian_invariants: tuple[int, ...] | None = None
         self._elems = elems
         self._index = index
         self._compose = compose
@@ -284,8 +203,8 @@ class FiniteGroupTable:
 
     @classmethod
     def from_generators(cls, identity, gens, compose, cap, label):
-        elems, index, invariants = _enumerate(identity, list(gens), compose, cap)
-        return cls(elems, index, invariants, compose, list(gens), label)
+        elems, index = _enumerate(identity, list(gens), compose, cap)
+        return cls(elems, index, compose, list(gens), label)
 
     def __repr__(self) -> str:
         return f"<group {self.label} of order {self.order}>"
@@ -369,7 +288,10 @@ class Subgroup:
 
 def abelian_invariants(G: FiniteGroupTable) -> tuple[int, ...]:
     """Invariant factors (n_1, n_2, ...) of G/[G, G], descending, each
-    dividing the previous; computed when G was enumerated."""
+    dividing the previous: those group_facts gives for the spec G was built
+    from. A table not built from a spec, such as a quotient, has none."""
+    if G.abelian_invariants is None:
+        raise ValueError(f"{G.label} was not built from a group spec; it carries no invariants")
     return G.abelian_invariants
 
 
@@ -475,25 +397,22 @@ def _metacyclic_compose(m: Metacyclic):
     return compose
 
 
-def _build_metacyclic(m: Metacyclic, label: str | None = None) -> FiniteGroupTable:
-    a, b, c, r = m.a, m.b, m.c, m.r
+def _build_table(spec: Metacyclic | PermGens, label: str | None = None) -> FiniteGroupTable:
+    """The closure table of a metacyclic or permutation spec."""
+    if isinstance(spec, PermGens):
+        identity = tuple(range(spec.degree))
+        label = label or f"perm(degree {spec.degree})"
+        return FiniteGroupTable.from_generators(
+            identity, spec.generators, _perm_compose, CLOSURE_CAP, label
+        )
+    a, b, c, r = spec.a, spec.b, spec.c, spec.r
     if a * b > CLOSURE_CAP:
         raise ValueError(f"a table of order {a * b} exceeds closure cap {CLOSURE_CAP}")
     gens = [(1 % a, 0), (0, 1 % b)]
-    if label is None:
-        label = f"metacyclic(a={a},b={b},c={c},r={r})"
-    t = FiniteGroupTable.from_generators((0, 0), gens, _metacyclic_compose(m), a * b, label)
+    label = label or f"metacyclic(a={a},b={b},c={c},r={r})"
+    t = FiniteGroupTable.from_generators((0, 0), gens, _metacyclic_compose(spec), a * b, label)
     assert t.order == a * b
     return t
-
-
-def _build_perm(pg: PermGens, label: str | None = None) -> FiniteGroupTable:
-    identity = tuple(range(pg.degree))
-    if label is None:
-        label = f"perm(degree {pg.degree})"
-    return FiniteGroupTable.from_generators(
-        identity, list(pg.generators), _perm_compose, CLOSURE_CAP, label
-    )
 
 
 def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -763,21 +682,23 @@ def _catalog_spec(name: str) -> Metacyclic | PermGens:
 
 @lru_cache(maxsize=None)
 def catalog_group(name: str) -> FiniteGroupTable:
-    spec = _catalog_spec(name)
-    if isinstance(spec, Metacyclic):
-        return _build_metacyclic(spec, label=name)
-    return _build_perm(spec, label=name)
+    """The table of a catalog group. Its invariants come from the memoized
+    facts of Catalog(name), which building it fills for the verdict."""
+    G = _build_table(_catalog_spec(name), name)
+    G.abelian_invariants = group_facts(Catalog(name)).abelian_invariants
+    return G
 
 
 def build_group(spec: GroupSpec) -> FiniteGroupTable:
-    """Realize a group spec as a multiplication table."""
+    """Realize a group spec as a multiplication table, carrying the abelian
+    invariants group_facts gives for the spec."""
     if isinstance(spec, Catalog):
         return catalog_group(spec.name)
-    if isinstance(spec, Metacyclic):
-        return _build_metacyclic(spec)
-    if isinstance(spec, PermGens):
-        return _build_perm(spec)
-    raise TypeError(f"not a group spec: {spec!r}")
+    if not isinstance(spec, (Metacyclic, PermGens)):
+        raise TypeError(f"not a group spec: {spec!r}")
+    G = _build_table(spec)
+    G.abelian_invariants = group_facts(spec).abelian_invariants
+    return G
 
 
 class GroupFacts(NamedTuple):
@@ -794,20 +715,24 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     """The facts of a metacyclic group from its parameters alone.
 
     The abelianization is Z^2 modulo the exponent sums of the relators,
-    the rows [a, 0], [-c, b] and [r - 1, 0]. A 2-Sylow subgroup P is the
-    product of <s'>, for s' = s**(a/a_2), the 2-Sylow subgroup of the
-    normal subgroup <s>, and <u>, for u = t'**o'. Here t' = t**(b/b_2) has
-    order b_2 * a/gcd(a, c), since its b_2-th power is t**b = s**c, and o'
-    is the odd part of that order; the image of u then generates the 2-part
-    of G/<s> = C_b, so u**j for j < b_2 lie in distinct cosets of <s>.
-    Those 16 elements s'**i u**j are listed only when the 2-part of the
-    order is 16.
+    the rows [a, 0], [-c, b] and [r - 1, 0]. The first and last span the
+    same lattice as [h, 0] for h = gcd(a, r - 1), so the determinantal
+    divisors are d = gcd(h, c, b), of the entries, and h*b, of the one
+    2 x 2 minor: the invariant factors are h*b/d and d.
+
+    A 2-Sylow subgroup P is the product of <s'>, for s' = s**(a/a_2), the
+    2-Sylow subgroup of the normal subgroup <s>, and <u>, for u = t'**o'.
+    Here t' = t**(b/b_2) has order b_2 * a/gcd(a, c), since its b_2-th
+    power is t**b = s**c, and o' is the odd part of that order; the image
+    of u then generates the 2-part of G/<s> = C_b, so u**j for j < b_2 lie
+    in distinct cosets of <s>. Those 16 elements s'**i u**j are listed only
+    when the 2-part of the order is 16.
     """
     a, b, c, r = m.a, m.b, m.c, m.r
     order = a * b
-    rows: list[list[int] | None] = [None, None]
-    for v in ([a, 0], [-c, b], [r - 1, 0]):
-        _add_relator(rows, v)
+    h = gcd(a, r - 1)
+    d = gcd(h, c, b)
+    invariants = tuple(n for n in (h * b // d, d) if n > 1)
     two_part = order & -order
     q16 = False
     if two_part == 16:
@@ -824,7 +749,7 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
         sylow = [mult((i * (a // a2), 0), y) for i in range(a2) for y in u_powers]
         assert len(set(sylow)) == 16
         q16 = _q16_search(sylow, mult, (0, 0))
-    return GroupFacts(order, _smith_invariants(rows), two_part, q16)
+    return GroupFacts(order, invariants, two_part, q16)
 
 
 def _derived_subgroup(pg: PermGens) -> _StabilizerChain:

@@ -5,11 +5,13 @@ Nothing here uses Hilbert symbols or Hasse invariants to produce an answer;
 local isotropy is decided by counting zeros modulo a fixed prime power, and
 global isotropy by exhibiting an integer zero. The Galois group of
 k(zeta_{2^n})/k is enumerated as a subgroup of the units mod 2^n, which is
-what galois.is_cyclic_ext is compared against. Abelian invariants come from
-the derived subgroup, the quotient by it, and element orders counted in
-that quotient, never from relators. These functions favour a short,
-independent argument over speed, which is what the formula-driven code is
-tested against.
+what galois.is_cyclic_ext is compared against. Abelian invariants come two
+ways, neither through groups.group_facts: from the derived subgroup, the
+quotient by it and element orders counted in that quotient; and from the
+relators a breadth-first spanning tree of the table yields, whose lattice
+is reduced here by helpers of this module alone. These functions favour a
+short, independent argument over speed, which is what the formula-driven
+code is tested against.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .exact import FieldDescriptor, Rational, factorize
 from .groups import FiniteGroupTable, Subgroup
@@ -480,6 +482,73 @@ def abelian_invariants_by_quotient(G: FiniteGroupTable) -> tuple[int, ...]:
                 m *= factors[i]
         invs.append(m)
     return tuple(invs)
+
+
+def abelian_invariants_by_relators(G: FiniteGroupTable) -> tuple[int, ...]:
+    """Invariant factors of G/[G, G], descending and without 1s, from the
+    relators of a breadth-first spanning tree of G (Reidemeister-Schreier
+    for the trivial subgroup).
+
+    Each element x carries the exponent vector ev(x) in Z^k of its word
+    along the tree, k = len(G.generator_indices). Every edge x*g = y off the
+    tree is a relator, with image ev(x) + e_g - ev(y), and these images span
+    the lattice L with G/[G, G] = Z^k / L; the invariant factors are the
+    quotients of successive determinantal divisors of a basis of L."""
+    gens = G.generator_indices
+    k = len(gens)
+    ev = {0: (0,) * k}
+    basis: list[list[int] | None] = [None] * k
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for i, g in enumerate(gens):
+                yv = ev[x][:i] + (ev[x][i] + 1,) + ev[x][i + 1 :]
+                y = G.mult(x, g)
+                if y not in ev:
+                    ev[y] = yv
+                    new.append(y)
+                elif yv != ev[y]:
+                    _add_to_echelon(basis, [s - t for s, t in zip(yv, ev[y])])
+        frontier = new
+    if None in basis:
+        raise AssertionError("the relation lattice of a finite group has full rank")
+    divisors = [1]
+    for i in range(1, k + 1):
+        minors = (
+            _det([[basis[r][c] for c in cols] for r in rows])
+            for rows in combinations(range(k), i)
+            for cols in combinations(range(k), i)
+        )
+        divisors.append(gcd(*minors))
+    return tuple(
+        n for n in (divisors[i] // divisors[i - 1] for i in range(k, 0, -1)) if n > 1
+    )
+
+
+def _add_to_echelon(basis: list, v: list[int]) -> None:
+    """Add v to the lattice spanned by basis: basis[j] is None or has its
+    first nonzero entry at column j. Euclid's algorithm on column j, by
+    unimodular row operations, leaves the gcd in basis[j] and 0 in v."""
+    for j in range(len(basis)):
+        if v[j] and basis[j] is None:
+            basis[j] = v
+            return
+        while v[j]:
+            q = basis[j][j] // v[j]
+            basis[j], v = v, [x - q * y for x, y in zip(basis[j], v)]
+
+
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by expansion along its first
+    row, skipping zeros: exact, and cheap on the minors of an echelon basis."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, x in enumerate(m[0])
+        if x
+    )
 
 
 def _ilog(n: int, p: int) -> int:

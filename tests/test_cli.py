@@ -5,14 +5,25 @@ them. The JSON payload is a public contract, so one line is frozen byte
 for byte; the rest is checked structurally.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noethercheck.cli import group_spec_string, main, parse_field, parse_group
+from noethercheck.cli import (
+    _build_parser,
+    _plain_check_args,
+    group_spec_string,
+    main,
+    parse_field,
+    parse_group,
+)
 from noethercheck.exact import QQ
 from noethercheck.groups import Catalog, PermGens
 
@@ -378,6 +389,43 @@ def test_reused_parser_keeps_error_bytes(capsys):
     assert _run(capsys, "oracle", "nope", "5")[0] == 1
     assert _run(capsys, *bad) == first
     assert first[2].startswith("usage: noethercheck check ")
+
+
+_VALUES = ("catalog:C8", "Q", "Q(sqrt -1)", "-1", "", "--", "-h", "--json")
+_CHUNKS = (
+    st.just(["--json"])
+    | st.tuples(st.sampled_from(("--group", "--field", "--gr", "-h")), st.sampled_from(_VALUES))
+    .map(list)
+    | st.sampled_from(_VALUES).map(lambda v: [v])
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(("check", "catalog", "--json")), st.lists(_CHUNKS, max_size=4))
+def test_plain_check_lines_parse_as_argparse_does(command, chunks):
+    # the direct reading of a check line must agree with argparse wherever
+    # it answers; every other line is left to argparse
+    argv = [command, *(tok for chunk in chunks for tok in chunk)]
+    plain = _plain_check_args(argv)
+    if plain is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert _build_parser().parse_args(argv) == plain
+
+
+def test_plain_check_args_leaves_the_rest_to_argparse():
+    ok = ["check", "--json", "--field", "Q", "--group", "catalog:C8"]
+    assert _plain_check_args(ok) is not None
+    for argv in (
+        [],
+        ["catalog"],
+        ["check", "--group", "catalog:C8"],
+        ["check", "--group", "catalog:C8", "--field", "-1"],
+        ["check", "--group=catalog:C8", "--field", "Q"],
+        ["check", "--gr", "catalog:C8", "--field", "Q"],
+        ["check", "--group", "catalog:C8", "--field", "Q", "-h"],
+    ):
+        assert _plain_check_args(argv) is None, argv
 
 
 # 20-digit primes, one in each odd class mod 8

@@ -1,9 +1,10 @@
-"""Property tests for the group layer: abelian invariants read off the BFS
-relators against a Smith normal form of the defining relations and
-against the derived-subgroup quotient oracle, the reported 2-Sylow order
-against the 2-part of |G|, and the facts that a metacyclic presentation
-and a permutation group's stabilizer chain give without enumeration
-against the closure table and, where it is installed, sympy."""
+"""Property tests for the group layer: the abelian invariants group_facts
+gives, in closed form for a metacyclic presentation and from a stabilizer
+chain for a permutation group, against a Smith normal form of the defining
+relations, the relator lattice of the closure table and the
+derived-subgroup quotient oracle; the reported 2-Sylow order against the
+2-part of |G|; and the facts that a presentation or a chain gives without
+enumeration against the closure table and, where it is installed, sympy."""
 
 import random
 from math import gcd, lcm, prod
@@ -16,6 +17,7 @@ from noethercheck.exact import factorize
 from noethercheck.galois import verdict
 from noethercheck.groups import (
     CATALOG_NAMES,
+    METACYCLIC_CAP,
     Catalog,
     GroupFacts,
     Metacyclic,
@@ -26,7 +28,7 @@ from noethercheck.groups import (
     is_generalized_quaternion16,
     two_sylow,
 )
-from noethercheck.oracles import abelian_invariants_by_quotient
+from noethercheck.oracles import abelian_invariants_by_quotient, abelian_invariants_by_relators
 
 
 def _snf_2col(rows):
@@ -76,11 +78,12 @@ def metacyclic_specs_two_part_16(draw):
 
 
 def _table_facts(spec):
-    # the Q16 answer from a 2-Sylow subgroup of the closure, not from the
-    # element-of-order-8 search that group_facts runs
+    # the invariants from the closure's relators, not the ones the table
+    # carries from group_facts, and the Q16 answer from a 2-Sylow subgroup
+    # of the closure, not from the element-of-order-8 search
     G = build_group(spec)
     q16 = G.sylow2_order == 16 and is_generalized_quaternion16(two_sylow(G))
-    return GroupFacts(G.order, abelian_invariants(G), G.sylow2_order, q16)
+    return GroupFacts(G.order, abelian_invariants_by_relators(G), G.sylow2_order, q16)
 
 
 @st.composite
@@ -98,6 +101,44 @@ def test_metacyclic_invariants_match_snf_and_oracle(spec):
     a, b, c, r = spec.a, spec.b, spec.c, spec.r
     assert invs == _snf_2col([[a, 0], [-c, b], [r - 1, 0]])
     assert invs == abelian_invariants_by_quotient(G)
+
+
+@st.composite
+def large_metacyclic_specs(draw):
+    """Metacyclic specs with a*b up to METACYCLIC_CAP, far beyond any
+    table: r = 1 with any c, or r = -1 with b even and c = 0 or a/2. A
+    common factor g of a, b and often c makes gcd(h, c, b) nontrivial."""
+    g = draw(st.integers(1, 10**6))
+    a = g * draw(st.integers(1, METACYCLIC_CAP // (2 * g * g)))
+    if draw(st.booleans()):
+        b = g * draw(st.integers(1, METACYCLIC_CAP // (a * g)))
+        c = g * draw(st.integers(0, a)) % a if draw(st.booleans()) else draw(st.integers(0, a - 1))
+        return Metacyclic(a, b, c, 1 % a)
+    b = 2 * g * draw(st.integers(1, METACYCLIC_CAP // (2 * a * g)))
+    c = draw(st.sampled_from([0, a // 2] if a % 2 == 0 else [0]))
+    return Metacyclic(a, b, c, (a - 1) % a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_metacyclic_specs())
+def test_large_metacyclic_invariants_match_snf(spec):
+    a, b, c, r = spec.a, spec.b, spec.c, spec.r
+    invs = group_facts(spec).abelian_invariants
+    assert invs == _snf_2col([[a, 0], [-c, b], [r - 1, 0]])
+
+
+def test_small_metacyclic_invariants_match_relators():
+    # every valid presentation with a <= 24 and b <= 8
+    count = 0
+    for a in range(1, 25):
+        for b in range(1, 9):
+            for r in (r for r in range(a) if gcd(r, a) == 1 and pow(r, b, a) == 1 % a):
+                for c in (c for c in range(a) if c * (r - 1) % a == 0):
+                    spec = Metacyclic(a, b, c, r)
+                    expected = abelian_invariants_by_relators(build_group(spec))
+                    assert group_facts(spec).abelian_invariants == expected, spec
+                    count += 1
+    assert count == 3110
 
 
 @settings(max_examples=60, deadline=None)

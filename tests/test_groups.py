@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from noethercheck import groups
 from noethercheck.galois import verdict
 from noethercheck.groups import (
     CATALOG_NAMES,
@@ -20,7 +21,12 @@ from noethercheck.groups import (
     is_generalized_quaternion16,
     two_sylow,
 )
-from noethercheck.oracles import abelian_invariants_by_quotient, derived_subgroup, quotient_by
+from noethercheck.oracles import (
+    abelian_invariants_by_quotient,
+    abelian_invariants_by_relators,
+    derived_subgroup,
+    quotient_by,
+)
 
 
 def _mc(a, b, c, r):
@@ -312,7 +318,10 @@ def test_quotient_by():
     assert Z.order == 2
     QZ = quotient_by(q16, Z)
     assert QZ.order == 8
-    assert abelian_invariants(QZ) == (2, 2)
+    assert abelian_invariants_by_relators(QZ) == (2, 2)
+    # a quotient is built from no spec, so it carries no invariants
+    with pytest.raises(ValueError, match="not built from a group spec"):
+        abelian_invariants(QZ)
     H = Subgroup(S4, S4.closure([S4.generator_indices[0]]))
     assert H.order == 2
     with pytest.raises(ValueError, match="normal"):
@@ -331,6 +340,18 @@ def test_subgroup_validation():
     with pytest.raises(ValueError):
         Subgroup(G, frozenset({0, a}))
     assert Subgroup(G, G.closure([a])).order == 8
+
+
+def test_catalog_table_fills_the_facts_memo():
+    # building a catalog table computes the facts the verdict then reads
+    groups._catalog_facts.cache_clear()
+    catalog_group.cache_clear()
+    catalog_group("SL2_9")
+    info = groups._catalog_facts.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    assert verdict(Catalog("SL2_9")).sylow_is_q16
+    info = groups._catalog_facts.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_closure():

@@ -7,11 +7,14 @@ math.nan.
 And galois, which decides both criteria in closed form, imports nothing
 from the package beyond exact and groups, while quadforms takes its local
 criteria whole from localfields and imports none of the symbols they are
-built from. sympy may be installed, as a test oracle, but the package
-depends on nothing outside the standard library and never imports it.
+built from. groups holds no lattice reduction, and oracles, which checks
+it, takes nothing from it but the table types. sympy may be installed, as
+a test oracle, but the package depends on nothing outside the standard
+library and never imports it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import noethercheck
@@ -112,6 +115,27 @@ def test_galois_imports_only_exact_and_groups():
 def test_quadforms_imports_no_local_symbols():
     names = _imported_names(_tree(PACKAGE / "quadforms.py"))
     assert names & {"hilbert_symbol", "hasse_invariant", "legendre_symbol"} == set()
+
+
+def test_groups_defines_no_lattice_reduction():
+    # its invariants come in closed form or from a stabilizer chain
+    defined = {
+        node.name
+        for node in ast.walk(_tree(PACKAGE / "groups.py"))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    pattern = r"relator|smith|snf|lattice|echelon|hermite|determinant|minors|^_?det$"
+    assert {name for name in defined if re.search(pattern, name, re.I)} == set()
+
+
+def test_oracles_import_only_the_table_types_from_groups():
+    names = set()
+    for node in ast.walk(_tree(PACKAGE / "oracles.py")):
+        if isinstance(node, ast.ImportFrom) and "groups" in (node.module or "").split("."):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "groups" not in {a.name.rpartition(".")[2] for a in node.names}
+    assert names == {"FiniteGroupTable", "Subgroup"}
 
 
 def _top_level_imports(tree):
