@@ -7,10 +7,10 @@ or an arbitrary-precision int. Nothing here or downstream touches floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import attrgetter
 
 Rational = Fraction
 
@@ -196,8 +196,39 @@ def padic_valuation(x: Rational | int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class Frozen:
+    """Base of the package's immutable records: a subclass names its fields
+    in __slots__ and sets them in __init__ through object.__setattr__.
+    Equality, hashing, repr and pickling read the fields in slot order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class FieldDescriptor(Frozen):
     """Q when d is None, otherwise the quadratic field Q(sqrt d).
 
     Any nonsquare integer is reduced to its squarefree part on construction;
@@ -205,17 +236,17 @@ class FieldDescriptor:
     extension.
     """
 
-    d: int | None = None
+    __slots__ = ("d",)
 
-    def __post_init__(self) -> None:
-        if self.d is None:
-            return
-        if self.d == 0:
-            raise ValueError("d = 0 does not give a field")
-        s, _ = squarefree_part(self.d)
-        if s == 1:
-            raise ValueError(f"d = {self.d} is a square; use FieldDescriptor() for Q")
-        object.__setattr__(self, "d", s)
+    def __init__(self, d: int | None = None) -> None:
+        if d is not None:
+            if d == 0:
+                raise ValueError("d = 0 does not give a field")
+            s, _ = squarefree_part(d)
+            if s == 1:
+                raise ValueError(f"d = {d} is a square; use FieldDescriptor() for Q")
+            d = s
+        object.__setattr__(self, "d", d)
 
     @property
     def is_rational(self) -> bool:

@@ -13,9 +13,7 @@ what the tests compare them against; nothing here calls either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact import FieldDescriptor, QQ
+from .exact import FieldDescriptor, Frozen, QQ
 from .groups import GroupSpec, group_facts
 
 
@@ -68,31 +66,37 @@ def bailey_group(k: FieldDescriptor, dvec: tuple[int, ...]) -> tuple[int, str]:
     return e, "trivial" if e == 0 else f"(Z/2)^{e}"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Frozen):
     """One named hypothesis test inside a verdict."""
 
-    name: str
-    result: str
-    detail: str
+    __slots__ = ("name", "result", "detail")
 
-    def __post_init__(self) -> None:
-        if self.result not in ("pass", "fail"):
-            raise ValueError(f"bad check result: {self.result}")
+    def __init__(self, name: str, result: str, detail: str) -> None:
+        if result not in ("pass", "fail"):
+            raise ValueError(f"bad check result: {result}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    theorem: str | None
-    witness: dict | None
-    reasons: tuple[str, ...]
-    bailey_e: int
-    abelian_invariants: tuple[int, ...]
-    group_order: int
-    sylow_order: int
-    sylow_is_q16: bool
-    checks: tuple[Check, ...]
+class Verdict(Frozen):
+    __slots__ = ("outcome", "theorem", "witness", "reasons", "bailey_e", "abelian_invariants",
+                 "group_order", "sylow_order", "sylow_is_q16", "checks")
+
+    def __init__(self, outcome: str, theorem: str | None, witness: dict | None,
+                 reasons: tuple[str, ...], bailey_e: int, abelian_invariants: tuple[int, ...],
+                 group_order: int, sylow_order: int, sylow_is_q16: bool,
+                 checks: tuple[Check, ...]) -> None:
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reasons", reasons)
+        object.__setattr__(self, "bailey_e", bailey_e)
+        object.__setattr__(self, "abelian_invariants", abelian_invariants)
+        object.__setattr__(self, "group_order", group_order)
+        object.__setattr__(self, "sylow_order", sylow_order)
+        object.__setattr__(self, "sylow_is_q16", sylow_is_q16)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def fired(self) -> bool:

@@ -31,13 +31,11 @@ none.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import itemgetter
-from typing import NamedTuple
 
-from .exact import FACTORIZATION_CAP, factorize
+from .exact import FACTORIZATION_CAP, Frozen, factorize
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
 # memory: every closure (permutation or metacyclic table) stops at 10**6
@@ -88,21 +86,21 @@ def _cycle_perm(cycle: list[int], degree: int) -> tuple[int, ...]:
     return tuple(img)
 
 
-@dataclass(frozen=True)
-class PermGens:
+class PermGens(Frozen):
     """Permutation group given by generators as image tuples on 0..degree-1."""
 
-    degree: int
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ("degree", "generators")
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+    def __init__(self, degree: int, generators: tuple[tuple[int, ...], ...]) -> None:
+        if degree < 1:
             raise ValueError("degree must be at least 1")
-        if not self.generators:
+        if not generators:
             raise ValueError("at least one generator is required")
-        for g in self.generators:
-            if sorted(g) != list(range(self.degree)):
-                raise ValueError(f"not a permutation of 0..{self.degree - 1}: {g}")
+        for g in generators:
+            if sorted(g) != list(range(degree)):
+                raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def from_cycles(cls, *specs: str) -> PermGens:
@@ -123,21 +121,16 @@ class PermGens:
         return cls(degree, gens)
 
 
-@dataclass(frozen=True)
-class Metacyclic:
+class Metacyclic(Frozen):
     """<s, t | s**a = 1, t**b = s**c, t*s*t**-1 = s**r>.
 
     The consistency conditions r**b = 1 and c*(r - 1) = 0 (mod a) make the
     set {s**i t**j} of size a*b a group; construction rejects anything else.
     """
 
-    a: int
-    b: int
-    c: int
-    r: int
+    __slots__ = ("a", "b", "c", "r")
 
-    def __post_init__(self) -> None:
-        a, b, c, r = self.a, self.b, self.c, self.r
+    def __init__(self, a: int, b: int, c: int, r: int) -> None:
         if a < 1 or b < 1:
             raise ValueError("a and b must be positive")
         if a * b > METACYCLIC_CAP:
@@ -150,13 +143,19 @@ class Metacyclic:
             raise ValueError(f"r**b != 1 mod a for r = {r}, b = {b}, a = {a}")
         if c * (r - 1) % a != 0:
             raise ValueError(f"c*(r - 1) != 0 mod a for c = {c}, r = {r}, a = {a}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Frozen):
     """A named group from the built-in catalog."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
 GroupSpec = PermGens | Metacyclic | Catalog
@@ -259,14 +258,18 @@ class FiniteGroupTable:
         return frozenset(members)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Frozen):
     """A validated subgroup, stored as a frozenset of parent indices."""
 
-    group: FiniteGroupTable
-    members: frozenset[int]
+    __slots__ = ("group", "members")
+
+    def __init__(self, group: FiniteGroupTable, members: frozenset[int]) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "members", members)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # the O(|H|**2) closure check, by this name for bench/tracer.py
         G, H = self.group, self.members
         if 0 not in H:
             raise ValueError("subgroups contain the identity")
@@ -701,14 +704,17 @@ def build_group(spec: GroupSpec) -> FiniteGroupTable:
     return G
 
 
-class GroupFacts(NamedTuple):
-    """All the verdict reads about a group. A NamedTuple rather than a
-    frozen dataclass, which would cost about a millisecond at import."""
+class GroupFacts(Frozen):
+    """All the verdict reads about a group."""
 
-    order: int
-    abelian_invariants: tuple[int, ...]
-    sylow2_order: int
-    sylow2_is_q16: bool
+    __slots__ = ("order", "abelian_invariants", "sylow2_order", "sylow2_is_q16")
+
+    def __init__(self, order: int, abelian_invariants: tuple[int, ...], sylow2_order: int,
+                 sylow2_is_q16: bool) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "abelian_invariants", abelian_invariants)
+        object.__setattr__(self, "sylow2_order", sylow2_order)
+        object.__setattr__(self, "sylow2_is_q16", sylow2_is_q16)
 
 
 def _metacyclic_facts(m: Metacyclic) -> GroupFacts:

@@ -20,21 +20,20 @@ than trusted from the formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Rational, is_prime
+from .exact import Frozen, Rational, is_prime
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Frozen):
     """A place of Q: a finite prime, or the real place (p = None)."""
 
-    p: int | None
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"not a prime: {self.p}")
+    def __init__(self, p: int | None) -> None:
+        if p is not None and not is_prime(p):
+            raise ValueError(f"not a prime: {p}")
+        object.__setattr__(self, "p", p)
 
     @property
     def is_real(self) -> bool:
@@ -50,14 +49,14 @@ class Place:
 REAL_PLACE = Place(None)
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
+class DiagonalForm(Frozen):
     """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q."""
 
-    coeffs: tuple[Rational, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[Rational | int, ...]) -> None:
+        # Fraction(c) on a Fraction would redo its type checks
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not cs:
             raise ValueError("a form needs at least one coefficient")
         if any(c == 0 for c in cs):
@@ -66,7 +65,7 @@ class DiagonalForm:
 
     @classmethod
     def of(cls, *coeffs: Rational | int) -> DiagonalForm:
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(coeffs)
 
     @classmethod
     def repeated(cls, n: int, c: Rational | int = 1) -> DiagonalForm:
@@ -84,7 +83,8 @@ class DiagonalForm:
         return DiagonalForm(self.coeffs + other.coeffs)
 
     def scaled(self, c: Rational | int) -> DiagonalForm:
-        return DiagonalForm(tuple(Fraction(c) * a for a in self.coeffs))
+        c = Fraction(c)
+        return DiagonalForm(tuple(c * a for a in self.coeffs))
 
     def disc(self) -> Rational:
         out = Fraction(1)

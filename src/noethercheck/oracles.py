@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exact import FieldDescriptor, Rational, factorize
+from .exact import FieldDescriptor, Frozen, Rational, factorize
 from .groups import FiniteGroupTable, Subgroup
 from .localfields import DiagonalForm, Place, REAL_PLACE, hilbert_symbol
 from .quadforms import isotropic_Q
@@ -337,25 +336,25 @@ def _random_rational(rng: random.Random) -> Rational:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class UnitSubgroup2n:
+class UnitSubgroup2n(Frozen):
     """A subgroup of the units of Z/2^n, given by its member residues.
 
     Only cheap shape checks run here; closure is an invariant the tests
     assert, since validating it for large n would square the member count.
     """
 
-    n: int
-    members: frozenset[int]
+    __slots__ = ("n", "members")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, members: frozenset[int]) -> None:
+        if n < 1:
             raise ValueError("n must be at least 1")
-        mod = 1 << self.n
-        if 1 not in self.members:
+        mod = 1 << n
+        if 1 not in members:
             raise ValueError("unit subgroups contain 1")
-        if any(x % 2 == 0 or not 0 < x < mod for x in self.members):
+        if any(x % 2 == 0 or not 0 < x < mod for x in members):
             raise ValueError(f"members must be odd residues in (0, {mod})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
 
     @property
     def size(self) -> int:

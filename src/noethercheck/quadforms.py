@@ -11,9 +11,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact import QQ, FieldDescriptor, factorize, is_square
+from .exact import QQ, FieldDescriptor, Frozen, factorize, is_square
 from .localfields import (
     DiagonalForm,
     Place,
@@ -62,18 +60,18 @@ def isotropic_Q(f: DiagonalForm) -> bool:
     return _isotropic_over(f, QQ)
 
 
-@dataclass(frozen=True)
-class IsotropyOutcome:
+class IsotropyOutcome(Frozen):
     """Isotropy answer over a quadratic field: kind is "isotropic" or
     "anisotropic". isotropic_quad is total for rational coefficients, so
     every outcome is decided.
     """
 
-    kind: str
+    __slots__ = ("kind",)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("isotropic", "anisotropic"):
-            raise ValueError(f"bad kind: {self.kind}")
+    def __init__(self, kind: str) -> None:
+        if kind not in ("isotropic", "anisotropic"):
+            raise ValueError(f"bad kind: {kind}")
+        object.__setattr__(self, "kind", kind)
 
     @property
     def decided(self) -> bool:

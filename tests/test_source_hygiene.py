@@ -11,10 +11,16 @@ built from. groups holds no lattice reduction, and oracles, which checks
 it, takes nothing from it but the table types. sympy may be installed, as
 a test oracle, but the package depends on nothing outside the standard
 library and never imports it.
+Nor does it import dataclasses or typing: the records share one slotted
+base in exact, and importing the package and its CLI loads none of the
+modules behind dataclasses (inspect, ast, dis, tokenize), which cost more
+than the verdict itself.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import noethercheck
@@ -151,6 +157,42 @@ def _top_level_imports(tree):
 
 def test_no_module_imports_sympy():
     assert {p.name for p in MODULES if "sympy" in _top_level_imports(_tree(p))} == set()
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    problems = {
+        p.name: sorted(found)
+        for p in MODULES
+        if (found := _top_level_imports(_tree(p)) & {"dataclasses", "typing"})
+    }
+    assert problems == {}
+
+
+HEAVY_MODULES = {"dataclasses", "typing", "inspect", "ast", "dis", "tokenize"}
+
+
+def _modules_added_by(statement):
+    """Modules a fresh interpreter without site loads for the statement,
+    with the package's source directory on its path."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    return set(out.stdout.split())
+
+
+def test_import_loads_no_dataclass_machinery():
+    added = _modules_added_by("import noethercheck, noethercheck.cli")
+    assert {"noethercheck", "noethercheck.cli", "noethercheck.oracles"} <= added
+    assert added & HEAVY_MODULES == set()
+    # the check sees these modules when something does load them
+    assert HEAVY_MODULES - {"typing"} <= _modules_added_by("import noethercheck, dataclasses")
 
 
 def test_checks_catch_what_they_claim():
