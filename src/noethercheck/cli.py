@@ -18,11 +18,11 @@ inconclusive, 1 on bad input. The other subcommands exit 0 on success and
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from .exact import QQ, FieldDescriptor
 from .galois import verdict
@@ -42,15 +42,6 @@ from .oracles import (
 from .quadforms import three_squares_nat
 
 _ORACLE_LIMITS = {"three-squares": 10**4, "isotropy": 60, "hilbert": 10**4}
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage, which collides with the
-    # "inconclusive" exit code; route all usage errors to status 1
-    def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def parse_field(text: str) -> FieldDescriptor:
@@ -116,7 +107,7 @@ def group_spec_string(spec: GroupSpec) -> str:
     return "perm:" + ";".join(_perm_cycles(g) for g in spec.generators)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args) -> int:
     spec = parse_group(args.group)
     field = parse_field(args.field)
     v = verdict(spec, field)
@@ -158,7 +149,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if v.fired else 2
 
 
-def cmd_catalog(args: argparse.Namespace) -> int:
+def cmd_catalog(args) -> int:
     for name in CATALOG_NAMES:
         g = group_facts(Catalog(name))
         sylow = "= itself" if g.sylow2_order == g.order else f"order {g.sylow2_order}"
@@ -166,7 +157,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args) -> int:
     bound = args.bound
     limit = _ORACLE_LIMITS[args.kind]
     if not 1 <= bound <= limit:
@@ -197,9 +188,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 @cache
-def _build_parser() -> _Parser:
-    """The parser, built on first use and then reused: building it costs
-    more than parsing a typical command line."""
+def _build_parser():
+    """The parser and argparse itself, loaded on first use and then reused:
+    building it costs more than parsing a typical command line."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad usage, which collides with the
+        # "inconclusive" exit code; route all usage errors to status 1
+        def error(self, message: str) -> None:
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     parser = _Parser(prog="noethercheck")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -220,11 +221,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _plain_check_args(argv: list[str]) -> argparse.Namespace | None:
+def _plain_check_args(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of `check --group SPEC --field FIELD [--json]`, with
     the options in any order and no value starting with "-", as argparse
-    would read them; None for any other line. Building the argparse parser
-    costs several times a typical check, and running it half of one."""
+    would read them; None for any other line. Importing argparse and
+    building its parser cost several checks, and running it half of one."""
     if argv[:1] != ["check"]:
         return None
     opts: dict[str, str | bool] = {"--json": False}
@@ -238,7 +239,7 @@ def _plain_check_args(argv: list[str]) -> argparse.Namespace | None:
             return None
     if len(opts) != 3:
         return None
-    return argparse.Namespace(
+    return SimpleNamespace(
         command="check", group=opts["--group"], field=opts["--field"], json=opts["--json"], func=cmd_check
     )
 

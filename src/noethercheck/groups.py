@@ -12,11 +12,14 @@ tested. A permutation spec with one generator is the cyclic presentation
 of the lcm of its cycle lengths. Any other permutation spec is answered
 from a deterministic Schreier-Sims stabilizer chain: the order is the
 product of its orbit lengths, and the invariants come from a chain for the
-derived subgroup G' and the indices of G'<g**(p**k)> along the p-power
-series of G/G'. Only when the 2-part of |G| is 16, and |G| is within
-CLOSURE_CAP, are the elements of G walked, one product of coset
-representatives at a time, for the Q16 test. Every catalog group is one
-of these two kinds of spec.
+derived subgroup G', which stops once it reaches |G| (then G' = G), and the
+indices of G'<g**(p**k)> along the p-power series of G/G'. Only when the
+2-part of |G| is 16, and |G| is within CLOSURE_CAP, are elements walked
+for the Q16 test, one product of coset representatives at a time, and then
+only those of the image of G on one orbit: a Sylow Q16 has a regular
+orbit inside some orbit of G, and on any orbit where the image keeps the
+2-part 16 the 2-Sylow subgroups map isomorphically. Every catalog group
+is one of these two kinds of spec.
 
 A table is built by breadth-first closure of a generating set under an
 associative compose function and then handled purely as integer indices,
@@ -60,13 +63,17 @@ def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 def _parse_cycle_string(s: str) -> tuple[list[list[int]], int]:
     """'(1 2 3)(4 5)' -> ([[1,2,3],[4,5]], 5). Points are 1-based; singleton
-    cycles are dropped but still raise the degree; '()' is the identity."""
-    if not re.fullmatch(r"(\s*\([^()]*\))+\s*", s):
+    cycles are dropped but still raise the degree; '()' is the identity.
+    Each '(' opens a body that one ')' closes, with only whitespace outside;
+    no regular expression, whose first compile costs more than the parse."""
+    head, *parts = s.split("(")
+    bodies = [part.split(")") for part in parts]
+    if not bodies or head.strip() or any(len(b) != 2 or b[1].strip() for b in bodies):
         raise ValueError(f"bad cycle notation: {s!r}")
     cycles: list[list[int]] = []
     maxpt = 0
-    for body in re.findall(r"\(([^()]*)\)", s):
-        pts = [int(t) for t in re.split(r"[,\s]+", body.strip()) if t]
+    for body, _ in bodies:
+        pts = [int(t) for t in body.replace(",", " ").split()]
         if not pts:
             continue
         if min(pts) < 1:
@@ -77,13 +84,6 @@ def _parse_cycle_string(s: str) -> tuple[list[list[int]], int]:
         if len(pts) > 1:
             cycles.append(pts)
     return cycles, maxpt
-
-
-def _cycle_perm(cycle: list[int], degree: int) -> tuple[int, ...]:
-    img = list(range(degree))
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        img[a - 1] = b - 1
-    return tuple(img)
 
 
 class PermGens(Frozen):
@@ -113,12 +113,18 @@ class PermGens(Frozen):
         # each generator is an image tuple of this length, built below
         if degree > CLOSURE_CAP:
             raise ValueError(f"degree {degree} exceeds closure cap {CLOSURE_CAP}")
-        identity = tuple(range(degree))
-        gens = tuple(
-            reduce(_perm_compose, (_cycle_perm(c, degree) for c in cycles), identity)
-            for cycles, _ in parsed
-        )
-        return cls(degree, gens)
+        gens = []
+        for cycles, _ in parsed:
+            # the cycles apply left to right: the x that img sends to a point
+            # of the cycle now goes on to that point's successor
+            img = list(range(degree))
+            inv = img[:]
+            for pts in cycles:
+                for x, q in zip([inv[q - 1] for q in pts], pts[1:] + pts[:1]):
+                    img[x] = q - 1
+                    inv[q - 1] = x
+            gens.append(tuple(img))
+        return cls(degree, tuple(gens))
 
 
 class Metacyclic(Frozen):
@@ -355,10 +361,12 @@ def is_generalized_quaternion16(H: Subgroup) -> bool:
     return False
 
 
-def _q16_search(elements, mult, identity) -> bool:
+def _q16_search(elements, mult, identity, roots=None) -> bool:
     """Is a 2-Sylow subgroup of the group Q16, given that the 2-part of its
-    order is 16? elements lists the group and restarts on each iteration,
-    and mult composes two of them.
+    order is 16? elements lists the group, or for a permutation group the
+    image that the orbit rule of _perm_facts picks, and mult composes two
+    of them. roots(c), if given, yields every b with b**2 = c and maybe
+    more for the second pass; without it, elements must restart.
 
     It is iff, for any one element a of order 8, some b has b**2 = a**4 and
     b*a*b**-1 = a**-1. Every cyclic subgroup of order 8 lies in a Sylow
@@ -375,7 +383,7 @@ def _q16_search(elements, mult, identity) -> bool:
     else:
         return False
     a_inv = mult(mult(a4, a2), a)
-    for b in elements:
+    for b in elements if roots is None else roots(a4):
         if mult(b, b) == a4 and mult(mult(b, a), mult(b, a4)) == a_inv:
             return True
     return False
@@ -489,15 +497,21 @@ class _StabilizerChain:
     product of the orbit lengths. Each orbit point stores two image
     tuples, its coset representative and that one's inverse, so the chain
     holds at most 2|G| permutations; their point images are counted as they
-    are stored and refused past CHAIN_CAP."""
+    are stored and refused past CHAIN_CAP.
 
-    def __init__(self, degree: int) -> None:
+    bound, if not 0, bounds the order of every group the chain is asked to
+    hold. The stored orbits lie inside the true basic orbits, so their
+    lengths multiply to at most the group's order; once that product reaches
+    bound the chain is complete, and every later add is a no-op."""
+
+    def __init__(self, degree: int, bound: int = 0) -> None:
         self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
         self.images = 0
+        self.bound = bound
 
     def copy(self) -> _StabilizerChain:
-        new = _StabilizerChain(len(self.identity))
+        new = _StabilizerChain(len(self.identity), self.bound)
         new.levels = [lev.copy() for lev in self.levels]
         new.images = self.images
         return new
@@ -508,27 +522,30 @@ class _StabilizerChain:
             out *= len(lev.orbit)
         return out
 
-    def __iter__(self):
-        """Every element of the group once, by one composition each: g is
-        the product c_n * ... * c_1 * c_0 of one coset representative c_i
-        per level i, which sends the base point of level i to a point of its
-        orbit, and c_0 varies fastest. Only the partial products on
-        the current path are kept."""
+    def walk(self, square: tuple[int, ...] | None = None):
+        """Every element g of the group, which is not trivial, once, or,
+        given square, only those with g(g(x)) = square(x) at the first point
+        x that square moves. g is the product c_n * ... * c_1 * c_0 of one
+        coset representative c_i per level i, which sends the base point of
+        level i to a point of its orbit, and c_0 varies fastest. Only the
+        partial products on the current path are kept, and g(z) =
+        c_0[prefix[z]] is read at x before anything is composed."""
         levels = self.levels
+        last = [levels[0].coreps[z] for z in levels[0].orbit]
+        x = 0 if square is None else next(i for i, z in enumerate(square) if i != z)
 
         def walk(i: int, prefix: tuple[int, ...]):
-            coreps = levels[i].coreps
-            for x in levels[i].orbit:
-                g = _perm_compose(prefix, coreps[x])
-                if i:
-                    yield from walk(i - 1, g)
-                else:
-                    yield g
+            if i:
+                coreps = levels[i].coreps
+                for z in levels[i].orbit:
+                    yield from walk(i - 1, _perm_compose(prefix, coreps[z]))
+                return
+            px = prefix[x]
+            for c in last:
+                if square is None or c[prefix[c[px]]] == square[x]:
+                    yield _perm_compose(prefix, c)
 
-        if levels:
-            yield from walk(len(levels) - 1, self.identity)
-        else:
-            yield self.identity
+        yield from walk(len(levels) - 1, self.identity)
 
     def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...] | None, int]:
         """Strip g through the levels from start on. Returns the residue, or
@@ -554,6 +571,8 @@ class _StabilizerChain:
     def add(self, g: tuple[int, ...]) -> bool:
         """Extend the group by g. Returns False, changing nothing, if g is
         already a member."""
+        if self.order() == self.bound:
+            return False
         residue, j = self.sift(g)
         if residue is None:
             return False
@@ -590,7 +609,7 @@ class _StabilizerChain:
         """Levels below i are complete; make levels i, i-1, ..., 0 complete
         too. A residue found at level i joins the levels after i, down to
         the one that stopped it, and the work resumes there."""
-        while i >= 0:
+        while i >= 0 and self.order() != self.bound:
             found = self._schreier_residue(i)
             if found is None:
                 i -= 1
@@ -615,6 +634,9 @@ class _StabilizerChain:
                 rep = reps.get(y)
                 if rep is None:
                     self._store(lev, y, _perm_compose(s_inv, reps[x]), _perm_compose(coreps[x], s))
+                    if self.order() == self.bound:
+                        lev.todo = k
+                        return None
                     continue
                 if y == x == lev.base:
                     # the Schreier generator is s, which _insert also made
@@ -758,13 +780,14 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     return GroupFacts(order, invariants, two_part, q16)
 
 
-def _derived_subgroup(pg: PermGens) -> _StabilizerChain:
+def _derived_subgroup(pg: PermGens, order: int) -> _StabilizerChain:
     """A chain for G', the normal closure of the commutators of the
     generators: a subgroup whose generators' conjugates by the generators
-    of G all lie in it is normal, and membership is decided by sifting."""
+    of G all lie in it is normal, and membership is decided by sifting.
+    The chain stops once it reaches the order of G, as then G' = G."""
     gens = pg.generators
     invs = [_perm_inverse(g) for g in gens]
-    N = _StabilizerChain(pg.degree)
+    N = _StabilizerChain(pg.degree, order)
     queue = []
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
@@ -827,6 +850,34 @@ def _chain_invariants(
     return tuple(factors)
 
 
+def _sylow2_image(pg: PermGens, G: _StabilizerChain) -> _StabilizerChain | None:
+    """The chain of _perm_facts' orbit rule for a group G of 2-part 16: G
+    itself when it moves the points of one orbit only, of 16 or more, else
+    its image on the first such orbit that keeps that 2-part, or None."""
+    seen = bytearray(pg.degree)
+    moved = []
+    for start in range(pg.degree):
+        orbit = [] if seen[start] else [start]
+        seen[start] = 1
+        for x in orbit:  # grows while it is read
+            for g in pg.generators:
+                if not seen[g[x]]:
+                    seen[g[x]] = 1
+                    orbit.append(g[x])
+        if len(orbit) > 1:
+            moved.append(orbit)
+    if len(moved) == 1 and len(moved[0]) >= 16:
+        return G
+    for orbit in (o for o in moved if len(o) >= 16):
+        where = {x: i for i, x in enumerate(orbit)}
+        H = _StabilizerChain(len(orbit), G.order())
+        for g in pg.generators:
+            H.add(tuple(where[g[x]] for x in orbit))
+        if H.order() & -H.order() == 16:
+            return H
+    return None
+
+
 def _perm_facts(pg: PermGens) -> GroupFacts:
     """The facts of a permutation group from a stabilizer chain, with no
     element of G listed.
@@ -834,9 +885,16 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     One generator of order m generates C_m, which _metacyclic_facts answers
     without the chain's O(degree**2) work on a long cycle. Otherwise the
     order is that of the chain and the invariants come from G' and the
-    p-power quotients of G/G'. When the 2-part of |G| is 16 the Q16 test
-    walks the chain's products of coset representatives, within
-    CLOSURE_CAP elements, keeping none of them."""
+    p-power quotients of G/G'. When the 2-part of |G| is 16 and |G| is
+    within CLOSURE_CAP, the Q16 test walks the image of G on one orbit.
+
+    The orbit is the first of 16 or more points on which the image keeps
+    the 2-part 16, and if none does, no 2-Sylow subgroup P is Q16: every
+    nontrivial subgroup of Q16 contains its centre Z, so a Q16 meets the
+    kernel on the orbit of a point x that Z moves trivially, and P_x = 1
+    gives that orbit 16 points or more. On any orbit where the image keeps
+    the 2-part 16 the kernel has odd order, so P maps isomorphically onto a
+    2-Sylow subgroup of the image."""
     gens = pg.generators
     if len(gens) == 1:
         m = _perm_order(gens[0])
@@ -851,11 +909,12 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
             f"the 2-Sylow test of a group of order {order} needs its closure, "
             f"above closure cap {CLOSURE_CAP}"
         )
-    q16 = two_part == 16 and _q16_search(G, _perm_compose, G.identity)
+    H = _sylow2_image(pg, G) if two_part == 16 else None
+    q16 = H is not None and _q16_search(H.walk(), _perm_compose, H.identity, H.walk)
     # the primes of |G| are those of its orbit lengths, all at most degree
     primes = sorted({p for lev in G.levels for p in factorize(len(lev.orbit))})
     del G
-    invariants = _chain_invariants(gens, order, primes, _derived_subgroup(pg))
+    invariants = _chain_invariants(gens, order, primes, _derived_subgroup(pg, order))
     return GroupFacts(order, invariants, two_part, q16)
 
 

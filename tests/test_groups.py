@@ -1,5 +1,6 @@
 import random
 import re
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -76,6 +77,49 @@ def test_perm_gens_validation():
     assert PermGens.from_cycles(f"(1 {CLOSURE_CAP})").degree == CLOSURE_CAP
     with pytest.raises(ValueError, match=f"degree {CLOSURE_CAP + 1} exceeds closure cap {CLOSURE_CAP}"):
         PermGens.from_cycles("(1 2)", f"({CLOSURE_CAP + 1})")
+
+
+def _one_cycle(cycle, degree):
+    img = list(range(degree))
+    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+        img[x - 1] = y - 1
+    return tuple(img)
+
+
+def test_from_cycles_composes_cycles_left_to_right():
+    # one image list per generator must equal the product of its cycles,
+    # applied left to right, also where the cycles share points
+    assert PermGens.from_cycles("(1 2)(2 3)").generators == ((2, 0, 1),)
+    assert PermGens.from_cycles("(1 2 3)(1 2 3)").generators == ((2, 0, 1),)
+    rng = random.Random(15)
+    for _ in range(300):
+        degree = rng.randint(1, 12)
+        strings, expected = [], []
+        for _ in range(rng.randint(1, 3)):
+            cycles = [rng.sample(range(1, degree + 1), rng.randint(1, degree)) for _ in range(rng.randint(0, 4))]
+            sep = rng.choice((" ", ",", ", "))
+            strings.append("".join("(" + sep.join(map(str, c)) + ")" for c in cycles) or "()")
+            expected.append(cycles)
+        spec = PermGens.from_cycles(*strings)
+        for got, cycles in zip(spec.generators, expected):
+            identity = tuple(range(spec.degree))
+            want = reduce(groups._perm_compose, (_one_cycle(c, spec.degree) for c in cycles), identity)
+            assert got == want, strings
+
+
+def test_from_cycles_error_messages():
+    for specs, message in (
+        ((), "at least one generator is required"),
+        (("(1 2",), "bad cycle notation: '(1 2'"),
+        (("(1 2)", "1 2"), "bad cycle notation: '1 2'"),
+        (("(0 1)",), "points must be positive: '(0 1)'"),
+        (("(1 2)(3,1 ,3)",), "repeated point in cycle (3,1 ,3)"),
+        (("(1 x)",), "invalid literal for int() with base 10: 'x'"),
+        (("(1 2)", f"(1 {CLOSURE_CAP + 1})"), f"degree {CLOSURE_CAP + 1} exceeds closure cap {CLOSURE_CAP}"),
+    ):
+        with pytest.raises(ValueError) as err:
+            PermGens.from_cycles(*specs)
+        assert str(err.value) == message, specs
 
 
 def test_metacyclic_validation():

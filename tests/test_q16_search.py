@@ -3,10 +3,15 @@
 group_facts decides whether a 2-Sylow subgroup is Q16 from one element a
 of order 8 and a search for b with b^2 = a^4 and b a b^-1 = a^-1, over the
 16 listed elements of a metacyclic Sylow subgroup or a walk of a
-stabilizer chain. The reference here closes G into a table, finds a
+stabilizer chain. A permutation group is walked on one orbit only: the
+first of 16 or more points on which it keeps the 2-part 16, and none when
+no orbit qualifies. The reference here closes G into a table, finds a
 2-Sylow subgroup with two_sylow and recognizes it with
 is_generalized_quaternion16, which share none of that code.
 """
+
+import random
+from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -126,10 +131,108 @@ def test_small_permutation_groups():
         seen.add(spec)
 
     check()
-    # no permutation group of degree below 16 contains Q16, and none of
-    # these has an element of order 8, so they show that the walk answers
-    # no where the Sylow route does
+    # no permutation group of degree below 16 contains Q16, so these are
+    # answered no by the orbit rule, with no walk, where the Sylow route
+    # agrees
     assert len(seen) >= 200
+
+
+def _shifted(spec, by, degree):
+    """The generators of spec moved up by `by` points, on `degree` points."""
+    return [
+        tuple(range(by)) + tuple(x + by for x in g) + tuple(range(by + spec.degree, degree))
+        for g in spec.generators
+    ]
+
+
+def _s6_on_3_subsets(natural=False):
+    """S6 acting on its 20 three-point subsets, which it does faithfully,
+    after its natural action on 6 points if natural is set."""
+    subsets = list(combinations(range(6), 3))
+    where = {t: i for i, t in enumerate(subsets)}
+    first = 6 if natural else 0
+    gens = []
+    for g in ((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)):
+        on_sets = tuple(first + where[tuple(sorted(g[x] for x in t))] for t in subsets)
+        gens.append((g if natural else ()) + on_sets)
+    return PermGens(first + 20, tuple(gens))
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    walk = groups._StabilizerChain.walk
+
+    def counted(self, *args):
+        for g in walk(self, *args):
+            walks.append(g)
+            yield g
+
+    monkeypatch.setattr(groups._StabilizerChain, "walk", counted)
+    return walks
+
+
+def _cycle_string(first, n):
+    return "(" + " ".join(str(first + i) for i in range(n)) + ")"
+
+
+def test_s6_times_long_odd_cycle_walks_nothing(monkeypatch):
+    # the 2-part is 16, but the only orbit of 16 or more points carries the
+    # odd cycle alone, so no 2-Sylow subgroup is Q16 and no element is
+    # walked; the whole group would be 249840 elements for C_347
+    walks = _count_walks(monkeypatch)
+    for n in (101, 347):
+        spec = PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6)", _cycle_string(7, n))
+        facts = group_facts(spec)
+        assert (facts.order, facts.sylow2_order, facts.sylow2_is_q16) == (720 * n, 16, False)
+        assert facts.abelian_invariants == (2 * n,)
+    assert walks == []
+
+
+def test_orbit_rule_agrees_with_the_sylow_route(monkeypatch):
+    sl2_7 = groups._catalog_spec("SL2_7")
+    c17 = _cycle(0, 17)
+    # C_17 on points 1..17 before SL2_7 on the next 48: the first long
+    # orbit has odd 2-part, and the second decides
+    c17_then_sl2_7 = PermGens(65, tuple([c17 + tuple(range(17, 65))] + _shifted(sl2_7, 17, 65)))
+    # SL2_7 x C_5, the 5-cycle carried by the first generator
+    s, t = _shifted(sl2_7, 0, 53)
+    s = s[:48] + _cycle(48, 5)
+    sl2_7_c5 = PermGens(53, (s, t))
+    # spec, Q16 or not, and the size of the orbit whose image is walked
+    specs = {
+        "C17 then SL2_7": (c17_then_sl2_7, True, 48),
+        "SL2_7 x C5": (sl2_7_c5, True, 48),
+        "Q16 x C17": (_regular(ORDER_16["Q16"], (17,)), True, 16),
+        "S6 on 3-subsets": (_s6_on_3_subsets(), False, 20),
+        "S6 on points and 3-subsets": (_s6_on_3_subsets(natural=True), False, 20),
+    }
+    walks = _count_walks(monkeypatch)
+    for name, (spec, q16, walked) in specs.items():
+        walks.clear()
+        facts = group_facts(spec)
+        G = build_group(spec)
+        assert facts.sylow2_order == 16, name
+        assert facts.sylow2_is_q16 == _by_sylow(G) == q16, name
+        assert facts.order == G.order, name
+        assert {len(g) for g in walks} == {walked}, name
+
+
+def test_filtered_walk_keeps_every_square_root():
+    rng = random.Random(15)
+    for name in ("SL2_7", "SL2_9", "S4"):
+        spec = groups._catalog_spec(name)
+        G = groups._StabilizerChain(spec.degree)
+        for g in spec.generators:
+            G.add(g)
+        elements = list(G.walk())
+        assert len(set(elements)) == len(elements) == G.order()
+        for c in rng.sample(elements[1:], 10):
+            x = next(i for i, z in enumerate(c) if i != z)
+            kept = list(G.walk(c))
+            assert all(g[g[x]] == c[x] for g in kept), name
+            roots = [g for g in elements if groups._perm_compose(g, g) == c]
+            assert set(roots) <= set(kept), name
+            assert set(kept) == {g for g in elements if g[g[x]] == c[x]}, name
 
 
 def test_verdict_builds_no_table(monkeypatch):

@@ -14,7 +14,7 @@ library and never imports it.
 Nor does it import dataclasses or typing: the records share one slotted
 base in exact, and importing the package and its CLI loads none of the
 modules behind dataclasses (inspect, ast, dis, tokenize), which cost more
-than the verdict itself.
+than the verdict itself. A plain check line does not load argparse either.
 """
 
 import ast
@@ -193,6 +193,17 @@ def test_import_loads_no_dataclass_machinery():
     assert added & HEAVY_MODULES == set()
     # the check sees these modules when something does load them
     assert HEAVY_MODULES - {"typing"} <= _modules_added_by("import noethercheck, dataclasses")
+
+
+def test_plain_check_line_loads_no_argparse():
+    # a plain check line is read without argparse; any other line loads it
+    check = (
+        "import contextlib, io, noethercheck.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['check', '--group', 'catalog:SL2_7', '--field', 'Q', '--json'])"
+    )
+    assert "argparse" not in _modules_added_by(check)
+    assert "argparse" in _modules_added_by(check + "\n    cli.main(['catalog'])")
 
 
 def test_checks_catch_what_they_claim():
