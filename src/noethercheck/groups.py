@@ -12,14 +12,21 @@ tested. A permutation spec with one generator is the cyclic presentation
 of the lcm of its cycle lengths. Any other permutation spec is answered
 from a deterministic Schreier-Sims stabilizer chain: the order is the
 product of its orbit lengths, and the invariants come from a chain for the
-derived subgroup G', which stops once it reaches |G| (then G' = G), and the
-indices of G'<g**(p**k)> along the p-power series of G/G'. Only when the
-2-part of |G| is 16, and |G| is within CLOSURE_CAP, are elements walked
-for the Q16 test, one product of coset representatives at a time, and then
-only those of the image of G on one orbit: a Sylow Q16 has a regular
-orbit inside some orbit of G, and on any orbit where the image keeps the
-2-part 16 the 2-Sylow subgroups map isomorphically. Every catalog group
-is one of these two kinds of spec.
+derived subgroup G' and the indices of G'<g**(p**k)> along the p-power
+series of G/G'. The chain for G' is grown from the commutators and their
+conjugates by orbit extension alone, membership tested on the partial
+chain, which has no false positives. Its orbit product is at most |G'|, so
+once it reaches |G| over the part of |G/G'| the signs and abelian images
+of the orbits show, it is complete: a perfect group, for which that bound
+is |G| and G' = G, and S_n run no second Schreier-Sims. Short of the
+bound, the elements it took are added to a new chain one at a time, each
+completed, as the chain for G is built. Only when the 2-part of |G| is 16,
+and |G| is within CLOSURE_CAP, are elements walked for the Q16 test, one
+product of coset representatives at a time, and then only those of the
+image of G on one orbit: a Sylow Q16 has a regular orbit inside some orbit
+of G, and on any orbit where the image keeps the 2-part 16 the 2-Sylow
+subgroups map isomorphically. Every catalog group is one of these two
+kinds of spec.
 
 A table is built by breadth-first closure of a generating set under an
 associative compose function and then handled purely as integer indices,
@@ -33,10 +40,10 @@ none.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache, reduce
+from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .exact import FACTORIZATION_CAP, Frozen, factorize
 
@@ -464,9 +471,10 @@ class _Level:
     generators that fix the earlier base points (each with its inverse),
     the orbit of the base point under them in discovery order, and for each
     orbit point x the coset representative reps[x] that sends x to the base
-    point and its inverse coreps[x]. The Schreier generators pairing
-    orbit[i] with gens[:tested[i]] have been sifted; every orbit point
-    before `todo` has been paired with every generator."""
+    point and its inverse coreps[x], which a chain that grow built makes
+    only when a Schreier generator first needs it. The Schreier generators
+    pairing orbit[i] with gens[:tested[i]] have been sifted; every orbit
+    point before `todo` has been paired with every generator."""
 
     __slots__ = ("base", "gens", "orbit", "reps", "coreps", "tested", "todo")
 
@@ -491,36 +499,51 @@ class _StabilizerChain:
     """A base and strong generating set of a permutation group, grown by
     the deterministic Schreier-Sims algorithm (Holt-Eick-O'Brien,
     Handbook of Computational Group Theory, section 4.4; Seress,
-    Permutation Group Algorithms, ch. 4). Every Schreier generator of
-    every level is sifted through the levels below it, and a nontrivial
-    residue becomes a strong generator. Then the order of the group is the
-    product of the orbit lengths. Each orbit point stores two image
-    tuples, its coset representative and that one's inverse, so the chain
-    holds at most 2|G| permutations; their point images are counted as they
-    are stored and refused past CHAIN_CAP.
+    Permutation Group Algorithms, ch. 4). add completes the chain after
+    each new element: every Schreier generator of every level is sifted
+    through the levels below it, and a nontrivial residue becomes a strong
+    generator. Then the order of the group is the product of the orbit
+    lengths. Each orbit point holds two image tuples, its coset
+    representative and that one's inverse, so the chain holds at most 2|G|
+    permutations; the point images of both are counted as the point is
+    stored and refused past CHAIN_CAP.
+
+    grow takes a stream of elements instead and only extends orbits, so
+    its chain is partial. Sifting through a partial chain has no false
+    positives, since an element that strips to the identity is a product
+    of stored coset representatives, but may have false negatives. Sifting
+    reads the representatives only, so grow leaves each inverse to be made
+    when a Schreier generator first needs it; walk reads the inverses, and
+    walks only chains that add built.
 
     bound, if not 0, bounds the order of every group the chain is asked to
     hold. The stored orbits lie inside the true basic orbits, so their
     lengths multiply to at most the group's order; once that product reaches
-    bound the chain is complete, and every later add is a no-op."""
+    bound the chain is complete, however little of it was verified, and
+    every later add is a no-op."""
 
     def __init__(self, degree: int, bound: int = 0) -> None:
         self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
         self.images = 0
+        self.size = 1  # the product of the orbit lengths
         self.bound = bound
 
-    def copy(self) -> _StabilizerChain:
-        new = _StabilizerChain(len(self.identity), self.bound)
+    def copy(self, bound: int) -> _StabilizerChain:
+        """A copy that may grow up to a new bound. A chain at its own bound
+        is complete however little of it was verified, so its copy's levels
+        count every Schreier generator as sifted."""
+        new = _StabilizerChain(len(self.identity), bound)
         new.levels = [lev.copy() for lev in self.levels]
-        new.images = self.images
+        new.images, new.size = self.images, self.size
+        if self.size == self.bound:
+            for lev in new.levels:
+                lev.tested = [len(lev.gens)] * len(lev.orbit)
+                lev.todo = len(lev.orbit)
         return new
 
     def order(self) -> int:
-        out = 1
-        for lev in self.levels:
-            out *= len(lev.orbit)
-        return out
+        return self.size
 
     def walk(self, square: tuple[int, ...] | None = None):
         """Every element g of the group, which is not trivial, once, or,
@@ -569,9 +592,9 @@ class _StabilizerChain:
         return self.sift(g)[0] is None
 
     def add(self, g: tuple[int, ...]) -> bool:
-        """Extend the group by g. Returns False, changing nothing, if g is
-        already a member."""
-        if self.order() == self.bound:
+        """Extend the group by g and complete the chain. Returns False,
+        changing nothing, if g is already a member."""
+        if self.size == self.bound:
             return False
         residue, j = self.sift(g)
         if residue is None:
@@ -580,7 +603,73 @@ class _StabilizerChain:
         self._complete(j)
         return True
 
-    def _store(self, lev: _Level, point: int, rep: tuple[int, ...], corep: tuple[int, ...]) -> None:
+    def grow(self, elements, conjugators) -> list[tuple[int, ...]]:
+        """Extend the group by the elements and by the conjugates
+        g**-1 * y * g, for the pairs (g, g**-1) of conjugators, of every
+        element y that extended it, until those are closed under them: the
+        normal closure of the elements in the group the conjugators
+        generate. Returns the elements that extended it, which generate
+        that closure.
+
+        Each element is sifted through the partial chain. A residue that
+        strips to the identity is a product of stored coset
+        representatives, so the element is already a member: the test has
+        no false positives, and a false negative only takes one more
+        element. A nontrivial residue becomes a strong generator of the
+        levels down to the one that stopped it, and their orbits are
+        extended under it. No Schreier generator is sifted, so the chain is
+        complete only once its orbit product reaches the bound, and growth
+        stops there."""
+        taken: list[tuple[int, ...]] = []
+        for y in elements:
+            if self._extend(y):
+                taken.append(y)
+                if self.size == self.bound:
+                    return taken
+        for y in taken:  # grows while it is read
+            for g, g_inv in conjugators:
+                z = _perm_compose(_perm_compose(g_inv, y), g)
+                if self._extend(z):
+                    taken.append(z)
+                    if self.size == self.bound:
+                        return taken
+        return taken
+
+    def _extend(self, g: tuple[int, ...]) -> bool:
+        """Make the residue of g a strong generator and extend the orbits of
+        its levels under it. Returns False, changing nothing, if g strips to
+        the identity."""
+        residue, j = self.sift(g)
+        if residue is None:
+            return False
+        self._insert(residue, 0, j)
+        for lev in self.levels[: j + 1]:
+            if self.size == self.bound:
+                break
+            self._extend_orbit(lev)
+        return True
+
+    def _extend_orbit(self, lev: _Level) -> None:
+        """Close the orbit of lev, closed under all its generators but the
+        last, under that one too: the last is applied to the old points and
+        every generator to the new points only. It stops once the orbit
+        product reaches the bound."""
+        gens, orbit, reps = lev.gens, lev.orbit, lev.reps
+        last, old = gens[-1:], len(orbit)
+        k = 0
+        while k < len(orbit):  # grows while it is read
+            x = orbit[k]
+            for s, s_inv in last if k < old else gens:
+                y = s[x]
+                if y not in reps:
+                    self._store(lev, y, _perm_compose(s_inv, reps[x]))
+                    if self.size == self.bound:
+                        return
+            k += 1
+
+    def _store(
+        self, lev: _Level, point: int, rep: tuple[int, ...], corep: tuple[int, ...] | None = None
+    ) -> None:
         degree = len(self.identity)
         if self.images + 2 * degree > CHAIN_CAP:
             raise ValueError(
@@ -588,9 +677,13 @@ class _StabilizerChain:
                 f"chain cap {CHAIN_CAP} stored point images"
             )
         self.images += 2 * degree
+        n = len(lev.orbit)
+        if n:
+            self.size = self.size // n * (n + 1)
         lev.orbit.append(point)
         lev.reps[point] = rep
-        lev.coreps[point] = corep
+        if corep is not None:
+            lev.coreps[point] = corep
         lev.tested.append(0)
 
     def _insert(self, h: tuple[int, ...], lo: int, hi: int) -> None:
@@ -609,7 +702,7 @@ class _StabilizerChain:
         """Levels below i are complete; make levels i, i-1, ..., 0 complete
         too. A residue found at level i joins the levels after i, down to
         the one that stopped it, and the work resumes there."""
-        while i >= 0 and self.order() != self.bound:
+        while i >= 0 and self.size != self.bound:
             found = self._schreier_residue(i)
             if found is None:
                 i -= 1
@@ -627,14 +720,17 @@ class _StabilizerChain:
         k = lev.todo
         while k < len(orbit):
             x = orbit[k]
+            corep = coreps.get(x)
+            if corep is None and tested[k] < len(gens):
+                corep = coreps[x] = _perm_inverse(reps[x])
             while tested[k] < len(gens):
                 s, s_inv = gens[tested[k]]
                 tested[k] += 1
                 y = s[x]
                 rep = reps.get(y)
                 if rep is None:
-                    self._store(lev, y, _perm_compose(s_inv, reps[x]), _perm_compose(coreps[x], s))
-                    if self.order() == self.bound:
+                    self._store(lev, y, _perm_compose(s_inv, reps[x]), _perm_compose(corep, s))
+                    if self.size == self.bound:
                         lev.todo = k
                         return None
                     continue
@@ -644,7 +740,7 @@ class _StabilizerChain:
                     continue
                 # the Schreier generator coreps[x] * s * rep fixes the base
                 # point; it is the identity on the orbit's tree edges
-                h = _perm_compose(_perm_compose(coreps[x], s), rep)
+                h = _perm_compose(_perm_compose(corep, s), rep)
                 if h == self.identity:
                     continue
                 h, j = self.sift(h, i + 1)
@@ -695,10 +791,13 @@ CATALOG_NAMES = tuple(f"C{n}" for n in range(1, 65)) + tuple(_CATALOG_SPECS)
 
 
 def _catalog_spec(name: str) -> Metacyclic | PermGens:
-    m = re.fullmatch(r"C([1-9]\d*)", name)
-    if m and int(m.group(1)) <= 64:
-        n = int(m.group(1))
-        return Metacyclic(n, 1, 0, 1 % n)
+    # Cn for n in 1..64 without a leading zero; the digits after the first
+    # may be any that str.isdecimal and int take
+    head, rest = name[1:2], name[2:]
+    if name[:1] == "C" and head and head in "123456789" and (not rest or rest.isdecimal()):
+        n = int(head + rest)
+        if n <= 64:
+            return Metacyclic(n, 1, 0, 1 % n)
     make = _CATALOG_SPECS.get(name)
     if make is None:
         raise ValueError(f"unknown catalog group: {name}")
@@ -780,25 +879,101 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     return GroupFacts(order, invariants, two_part, q16)
 
 
+def _moved_orbits(pg: PermGens) -> list[list[int]]:
+    """The orbits of more than one point, each in discovery order."""
+    seen = bytearray(pg.degree)
+    moved = []
+    for start in range(pg.degree):
+        orbit = [] if seen[start] else [start]
+        seen[start] = 1
+        for x in orbit:  # grows while it is read
+            for g in pg.generators:
+                if not seen[g[x]]:
+                    seen[g[x]] = 1
+                    orbit.append(g[x])
+        if len(orbit) > 1:
+            moved.append(orbit)
+    return moved
+
+
+def _abelian_index(pg: PermGens) -> int:
+    """A divisor of |G/G'| read off the orbits of G. G' lies in the kernel
+    of every homomorphism from G to an abelian group, so |G/G'| is a
+    multiple of the order of its image, and two such images are cheap:
+    - g -> (sign of g on each orbit), whose image has 2**r elements for the
+      rank r over F_2 of the generators' images; each image is a bitmask,
+      one bit per orbit, reduced against a basis of those before it, the
+      highest leading bit first;
+    - the action on an orbit whose image is abelian, which, being
+      transitive, is then regular, with as many elements as the orbit."""
+    moved = _moved_orbits(pg)
+    where = [0] * pg.degree
+    for k, orbit in enumerate(moved):
+        for x in orbit:
+            where[x] = k
+    acting: list[list[tuple[int, ...]]] = [[] for _ in moved]
+    basis: list[int] = []
+    points = range(pg.degree)
+    for g in pg.generators:
+        v = 0
+        seen = set()
+        for i in compress(points, map(ne, g, points)):
+            if i in seen:
+                continue
+            seen.add(i)
+            j, odd = g[i], False
+            while j != i:  # a cycle of length n is n - 1 transpositions
+                seen.add(j)
+                j, odd = g[j], not odd
+            if odd:
+                v ^= 1 << where[i]
+        for k in {where[i] for i in seen}:
+            acting[k].append(g)
+        for b in basis:  # leading bits distinct and descending
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    out = 1 << len(basis)
+    for orbit, gens in zip(moved, acting):
+        if all(g[h[x]] == h[g[x]] for i, g in enumerate(gens) for h in gens[:i] for x in orbit):
+            out = lcm(out, len(orbit))
+    return out
+
+
 def _derived_subgroup(pg: PermGens, order: int) -> _StabilizerChain:
     """A chain for G', the normal closure of the commutators of the
     generators: a subgroup whose generators' conjugates by the generators
-    of G all lie in it is normal, and membership is decided by sifting.
-    The chain stops once it reaches the order of G, as then G' = G."""
+    of G all lie in it is normal.
+
+    The chain is grown from the commutators and their conjugates by orbit
+    extension alone, membership tested on the partial chain. Its orbit
+    product is at most |G'|, and given the order of G, |G'| is at most
+    |G| over the part of |G/G'| that _abelian_index reads off the orbits,
+    so reaching that bound proves the chain complete: G' = G for a perfect
+    group, G' the even part of S_n, and no Schreier generator sifted.
+    Short of the bound, the grown chain holds a strong generator for every
+    element it took, most of them redundant, and one completion would pair
+    each with every orbit point; the chain is built instead by adding the
+    taken elements one at a time, each completed, so that exact membership
+    drops the redundant ones."""
     gens = pg.generators
     invs = [_perm_inverse(g) for g in gens]
-    N = _StabilizerChain(pg.degree, order)
-    queue = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            c = reduce(_perm_compose, (invs[i], invs[j], gens[i], gens[j]))
-            if N.add(c):
-                queue.append(c)
-    for x in queue:  # grows while it is read
-        for g, g_inv in zip(gens, invs):
-            y = _perm_compose(_perm_compose(g_inv, x), g)
-            if N.add(y):
-                queue.append(y)
+    bound = order // _abelian_index(pg) if order else 0
+    N = _StabilizerChain(pg.degree, bound)
+    taken = N.grow(
+        (
+            reduce(_perm_compose, (invs[i], invs[j], gens[i], gens[j]))
+            for i in range(len(gens))
+            for j in range(i + 1, len(gens))
+        ),
+        list(zip(gens, invs)),
+    )
+    if N.size == bound:
+        return N
+    N = _StabilizerChain(pg.degree, bound)
+    for y in taken:
+        N.add(y)
     return N
 
 
@@ -830,7 +1005,7 @@ def _chain_invariants(
             if seen == p_part:
                 break
             pows = [g for g in (_perm_power(g, p) for g in pows) if not derived.contains(g)]
-            K = derived.copy()
+            K = derived.copy(order)
             for g in pows:
                 K.add(g)
             quotient = order // K.order()
@@ -854,18 +1029,7 @@ def _sylow2_image(pg: PermGens, G: _StabilizerChain) -> _StabilizerChain | None:
     """The chain of _perm_facts' orbit rule for a group G of 2-part 16: G
     itself when it moves the points of one orbit only, of 16 or more, else
     its image on the first such orbit that keeps that 2-part, or None."""
-    seen = bytearray(pg.degree)
-    moved = []
-    for start in range(pg.degree):
-        orbit = [] if seen[start] else [start]
-        seen[start] = 1
-        for x in orbit:  # grows while it is read
-            for g in pg.generators:
-                if not seen[g[x]]:
-                    seen[g[x]] = 1
-                    orbit.append(g[x])
-        if len(orbit) > 1:
-            moved.append(orbit)
+    moved = _moved_orbits(pg)
     if len(moved) == 1 and len(moved[0]) >= 16:
         return G
     for orbit in (o for o in moved if len(o) >= 16):

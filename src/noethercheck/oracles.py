@@ -306,24 +306,27 @@ def reciprocity_failures(samples: int, seed: int = 0) -> int:
     formula for Hilbert symbols over the support places: 2, the real place
     and every odd prime of a numerator or denominator. Symbols are +1
     outside the support, so the finite product is the full one. Each
-    integer is factored once per call; its odd places are memoized."""
+    integer is factored once per call and each place built once: a
+    sample's support is a set of int primes."""
     rng = random.Random(seed)
-    base = (Place(2), REAL_PLACE)
-    odd_places: dict[int, tuple[Place, ...]] = {}
+    places: dict[int, Place] = {}
+    odd_primes: dict[int, tuple[int, ...]] = {}
     fails = 0
     for _ in range(samples):
         a = _random_rational(rng)
         b = _random_rational(rng)
-        places = set(base)
+        support = {2}
         for n in (a.numerator, a.denominator, b.numerator, b.denominator):
             n = abs(n)
-            support = odd_places.get(n)
-            if support is None:
-                support = tuple(Place(p) for p in factorize(n) if p != 2)
-                odd_places[n] = support
-            places.update(support)
-        prod = 1
-        for v in places:
+            primes = odd_primes.get(n)
+            if primes is None:
+                primes = odd_primes[n] = tuple(p for p in factorize(n) if p != 2)
+            support.update(primes)
+        prod = hilbert_symbol(a, b, REAL_PLACE)
+        for p in support:
+            v = places.get(p)
+            if v is None:
+                v = places[p] = Place(p)
             prod *= hilbert_symbol(a, b, v)
         if prod != 1:
             fails += 1

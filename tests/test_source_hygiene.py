@@ -15,6 +15,8 @@ Nor does it import dataclasses or typing: the records share one slotted
 base in exact, and importing the package and its CLI loads none of the
 modules behind dataclasses (inspect, ast, dis, tokenize), which cost more
 than the verdict itself. A plain check line does not load argparse either.
+groups imports neither re nor random: its chains are deterministic, and
+it parses the catalog names by hand.
 """
 
 import ast
@@ -157,6 +159,13 @@ def _top_level_imports(tree):
 
 def test_no_module_imports_sympy():
     assert {p.name for p in MODULES if "sympy" in _top_level_imports(_tree(p))} == set()
+
+
+def test_groups_imports_neither_re_nor_random():
+    # the chains stay deterministic, and the catalog names are parsed
+    # without a regular expression, whose first compile costs more than
+    # the parse
+    assert _top_level_imports(_tree(PACKAGE / "groups.py")) & {"re", "random"} == set()
 
 
 def test_no_module_imports_dataclasses_or_typing():
