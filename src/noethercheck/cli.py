@@ -34,11 +34,6 @@ from .groups import (
     PermGens,
     group_facts,
 )
-from .oracles import (
-    isotropy_grid_check,
-    reciprocity_failures,
-    three_squares_sieve,
-)
 from .quadforms import three_squares_nat
 
 _ORACLE_LIMITS = {"three-squares": 10**4, "isotropy": 60, "hilbert": 10**4}
@@ -158,6 +153,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracles import isotropy_grid_check, reciprocity_failures, three_squares_sieve
+
     bound = args.bound
     limit = _ORACLE_LIMITS[args.kind]
     if not 1 <= bound <= limit:

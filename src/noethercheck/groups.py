@@ -1,6 +1,5 @@
-"""Finite groups from generators: the facts the verdict reads, closure,
-abelian invariants, 2-Sylow subgroups, and the recognizers used by the
-obstruction tests.
+"""Finite groups from generators: the specs, and the facts the verdict
+reads about them.
 
 The verdict reads one GroupFacts record per spec: the order, the abelian
 invariants, the 2-part of the order and whether the 2-Sylow subgroup is
@@ -28,14 +27,8 @@ of G, and on any orbit where the image keeps the 2-part 16 the 2-Sylow
 subgroups map isomorphically. Every catalog group is one of these two
 kinds of spec.
 
-A table is built by breadth-first closure of a generating set under an
-associative compose function and then handled purely as integer indices,
-with 0 the identity. Nothing quadratic in the order is ever stored: a
-product composes the two raw elements and looks the result up. A table
-built from a spec carries the abelian invariants group_facts gives for
-that spec, so there is one source for them. The tables, with their 2-Sylow
-search, are what the tests compare the facts against; the verdict builds
-none.
+The multiplication tables the facts are tested against live in oracles,
+which imports this module and never the reverse; the verdict builds none.
 """
 
 from __future__ import annotations
@@ -48,8 +41,8 @@ from operator import itemgetter, ne
 from .exact import FACTORIZATION_CAP, Frozen, factorize
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
-# memory: every closure (permutation or metacyclic table) stops at 10**6
-# elements, the Q16 test walks the elements of a permutation group only up
+# memory: every closure (a permutation or metacyclic table of oracles)
+# stops at 10**6 elements, the Q16 test walks the elements of a permutation group only up
 # to that order, and a permutation degree above 10**6 is refused before its
 # image tuples are built. A metacyclic presentation is answered without
 # enumeration, so its cap only bounds the size of the input: a*b up to the
@@ -174,200 +167,6 @@ class Catalog(Frozen):
 GroupSpec = PermGens | Metacyclic | Catalog
 
 
-def _enumerate(identity, gens, compose, cap):
-    """BFS closure of the generators. Returns the elements in discovery
-    order and the index dict that numbers them."""
-    elems = [identity]
-    index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                if y not in index:
-                    if len(elems) >= cap:
-                        raise ValueError(f"closure exceeded cap {cap}")
-                    index[y] = len(elems)
-                    elems.append(y)
-                    new.append(y)
-        frontier = new
-    return elems, index
-
-
-class FiniteGroupTable:
-    """A finite group as indices 0..order-1 with 0 the identity. Products
-    compose the raw elements on demand; nothing quadratic in the order is
-    stored."""
-
-    identity = 0
-
-    def __init__(self, elems, index, compose, raw_gens, label):
-        self.order = len(elems)
-        self.label = label
-        # set by build_group and catalog_group from group_facts of the spec
-        self.abelian_invariants: tuple[int, ...] | None = None
-        self._elems = elems
-        self._index = index
-        self._compose = compose
-        self.generator_indices = tuple(index[g] for g in raw_gens)
-        self._inv_cache: dict[int, int] = {}
-
-    @classmethod
-    def from_generators(cls, identity, gens, compose, cap, label):
-        elems, index = _enumerate(identity, list(gens), compose, cap)
-        return cls(elems, index, compose, list(gens), label)
-
-    def __repr__(self) -> str:
-        return f"<group {self.label} of order {self.order}>"
-
-    def mult(self, x: int, y: int) -> int:
-        return self._index[self._compose(self._elems[x], self._elems[y])]
-
-    def inv(self, x: int) -> int:
-        out = self._inv_cache.get(x)
-        if out is None:
-            out = self._inv_cache[x] = self.power(x, self.order - 1)
-        return out
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(x), -k)
-        out = 0
-        while k:
-            if k & 1:
-                out = self.mult(out, x)
-            x = self.mult(x, x)
-            k >>= 1
-        return out
-
-    @property
-    def sylow2_order(self) -> int:
-        """The 2-part of the order, which is the order of a 2-Sylow subgroup."""
-        return self.order & -self.order
-
-    def element_order(self, x: int) -> int:
-        o = self.order
-        for p in factorize(o) if o > 1 else ():
-            while o % p == 0 and self.power(x, o // p) == 0:
-                o //= p
-        return o
-
-    def closure(self, seed) -> frozenset[int]:
-        """Subgroup generated by the given element indices. Closing under
-        multiplication alone suffices in a finite group."""
-        gens = sorted(set(seed) - {0})
-        members = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mult(x, g)
-                    if y not in members:
-                        members.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(members)
-
-
-class Subgroup(Frozen):
-    """A validated subgroup, stored as a frozenset of parent indices."""
-
-    __slots__ = ("group", "members")
-
-    def __init__(self, group: FiniteGroupTable, members: frozenset[int]) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "members", members)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        # the O(|H|**2) closure check, by this name for bench/tracer.py
-        G, H = self.group, self.members
-        if 0 not in H:
-            raise ValueError("subgroups contain the identity")
-        if G.order % len(H) != 0:
-            raise ValueError("subgroup order does not divide the group order")
-        if len(H) == G.order:
-            return
-        for x in H:
-            if G.inv(x) not in H:
-                raise ValueError(f"not closed under inversion at {x}")
-            for y in H:
-                if G.mult(x, y) not in H:
-                    raise ValueError(f"not closed under multiplication at ({x}, {y})")
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-
-def abelian_invariants(G: FiniteGroupTable) -> tuple[int, ...]:
-    """Invariant factors (n_1, n_2, ...) of G/[G, G], descending, each
-    dividing the previous: those group_facts gives for the spec G was built
-    from. A table not built from a spec, such as a quotient, has none."""
-    if G.abelian_invariants is None:
-        raise ValueError(f"{G.label} was not built from a group spec; it carries no invariants")
-    return G.abelian_invariants
-
-
-def two_sylow(G: FiniteGroupTable) -> Subgroup:
-    """A 2-Sylow subgroup, deterministically: seed with the least-index
-    element of 2-power order, then repeatedly double through the least-index
-    y outside P with y**2 in P that normalizes P. Such y always exists while
-    |P| is below the full 2-part, because the normalizer of a proper
-    2-subgroup inside a Sylow overgroup is strictly larger and contains an
-    involution of the quotient."""
-    target = G.sylow2_order
-    if target == 1:
-        return Subgroup(G, frozenset({0}))
-    if target == G.order:
-        return Subgroup(G, frozenset(range(G.order)))
-    seed = next(
-        x
-        for x in range(1, G.order)
-        if (o := G.element_order(x)) % 2 == 0 and o & (o - 1) == 0
-    )
-    gens = [seed]
-    members = G.closure(gens)
-    while len(members) < target:
-        for y in range(1, G.order):
-            if y in members or G.mult(y, y) not in members:
-                continue
-            yinv = G.inv(y)
-            if all(G.mult(G.mult(y, g), yinv) in members for g in gens):
-                gens.append(y)
-                members = G.closure(gens)
-                break
-        else:
-            raise AssertionError("2-Sylow doubling found no witness")
-    return Subgroup(G, members)
-
-
-def is_generalized_quaternion16(H: Subgroup) -> bool:
-    """Does H have the presentation <a, b | a**8 = 1, b**2 = a**4,
-    b*a*b**-1 = a**-1>?
-
-    Every element of H has order dividing 16, so a has order 8 iff
-    a**4 != 1 = a**8, and b**2 = a**4 gives b order 4 and b**-1 = b*a**4:
-    the test multiplies inside H and never raises to powers near |G|."""
-    if H.order != 16:
-        return False
-    mult = H.group.mult
-    for a in sorted(H.members):
-        a4 = mult(mult(a, a), mult(a, a))
-        if a4 == 0 or mult(a4, a4) != 0:
-            continue
-        pw = [0]
-        for _ in range(7):
-            pw.append(mult(pw[-1], a))
-        cyc = set(pw)
-        for b in sorted(H.members - cyc):
-            if mult(b, b) == a4 and mult(mult(b, a), mult(b, a4)) == pw[7]:
-                return True
-    return False
-
-
 def _q16_search(elements, mult, identity, roots=None) -> bool:
     """Is a 2-Sylow subgroup of the group Q16, given that the 2-part of its
     order is 16? elements lists the group, or for a permutation group the
@@ -413,24 +212,6 @@ def _metacyclic_compose(m: Metacyclic):
         return (i, j)
 
     return compose
-
-
-def _build_table(spec: Metacyclic | PermGens, label: str | None = None) -> FiniteGroupTable:
-    """The closure table of a metacyclic or permutation spec."""
-    if isinstance(spec, PermGens):
-        identity = tuple(range(spec.degree))
-        label = label or f"perm(degree {spec.degree})"
-        return FiniteGroupTable.from_generators(
-            identity, spec.generators, _perm_compose, CLOSURE_CAP, label
-        )
-    a, b, c, r = spec.a, spec.b, spec.c, spec.r
-    if a * b > CLOSURE_CAP:
-        raise ValueError(f"a table of order {a * b} exceeds closure cap {CLOSURE_CAP}")
-    gens = [(1 % a, 0), (0, 1 % b)]
-    label = label or f"metacyclic(a={a},b={b},c={c},r={r})"
-    t = FiniteGroupTable.from_generators((0, 0), gens, _metacyclic_compose(spec), a * b, label)
-    assert t.order == a * b
-    return t
 
 
 def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -804,27 +585,6 @@ def _catalog_spec(name: str) -> Metacyclic | PermGens:
     return make()
 
 
-@lru_cache(maxsize=None)
-def catalog_group(name: str) -> FiniteGroupTable:
-    """The table of a catalog group. Its invariants come from the memoized
-    facts of Catalog(name), which building it fills for the verdict."""
-    G = _build_table(_catalog_spec(name), name)
-    G.abelian_invariants = group_facts(Catalog(name)).abelian_invariants
-    return G
-
-
-def build_group(spec: GroupSpec) -> FiniteGroupTable:
-    """Realize a group spec as a multiplication table, carrying the abelian
-    invariants group_facts gives for the spec."""
-    if isinstance(spec, Catalog):
-        return catalog_group(spec.name)
-    if not isinstance(spec, (Metacyclic, PermGens)):
-        raise TypeError(f"not a group spec: {spec!r}")
-    G = _build_table(spec)
-    G.abelian_invariants = group_facts(spec).abelian_invariants
-    return G
-
-
 class GroupFacts(Frozen):
     """All the verdict reads about a group."""
 
@@ -1096,3 +856,26 @@ def group_facts(spec: GroupSpec) -> GroupFacts:
     if isinstance(spec, Catalog):
         return _catalog_facts(spec.name)
     return _perm_facts(spec)
+
+
+def abelian_invariants(G) -> tuple[int, ...]:
+    """Invariant factors (n_1, n_2, ...) of G/[G, G], descending, each
+    dividing the previous: those group_facts gives for the spec the table G
+    was built from. A table not built from a spec, such as a quotient, has
+    none."""
+    if G.spec is None:
+        raise ValueError(f"{G.label} was not built from a group spec; it carries no invariants")
+    return group_facts(G.spec).abelian_invariants
+
+
+# the reference names the acceptance tests and the benchmark still read
+# here, served from oracles, which is imported on first use
+_FROM_ORACLES = frozenset({"Subgroup", "catalog_group", "two_sylow", "is_generalized_quaternion16"})
+
+
+def __getattr__(name: str):
+    if name in _FROM_ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

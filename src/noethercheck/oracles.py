@@ -1,5 +1,5 @@
 """Independent cross-checks for the quadratic form machinery, the
-cyclotomic Galois rule and the group layer.
+cyclotomic Galois rule and the group layer, and the group tables they use.
 
 Nothing here uses Hilbert symbols or Hasse invariants to produce an answer;
 local isotropy is decided by counting zeros modulo a fixed prime power, and
@@ -12,6 +12,17 @@ relators a breadth-first spanning tree of the table yields, whose lattice
 is reduced here by helpers of this module alone. These functions favour a
 short, independent argument over speed, which is what the formula-driven
 code is tested against.
+
+A table is built by breadth-first closure of a generating set under an
+associative compose function and then handled purely as integer indices,
+with 0 the identity. Nothing quadratic in the order is ever stored: a
+product composes the two raw elements and looks the result up. A table
+records the spec it was built from, so groups.abelian_invariants reads the
+invariants of a table from the one source, group_facts of that spec; a
+quotient table records none. The tables, with their 2-Sylow search, are
+what the tests compare the facts against; the verdict builds none. From
+groups this module takes the specs, the catalog, the closure cap and the
+compose functions, and none of the code that computes the facts.
 """
 
 from __future__ import annotations
@@ -24,7 +35,16 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .exact import FieldDescriptor, Frozen, Rational, factorize
-from .groups import FiniteGroupTable, Subgroup
+from .groups import (
+    CLOSURE_CAP,
+    Catalog,
+    GroupSpec,
+    Metacyclic,
+    PermGens,
+    _catalog_spec,
+    _metacyclic_compose,
+    _perm_compose,
+)
 from .localfields import DiagonalForm, Place, REAL_PLACE, hilbert_symbol
 from .quadforms import isotropic_Q
 
@@ -394,6 +414,244 @@ def cyclotomic_galois(k: FieldDescriptor, n: int) -> UnitSubgroup2n:
     else:
         members = frozenset(units)
     return UnitSubgroup2n(n, members)
+
+
+def _enumerate(identity, gens, compose, cap):
+    """BFS closure of the generators. Returns the elements in discovery
+    order and the index dict that numbers them."""
+    elems = [identity]
+    index = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = compose(x, g)
+                if y not in index:
+                    if len(elems) >= cap:
+                        raise ValueError(f"closure exceeded cap {cap}")
+                    index[y] = len(elems)
+                    elems.append(y)
+                    new.append(y)
+        frontier = new
+    return elems, index
+
+
+class FiniteGroupTable:
+    """A finite group as indices 0..order-1 with 0 the identity. Products
+    compose the raw elements on demand; nothing quadratic in the order is
+    stored. spec is the group spec the table was built from, or None."""
+
+    identity = 0
+
+    def __init__(self, elems, index, compose, raw_gens, label, spec=None):
+        self.order = len(elems)
+        self.label = label
+        self.spec: GroupSpec | None = spec
+        self._elems = elems
+        self._index = index
+        self._compose = compose
+        self.generator_indices = tuple(index[g] for g in raw_gens)
+        self._inv_cache: dict[int, int] = {}
+
+    @classmethod
+    def from_generators(cls, identity, gens, compose, cap, label, spec=None):
+        elems, index = _enumerate(identity, list(gens), compose, cap)
+        return cls(elems, index, compose, list(gens), label, spec)
+
+    def __repr__(self) -> str:
+        return f"<group {self.label} of order {self.order}>"
+
+    def mult(self, x: int, y: int) -> int:
+        return self._index[self._compose(self._elems[x], self._elems[y])]
+
+    def inv(self, x: int) -> int:
+        out = self._inv_cache.get(x)
+        if out is None:
+            out = self._inv_cache[x] = self.power(x, self.order - 1)
+        return out
+
+    def power(self, x: int, k: int) -> int:
+        if k < 0:
+            return self.power(self.inv(x), -k)
+        out = 0
+        while k:
+            if k & 1:
+                out = self.mult(out, x)
+            x = self.mult(x, x)
+            k >>= 1
+        return out
+
+    @property
+    def sylow2_order(self) -> int:
+        """The 2-part of the order, which is the order of a 2-Sylow subgroup."""
+        return self.order & -self.order
+
+    def element_order(self, x: int) -> int:
+        o = self.order
+        for p in factorize(o) if o > 1 else ():
+            while o % p == 0 and self.power(x, o // p) == 0:
+                o //= p
+        return o
+
+    def closure(self, seed) -> frozenset[int]:
+        """Subgroup generated by the given element indices. Closing under
+        multiplication alone suffices in a finite group."""
+        gens = sorted(set(seed) - {0})
+        members = {0}
+        frontier = [0]
+        while frontier:
+            new = []
+            for x in frontier:
+                for g in gens:
+                    y = self.mult(x, g)
+                    if y not in members:
+                        members.add(y)
+                        new.append(y)
+            frontier = new
+        return frozenset(members)
+
+
+class Subgroup(Frozen):
+    """A validated subgroup, stored as a frozenset of parent indices."""
+
+    __slots__ = ("group", "members")
+
+    def __init__(self, group: FiniteGroupTable, members: frozenset[int]) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "members", members)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """The subgroup test, by this name for the benchmark's tracer. A set
+        with the identity, closed under inverses, is a subgroup iff it is
+        the subgroup its elements generate. That one is closed from 0 by
+        breadth-first search under generators taken from H in index order,
+        each one not yet reached: the old points are multiplied by the new
+        generator and the new points by every generator. Each generator at
+        least doubles what is reached, so this costs O(|H| log |H|)
+        products, and it stops at the first product that leaves H."""
+        G, H = self.group, self.members
+        if 0 not in H:
+            raise ValueError("subgroups contain the identity")
+        if G.order % len(H) != 0:
+            raise ValueError("subgroup order does not divide the group order")
+        if len(H) == G.order:
+            return
+        for x in H:
+            if G.inv(x) not in H:
+                raise ValueError(f"not closed under inversion at {x}")
+        reached = [0]
+        seen = {0}
+        gens: list[int] = []
+        for s in sorted(H):
+            if s in seen:
+                continue
+            gens.append(s)
+            old = len(reached)
+            k = 0
+            while k < len(reached):  # grows while it is read
+                x = reached[k]
+                for g in gens[-1:] if k < old else gens:
+                    y = G.mult(x, g)
+                    if y not in seen:
+                        if y not in H:
+                            raise ValueError(f"not closed under multiplication at ({x}, {g})")
+                        seen.add(y)
+                        reached.append(y)
+                k += 1
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
+
+def build_group(spec: GroupSpec) -> FiniteGroupTable:
+    """The closure table of a group spec, which it records. The table of a
+    catalog spec is labelled by the name."""
+    if isinstance(spec, Catalog):
+        group, label = _catalog_spec(spec.name), spec.name
+    elif isinstance(spec, (Metacyclic, PermGens)):
+        group, label = spec, None
+    else:
+        raise TypeError(f"not a group spec: {spec!r}")
+    if isinstance(group, PermGens):
+        identity = tuple(range(group.degree))
+        label = label or f"perm(degree {group.degree})"
+        return FiniteGroupTable.from_generators(
+            identity, group.generators, _perm_compose, CLOSURE_CAP, label, spec
+        )
+    a, b, c, r = group.a, group.b, group.c, group.r
+    if a * b > CLOSURE_CAP:
+        raise ValueError(f"a table of order {a * b} exceeds closure cap {CLOSURE_CAP}")
+    gens = [(1 % a, 0), (0, 1 % b)]
+    label = label or f"metacyclic(a={a},b={b},c={c},r={r})"
+    G = FiniteGroupTable.from_generators((0, 0), gens, _metacyclic_compose(group), a * b, label, spec)
+    assert G.order == a * b
+    return G
+
+
+@lru_cache(maxsize=None)
+def catalog_group(name: str) -> FiniteGroupTable:
+    """The table of a catalog group, built once per name."""
+    return build_group(Catalog(name))
+
+
+def two_sylow(G: FiniteGroupTable) -> Subgroup:
+    """A 2-Sylow subgroup, deterministically: seed with the least-index
+    element of 2-power order, then repeatedly double through the least-index
+    y outside P with y**2 in P that normalizes P. Such y always exists while
+    |P| is below the full 2-part, because the normalizer of a proper
+    2-subgroup inside a Sylow overgroup is strictly larger and contains an
+    involution of the quotient."""
+    target = G.sylow2_order
+    if target == 1:
+        return Subgroup(G, frozenset({0}))
+    if target == G.order:
+        return Subgroup(G, frozenset(range(G.order)))
+    seed = next(
+        x
+        for x in range(1, G.order)
+        if (o := G.element_order(x)) % 2 == 0 and o & (o - 1) == 0
+    )
+    gens = [seed]
+    members = G.closure(gens)
+    while len(members) < target:
+        for y in range(1, G.order):
+            if y in members or G.mult(y, y) not in members:
+                continue
+            yinv = G.inv(y)
+            if all(G.mult(G.mult(y, g), yinv) in members for g in gens):
+                gens.append(y)
+                members = G.closure(gens)
+                break
+        else:
+            raise AssertionError("2-Sylow doubling found no witness")
+    return Subgroup(G, members)
+
+
+def is_generalized_quaternion16(H: Subgroup) -> bool:
+    """Does H have the presentation <a, b | a**8 = 1, b**2 = a**4,
+    b*a*b**-1 = a**-1>?
+
+    Every element of H has order dividing 16, so a has order 8 iff
+    a**4 != 1 = a**8, and b**2 = a**4 gives b order 4 and b**-1 = b*a**4:
+    the test multiplies inside H and never raises to powers near |G|."""
+    if H.order != 16:
+        return False
+    mult = H.group.mult
+    for a in sorted(H.members):
+        a4 = mult(mult(a, a), mult(a, a))
+        if a4 == 0 or mult(a4, a4) != 0:
+            continue
+        pw = [0]
+        for _ in range(7):
+            pw.append(mult(pw[-1], a))
+        cyc = set(pw)
+        for b in sorted(H.members - cyc):
+            if mult(b, b) == a4 and mult(mult(b, a), mult(b, a4)) == pw[7]:
+                return True
+    return False
 
 
 def derived_subgroup(G: FiniteGroupTable) -> Subgroup:

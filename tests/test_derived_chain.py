@@ -85,7 +85,7 @@ def test_cap_errors_are_unchanged():
     )
     # Q16 times cycles of lengths 3 to 17: the image on the Q16 orbit would
     # decide the test in 16 elements, but the closure cap still bounds |G|
-    q16 = groups.build_group(groups.Metacyclic(8, 2, 4, 7))
+    q16 = oracles.build_group(groups.Metacyclic(8, 2, 4, 7))
     gens = [tuple(q16.mult(x, g) for x in range(16)) for g in q16.generator_indices]
     degree = 16 + 3 + 5 + 7 + 11 + 13 + 17
     s, t = (g + tuple(range(16, degree)) for g in gens)
@@ -185,8 +185,11 @@ def _random_specs(rng, count):
 
 
 def test_derived_chain_matches_the_table_oracle():
-    # groups of order 1000 or more are skipped by the chain's order, so
-    # that the oracle's O(|H|**2) subgroup check stays cheap
+    # groups of order 1000 or more are skipped by the chain's order: the
+    # 34 of them, of orders 2520 and 5040, would add 1.2 s on an idle 2-CPU
+    # VM (3.5 s on a loaded one), about half of it the inverses of the
+    # oracle's subgroup check, each a power to |G| - 1, and most of the
+    # rest the tables and the sifts
     checked = 0
     for pg in _random_specs(random.Random(16), 240):
         order = _chain(pg).order()
@@ -194,7 +197,7 @@ def test_derived_chain_matches_the_table_oracle():
             continue
         bounded = groups._derived_subgroup(pg, order)
         assert bounded.order() == groups._derived_subgroup(pg, 0).order(), pg
-        G = groups._build_table(pg)
+        G = oracles.build_group(pg)
         derived = oracles.derived_subgroup(G).members
         assert bounded.order() == len(derived), pg
         for x in range(G.order):
@@ -214,4 +217,4 @@ def test_quotient_chains_grow_past_the_derived_bound():
     for name, (pg, index, invariants) in specs.items():
         assert groups._abelian_index(pg) == index, name
         assert group_facts(pg).abelian_invariants == invariants, name
-        assert oracles.abelian_invariants_by_quotient(groups._build_table(pg)) == invariants, name
+        assert oracles.abelian_invariants_by_quotient(oracles.build_group(pg)) == invariants, name

@@ -1,6 +1,7 @@
 import random
 import re
 from functools import reduce
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -12,21 +13,21 @@ from noethercheck.groups import (
     CLOSURE_CAP,
     METACYCLIC_CAP,
     Catalog,
-    FiniteGroupTable,
     Metacyclic,
     PermGens,
-    Subgroup,
     abelian_invariants,
-    build_group,
-    catalog_group,
-    is_generalized_quaternion16,
-    two_sylow,
 )
 from noethercheck.oracles import (
+    FiniteGroupTable,
+    Subgroup,
     abelian_invariants_by_quotient,
     abelian_invariants_by_relators,
+    build_group,
+    catalog_group,
     derived_subgroup,
+    is_generalized_quaternion16,
     quotient_by,
+    two_sylow,
 )
 
 
@@ -386,16 +387,41 @@ def test_subgroup_validation():
     assert Subgroup(G, G.closure([a])).order == 8
 
 
-def test_catalog_table_fills_the_facts_memo():
-    # building a catalog table computes the facts the verdict then reads
-    groups._catalog_facts.cache_clear()
-    catalog_group.cache_clear()
-    catalog_group("SL2_9")
-    info = groups._catalog_facts.cache_info()
-    assert (info.hits, info.misses) == (0, 1)
-    assert verdict(Catalog("SL2_9")).sylow_is_q16
-    info = groups._catalog_facts.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+def _is_subgroup_by_all_products(G, H):
+    """The subgroup test as first written, with all |H|**2 products: the
+    reference for the one that closes H from generators taken from H."""
+    if 0 not in H or G.order % len(H):
+        return False
+    return all(G.inv(x) in H and all(G.mult(x, y) in H for y in H) for x in H)
+
+
+def test_subgroup_check_matches_all_products():
+    # every subset with the identity of S3, D8, Q8 and C8; a rejection at a
+    # product names two members whose product is not one
+    tables = (
+        build_group(PermGens.from_cycles("(1 2)", "(1 2 3)")),
+        _mc(4, 2, 0, 3),
+        _mc(4, 2, 2, 3),
+        _mc(8, 1, 0, 1),
+    )
+    accepted = 0
+    for G in tables:
+        for k in range(G.order):
+            for rest in combinations(range(1, G.order), k):
+                H = frozenset((0,) + rest)
+                try:
+                    Subgroup(G, H)
+                except ValueError as err:
+                    assert not _is_subgroup_by_all_products(G, H), (G, sorted(H))
+                    found = re.fullmatch(r"not closed under multiplication at \((\d+), (\d+)\)", str(err))
+                    if found:
+                        x, s = map(int, found.groups())
+                        assert x in H and s in H and G.mult(x, s) not in H, (G, sorted(H))
+                else:
+                    assert _is_subgroup_by_all_products(G, H), (G, sorted(H))
+                    accepted += 1
+    # S3, D8, Q8 and C8 have 6, 10, 6 and 4 subgroups
+    assert accepted == 26
 
 
 def test_closure():

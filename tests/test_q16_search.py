@@ -16,16 +16,13 @@ from itertools import combinations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noethercheck import groups
+from noethercheck import groups, oracles
 from noethercheck.galois import verdict
-from noethercheck.groups import (
-    Catalog,
+from noethercheck.groups import Catalog, Metacyclic, PermGens, group_facts
+from noethercheck.oracles import (
     FiniteGroupTable,
-    Metacyclic,
-    PermGens,
     build_group,
     catalog_group,
-    group_facts,
     is_generalized_quaternion16,
     two_sylow,
 )
@@ -237,7 +234,7 @@ def test_filtered_walk_keeps_every_square_root():
 
 def test_verdict_builds_no_table(monkeypatch):
     calls = []
-    enumerate_ = groups._enumerate
+    enumerate_ = oracles._enumerate
     init = FiniteGroupTable.__init__
 
     def enumerate_counted(*args):
@@ -248,7 +245,7 @@ def test_verdict_builds_no_table(monkeypatch):
         calls.append("FiniteGroupTable")
         init(self, *args)
 
-    monkeypatch.setattr(groups, "_enumerate", enumerate_counted)
+    monkeypatch.setattr(oracles, "_enumerate", enumerate_counted)
     monkeypatch.setattr(FiniteGroupTable, "__init__", init_counted)
     groups._catalog_facts.cache_clear()
     catalog_group.cache_clear()

@@ -13,17 +13,9 @@ import pytest
 
 from noethercheck.exact import FieldDescriptor, Frozen
 from noethercheck.galois import Check, Verdict, verdict
-from noethercheck.groups import (
-    Catalog,
-    GroupFacts,
-    Metacyclic,
-    PermGens,
-    Subgroup,
-    build_group,
-    group_facts,
-)
+from noethercheck.groups import Catalog, GroupFacts, Metacyclic, PermGens, group_facts
 from noethercheck.localfields import DiagonalForm, Place
-from noethercheck.oracles import UnitSubgroup2n
+from noethercheck.oracles import Subgroup, UnitSubgroup2n, build_group
 from noethercheck.quadforms import IsotropyOutcome
 
 C3 = build_group(PermGens.from_cycles("(1 2 3)"))

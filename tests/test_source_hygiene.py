@@ -7,14 +7,17 @@ math.nan.
 And galois, which decides both criteria in closed form, imports nothing
 from the package beyond exact and groups, while quadforms takes its local
 criteria whole from localfields and imports none of the symbols they are
-built from. groups holds no lattice reduction, and oracles, which checks
-it, takes nothing from it but the table types. sympy may be installed, as
-a test oracle, but the package depends on nothing outside the standard
-library and never imports it.
+built from. groups holds no lattice reduction and no table, and never
+imports oracles at module level; oracles, which holds the tables and checks
+groups, takes none of its fact code, and serves groups the four reference
+names that callers still read there. sympy may be installed, as a test
+oracle, but the package depends on nothing outside the standard library and
+never imports it.
 Nor does it import dataclasses or typing: the records share one slotted
 base in exact, and importing the package and its CLI loads none of the
 modules behind dataclasses (inspect, ast, dis, tokenize), which cost more
-than the verdict itself. A plain check line does not load argparse either.
+than the verdict itself. A plain check line does not load argparse either,
+and neither it nor catalog loads oracles or random.
 groups imports neither re nor random: its chains are deterministic, and
 it parses the catalog names by hand.
 """
@@ -25,7 +28,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import noethercheck
+from noethercheck import groups, oracles
 
 PACKAGE = Path(noethercheck.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -136,14 +142,45 @@ def test_groups_defines_no_lattice_reduction():
     assert {name for name in defined if re.search(pattern, name, re.I)} == set()
 
 
-def test_oracles_import_only_the_table_types_from_groups():
+FACT_CODE = {
+    "group_facts", "_perm_facts", "_metacyclic_facts", "_StabilizerChain", "_q16_search",
+    "_derived_subgroup", "_chain_invariants", "_abelian_index",
+}
+TABLE_CODE = {
+    "_enumerate", "FiniteGroupTable", "Subgroup", "two_sylow", "is_generalized_quaternion16",
+    "_build_table", "build_group", "catalog_group",
+}
+
+
+def test_oracles_take_no_fact_code_and_groups_no_tables():
+    tree = _tree(PACKAGE / "oracles.py")
     names = set()
-    for node in ast.walk(_tree(PACKAGE / "oracles.py")):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and "groups" in (node.module or "").split("."):
             names.update(a.name for a in node.names)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # no module object through which the fact code could be reached
             assert "groups" not in {a.name.rpartition(".")[2] for a in node.names}
-    assert names == {"FiniteGroupTable", "Subgroup"}
+    assert "PermGens" in names and names & FACT_CODE == set()
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert read & FACT_CODE == set()
+    tree = _tree(PACKAGE / "groups.py")
+    top_imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert "oracles" not in _package_imports(ast.Module(body=top_imports, type_ignores=[]))
+    defined = {
+        node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert defined & TABLE_CODE == set()
+
+
+def test_groups_serves_four_reference_names_from_oracles():
+    served = {"Subgroup", "catalog_group", "two_sylow", "is_generalized_quaternion16"}
+    for name in served:
+        assert getattr(groups, name) is getattr(oracles, name), name
+    for name in TABLE_CODE - served:
+        with pytest.raises(AttributeError):
+            getattr(groups, name)
 
 
 def _top_level_imports(tree):
@@ -197,7 +234,7 @@ def _modules_added_by(statement):
 
 
 def test_import_loads_no_dataclass_machinery():
-    added = _modules_added_by("import noethercheck, noethercheck.cli")
+    added = _modules_added_by("import noethercheck, noethercheck.cli, noethercheck.oracles")
     assert {"noethercheck", "noethercheck.cli", "noethercheck.oracles"} <= added
     assert added & HEAVY_MODULES == set()
     # the check sees these modules when something does load them
@@ -213,6 +250,20 @@ def test_plain_check_line_loads_no_argparse():
     )
     assert "argparse" not in _modules_added_by(check)
     assert "argparse" in _modules_added_by(check + "\n    cli.main(['catalog'])")
+
+
+def test_check_and_catalog_load_no_oracles():
+    # the reference tables and random load only for the oracle subcommand
+    run = (
+        "import contextlib, io, noethercheck.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main({!r})"
+    )
+    reference = {"noethercheck.oracles", "random"}
+    for argv in (["check", "--group", "catalog:SL2_7", "--field", "Q", "--json"], ["catalog"]):
+        added = _modules_added_by(run.format(argv))
+        assert "noethercheck.groups" in added and added & reference == set(), argv
+    assert reference <= _modules_added_by(run.format(["oracle", "three-squares", "10"]))
 
 
 def test_checks_catch_what_they_claim():
