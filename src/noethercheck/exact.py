@@ -8,8 +8,8 @@ or an arbitrary-precision int. Nothing here or downstream touches floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from functools import cache, lru_cache
+from math import gcd, isqrt, prod
 from operator import attrgetter
 
 Rational = Fraction
@@ -20,22 +20,44 @@ Rational = Fraction
 # primes near 10**12, takes rho under a second.
 FACTORIZATION_CAP = 10**24
 
-# Trial division runs through the primes below this bound; a cofactor left
-# over is tested by Miller-Rabin and, if composite, split by Brent's rho.
+# The primes below this bound are split off first: by trial division below
+# TRIAL_BOUND**2, and above it by one gcd with their product. A cofactor
+# left over is tested by Miller-Rabin and, if composite, split by Brent's
+# rho.
 TRIAL_BOUND = 1000
 _TRIAL_SQUARE = TRIAL_BOUND * TRIAL_BOUND
 
 # The first 13 primes: a strong probable prime to all of them below
-# 3.3 * 10**24 is prime (Sorenson and Webster 2015)
+# 3.3 * 10**24 is prime (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017). Smaller inputs need fewer: below
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS
+# A014233; Jaeschke, "On strong pseudoprimes to several bases", Math. Comp.
+# 1993), the first k bases decide. psi_7 = psi_8 and psi_9 = psi_10 =
+# psi_11, so no tier has 8, 10 or 11 bases.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = tuple(
+    (psi, _MR_BASES[:k])
+    for psi, k in (
+        (2047, 1),
+        (1373653, 2),
+        (25326001, 3),
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 7),
+        (3825123056546413051, 9),
+        (318665857834031151167461, 12),
+    )
+)
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}, keys ascending.
 
-    Trial division by the primes below TRIAL_BOUND; what is left after
-    that goes to Miller-Rabin and Brent's rho. Raises ValueError for n = 0
-    or |n| > FACTORIZATION_CAP.
+    Below TRIAL_BOUND**2, trial division. Above it, the primes below
+    TRIAL_BOUND are found by one gcd with their product, and the cofactor
+    goes to Miller-Rabin with size-tiered bases and Brent's rho. Raises
+    ValueError for n = 0 or |n| > FACTORIZATION_CAP.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -62,26 +84,47 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@cache
+def _trial_primes() -> tuple[tuple[int, ...], int]:
+    """The primes in [5, TRIAL_BOUND) and their product, sieved on first
+    use so that importing the module does not pay for them."""
+    sieve = bytearray([1]) * TRIAL_BOUND
+    for p in range(2, isqrt(TRIAL_BOUND - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, TRIAL_BOUND, p)))
+    primes = tuple(p for p in range(5, TRIAL_BOUND) if sieve[p])
+    return primes, prod(primes)
+
+
 def _factorize_rough(n: int, out: dict[int, int]) -> dict[int, int]:
     """Finish factorize for n >= TRIAL_BOUND**2 with no factor 2 or 3.
 
-    Every prime below the final f is divided out, so a cofactor below f**2
-    is prime; larger ones are tested and split, and their primes, all
-    above every key already in out, are added in ascending order.
+    g = gcd(n, product of the primes in [5, TRIAL_BOUND)) names the small
+    primes of n; each is divided out fully, and the walk stops once g is
+    used up. The cofactor then has no prime below TRIAL_BOUND, so below
+    TRIAL_BOUND**2 it is prime; larger ones are tested and split, and
+    their primes, all above every key already in out, are added in
+    ascending order.
     """
-    f = 5
-    while f < TRIAL_BOUND and f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    primes = []
+    primes, primorial = _trial_primes()
+    g = gcd(n, primorial)
+    if g > 1:
+        for p in primes:
+            if g % p == 0:
+                e = 0
+                while n % p == 0:
+                    e += 1
+                    n //= p
+                out[p] = e
+                g //= p
+                if g == 1:
+                    break
+    found = []
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m < f * f or _strong_probable_prime(m):
-            primes.append(m)
+        if m < _TRIAL_SQUARE or _strong_probable_prime(m):
+            found.append(m)
             continue
         r = isqrt(m)
         if r * r == m:
@@ -91,17 +134,23 @@ def _factorize_rough(n: int, out: dict[int, int]) -> dict[int, int]:
         while (g := _brent_rho(m, c)) == m:
             c += 1
         stack += (g, m // g)
-    for p in sorted(primes):
+    for p in sorted(found):
         out[p] = out.get(p, 0) + 1
     return out
 
 
 def _strong_probable_prime(n: int) -> bool:
-    """Is odd n > 41 a strong probable prime to every base in _MR_BASES?
-    Exact below 3.3 * 10**24."""
+    """Is odd n > 41 a strong probable prime to the bases _MR_TIERS gives
+    for its size, or to all of _MR_BASES above the last tier? Exact below
+    3.3 * 10**24."""
+    bases = _MR_BASES
+    for psi, tier in _MR_TIERS:
+        if n < psi:
+            bases = tier
+            break
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -173,8 +222,9 @@ def square_class(x: Rational | int) -> int:
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no square class")
-    # num/den and num*den differ by the square den**2
-    return squarefree_part(x.numerator * x.denominator)[0]
+    # num/den and num*den differ by the square den**2, and the coprime
+    # parts are factored apart so that each need only be within the cap
+    return squarefree_part(x.numerator)[0] * squarefree_part(x.denominator)[0]
 
 
 def padic_valuation(x: Rational | int, p: int) -> int:

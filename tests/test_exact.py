@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from noethercheck import DiagonalForm, isotropic_Q
 from noethercheck.exact import (
     FACTORIZATION_CAP,
     QQ,
@@ -62,6 +63,37 @@ def test_square_class():
     assert square_class(-1) == -1
     with pytest.raises(ValueError):
         square_class(0)
+
+
+def test_square_class_matches_the_product_formula():
+    # num/den and num*den differ by the square den**2
+    for num in range(-60, 61):
+        for den in range(1, 61):
+            if num:
+                x = Fraction(num, den)
+                assert square_class(x) == squarefree_part(x.numerator * x.denominator)[0], x
+
+
+# numerator and denominator each within the cap, their product far above it
+BIG = Fraction(10**13 + 1, 10**12 + 39)
+P, Q = 99999999977, 99999999947
+
+
+def test_square_class_of_parts_within_the_cap():
+    assert BIG.numerator * BIG.denominator > FACTORIZATION_CAP
+    assert square_class(BIG) == (10**13 + 1) * (10**12 + 39)
+    assert square_class(-BIG) == -(10**13 + 1) * (10**12 + 39)
+    assert square_class(Fraction(P * P, Q * Q)) == 1
+    assert square_class(Fraction(2 * P * P, 3 * Q * Q)) == 6
+    assert not is_square(BIG)
+    assert is_square(Fraction(P * P, Q * Q))
+    assert is_square(Fraction(-7 * P * P, Q * Q), FieldDescriptor(-7))
+    assert not is_square(BIG, FieldDescriptor(-7))
+    # a dimension-2 form is decided by the square class of -a/b, as a
+    # dimension-3 one already was through its candidate places
+    assert not isotropic_Q(DiagonalForm.of(BIG, -1))
+    assert isotropic_Q(DiagonalForm.of(Fraction(P * P, Q * Q), -1))
+    assert isotropic_Q(DiagonalForm.of(BIG, -1, 1))
 
 
 def test_padic_valuation_known():

@@ -17,7 +17,8 @@ Nor does it import dataclasses or typing: the records share one slotted
 base in exact, and importing the package and its CLI loads none of the
 modules behind dataclasses (inspect, ast, dis, tokenize), which cost more
 than the verdict itself. A plain check line does not load argparse either,
-and neither it nor catalog loads oracles or random.
+and neither it nor catalog loads oracles or random. Nor does a check over
+Q sieve the primes that factorize splits off large inputs.
 groups imports neither re nor random: its chains are deterministic, and
 it parses the catalog names by hand.
 """
@@ -217,20 +218,23 @@ def test_no_module_imports_dataclasses_or_typing():
 HEAVY_MODULES = {"dataclasses", "typing", "inspect", "ast", "dis", "tokenize"}
 
 
-def _modules_added_by(statement):
-    """Modules a fresh interpreter without site loads for the statement,
-    with the package's source directory on its path."""
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
-        "before = set(sys.modules)\n"
-        f"{statement}\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    )
+def _output_of(statement):
+    """What a fresh interpreter without site prints for the statement, with
+    the package's source directory on its path."""
+    code = f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n{statement}\n"
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
-    return set(out.stdout.split())
+    return out.stdout
+
+
+def _modules_added_by(statement):
+    """Modules a fresh interpreter without site loads for the statement."""
+    out = _output_of(
+        f"before = set(sys.modules)\n{statement}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    return set(out.split())
 
 
 def test_import_loads_no_dataclass_machinery():
@@ -264,6 +268,21 @@ def test_check_and_catalog_load_no_oracles():
         added = _modules_added_by(run.format(argv))
         assert "noethercheck.groups" in added and added & reference == set(), argv
     assert reference <= _modules_added_by(run.format(["oracle", "three-squares", "10"]))
+
+
+def test_check_over_Q_builds_no_prime_table():
+    # the primes below TRIAL_BOUND and their product are sieved on first
+    # use, by a factorization above TRIAL_BOUND**2, which neither importing
+    # the CLI nor a check over Q makes
+    run = (
+        "import contextlib, io, noethercheck.cli as cli, noethercheck.exact as exact\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['check', '--group', 'catalog:SL2_7', '--field', {!r}, '--json'])\n"
+        "print(exact._trial_primes.cache_info().currsize)"
+    )
+    assert _output_of(run.format("Q")).split() == ["0"]
+    # the check sees the table when a field's radicand does build it
+    assert _output_of(run.format("Q(sqrt 999999999989)")).split() == ["1"]
 
 
 def test_checks_catch_what_they_claim():
