@@ -662,8 +662,8 @@ def _abelian_index(pg: PermGens) -> int:
     multiple of the order of its image, and two such images are cheap:
     - g -> (sign of g on each orbit), whose image has 2**r elements for the
       rank r over F_2 of the generators' images; each image is a bitmask,
-      one bit per orbit, reduced against a basis of those before it, the
-      highest leading bit first;
+      one bit per orbit, reduced against a basis of those before it kept
+      by leading bit, XOR-ing only while its leading bit hits one;
     - the action on an orbit whose image is abelian, which, being
       transitive, is then regular, with as many elements as the orbit."""
     moved = _moved_orbits(pg)
@@ -672,7 +672,7 @@ def _abelian_index(pg: PermGens) -> int:
         for x in orbit:
             where[x] = k
     acting: list[list[tuple[int, ...]]] = [[] for _ in moved]
-    basis: list[int] = []
+    basis: dict[int, int] = {}  # leading bit -> the basis vector it leads
     points = range(pg.degree)
     for g in pg.generators:
         v = 0
@@ -689,11 +689,13 @@ def _abelian_index(pg: PermGens) -> int:
                 v ^= 1 << where[i]
         for k in {where[i] for i in seen}:
             acting[k].append(g)
-        for b in basis:  # leading bits distinct and descending
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
+        while v:
+            top = v.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                break
+            v ^= b
     out = 1 << len(basis)
     for orbit, gens in zip(moved, acting):
         if all(g[h[x]] == h[g[x]] for i, g in enumerate(gens) for h in gens[:i] for x in orbit):

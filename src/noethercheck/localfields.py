@@ -16,6 +16,12 @@ The other textbook normalization differs by a factor (-1, -1)_v and silently
 flips the dim 3/4 answers at finitely many places if mixed in; the bundle
 above is therefore pinned by tests against a modular counting oracle rather
 than trusted from the formulas.
+
+Every symbol here depends only on the square classes of its entries, so a
+rational n/d stands as the integer n*d, which differs from it by the square
+d**2. Each public function reduces each rational argument to that integer
+once, with no factoring, and works on ints from then on: the valuation
+parities, the unit parts and the signs of n/d and n*d agree.
 """
 
 from __future__ import annotations
@@ -117,94 +123,98 @@ def _legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _unit_part(n: int, d: int, p: int) -> tuple[int, int]:
-    """(v_p(x), integer congruent to the unit part of x mod any p-power)
-    for x = n/d.
-
-    The denominator is folded in by multiplication: num*den represents
-    num/den modulo squares of p-units, and for the residues used here
-    (Legendre symbols, classes mod 8) that is exactly what is needed since
-    den**2 is a unit square.
-    """
-    if n % p and d % p:
-        return 0, n * d
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v, n * d
+def _int_class(x: Rational | int) -> int:
+    """The integer n*d for x = n/d: it differs from x by the square d**2,
+    so every symbol below reads the same on it. No factoring is done."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    n, d = x.as_integer_ratio()
+    return n * d
 
 
 def hilbert_symbol(a: Rational | int, b: Rational | int, v: Place) -> int:
     """(a, b)_v in {+1, -1}: does z**2 = a*x**2 + b*y**2 have a nonzero
     solution over the completion at v?
 
-    Computed by the standard unit/valuation formulas: at odd p via Legendre
-    symbols, at p = 2 via the residues mod 8 of the unit parts, at the real
-    place by the signs of the numerators. The Place has already proved p
-    prime, so the Legendre symbols come from Euler's criterion without a
-    second primality test.
+    Computed on the integer square classes of a and b by the standard
+    unit/valuation formulas: at odd p via Legendre symbols, at p = 2 via
+    the residues mod 8 of the unit parts, at the real place by the signs.
+    p is stripped from an entry only when it divides it, and at odd p two
+    entries of even valuation give +1 at once. The Place has already
+    proved p prime, so the Legendre symbols come from Euler's criterion
+    without a second primality test.
     """
-    # callers mostly pass Fractions already, and Fraction(x) on one still
-    # pays for its abstract-base-class checks, a quarter of this function
-    if type(a) is not Fraction:
-        a = Fraction(a)
-    if type(b) is not Fraction:
-        b = Fraction(b)
-    an, bn = a.numerator, b.numerator
-    if not an or not bn:
+    if type(a) is not int:
+        a = _int_class(a)
+    if type(b) is not int:
+        b = _int_class(b)
+    if not a or not b:
         raise ValueError("hilbert_symbol needs nonzero entries")
     p = v.p
     if p is None:
-        return -1 if (an < 0 and bn < 0) else 1
-    alpha, u = _unit_part(an, a.denominator, p)
-    beta, w = _unit_part(bn, b.denominator, p)
+        return -1 if (a < 0 and b < 0) else 1
+    # only the parities of the valuations matter
+    alpha = beta = 0
+    while not a % p:
+        a //= p
+        alpha ^= 1
+    while not b % p:
+        b //= p
+        beta ^= 1
     if p != 2:
-        sign = 1
-        if (alpha % 2) and (beta % 2) and (p - 1) // 2 % 2:
-            sign = -sign
-        if beta % 2:
-            sign *= _legendre(u, p)
-        if alpha % 2:
-            sign *= _legendre(w, p)
+        if not (alpha or beta):
+            return 1
+        sign = -1 if (alpha and beta and (p - 1) // 2 % 2) else 1
+        if beta:
+            sign *= _legendre(a, p)
+        if alpha:
+            sign *= _legendre(b, p)
         return sign
-    um, wm = u % 8, w % 8
+    um, wm = a % 8, b % 8
     # eps(u) = (u-1)/2 mod 2, omega(u) = (u**2-1)/8 mod 2 on odd residues
     exp = (um % 4 == 3) and (wm % 4 == 3)
-    if alpha % 2 and wm in (3, 5):
+    if alpha and wm in (3, 5):
         exp = not exp
-    if beta % 2 and um in (3, 5):
+    if beta and um in (3, 5):
         exp = not exp
     return -1 if exp else 1
 
 
+def _hasse(cs: list[int], v: Place) -> int:
+    """Product of (c_i, c_j)_v over i < j, for integer classes c."""
+    out = 1
+    for i in range(len(cs)):
+        c = cs[i]
+        for j in range(i + 1, len(cs)):
+            out *= hilbert_symbol(c, cs[j], v)
+    return out
+
+
 def hasse_invariant(f: DiagonalForm, v: Place) -> int:
     """Product of (a_i, a_j)_v over i < j."""
-    out = 1
-    cs = f.coeffs
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            out *= hilbert_symbol(cs[i], cs[j], v)
-    return out
+    return _hasse([_int_class(c) for c in f.coeffs], v)
 
 
 def is_local_square(x: Rational | int, v: Place) -> bool:
     """Is the nonzero rational x a square in the completion at v?"""
-    x = Fraction(x)
-    if x == 0:
+    if type(x) is not int:
+        x = _int_class(x)
+    if not x:
         raise ValueError("0 is trivially square; callers pass nonzero values")
     p = v.p
     if p is None:
-        return x.numerator > 0
-    val, u = _unit_part(x.numerator, x.denominator, p)
-    if val % 2:
+        return x > 0
+    odd = False
+    while not x % p:
+        x //= p
+        odd = not odd
+    if odd:
         return False
     if p == 2:
-        return u % 8 == 1
-    return _legendre(u, p) == 1
+        return x % 8 == 1
+    return _legendre(x, p) == 1
 
 
 def local_isotropic(f: DiagonalForm, v: Place) -> bool:
@@ -213,21 +223,24 @@ def local_isotropic(f: DiagonalForm, v: Place) -> bool:
     Dimension by dimension over Q_p: dim 1 never, dim 2 iff -a1*a2 is a
     local square, dim 3 and 4 by the Hasse invariant criteria stated in the
     module docstring, dim >= 5 always. At the real place isotropy is just
-    indefiniteness.
+    indefiniteness. The coefficients are read once, as integer classes,
+    whose product is a class of the discriminant.
     """
     n = f.dim
     if n == 1:
         return False
-    if v.is_real:
-        pos, neg = f.signature()
-        return pos > 0 and neg > 0
+    real = v.p is None
+    if n >= 5 and not real:
+        return True
+    cs = [_int_class(c) for c in f.coeffs]
+    if real:
+        neg = sum(1 for c in cs if c < 0)
+        return 0 < neg < n
     if n == 2:
-        return is_local_square(-f.coeffs[0] * f.coeffs[1], v)
+        return is_local_square(-cs[0] * cs[1], v)
+    disc = 1
+    for c in cs:
+        disc *= c
     if n == 3:
-        return hasse_invariant(f, v) == hilbert_symbol(-1, -f.disc(), v)
-    if n == 4:
-        return not (
-            is_local_square(f.disc(), v)
-            and hasse_invariant(f, v) == -hilbert_symbol(-1, -1, v)
-        )
-    return True
+        return _hasse(cs, v) == hilbert_symbol(-1, -disc, v)
+    return not (is_local_square(disc, v) and _hasse(cs, v) == -hilbert_symbol(-1, -1, v))

@@ -76,10 +76,13 @@ class LocalZeroOracle:
     the right primitivity pattern is a single AND against a reflected mask.
     Every value mask here, primitive or not, is closed under multiplication
     by the unit squares U**2 of Z/m: c*(u*x)**2 = u**2 * c*x**2, and
-    x -> u*x keeps p from dividing x. A sum of two such sets is again a
-    union of U**2-orbits, so _sumset decides membership once per orbit
-    (11 orbits for odd p, 16 for m = 32) instead of once per residue; the
-    orbit of t is exactly _single_mask(t, True).
+    x -> u*x keeps p from dividing x. So every mask is a union of
+    U**2-orbits (11 for odd p, 16 for m = 32), and the orbits are the only
+    residues ever enumerated: _single_mask(c, True) is the orbit of c, and
+    _single_mask(c, False) the union of the orbits of c*p**(2k) for
+    p**(2k) < m, plus 0. A sum of two such sets is again a union of orbits,
+    so _sumset decides membership once per orbit instead of once per
+    residue.
     """
 
     def __init__(self, p: int):
@@ -92,32 +95,42 @@ class LocalZeroOracle:
         self._orbit_list: list[tuple[int, int]] | None = None
 
     def _single_mask(self, c: int, prim: bool) -> int:
+        """Values of c*x**2 mod m over x prime to p (prim) or over every x.
+        The first is the orbit of c; x = p**k * u adds the orbits of
+        c*p**(2k) while p**(2k) < m, and 0 beyond that and at x = 0."""
         key = (c, prim)
         out = self._single.get(key)
         if out is None:
             m, p = self.m, self.p
-            ci = c % m
-            # digit m-1-r of the binary string is bit r; x and m - x give
-            # the same value and the same primitivity, so x <= m/2 suffices
-            digits, one = bytearray(b"0") * m, ord("1")
-            for x in range(m // 2 + 1):
-                if prim and x % p == 0:
-                    continue
-                digits[m - 1 - ci * x * x % m] = one
-            out = int(digits, 2)
+            if prim:
+                r = c % m
+                out = next(orbit for _, orbit in self._orbits() if orbit >> r & 1)
+            else:
+                out, q = 1, 1
+                while q < m:
+                    out |= self._single_mask(c * q, True)
+                    q *= p * p
             self._single[key] = out
         return out
 
     def _orbits(self) -> list[tuple[int, int]]:
         """(representative, orbit mask) for each U**2-orbit of Z/m, the
-        representative being the least residue of its orbit."""
+        representative being the least residue of its orbit. These are the
+        only residues enumerated: every value mask is a union of them."""
         out = self._orbit_list
         if out is None:
+            m, p = self.m, self.p
             out = []
             rest = self._full
             while rest:
                 t = (rest & -rest).bit_length() - 1
-                orbit = self._single_mask(t, True)
+                # digit m-1-r of the binary string is bit r; x and m - x
+                # give the same value, so x <= m/2 suffices
+                digits, one = bytearray(b"0") * m, ord("1")
+                for x in range(1, m // 2 + 1):
+                    if x % p:
+                        digits[m - 1 - t * x * x % m] = one
+                orbit = int(digits, 2)
                 out.append((t, orbit))
                 rest &= ~orbit
             self._orbit_list = out
@@ -321,27 +334,30 @@ def three_squares_sieve(bound: int) -> bytearray:
     return out
 
 
+# The numerators and denominators reciprocity_failures draws are at most
+# this in absolute value.
+SAMPLE_HEIGHT = 10**4
+
+
 def reciprocity_failures(samples: int, seed: int = 0) -> int:
     """Count sampled pairs of nonzero rationals violating the product
     formula for Hilbert symbols over the support places: 2, the real place
     and every odd prime of a numerator or denominator. Symbols are +1
-    outside the support, so the finite product is the full one. Each
-    integer is factored once per call and each place built once: a
-    sample's support is a set of int primes."""
+    outside the support, so the finite product is the full one.
+
+    The support comes from a table of odd prime divisors sieved once per
+    call up to SAMPLE_HEIGHT, which shares no code with exact.factorize,
+    and each place is built once. A symbol gets a = n/d as the integer
+    n*d, of the same square class."""
     rng = random.Random(seed)
+    divisors = _odd_prime_divisors(SAMPLE_HEIGHT)
     places: dict[int, Place] = {}
-    odd_primes: dict[int, tuple[int, ...]] = {}
     fails = 0
     for _ in range(samples):
-        a = _random_rational(rng)
-        b = _random_rational(rng)
-        support = {2}
-        for n in (a.numerator, a.denominator, b.numerator, b.denominator):
-            n = abs(n)
-            primes = odd_primes.get(n)
-            if primes is None:
-                primes = odd_primes[n] = tuple(p for p in factorize(n) if p != 2)
-            support.update(primes)
+        an, ad = _random_terms(rng)
+        bn, bd = _random_terms(rng)
+        support = {2, *divisors[abs(an)], *divisors[ad], *divisors[abs(bn)], *divisors[bd]}
+        a, b = an * ad, bn * bd
         prod = hilbert_symbol(a, b, REAL_PLACE)
         for p in support:
             v = places.get(p)
@@ -353,10 +369,29 @@ def reciprocity_failures(samples: int, seed: int = 0) -> int:
     return fails
 
 
+def _odd_prime_divisors(height: int) -> list[tuple[int, ...]]:
+    """out[n] is the ascending tuple of the odd primes dividing n, for
+    1 <= n <= height, by a sieve: an odd n that no smaller odd prime has
+    reached is prime."""
+    out: list[tuple[int, ...]] = [()] * (height + 1)
+    for p in range(3, height + 1, 2):
+        if not out[p]:
+            for n in range(p, height + 1, p):
+                out[n] += (p,)
+    return out
+
+
+def _random_terms(rng: random.Random) -> tuple[int, int]:
+    """Numerator and positive denominator, in lowest terms, of a random
+    nonzero rational of height at most SAMPLE_HEIGHT."""
+    num = rng.randint(1, SAMPLE_HEIGHT) * rng.choice((1, -1))
+    den = rng.randint(1, SAMPLE_HEIGHT)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def _random_rational(rng: random.Random) -> Rational:
-    num = rng.randint(1, 10**4) * rng.choice((1, -1))
-    den = rng.randint(1, 10**4)
-    return Fraction(num, den)
+    return Fraction(*_random_terms(rng))
 
 
 class UnitSubgroup2n(Frozen):

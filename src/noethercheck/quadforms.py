@@ -5,8 +5,8 @@ The scan counts Q as d = 1. A rational form of dim >= 3 can fail to be
 isotropic over k = Q(sqrt d) only at a place of Q that splits in k, one
 where d is a square in Q_v (the real place included), so it asks
 localfields.local_isotropic at each candidate place of f where
-is_local_square(d, v) holds. No isotropic vectors are ever searched for
-here.
+is_local_square(d, v) holds; over Q every place splits, and the test is
+skipped. No isotropic vectors are ever searched for here.
 """
 
 from __future__ import annotations
@@ -51,8 +51,11 @@ def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:
         return False
     if n == 2:
         return is_square(-f.coeffs[0] * f.coeffs[1], k)
-    d = 1 if k.is_rational else k.d
-    return all(local_isotropic(f, v) for v in candidate_places(f) if is_local_square(d, v))
+    places = candidate_places(f)
+    if k.is_rational:  # every place splits over Q
+        return all(local_isotropic(f, v) for v in places)
+    d = k.d
+    return all(local_isotropic(f, v) for v in places if is_local_square(d, v))
 
 
 def isotropic_Q(f: DiagonalForm) -> bool:

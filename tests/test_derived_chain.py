@@ -218,3 +218,19 @@ def test_quotient_chains_grow_past_the_derived_bound():
         assert groups._abelian_index(pg) == index, name
         assert group_facts(pg).abelian_invariants == invariants, name
         assert oracles.abelian_invariants_by_quotient(oracles.build_group(pg)) == invariants, name
+
+
+def test_disjoint_transpositions_have_independent_signs():
+    # n disjoint transpositions given as n generators: each sign is its own
+    # bit, and the basis reaches rank n
+    for n in (1, 2, 7, 64, 300):
+        gens = []
+        for i in range(n):
+            g = list(range(2 * n))
+            g[2 * i], g[2 * i + 1] = 2 * i + 1, 2 * i
+            gens.append(tuple(g))
+        assert groups._abelian_index(PermGens(2 * n, tuple(gens))) == 2**n, n
+    # a sign whose leading bit is taken is reduced, not dropped, and a
+    # dependent one adds no rank
+    pg = PermGens.from_cycles("(1 2)(5 6)", "(3 4)(5 6)", "(1 2)", "(1 2)(3 4)(5 6)")
+    assert groups._abelian_index(pg) == 8

@@ -124,6 +124,26 @@ def test_hilbert_symbol_laws(a, b, c):
             assert hilbert_symbol(a, 1 - a, v) == 1, (a, v)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10**6).flatmap(lambda n: st.sampled_from((n, -n))),
+    st.integers(1, 10**6),
+    _RATIONALS,
+    st.integers(1, 10**3),
+    st.integers(1, 10**3),
+)
+def test_hilbert_symbol_reads_the_integer_class(n, d, b, s, t):
+    # n/d stands as the integer n*d, whether or not n/d is in lowest
+    # terms, and a square factor (s/t)**2 changes no symbol
+    a = Fraction(n, d)
+    scaled = a * Fraction(s, t) ** 2
+    for v in _support_places(Fraction(n * d), b, scaled):
+        want = hilbert_symbol(n * d, b, v)
+        assert hilbert_symbol(a, b, v) == want, (a, b, v)
+        assert hilbert_symbol(scaled, b, v) == want, (scaled, b, v)
+        assert hilbert_symbol(b, scaled, v) == want, (b, scaled, v)
+
+
 def test_symbols_at_a_place_skip_the_primality_check(monkeypatch):
     # a Place has proved its prime, so neither hilbert_symbol nor
     # is_local_square may test it again or go through legendre_symbol
@@ -259,3 +279,21 @@ def test_hilbert_symbol_input_types_agree():
                 for x in variants(a):
                     for y in variants(b):
                         assert hilbert_symbol(x, y, v) == want, (x, y, v)
+
+
+def test_local_answers_ignore_a_square_with_p_in_its_denominator():
+    # the oracle-agreement test above covers integer coefficients; scaling
+    # each coefficient by its own (s/t)**2 with p | t puts p into the
+    # denominators and must change no local answer at p
+    rng = random.Random(19)
+    places = [Place(p) for p in (2, 3, 5, 7)] + [REAL_PLACE]
+    for f in grid_forms():
+        for v in places:
+            q = v.p or rng.randint(2, 30)
+            g = DiagonalForm(
+                tuple(c * Fraction(rng.randint(1, 50), q * rng.randint(1, 9)) ** 2 for c in f.coeffs)
+            )
+            assert local_isotropic(g, v) == local_isotropic(f, v), (g, v)
+            assert hasse_invariant(g, v) == hasse_invariant(f, v), (g, v)
+            squares = [is_local_square(c, v) for c in f.coeffs]
+            assert [is_local_square(c, v) for c in g.coeffs] == squares, (g, v)

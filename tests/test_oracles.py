@@ -147,6 +147,24 @@ def test_reciprocity_failures_catches_a_wrong_place(monkeypatch, bad, seed):
     assert reciprocity_failures(2000, seed) == 0
 
 
+def test_draws_are_the_stream_of_plain_fractions():
+    # the integer draws are the rationals Fraction(num, den) of the same
+    # three rng calls, in lowest terms
+    rng, old = random.Random(5), random.Random(5)
+    for _ in range(2000):
+        want = Fraction(old.randint(1, 10**4) * old.choice((1, -1)), old.randint(1, 10**4))
+        num, den = oracles._random_terms(rng)
+        assert (num, den) == (want.numerator, want.denominator)
+
+
+def test_odd_prime_divisor_table_matches_trial_division():
+    table = oracles._odd_prime_divisors(oracles.SAMPLE_HEIGHT)
+    assert len(table) == oracles.SAMPLE_HEIGHT + 1
+    for n in range(1, oracles.SAMPLE_HEIGHT + 1):
+        want = tuple(p for p in oracles.factorize_by_trial_division(n) if p != 2)
+        assert table[n] == want, n
+
+
 def _residues(mask):
     return [r for r in range(mask.bit_length()) if mask >> r & 1]
 
@@ -189,6 +207,15 @@ def test_orbit_sumset_matches_set_sumset(p, pairs):
         for prim in (True, False):
             want = _set_pair_mask(o, c1, c2, prim)
             assert o._pair_mask(c1, c2, prim) == want, (c1, c2, prim)
+
+
+@pytest.mark.parametrize("prim", (True, False))
+def test_orbit_masks_match_enumeration_at_7(prim):
+    o = LocalZeroOracle(7)
+    m = o.m
+    for c in GRID_COEFFS:
+        values = {c * x * x % m for x in range(m) if not prim or x % 7}
+        assert set(_residues(o._single_mask(c, prim))) == values, (c, prim)
 
 
 def test_orbit_count_and_rotations():
