@@ -5,9 +5,9 @@ The verdict reads one GroupFacts record per spec: the order, the abelian
 invariants, the 2-part of the order and whether the 2-Sylow subgroup is
 Q16. A metacyclic presentation gives them from its parameters without
 enumerating the group: the invariants are (h*b/d, d) without 1s, for
-h = gcd(a, r - 1) and d = gcd(h, c, b), and only when the 2-part is 16 are
-the 16 elements of a 2-Sylow subgroup, known in closed form, listed and
-tested. A permutation spec with one generator is the cyclic presentation
+h = gcd(a, r - 1) and d = gcd(h, c, b), and so is the Q16 answer, which
+needs the 2-part 16 and then a 2-part 8 of a and two congruences on c and
+r. A permutation spec with one generator is the cyclic presentation
 of the lcm of its cycle lengths. Any other permutation spec is answered
 from a deterministic Schreier-Sims stabilizer chain: the order is the
 product of its orbit lengths, and the invariants come from a chain for the
@@ -165,53 +165,6 @@ class Catalog(Frozen):
 
 
 GroupSpec = PermGens | Metacyclic | Catalog
-
-
-def _q16_search(elements, mult, identity, roots=None) -> bool:
-    """Is a 2-Sylow subgroup of the group Q16, given that the 2-part of its
-    order is 16? elements lists the group, or for a permutation group the
-    image that the orbit rule of _perm_facts picks, and mult composes two
-    of them. roots(c), if given, yields every b with b**2 = c and maybe
-    more for the second pass; without it, elements must restart.
-
-    It is iff, for any one element a of order 8, some b has b**2 = a**4 and
-    b*a*b**-1 = a**-1. Every cyclic subgroup of order 8 lies in a Sylow
-    subgroup, and Q16 has exactly one, so in a Q16 the pair exists for
-    every such a. Conversely such a pair generates a Q16, of order 16, so a
-    Sylow subgroup. The first pass finds a, the second looks for b; b**2 =
-    a**4 gives b order 4 and b**-1 = b*a**4, and no b in <a> conjugates a
-    to a**-1, which has order 8."""
-    for a in elements:
-        a2 = mult(a, a)
-        a4 = mult(a2, a2)
-        if a4 != identity and mult(a4, a4) == identity:
-            break
-    else:
-        return False
-    a_inv = mult(mult(a4, a2), a)
-    for b in elements if roots is None else roots(a4):
-        if mult(b, b) == a4 and mult(mult(b, a), mult(b, a4)) == a_inv:
-            return True
-    return False
-
-
-def _metacyclic_compose(m: Metacyclic):
-    """The product of elements s**i t**j of m, stored as pairs (i, j) with
-    0 <= i < a and 0 <= j < b. It computes r**j mod a with pow, so no list
-    of length b is built."""
-    a, b, c, r = m.a, m.b, m.c, m.r
-
-    def compose(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        # s**i1 t**j1 s**i2 t**j2 = s**(i1 + i2*r**j1) t**(j1 + j2), and a
-        # wrapped t**b turns into a central-in-<s> factor s**c
-        i = (x[0] + y[0] * pow(r, x[1], a)) % a
-        j = x[1] + y[1]
-        if j >= b:
-            j -= b
-            i = (i + c) % a
-        return (i, j)
-
-    return compose
 
 
 def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -607,13 +560,17 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     divisors are d = gcd(h, c, b), of the entries, and h*b, of the one
     2 x 2 minor: the invariant factors are h*b/d and d.
 
-    A 2-Sylow subgroup P is the product of <s'>, for s' = s**(a/a_2), the
-    2-Sylow subgroup of the normal subgroup <s>, and <u>, for u = t'**o'.
-    Here t' = t**(b/b_2) has order b_2 * a/gcd(a, c), since its b_2-th
-    power is t**b = s**c, and o' is the odd part of that order; the image
-    of u then generates the 2-part of G/<s> = C_b, so u**j for j < b_2 lie
-    in distinct cosets of <s>. Those 16 elements s'**i u**j are listed only
-    when the 2-part of the order is 16.
+    Only when the 2-part of the order is 16 can a 2-Sylow subgroup P be
+    Q16, and then the answer too is read off the parameters. Write a_2 and
+    b_2 for the 2-parts of a and b, o for the odd part of a/gcd(a, c), the
+    order of t**b = s**c, and k = (b/b_2)*o. Then u = t**k has 2-power
+    order and its image generates the 2-part of G/<s> = C_b, so u and
+    s' = s**(a/a_2) generate P: <s'>, the 2-Sylow subgroup of the normal
+    <s>, is cyclic and normal of order a_2, and P/<s'> is cyclic of order
+    b_2. The only normal cyclic subgroup of Q16 with a cyclic quotient is
+    its C8, so P is Q16 only if a_2 = 8 and b_2 = 2, and then iff u, which
+    lies outside <s'>, inverts s' and u**2 = s'**4: iff r**k = -1 (mod 8)
+    and, as u**2 = t**(b*o) = s**(c*o), c*o = a/2 (mod a).
     """
     a, b, c, r = m.a, m.b, m.c, m.r
     order = a * b
@@ -622,20 +579,10 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     invariants = tuple(n for n in (h * b // d, d) if n > 1)
     two_part = order & -order
     q16 = False
-    if two_part == 16:
-        a2, b2 = a & -a, b & -b
-        t_order = b2 * (a // gcd(a, c))
-        # u = t**k for k = (b/b_2) * o', and t**k = (s**c)**(k // b)
-        # t**(k % b) because s**c is central
-        k = b // b2 * (t_order // (t_order & -t_order))
-        u = (c * (k // b) % a, k % b)
-        mult = _metacyclic_compose(m)
-        u_powers = [(0, 0)]
-        for _ in range(b2 - 1):
-            u_powers.append(mult(u_powers[-1], u))
-        sylow = [mult((i * (a // a2), 0), y) for i in range(a2) for y in u_powers]
-        assert len(set(sylow)) == 16
-        q16 = _q16_search(sylow, mult, (0, 0))
+    if two_part == 16 and a & -a == 8:  # and so b_2 = 2
+        o = a // gcd(a, c)
+        o //= o & -o
+        q16 = pow(r, b // 2 * o, 8) == 7 and c * o % a == a // 2
     return GroupFacts(order, invariants, two_part, q16)
 
 
@@ -804,6 +751,36 @@ def _sylow2_image(pg: PermGens, G: _StabilizerChain) -> _StabilizerChain | None:
     return None
 
 
+def _q16_search(H: _StabilizerChain) -> bool:
+    """Is a 2-Sylow subgroup of the group of the complete chain H Q16,
+    given that the 2-part of its order is 16? H is the image of a
+    permutation group that the orbit rule of _perm_facts picks.
+
+    It is iff, for any one element a of order 8, some b has b**2 = a**4 and
+    b*a*b**-1 = a**-1. Every cyclic subgroup of order 8 lies in a Sylow
+    subgroup, and Q16 has exactly one, so in a Q16 the pair exists for
+    every such a. Conversely such a pair generates a Q16, of order 16, so a
+    Sylow subgroup. The first walk finds a; the second, which keeps every
+    square root of a**4, looks for b. b**2 = a**4 gives b order 4 and
+    b**-1 = b*a**4, and no b in <a> conjugates a to a**-1, which has order
+    8."""
+    identity = H.identity
+    for a in H.walk():
+        a2 = _perm_compose(a, a)
+        a4 = _perm_compose(a2, a2)
+        if a4 != identity and _perm_compose(a4, a4) == identity:
+            break
+    else:
+        return False
+    a_inv = _perm_compose(_perm_compose(a4, a2), a)
+    for b in H.walk(a4):
+        if _perm_compose(b, b) == a4 and (
+            _perm_compose(_perm_compose(b, a), _perm_compose(b, a4)) == a_inv
+        ):
+            return True
+    return False
+
+
 def _perm_facts(pg: PermGens) -> GroupFacts:
     """The facts of a permutation group from a stabilizer chain, with no
     element of G listed.
@@ -836,7 +813,7 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
             f"above closure cap {CLOSURE_CAP}"
         )
     H = _sylow2_image(pg, G) if two_part == 16 else None
-    q16 = H is not None and _q16_search(H.walk(), _perm_compose, H.identity, H.walk)
+    q16 = H is not None and _q16_search(H)
     # the primes of |G| are those of its orbit lengths, all at most degree
     primes = sorted({p for lev in G.levels for p in factorize(len(lev.orbit))})
     del G

@@ -372,15 +372,13 @@ def test_sylow_work_only_when_two_part_is_16(monkeypatch):
     monkeypatch.setattr(
         oracles.FiniteGroupTable, "mult", counted("mult", oracles.FiniteGroupTable.mult)
     )
-    # metacyclic specs answer from the presentation: nothing is enumerated,
-    # and the Q16 search runs only when the 2-part is 16, on the 16 listed
-    # elements of a 2-Sylow subgroup
+    # metacyclic specs answer from the presentation, Q16 included: nothing
+    # is enumerated or searched, whatever the 2-part
     for spec, two_part in ((Metacyclic(4096, 1, 0, 1), 4096), (Metacyclic(3, 2048, 0, 2), 2048)):
         assert verdict(spec).sylow_order == two_part
-    assert calls["_q16_search"] == 0
-    # dicyclic of order 48: 2-part 16, so the Q16 search runs once
+    # dicyclic of order 48: 2-part 16, and Q16 is read off the parameters
     assert verdict(Metacyclic(24, 2, 12, 23)).sylow_is_q16
-    assert calls["_q16_search"] == 1
+    assert calls["_q16_search"] == 0
     assert calls["two_sylow"] == calls["is_generalized_quaternion16"] == 0
     assert calls["cyclotomic_galois"] == calls["mult"] == 0 and closed == []
     verdict(Catalog("SL2_9"))

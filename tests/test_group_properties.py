@@ -65,7 +65,7 @@ def metacyclic_specs(draw):
 @st.composite
 def metacyclic_specs_two_part_16(draw):
     """Metacyclic specs of order at most 2000, three in four of them with
-    2-part 16, the only case that closes a 2-Sylow subgroup."""
+    2-part 16, the only case that can be Q16."""
     if draw(st.integers(0, 3)) == 0:
         return draw(metacyclic_specs())
     e = draw(st.integers(0, 4))
@@ -83,7 +83,7 @@ def metacyclic_specs_two_part_16(draw):
 def _table_facts(spec):
     # the invariants from the closure's relators, not the ones the table
     # carries from group_facts, and the Q16 answer from a 2-Sylow subgroup
-    # of the closure, not from the element-of-order-8 search
+    # of the closure, not from the rule on the parameters or the walk
     G = build_group(spec)
     q16 = G.sylow2_order == 16 and is_generalized_quaternion16(two_sylow(G))
     return GroupFacts(G.order, abelian_invariants_by_relators(G), G.sylow2_order, q16)

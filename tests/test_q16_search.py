@@ -1,8 +1,8 @@
 """The Q16 test of the group facts against the 2-Sylow route.
 
-group_facts decides whether a 2-Sylow subgroup is Q16 from one element a
-of order 8 and a search for b with b^2 = a^4 and b a b^-1 = a^-1, over the
-16 listed elements of a metacyclic Sylow subgroup or a walk of a
+group_facts reads the answer for a metacyclic presentation off its
+parameters. For a permutation group it decides from one element a of order
+8 and a search for b with b^2 = a^4 and b a b^-1 = a^-1, over a walk of a
 stabilizer chain. A permutation group is walked on one orbit only: the
 first of 16 or more points on which it keeps the 2-part 16, and none when
 no orbit qualifies. The reference here closes G into a table, finds a
@@ -12,15 +12,17 @@ is_generalized_quaternion16, which share none of that code.
 
 import random
 from itertools import combinations
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noethercheck import groups, oracles
 from noethercheck.galois import verdict
-from noethercheck.groups import Catalog, Metacyclic, PermGens, group_facts
+from noethercheck.groups import METACYCLIC_CAP, Catalog, Metacyclic, PermGens, group_facts
 from noethercheck.oracles import (
     FiniteGroupTable,
+    Subgroup,
     build_group,
     catalog_group,
     is_generalized_quaternion16,
@@ -94,6 +96,105 @@ def test_symmetric_and_special_linear_groups():
         facts = group_facts(spec)
         assert facts.sylow2_order == 16, name
         assert facts.sylow2_is_q16 == _by_sylow(build_group(spec)) == name.startswith("SL2"), name
+
+
+def test_metacyclic_rule_on_every_small_presentation():
+    # every valid presentation with 2-part 16 and a*b <= 144
+    count = q16 = 0
+    for a in range(1, 145):
+        for b in range(1, 144 // a + 1):
+            if a * b & -(a * b) != 16:
+                continue
+            for r in (r for r in range(a) if gcd(r, a) == 1 and pow(r, b, a) == 1 % a):
+                for c in (c for c in range(a) if c * (r - 1) % a == 0):
+                    spec = Metacyclic(a, b, c, r)
+                    expected = _by_sylow(build_group(spec))
+                    assert group_facts(spec).sylow2_is_q16 == expected, spec
+                    count += 1
+                    q16 += expected
+    assert (count, q16) == (1455, 37)
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 101, 257, 65537, 999983, 1000003)
+
+
+@st.composite
+def large_presentations_two_part_16(draw):
+    """Valid presentations with 2-part 16 and a*b up to METACYCLIC_CAP. a
+    is a_2 times a few odd prime powers q, and r is put together by the
+    Chinese remainder theorem from a unit of order dividing b modulo each
+    factor: one of those listed modulo a_2, and modulo q, whose unit group
+    is cyclic of order phi, -1 when b is even or a power x**(phi/gcd(phi,
+    b)). c is a multiple of a/gcd(a, r - 1). a_2 = 8, r = -1 modulo a_2 and
+    c = a/2, drawn often, give most of the Q16 cases."""
+    a2 = draw(st.sampled_from([1, 2, 4, 8, 8, 8, 16]))
+    b2 = 16 // a2
+    a, parts = a2, []
+    for p in draw(st.lists(st.sampled_from(ODD_PRIMES), max_size=3, unique=True)):
+        q = p ** draw(st.integers(1, 3))
+        if a * q * b2 <= METACYCLIC_CAP:
+            a *= q
+            parts.append((p, q))
+    b = b2 * (2 * draw(st.integers(0, (METACYCLIC_CAP // (a * b2) - 1) // 2)) + 1)
+    units = [x for x in range(a2) if x % 2 and pow(x, b, a2) == 1 % a2] or [0]
+    r = units[-1] if draw(st.booleans()) else draw(st.sampled_from(units))
+    m = a2
+    for p, q in parts:
+        if b % 2 == 0 and draw(st.booleans()):
+            rq = q - 1
+        else:
+            x = draw(st.integers(1, q - 1))
+            if x % p == 0:
+                x += 1
+            phi = q // p * (p - 1)
+            rq = pow(x, phi // gcd(phi, b), q)
+        r += m * ((rq - r) * pow(m, -1, q) % q)
+        m *= q
+    step = a // gcd(a, r - 1)
+    if a % 2 == 0 and a // 2 % step == 0 and draw(st.booleans()):
+        c = a // 2
+    else:
+        c = step * draw(st.integers(0, a // step - 1))
+    return Metacyclic(a, b, c, r)
+
+
+def _power(compose, x, k):
+    out = (0, 0)
+    while k:
+        if k & 1:
+            out = compose(out, x)
+        x = compose(x, x)
+        k >>= 1
+    return out
+
+
+def _sylow_closure_is_q16(m):
+    """The 16-element closure of s**(a/a_2) and t**k, for k = (b/b_2) times
+    the odd part of a/gcd(a, c), recognized by is_generalized_quaternion16:
+    a subgroup of order 16, so a 2-Sylow subgroup."""
+    a, b, c = m.a, m.b, m.c
+    compose = oracles._metacyclic_compose(m)
+    o = a // gcd(a, c)
+    k = b // (b & -b) * (o // (o & -o))
+    gens = [(a // (a & -a) % a, 0), _power(compose, (0, 1 % b), k)]
+    P = FiniteGroupTable.from_generators((0, 0), gens, compose, 16, "P")
+    assert P.order == 16, m
+    return is_generalized_quaternion16(Subgroup(P, frozenset(range(16))))
+
+
+def test_metacyclic_rule_up_to_the_cap():
+    seen = {True: 0, False: 0}
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(large_presentations_two_part_16())
+    def check(spec):
+        facts = group_facts(spec)
+        assert facts.sylow2_order == 16
+        assert facts.sylow2_is_q16 == _sylow_closure_is_q16(spec), spec
+        seen[facts.sylow2_is_q16] += 1
+
+    check()
+    assert seen[True] >= 20 and seen[False] >= 100, seen
 
 
 @st.composite

@@ -7,7 +7,8 @@ math.nan.
 And galois, which decides both criteria in closed form, imports nothing
 from the package beyond exact and groups, while quadforms takes its local
 criteria whole from localfields and imports none of the symbols they are
-built from. groups holds no lattice reduction and no table, and never
+built from. groups holds no lattice reduction, no table and no product of
+metacyclic elements, so it composes permutations only, and it never
 imports oracles at module level; oracles, which holds the tables and checks
 groups, takes none of its fact code, and serves groups the four reference
 names that callers still read there. sympy may be installed, as a test
@@ -149,7 +150,7 @@ FACT_CODE = {
 }
 TABLE_CODE = {
     "_enumerate", "FiniteGroupTable", "Subgroup", "two_sylow", "is_generalized_quaternion16",
-    "_build_table", "build_group", "catalog_group",
+    "_build_table", "build_group", "catalog_group", "_metacyclic_compose",
 }
 
 
