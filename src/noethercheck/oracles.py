@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import random
 from array import array
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from .exact import FieldDescriptor, Frozen, Rational, factorize
+from .exact import FieldDescriptor, Frozen, factorize
 from .groups import (
     CLOSURE_CAP,
     Catalog,
@@ -54,11 +53,15 @@ GRID_COEFFS = (1, -1, 2, -2, 3, -3, 5, -5, 7, -7)
 
 
 def grid_forms() -> list[DiagonalForm]:
-    out = []
+    return [f for f, _ in _grid()]
+
+
+def _grid():
+    """Each grid form once, dim 1 first, as (form, integer coefficients):
+    the form for the code under test, the ints for the checks."""
     for dim in range(1, 5):
         for combo in combinations_with_replacement(GRID_COEFFS, dim):
-            out.append(DiagonalForm.of(*combo))
-    return out
+            yield DiagonalForm(combo), combo
 
 
 class LocalZeroOracle:
@@ -77,12 +80,12 @@ class LocalZeroOracle:
     Every value mask here, primitive or not, is closed under multiplication
     by the unit squares U**2 of Z/m: c*(u*x)**2 = u**2 * c*x**2, and
     x -> u*x keeps p from dividing x. So every mask is a union of
-    U**2-orbits (11 for odd p, 16 for m = 32), and the orbits are the only
-    residues ever enumerated: _single_mask(c, True) is the orbit of c, and
-    _single_mask(c, False) the union of the orbits of c*p**(2k) for
-    p**(2k) < m, plus 0. A sum of two such sets is again a union of orbits,
-    so _sumset decides membership once per orbit instead of once per
-    residue.
+    U**2-orbits (11 for odd p, 16 for m = 32): _single_mask(c, True) is the
+    orbit of c, and _single_mask(c, False) the union of the orbits of
+    c*p**(2k) for p**(2k) < m, plus 0. A sum of two such sets is again a
+    union of orbits, so _sumset decides membership once per orbit instead
+    of once per residue. For odd p the orbits have a closed form (see
+    _orbits), so the only residues ever enumerated are the 16 at m = 32.
     """
 
     def __init__(self, p: int):
@@ -114,25 +117,45 @@ class LocalZeroOracle:
         return out
 
     def _orbits(self) -> list[tuple[int, int]]:
-        """(representative, orbit mask) for each U**2-orbit of Z/m, the
-        representative being the least residue of its orbit. These are the
-        only residues enumerated: every value mask is a union of them."""
+        """(representative, orbit mask) for each U**2-orbit of Z/m, sorted
+        by representative, the least residue of its orbit. Every value mask
+        is a union of them.
+
+        For odd p, the orbit of 0 is {0}, and a nonzero residue is p**k * u
+        with k < 5 and p not dividing u. Its orbit is p**k times the classes
+        u * s mod p**(5-k), s in U**2, and by Hensel's lemma (2x is a unit,
+        so a simple root of x**2 - u mod p lifts) a unit mod p**j is a
+        square iff it is one mod p. So the orbit is every p**k * j whose
+        j mod p lies in the quadratic class of u mod p: a pattern of p
+        slots spaced by p**k, repeated every p**(k+1) by multiplying with a
+        repunit. The residues come from the squares x*x mod p alone. At
+        m = 32, where the unit squares are the residues 1 mod 8, the orbits
+        are enumerated."""
         out = self._orbit_list
         if out is None:
             m, p = self.m, self.p
             out = []
-            rest = self._full
-            while rest:
-                t = (rest & -rest).bit_length() - 1
-                # digit m-1-r of the binary string is bit r; x and m - x
-                # give the same value, so x <= m/2 suffices
-                digits, one = bytearray(b"0") * m, ord("1")
-                for x in range(1, m // 2 + 1):
-                    if x % p:
-                        digits[m - 1 - t * x * x % m] = one
-                orbit = int(digits, 2)
-                out.append((t, orbit))
-                rest &= ~orbit
+            if p == 2:
+                rest = self._full
+                while rest:
+                    t = (rest & -rest).bit_length() - 1
+                    orbit = 0
+                    for x in range(1, m, 2):
+                        orbit |= 1 << (t * x * x % m)
+                    out.append((t, orbit))
+                    rest &= ~orbit
+            else:
+                squares = {x * x % p for x in range(1, p)}
+                classes = (sorted(squares), sorted(set(range(1, p)) - squares))
+                out.append((0, 1))
+                q = 1
+                while q < m:
+                    repunit = self._full // ((1 << (q * p)) - 1)
+                    for cls in classes:
+                        pattern = sum(1 << (q * j) for j in cls)
+                        out.append((q * cls[0], pattern * repunit))
+                    q *= p
+                out.sort()
             self._orbit_list = out
         return out
 
@@ -182,11 +205,12 @@ class LocalZeroOracle:
         return out
 
     def has_primitive_zero(self, form: DiagonalForm) -> bool:
-        cs = []
-        for c in form.coeffs:
-            if c.denominator != 1:
-                raise ValueError("the modular oracle needs integer coefficients")
-            cs.append(int(c))
+        if any(c.denominator != 1 for c in form.coeffs):
+            raise ValueError("the modular oracle needs integer coefficients")
+        return self._primitive_zero(tuple(c.numerator for c in form.coeffs))
+
+    def _primitive_zero(self, cs: tuple[int, ...]) -> bool:
+        """has_primitive_zero on the integer coefficients cs."""
         n = len(cs)
         if n == 1:
             return bool(self._single_mask(cs[0], True) & 1)
@@ -238,7 +262,13 @@ def isotropy_witness(form: DiagonalForm, height: int) -> tuple[int, ...] | None:
     entries up to height, while a form with a small zero never pays for
     the tables of the full height."""
     scale = lcm(*(c.denominator for c in form.coeffs))
-    cs = tuple(int(c * scale) for c in form.coeffs)
+    return _integer_witness(
+        tuple(c.numerator * (scale // c.denominator) for c in form.coeffs), height
+    )
+
+
+def _integer_witness(cs: tuple[int, ...], height: int) -> tuple[int, ...] | None:
+    """isotropy_witness for the form with integer coefficients cs."""
     h = 1
     while h < height:
         found = _witness_at(cs, h)
@@ -260,14 +290,14 @@ def _witness_at(cs: tuple[int, ...], height: int) -> tuple[int, ...] | None:
     return None
 
 
-def _has_local_obstruction(f: DiagonalForm) -> bool:
-    """Is there a visible local reason for f to be anisotropic: definiteness,
-    or a prime in {2, 3, 5, 7} where the modular oracle finds no primitive
-    zero? Sound for grid forms, whose bad primes all lie in that set."""
-    pos, neg = f.signature()
-    if pos == 0 or neg == 0:
+def _has_local_obstruction(cs: tuple[int, ...]) -> bool:
+    """Is there a visible local reason for the form with integer
+    coefficients cs to be anisotropic: definiteness, or a prime in
+    {2, 3, 5, 7} where the modular oracle finds no primitive zero? Sound
+    for grid forms, whose bad primes all lie in that set."""
+    if all(c > 0 for c in cs) or all(c < 0 for c in cs):
         return True
-    return any(not local_oracle(p).has_primitive_zero(f) for p in (2, 3, 5, 7))
+    return any(not local_oracle(p)._primitive_zero(cs) for p in (2, 3, 5, 7))
 
 
 def isotropy_grid_check(height: int = 60) -> int:
@@ -275,18 +305,20 @@ def isotropy_grid_check(height: int = 60) -> int:
     claimed isotropic must yield an explicit verified integer zero, and
     every form claimed anisotropic must show a local obstruction the oracle
     can see. Returns the number of forms checked; the first disagreement
-    raises AssertionError, explicitly, so the check also runs under -O."""
+    raises AssertionError, explicitly, so the check also runs under -O.
+    isotropic_Q gets the form; the witness search, the witness check and
+    the local obstruction get its integer coefficients."""
     checked = 0
-    for f in grid_forms():
+    for f, cs in _grid():
         if isotropic_Q(f):
-            w = isotropy_witness(f, height)
+            w = _integer_witness(cs, height)
             if w is None:
                 raise AssertionError(f"no integer zero up to {height} for {f}")
             if not any(w):
                 raise AssertionError(f"degenerate witness for {f}")
-            if sum(c * x * x for c, x in zip(f.coeffs, w)) != 0:
+            if sum(c * x * x for c, x in zip(cs, w)) != 0:
                 raise AssertionError(f"witness {w} fails for {f}")
-        elif not _has_local_obstruction(f):
+        elif not _has_local_obstruction(cs):
             raise AssertionError(f"no local obstruction for {f}")
         checked += 1
     return checked
@@ -318,20 +350,23 @@ def factorize_by_trial_division(n: int) -> dict[int, int]:
 
 
 def three_squares_sieve(bound: int) -> bytearray:
-    """out[n] is 1 iff n is a sum of three integer squares, for n <= bound,
-    by plain enumeration."""
-    out = bytearray(bound + 1)
-    x = 0
-    while x * x <= bound:
-        y = x
-        while x * x + y * y <= bound:
-            z = y
-            while (s := x * x + y * y + z * z) <= bound:
-                out[s] = 1
-                z += 1
-            y += 1
-        x += 1
-    return out
+    """out[n] is 1 iff n is a sum of three integer squares, for n <= bound.
+    Sums are bitmasks over 0..bound, bit n standing for n, and adding a
+    square s to every member is a shift left by s. Starting from {0}, three
+    rounds of the sumset with the squares up to bound, each the OR of the
+    shifts by every square cut to the bound, enumerate every sum of three
+    squares, and nothing else."""
+    full = (1 << (bound + 1)) - 1
+    squares = [x * x for x in range(isqrt(bound) + 1)]
+    sums = 1
+    for _ in range(3):
+        total = 0
+        for s in squares:
+            total |= sums << s
+        sums = total & full
+    # bit n of sums is character n of the reversed binary string
+    digits = format(sums, f"0{bound + 1}b")[::-1].encode()
+    return bytearray(digits.translate(bytes.maketrans(b"01", b"\x00\x01")))
 
 
 # The numerators and denominators reciprocity_failures draws are at most
@@ -388,10 +423,6 @@ def _random_terms(rng: random.Random) -> tuple[int, int]:
     den = rng.randint(1, SAMPLE_HEIGHT)
     g = gcd(num, den)
     return num // g, den // g
-
-
-def _random_rational(rng: random.Random) -> Rational:
-    return Fraction(*_random_terms(rng))
 
 
 class UnitSubgroup2n(Frozen):

@@ -117,6 +117,52 @@ def test_three_squares_sieve():
         assert bool(sieve[n]) == three_squares_nat(n)
 
 
+def _three_squares_by_enumeration(bound):
+    """Reference: every x**2 + y**2 + z**2 <= bound with x <= y <= z marked
+    by a triple loop."""
+    out = bytearray(bound + 1)
+    x = 0
+    while x * x <= bound:
+        y = x
+        while x * x + y * y <= bound:
+            z = y
+            while (s := x * x + y * y + z * z) <= bound:
+                out[s] = 1
+                z += 1
+            y += 1
+        x += 1
+    return out
+
+
+def test_shift_sieve_matches_the_triple_loop():
+    for n in [*range(301), 10**4]:
+        sieve = three_squares_sieve(n)
+        assert type(sieve) is bytearray and len(sieve) == n + 1, n
+        assert sieve == _three_squares_by_enumeration(n), n
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("isotropic_Q", lambda f: True, "no integer zero up to 60 for <1>"),
+        ("_integer_witness", lambda cs, h: (1,) * len(cs), "witness (1, 1, 1) fails for <1,1,-1>"),
+        ("_integer_witness", lambda cs, h: (0,) * len(cs), "degenerate witness for <1,-1>"),
+    ],
+    ids=("isotropic-lie", "wrong-witness", "zero-witness"),
+)
+def test_isotropy_grid_check_catches_a_false_isotropic_claim(monkeypatch, name, fake, message):
+    # a form wrongly called isotropic, or a witness that is no zero, must
+    # fail the check with the form named
+    monkeypatch.setattr(oracles, name, fake)
+    with pytest.raises(AssertionError) as exc:
+        isotropy_grid_check(60)
+    assert str(exc.value) == message
+
+
+def _random_rational(rng):
+    return Fraction(*oracles._random_terms(rng))
+
+
 def test_reciprocity_failures():
     assert reciprocity_failures(200) == 0
     assert reciprocity_failures(50, seed=7) == 0
@@ -130,7 +176,7 @@ def test_reciprocity_failures_catches_a_wrong_place(monkeypatch, bad, seed):
     rng = random.Random(seed)
     expected = 0
     for _ in range(2000):
-        a, b = oracles._random_rational(rng), oracles._random_rational(rng)
+        a, b = _random_rational(rng), _random_rational(rng)
         ns = (a.numerator, a.denominator, b.numerator, b.denominator)
         if any(bad in oracles.factorize_by_trial_division(n) for n in ns):
             expected += 1
@@ -216,6 +262,21 @@ def test_orbit_masks_match_enumeration_at_7(prim):
     for c in GRID_COEFFS:
         values = {c * x * x % m for x in range(m) if not prim or x % 7}
         assert set(_residues(o._single_mask(c, prim))) == values, (c, prim)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_orbits_match_enumeration(p):
+    # the least residue t not yet covered, with the mask of its orbit
+    # {t * x**2 mod m : p does not divide x}, in order
+    o = LocalZeroOracle(p)
+    m = o.m
+    want, covered = [], set()
+    for t in range(m):
+        if t not in covered:
+            orbit = {t * x * x % m for x in range(m) if x % p}
+            want.append((t, sum(1 << r for r in orbit)))
+            covered |= orbit
+    assert o._orbits() == want
 
 
 def test_orbit_count_and_rotations():

@@ -11,7 +11,11 @@ built from. groups holds no lattice reduction, no table and no product of
 metacyclic elements, so it composes permutations only, and it never
 imports oracles at module level; oracles, which holds the tables and checks
 groups, takes none of its fact code, and serves groups the four reference
-names that callers still read there. sympy may be installed, as a test
+names that callers still read there. Nor do the oracles of the local
+layer share its code: oracles imports no fractions, reads a Hilbert symbol
+only in the reciprocity check, never reads the three-squares rule or the
+Legendre code, and takes from localfields and quadforms only the form, the
+places, the symbol and isotropic_Q. sympy may be installed, as a test
 oracle, but the package depends on nothing outside the standard library and
 never imports it.
 Nor does it import dataclasses or typing: the records share one slotted
@@ -185,6 +189,51 @@ def test_groups_serves_four_reference_names_from_oracles():
             getattr(groups, name)
 
 
+def _from_imports(tree):
+    """Short module name -> the names the from-imports of it anywhere in
+    tree bind."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            out.setdefault(module, set()).update(a.name for a in node.names)
+    return out
+
+
+def _reads(tree, name):
+    """Nodes of tree that read name, bare or as an attribute."""
+    return [
+        n
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Attribute) and n.attr == name)
+    ]
+
+
+def test_oracles_share_no_code_with_what_they_check():
+    # the zero counting, the witness search and the sieve work on ints and
+    # bitmasks of their own; a Hilbert symbol is read only where it is the
+    # thing checked, by the product formula
+    tree = _tree(PACKAGE / "oracles.py")
+    assert "fractions" not in _top_level_imports(tree)
+    imports = _from_imports(tree)
+    assert imports["localfields"] == {"DiagonalForm", "Place", "REAL_PLACE", "hilbert_symbol"}
+    assert imports["quadforms"] == {"isotropic_Q"}
+    assert {"localfields", "quadforms"} & _imported_names(tree) == set()
+    assert not any(
+        a.name.startswith("noethercheck.")
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Import)
+        for a in n.names
+    )
+    (check,) = [
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "reciprocity_failures"
+    ]
+    assert len(_reads(tree, "hilbert_symbol")) == len(_reads(check, "hilbert_symbol")) > 0
+    for name in ("three_squares_nat", "_legendre", "legendre_symbol", "is_local_square"):
+        assert _reads(tree, name) == [], name
+
+
 def _top_level_imports(tree):
     """Top-level names of the absolute imports anywhere in tree."""
     out = set()
@@ -299,5 +348,8 @@ def test_checks_catch_what_they_claim():
     )
     assert _package_imports(tree) == {"exact", "quadforms", "oracles", "cli", "localfields"}
     assert _imported_names(tree) == {"QQ", "quadforms", "cli", "Place"}
+    assert _from_imports(tree) == {"exact": {"QQ"}, "": {"quadforms"}, "noethercheck": {"cli"},
+                                   "localfields": {"Place"}}
+    assert [n.lineno for n in _reads(ast.parse("a = b.a\na(c)\n"), "a")] == [1, 2]
     tree = ast.parse("import sympy.combinatorics\nfrom . import x\ndef f():\n    from sympy import S\n")
     assert _top_level_imports(tree) == {"sympy"}
