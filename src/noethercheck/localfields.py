@@ -22,6 +22,11 @@ rational n/d stands as the integer n*d, which differs from it by the square
 d**2. Each public function reduces each rational argument to that integer
 once, with no factoring, and works on ints from then on: the valuation
 parities, the unit parts and the signs of n/d and n*d agree.
+
+At an odd prime p a Place has already proved p prime, so a Legendre
+symbol there is Euler's criterion evaluated in place, one
+pow(x, (p - 1)/2, p) on a unit x, with no second primality test; only the
+public legendre_symbol checks its p.
 """
 
 from __future__ import annotations
@@ -107,20 +112,13 @@ class DiagonalForm(Frozen):
 
 
 def legendre_symbol(a: int, p: int) -> int:
-    """(a/p) in {-1, 0, +1} for an odd prime p."""
+    """(a/p) in {-1, 0, +1} for an odd prime p, by Euler's criterion."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    return _legendre(a, p)
-
-
-def _legendre(a: int, p: int) -> int:
-    """(a/p) by Euler's criterion, for a p already known to be an odd
-    prime: legendre_symbol has checked it, and the callers below take p
-    from a Place, which proved it on construction."""
     a %= p
     if a == 0:
         return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+    return 1 if pow(a, (p - 1) >> 1, p) == 1 else -1
 
 
 def _int_class(x: Rational | int) -> int:
@@ -142,9 +140,15 @@ def hilbert_symbol(a: Rational | int, b: Rational | int, v: Place) -> int:
     unit/valuation formulas: at odd p via Legendre symbols, at p = 2 via
     the residues mod 8 of the unit parts, at the real place by the signs.
     p is stripped from an entry only when it divides it, and at odd p two
-    entries of even valuation give +1 at once. The Place has already
-    proved p prime, so the Legendre symbols come from Euler's criterion
-    without a second primality test.
+    entries of even valuation give +1 at once. Otherwise, for a = p**alpha*u
+    and b = p**beta*w (Serre, Cours d'arithmetique III.1.2),
+
+        (a, b)_p = (-1)**(alpha*beta*eps(p)) * (u/p)**beta * (w/p)**alpha,
+
+    and since (-1/p) = (-1)**eps(p) that is the Legendre symbol of one
+    unit x: u, w or -u*w. The Place has already proved p prime, so Euler's
+    criterion is evaluated in place, as one pow(x, (p - 1)/2, p); x is
+    prime to p, so the power is 1 or p - 1, never 0.
     """
     if type(a) is not int:
         a = _int_class(a)
@@ -164,14 +168,13 @@ def hilbert_symbol(a: Rational | int, b: Rational | int, v: Place) -> int:
         b //= p
         beta ^= 1
     if p != 2:
-        if not (alpha or beta):
-            return 1
-        sign = -1 if (alpha and beta and (p - 1) // 2 % 2) else 1
-        if beta:
-            sign *= _legendre(a, p)
-        if alpha:
-            sign *= _legendre(b, p)
-        return sign
+        if not alpha:
+            if not beta:
+                return 1
+            x = a
+        else:
+            x = -a * b if beta else b
+        return 1 if pow(x, (p - 1) >> 1, p) == 1 else -1
     um, wm = a % 8, b % 8
     # eps(u) = (u-1)/2 mod 2, omega(u) = (u**2-1)/8 mod 2 on odd residues
     exp = (um % 4 == 3) and (wm % 4 == 3)
@@ -214,7 +217,8 @@ def is_local_square(x: Rational | int, v: Place) -> bool:
         return False
     if p == 2:
         return x % 8 == 1
-    return _legendre(x, p) == 1
+    # Euler's criterion, as in hilbert_symbol: x is now prime to p
+    return pow(x, (p - 1) >> 1, p) == 1
 
 
 def local_isotropic(f: DiagonalForm, v: Place) -> bool:
@@ -223,19 +227,23 @@ def local_isotropic(f: DiagonalForm, v: Place) -> bool:
     Dimension by dimension over Q_p: dim 1 never, dim 2 iff -a1*a2 is a
     local square, dim 3 and 4 by the Hasse invariant criteria stated in the
     module docstring, dim >= 5 always. At the real place isotropy is just
-    indefiniteness. The coefficients are read once, as integer classes,
-    whose product is a class of the discriminant.
+    indefiniteness.
     """
-    n = f.dim
+    return _isotropic_at([_int_class(c) for c in f.coeffs], v)
+
+
+def _isotropic_at(cs: list[int], v: Place) -> bool:
+    """local_isotropic for the form whose coefficients have the integer
+    classes cs, whose product is a class of the discriminant. A scan over
+    many places reads the classes once and asks here at each place."""
+    n = len(cs)
     if n == 1:
         return False
-    real = v.p is None
-    if n >= 5 and not real:
-        return True
-    cs = [_int_class(c) for c in f.coeffs]
-    if real:
+    if v.p is None:
         neg = sum(1 for c in cs if c < 0)
         return 0 < neg < n
+    if n >= 5:
+        return True
     if n == 2:
         return is_local_square(-cs[0] * cs[1], v)
     disc = 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
@@ -236,18 +236,30 @@ def local_oracle(p: int) -> LocalZeroOracle:
 _WITNESS_TABLES: dict[tuple[tuple[int, ...], int], dict[int, tuple[int, ...]]] = {}
 
 
+def _half_sums(coeffs: tuple[int, ...], height: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(sum of c*x*x, x) for every vector x over [0, height], in the order
+    product(range(height + 1), repeat=len(coeffs)) yields them: each
+    coefficient in turn extends every partial sum by every square."""
+    squares = [(x, x * x) for x in range(height + 1)]
+    sums = [(0, ())]
+    for c in coeffs:
+        sums = [(val + c * s, vec + (x,)) for val, vec in sums for x, s in squares]
+    return sums
+
+
 def _left_table(coeffs: tuple[int, ...], height: int) -> dict[int, tuple[int, ...]]:
-    """value -> some vector over [0, height] attaining it, preferring a
-    nonzero vector when the value is attainable by one."""
+    """value -> the first vector over [0, height] attaining it, preferring
+    a nonzero vector when the value is attainable by one."""
     key = (coeffs, height)
     table = _WITNESS_TABLES.get(key)
     if table is None:
-        table = {}
-        for vec in product(range(height + 1), repeat=len(coeffs)):
-            val = sum(c * x * x for c, x in zip(coeffs, vec))
-            cur = table.get(val)
-            if cur is None or (not any(cur) and any(vec)):
-                table[val] = vec
+        sums = _half_sums(coeffs, height)
+        # written last to first, so the first vector of each value stays
+        table = dict(reversed(sums))
+        for val, vec in sums:
+            if not val and any(vec):
+                table[0] = vec
+                break
         _WITNESS_TABLES[key] = table
     return table
 
@@ -282,9 +294,8 @@ def _witness_at(cs: tuple[int, ...], height: int) -> tuple[int, ...] | None:
     """The meet-in-the-middle search at one height."""
     k = (len(cs) + 1) // 2
     table = _left_table(cs[:k], height)
-    right = cs[k:]
-    for vec in product(range(height + 1), repeat=len(right)):
-        hit = table.get(-sum(c * x * x for c, x in zip(right, vec)))
+    for val, vec in _half_sums(cs[k:], height):
+        hit = table.get(-val)
         if hit is not None and (any(hit) or any(vec)):
             return hit + vec
     return None
@@ -382,11 +393,12 @@ def reciprocity_failures(samples: int, seed: int = 0) -> int:
 
     The support comes from a table of odd prime divisors sieved once per
     call up to SAMPLE_HEIGHT, which shares no code with exact.factorize,
-    and each place is built once. A symbol gets a = n/d as the integer
-    n*d, of the same square class."""
+    and each place is built once, through the checked constructor, and
+    kept in a list indexed by its prime. A symbol gets a = n/d as the
+    integer n*d, of the same square class."""
     rng = random.Random(seed)
     divisors = _odd_prime_divisors(SAMPLE_HEIGHT)
-    places: dict[int, Place] = {}
+    places: list[Place | None] = [None] * (SAMPLE_HEIGHT + 1)
     fails = 0
     for _ in range(samples):
         an, ad = _random_terms(rng)
@@ -395,7 +407,7 @@ def reciprocity_failures(samples: int, seed: int = 0) -> int:
         a, b = an * ad, bn * bd
         prod = hilbert_symbol(a, b, REAL_PLACE)
         for p in support:
-            v = places.get(p)
+            v = places[p]
             if v is None:
                 v = places[p] = Place(p)
             prod *= hilbert_symbol(a, b, v)
@@ -416,11 +428,32 @@ def _odd_prime_divisors(height: int) -> list[tuple[int, ...]]:
     return out
 
 
+# rng.randint(1, SAMPLE_HEIGHT) draws this many bits per try
+_SAMPLE_BITS = SAMPLE_HEIGHT.bit_length()
+
+
 def _random_terms(rng: random.Random) -> tuple[int, int]:
     """Numerator and positive denominator, in lowest terms, of a random
-    nonzero rational of height at most SAMPLE_HEIGHT."""
-    num = rng.randint(1, SAMPLE_HEIGHT) * rng.choice((1, -1))
-    den = rng.randint(1, SAMPLE_HEIGHT)
+    nonzero rational of height at most SAMPLE_HEIGHT: the rational
+    Fraction(rng.randint(1, SAMPLE_HEIGHT) * rng.choice((1, -1)),
+    rng.randint(1, SAMPLE_HEIGHT)).
+
+    The three draws are made as CPython's randint and choice make them,
+    from getrandbits by rejection: bit_length(SAMPLE_HEIGHT) bits until the
+    value is below SAMPLE_HEIGHT, and 2 bits until it is below 2. A test
+    pins the stream to randint and choice themselves."""
+    bits = rng.getrandbits
+    num = bits(_SAMPLE_BITS)
+    while num >= SAMPLE_HEIGHT:
+        num = bits(_SAMPLE_BITS)
+    sign = bits(2)
+    while sign >= 2:
+        sign = bits(2)
+    den = bits(_SAMPLE_BITS)
+    while den >= SAMPLE_HEIGHT:
+        den = bits(_SAMPLE_BITS)
+    num = -num - 1 if sign else num + 1
+    den += 1
     g = gcd(num, den)
     return num // g, den // g
 

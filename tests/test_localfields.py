@@ -267,6 +267,48 @@ def test_hilbert_symbol_matches_zero_counting_oracle():
                 assert hilbert_symbol(a, b, v) == (1 if zero else -1), (a, b, p)
 
 
+def _split(x, p):
+    """(alpha, u) with x = p**alpha * u and p not dividing u."""
+    alpha = 0
+    while x % p == 0:
+        x //= p
+        alpha += 1
+    return alpha, x
+
+
+def _serre_hilbert_symbol(a, b, p):
+    """(a, b)_p at an odd prime p as Serre states it (Cours d'arithmetique,
+    III.1.2, Theorem 1): for a = p**alpha*u and b = p**beta*v with u, v
+    units, (-1)**(alpha*beta*eps(p)) * (u/p)**beta * (v/p)**alpha, where
+    eps(p) = (p - 1)/2 mod 2."""
+    (alpha, u), (beta, v) = _split(a, p), _split(b, p)
+    eps = (p - 1) // 2 % 2
+    return (-1) ** (alpha * beta * eps) * legendre_symbol(u, p) ** beta * legendre_symbol(v, p) ** alpha
+
+
+def test_hilbert_symbol_at_odd_p_matches_serre():
+    # entries up to 10**8, as the reciprocity samples have them, times a
+    # power of p, so every pair of valuation parities occurs at primes
+    # 1 and 3 mod 4
+    rng = random.Random(12)
+    primes = (3, 5, 7, 13, 9967, 9973, 99999971, 99999989)
+    seen = {}
+    for _ in range(20000):
+        p = rng.choice(primes)
+        i, j = rng.randrange(4), rng.randrange(4)
+        a = rng.randint(1, 10**8) * rng.choice((1, -1)) * p**i
+        b = rng.randint(1, 10**8) * rng.choice((1, -1)) * p**j
+        want = _serre_hilbert_symbol(a, b, p)
+        assert hilbert_symbol(a, b, Place(p)) == want, (a, b, p)
+        key = (p % 4, _split(a, p)[0] % 2, _split(b, p)[0] % 2, want)
+        seen[key] = seen.get(key, 0) + 1
+    # both answers in all four parity pairs at both residues, except that
+    # two even valuations always give +1
+    cases = {(r, x, y, s) for r in (1, 3) for x in (0, 1) for y in (0, 1) for s in (1, -1)}
+    assert set(seen) == cases - {(1, 0, 0, -1), (3, 0, 0, -1)}
+    assert min(seen.values()) > 100
+
+
 def test_hilbert_symbol_input_types_agree():
     # int, integral Fraction and non-integral Fraction in one square class
     def variants(n):

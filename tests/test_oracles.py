@@ -109,6 +109,48 @@ def test_deepening_witness_search_is_exact():
     assert max(height for _, height in oracles._WITNESS_TABLES) <= 8
 
 
+def _deepened_reference(cs, height):
+    """The deepening search with the one-height reference at each step:
+    the first vector in product order, a nonzero one preferred at 0."""
+    h = 1
+    while h < height:
+        found = _witness_at_one_height(cs, h)
+        if found is not None:
+            return found
+        h *= 2
+    return _witness_at_one_height(cs, height)
+
+
+def test_witness_vectors_are_the_first_in_product_order():
+    # not just some zero: the same vector the product-order search picks,
+    # at every height of the grid check's range. A form with a local
+    # obstruction has no zero, so its answer is None without a search.
+    for f in grid_forms():
+        cs = tuple(int(c) for c in f.coeffs)
+        for h in (1, 5, 60):
+            if h == 60 and oracles._has_local_obstruction(cs):
+                want = None
+            else:
+                want = _deepened_reference(cs, h)
+            assert isotropy_witness(f, h) == want, (f, h)
+
+
+@pytest.mark.parametrize(
+    "coeffs, witnesses",
+    [
+        # halves of three and two coefficients
+        ((2, 3, 5, 7, -61), (None, None, (2, 4, 1, 0, 1), (2, 4, 1, 0, 1))),
+        # halves of three and three
+        ((1, 1, 1, 1, 1, -31), (None, (3, 3, 3, 0, 2, 1), (3, 3, 3, 0, 2, 1), (3, 3, 3, 0, 2, 1))),
+    ],
+)
+def test_witness_vectors_with_three_coefficient_halves(coeffs, witnesses):
+    f = DiagonalForm(coeffs)
+    assert tuple(isotropy_witness(f, h) for h in (1, 3, 10, 20)) == witnesses
+    for h in (1, 3, 10):
+        assert isotropy_witness(f, h) == _deepened_reference(coeffs, h)
+
+
 def test_three_squares_sieve():
     sieve = three_squares_sieve(300)
     assert len(sieve) == 301
@@ -201,6 +243,21 @@ def test_draws_are_the_stream_of_plain_fractions():
         want = Fraction(old.randint(1, 10**4) * old.choice((1, -1)), old.randint(1, 10**4))
         num, den = oracles._random_terms(rng)
         assert (num, den) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 5))
+def test_draws_are_the_randint_and_choice_stream(seed):
+    # _random_terms reads getrandbits by the rejection loops that randint
+    # and choice run; seeds 0, 1 and 5 are those of the acceptance check,
+    # the benchmark and its hold-out, so a Python whose randint draws
+    # otherwise fails here instead of changing the samples
+    rng, old = random.Random(seed), random.Random(seed)
+    height = oracles.SAMPLE_HEIGHT
+    for _ in range(10**4):
+        for _ in range(2):
+            want = Fraction(old.randint(1, height) * old.choice((1, -1)), old.randint(1, height))
+            assert oracles._random_terms(rng) == (want.numerator, want.denominator)
+    assert rng.getstate() == old.getstate()
 
 
 def test_odd_prime_divisor_table_matches_trial_division():

@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noethercheck import localfields, quadforms
-from noethercheck.exact import QQ, FieldDescriptor, squarefree_part
-from noethercheck.localfields import REAL_PLACE, DiagonalForm, Place
+from noethercheck.exact import QQ, FieldDescriptor, square_class, squarefree_part
+from noethercheck.localfields import (
+    REAL_PLACE,
+    DiagonalForm,
+    Place,
+    is_local_square,
+    local_isotropic,
+)
 from noethercheck.quadforms import (
     ANISOTROPIC,
     ISOTROPIC,
@@ -31,6 +37,16 @@ def test_candidate_places():
     assert candidate_places(F7) == (Place(2), Place(7), REAL_PLACE)
     f = DiagonalForm.of(Fraction(-9, 5), 21, 1)
     assert candidate_places(f) == (Place(2), Place(3), Place(5), Place(7), REAL_PLACE)
+
+
+def test_candidate_places_are_built_once_and_the_cache_is_bounded(monkeypatch):
+    f = DiagonalForm.of(1, 1, -3, Fraction(7, 5))
+    assert all(a is b for a, b in zip(candidate_places(f), candidate_places(f)))
+    monkeypatch.setattr(quadforms, "_PLACES", {})
+    monkeypatch.setattr(quadforms, "_PLACE_CACHE_SIZE", 4)
+    for p in (3, 5, 7, 11, 13, 17, 19, 3):
+        assert candidate_places(DiagonalForm.of(1, 1, -p)) == (Place(2), Place(p), REAL_PLACE)
+        assert len(quadforms._PLACES) <= 4
 
 
 def test_isotropic_Q_known():
@@ -182,6 +198,55 @@ def test_one_factorization_per_coefficient_and_no_checked_legendre(monkeypatch):
     assert len(factored) == 32
 
 
+# fields with both signs and both residues of d mod 8, the real place
+# split or not, 2 split or not; the last is a prime near 10**12
+_DIFFERENTIAL_DS = (17, 41, 33, -7, -15, -23, 2, 3, 5, -1, -2, -5, 1000000000039)
+# parts of numerators and denominators: small, and each within the
+# factorization cap with some products of two far above it
+_SMALL_PARTS = (1, 1, 1, 2, 3, 5, 6, 7, 9, 11, 12, 13, 49, 97)
+_BIG_PARTS = (10**13 + 1, 10**12 + 39, 99999999977, 99999999947, 99999999977**2, 3 * 99999999947**2)
+
+
+def _differential_coeff(rng, big):
+    def part():
+        if not big or rng.randrange(6):
+            return rng.choice(_SMALL_PARTS)
+        return rng.choice((1, 2, 3, 5, 7)) * rng.choice(_BIG_PARTS)
+
+    return Fraction(part() * rng.choice((1, -1)), part())
+
+
+def _by_public_composition(local, d):
+    """Hasse-Minkowski for dim >= 3 over Q(sqrt d), d = 1 for Q, composed
+    from the public local functions: f is isotropic at every candidate
+    place that splits. local maps each candidate place v of f to
+    local_isotropic(f, v)."""
+    return all(iso for v, iso in local.items() if is_local_square(d, v))
+
+
+def test_one_read_scan_matches_the_public_composition():
+    # the scan reads the classes and places once per form and calls the
+    # private local helper; it must answer as the public functions do
+    rng = random.Random(22)
+    for i in range(500):
+        # dim 2 is decided on the product -a1*a2, which two near-cap
+        # coefficients would push past the cap
+        dim = i % 6 + 1
+        f = DiagonalForm(tuple(_differential_coeff(rng, dim != 2) for _ in range(dim)))
+        local = {v: local_isotropic(f, v) for v in candidate_places(f)}
+        # over Q the composition is the whole rule, dims 1 and 2 included
+        assert isotropic_Q(f) == _by_public_composition(local, 1), f
+        for d in _DIFFERENTIAL_DS:
+            got = isotropic_quad(f, d).is_isotropic
+            if f.dim >= 3:
+                assert got == _by_public_composition(local, d), (f, d)
+            elif f.dim == 2:
+                # -a1*a2 a square in Q(sqrt d): its class is 1 or d
+                assert got == (square_class(-f.coeffs[0] * f.coeffs[1]) in (1, d)), (f, d)
+            else:
+                assert not got, (f, d)
+
+
 def test_level():
     assert level(QQ) is None
     assert level(FieldDescriptor(17)) is None
@@ -231,6 +296,23 @@ def test_three_squares_nat_brute_force():
                 reachable.add(x * x + y * y + z * z)
     for n in range(1, 200):
         assert three_squares_nat(n) == (n in reachable)
+
+
+def _three_squares_by_loop(n):
+    """The rule as stated: divide out 4 while it divides, then test 7 mod 8."""
+    while n % 4 == 0:
+        n //= 4
+    return n % 8 != 7
+
+
+def test_three_squares_nat_matches_the_loop():
+    for n in range(1, 10**5 + 1):
+        assert three_squares_nat(n) == _three_squares_by_loop(n), n
+    rng = random.Random(30)
+    near = [10**30 + k for k in range(-40, 41)] + [7 * 4**48, 4**50, 2 * 4**49, 15 * 4**47]
+    near += [rng.randint(1, 10**30) << rng.randint(0, 8) for _ in range(200)]
+    for n in near:
+        assert three_squares_nat(n) == _three_squares_by_loop(n), n
 
 
 def test_three_squares_matches_rational_case():
