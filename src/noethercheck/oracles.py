@@ -236,15 +236,20 @@ def local_oracle(p: int) -> LocalZeroOracle:
 _WITNESS_TABLES: dict[tuple[tuple[int, ...], int], dict[int, tuple[int, ...]]] = {}
 
 
-def _half_sums(coeffs: tuple[int, ...], height: int) -> list[tuple[int, tuple[int, ...]]]:
+def _half_sums(coeffs: tuple[int, ...], height: int):
     """(sum of c*x*x, x) for every vector x over [0, height], in the order
     product(range(height + 1), repeat=len(coeffs)) yields them: each
-    coefficient in turn extends every partial sum by every square."""
+    coefficient in turn extends every partial sum by every square. The
+    last coefficient's step is lazy, so a search that stops at its first
+    hit never builds the rest."""
     squares = [(x, x * x) for x in range(height + 1)]
     sums = [(0, ())]
-    for c in coeffs:
+    for c in coeffs[:-1]:
         sums = [(val + c * s, vec + (x,)) for val, vec in sums for x, s in squares]
-    return sums
+    if not coeffs:
+        return iter(sums)
+    last = coeffs[-1]
+    return ((val + last * s, vec + (x,)) for val, vec in sums for x, s in squares)
 
 
 def _left_table(coeffs: tuple[int, ...], height: int) -> dict[int, tuple[int, ...]]:
@@ -253,7 +258,7 @@ def _left_table(coeffs: tuple[int, ...], height: int) -> dict[int, tuple[int, ..
     key = (coeffs, height)
     table = _WITNESS_TABLES.get(key)
     if table is None:
-        sums = _half_sums(coeffs, height)
+        sums = list(_half_sums(coeffs, height))
         # written last to first, so the first vector of each value stays
         table = dict(reversed(sums))
         for val, vec in sums:

@@ -7,8 +7,7 @@ where d is a square in Q_v (the real place included), so it asks the
 local criterion of localfields.local_isotropic at each candidate place of
 f where is_local_square(d, v) holds; over Q every place splits, and the
 test is skipped. The integer classes of the coefficients are read once per
-form, not once per place, and each Place is built once per prime and kept
-for later forms. No isotropic vectors are ever searched for here.
+form, not once per place. No isotropic vectors are ever searched for here.
 """
 
 from __future__ import annotations
@@ -27,36 +26,12 @@ from .localfields import (
 def candidate_places(f: DiagonalForm) -> tuple[Place, ...]:
     """Places where any local invariant of f can be nontrivial: the real
     place, 2, and odd primes dividing some numerator or denominator."""
-    return _classes_and_places(f)[1]
-
-
-# prime -> its Place, so that a scan over many forms proves each prime
-# once; cleared whenever it reaches _PLACE_CACHE_SIZE entries
-_PLACES: dict[int, Place] = {}
-_PLACE_CACHE_SIZE = 1024
-
-
-def _classes_and_places(f: DiagonalForm) -> tuple[list[int], tuple[Place, ...]]:
-    """The integer classes of the coefficients of f, as localfields reads
-    them, and the candidate places of f in ascending order, the real place
-    last. Each numerator and each denominator is factored once, apart:
-    their product can pass the factorization cap when neither does."""
     ps = {2}
-    cs = []
     for c in f.coeffs:
         ps.update(factorize(c.numerator))
         ps.update(factorize(c.denominator))
-        cs.append(_int_class(c))
-    places = []
-    for p in sorted(ps):
-        v = _PLACES.get(p)
-        if v is None:
-            if len(_PLACES) >= _PLACE_CACHE_SIZE:
-                _PLACES.clear()
-            v = _PLACES[p] = Place(p)
-        places.append(v)
-    places.append(REAL_PLACE)
-    return cs, tuple(places)
+    finite = sorted(ps)
+    return tuple(Place(p) for p in finite) + (REAL_PLACE,)
 
 
 def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:
@@ -73,16 +48,17 @@ def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:
     places come sorted, so a scan that stops at the first failure does the
     same work in every process.
 
-    The integer classes of the coefficients are read once per form, with
-    the candidate places, and every place of the scan asks the same local
-    criterion local_isotropic does, on those classes.
+    The integer classes of the coefficients are read once per form, and
+    every place of the scan asks the same local criterion local_isotropic
+    does, on those classes.
     """
     n = f.dim
     if n == 1:
         return False
     if n == 2:
         return is_square(-f.coeffs[0] * f.coeffs[1], k)
-    cs, places = _classes_and_places(f)
+    places = candidate_places(f)
+    cs = [_int_class(c) for c in f.coeffs]
     if k.is_rational:  # every place splits over Q
         return all(_isotropic_at(cs, v) for v in places)
     d = k.d
@@ -157,6 +133,6 @@ def three_squares_nat(n: int) -> bool:
     """Sum of three integer squares: n not of the form 4**a * (8b + 7)."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    # strip 4**a in one shift: the even part of the 2-adic valuation
-    n >>= ((n & -n).bit_length() - 1) & ~1
+    while n % 4 == 0:
+        n //= 4
     return n % 8 != 7

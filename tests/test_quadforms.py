@@ -39,16 +39,6 @@ def test_candidate_places():
     assert candidate_places(f) == (Place(2), Place(3), Place(5), Place(7), REAL_PLACE)
 
 
-def test_candidate_places_are_built_once_and_the_cache_is_bounded(monkeypatch):
-    f = DiagonalForm.of(1, 1, -3, Fraction(7, 5))
-    assert all(a is b for a, b in zip(candidate_places(f), candidate_places(f)))
-    monkeypatch.setattr(quadforms, "_PLACES", {})
-    monkeypatch.setattr(quadforms, "_PLACE_CACHE_SIZE", 4)
-    for p in (3, 5, 7, 11, 13, 17, 19, 3):
-        assert candidate_places(DiagonalForm.of(1, 1, -p)) == (Place(2), Place(p), REAL_PLACE)
-        assert len(quadforms._PLACES) <= 4
-
-
 def test_isotropic_Q_known():
     assert not isotropic_Q(F7)
     assert isotropic_Q(DiagonalForm.of(1, 1, 1, -6))
@@ -225,7 +215,7 @@ def _by_public_composition(local, d):
 
 
 def test_one_read_scan_matches_the_public_composition():
-    # the scan reads the classes and places once per form and calls the
+    # the scan reads the classes once per form and calls the
     # private local helper; it must answer as the public functions do
     rng = random.Random(22)
     for i in range(500):
@@ -296,23 +286,6 @@ def test_three_squares_nat_brute_force():
                 reachable.add(x * x + y * y + z * z)
     for n in range(1, 200):
         assert three_squares_nat(n) == (n in reachable)
-
-
-def _three_squares_by_loop(n):
-    """The rule as stated: divide out 4 while it divides, then test 7 mod 8."""
-    while n % 4 == 0:
-        n //= 4
-    return n % 8 != 7
-
-
-def test_three_squares_nat_matches_the_loop():
-    for n in range(1, 10**5 + 1):
-        assert three_squares_nat(n) == _three_squares_by_loop(n), n
-    rng = random.Random(30)
-    near = [10**30 + k for k in range(-40, 41)] + [7 * 4**48, 4**50, 2 * 4**49, 15 * 4**47]
-    near += [rng.randint(1, 10**30) << rng.randint(0, 8) for _ in range(200)]
-    for n in near:
-        assert three_squares_nat(n) == _three_squares_by_loop(n), n
 
 
 def test_three_squares_matches_rational_case():
