@@ -32,6 +32,7 @@ from .groups import (
     GroupSpec,
     Metacyclic,
     PermGens,
+    _cycles,
     group_facts,
 )
 from .quadforms import three_squares_nat
@@ -75,31 +76,16 @@ def parse_group(text: str) -> GroupSpec:
     raise ValueError(f"unrecognized group spec: {text!r}")
 
 
-def _perm_cycles(img: tuple[int, ...]) -> str:
-    seen = [False] * len(img)
-    parts = []
-    for i in range(len(img)):
-        if seen[i] or img[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = img[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = img[j]
-        parts.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
-    return "".join(parts) or "()"
-
-
 def group_spec_string(spec: GroupSpec) -> str:
     """Canonical echo of a parsed group spec."""
     if isinstance(spec, Catalog):
         return f"catalog:{spec.name}"
     if isinstance(spec, Metacyclic):
         return f"metacyclic:a={spec.a},b={spec.b},c={spec.c},r={spec.r}"
-    return "perm:" + ";".join(_perm_cycles(g) for g in spec.generators)
+    return "perm:" + ";".join(
+        "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in _cycles(g)) or "()"
+        for g in spec.generators
+    )
 
 
 def cmd_check(args) -> int:

@@ -312,13 +312,15 @@ QQ = FieldDescriptor()
 def is_square(x: Rational | int, field: FieldDescriptor = QQ) -> bool:
     """Is the rational x a square in the given field?
 
-    Over Q(sqrt d) a nonzero rational is a square iff its square class is 1
-    or d: x = d*y**2 has the square root y*sqrt(d).
+    Over Q(sqrt d) a rational is a square iff x or d*x is a square in Q:
+    x = d*y**2 has the square root y*sqrt(d). A positive rational in lowest
+    terms is a square iff its numerator and its denominator are, which
+    isqrt decides without factoring either.
     """
     x = Fraction(x)
-    if x == 0:
-        return True
-    c = square_class(x)
-    if field.is_rational:
-        return c == 1
-    return c == 1 or c == field.d
+    return _is_rational_square(x) or (not field.is_rational and _is_rational_square(field.d * x))
+
+
+def _is_rational_square(x: Fraction) -> bool:
+    n, m = x.numerator, x.denominator
+    return n >= 0 and isqrt(n) ** 2 == n and isqrt(m) ** 2 == m

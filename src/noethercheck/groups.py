@@ -11,21 +11,22 @@ r. A permutation spec with one generator is the cyclic presentation
 of the lcm of its cycle lengths. Any other permutation spec is answered
 from a deterministic Schreier-Sims stabilizer chain: the order is the
 product of its orbit lengths, and the invariants come from a chain for the
-derived subgroup G' and the indices of G'<g**(p**k)> along the p-power
-series of G/G'. The chain for G' is grown from the commutators and their
-conjugates by orbit extension alone, membership tested on the partial
-chain, which has no false positives. Its orbit product is at most |G'|, so
-once it reaches |G| over the part of |G/G'| the signs and abelian images
-of the orbits show, it is complete: a perfect group, for which that bound
-is |G| and G' = G, and S_n run no second Schreier-Sims. Short of the
-bound, the elements it took are added to a new chain one at a time, each
-completed, as the chain for G is built. Only when the 2-part of |G| is 16,
-and |G| is within CLOSURE_CAP, are elements walked for the Q16 test, one
-product of coset representatives at a time, and then only those of the
-image of G on one orbit: a Sylow Q16 has a regular orbit inside some orbit
-of G, and on any orbit where the image keeps the 2-part 16 the 2-Sylow
-subgroups map isomorphically. Every catalog group is one of these two
-kinds of spec.
+derived subgroup G', which then grows in place by the p-power series of
+G/G', one prime p at a time, the order it gains at each step counting the
+invariant factors divisible by a power of p. The chain for G' is grown
+from the commutators and their conjugates by orbit extension alone,
+membership tested on the partial chain, which has no false positives. Its
+orbit product is at most |G'|, so once it reaches |G| over the part of
+|G/G'| the signs and abelian images of the orbits show, it is complete: a
+perfect group, for which that bound is |G| and G' = G, and S_n run no
+second Schreier-Sims. Short of the bound, the elements it took are added
+to a new chain one at a time, each completed, as the chain for G is
+built. Only when the 2-part of |G| is 16, and |G| is within CLOSURE_CAP,
+are elements walked for the Q16 test, one product of coset
+representatives at a time, and then only those of the image of G on one
+orbit: a Sylow Q16 has a regular orbit inside some orbit of G, and on any
+orbit where the image keeps the 2-part 16 the 2-Sylow subgroups map
+isomorphically. Every catalog group is one of these two kinds of spec.
 
 The multiplication tables the facts are tested against live in oracles,
 which imports this module and never the reverse; the verdict builds none.
@@ -33,7 +34,7 @@ which imports this module and never the reverse; the verdict builds none.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import compress
 from math import gcd, lcm
 from operator import itemgetter, ne
@@ -184,20 +185,22 @@ def _perm_power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
     return out
 
 
-def _perm_order(p: tuple[int, ...]) -> int:
-    """The lcm of the cycle lengths of p."""
+def _cycles(p: tuple[int, ...]):
+    """The cycles of p of two or more points, each as a list from its least
+    point, in order of least point. compress skips the fixed points, most
+    of the points of a generator on a long degree, in C."""
     seen = bytearray(len(p))
-    out = 1
-    for i in range(len(p)):
-        if not seen[i]:
-            n = 0
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                j = p[j]
-                n += 1
-            out = lcm(out, n)
-    return out
+    points = range(len(p))
+    for i in compress(points, map(ne, p, points)):
+        if seen[i]:
+            continue
+        cycle = [i]
+        j = p[i]
+        while j != i:
+            seen[j] = 1
+            cycle.append(j)
+            j = p[j]
+        yield cycle
 
 
 class _Level:
@@ -220,13 +223,6 @@ class _Level:
         self.coreps: dict[int, tuple[int, ...]] = {}
         self.tested: list[int] = []
         self.todo = 0
-
-    def copy(self) -> _Level:
-        new = _Level(self.base)
-        new.gens, new.orbit, new.tested = self.gens[:], self.orbit[:], self.tested[:]
-        new.reps, new.coreps = dict(self.reps), dict(self.coreps)
-        new.todo = self.todo
-        return new
 
 
 class _StabilizerChain:
@@ -254,7 +250,8 @@ class _StabilizerChain:
     hold. The stored orbits lie inside the true basic orbits, so their
     lengths multiply to at most the group's order; once that product reaches
     bound the chain is complete, however little of it was verified, and
-    every later add is a no-op."""
+    every later add or grow is a no-op until unbound drops the bound, so
+    that the chain, still complete, can grow past it."""
 
     def __init__(self, degree: int, bound: int = 0) -> None:
         self.identity = tuple(range(degree))
@@ -263,18 +260,15 @@ class _StabilizerChain:
         self.size = 1  # the product of the orbit lengths
         self.bound = bound
 
-    def copy(self, bound: int) -> _StabilizerChain:
-        """A copy that may grow up to a new bound. A chain at its own bound
-        is complete however little of it was verified, so its copy's levels
-        count every Schreier generator as sifted."""
-        new = _StabilizerChain(len(self.identity), bound)
-        new.levels = [lev.copy() for lev in self.levels]
-        new.images, new.size = self.images, self.size
+    def unbound(self) -> None:
+        """Drop the bound, so that the chain may grow past it. A chain at
+        its bound is complete however little of it was verified, so its
+        levels then count every Schreier generator as sifted."""
         if self.size == self.bound:
-            for lev in new.levels:
+            for lev in self.levels:
                 lev.tested = [len(lev.gens)] * len(lev.orbit)
                 lev.todo = len(lev.orbit)
-        return new
+        self.bound = 0
 
     def order(self) -> int:
         return self.size
@@ -353,8 +347,10 @@ class _StabilizerChain:
         levels down to the one that stopped it, and their orbits are
         extended under it. No Schreier generator is sifted, so the chain is
         complete only once its orbit product reaches the bound, and growth
-        stops there."""
+        stops there, or takes nothing if the chain is at the bound already."""
         taken: list[tuple[int, ...]] = []
+        if self.size == self.bound:
+            return taken
         for y in elements:
             if self._extend(y):
                 taken.append(y)
@@ -509,8 +505,9 @@ _SL2_9 = (
     "(22 38 67 70 43)(34 66 79 80 71)(40 49 59 51 41)",
 )
 
-# the catalog beyond C1..C64, each spec built only when its name is asked for
+# the catalog, each spec built only when its name is asked for
 _CATALOG_SPECS = {
+    **{f"C{n}": partial(Metacyclic, n, 1, 0, 1 % n) for n in range(1, 65)},
     "D16": lambda: Metacyclic(8, 2, 0, 7),
     "SD16": lambda: Metacyclic(8, 2, 0, 3),
     "Q16": lambda: Metacyclic(8, 2, 4, 7),
@@ -521,17 +518,10 @@ _CATALOG_SPECS = {
     "Ex3_3": lambda: Metacyclic(64, 16, 32, 7),
 }
 
-CATALOG_NAMES = tuple(f"C{n}" for n in range(1, 65)) + tuple(_CATALOG_SPECS)
+CATALOG_NAMES = tuple(_CATALOG_SPECS)
 
 
 def _catalog_spec(name: str) -> Metacyclic | PermGens:
-    # Cn for n in 1..64 without a leading zero; the digits after the first
-    # may be any that str.isdecimal and int take
-    head, rest = name[1:2], name[2:]
-    if name[:1] == "C" and head and head in "123456789" and (not rest or rest.isdecimal()):
-        n = int(head + rest)
-        if n <= 64:
-            return Metacyclic(n, 1, 0, 1 % n)
     make = _CATALOG_SPECS.get(name)
     if make is None:
         raise ValueError(f"unknown catalog group: {name}")
@@ -620,21 +610,15 @@ def _abelian_index(pg: PermGens) -> int:
             where[x] = k
     acting: list[list[tuple[int, ...]]] = [[] for _ in moved]
     basis: dict[int, int] = {}  # leading bit -> the basis vector it leads
-    points = range(pg.degree)
     for g in pg.generators:
         v = 0
-        seen = set()
-        for i in compress(points, map(ne, g, points)):
-            if i in seen:
-                continue
-            seen.add(i)
-            j, odd = g[i], False
-            while j != i:  # a cycle of length n is n - 1 transpositions
-                seen.add(j)
-                j, odd = g[j], not odd
-            if odd:
-                v ^= 1 << where[i]
-        for k in {where[i] for i in seen}:
+        ks = set()
+        for cycle in _cycles(g):
+            k = where[cycle[0]]
+            ks.add(k)
+            if not len(cycle) & 1:  # a cycle of length n is n - 1 transpositions
+                v ^= 1 << k
+        for k in ks:
             acting[k].append(g)
         while v:
             top = v.bit_length()
@@ -687,44 +671,47 @@ def _derived_subgroup(pg: PermGens, order: int) -> _StabilizerChain:
 
 
 def _chain_invariants(
-    gens: tuple[tuple[int, ...], ...], order: int, primes: list[int], derived: _StabilizerChain
+    gens: tuple[tuple[int, ...], ...], order: int, primes: list[int], K: _StabilizerChain
 ) -> tuple[int, ...]:
     """Invariant factors of G/G', descending and without 1s, from the order
-    of G, the primes that may divide it and a chain for G'. For each prime
-    p of |G/G'|, the subgroups G'<g**(p**k)> for the generators g have
-    index |A/p**k A| in G, with A = G/G' written additively; the growth of
-    that index with k counts the invariant factors divisible by each power
-    of p."""
-    index, rest = divmod(order, derived.order())
+    of G, the primes that may divide it and the complete chain K for G',
+    which grows in place.
+
+    Write A = G/G' additively, A_p for its p-part, of order p**e, and q for
+    |A|/p**e. The elements g**(q*p**k), for the generators g, generate
+    p**k A_p modulo G', and p**k A_p over p**(k+1) A_p has order p**m_k,
+    for m_k the number of invariant factors divisible by p**(k+1). So the
+    layers k >= 1 that leave G' are added to K from the top down, each
+    growing |K| by p**m_k, and m_0 is what is left of e. A is the direct
+    sum of its p-parts, so the layers of a later prime grow K by the same
+    ratios on top of those of the earlier ones, and meet them only in G'."""
+    index, rest = divmod(order, K.order())
     if rest:
         raise AssertionError("the order of G' divides the order of G")
-    counts: dict[int, list[int]] = {}  # p -> [#factors divisible by p**k for k = 1, 2, ...]
+    K.unbound()
+    counts: dict[int, list[int]] = {}  # p -> the m_k, m_0 first and largest
     for p in primes:
         if index % p:
             continue
         p_part, e = 1, 0
         while index % (p_part * p) == 0:
             p_part, e = p_part * p, e + 1
-        pows = list(gens)
-        seen = 1
-        counts[p] = []
-        # no invariant factor has a p-part above p_part, so the quotient
-        # reaches it within e steps
-        for _ in range(e):
-            if seen == p_part:
-                break
-            pows = [g for g in (_perm_power(g, p) for g in pows) if not derived.contains(g)]
-            K = derived.copy(order)
-            for g in pows:
+        layers = []
+        layer = [g for g in (_perm_power(g, index // p_part) for g in gens) if not K.contains(g)]
+        while layer:
+            layers.append(layer)
+            layer = [g for g in (_perm_power(g, p) for g in layer) if not K.contains(g)]
+        steps = []  # m_k, from the top layer k down to 1
+        for layer in layers[:0:-1]:
+            before = K.order()
+            for g in layer:
                 K.add(g)
-            quotient = order // K.order()
-            # quotient / seen = p**step, step = #factors divisible by p**k
-            step, r = 0, quotient // seen
+            step, r = 0, K.order() // before
             while r > 1:
                 r //= p
                 step += 1
-            counts[p].append(step)
-            seen = quotient
+            steps.append(step)
+        counts[p] = [e - sum(steps), *steps]
     factors = []
     for t in range(max((c[0] for c in counts.values()), default=0)):
         n = 1
@@ -800,7 +787,7 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     2-Sylow subgroup of the image."""
     gens = pg.generators
     if len(gens) == 1:
-        m = _perm_order(gens[0])
+        m = lcm(*map(len, _cycles(gens[0])))
         return _metacyclic_facts(Metacyclic(m, 1, 0, 1 % m))
     G = _StabilizerChain(pg.degree)
     for g in gens:

@@ -201,8 +201,9 @@ def test_derived_chain_matches_the_table_oracle():
 
 def test_quotient_chains_grow_past_the_derived_bound():
     # |G/G'| is 4 and 16, and the orbits show a quotient of order 4 (the
-    # regular C_4) and 8 (the C_8, with both signs); the chains for
-    # G'<g**2> copied from the chain for G' must still grow up to |G|
+    # regular C_4) and 8 (the C_8, with both signs); the chain for G',
+    # complete at that bound, must still grow past it as the p-power
+    # series is added to it
     specs = {
         "A5xC4": (PermGens.from_cycles("(1 2 3)", "(1 2 3 4 5)(6 7 8 9)"), 4, (4,)),
         "S5xC8": (PermGens.from_cycles("(1 2)", "(1 2 3 4 5)(6 7 8 9 10 11 12 13)"), 8, (8, 2)),
@@ -227,3 +228,79 @@ def test_disjoint_transpositions_have_independent_signs():
     # dependent one adds no rank
     pg = PermGens.from_cycles("(1 2)(5 6)", "(3 4)(5 6)", "(1 2)", "(1 2)(3 4)(5 6)")
     assert groups._abelian_index(pg) == 8
+
+
+def test_growth_at_the_bound_takes_nothing(monkeypatch):
+    # n disjoint transpositions given as n generators: the signs prove
+    # G' = 1, so the chain for G' starts at its bound, and none of the
+    # n(n - 1)/2 commutators is sifted
+    n = 60
+    gens = []
+    for i in range(n):
+        g = list(range(2 * n))
+        g[2 * i], g[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(tuple(g))
+    pg = PermGens(2 * n, tuple(gens))
+    sifted = []
+    sift = groups._StabilizerChain.sift
+    monkeypatch.setattr(groups._StabilizerChain, "sift", lambda self, g, start=0: sifted.append(g) or sift(self, g, start))
+    chain = groups._StabilizerChain(2 * n, 1)
+    assert chain.grow(iter(gens), [(g, g) for g in gens]) == []
+    assert groups._derived_subgroup(pg, 2**n).order() == 1
+    assert sifted == []
+    monkeypatch.undo()
+    assert group_facts(pg).abelian_invariants == (2,) * n
+
+
+def _cycle(first, n):
+    return "(" + " ".join(map(str, range(first, first + n))) + ")"
+
+
+# Q16 = <a, b | a**8 = 1, b**2 = a**4, b*a*b**-1 = a**-1> acting on itself
+# by right multiplication, a**i * b**j numbered 1 + i + 8*j: a sends a**i
+# to a**(i + 1) and a**i * b to a**(i - 1) * b, and b sends a**i to
+# a**i * b and a**i * b to a**(i + 4)
+_Q16_A = "(1 2 3 4 5 6 7 8)(9 16 15 14 13 12 11 10)"
+_Q16_B = "(1 9 5 13)(2 10 6 14)(3 11 7 15)(4 12 8 16)"
+
+# invariants written from each group's structure: C_4**3 x C_8; AGL(1, 13)
+# = C_13 : C_12, x -> x + 1 and x -> 2x on x + 1 for x in F_13, whose
+# derived subgroup is the translations; S_6 x C_347, whose quotient is C_2
+# x C_347; and Q16 x C_15015, with Q16/Q16' = C_2**2 and the C_15015 on
+# cycles of lengths 3 to 13, all on 55 points
+SERIES_GROUPS = {
+    "C4^3xC8": (PermGens.from_cycles(_cycle(1, 4), _cycle(5, 4), _cycle(9, 4), _cycle(13, 8)), (8, 4, 4, 4)),
+    "AGL(1,13)": (PermGens.from_cycles(_cycle(1, 13), "(2 3 5 9 4 7 13 12 10 6 11 8)"), (12,)),
+    "S6xC347": (PermGens.from_cycles("(1 2)", _cycle(1, 6), _cycle(7, 347)), (694,)),
+    "Q16xC15015": (
+        PermGens.from_cycles(
+            _Q16_A + _cycle(17, 3) + _cycle(20, 5) + _cycle(25, 7) + _cycle(32, 11) + _cycle(43, 13),
+            _Q16_B,
+        ),
+        (30030, 2),
+    ),
+}
+
+
+def test_p_power_series_invariants_in_closed_form():
+    for name, (pg, invariants) in SERIES_GROUPS.items():
+        assert group_facts(pg).abelian_invariants == invariants, name
+    assert SERIES_GROUPS["Q16xC15015"][0].degree == 55
+    facts = group_facts(SERIES_GROUPS["Q16xC15015"][0])
+    assert (facts.order, facts.sylow2_is_q16) == (16 * 15015, True)
+
+
+def test_p_power_series_grows_the_chain_for_g_prime(monkeypatch):
+    # the facts of a permutation group build the chain for G; the chain for
+    # G' and, when its growth stops short of the bound, its rebuild; and
+    # the images of the Q16 orbit rule; the p-power series adds to the
+    # chain for G' and builds none
+    built = []
+    init = groups._StabilizerChain.__init__
+    monkeypatch.setattr(groups._StabilizerChain, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    counts = {}
+    for name, (pg, _) in SERIES_GROUPS.items():
+        built.clear()
+        group_facts(pg)
+        counts[name] = len(built)
+    assert counts == {"C4^3xC8": 3, "AGL(1,13)": 3, "S6xC347": 3, "Q16xC15015": 4}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from noethercheck import DiagonalForm, isotropic_Q
+from noethercheck import DiagonalForm, isotropic_Q, isotropic_quad
 from noethercheck.exact import (
     FACTORIZATION_CAP,
     QQ,
@@ -94,6 +94,13 @@ def test_square_class_of_parts_within_the_cap():
     assert not isotropic_Q(DiagonalForm.of(BIG, -1))
     assert isotropic_Q(DiagonalForm.of(Fraction(P * P, Q * Q), -1))
     assert isotropic_Q(DiagonalForm.of(BIG, -1, 1))
+    # two coefficients within the cap whose product passes it: is_square
+    # decides the product by isqrt, with nothing factored
+    f = DiagonalForm.of(10**13 + 1, -3 * Q**2)
+    assert -f.coeffs[0] * f.coeffs[1] > FACTORIZATION_CAP
+    assert not isotropic_Q(f)
+    assert not isotropic_quad(f, 17).is_isotropic
+    assert isotropic_quad(DiagonalForm.of(10**13 + 1, -3 * (10**13 + 1)), 3).is_isotropic
 
 
 def test_padic_valuation_known():

@@ -16,6 +16,7 @@ from noethercheck.groups import (
     Metacyclic,
     PermGens,
     abelian_invariants,
+    group_facts,
 )
 from noethercheck.oracles import (
     FiniteGroupTable,
@@ -442,6 +443,11 @@ def test_catalog():
         assert name in CATALOG_NAMES
         assert catalog_group(name).order == order
     assert catalog_group("Q16").label == "Q16"
-    for bad in ("NOPE", "C0", "C65", "c8", "Q8"):
+    for bad in ("NOPE", "C0", "C65", "c8", "Q8", "C1\u0662", "C6\u0664"):
         with pytest.raises(ValueError):
             catalog_group(bad)
+    # digits other than ASCII ones name no catalog group
+    for bad in ("C1\u0662", "C6\u0664"):
+        assert bad not in CATALOG_NAMES
+        with pytest.raises(ValueError):
+            group_facts(Catalog(bad))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -219,10 +220,8 @@ def test_one_read_scan_matches_the_public_composition():
     # private local helper; it must answer as the public functions do
     rng = random.Random(22)
     for i in range(500):
-        # dim 2 is decided on the product -a1*a2, which two near-cap
-        # coefficients would push past the cap
         dim = i % 6 + 1
-        f = DiagonalForm(tuple(_differential_coeff(rng, dim != 2) for _ in range(dim)))
+        f = DiagonalForm(tuple(_differential_coeff(rng, True) for _ in range(dim)))
         local = {v: local_isotropic(f, v) for v in candidate_places(f)}
         # over Q the composition is the whole rule, dims 1 and 2 included
         assert isotropic_Q(f) == _by_public_composition(local, 1), f
@@ -231,8 +230,10 @@ def test_one_read_scan_matches_the_public_composition():
             if f.dim >= 3:
                 assert got == _by_public_composition(local, d), (f, d)
             elif f.dim == 2:
-                # -a1*a2 a square in Q(sqrt d): its class is 1 or d
-                assert got == (square_class(-f.coeffs[0] * f.coeffs[1]) in (1, d)), (f, d)
+                # -a1*a2 a square in Q(sqrt d): its class is 1 or d, read
+                # from the classes of -a1 and a2, each factored apart
+                c1, c2 = square_class(-f.coeffs[0]), square_class(f.coeffs[1])
+                assert got == (c1 * c2 // gcd(c1, c2) ** 2 in (1, d)), (f, d)
             else:
                 assert not got, (f, d)
 
