@@ -774,8 +774,8 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
 
     One generator of order m generates C_m, which _metacyclic_facts answers
     without the chain's O(degree**2) work on a long cycle. Otherwise the
-    order is that of the chain and the invariants come from G' and the
-    p-power quotients of G/G'. When the 2-part of |G| is 16 and |G| is
+    order is that of the chain and the invariants come from the chain for
+    G', grown by the p-power series of G/G'. When the 2-part of |G| is 16 and |G| is
     within CLOSURE_CAP, the Q16 test walks the image of G on one orbit.
 
     The orbit is the first of 16 or more points on which the image keeps

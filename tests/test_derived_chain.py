@@ -243,7 +243,12 @@ def test_growth_at_the_bound_takes_nothing(monkeypatch):
     pg = PermGens(2 * n, tuple(gens))
     sifted = []
     sift = groups._StabilizerChain.sift
-    monkeypatch.setattr(groups._StabilizerChain, "sift", lambda self, g, start=0: sifted.append(g) or sift(self, g, start))
+
+    def counted(self, g, start=0):
+        sifted.append(g)
+        return sift(self, g, start)
+
+    monkeypatch.setattr(groups._StabilizerChain, "sift", counted)
     chain = groups._StabilizerChain(2 * n, 1)
     assert chain.grow(iter(gens), [(g, g) for g in gens]) == []
     assert groups._derived_subgroup(pg, 2**n).order() == 1
@@ -264,10 +269,10 @@ _Q16_A = "(1 2 3 4 5 6 7 8)(9 16 15 14 13 12 11 10)"
 _Q16_B = "(1 9 5 13)(2 10 6 14)(3 11 7 15)(4 12 8 16)"
 
 # invariants written from each group's structure: C_4**3 x C_8; AGL(1, 13)
-# = C_13 : C_12, x -> x + 1 and x -> 2x on x + 1 for x in F_13, whose
-# derived subgroup is the translations; S_6 x C_347, whose quotient is C_2
-# x C_347; and Q16 x C_15015, with Q16/Q16' = C_2**2 and the C_15015 on
-# cycles of lengths 3 to 13, all on 55 points
+# = C_13 : C_12, generated by x -> x + 1 and x -> 2x on the points x + 1
+# for x in F_13, whose derived subgroup is the translations; S_6 x C_347,
+# whose quotient is C_2 x C_347; and Q16 x C_15015, with Q16/Q16' = C_2**2
+# and the C_15015 on cycles of lengths 3 to 13, all on 55 points
 SERIES_GROUPS = {
     "C4^3xC8": (PermGens.from_cycles(_cycle(1, 4), _cycle(5, 4), _cycle(9, 4), _cycle(13, 8)), (8, 4, 4, 4)),
     "AGL(1,13)": (PermGens.from_cycles(_cycle(1, 13), "(2 3 5 9 4 7 13 12 10 6 11 8)"), (12,)),
@@ -297,7 +302,12 @@ def test_p_power_series_grows_the_chain_for_g_prime(monkeypatch):
     # chain for G' and builds none
     built = []
     init = groups._StabilizerChain.__init__
-    monkeypatch.setattr(groups._StabilizerChain, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(groups._StabilizerChain, "__init__", counted)
     counts = {}
     for name, (pg, _) in SERIES_GROUPS.items():
         built.clear()
