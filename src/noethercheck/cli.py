@@ -24,18 +24,18 @@ import sys
 from functools import cache
 from types import SimpleNamespace
 
-from .exact import QQ, FieldDescriptor
+from .exact import FACTORIZATION_CAP, QQ, FieldDescriptor, parse_ints
 from .galois import verdict
 from .groups import (
     CATALOG_NAMES,
     Catalog,
     GroupSpec,
+    METACYCLIC_CAP,
     Metacyclic,
     PermGens,
     _cycles,
     group_facts,
 )
-from .quadforms import three_squares_nat
 
 _ORACLE_LIMITS = {"three-squares": 10**4, "isotropy": 60, "hilbert": 10**4}
 
@@ -47,7 +47,8 @@ def parse_field(text: str) -> FieldDescriptor:
     m = re.fullmatch(r"Q\s*\(\s*sqrt\s*(-?\d+)\s*\)", s)
     if not m:
         raise ValueError(f'bad field (expected "Q" or "Q(sqrt D)"): {text!r}')
-    return FieldDescriptor(int(m.group(1)))
+    (d,) = parse_ints([m.group(1)], FACTORIZATION_CAP, "radicand", "factorization")
+    return FieldDescriptor(d)
 
 
 def parse_group(text: str) -> GroupSpec:
@@ -69,7 +70,7 @@ def parse_group(text: str) -> GroupSpec:
             k = k.strip()
             if not sep or k not in ("a", "b", "c", "r") or k in kv:
                 raise ValueError(f"bad metacyclic parameter: {item.strip()!r}")
-            kv[k] = int(v)
+            (kv[k],) = parse_ints([v], METACYCLIC_CAP, f"metacyclic parameter {k}", "metacyclic")
         if len(kv) != 4:
             raise ValueError("metacyclic: needs all of a=, b=, c=, r=")
         return Metacyclic(kv["a"], kv["b"], kv["c"], kv["r"])
@@ -140,6 +141,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_oracle(args) -> int:
     from .oracles import isotropy_grid_check, reciprocity_failures, three_squares_sieve
+    from .quadforms import three_squares_nat
 
     bound = args.bound
     limit = _ORACLE_LIMITS[args.kind]

@@ -1,18 +1,17 @@
 """Exact arithmetic foundation: rationals, factorization, squarefree
 decomposition, p-adic valuations, and the base field descriptor.
 
-Every scalar in this package is a ``fractions.Fraction`` (aliased Rational)
-or an arbitrary-precision int. Nothing here or downstream touches floats.
+Every scalar in this package is a ``fractions.Fraction`` or an
+arbitrary-precision int. Nothing here or downstream touches floats. The
+verdict reads ints only, so fractions is imported inside the three
+functions that take rationals, on first use.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, isqrt, prod
 from operator import attrgetter
-
-Rational = Fraction
 
 # Miller-Rabin with the bases _MR_BASES is proven exact only below
 # 3.3 * 10**24, so inputs whose absolute value exceeds this cap are rejected
@@ -204,6 +203,28 @@ def is_prime(n: int) -> bool:
     return _strong_probable_prime(n)
 
 
+def parse_ints(texts: list[str], cap: int, what: str, cap_name: str) -> list[int]:
+    """int() of each numeral of an input bounded by cap. A numeral whose
+    significant digits outnumber cap's is refused first, by naming the cap:
+    int() would refuse one of more than sys.get_int_max_str_digits() digits,
+    leading zeros counted, by naming that setting, and with the limit off
+    take quadratic time. Leading zeros are dropped before int() runs."""
+    width = len(str(cap))
+    out = []
+    for text in texts:
+        if len(text) > width:
+            body = text.strip()
+            sign = body[:1] if body[:1] in ("+", "-") else ""
+            rest = body[len(sign):]
+            digits = rest.lstrip("0")
+            if (n := len(digits) - digits.count("_")) > width:
+                raise ValueError(f"{what} of {n} digits exceeds {cap_name} cap {cap}")
+            if digits != rest:
+                text = sign + "0" + digits
+        out.append(int(text))
+    return out
+
+
 def squarefree_part(n: int) -> tuple[int, int]:
     """Write n = s * m**2 with s squarefree, m > 0, sign(s) = sign(n)."""
     if n == 0:
@@ -217,8 +238,10 @@ def squarefree_part(n: int) -> tuple[int, int]:
     return s, m
 
 
-def square_class(x: Rational | int) -> int:
+def square_class(x: Fraction | int) -> int:
     """Squarefree integer representing nonzero x modulo rational squares."""
+    from fractions import Fraction
+
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no square class")
@@ -227,8 +250,10 @@ def square_class(x: Rational | int) -> int:
     return squarefree_part(x.numerator)[0] * squarefree_part(x.denominator)[0]
 
 
-def padic_valuation(x: Rational | int, p: int) -> int:
+def padic_valuation(x: Fraction | int, p: int) -> int:
     """v_p(x) for nonzero rational x and prime p."""
+    from fractions import Fraction
+
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
     x = Fraction(x)
@@ -309,7 +334,7 @@ class FieldDescriptor(Frozen):
 QQ = FieldDescriptor()
 
 
-def is_square(x: Rational | int, field: FieldDescriptor = QQ) -> bool:
+def is_square(x: Fraction | int, field: FieldDescriptor = QQ) -> bool:
     """Is the rational x a square in the given field?
 
     Over Q(sqrt d) a rational is a square iff x or d*x is a square in Q:
@@ -317,6 +342,8 @@ def is_square(x: Rational | int, field: FieldDescriptor = QQ) -> bool:
     terms is a square iff its numerator and its denominator are, which
     isqrt decides without factoring either.
     """
+    from fractions import Fraction
+
     x = Fraction(x)
     return _is_rational_square(x) or (not field.is_rational and _is_rational_square(field.d * x))
 

@@ -39,7 +39,7 @@ from itertools import compress
 from math import gcd, lcm
 from operator import itemgetter, ne
 
-from .exact import FACTORIZATION_CAP, Frozen, factorize
+from .exact import FACTORIZATION_CAP, Frozen, factorize, parse_ints
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
 # memory: every closure (a permutation or metacyclic table of oracles)
@@ -74,7 +74,7 @@ def _parse_cycle_string(s: str) -> tuple[list[list[int]], int]:
     cycles: list[list[int]] = []
     maxpt = 0
     for body, _ in bodies:
-        pts = [int(t) for t in body.replace(",", " ").split()]
+        pts = parse_ints(body.replace(",", " ").split(), CLOSURE_CAP, "point", "closure")
         if not pts:
             continue
         if min(pts) < 1:
@@ -97,6 +97,8 @@ class PermGens(Frozen):
             raise ValueError("degree must be at least 1")
         if not generators:
             raise ValueError("at least one generator is required")
+        # image tuples, so that the record hashes and compares by value
+        generators = tuple(map(tuple, generators))
         for g in generators:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")

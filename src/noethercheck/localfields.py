@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Frozen, Rational, is_prime
+from .exact import Frozen, is_prime
 
 
 class Place(Frozen):
@@ -65,7 +65,7 @@ class DiagonalForm(Frozen):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Rational | int, ...]) -> None:
+    def __init__(self, coeffs: tuple[Fraction | int, ...]) -> None:
         # Fraction(c) on a Fraction would redo its type checks
         cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not cs:
@@ -75,11 +75,11 @@ class DiagonalForm(Frozen):
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
-    def of(cls, *coeffs: Rational | int) -> DiagonalForm:
+    def of(cls, *coeffs: Fraction | int) -> DiagonalForm:
         return cls(coeffs)
 
     @classmethod
-    def repeated(cls, n: int, c: Rational | int = 1) -> DiagonalForm:
+    def repeated(cls, n: int, c: Fraction | int = 1) -> DiagonalForm:
         """n*<c>."""
         if n < 1:
             raise ValueError("n must be positive")
@@ -93,11 +93,11 @@ class DiagonalForm(Frozen):
         """Orthogonal sum."""
         return DiagonalForm(self.coeffs + other.coeffs)
 
-    def scaled(self, c: Rational | int) -> DiagonalForm:
+    def scaled(self, c: Fraction | int) -> DiagonalForm:
         c = Fraction(c)
         return DiagonalForm(tuple(c * a for a in self.coeffs))
 
-    def disc(self) -> Rational:
+    def disc(self) -> Fraction:
         out = Fraction(1)
         for c in self.coeffs:
             out *= c
@@ -121,7 +121,7 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) >> 1, p) == 1 else -1
 
 
-def _int_class(x: Rational | int) -> int:
+def _int_class(x: Fraction | int) -> int:
     """The integer n*d for x = n/d: it differs from x by the square d**2,
     so every symbol below reads the same on it. No factoring is done."""
     if type(x) is int:
@@ -132,7 +132,7 @@ def _int_class(x: Rational | int) -> int:
     return n * d
 
 
-def hilbert_symbol(a: Rational | int, b: Rational | int, v: Place) -> int:
+def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: Place) -> int:
     """(a, b)_v in {+1, -1}: does z**2 = a*x**2 + b*y**2 have a nonzero
     solution over the completion at v?
 
@@ -200,7 +200,7 @@ def hasse_invariant(f: DiagonalForm, v: Place) -> int:
     return _hasse([_int_class(c) for c in f.coeffs], v)
 
 
-def is_local_square(x: Rational | int, v: Place) -> bool:
+def is_local_square(x: Fraction | int, v: Place) -> bool:
     """Is the nonzero rational x a square in the completion at v?"""
     if type(x) is not int:
         x = _int_class(x)

@@ -490,6 +490,34 @@ def test_check_permutation_degree_above_cap_exits_1(capsys):
     assert out.startswith("group: perm:(1 1000000) (order 2)\n")
 
 
+_HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "group, field, cap",
+    [
+        ("catalog:C8", f"Q(sqrt {_HUGE})", "factorization cap"),
+        (f"metacyclic:a={_HUGE},b=1,c=0,r=1", "Q", "metacyclic cap"),
+        (f"perm:(1 {_HUGE})", "Q", "closure cap"),
+    ],
+    ids=["field", "metacyclic", "perm"],
+)
+def test_check_huge_numeral_names_the_cap(capsys, group, field, cap):
+    # a numeral past Python's int string limit is refused by the input's
+    # own cap before int() reads it, not by a message naming that limit
+    code, out, err = _run(capsys, "check", "--group", group, "--field", field)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and cap in err
+    assert "Exceeds the limit" not in err
+
+
+def test_leading_zeros_do_not_count_against_the_cap(capsys):
+    code, out, err = _run(capsys, "check", "--group", "perm:(1 " + "0" * 5000 + "2)", "--field", "Q")
+    assert code == 2 and err == ""
+    assert out.startswith("group: perm:(1 2) (order 2)\n")
+
+
 def _cycle(first, last):
     return "(" + " ".join(map(str, range(first, last + 1))) + ")"
 

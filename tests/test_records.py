@@ -77,6 +77,15 @@ def test_equality_and_hash_by_value_within_a_class():
         assert len({a, a2}) == 1, a
 
 
+def test_perm_gens_stores_image_tuples():
+    # generators given as lists are stored as tuples, so the record hashes
+    # and equals the one built from tuples
+    a = PermGens(3, ([1, 2, 0],))
+    b = PermGens(3, ((1, 2, 0),))
+    assert a.generators == ((1, 2, 0),)
+    assert a == b and hash(a) == hash(b)
+
+
 def test_field_descriptor_of_a_square_multiple_is_the_squarefree_one():
     assert FieldDescriptor(8) == FieldDescriptor(2)
     assert hash(FieldDescriptor(8)) == hash(FieldDescriptor(2))

@@ -22,8 +22,13 @@ Nor does it import dataclasses or typing: the records share one slotted
 base in exact, and importing the package and its CLI loads none of the
 modules behind dataclasses (inspect, ast, dis, tokenize), which cost more
 than the verdict itself. A plain check line does not load argparse either,
-and neither it nor catalog loads oracles or random. Nor does a check over
-Q sieve the primes that factorize splits off large inputs.
+and neither it nor catalog loads oracles or random. The verdict reads
+integers only, so neither a check, over Q or a quadratic field, nor
+catalog loads rational arithmetic: not fractions (nor the decimal and
+numbers it pulls in), localfields or quadforms. They load with the oracle
+subcommand or the first use of the form API, which the package serves on
+demand. Nor does a check over Q sieve the primes that factorize splits off
+large inputs.
 groups imports neither re nor random: its chains are deterministic, and
 it parses the catalog names by hand.
 """
@@ -318,6 +323,37 @@ def test_check_and_catalog_load_no_oracles():
         added = _modules_added_by(run.format(argv))
         assert "noethercheck.groups" in added and added & reference == set(), argv
     assert reference <= _modules_added_by(run.format(["oracle", "three-squares", "10"]))
+
+
+RATIONAL_MODULES = {
+    "fractions", "decimal", "numbers", "noethercheck.localfields", "noethercheck.quadforms",
+}
+
+
+def test_check_and_catalog_load_no_rational_arithmetic():
+    run = (
+        "import contextlib, io, noethercheck.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main({!r})"
+    )
+    for argv in (
+        ["check", "--group", "catalog:SL2_7", "--field", "Q"],
+        ["check", "--group", "catalog:C8", "--field", "Q(sqrt 999999999989)", "--json"],
+        ["catalog"],
+    ):
+        added = _modules_added_by(run.format(argv))
+        assert "noethercheck.galois" in added and added & RATIONAL_MODULES == set(), argv
+    # the check sees them when the oracle subcommand or the form API loads them
+    assert RATIONAL_MODULES <= _modules_added_by(run.format(["oracle", "three-squares", "10"]))
+    assert RATIONAL_MODULES <= _modules_added_by("from noethercheck import DiagonalForm")
+
+
+def test_star_import_binds_all_public_names():
+    out = _output_of(
+        "from noethercheck import *\nimport noethercheck\n"
+        "print(sum(name in globals() for name in noethercheck.__all__), len(noethercheck.__all__))"
+    )
+    assert out.split() == ["13", "13"]
 
 
 def test_check_over_Q_builds_no_prime_table():
