@@ -273,13 +273,31 @@ def padic_valuation(x: Fraction | int, p: int) -> int:
 
 class Frozen:
     """Base of the package's immutable records: a subclass names its fields
-    in __slots__ and sets them in __init__ through object.__setattr__.
+    in __slots__, and Frozen binds them, by position in slot order or by
+    keyword, as a dataclass does. A subclass that checks or normalizes its
+    arguments does so in its own __init__ and ends with super().__init__.
     Equality, hashing, repr and pickling read the fields in slot order."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls.__slots__)
+        # the slot descriptors' setters, which bypass the __setattr__ below
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values: object, **fields: object) -> None:
+        setters = self._setters
+        if fields or len(values) != len(setters):
+            names = self.__slots__
+            rest = names[len(values):]
+            if len(values) > len(names) or fields.keys() != set(rest):
+                raise TypeError(
+                    f"{self.__class__.__qualname__}() takes the fields {', '.join(names)} once each,"
+                    f" given {len(values)} by position and {', '.join(fields) or 'none'} by keyword"
+                )
+            values += tuple(map(fields.__getitem__, rest))
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -321,7 +339,7 @@ class FieldDescriptor(Frozen):
             if s == 1:
                 raise ValueError(f"d = {d} is a square; use FieldDescriptor() for Q")
             d = s
-        object.__setattr__(self, "d", d)
+        super().__init__(d)
 
     @property
     def is_rational(self) -> bool:

@@ -74,29 +74,12 @@ class Check(Frozen):
     def __init__(self, name: str, result: str, detail: str) -> None:
         if result not in ("pass", "fail"):
             raise ValueError(f"bad check result: {result}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "detail", detail)
+        super().__init__(name, result, detail)
 
 
 class Verdict(Frozen):
     __slots__ = ("outcome", "theorem", "witness", "reasons", "bailey_e", "abelian_invariants",
                  "group_order", "sylow_order", "sylow_is_q16", "checks")
-
-    def __init__(self, outcome: str, theorem: str | None, witness: dict | None,
-                 reasons: tuple[str, ...], bailey_e: int, abelian_invariants: tuple[int, ...],
-                 group_order: int, sylow_order: int, sylow_is_q16: bool,
-                 checks: tuple[Check, ...]) -> None:
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "theorem", theorem)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reasons", reasons)
-        object.__setattr__(self, "bailey_e", bailey_e)
-        object.__setattr__(self, "abelian_invariants", abelian_invariants)
-        object.__setattr__(self, "group_order", group_order)
-        object.__setattr__(self, "sylow_order", sylow_order)
-        object.__setattr__(self, "sylow_is_q16", sylow_is_q16)
-        object.__setattr__(self, "checks", checks)
 
     @property
     def fired(self) -> bool:
@@ -187,15 +170,6 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
             }
             reasons = []
 
-    return Verdict(
-        outcome="not_retract_rational" if fired else "inconclusive",
-        theorem=fired,
-        witness=witness,
-        reasons=tuple(reasons),
-        bailey_e=bailey_e,
-        abelian_invariants=invs,
-        group_order=facts.order,
-        sylow_order=sylow_order,
-        sylow_is_q16=q16,
-        checks=tuple(checks),
-    )
+    outcome = "not_retract_rational" if fired else "inconclusive"
+    return Verdict(outcome, fired, witness, tuple(reasons), bailey_e, invs, facts.order,
+                   sylow_order, q16, tuple(checks))

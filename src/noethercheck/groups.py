@@ -102,8 +102,7 @@ class PermGens(Frozen):
         for g in generators:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "generators", generators)
+        super().__init__(degree, generators)
 
     @classmethod
     def from_cycles(cls, *specs: str) -> PermGens:
@@ -152,19 +151,13 @@ class Metacyclic(Frozen):
             raise ValueError(f"r**b != 1 mod a for r = {r}, b = {b}, a = {a}")
         if c * (r - 1) % a != 0:
             raise ValueError(f"c*(r - 1) != 0 mod a for c = {c}, r = {r}, a = {a}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "r", r)
+        super().__init__(a, b, c, r)
 
 
 class Catalog(Frozen):
     """A named group from the built-in catalog."""
 
     __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
 
 
 GroupSpec = PermGens | Metacyclic | Catalog
@@ -535,13 +528,6 @@ class GroupFacts(Frozen):
 
     __slots__ = ("order", "abelian_invariants", "sylow2_order", "sylow2_is_q16")
 
-    def __init__(self, order: int, abelian_invariants: tuple[int, ...], sylow2_order: int,
-                 sylow2_is_q16: bool) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "abelian_invariants", abelian_invariants)
-        object.__setattr__(self, "sylow2_order", sylow2_order)
-        object.__setattr__(self, "sylow2_is_q16", sylow2_is_q16)
-
 
 def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     """The facts of a metacyclic group from its parameters alone.
@@ -654,7 +640,7 @@ def _derived_subgroup(pg: PermGens, order: int) -> _StabilizerChain:
     drops the redundant ones."""
     gens = pg.generators
     invs = [_perm_inverse(g) for g in gens]
-    bound = order // _abelian_index(pg) if order else 0
+    bound = order // _abelian_index(pg)
     N = _StabilizerChain(pg.degree, bound)
     taken = N.grow(
         (

@@ -44,14 +44,7 @@ class Place(Frozen):
     def __init__(self, p: int | None) -> None:
         if p is not None and not is_prime(p):
             raise ValueError(f"not a prime: {p}")
-        object.__setattr__(self, "p", p)
-
-    @property
-    def is_real(self) -> bool:
-        return self.p is None
-
-    def sort_key(self) -> tuple[int, int]:
-        return (1, 0) if self.p is None else (0, self.p)
+        super().__init__(p)
 
     def __str__(self) -> str:
         return "oo" if self.p is None else str(self.p)
@@ -72,7 +65,7 @@ class DiagonalForm(Frozen):
             raise ValueError("a form needs at least one coefficient")
         if any(c == 0 for c in cs):
             raise ValueError("diagonal coefficients must be nonzero")
-        object.__setattr__(self, "coeffs", cs)
+        super().__init__(cs)
 
     @classmethod
     def of(cls, *coeffs: Fraction | int) -> DiagonalForm:
@@ -96,16 +89,6 @@ class DiagonalForm(Frozen):
     def scaled(self, c: Fraction | int) -> DiagonalForm:
         c = Fraction(c)
         return DiagonalForm(tuple(c * a for a in self.coeffs))
-
-    def disc(self) -> Fraction:
-        out = Fraction(1)
-        for c in self.coeffs:
-            out *= c
-        return out
-
-    def signature(self) -> tuple[int, int]:
-        pos = sum(1 for c in self.coeffs if c > 0)
-        return pos, self.dim - pos
 
     def __str__(self) -> str:
         return "<" + ",".join(str(c) for c in self.coeffs) + ">"

@@ -480,8 +480,7 @@ class UnitSubgroup2n(Frozen):
             raise ValueError("unit subgroups contain 1")
         if any(x % 2 == 0 or not 0 < x < mod for x in members):
             raise ValueError(f"members must be odd residues in (0, {mod})")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
+        super().__init__(n, members)
 
     @property
     def size(self) -> int:
@@ -622,8 +621,7 @@ class Subgroup(Frozen):
     __slots__ = ("group", "members")
 
     def __init__(self, group: FiniteGroupTable, members: frozenset[int]) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "members", members)
+        super().__init__(group, members)
         self.__post_init__()
 
     def __post_init__(self) -> None:

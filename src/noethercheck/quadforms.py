@@ -81,7 +81,7 @@ class IsotropyOutcome(Frozen):
     def __init__(self, kind: str) -> None:
         if kind not in ("isotropic", "anisotropic"):
             raise ValueError(f"bad kind: {kind}")
-        object.__setattr__(self, "kind", kind)
+        super().__init__(kind)
 
     @property
     def decided(self) -> bool:

@@ -169,6 +169,33 @@ def test_verdict_accepts_keywords():
     assert Verdict(**fields).fired
 
 
+# The classes whose fields the base binds unchecked, each with a full set of
+# values; a field missing, repeated or unknown is a TypeError naming the class
+BOUND_BY_THE_BASE = {
+    GroupFacts: (16, (2, 2), 16, True),
+    Verdict: tuple(range(len(Verdict.__slots__))),
+    Catalog: ("Q16",),
+}
+
+
+@pytest.mark.parametrize("cls", BOUND_BY_THE_BASE, ids=lambda cls: cls.__name__)
+def test_binding_errors_name_the_class(cls):
+    values, first = BOUND_BY_THE_BASE[cls], cls.__slots__[0]
+    for args, kwargs, given in [
+        (values[:-1], {}, f"{len(values) - 1} by position and none"),
+        (values + (0,), {}, f"{len(values) + 1} by position and none"),
+        (values, {"extra": 0}, f"{len(values)} by position and extra"),
+        (values, {first: values[0]}, f"{len(values)} by position and {first}"),
+    ]:
+        with pytest.raises(TypeError) as err:
+            cls(*args, **kwargs)
+        assert str(err.value) == (
+            f"{cls.__name__}() takes the fields {', '.join(cls.__slots__)} once each,"
+            f" given {given} by keyword"
+        )
+    assert cls(**dict(zip(cls.__slots__, values))) == cls(*values)
+
+
 def test_diagonal_form_converts_each_coefficient_once():
     half = Fraction(1, 2)
     f = DiagonalForm((half, 3, -7))

@@ -31,6 +31,10 @@ demand. Nor does a check over Q sieve the primes that factorize splits off
 large inputs.
 groups imports neither re nor random: its chains are deterministic, and
 it parses the catalog names by hand.
+Records bind their fields in one place, exact.Frozen: no other code reads
+object.__setattr__ or a slot's __set__, the two ways past a record's
+__setattr__, and the records that only hold their fields (GroupFacts,
+Verdict, Catalog) define no __init__ of their own.
 """
 
 import ast
@@ -371,6 +375,40 @@ def test_check_over_Q_builds_no_prime_table():
     assert _output_of(run.format("Q(sqrt 999999999989)")).split() == ["1"]
 
 
+def _setter_reads(tree):
+    """Where tree reads object.__setattr__ or any __set__: the dotted names
+    of the enclosing classes and functions, "" at module level."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and (
+                child.attr == "__set__"
+                or (
+                    child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "object"
+                )
+            ):
+                out.append(".".join(scope))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_only_the_base_binds_record_fields():
+    reads = {f"{p.stem}.{scope}" for p in MODULES for scope in _setter_reads(_tree(p))}
+    assert reads == {"exact.Frozen.__init_subclass__"}
+    for module, name in (("groups", "GroupFacts"), ("galois", "Verdict"), ("groups", "Catalog")):
+        (cls,) = [
+            n for n in _tree(PACKAGE / f"{module}.py").body
+            if isinstance(n, ast.ClassDef) and n.name == name
+        ]
+        assert "__init__" not in {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}, name
+
+
 def test_checks_catch_what_they_claim():
     tree = ast.parse(
         "import math\nfrom fractions import Fraction\nfrom .x import y as z\n"
@@ -389,3 +427,9 @@ def test_checks_catch_what_they_claim():
     assert [n.lineno for n in _reads(ast.parse("a = b.a\na(c)\n"), "a")] == [1, 2]
     tree = ast.parse("import sympy.combinatorics\nfrom . import x\ndef f():\n    from sympy import S\n")
     assert _top_level_imports(tree) == {"sympy"}
+    tree = ast.parse(
+        "s = object.__setattr__\nclass A:\n    def f(self):\n        object.__setattr__(self, 'x', 1)\n"
+        "        def g():\n            setattr(self, 'y', 2)\n            A.x.__set__(self, 3)\n"
+        "            object.__getattr__, self.__setattr__\n"
+    )
+    assert _setter_reads(tree) == ["", "A.f", "A.f.g"]
