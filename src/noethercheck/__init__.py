@@ -4,8 +4,8 @@ finite groups over Q and quadratic number fields.
 The package exports the verdict, the group specs it takes, the field
 descriptor and the two isotropy decisions for diagonal forms. Everything
 else lives in the submodules (exact, localfields, quadforms, groups,
-galois, oracles, cli). The form API, and the rational arithmetic under it,
-loads on first use: the verdict reads integers only.
+chain, galois, oracles, cli). The form API, and the rational arithmetic
+under it, loads on first use: the verdict reads integers only.
 """
 
 from .exact import QQ, FieldDescriptor

@@ -19,6 +19,7 @@ inconclusive, 1 on bad input. The other subcommands exit 0 on success and
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from functools import cache
@@ -244,7 +245,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull, so that the
+        # flush at exit cannot fail again, and exit 1 with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,24 +9,17 @@ h = gcd(a, r - 1) and d = gcd(h, c, b), and so is the Q16 answer, which
 needs the 2-part 16 and then a 2-part 8 of a and two congruences on c and
 r. A permutation spec with one generator is the cyclic presentation
 of the lcm of its cycle lengths. Any other permutation spec is answered
-from a deterministic Schreier-Sims stabilizer chain: the order is the
-product of its orbit lengths, and the invariants come from a chain for the
-derived subgroup G', which then grows in place by the p-power series of
-G/G', one prime p at a time, the order it gains at each step counting the
-invariant factors divisible by a power of p. The chain for G' is grown
-from the commutators and their conjugates by orbit extension alone,
-membership tested on the partial chain, which has no false positives. Its
-orbit product is at most |G'|, so once it reaches |G| over the part of
-|G/G'| the signs and abelian images of the orbits show, it is complete: a
-perfect group, for which that bound is |G| and G' = G, and S_n run no
-second Schreier-Sims. Short of the bound, the elements it took are added
-to a new chain one at a time, each completed, as the chain for G is
-built. Only when the 2-part of |G| is 16, and |G| is within CLOSURE_CAP,
-are elements walked for the Q16 test, one product of coset
-representatives at a time, and then only those of the image of G on one
-orbit: a Sylow Q16 has a regular orbit inside some orbit of G, and on any
-orbit where the image keeps the 2-part 16 the 2-Sylow subgroups map
-isomorphically. Every catalog group is one of these two kinds of spec.
+from stabilizer chains of the chain module: the order is the product of
+the orbit lengths of a chain for G, and the invariants come from a chain
+for the derived subgroup G', grown as _derived_subgroup describes, which
+then grows in place by the p-power series of G/G', one prime p at a time,
+the order it gains at each step counting the invariant factors divisible
+by a power of p. Only when the 2-part of |G| is 16, and |G| is within
+CLOSURE_CAP, are elements walked for the Q16 test, and then only those of
+the image of G on one orbit: a Sylow Q16 has a regular orbit inside some
+orbit of G, and on any orbit where the image keeps the 2-part 16 the
+2-Sylow subgroups map isomorphically. Every catalog group is one of these
+two kinds of spec.
 
 The multiplication tables the facts are tested against live in oracles,
 which imports this module and never the reverse; the verdict builds none.
@@ -37,8 +30,9 @@ from __future__ import annotations
 from functools import lru_cache, partial, reduce
 from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter, ne
+from operator import ne
 
+from .chain import StabilizerChain, _perm_compose, _perm_inverse
 from .exact import FACTORIZATION_CAP, Frozen, factorize, parse_ints
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
@@ -47,19 +41,9 @@ from .exact import FACTORIZATION_CAP, Frozen, factorize, parse_ints
 # to that order, and a permutation degree above 10**6 is refused before its
 # image tuples are built. A metacyclic presentation is answered without
 # enumeration, so its cap only bounds the size of the input: a*b up to the
-# factorization cap. A stabilizer chain stores two image tuples of length
-# degree per orbit point of each level; it stops once their total length
-# would pass 10**7, about 80 MB of tuple slots.
+# factorization cap. A stabilizer chain has its own cap, chain.CHAIN_CAP.
 CLOSURE_CAP = 10**6
 METACYCLIC_CAP = FACTORIZATION_CAP
-CHAIN_CAP = 10**7
-
-
-def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply p, then q. An itemgetter of several indices returns a tuple,
-    and does so several times faster than a map; the identity is the only
-    permutation of degree 1."""
-    return itemgetter(*p)(q) if len(p) > 1 else q
 
 
 def _parse_cycle_string(s: str) -> tuple[list[list[int]], int]:
@@ -163,13 +147,6 @@ class Catalog(Frozen):
 GroupSpec = PermGens | Metacyclic | Catalog
 
 
-def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def _perm_power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
     out = tuple(range(len(p)))
     while k:
@@ -196,285 +173,6 @@ def _cycles(p: tuple[int, ...]):
             cycle.append(j)
             j = p[j]
         yield cycle
-
-
-class _Level:
-    """One level of a stabilizer chain: the base point, the strong
-    generators that fix the earlier base points (each with its inverse),
-    the orbit of the base point under them in discovery order, and for each
-    orbit point x the coset representative reps[x] that sends x to the base
-    point and its inverse coreps[x], which a chain that grow built makes
-    only when a Schreier generator first needs it. The Schreier generators
-    pairing orbit[i] with gens[:tested[i]] have been sifted; every orbit
-    point before `todo` has been paired with every generator."""
-
-    __slots__ = ("base", "gens", "orbit", "reps", "coreps", "tested", "todo")
-
-    def __init__(self, base: int) -> None:
-        self.base = base
-        self.gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self.orbit: list[int] = []
-        self.reps: dict[int, tuple[int, ...]] = {}
-        self.coreps: dict[int, tuple[int, ...]] = {}
-        self.tested: list[int] = []
-        self.todo = 0
-
-
-class _StabilizerChain:
-    """A base and strong generating set of a permutation group, grown by
-    the deterministic Schreier-Sims algorithm (Holt-Eick-O'Brien,
-    Handbook of Computational Group Theory, section 4.4; Seress,
-    Permutation Group Algorithms, ch. 4). add completes the chain after
-    each new element: every Schreier generator of every level is sifted
-    through the levels below it, and a nontrivial residue becomes a strong
-    generator. Then the order of the group is the product of the orbit
-    lengths. Each orbit point holds two image tuples, its coset
-    representative and that one's inverse, so the chain holds at most 2|G|
-    permutations; the point images of both are counted as the point is
-    stored and refused past CHAIN_CAP.
-
-    grow takes a stream of elements instead and only extends orbits, so
-    its chain is partial. Sifting through a partial chain has no false
-    positives, since an element that strips to the identity is a product
-    of stored coset representatives, but may have false negatives. Sifting
-    reads the representatives only, so grow leaves each inverse to be made
-    when a Schreier generator first needs it; walk reads the inverses, and
-    walks only chains that add built.
-
-    bound, if not 0, bounds the order of every group the chain is asked to
-    hold. The stored orbits lie inside the true basic orbits, so their
-    lengths multiply to at most the group's order; once that product reaches
-    bound the chain is complete, however little of it was verified, and
-    every later add or grow is a no-op until unbound drops the bound, so
-    that the chain, still complete, can grow past it."""
-
-    def __init__(self, degree: int, bound: int = 0) -> None:
-        self.identity = tuple(range(degree))
-        self.levels: list[_Level] = []
-        self.images = 0
-        self.size = 1  # the product of the orbit lengths
-        self.bound = bound
-
-    def unbound(self) -> None:
-        """Drop the bound, so that the chain may grow past it. A chain at
-        its bound is complete however little of it was verified, so its
-        levels then count every Schreier generator as sifted."""
-        if self.size == self.bound:
-            for lev in self.levels:
-                lev.tested = [len(lev.gens)] * len(lev.orbit)
-                lev.todo = len(lev.orbit)
-        self.bound = 0
-
-    def order(self) -> int:
-        return self.size
-
-    def walk(self, square: tuple[int, ...] | None = None):
-        """Every element g of the group, which is not trivial, once, or,
-        given square, only those with g(g(x)) = square(x) at the first point
-        x that square moves. g is the product c_n * ... * c_1 * c_0 of one
-        coset representative c_i per level i, which sends the base point of
-        level i to a point of its orbit, and c_0 varies fastest. Only the
-        partial products on the current path are kept, and g(z) =
-        c_0[prefix[z]] is read at x before anything is composed."""
-        levels = self.levels
-        last = [levels[0].coreps[z] for z in levels[0].orbit]
-        x = 0 if square is None else next(i for i, z in enumerate(square) if i != z)
-
-        def walk(i: int, prefix: tuple[int, ...]):
-            if i:
-                coreps = levels[i].coreps
-                for z in levels[i].orbit:
-                    yield from walk(i - 1, _perm_compose(prefix, coreps[z]))
-                return
-            px = prefix[x]
-            for c in last:
-                if square is None or c[prefix[c[px]]] == square[x]:
-                    yield _perm_compose(prefix, c)
-
-        yield from walk(len(levels) - 1, self.identity)
-
-    def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...] | None, int]:
-        """Strip g through the levels from start on. Returns the residue, or
-        None if g strips to the identity, and the level whose orbit misses
-        g, or len(levels) if none does."""
-        levels, identity = self.levels, self.identity
-        for j in range(start, len(levels)):
-            lev = levels[j]
-            x = g[lev.base]
-            if x == lev.base:
-                continue
-            rep = lev.reps.get(x)
-            if rep is None:
-                return g, j
-            g = _perm_compose(g, rep)
-            if g == identity:
-                return None, len(levels)
-        return (None if g == identity else g), len(levels)
-
-    def contains(self, g: tuple[int, ...]) -> bool:
-        return self.sift(g)[0] is None
-
-    def add(self, g: tuple[int, ...]) -> bool:
-        """Extend the group by g and complete the chain. Returns False,
-        changing nothing, if g is already a member."""
-        if self.size == self.bound:
-            return False
-        residue, j = self.sift(g)
-        if residue is None:
-            return False
-        self._insert(residue, 0, j)
-        self._complete(j)
-        return True
-
-    def grow(self, elements, conjugators) -> list[tuple[int, ...]]:
-        """Extend the group by the elements and by the conjugates
-        g**-1 * y * g, for the pairs (g, g**-1) of conjugators, of every
-        element y that extended it, until those are closed under them: the
-        normal closure of the elements in the group the conjugators
-        generate. Returns the elements that extended it, which generate
-        that closure.
-
-        Each element is sifted through the partial chain. A residue that
-        strips to the identity is a product of stored coset
-        representatives, so the element is already a member: the test has
-        no false positives, and a false negative only takes one more
-        element. A nontrivial residue becomes a strong generator of the
-        levels down to the one that stopped it, and their orbits are
-        extended under it. No Schreier generator is sifted, so the chain is
-        complete only once its orbit product reaches the bound, and growth
-        stops there, or takes nothing if the chain is at the bound already."""
-        taken: list[tuple[int, ...]] = []
-        if self.size == self.bound:
-            return taken
-        for y in elements:
-            if self._extend(y):
-                taken.append(y)
-                if self.size == self.bound:
-                    return taken
-        for y in taken:  # grows while it is read
-            for g, g_inv in conjugators:
-                z = _perm_compose(_perm_compose(g_inv, y), g)
-                if self._extend(z):
-                    taken.append(z)
-                    if self.size == self.bound:
-                        return taken
-        return taken
-
-    def _extend(self, g: tuple[int, ...]) -> bool:
-        """Make the residue of g a strong generator and extend the orbits of
-        its levels under it. Returns False, changing nothing, if g strips to
-        the identity."""
-        residue, j = self.sift(g)
-        if residue is None:
-            return False
-        self._insert(residue, 0, j)
-        for lev in self.levels[: j + 1]:
-            if self.size == self.bound:
-                break
-            self._extend_orbit(lev)
-        return True
-
-    def _extend_orbit(self, lev: _Level) -> None:
-        """Close the orbit of lev, closed under all its generators but the
-        last, under that one too: the last is applied to the old points and
-        every generator to the new points only. It stops once the orbit
-        product reaches the bound."""
-        gens, orbit, reps = lev.gens, lev.orbit, lev.reps
-        last, old = gens[-1:], len(orbit)
-        k = 0
-        while k < len(orbit):  # grows while it is read
-            x = orbit[k]
-            for s, s_inv in last if k < old else gens:
-                y = s[x]
-                if y not in reps:
-                    self._store(lev, y, _perm_compose(s_inv, reps[x]))
-                    if self.size == self.bound:
-                        return
-            k += 1
-
-    def _store(
-        self, lev: _Level, point: int, rep: tuple[int, ...], corep: tuple[int, ...] | None = None
-    ) -> None:
-        degree = len(self.identity)
-        if self.images + 2 * degree > CHAIN_CAP:
-            raise ValueError(
-                f"a stabilizer chain of degree {degree} needs more than "
-                f"chain cap {CHAIN_CAP} stored point images"
-            )
-        self.images += 2 * degree
-        n = len(lev.orbit)
-        if n:
-            self.size = self.size // n * (n + 1)
-        lev.orbit.append(point)
-        lev.reps[point] = rep
-        if corep is not None:
-            lev.coreps[point] = corep
-        lev.tested.append(0)
-
-    def _insert(self, h: tuple[int, ...], lo: int, hi: int) -> None:
-        """Make h, which fixes the base points before level hi, a strong
-        generator of levels lo..hi, opening level hi if it is new."""
-        if hi == len(self.levels):
-            lev = _Level(next(i for i, x in enumerate(h) if i != x))
-            self._store(lev, lev.base, self.identity, self.identity)
-            self.levels.append(lev)
-        gen = (h, _perm_inverse(h))
-        for lev in self.levels[lo : hi + 1]:
-            lev.gens.append(gen)
-            lev.todo = 0
-
-    def _complete(self, i: int) -> None:
-        """Levels below i are complete; make levels i, i-1, ..., 0 complete
-        too. A residue found at level i joins the levels after i, down to
-        the one that stopped it, and the work resumes there."""
-        while i >= 0 and self.size != self.bound:
-            found = self._schreier_residue(i)
-            if found is None:
-                i -= 1
-            else:
-                h, j = found
-                self._insert(h, i + 1, j)
-                i = j
-
-    def _schreier_residue(self, i: int):
-        """Sift the untested Schreier generators of level i, extending its
-        orbit along the way, until one leaves a nontrivial residue below
-        level i. Returns (residue, level) for that one, or None."""
-        lev = self.levels[i]
-        gens, orbit, reps, coreps, tested = lev.gens, lev.orbit, lev.reps, lev.coreps, lev.tested
-        k = lev.todo
-        while k < len(orbit):
-            x = orbit[k]
-            corep = coreps.get(x)
-            if corep is None and tested[k] < len(gens):
-                corep = coreps[x] = _perm_inverse(reps[x])
-            while tested[k] < len(gens):
-                s, s_inv = gens[tested[k]]
-                tested[k] += 1
-                y = s[x]
-                rep = reps.get(y)
-                if rep is None:
-                    self._store(lev, y, _perm_compose(s_inv, reps[x]), _perm_compose(corep, s))
-                    if self.size == self.bound:
-                        lev.todo = k
-                        return None
-                    continue
-                if y == x == lev.base:
-                    # the Schreier generator is s, which _insert also made
-                    # a strong generator of the next level
-                    continue
-                # the Schreier generator coreps[x] * s * rep fixes the base
-                # point; it is the identity on the orbit's tree edges
-                h = _perm_compose(_perm_compose(corep, s), rep)
-                if h == self.identity:
-                    continue
-                h, j = self.sift(h, i + 1)
-                if h is not None:
-                    lev.todo = k
-                    return h, j
-            k += 1
-        lev.todo = k
-        return None
 
 
 # SL2(q) acting on the q**2 - 1 nonzero column vectors (x, y) of F_q**2,
@@ -622,7 +320,7 @@ def _abelian_index(pg: PermGens) -> int:
     return out
 
 
-def _derived_subgroup(pg: PermGens, order: int) -> _StabilizerChain:
+def _derived_subgroup(pg: PermGens, order: int) -> StabilizerChain:
     """A chain for G', the normal closure of the commutators of the
     generators: a subgroup whose generators' conjugates by the generators
     of G all lie in it is normal.
@@ -641,7 +339,7 @@ def _derived_subgroup(pg: PermGens, order: int) -> _StabilizerChain:
     gens = pg.generators
     invs = [_perm_inverse(g) for g in gens]
     bound = order // _abelian_index(pg)
-    N = _StabilizerChain(pg.degree, bound)
+    N = StabilizerChain(pg.degree, bound)
     taken = N.grow(
         (
             reduce(_perm_compose, (invs[i], invs[j], gens[i], gens[j]))
@@ -650,16 +348,16 @@ def _derived_subgroup(pg: PermGens, order: int) -> _StabilizerChain:
         ),
         list(zip(gens, invs)),
     )
-    if N.size == bound:
+    if N.order() == bound:
         return N
-    N = _StabilizerChain(pg.degree, bound)
+    N = StabilizerChain(pg.degree, bound)
     for y in taken:
         N.add(y)
     return N
 
 
 def _chain_invariants(
-    gens: tuple[tuple[int, ...], ...], order: int, primes: list[int], K: _StabilizerChain
+    gens: tuple[tuple[int, ...], ...], order: int, primes: list[int], K: StabilizerChain
 ) -> tuple[int, ...]:
     """Invariant factors of G/G', descending and without 1s, from the order
     of G, the primes that may divide it and the complete chain K for G',
@@ -709,7 +407,7 @@ def _chain_invariants(
     return tuple(factors)
 
 
-def _sylow2_image(pg: PermGens, G: _StabilizerChain) -> _StabilizerChain | None:
+def _sylow2_image(pg: PermGens, G: StabilizerChain) -> StabilizerChain | None:
     """The chain of _perm_facts' orbit rule for a group G of 2-part 16: G
     itself when it moves the points of one orbit only, of 16 or more, else
     its image on the first such orbit that keeps that 2-part, or None."""
@@ -718,7 +416,7 @@ def _sylow2_image(pg: PermGens, G: _StabilizerChain) -> _StabilizerChain | None:
         return G
     for orbit in (o for o in moved if len(o) >= 16):
         where = {x: i for i, x in enumerate(orbit)}
-        H = _StabilizerChain(len(orbit), G.order())
+        H = StabilizerChain(len(orbit), G.order())
         for g in pg.generators:
             H.add(tuple(where[g[x]] for x in orbit))
         if H.order() & -H.order() == 16:
@@ -726,7 +424,7 @@ def _sylow2_image(pg: PermGens, G: _StabilizerChain) -> _StabilizerChain | None:
     return None
 
 
-def _q16_search(H: _StabilizerChain) -> bool:
+def _q16_search(H: StabilizerChain) -> bool:
     """Is a 2-Sylow subgroup of the group of the complete chain H Q16,
     given that the 2-part of its order is 16? H is the image of a
     permutation group that the orbit rule of _perm_facts picks.
@@ -777,7 +475,7 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     if len(gens) == 1:
         m = lcm(*map(len, _cycles(gens[0])))
         return _metacyclic_facts(Metacyclic(m, 1, 0, 1 % m))
-    G = _StabilizerChain(pg.degree)
+    G = StabilizerChain(pg.degree)
     for g in gens:
         G.add(g)
     order = G.order()
@@ -790,7 +488,7 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     H = _sylow2_image(pg, G) if two_part == 16 else None
     q16 = H is not None and _q16_search(H)
     # the primes of |G| are those of its orbit lengths, all at most degree
-    primes = sorted({p for lev in G.levels for p in factorize(len(lev.orbit))})
+    primes = sorted({p for n in G.orbit_lengths() for p in factorize(n)})
     del G
     invariants = _chain_invariants(gens, order, primes, _derived_subgroup(pg, order))
     return GroupFacts(order, invariants, two_part, q16)

@@ -21,9 +21,9 @@ records the spec it was built from, so groups.abelian_invariants reads the
 invariants of a table from the one source, group_facts of that spec; a
 quotient table records none. The tables, with their 2-Sylow search, are
 what the tests compare the facts against; the verdict builds none. From
-groups this module takes the specs, the catalog, the closure cap and the
-permutation product, and none of the code that computes the facts; the
-product of a metacyclic presentation is its own.
+groups this module takes the specs, the catalog and the closure cap, none
+of the code that computes the facts, and from chain only the permutation
+product; the product of a metacyclic presentation is its own.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from itertools import combinations, combinations_with_replacement
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
+from .chain import _perm_compose
 from .exact import FieldDescriptor, Frozen, factorize
 from .groups import (
     CLOSURE_CAP,
@@ -42,7 +43,6 @@ from .groups import (
     Metacyclic,
     PermGens,
     _catalog_spec,
-    _perm_compose,
 )
 from .localfields import DiagonalForm, Place, REAL_PLACE, hilbert_symbol
 from .quadforms import isotropic_Q

@@ -8,6 +8,7 @@ for byte; the rest is checked structurally.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -605,7 +606,7 @@ def test_check_q16_times_cycles_walks_the_chain():
 
 
 def test_check_permutation_chain_above_cap_exits_1():
-    from noethercheck.groups import CHAIN_CAP
+    from noethercheck.chain import CHAIN_CAP
 
     start = time.perf_counter()
     code, _, err, rss_mb = _child_check("perm:(1 2);" + _cycle(1, 3000))
@@ -634,3 +635,18 @@ def test_check_long_cycle_answers_fast(capsys):
     assert time.perf_counter() - start < 0.5
     assert (code, err) == (0, "")
     assert "(order 12000)" in out and "theorem 1.2" in out
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # `noethercheck catalog | head -1`: the reader is gone before the
+    # catalog is written, as it is once head has read its line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "noethercheck.cli", "catalog"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")

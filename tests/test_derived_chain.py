@@ -19,8 +19,9 @@ from functools import reduce
 
 import pytest
 
-from noethercheck import groups, oracles
-from noethercheck.groups import CHAIN_CAP, CLOSURE_CAP, PermGens, group_facts
+from noethercheck import chain, groups, oracles
+from noethercheck.chain import CHAIN_CAP, _perm_compose, _perm_inverse
+from noethercheck.groups import CLOSURE_CAP, PermGens, group_facts
 
 PERFECT = {
     "A7": PermGens.from_cycles("(1 2 3)", "(3 4 5 6 7)"),
@@ -32,7 +33,7 @@ ORDERS = {"A7": 2520, "A10": 1814400, "SL2_7": 336, "SL2_9": 720}
 
 
 def _chain(pg):
-    G = groups._StabilizerChain(pg.degree)
+    G = chain.StabilizerChain(pg.degree)
     for g in pg.generators:
         G.add(g)
     return G
@@ -43,7 +44,7 @@ def _words(pg, rng, count):
     for _ in range(count):
         w = tuple(range(pg.degree))
         for _ in range(rng.randint(1, 12)):
-            w = groups._perm_compose(w, rng.choice(pg.generators))
+            w = _perm_compose(w, rng.choice(pg.generators))
         out.append(w)
     return out
 
@@ -109,9 +110,9 @@ NOT_PERFECT = {
 
 def _count_chain_work(monkeypatch):
     """Record every Schreier pass and every completion, with the level it
-    starts from and the top level of the chain at that moment."""
+    starts from."""
     work = {"schreier": 0, "complete": []}
-    Chain = groups._StabilizerChain
+    Chain = chain.StabilizerChain
     schreier, complete = Chain._schreier_residue, Chain._complete
 
     def counted_schreier(self, i):
@@ -119,7 +120,7 @@ def _count_chain_work(monkeypatch):
         return schreier(self, i)
 
     def counted_complete(self, i):
-        work["complete"].append((i, len(self.levels) - 1))
+        work["complete"].append(i)
         return complete(self, i)
 
     monkeypatch.setattr(Chain, "_schreier_residue", counted_schreier)
@@ -160,10 +161,10 @@ def test_short_of_the_bound_the_taken_elements_are_added():
     pg = PermGens.from_cycles("(1 2)", "(1 2 3 4 5)", "(1 6)(2 7)(3 8)(4 9)(5 10)")
     order = _chain(pg).order()
     assert (order, groups._abelian_index(pg)) == (28800, 2)
-    grown = groups._StabilizerChain(pg.degree, order // 2)
-    gens, invs = pg.generators, [groups._perm_inverse(g) for g in pg.generators]
+    grown = chain.StabilizerChain(pg.degree, order // 2)
+    gens, invs = pg.generators, [_perm_inverse(g) for g in pg.generators]
     commutators = [
-        reduce(groups._perm_compose, (invs[i], invs[j], gens[i], gens[j]))
+        reduce(_perm_compose, (invs[i], invs[j], gens[i], gens[j]))
         for i in range(3)
         for j in range(i + 1, 3)
     ]
@@ -242,15 +243,15 @@ def test_growth_at_the_bound_takes_nothing(monkeypatch):
         gens.append(tuple(g))
     pg = PermGens(2 * n, tuple(gens))
     sifted = []
-    sift = groups._StabilizerChain.sift
+    sift = chain.StabilizerChain._sift
 
     def counted(self, g, start=0):
         sifted.append(g)
         return sift(self, g, start)
 
-    monkeypatch.setattr(groups._StabilizerChain, "sift", counted)
-    chain = groups._StabilizerChain(2 * n, 1)
-    assert chain.grow(iter(gens), [(g, g) for g in gens]) == []
+    monkeypatch.setattr(chain.StabilizerChain, "_sift", counted)
+    bounded = chain.StabilizerChain(2 * n, 1)
+    assert bounded.grow(iter(gens), [(g, g) for g in gens]) == []
     assert groups._derived_subgroup(pg, 2**n).order() == 1
     assert sifted == []
     monkeypatch.undo()
@@ -301,13 +302,13 @@ def test_p_power_series_grows_the_chain_for_g_prime(monkeypatch):
     # the images of the Q16 orbit rule; the p-power series adds to the
     # chain for G' and builds none
     built = []
-    init = groups._StabilizerChain.__init__
+    init = chain.StabilizerChain.__init__
 
     def counted(self, *args):
         built.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(groups._StabilizerChain, "__init__", counted)
+    monkeypatch.setattr(chain.StabilizerChain, "__init__", counted)
     counts = {}
     for name, (pg, _) in SERIES_GROUPS.items():
         built.clear()

@@ -17,7 +17,8 @@ from math import gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noethercheck import groups, oracles
+from noethercheck import chain, groups, oracles
+from noethercheck.chain import _perm_compose
 from noethercheck.galois import verdict
 from noethercheck.groups import METACYCLIC_CAP, Catalog, Metacyclic, PermGens, group_facts
 from noethercheck.oracles import (
@@ -258,14 +259,14 @@ def _s6_on_3_subsets(natural=False):
 
 def _count_walks(monkeypatch):
     walks = []
-    walk = groups._StabilizerChain.walk
+    walk = chain.StabilizerChain.walk
 
     def counted(self, *args):
         for g in walk(self, *args):
             walks.append(g)
             yield g
 
-    monkeypatch.setattr(groups._StabilizerChain, "walk", counted)
+    monkeypatch.setattr(chain.StabilizerChain, "walk", counted)
     return walks
 
 
@@ -319,7 +320,7 @@ def test_filtered_walk_keeps_every_square_root():
     rng = random.Random(15)
     for name in ("SL2_7", "SL2_9", "S4"):
         spec = groups._catalog_spec(name)
-        G = groups._StabilizerChain(spec.degree)
+        G = chain.StabilizerChain(spec.degree)
         for g in spec.generators:
             G.add(g)
         elements = list(G.walk())
@@ -328,7 +329,7 @@ def test_filtered_walk_keeps_every_square_root():
             x = next(i for i, z in enumerate(c) if i != z)
             kept = list(G.walk(c))
             assert all(g[g[x]] == c[x] for g in kept), name
-            roots = [g for g in elements if groups._perm_compose(g, g) == c]
+            roots = [g for g in elements if _perm_compose(g, g) == c]
             assert set(roots) <= set(kept), name
             assert set(kept) == {g for g in elements if g[g[x]] == c[x]}, name
 

@@ -29,8 +29,12 @@ numbers it pulls in), localfields or quadforms. They load with the oracle
 subcommand or the first use of the form API, which the package serves on
 demand. Nor does a check over Q sieve the primes that factorize splits off
 large inputs.
-groups imports neither re nor random: its chains are deterministic, and
-it parses the catalog names by hand.
+Neither groups nor chain imports re or random: the chains are
+deterministic, and groups parses the catalog names by hand.
+The stabilizer chain is a leaf module, chain, that imports nothing from
+the package. groups reaches it through its interface only, reading none of
+its levels, fields or private methods, and oracles takes from it the
+permutation product alone.
 Records bind their fields in one place, exact.Frozen: no other code reads
 object.__setattr__ or a slot's __set__, the two ways past a record's
 __setattr__, and the records that only hold their fields (GroupFacts,
@@ -158,7 +162,7 @@ def test_groups_defines_no_lattice_reduction():
 
 
 FACT_CODE = {
-    "group_facts", "_perm_facts", "_metacyclic_facts", "_StabilizerChain", "_q16_search",
+    "group_facts", "_perm_facts", "_metacyclic_facts", "StabilizerChain", "_q16_search",
     "_derived_subgroup", "_chain_invariants", "_abelian_index",
 }
 TABLE_CODE = {
@@ -262,7 +266,8 @@ def test_groups_imports_neither_re_nor_random():
     # the chains stay deterministic, and the catalog names are parsed
     # without a regular expression, whose first compile costs more than
     # the parse
-    assert _top_level_imports(_tree(PACKAGE / "groups.py")) & {"re", "random"} == set()
+    for name in ("groups.py", "chain.py"):
+        assert _top_level_imports(_tree(PACKAGE / name)) & {"re", "random"} == set(), name
 
 
 def test_no_module_imports_dataclasses_or_typing():
@@ -375,6 +380,36 @@ def test_check_over_Q_builds_no_prime_table():
     assert _output_of(run.format("Q(sqrt 999999999989)")).split() == ["1"]
 
 
+CHAIN_INTERNALS = {"levels", "orbit", "reps", "coreps", "tested", "todo", "images", "bound", "size"}
+
+
+def _chain_internal_reads(tree):
+    """Where tree reads past the chain's interface, as "name (line n)",
+    sorted: an attribute named in CHAIN_INTERNALS, or private but not a
+    dunder, or the level class _Level."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute):
+            name = n.attr
+            hit = name in CHAIN_INTERNALS or (name.startswith("_") and not name.endswith("__"))
+        else:
+            name = getattr(n, "id", None)
+            hit = name == "_Level"
+        if hit:
+            out.append(f"{name} (line {n.lineno})")
+    return sorted(out)
+
+
+def test_chain_is_a_leaf_behind_its_interface():
+    assert _package_imports(_tree(PACKAGE / "chain.py")) == set()
+    tree = _tree(PACKAGE / "groups.py")
+    assert _from_imports(tree)["chain"] == {"StabilizerChain", "_perm_compose", "_perm_inverse"}
+    assert _chain_internal_reads(tree) == []
+    tree = _tree(PACKAGE / "oracles.py")
+    assert _from_imports(tree)["chain"] == {"_perm_compose"}
+    assert "chain" not in _imported_names(tree)
+
+
 def _setter_reads(tree):
     """Where tree reads object.__setattr__ or any __set__: the dotted names
     of the enclosing classes and functions, "" at module level."""
@@ -433,3 +468,5 @@ def test_checks_catch_what_they_claim():
         "            object.__getattr__, self.__setattr__\n"
     )
     assert _setter_reads(tree) == ["", "A.f", "A.f.g"]
+    tree = ast.parse("def f(G, H):\n    G.levels, G._sift(H.identity), G.__class__, _Level, size\n")
+    assert _chain_internal_reads(tree) == ["_Level (line 2)", "_sift (line 2)", "levels (line 2)"]
