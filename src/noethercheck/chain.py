@@ -105,15 +105,15 @@ class StabilizerChain:
         return [len(lev.orbit) for lev in self._levels]
 
     def walk(self, square: tuple[int, ...] | None = None):
-        """Every element g of the group, which is not trivial, once, or,
-        given square, only those with g(g(x)) = square(x) at the first point
-        x that square moves. g is the product c_n * ... * c_1 * c_0 of one
-        coset representative c_i per level i, which sends the base point of
-        level i to a point of its orbit, and c_0 varies fastest. Only the
-        partial products on the current path are kept, and g(z) =
+        """Every element g of the group once, or, given square, only those
+        with g(g(x)) = square(x) at the first point x that square moves. g is
+        the product c_n * ... * c_1 * c_0 of one coset representative c_i per
+        level i, which sends the base point of level i to a point of its
+        orbit, and c_0 varies fastest (the identity if there are no levels).
+        Only the partial products on the current path are kept, and g(z) =
         c_0[prefix[z]] is read at x before anything is composed."""
         levels = self._levels
-        last = [levels[0].coreps[z] for z in levels[0].orbit]
+        last = [levels[0].coreps[z] for z in levels[0].orbit] if levels else [self.identity]
         x = 0 if square is None else next(i for i, z in enumerate(square) if i != z)
 
         def walk(i: int, prefix: tuple[int, ...]):
@@ -127,7 +127,7 @@ class StabilizerChain:
                 if square is None or c[prefix[c[px]]] == square[x]:
                     yield _perm_compose(prefix, c)
 
-        yield from walk(len(levels) - 1, self.identity)
+        yield from walk(max(len(levels) - 1, 0), self.identity)
 
     def _sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...] | None, int]:
         """Strip g through the levels from start on. Returns the residue, or

@@ -1,18 +1,18 @@
 """Byte parity of the command line between the working tree and a revision.
 
-    python tools/parity.py --against REV [--digest]
+    python tools/parity.py --against REV
 
 Exports the src/ of REV with git archive into a temporary directory and
 runs one seeded corpus of command lines through noethercheck.cli.main, in
 process, in one fresh interpreter per tree: the working tree's src/ and
 REV's. Each command line gives one record: its argv, stdout, stderr and
 exit code. The first record that differs is printed with both outputs,
-and the exit status is then 1; with none, it is 0. --digest also prints
-one SHA-256 over all records of the working tree.
+and the exit status is then 1; with none, it says so, prints one SHA-256
+over all records, and the exit status is 0.
 
 The corpus is generated here, without importing the package:
-- every catalog name over a fixed list of fields, plain and --json, and
-  the catalog subcommand;
+- the catalog subcommand, and every name that REV's catalog lists over a
+  fixed list of fields, plain and --json;
 - the GROUP_ITEMS of bench/workloads.py, read from its source;
 - the cap errors and the usage errors;
 - the oracle subcommands at small bounds;
@@ -43,7 +43,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 20191
 PERM_SPECS = 2000
 FIELDS = ("Q", "Q(sqrt -1)", "Q(sqrt 2)", "Q(sqrt -7)", "Q(sqrt 17)", "Q(sqrt 999999999989)")
-CATALOG = [f"C{n}" for n in range(1, 65)] + "D16 SD16 Q16 S4 A4 SL2_7 SL2_9 Ex3_3".split()
 
 # Runs in the child: argv[1] is the src/ directory to import from, argv[2]
 # the corpus, one JSON argv per line, argv[3] the file for the records.
@@ -160,10 +159,10 @@ def _group_items() -> list[str]:
     raise SystemExit("bench/workloads.py defines no GROUP_ITEMS")
 
 
-def corpus() -> list[list[str]]:
+def corpus(catalog: list[str]) -> list[list[str]]:
     rng = random.Random(SEED)
     lines = [["catalog"]]
-    for name in CATALOG:
+    for name in catalog:
         for field in FIELDS:
             lines += [_check(f"catalog:{name}", field), _check(f"catalog:{name}", field, "--json")]
     for spec in _group_items():
@@ -226,6 +225,16 @@ def _run(src: Path, corpus_path: Path, out_path: Path) -> None:
     subprocess.run(cmd, check=True, timeout=600, env={**os.environ, "COLUMNS": "80"})
 
 
+def _catalog_names(src: Path, tmp: Path) -> list[str]:
+    """The names that the catalog subcommand of src lists, each before the
+    colon of its line."""
+    corpus_path, out_path = tmp / "catalog.jsonl", tmp / "names.jsonl"
+    corpus_path.write_text(json.dumps(["catalog"]) + "\n", encoding="utf-8")
+    _run(src, corpus_path, out_path)
+    stdout = json.loads(out_path.read_text(encoding="utf-8"))[1]
+    return [line.split(":")[0] for line in stdout.splitlines()]
+
+
 def _show(label: str, line: str) -> None:
     _, stdout, stderr, code = json.loads(line)
     print(f"--- {label}: exit {code}")
@@ -236,7 +245,6 @@ def _show(label: str, line: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, metavar="REV", help="git revision to compare")
-    parser.add_argument("--digest", action="store_true", help="print a SHA-256 over all records")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
@@ -246,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         ).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "rev", filter="data")
-        lines = corpus()
+        lines = corpus(_catalog_names(tmp / "rev" / "src", tmp))
         corpus_path = tmp / "corpus.jsonl"
         corpus_path.write_text("".join(json.dumps(a) + "\n" for a in lines), encoding="utf-8")
         ours, theirs = tmp / "tree.jsonl", tmp / "rev.jsonl"
@@ -262,8 +270,7 @@ def main(argv: list[str] | None = None) -> int:
                     _show(args.against, y)
                     return 1
         print(f"{len(lines)} records identical to {args.against}")
-        if args.digest:
-            print(f"sha256 {digest.hexdigest()}")
+        print(f"sha256 {digest.hexdigest()}")
     return 0
 
 
