@@ -147,8 +147,7 @@ def cmd_oracle(args) -> int:
     bound = args.bound
     limit = _ORACLE_LIMITS[args.kind]
     if not 1 <= bound <= limit:
-        print(f"error: bound for {args.kind} must be in [1, {limit}]", file=sys.stderr)
-        return 1
+        raise ValueError(f"bound for {args.kind} must be in [1, {limit}]")
     if args.kind == "three-squares":
         sieve = three_squares_sieve(bound)
         for n in range(1, bound + 1):
@@ -200,7 +199,7 @@ def _build_parser():
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_oracle = sub.add_parser("oracle", help="run a self-contained cross-check")
-    p_oracle.add_argument("kind", choices=("three-squares", "isotropy", "hilbert"))
+    p_oracle.add_argument("kind", choices=tuple(_ORACLE_LIMITS))
     p_oracle.add_argument("bound", type=int)
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -91,6 +91,19 @@ _FORMS = (
     ("form_3_1_m7_anisotropic", "<1,1,1,-7>", "3<1>+<-7>"),
     ("form_8_1_anisotropic", "<1,1,1,1,1,1,1,1>", "8<1>"),
 )
+# the witness of criterion 1.5, copied into each verdict that it fires in
+_WITNESS_15 = {"sylow_order": 16, **{name: True for name, _, _ in _FORMS}}
+
+
+def _record(checks: list[Check], reasons: list[str], name: str, holds: bool, detail: str,
+            reason: str = "") -> bool:
+    """Record one hypothesis of a verdict: append its check and, when it
+    fails, its reason, the detail unless a shorter one is given. Returns
+    whether it holds."""
+    checks.append(Check(name, "pass" if holds else "fail", detail))
+    if not holds:
+        reasons.append(reason or detail)
+    return holds
 
 
 def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
@@ -98,78 +111,53 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
     group over the given base field.
 
     Criterion "1.2" fires when the group has a cyclic quotient of order 2^n
-    with n >= 3 and k(zeta_{2^n})/k is not cyclic at the largest such n
-    (non-cyclicity is upward monotone, so checking the top level decides
-    every level; the witness records the smallest failing n). Criterion
-    "1.5" fires when the 2-Sylow subgroup is Q16 and both 3<1>+<-7> and
-    8<1> stay anisotropic over k. Either one yields "not_retract_rational";
-    otherwise the verdict is "inconclusive" with one reason per failed
-    hypothesis.
+    with n >= 3 and k(zeta_{2^n})/k is not cyclic at the largest such n.
+    Non-cyclicity is upward monotone, so one scan finds the least
+    non-cyclic level: it decides the largest one and is the witness.
+    Criterion "1.5" fires when the 2-Sylow subgroup is Q16 and both
+    3<1>+<-7> and 8<1> stay anisotropic over k. Either one yields
+    "not_retract_rational"; otherwise the verdict is "inconclusive" with one
+    reason per failed hypothesis.
     """
     facts = group_facts(spec)
     invs = facts.abelian_invariants
-    # the exponent of 2 in m is the index of its lowest set bit
-    dvec = tuple((m & -m).bit_length() - 1 for m in invs if m % 2 == 0)
+    # the exponent of 2 in m is the index of its lowest set bit; for a few
+    # factors a list comprehension builds the tuple faster than a generator
+    dvec = tuple([(m & -m).bit_length() - 1 for m in invs if m % 2 == 0])
     # the invariant factors divide one another, so the first carries the
     # largest 2-power
     d1 = dvec[0] if dvec else 0
     bailey_e, _ = bailey_group(field, dvec)
     sylow_order = facts.sylow2_order
     q16 = facts.sylow2_is_q16
-
+    k = str(field)  # once: the descriptor formats itself anew on each call
     checks: list[Check] = []
     reasons: list[str] = []
-    fired: str | None = None
-    witness: dict | None = None
 
-    if d1 >= 3:
-        checks.append(
-            Check("cyclic_2power_quotient", "pass", f"largest cyclic 2-power quotient 2^{d1}")
-        )
-        if not is_cyclic_ext(field, d1):
-            checks.append(
-                Check(
-                    "cyclotomic_noncyclic",
-                    "pass",
-                    f"{field}(zeta_(2^{d1}))/{field} is not cyclic",
-                )
-            )
-            n = next(m for m in range(3, d1 + 1) if not is_cyclic_ext(field, m))
-            fired = "1.2"
-            witness = {"n": n, "d1": d1}
-        else:
-            detail = f"cyclotomic extension cyclic: {field}(zeta_(2^{d1}))/{field}"
-            checks.append(Check("cyclotomic_noncyclic", "fail", detail))
-            reasons.append(detail)
+    # only the detail that is recorded gets formatted
+    detail = (f"largest cyclic 2-power quotient 2^{d1}" if d1 >= 3 else
+              f"no cyclic quotient of order 2^n with n >= 3 (largest is 2^{d1})")
+    n = None
+    if _record(checks, reasons, "cyclic_2power_quotient", d1 >= 3, detail):
+        n = next((m for m in range(3, d1 + 1) if not is_cyclic_ext(field, m)), None)
+        detail = (f"{k}(zeta_(2^{d1}))/{k} is not cyclic" if n else
+                  f"cyclotomic extension cyclic: {k}(zeta_(2^{d1}))/{k}")
+        _record(checks, reasons, "cyclotomic_noncyclic", n is not None, detail)
+    theorem = witness = None
+    if n:
+        theorem, witness = "1.2", {"n": n, "d1": d1}
     else:
-        detail = f"no cyclic quotient of order 2^n with n >= 3 (largest is 2^{d1})"
-        checks.append(Check("cyclic_2power_quotient", "fail", detail))
-        reasons.append(detail)
-
-    if fired is None:
-        if q16:
-            checks.append(Check("sylow2_q16", "pass", "2-Sylow subgroup is Q16"))
-            ok = True
-        else:
-            detail = f"2-Sylow subgroup is not Q16 (order {sylow_order})"
-            checks.append(Check("sylow2_q16", "fail", detail))
-            reasons.append(detail)
-            ok = False
+        detail = ("2-Sylow subgroup is Q16" if q16 else
+                  f"2-Sylow subgroup is not Q16 (order {sylow_order})")
+        ok = _record(checks, reasons, "sylow2_q16", q16, detail)
         for (name, form, short), anisotropic in zip(_FORMS, forms_anisotropic(field)):
-            detail = f"{form} {'anisotropic' if anisotropic else 'isotropic'} over {field}"
-            checks.append(Check(name, "pass" if anisotropic else "fail", detail))
-            if not anisotropic:
-                reasons.append(f"{short} isotropic over {field}")
-                ok = False
+            detail = f"{form} {'anisotropic' if anisotropic else 'isotropic'} over {k}"
+            reason = "" if anisotropic else f"{short} isotropic over {k}"
+            ok = _record(checks, reasons, name, anisotropic, detail, reason) and ok
         if ok:
-            fired = "1.5"
-            witness = {
-                "sylow_order": 16,
-                "form_3_1_m7_anisotropic": True,
-                "form_8_1_anisotropic": True,
-            }
-            reasons = []
+            theorem, witness = "1.5", dict(_WITNESS_15)
+            reasons.clear()
 
-    outcome = "not_retract_rational" if fired else "inconclusive"
-    return Verdict(outcome, fired, witness, tuple(reasons), bailey_e, invs, facts.order,
+    outcome = "not_retract_rational" if theorem else "inconclusive"
+    return Verdict(outcome, theorem, witness, tuple(reasons), bailey_e, invs, facts.order,
                    sylow_order, q16, tuple(checks))

@@ -600,19 +600,7 @@ class FiniteGroupTable:
     def closure(self, seed) -> frozenset[int]:
         """Subgroup generated by the given element indices. Closing under
         multiplication alone suffices in a finite group."""
-        gens = sorted(set(seed) - {0})
-        members = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mult(x, g)
-                    if y not in members:
-                        members.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(members)
+        return frozenset(_enumerate(0, sorted(set(seed) - {0}), self.mult, self.order)[0])
 
 
 class Subgroup(Frozen):

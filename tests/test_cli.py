@@ -650,3 +650,14 @@ def test_closed_pipe_exits_1_without_traceback():
     finally:
         os.close(write_end)
     assert (out.returncode, out.stderr) == (1, "")
+
+
+def test_parity_tool_reports_an_unknown_revision_as_a_usage_error():
+    # git's own words are not asserted, so this holds in a tree without .git
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "parity.py")
+    out = subprocess.run(
+        [sys.executable, tool, "--against", "no-such-rev"], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 2
+    assert any(line.startswith("parity.py: error: ") for line in out.stderr.splitlines())
+    assert "Traceback" not in out.stderr

@@ -447,3 +447,77 @@ def test_verdict_stays_off_the_form_stack(monkeypatch):
     assert sum(v.theorem == "1.5" for v in after) == 12
     forms = {c.detail.split(" ")[0] for v in after for c in v.checks if c.name.startswith("form_")}
     assert forms == {str(F7), str(F8)}
+
+
+
+ASSEMBLY_FIELDS = [QQ] + [FieldDescriptor(d) for d in (-1, 2, -2, 17, -7, 33, -15)]
+
+
+def _two_adic(m):
+    e = 0
+    while m % 2 == 0:
+        m, e = m // 2, e + 1
+    return e
+
+
+def _assembled(facts, k, cyclic, anisotropic):
+    """theorem, witness, bailey_e, the (name, result) of each check and the
+    reasons of a verdict, as the two theorems state them. cyclic(n) and
+    anisotropic come from the enumerated Galois group and from
+    Hasse-Minkowski; nothing here reads a rule from galois."""
+    dvec = [_two_adic(m) for m in facts.abelian_invariants if m % 2 == 0]
+    d1 = max(dvec, default=0)
+    bailey_e = sum(1 for d in dvec if d >= 3 and not cyclic(d))
+    checks, reasons = [], []
+
+    def check(name, holds, reason):
+        checks.append((name, "pass" if holds else "fail"))
+        if not holds:
+            reasons.append(reason)
+
+    check("cyclic_2power_quotient", d1 >= 3,
+          f"no cyclic quotient of order 2^n with n >= 3 (largest is 2^{d1})")
+    if d1 >= 3:
+        check("cyclotomic_noncyclic", not cyclic(d1),
+              f"cyclotomic extension cyclic: {k}(zeta_(2^{d1}))/{k}")
+        if not cyclic(d1):
+            n = min(n for n in range(3, d1 + 1) if not cyclic(n))
+            return "1.2", {"n": n, "d1": d1}, bailey_e, checks, ()
+    q16 = facts.sylow2_is_q16
+    check("sylow2_q16", q16, f"2-Sylow subgroup is not Q16 (order {facts.sylow2_order})")
+    check("form_3_1_m7_anisotropic", anisotropic[0], f"3<1>+<-7> isotropic over {k}")
+    check("form_8_1_anisotropic", anisotropic[1], f"8<1> isotropic over {k}")
+    if q16 and all(anisotropic):
+        witness = {"sylow_order": 16, "form_3_1_m7_anisotropic": True, "form_8_1_anisotropic": True}
+        return "1.5", witness, bailey_e, checks, ()
+    return None, None, bailey_e, checks, tuple(reasons)
+
+
+def test_verdict_assembly_over_the_catalog():
+    start = time.perf_counter()
+    seen = Counter()
+    for k in ASSEMBLY_FIELDS:
+        if k.is_rational:
+            anisotropic = [not isotropic_Q(f) for f in (F7, F8)]
+        else:
+            anisotropic = [not isotropic_quad(f, k.d).is_isotropic for f in (F7, F8)]
+        levels = {}
+
+        def cyclic(n):
+            if n not in levels:
+                levels[n] = cyclotomic_galois(k, n).is_cyclic()
+            return levels[n]
+
+        for name in groups.CATALOG_NAMES:
+            v = verdict(Catalog(name), k)
+            expected = _assembled(groups.group_facts(Catalog(name)), k, cyclic, anisotropic)
+            got = (v.theorem, v.witness, v.bailey_e, [(c.name, c.result) for c in v.checks])
+            assert got + (v.reasons,) == expected, (name, str(k))
+            seen[v.theorem] += 1
+            if v.theorem == "1.2":
+                seen["n < d1" if v.witness["n"] < v.witness["d1"] else "n = d1"] += 1
+            seen["reasons"] += len(v.reasons)
+    assert len(groups.CATALOG_NAMES) == 72
+    # every outcome occurs, and so do witnesses below and at the top level
+    assert all(seen[key] for key in ("1.2", "1.5", None, "n < d1", "n = d1", "reasons"))
+    assert time.perf_counter() - start < 1

@@ -250,9 +250,11 @@ def main(argv: list[str] | None = None) -> int:
         tmp = Path(tmp)
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", "--format=tar", args.against, "src"],
-            check=True, capture_output=True,
-        ).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            capture_output=True,
+        )
+        if archive.returncode:  # a revision git cannot export is a usage error
+            parser.error(archive.stderr.decode(errors="replace").strip())
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp / "rev", filter="data")
         lines = corpus(_catalog_names(tmp / "rev" / "src", tmp))
         corpus_path = tmp / "corpus.jsonl"
