@@ -32,12 +32,18 @@ public legendre_symbol checks its p.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import Frozen, is_prime
 
 
 class Place(Frozen):
-    """A place of Q: a finite prime, or the real place (p = None)."""
+    """A place of Q: a finite prime, or the real place (p = None).
+
+    Place(p) is the checked constructor and builds a new record each call;
+    code that asks for the places of many forms takes the one interned
+    Place of each prime from _place instead.
+    """
 
     __slots__ = ("p",)
 
@@ -53,6 +59,13 @@ class Place(Frozen):
 REAL_PLACE = Place(None)
 
 
+@lru_cache(maxsize=1024)
+def _place(p: int) -> Place:
+    """The interned Place(p) of a prime p. A non-prime raises, as Place(p)
+    does, and lru_cache keeps no entry for a call that raised."""
+    return Place(p)
+
+
 class DiagonalForm(Frozen):
     """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q."""
 
@@ -63,7 +76,7 @@ class DiagonalForm(Frozen):
         cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not cs:
             raise ValueError("a form needs at least one coefficient")
-        if any(c == 0 for c in cs):
+        if 0 in cs:
             raise ValueError("diagonal coefficients must be nonzero")
         super().__init__(cs)
 

@@ -7,7 +7,10 @@ where d is a square in Q_v (the real place included), so it asks the
 local criterion of localfields.local_isotropic at each candidate place of
 f where is_local_square(d, v) holds; over Q every place splits, and the
 test is skipped. The integer classes of the coefficients are read once per
-form, not once per place. No isotropic vectors are ever searched for here.
+form, not once per place, and each distinct numerator or denominator of f is
+factored once per form. A prime's place is the one interned Place of
+localfields._place, not a new record per form. No isotropic vectors are ever
+searched for here.
 """
 
 from __future__ import annotations
@@ -19,19 +22,28 @@ from .localfields import (
     REAL_PLACE,
     _int_class,
     _isotropic_at,
+    _place,
     is_local_square,
 )
 
 
 def candidate_places(f: DiagonalForm) -> tuple[Place, ...]:
     """Places where any local invariant of f can be nontrivial: the real
-    place, 2, and odd primes dividing some numerator or denominator."""
-    ps = {2}
+    place, 2, and odd primes dividing some numerator or denominator.
+
+    The finite places come sorted, then REAL_PLACE. Each distinct absolute
+    numerator or denominator above 1 is factored once, each part apart, so
+    the factorization cap applies part by part; each prime maps to its one
+    interned Place."""
+    parts = set()
     for c in f.coeffs:
-        ps.update(factorize(c.numerator))
-        ps.update(factorize(c.denominator))
-    finite = sorted(ps)
-    return tuple(Place(p) for p in finite) + (REAL_PLACE,)
+        parts.add(abs(c.numerator))
+        parts.add(c.denominator)
+    parts.discard(1)
+    ps = {2}
+    for n in parts:
+        ps.update(factorize(n))
+    return tuple([_place(p) for p in sorted(ps)]) + (REAL_PLACE,)
 
 
 def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:

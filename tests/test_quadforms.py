@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noethercheck import localfields, quadforms
-from noethercheck.exact import QQ, FieldDescriptor, square_class, squarefree_part
+from noethercheck.exact import (
+    FACTORIZATION_CAP,
+    QQ,
+    FieldDescriptor,
+    factorize,
+    square_class,
+    squarefree_part,
+)
 from noethercheck.localfields import (
     REAL_PLACE,
     DiagonalForm,
@@ -147,10 +154,15 @@ def test_isotropy_invariances_and_rules(coeffs, d, c, q, rng):
     assert answers(DiagonalForm.of(c)) == (False, False)
 
 
+def _distinct_parts(f):
+    """The distinct absolute numerators and denominators of f above 1."""
+    return {abs(x) for c in f.coeffs for x in (c.numerator, c.denominator)} - {1}
+
+
 def test_one_factorization_per_coefficient_and_no_checked_legendre(monkeypatch):
-    # a form of dim >= 3 costs one factorization of each numerator and each
-    # denominator per call, and its primes come from Places, so the checked
-    # legendre_symbol (a second primality test) is never needed
+    # a form of dim >= 3 costs one factorization of each distinct numerator
+    # and denominator above 1 per call, and its primes come from Places, so
+    # the checked legendre_symbol (a second primality test) is never needed
     forms = [
         F7,
         DiagonalForm.of(1, 1, -3),
@@ -178,15 +190,15 @@ def test_one_factorization_per_coefficient_and_no_checked_legendre(monkeypatch):
     for f, (iso_q, iso_k) in zip(forms, before):
         factored.clear()
         assert isotropic_Q(f) == iso_q
-        assert len(factored) == 2 * f.dim
+        assert sorted(factored) == sorted(_distinct_parts(f))
         for d, expected in zip(ds, iso_k):
             factored.clear()
             assert isotropic_quad(f, d) == expected
-            assert len(factored) == 2 * f.dim
+            assert sorted(factored) == sorted(_distinct_parts(f))
     factored.clear()
     for d in (2, 17, -7, 5):
         isotropic_quad(F7, d)
-    assert len(factored) == 32
+    assert len(factored) == 4
 
 
 # fields with both signs and both residues of d mod 8, the real place
@@ -236,6 +248,80 @@ def test_one_read_scan_matches_the_public_composition():
                 assert got == (c1 * c2 // gcd(c1, c2) ** 2 in (1, d)), (f, d)
             else:
                 assert not got, (f, d)
+
+
+def _parent_candidate_places(f):
+    """The rule before places were interned: every numerator and every
+    denominator factored apart, repeats and 1s included, and a fresh Place
+    built for each prime."""
+    ps = {2}
+    for c in f.coeffs:
+        ps.update(factorize(c.numerator))
+        ps.update(factorize(c.denominator))
+    return tuple(Place(p) for p in sorted(ps)) + (REAL_PLACE,)
+
+
+def test_candidate_places_share_one_place_per_prime():
+    f = DiagonalForm.of(1, 1, 1, -7)
+    g = DiagonalForm.of(Fraction(3, 14), 5, -1)
+    pf, pg = candidate_places(f), candidate_places(g)
+    assert pf[0] is pg[0]
+    assert pf[1] is pg[-2]
+    for v in pf + pg:
+        assert v == Place(v.p)
+    info = localfields._place.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize
+    with pytest.raises(ValueError, match="^not a prime: 4$"):
+        Place(4)
+    with pytest.raises(ValueError, match="^not a prime: 4$"):
+        localfields._place(4)
+    after = localfields._place.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (info.hits, info.misses + 1, info.currsize)
+    # no entry for 4 was kept: a second call misses again and raises again
+    with pytest.raises(ValueError, match="^not a prime: 4$"):
+        localfields._place(4)
+    again = localfields._place.cache_info()
+    assert (again.hits, again.misses, again.currsize) == (after.hits, after.misses + 1, after.currsize)
+
+
+def test_candidate_places_match_the_parent_rule():
+    # repeated, negative, Fraction and near-cap parts; each numerator and
+    # denominator stays within the cap though some products n*d do not
+    rng = random.Random(28)
+    for _ in range(500):
+        dim = rng.randint(1, 6)
+        f = DiagonalForm(tuple(_differential_coeff(rng, True) for _ in range(dim)))
+        got = candidate_places(f)
+        assert got == _parent_candidate_places(f), f
+        assert all(v is localfields._place(v.p) for v in got[:-1]), f
+        assert got[-1] is REAL_PLACE
+    # two parts each below the cap whose product is above it
+    big = 3 * 99999999947**2
+    f = DiagonalForm.of(1, -1, Fraction(99999999977**2, big))
+    assert big * 99999999977**2 > FACTORIZATION_CAP
+    assert candidate_places(f) == _parent_candidate_places(f)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, 1, FACTORIZATION_CAP + 1),
+        (-(FACTORIZATION_CAP + 2), 3, 5, 7),
+        (1, Fraction(2, FACTORIZATION_CAP + 3), -1),
+        (FACTORIZATION_CAP + 1, 1, FACTORIZATION_CAP + 1),
+    ],
+)
+def test_a_part_above_the_cap_raises_the_same_error(coeffs):
+    f = DiagonalForm(coeffs)
+    with pytest.raises(ValueError) as parent:
+        _parent_candidate_places(f)
+    message = str(parent.value)
+    assert str(FACTORIZATION_CAP) in message
+    for decide in (candidate_places, isotropic_Q, lambda f: isotropic_quad(f, 17),
+                   lambda f: isotropic_quad(f, -7)):
+        with pytest.raises(ValueError) as err:
+            decide(f)
+        assert str(err.value) == message
 
 
 def test_level():

@@ -248,6 +248,17 @@ BAD_ARGUMENTS = [
 ]
 
 
+def test_every_zero_coefficient_is_refused():
+    for zero in (0, Fraction(0), Fraction(0, 5), -0):
+        for at in range(3):
+            coeffs = [Fraction(-3, 2), 7, 1]
+            coeffs[at] = zero
+            for make in (lambda: DiagonalForm(tuple(coeffs)), lambda: DiagonalForm.of(*coeffs)):
+                with pytest.raises(ValueError) as err:
+                    make()
+                assert str(err.value) == "diagonal coefficients must be nonzero", (zero, at)
+
+
 @pytest.mark.parametrize("make, message", BAD_ARGUMENTS)
 def test_bad_arguments_raise_the_same_message(make, message):
     with pytest.raises(ValueError) as err:
