@@ -113,7 +113,9 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
     Criterion "1.2" fires when the group has a cyclic quotient of order 2^n
     with n >= 3 and k(zeta_{2^n})/k is not cyclic at the largest such n.
     Non-cyclicity is upward monotone, so one scan finds the least
-    non-cyclic level: it decides the largest one and is the witness.
+    non-cyclic level n: it decides the largest one and is the witness, and
+    bailey_e, the e of bailey_group, is the number of entries of the 2-power
+    profile from n on (0 when no level is non-cyclic).
     Criterion "1.5" fires when the 2-Sylow subgroup is Q16 and both
     3<1>+<-7> and 8<1> stay anisotropic over k. Either one yields
     "not_retract_rational"; otherwise the verdict is "inconclusive" with one
@@ -127,7 +129,6 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
     # the invariant factors divide one another, so the first carries the
     # largest 2-power
     d1 = dvec[0] if dvec else 0
-    bailey_e, _ = bailey_group(field, dvec)
     sylow_order = facts.sylow2_order
     q16 = facts.sylow2_is_q16
     k = str(field)  # once: the descriptor formats itself anew on each call
@@ -143,6 +144,7 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
         detail = (f"{k}(zeta_(2^{d1}))/{k} is not cyclic" if n else
                   f"cyclotomic extension cyclic: {k}(zeta_(2^{d1}))/{k}")
         _record(checks, reasons, "cyclotomic_noncyclic", n is not None, detail)
+    bailey_e = sum(1 for m in dvec if m >= n) if n else 0
     theorem = witness = None
     if n:
         theorem, witness = "1.2", {"n": n, "d1": d1}

@@ -52,9 +52,6 @@ class Place(Frozen):
             raise ValueError(f"not a prime: {p}")
         super().__init__(p)
 
-    def __str__(self) -> str:
-        return "oo" if self.p is None else str(self.p)
-
 
 REAL_PLACE = Place(None)
 
@@ -95,14 +92,6 @@ class DiagonalForm(Frozen):
     def dim(self) -> int:
         return len(self.coeffs)
 
-    def perp(self, other: DiagonalForm) -> DiagonalForm:
-        """Orthogonal sum."""
-        return DiagonalForm(self.coeffs + other.coeffs)
-
-    def scaled(self, c: Fraction | int) -> DiagonalForm:
-        c = Fraction(c)
-        return DiagonalForm(tuple(c * a for a in self.coeffs))
-
     def __str__(self) -> str:
         return "<" + ",".join(str(c) for c in self.coeffs) + ">"
 
@@ -120,8 +109,6 @@ def legendre_symbol(a: int, p: int) -> int:
 def _int_class(x: Fraction | int) -> int:
     """The integer n*d for x = n/d: it differs from x by the square d**2,
     so every symbol below reads the same on it. No factoring is done."""
-    if type(x) is int:
-        return x
     if type(x) is not Fraction:
         x = Fraction(x)
     n, d = x.as_integer_ratio()

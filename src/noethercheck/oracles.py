@@ -541,26 +541,24 @@ def _enumerate(identity, gens, compose, cap):
 
 
 class FiniteGroupTable:
-    """A finite group as indices 0..order-1 with 0 the identity. Products
+    """A finite group as indices 0..order-1 with 0 the identity: the
+    closure of gens under compose, of at most cap elements. Products
     compose the raw elements on demand; nothing quadratic in the order is
     stored. spec is the group spec the table was built from, or None."""
 
     identity = 0
 
-    def __init__(self, elems, index, compose, raw_gens, label, spec=None):
+    def __init__(self, identity, gens, compose, cap, label, spec=None):
+        gens = list(gens)
+        elems, index = _enumerate(identity, gens, compose, cap)
         self.order = len(elems)
         self.label = label
         self.spec: GroupSpec | None = spec
         self._elems = elems
         self._index = index
         self._compose = compose
-        self.generator_indices = tuple(index[g] for g in raw_gens)
+        self.generator_indices = tuple(index[g] for g in gens)
         self._inv_cache: dict[int, int] = {}
-
-    @classmethod
-    def from_generators(cls, identity, gens, compose, cap, label, spec=None):
-        elems, index = _enumerate(identity, list(gens), compose, cap)
-        return cls(elems, index, compose, list(gens), label, spec)
 
     def __repr__(self) -> str:
         return f"<group {self.label} of order {self.order}>"
@@ -686,15 +684,13 @@ def build_group(spec: GroupSpec) -> FiniteGroupTable:
     if isinstance(group, PermGens):
         identity = tuple(range(group.degree))
         label = label or f"perm(degree {group.degree})"
-        return FiniteGroupTable.from_generators(
-            identity, group.generators, _perm_compose, CLOSURE_CAP, label, spec
-        )
+        return FiniteGroupTable(identity, group.generators, _perm_compose, CLOSURE_CAP, label, spec)
     a, b, c, r = group.a, group.b, group.c, group.r
     if a * b > CLOSURE_CAP:
         raise ValueError(f"a table of order {a * b} exceeds closure cap {CLOSURE_CAP}")
     gens = [(1 % a, 0), (0, 1 % b)]
     label = label or f"metacyclic(a={a},b={b},c={c},r={r})"
-    G = FiniteGroupTable.from_generators((0, 0), gens, _metacyclic_compose(group), a * b, label, spec)
+    G = FiniteGroupTable((0, 0), gens, _metacyclic_compose(group), a * b, label, spec)
     assert G.order == a * b
     return G
 
@@ -812,7 +808,7 @@ def quotient_by(G: FiniteGroupTable, N: Subgroup) -> FiniteGroupTable:
 
     gens = [rep_of[g] for g in G.generator_indices]
     label = f"{G.label}/(subgroup of order {N.order})"
-    return FiniteGroupTable.from_generators(0, gens, compose, G.order, label)
+    return FiniteGroupTable(0, gens, compose, G.order, label)
 
 
 def abelian_invariants_by_quotient(G: FiniteGroupTable) -> tuple[int, ...]:

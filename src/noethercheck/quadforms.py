@@ -71,10 +71,8 @@ def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:
         return is_square(-f.coeffs[0] * f.coeffs[1], k)
     places = candidate_places(f)
     cs = [_int_class(c) for c in f.coeffs]
-    if k.is_rational:  # every place splits over Q
-        return all(_isotropic_at(cs, v) for v in places)
-    d = k.d
-    return all(_isotropic_at(cs, v) for v in places if is_local_square(d, v))
+    d = k.d  # None over Q, where every place splits
+    return all(_isotropic_at(cs, v) for v in places if d is None or is_local_square(d, v))
 
 
 def isotropic_Q(f: DiagonalForm) -> bool:

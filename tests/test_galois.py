@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from noethercheck import groups, localfields, oracles, quadforms
+from noethercheck import galois, groups, localfields, oracles, quadforms
 from noethercheck.exact import QQ, FieldDescriptor, squarefree_part
 from noethercheck.galois import Check, bailey_group, forms_anisotropic, is_cyclic_ext, verdict
 from noethercheck.groups import Catalog, Metacyclic, PermGens
@@ -453,6 +453,20 @@ def test_verdict_stays_off_the_form_stack(monkeypatch):
 ASSEMBLY_FIELDS = [QQ] + [FieldDescriptor(d) for d in (-1, 2, -2, 17, -7, 33, -15)]
 
 
+def _cyclic_product(*orders):
+    """C_m1 x C_m2 x ... as one cycle per factor, on disjoint points."""
+    cycles, start = [], 1
+    for m in orders:
+        cycles.append("(" + " ".join(map(str, range(start, start + m))) + ")")
+        start += m
+    return PermGens.from_cycles(*cycles)
+
+
+# no catalog group has two invariant 2-exponents >= 3, so the first three
+# products are what take bailey_e above 1; C4 x C4 has two below 3
+CYCLIC_PRODUCTS = [_cyclic_product(*ms) for ms in ((8, 8), (16, 8, 4), (32, 8, 8), (4, 4))]
+
+
 def _two_adic(m):
     e = 0
     while m % 2 == 0:
@@ -508,16 +522,32 @@ def test_verdict_assembly_over_the_catalog():
                 levels[n] = cyclotomic_galois(k, n).is_cyclic()
             return levels[n]
 
-        for name in groups.CATALOG_NAMES:
-            v = verdict(Catalog(name), k)
-            expected = _assembled(groups.group_facts(Catalog(name)), k, cyclic, anisotropic)
+        for spec in [Catalog(name) for name in groups.CATALOG_NAMES] + CYCLIC_PRODUCTS:
+            v = verdict(spec, k)
+            expected = _assembled(groups.group_facts(spec), k, cyclic, anisotropic)
             got = (v.theorem, v.witness, v.bailey_e, [(c.name, c.result) for c in v.checks])
-            assert got + (v.reasons,) == expected, (name, str(k))
+            assert got + (v.reasons,) == expected, (spec, str(k))
             seen[v.theorem] += 1
             if v.theorem == "1.2":
                 seen["n < d1" if v.witness["n"] < v.witness["d1"] else "n = d1"] += 1
             seen["reasons"] += len(v.reasons)
+            seen[f"bailey_e {min(v.bailey_e, 3)}"] += 1
     assert len(groups.CATALOG_NAMES) == 72
-    # every outcome occurs, and so do witnesses below and at the top level
+    # every outcome occurs, so do witnesses below and at the top level, and
+    # bailey_e takes every value up to 3
     assert all(seen[key] for key in ("1.2", "1.5", None, "n < d1", "n = d1", "reasons"))
+    assert all(seen[f"bailey_e {e}"] for e in range(4))
     assert time.perf_counter() - start < 1
+
+
+def test_verdict_reads_no_bailey_group(monkeypatch):
+    # the verdict's bailey_e comes from its own cyclotomic scan
+    fields = (QQ, K2, FieldDescriptor(17))
+    specs = [Catalog(name) for name in groups.CATALOG_NAMES]
+    expected = [verdict(spec, k) for k in fields for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("verdict called bailey_group")
+
+    monkeypatch.setattr(galois, "bailey_group", refuse)
+    assert [verdict(spec, k) for k in fields for spec in specs] == expected

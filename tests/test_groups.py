@@ -159,8 +159,8 @@ def test_build_orders():
 
 def test_enumeration_cap():
     with pytest.raises(ValueError, match="cap"):
-        FiniteGroupTable.from_generators(0, [1], lambda x, y: (x + y) % 10, 5, "Z10")
-    G = FiniteGroupTable.from_generators(0, [1], lambda x, y: (x + y) % 10, 10, "Z10")
+        FiniteGroupTable(0, [1], lambda x, y: (x + y) % 10, 5, "Z10")
+    G = FiniteGroupTable(0, [1], lambda x, y: (x + y) % 10, 10, "Z10")
     assert G.order == 10
 
 

@@ -30,8 +30,8 @@ _PLACES = [Place(2), Place(3), Place(5), Place(7), Place(11), REAL_PLACE]
 
 
 def test_place():
-    assert str(REAL_PLACE) == "oo"
-    assert str(Place(7)) == "7"
+    assert REAL_PLACE.p is None
+    assert Place(7).p == 7
     with pytest.raises(ValueError):
         Place(6)
 
@@ -41,8 +41,6 @@ def test_diagonal_form():
     assert f.dim == 4
     assert str(f) == "<1,1,1,-7>"
     assert DiagonalForm.repeated(3).coeffs == (1, 1, 1)
-    assert f.perp(DiagonalForm.of(2)).coeffs == (1, 1, 1, -7, 2)
-    assert f.scaled(Fraction(1, 2)).coeffs == (Fraction(1, 2),) * 3 + (Fraction(-7, 2),)
     with pytest.raises(ValueError):
         DiagonalForm.of()
     with pytest.raises(ValueError):

@@ -143,14 +143,14 @@ def test_isotropy_invariances_and_rules(coeffs, d, c, q, rng):
     i = rng.randrange(f.dim)
     times_square = list(f.coeffs)
     times_square[i] *= q * q
-    assert answers(f.scaled(c)) == base
+    assert answers(DiagonalForm(tuple(c * a for a in f.coeffs))) == base
     assert answers(DiagonalForm(tuple(shuffled))) == base
     assert answers(DiagonalForm(tuple(times_square))) == base
     # isotropic over Q stays so over Q(sqrt d)
     if base[0]:
         assert base[1]
     # a hyperbolic plane is isotropic, a line never
-    assert answers(f.perp(DiagonalForm.of(c, -c))) == (True, True)
+    assert answers(DiagonalForm(f.coeffs + (c, -c))) == (True, True)
     assert answers(DiagonalForm.of(c)) == (False, False)
 
 
@@ -345,7 +345,7 @@ def test_sum_of_squares_properties():
         d = rng.choice((None, -1, -7, 2))
         iso = []
         for m in (n, n + 1):
-            f = DiagonalForm.repeated(m).perp(DiagonalForm.of(-alpha))
+            f = DiagonalForm((1,) * m + (-alpha,))
             iso.append(isotropic_Q(f) if d is None else isotropic_quad(f, d).is_isotropic)
         if iso[0]:
             assert iso[1]

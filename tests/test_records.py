@@ -203,7 +203,6 @@ def test_diagonal_form_converts_each_coefficient_once():
     assert all(type(c) is Fraction for c in f.coeffs)
     assert f == DiagonalForm.of(half, 3, -7) == DiagonalForm([half, Fraction(3), -7])
     assert DiagonalForm.repeated(3, half).coeffs == (half,) * 3
-    assert DiagonalForm.of(1, 2).scaled(half) == DiagonalForm.of(half, 1)
 
 
 # Each bad argument and the message the dataclass records raised for it

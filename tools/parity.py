@@ -14,6 +14,9 @@ The corpus is generated here, without importing the package:
 - the catalog subcommand, and every name that REV's catalog lists over a
   fixed list of fields, plain and --json;
 - the GROUP_ITEMS of bench/workloads.py, read from its source;
+- four products of cyclic 2-groups on disjoint points, three of them with
+  two or three 2-power invariants of order at least 8, over the same
+  fields, plain and --json;
 - the cap errors and the usage errors;
 - the oracle subcommands at small bounds;
 - 2000 seeded permutation specs, a third of them groups of 2-part 16 on
@@ -43,6 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 20191
 PERM_SPECS = 2000
 FIELDS = ("Q", "Q(sqrt -1)", "Q(sqrt 2)", "Q(sqrt -7)", "Q(sqrt 17)", "Q(sqrt 999999999989)")
+# C8xC8, C16xC8xC4, C32xC8xC8 and C4xC4
+CYCLIC_PRODUCTS = ((8, 8), (16, 8, 4), (32, 8, 8), (4, 4))
 
 # Runs in the child: argv[1] is the src/ directory to import from, argv[2]
 # the corpus, one JSON argv per line, argv[3] the file for the records.
@@ -167,6 +172,11 @@ def corpus(catalog: list[str]) -> list[list[str]]:
             lines += [_check(f"catalog:{name}", field), _check(f"catalog:{name}", field, "--json")]
     for spec in _group_items():
         for field in ("Q", "Q(sqrt -1)"):
+            lines += [_check(spec, field), _check(spec, field, "--json")]
+    for orders in CYCLIC_PRODUCTS:
+        firsts = [1 + sum(orders[:i]) for i in range(len(orders))]
+        spec = "perm:" + ";".join(_cycle(f, n) for f, n in zip(firsts, orders))
+        for field in FIELDS:
             lines += [_check(spec, field), _check(spec, field, "--json")]
     s, t = (_cycle_string(g) for g in _regular(8, 2, 4, 7))
     first, odd = 17, ""
