@@ -2,9 +2,12 @@
 decomposition, p-adic valuations, and the base field descriptor.
 
 Every scalar in this package is a ``fractions.Fraction`` or an
-arbitrary-precision int. Nothing here or downstream touches floats. The
-verdict reads ints only, so fractions is imported inside the three
-functions that take rationals, on first use.
+arbitrary-precision int. A stored rational, such as a coefficient of
+localfields.DiagonalForm, takes its canonical exact type: an int when it is
+integral, and a Fraction in lowest terms only otherwise. Nothing here or
+downstream touches floats. The verdict reads ints only, so fractions is
+imported inside the three functions that take rationals, on first use, and
+is_square builds no Fraction for an int.
 """
 
 from __future__ import annotations
@@ -358,14 +361,17 @@ def is_square(x: Fraction | int, field: FieldDescriptor = QQ) -> bool:
     Over Q(sqrt d) a rational is a square iff x or d*x is a square in Q:
     x = d*y**2 has the square root y*sqrt(d). A positive rational in lowest
     terms is a square iff its numerator and its denominator are, which
-    isqrt decides without factoring either.
+    isqrt decides without factoring either. An int is read as it is, with
+    no Fraction: its denominator is 1.
     """
-    from fractions import Fraction
+    if type(x) is not int:
+        from fractions import Fraction
 
-    x = Fraction(x)
+        x = Fraction(x)
     return _is_rational_square(x) or (not field.is_rational and _is_rational_square(field.d * x))
 
 
-def _is_rational_square(x: Fraction) -> bool:
+def _is_rational_square(x: Fraction | int) -> bool:
+    """Is x, an int or a Fraction in lowest terms, a square in Q?"""
     n, m = x.numerator, x.denominator
     return n >= 0 and isqrt(n) ** 2 == n and isqrt(m) ** 2 == m

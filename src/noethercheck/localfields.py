@@ -63,14 +63,30 @@ def _place(p: int) -> Place:
     return Place(p)
 
 
+def _canonical(c: Fraction | int) -> Fraction | int:
+    """c in its canonical exact type: an int when c is integral, else a
+    Fraction in lowest terms. A non-integral Fraction is returned as it
+    is, since Fraction(c) on one would redo its type checks."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class DiagonalForm(Frozen):
-    """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q."""
+    """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q.
+
+    Each coefficient is stored in its canonical exact type: an int when it
+    is integral, and a Fraction in lowest terms only otherwise. 3,
+    Fraction(3) and True all store 3, and Fraction(1, 2) stays a Fraction;
+    the value, ==, hash and str of the form are the same either way. An
+    int coefficient builds no Fraction, and every reader of coeffs takes
+    an int as it is.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Fraction | int, ...]) -> None:
-        # Fraction(c) on a Fraction would redo its type checks
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        cs = tuple(c if type(c) is int else _canonical(c) for c in coeffs)
         if not cs:
             raise ValueError("a form needs at least one coefficient")
         if 0 in cs:
@@ -86,7 +102,7 @@ class DiagonalForm(Frozen):
         """n*<c>."""
         if n < 1:
             raise ValueError("n must be positive")
-        return cls((Fraction(c),) * n)
+        return cls((_canonical(c),) * n)
 
     @property
     def dim(self) -> int:
@@ -108,7 +124,10 @@ def legendre_symbol(a: int, p: int) -> int:
 
 def _int_class(x: Fraction | int) -> int:
     """The integer n*d for x = n/d: it differs from x by the square d**2,
-    so every symbol below reads the same on it. No factoring is done."""
+    so every symbol below reads the same on it. No factoring is done, and
+    an int is its own class."""
+    if type(x) is int:
+        return x
     if type(x) is not Fraction:
         x = Fraction(x)
     n, d = x.as_integer_ratio()

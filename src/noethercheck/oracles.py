@@ -53,15 +53,13 @@ GRID_COEFFS = (1, -1, 2, -2, 3, -3, 5, -5, 7, -7)
 
 
 def grid_forms() -> list[DiagonalForm]:
-    return [f for f, _ in _grid()]
-
-
-def _grid():
-    """Each grid form once, dim 1 first, as (form, integer coefficients):
-    the form for the code under test, the ints for the checks."""
-    for dim in range(1, 5):
-        for combo in combinations_with_replacement(GRID_COEFFS, dim):
-            yield DiagonalForm(combo), combo
+    """Each grid form once, dim 1 first. Their coefficients are ints, which
+    a form stores as they are, so the checks read them from coeffs."""
+    return [
+        DiagonalForm(combo)
+        for dim in range(1, 5)
+        for combo in combinations_with_replacement(GRID_COEFFS, dim)
+    ]
 
 
 class LocalZeroOracle:
@@ -205,9 +203,9 @@ class LocalZeroOracle:
         return out
 
     def has_primitive_zero(self, form: DiagonalForm) -> bool:
-        if any(c.denominator != 1 for c in form.coeffs):
+        if any(type(c) is not int for c in form.coeffs):
             raise ValueError("the modular oracle needs integer coefficients")
-        return self._primitive_zero(tuple(c.numerator for c in form.coeffs))
+        return self._primitive_zero(form.coeffs)
 
     def _primitive_zero(self, cs: tuple[int, ...]) -> bool:
         """has_primitive_zero on the integer coefficients cs."""
@@ -325,7 +323,8 @@ def isotropy_grid_check(height: int = 60) -> int:
     isotropic_Q gets the form; the witness search, the witness check and
     the local obstruction get its integer coefficients."""
     checked = 0
-    for f, cs in _grid():
+    for f in grid_forms():
+        cs = f.coeffs
         if isotropic_Q(f):
             w = _integer_witness(cs, height)
             if w is None:

@@ -7,8 +7,9 @@ where d is a square in Q_v (the real place included), so it asks the
 local criterion of localfields.local_isotropic at each candidate place of
 f where is_local_square(d, v) holds; over Q every place splits, and the
 test is skipped. The integer classes of the coefficients are read once per
-form, not once per place, and each distinct numerator or denominator of f is
-factored once per form. A prime's place is the one interned Place of
+form, not once per place (an int coefficient is its own class, so a form
+with integral coefficients builds no Fraction anywhere in the scan), and
+each distinct numerator or denominator of f is factored once per form. A prime's place is the one interned Place of
 localfields._place, not a new record per form. No isotropic vectors are ever
 searched for here.
 """
@@ -34,11 +35,15 @@ def candidate_places(f: DiagonalForm) -> tuple[Place, ...]:
     The finite places come sorted, then REAL_PLACE. Each distinct absolute
     numerator or denominator above 1 is factored once, each part apart, so
     the factorization cap applies part by part; each prime maps to its one
-    interned Place."""
+    interned Place. An int coefficient is its own numerator, with
+    denominator 1."""
     parts = set()
     for c in f.coeffs:
-        parts.add(abs(c.numerator))
-        parts.add(c.denominator)
+        if type(c) is int:
+            parts.add(abs(c))
+        else:
+            parts.add(abs(c.numerator))
+            parts.add(c.denominator)
     parts.discard(1)
     ps = {2}
     for n in parts:

@@ -19,6 +19,7 @@ from noethercheck.localfields import (
     REAL_PLACE,
     DiagonalForm,
     Place,
+    hasse_invariant,
     is_local_square,
     local_isotropic,
 )
@@ -152,6 +153,34 @@ def test_isotropy_invariances_and_rules(coeffs, d, c, q, rng):
     # a hyperbolic plane is isotropic, a line never
     assert answers(DiagonalForm(f.coeffs + (c, -c))) == (True, True)
     assert answers(DiagonalForm.of(c)) == (False, False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 500).flatmap(lambda n: st.sampled_from((n, -n))), st.integers(1, 12)),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_int_and_fraction_coefficients_answer_alike(pairs):
+    # <c_i> stores ints and reads them as they are; <c_i/q_i**2> has the
+    # same square classes and goes through Fractions wherever q_i**2 does
+    # not divide c_i
+    ints = DiagonalForm(tuple(c for c, _ in pairs))
+    scaled = DiagonalForm(tuple(Fraction(c, q * q) for c, q in pairs))
+    assert all(type(c) is int for c in ints.coeffs)
+    assert [type(c) is int for c in scaled.coeffs] == [Fraction(c, q * q).denominator == 1 for c, q in pairs]
+    assert isotropic_Q(ints) == isotropic_Q(scaled)
+    for d in (-1, 2, -7, 17):
+        assert isotropic_quad(ints, d) == isotropic_quad(scaled, d), d
+    for v in dict.fromkeys(candidate_places(ints) + candidate_places(scaled)):
+        assert hasse_invariant(ints, v) == hasse_invariant(scaled, v), v
+        assert local_isotropic(ints, v) == local_isotropic(scaled, v), v
+    # the same values given as Fraction(c) make the same form, stored as ints
+    fractions = DiagonalForm(tuple(Fraction(c) for c, _ in pairs))
+    assert all(type(c) is int for c in fractions.coeffs)
+    assert fractions == ints and hash(fractions) == hash(ints) and str(fractions) == str(ints)
 
 
 def _distinct_parts(f):

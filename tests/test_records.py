@@ -114,7 +114,7 @@ def test_repr_is_the_dataclass_text():
         "PermGens(degree=3, generators=((1, 0, 2), (1, 2, 0)))"
     )
     assert repr(DiagonalForm.of(1, Fraction(1, 2), -7)) == (
-        "DiagonalForm(coeffs=(Fraction(1, 1), Fraction(1, 2), Fraction(-7, 1)))"
+        "DiagonalForm(coeffs=(1, Fraction(1, 2), -7))"
     )
     assert repr(UnitSubgroup2n(3, frozenset({1, 7}))) == "UnitSubgroup2n(n=3, members=frozenset({1, 7}))"
     assert repr(Subgroup(C3, frozenset({0}))) == (
@@ -200,7 +200,11 @@ def test_diagonal_form_converts_each_coefficient_once():
     half = Fraction(1, 2)
     f = DiagonalForm((half, 3, -7))
     assert f.coeffs[0] is half
-    assert all(type(c) is Fraction for c in f.coeffs)
+    # the canonical type: int exactly when the coefficient is integral
+    assert [type(c) for c in f.coeffs] == [Fraction, int, int]
+    g = DiagonalForm.of(Fraction(3), 3, True, Fraction(4, 2))
+    assert g.coeffs == (3, 3, 1, 2) and all(type(c) is int for c in g.coeffs)
+    assert str(g) == "<3,3,1,2>" and str(f) == "<1/2,3,-7>"
     assert f == DiagonalForm.of(half, 3, -7) == DiagonalForm([half, Fraction(3), -7])
     assert DiagonalForm.repeated(3, half).coeffs == (half,) * 3
 
