@@ -1,6 +1,6 @@
 """Byte parity of the command line between the working tree and a revision.
 
-    python tools/parity.py --against REV
+    python tools/parity.py --against REV [--expect-diff FILE]
 
 Exports the src/ of REV with git archive into a temporary directory and
 runs one seeded corpus of command lines through noethercheck.cli.main, in
@@ -8,7 +8,13 @@ process, in one fresh interpreter per tree: the working tree's src/ and
 REV's. Each command line gives one record: its argv, stdout, stderr and
 exit code. The first record that differs is printed with both outputs,
 and the exit status is then 1; with none, it says so, prints one SHA-256
-over all records, and the exit status is 0.
+over the working tree's records, and the exit status is 0.
+
+A change that means to alter some outputs lists their argv in FILE, one
+JSON list per line (blank lines are skipped). Each listed record that
+differs is printed with both outputs, as expected. The run then fails on
+any differing record that FILE does not list, and on any listed argv
+whose record did not change, the corpus not holding it included.
 
 The corpus is generated here, without importing the package:
 - the catalog subcommand, and every name that REV's catalog lists over a
@@ -245,6 +251,54 @@ def _catalog_names(src: Path, tmp: Path) -> list[str]:
     return [line.split(":")[0] for line in stdout.splitlines()]
 
 
+# the record read where one stream has run out
+MISSING = "[null,null,null,null]"
+
+
+def compare(ours, theirs, expected):
+    """Compare two streams of records, one JSON line each, in corpus order.
+
+    expected is an iterable of argv lists whose records may differ.
+    Returns the SHA-256 of ours, the (ours, theirs) pairs that differ at an
+    argv not expected, the pairs that differ as expected, and the expected
+    argv whose records did not change. A stream that runs out is read as
+    records of null fields."""
+    want = {json.dumps(argv) for argv in expected}
+    digest = hashlib.sha256()
+    unexpected, as_expected, changed = [], [], set()
+    for x, y in zip_longest(ours, theirs, fillvalue=MISSING):
+        digest.update(x.encode("utf-8"))
+        if x == y:
+            continue
+        key = json.dumps(json.loads(x if x is not MISSING else y)[0])
+        if key in want:
+            as_expected.append((x, y))
+            changed.add(key)
+        else:
+            unexpected.append((x, y))
+    unchanged = [json.loads(key) for key in sorted(want - changed)]
+    return digest.hexdigest(), unexpected, as_expected, unchanged
+
+
+def _read_expected(path: str, parser: argparse.ArgumentParser) -> list[list[str]]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"cannot read {path}: {exc.strerror}")
+    out = []
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            argv = json.loads(line)
+        except ValueError:
+            argv = None
+        if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+            parser.error(f"{path}:{n}: not a JSON list of strings: {line!r}")
+        out.append(argv)
+    return out
+
+
 def _show(label: str, line: str) -> None:
     _, stdout, stderr, code = json.loads(line)
     print(f"--- {label}: exit {code}")
@@ -255,7 +309,11 @@ def _show(label: str, line: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, metavar="REV", help="git revision to compare")
+    parser.add_argument(
+        "--expect-diff", metavar="FILE", help="argv whose records must differ, one JSON list per line"
+    )
     args = parser.parse_args(argv)
+    expected = _read_expected(args.expect_diff, parser) if args.expect_diff else []
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(
@@ -272,17 +330,25 @@ def main(argv: list[str] | None = None) -> int:
         ours, theirs = tmp / "tree.jsonl", tmp / "rev.jsonl"
         _run(ROOT / "src", corpus_path, ours)
         _run(tmp / "rev" / "src", corpus_path, theirs)
-        digest = hashlib.sha256()
         with open(ours, encoding="utf-8") as a, open(theirs, encoding="utf-8") as b:
-            for n, (x, y) in enumerate(zip_longest(a, b, fillvalue="[null,null,null,null]")):
-                digest.update(x.encode("utf-8"))
-                if x != y:
-                    print(f"record {n} differs: argv {json.loads(x)[0]}")
-                    _show("working tree", x)
-                    _show(args.against, y)
-                    return 1
-        print(f"{len(lines)} records identical to {args.against}")
-        print(f"sha256 {digest.hexdigest()}")
+            digest, unexpected, as_expected, unchanged = compare(a, b, expected)
+    for x, y in as_expected:
+        print(f"differs as expected: argv {json.loads(x)[0]}")
+        _show("working tree", x)
+        _show(args.against, y)
+    for argv in unchanged:
+        print(f"expected to differ, but unchanged or not in the corpus: argv {argv}")
+    if unexpected:
+        x, y = unexpected[0]
+        print(f"{len(unexpected)} records differ unexpectedly; the first: argv {json.loads(x)[0]}")
+        _show("working tree", x)
+        _show(args.against, y)
+    if unexpected or unchanged:
+        return 1
+    same = len(lines) - len(as_expected)
+    print(f"{same} records identical to {args.against}", end="")
+    print(f", {len(as_expected)} differ as expected" if expected else "")
+    print(f"sha256 {digest}")
     return 0
 
 
