@@ -211,10 +211,12 @@ def parse_ints(texts: list[str], cap: int, what: str, cap_name: str) -> list[int
     significant digits outnumber cap's is refused first, by naming the cap:
     int() would refuse one of more than sys.get_int_max_str_digits() digits,
     leading zeros counted, by naming that setting, and with the limit off
-    take quadratic time. Leading zeros are dropped before int() runs."""
+    take quadratic time. Leading zeros are dropped before int() runs. A
+    text int() refuses is refused by naming what it should have been."""
     width = len(str(cap))
     out = []
     for text in texts:
+        numeral = text
         if len(text) > width:
             body = text.strip()
             sign = body[:1] if body[:1] in ("+", "-") else ""
@@ -223,8 +225,11 @@ def parse_ints(texts: list[str], cap: int, what: str, cap_name: str) -> list[int
             if (n := len(digits) - digits.count("_")) > width:
                 raise ValueError(f"{what} of {n} digits exceeds {cap_name} cap {cap}")
             if digits != rest:
-                text = sign + "0" + digits
-        out.append(int(text))
+                numeral = sign + "0" + digits
+        try:
+            out.append(int(numeral))
+        except ValueError:
+            raise ValueError(f"{what} is not an integer: {text!r}") from None
     return out
 
 

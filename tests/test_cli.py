@@ -363,6 +363,16 @@ def test_bad_input_exits_1(capsys):
     assert err.startswith("error:")
 
 
+def test_a_numeral_that_is_not_an_integer_names_its_field(capsys):
+    for spec, message in (
+        ("metacyclic:a=1e3,b=1,c=0,r=0", "metacyclic parameter a is not an integer: '1e3'"),
+        ("metacyclic:a=8,b=2,c=4,r= 7x", "metacyclic parameter r is not an integer: ' 7x'"),
+        ("perm:(1 x)", "point is not an integer: 'x'"),
+    ):
+        code, out, err = _run(capsys, "check", "--group", spec, "--field", "Q")
+        assert (code, out, err) == (1, "", f"error: {message}\n"), spec
+
+
 def test_usage_errors_exit_1(capsys):
     # argparse normally exits 2; that would collide with "inconclusive"
     code, _, err = _run(capsys)
