@@ -38,6 +38,8 @@ from .groups import (
     group_facts,
 )
 
+# the isotropy limit is oracles.GRID_HEIGHT, written out so that a check
+# does not load oracles
 _ORACLE_LIMITS = {"three-squares": 10**4, "isotropy": 60, "hilbert": 10**4}
 
 

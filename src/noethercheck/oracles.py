@@ -314,21 +314,38 @@ def _has_local_obstruction(cs: tuple[int, ...]) -> bool:
     return any(not local_oracle(p)._primitive_zero(cs) for p in (2, 3, 5, 7))
 
 
-def isotropy_grid_check(height: int = 60) -> int:
+# The height the grid check searches witnesses to by default, and the
+# least height it searches to before it calls a claim of isotropy false:
+# every isotropic grid form has a zero of height 7 or less
+GRID_HEIGHT = 60
+
+
+def isotropy_grid_check(height: int = GRID_HEIGHT) -> int:
     """Cross-check isotropic_Q over the whole coefficient grid: every form
     claimed isotropic must yield an explicit verified integer zero, and
     every form claimed anisotropic must show a local obstruction the oracle
     can see. Returns the number of forms checked; the first disagreement
     raises AssertionError, explicitly, so the check also runs under -O.
     isotropic_Q gets the form; the witness search, the witness check and
-    the local obstruction get its integer coefficients."""
+    the local obstruction get its integer coefficients.
+
+    A height too small is not a disagreement: when no zero of at most
+    height turns up, the search goes on up to GRID_HEIGHT, and a zero
+    found there raises ValueError naming the form and the least height
+    that works."""
     checked = 0
     for f in grid_forms():
         cs = f.coeffs
         if isotropic_Q(f):
             w = _integer_witness(cs, height)
             if w is None:
-                raise AssertionError(f"no integer zero up to {height} for {f}")
+                deeper = range(height + 1, GRID_HEIGHT + 1)
+                least = next((h for h in deeper if _witness_at(cs, h)), None)
+                if least is not None:
+                    raise ValueError(
+                        f"height {height} is too small: {f} needs height {least} for an integer zero"
+                    )
+                raise AssertionError(f"no integer zero up to {max(height, GRID_HEIGHT)} for {f}")
             if not any(w):
                 raise AssertionError(f"degenerate witness for {f}")
             if sum(c * x * x for c, x in zip(cs, w)) != 0:

@@ -328,6 +328,25 @@ def test_oracle_isotropy(capsys):
     assert out == "all dim <= 4 sample forms agree\n"
 
 
+def test_oracle_isotropy_height_too_small_is_no_mismatch(capsys, monkeypatch):
+    # every isotropic grid form has a zero of height 7 or less; below
+    # that the search is too shallow, which is an error and not a mismatch
+    code, out, err = _run(capsys, "oracle", "isotropy", "6")
+    assert (code, out) == (1, "")
+    assert err == "error: height 6 is too small: <2,-7,-7,-7> needs height 7 for an integer zero\n"
+    code, out, err = _run(capsys, "oracle", "isotropy", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: height 1 is too small: <1,1,-5> needs height 2 for an integer zero\n"
+    # a lying isotropic_Q is still a mismatch at a small height: the
+    # search goes on to the limit and finds no zero of <1>
+    from noethercheck import oracles
+
+    assert oracles.GRID_HEIGHT == 60
+    monkeypatch.setattr(oracles, "isotropic_Q", lambda f: True)
+    code, out, err = _run(capsys, "oracle", "isotropy", "6")
+    assert (code, out, err) == (1, "", "mismatch: no integer zero up to 60 for <1>\n")
+
+
 def test_oracle_bounds(capsys):
     code, out, err = _run(capsys, "oracle", "three-squares", "20000")
     assert code == 1

@@ -192,13 +192,27 @@ def test_shift_sieve_matches_the_triple_loop():
     ],
     ids=("isotropic-lie", "wrong-witness", "zero-witness"),
 )
-def test_isotropy_grid_check_catches_a_false_isotropic_claim(monkeypatch, name, fake, message):
+@pytest.mark.parametrize("height", (60, 6, 1))
+def test_isotropy_grid_check_catches_a_false_isotropic_claim(monkeypatch, name, fake, message, height):
     # a form wrongly called isotropic, or a witness that is no zero, must
-    # fail the check with the form named
+    # fail the check with the form named, at a small height as at the limit
     monkeypatch.setattr(oracles, name, fake)
     with pytest.raises(AssertionError) as exc:
-        isotropy_grid_check(60)
+        isotropy_grid_check(height)
     assert str(exc.value) == message
+
+
+def test_isotropy_grid_check_reports_a_height_too_small_apart():
+    # below height 7 some isotropic grid form has no zero yet: the check
+    # names it with the least height that works, as a ValueError, since
+    # the answer it checks is right
+    for height, cs, least in ((6, (2, -7, -7, -7), 7), (2, (1, -2, -7), 3), (1, (1, 1, -5), 2)):
+        with pytest.raises(ValueError) as exc:
+            isotropy_grid_check(height)
+        form = DiagonalForm(cs)
+        assert str(exc.value) == f"height {height} is too small: {form} needs height {least} for an integer zero"
+        assert oracles._witness_at(cs, least - 1) is None and oracles._witness_at(cs, least)
+    assert isotropy_grid_check(7) == 1000
 
 
 def _random_rational(rng):
