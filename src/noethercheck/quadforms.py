@@ -9,9 +9,9 @@ f where is_local_square(d, v) holds; over Q every place splits, and the
 test is skipped. The integer classes of the coefficients are read once per
 form, not once per place (an int coefficient is its own class, so a form
 with integral coefficients builds no Fraction anywhere in the scan), and
-each distinct numerator or denominator of f is factored once per form. A prime's place is the one interned Place of
-localfields._place, not a new record per form. No isotropic vectors are ever
-searched for here.
+each distinct numerator or denominator of f is factored once per form. A
+prime's place is the one interned Place of localfields._place, not a new
+record per form. No isotropic vectors are ever searched for here.
 """
 
 from __future__ import annotations
@@ -35,15 +35,12 @@ def candidate_places(f: DiagonalForm) -> tuple[Place, ...]:
     The finite places come sorted, then REAL_PLACE. Each distinct absolute
     numerator or denominator above 1 is factored once, each part apart, so
     the factorization cap applies part by part; each prime maps to its one
-    interned Place. An int coefficient is its own numerator, with
-    denominator 1."""
+    interned Place. An int coefficient gives its own numerator and its
+    denominator 1 through the int attributes, with no Fraction."""
     parts = set()
     for c in f.coeffs:
-        if type(c) is int:
-            parts.add(abs(c))
-        else:
-            parts.add(abs(c.numerator))
-            parts.add(c.denominator)
+        parts.add(abs(c.numerator))
+        parts.add(c.denominator)
     parts.discard(1)
     ps = {2}
     for n in parts:

@@ -192,17 +192,16 @@ def test_shift_sieve_matches_the_triple_loop():
     ],
     ids=("isotropic-lie", "wrong-witness", "zero-witness"),
 )
-@pytest.mark.parametrize("height", (60, 6, 1))
-def test_isotropy_grid_check_catches_a_false_isotropic_claim(monkeypatch, name, fake, message, height):
+def test_isotropy_grid_check_catches_a_false_isotropic_claim(monkeypatch, name, fake, message):
     # a form wrongly called isotropic, or a witness that is no zero, must
-    # fail the check with the form named, at a small height as at the limit
+    # fail the check with the form named
     monkeypatch.setattr(oracles, name, fake)
     with pytest.raises(AssertionError) as exc:
-        isotropy_grid_check(height)
+        isotropy_grid_check(60)
     assert str(exc.value) == message
 
 
-def test_isotropy_grid_check_reports_a_height_too_small_apart():
+def test_isotropy_grid_check_reports_a_height_too_small_apart(monkeypatch):
     # below height 7 some isotropic grid form has no zero yet: the check
     # names it with the least height that works, as a ValueError, since
     # the answer it checks is right
@@ -213,6 +212,13 @@ def test_isotropy_grid_check_reports_a_height_too_small_apart():
         assert str(exc.value) == f"height {height} is too small: {form} needs height {least} for an integer zero"
         assert oracles._witness_at(cs, least - 1) is None and oracles._witness_at(cs, least)
     assert isotropy_grid_check(7) == 1000
+    # a false claim of isotropy is still a mismatch at a small height: the
+    # search goes on to GRID_HEIGHT and finds no zero of <1>
+    monkeypatch.setattr(oracles, "isotropic_Q", lambda f: True)
+    for height in (6, 1):
+        with pytest.raises(AssertionError) as exc:
+            isotropy_grid_check(height)
+        assert str(exc.value) == f"no integer zero up to {oracles.GRID_HEIGHT} for <1>"
 
 
 def _random_rational(rng):
