@@ -270,7 +270,7 @@ def compare(ours, theirs, expected):
         digest.update(x.encode("utf-8"))
         if x == y:
             continue
-        key = json.dumps(json.loads(x if x is not MISSING else y)[0])
+        key = json.dumps(_argv(x, y))
         if key in want:
             as_expected.append((x, y))
             changed.add(key)
@@ -278,6 +278,11 @@ def compare(ours, theirs, expected):
             unexpected.append((x, y))
     unchanged = [json.loads(key) for key in sorted(want - changed)]
     return digest.hexdigest(), unexpected, as_expected, unchanged
+
+
+def _argv(x: str, y: str) -> list[str]:
+    """The argv of a pair of records, read from one that did not run out."""
+    return json.loads(y if x == MISSING else x)[0]
 
 
 def _read_expected(path: str, parser: argparse.ArgumentParser) -> list[list[str]]:
@@ -333,14 +338,14 @@ def main(argv: list[str] | None = None) -> int:
         with open(ours, encoding="utf-8") as a, open(theirs, encoding="utf-8") as b:
             digest, unexpected, as_expected, unchanged = compare(a, b, expected)
     for x, y in as_expected:
-        print(f"differs as expected: argv {json.loads(x)[0]}")
+        print(f"differs as expected: argv {_argv(x, y)}")
         _show("working tree", x)
         _show(args.against, y)
     for argv in unchanged:
         print(f"expected to differ, but unchanged or not in the corpus: argv {argv}")
     if unexpected:
         x, y = unexpected[0]
-        print(f"{len(unexpected)} records differ unexpectedly; the first: argv {json.loads(x)[0]}")
+        print(f"{len(unexpected)} records differ unexpectedly; the first: argv {_argv(x, y)}")
         _show("working tree", x)
         _show(args.against, y)
     if unexpected or unchanged:
