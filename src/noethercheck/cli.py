@@ -22,7 +22,7 @@ import json
 import os
 import re
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from types import SimpleNamespace
 
 from .exact import FACTORIZATION_CAP, QQ, FieldDescriptor, parse_ints
@@ -43,7 +43,10 @@ from .groups import (
 _ORACLE_LIMITS = {"three-squares": 10**4, "isotropy": 60, "hilbert": 10**4}
 
 
+@lru_cache(maxsize=1024)
 def parse_field(text: str) -> FieldDescriptor:
+    """The field a text names, parsed and its radicand factored once per
+    distinct text; a refused text keeps no entry and raises on every call."""
     s = text.strip()
     if s == "Q":
         return QQ

@@ -60,6 +60,49 @@ def test_parse_field():
             parse_field(bad)
 
 
+def test_parse_field_returns_the_same_descriptor_for_a_repeated_text():
+    parse_field.cache_clear()
+    first = parse_field("Q(sqrt 17)")
+    assert parse_field("Q(sqrt 17)") is first
+    assert parse_field.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("text", ["Q(sqrt 9)", "Q(sqrt x)"])
+def test_parse_field_keeps_no_refusal(text):
+    parse_field.cache_clear()
+    parse_field("Q(sqrt 17)")
+    size = parse_field.cache_info().currsize
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            parse_field(text)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert parse_field.cache_info().currsize == size
+
+
+def test_parse_field_memo_is_bounded():
+    parse_field.cache_clear()
+    assert parse_field.cache_info().maxsize == 1024
+    # a negative radicand is never a square, so every text is accepted
+    first = parse_field("Q(sqrt -1)")
+    for i in range(2, 1027):
+        parse_field(f"Q(sqrt -{i})")
+    info = parse_field.cache_info()
+    assert info.currsize == 1024 and info.misses == 1026
+    assert parse_field("Q(sqrt -1)") == first
+    assert parse_field.cache_info().misses == 1027
+
+
+def test_check_repeated_in_one_process_prints_the_same_bytes(capsys):
+    parse_field.cache_clear()
+    argv = ("check", "--group", "catalog:Q16", "--field", "Q(sqrt 17)", "--json")
+    first = _run(capsys, *argv)
+    assert _run(capsys, *argv) == first
+    assert first[0] == 0 and first[2] == ""
+    assert parse_field.cache_info().hits == 1
+
+
 def test_parse_group_round_trip():
     assert parse_group("catalog:C8") == Catalog("C8")
     assert group_spec_string(parse_group(" catalog:C8 ")) == "catalog:C8"
