@@ -6,7 +6,7 @@ arbitrary-precision int. A stored rational, such as a coefficient of
 localfields.DiagonalForm, takes its canonical exact type: an int when it is
 integral, and a Fraction in lowest terms only otherwise. Nothing here or
 downstream touches floats. The verdict reads ints only, so fractions is
-imported inside the three functions that take rationals, on first use, and
+imported inside the two functions that take rationals, on first use, and
 is_square builds no Fraction for an int.
 """
 
@@ -244,18 +244,6 @@ def squarefree_part(n: int) -> tuple[int, int]:
             s *= p
         m *= p ** (e // 2)
     return s, m
-
-
-def square_class(x: Fraction | int) -> int:
-    """Squarefree integer representing nonzero x modulo rational squares."""
-    from fractions import Fraction
-
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("0 has no square class")
-    # num/den and num*den differ by the square den**2, and the coprime
-    # parts are factored apart so that each need only be within the cap
-    return squarefree_part(x.numerator)[0] * squarefree_part(x.denominator)[0]
 
 
 def padic_valuation(x: Fraction | int, p: int) -> int:

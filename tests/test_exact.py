@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,7 +14,6 @@ from noethercheck.exact import (
     is_square,
     padic_valuation,
     parse_ints,
-    square_class,
     squarefree_part,
 )
 
@@ -57,22 +57,14 @@ def test_squarefree_part_postcondition():
         assert all(e == 1 for e in factorize(s).values())
 
 
-def test_square_class():
-    assert square_class(Fraction(8, 18)) == 1
-    assert square_class(12) == 3
-    assert square_class(Fraction(-2, 3)) == -6
-    assert square_class(-1) == -1
-    with pytest.raises(ValueError):
-        square_class(0)
-
-
-def test_square_class_matches_the_product_formula():
+def test_squarefree_part_is_multiplicative_on_coprime_parts():
+    # a square class is the product of the classes of coprime parts, as
     # num/den and num*den differ by the square den**2
     for num in range(-60, 61):
         for den in range(1, 61):
-            if num:
-                x = Fraction(num, den)
-                assert square_class(x) == squarefree_part(x.numerator * x.denominator)[0], x
+            if num and gcd(num, den) == 1:
+                got = squarefree_part(num * den)[0]
+                assert got == squarefree_part(num)[0] * squarefree_part(den)[0], (num, den)
 
 
 # numerator and denominator each within the cap, their product far above it
@@ -80,12 +72,8 @@ BIG = Fraction(10**13 + 1, 10**12 + 39)
 P, Q = 99999999977, 99999999947
 
 
-def test_square_class_of_parts_within_the_cap():
+def test_squares_and_isotropy_of_parts_within_the_cap():
     assert BIG.numerator * BIG.denominator > FACTORIZATION_CAP
-    assert square_class(BIG) == (10**13 + 1) * (10**12 + 39)
-    assert square_class(-BIG) == -(10**13 + 1) * (10**12 + 39)
-    assert square_class(Fraction(P * P, Q * Q)) == 1
-    assert square_class(Fraction(2 * P * P, 3 * Q * Q)) == 6
     assert not is_square(BIG)
     assert is_square(Fraction(P * P, Q * Q))
     assert is_square(Fraction(-7 * P * P, Q * Q), FieldDescriptor(-7))
