@@ -1,32 +1,62 @@
-"""A stabilizer chain of a permutation group on the points 0..degree-1,
-its elements image tuples: a base and strong generating set grown by the
-deterministic Schreier-Sims algorithm (Holt-Eick-O'Brien, Handbook of
-Computational Group Theory, section 4.4; Seress, Permutation Group
-Algorithms, ch. 4). Outside this module a chain is reached only through
-StabilizerChain(degree, bound=0), its identity and its methods add, grow,
-unbound, contains, walk, order and orbit_lengths. It imports nothing from
-the package.
+"""A stabilizer chain of a permutation group on the points 0..degree-1:
+a base and strong generating set grown by the deterministic Schreier-Sims
+algorithm (Holt-Eick-O'Brien, Handbook of Computational Group Theory,
+section 4.4; Seress, Permutation Group Algorithms, ch. 4). Outside this
+module a chain is reached only through StabilizerChain(degree, bound=0),
+its identity and its methods add, grow, unbound, contains, walk, order and
+orbit_lengths. It imports nothing from the package.
+
+An element is the sequence of its point images, in the form _perm picks
+from the degree: bytes up to degree 256, so that bytes.translate composes
+two elements and bytes.maketrans inverts one, each in C at a cost that
+hardly depends on the degree; above 256, where a point no longer fits in a
+byte, a tuple, composed by an itemgetter. The chain's identity and every
+element it stores or walks have that form, and add, contains and grow
+take any sequence of images and put it in that form.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import itemgetter
 
-# A stabilizer chain stores two image tuples of length degree per orbit
+# A stabilizer chain stores two elements of degree point images per orbit
 # point of each level; it stops once their total length would pass 10**7,
-# about 80 MB of tuple slots.
+# about 80 MB of tuple slots, or 10 MB as bytes, which it counts alike.
 CHAIN_CAP = 10**7
 
+# On a 2-CPU VM with Python 3.11, composing two elements of 80 points takes
+# about 0.25 us with translate and 1.2-1.9 us with an itemgetter; at degree
+# 7 both take about 0.2 us, so bytes serve every degree up to 256.
+_Perm = bytes | tuple[int, ...]
+_BYTES = bytes(range(256))
 
-def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply p, then q. An itemgetter of several indices returns a tuple,
-    and does so several times faster than a map; the identity is the only
+
+def _perm(images: Sequence[int]) -> _Perm:
+    """The element with these point images, in the form of its degree: bytes
+    up to 256 points, a tuple above. An element already in that form is
+    returned as it is."""
+    return bytes(images) if len(images) <= 256 else tuple(images)
+
+
+def _perm_compose(p: _Perm, q: _Perm) -> _Perm:
+    """Apply p, then q, both in the form of _perm or both tuples. translate
+    reads a table of 256 bytes, so q is padded with the fixed points above
+    its degree. An itemgetter of several indices returns a tuple, and does
+    so several times faster than a map; the identity is the only
     permutation of degree 1."""
+    if type(p) is bytes:
+        return p.translate(q + _BYTES[len(q) :])
     return itemgetter(*p)(q) if len(p) > 1 else q
 
 
-def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
+def _perm_inverse(p: _Perm) -> _Perm:
+    """The inverse of p, in p's form: maketrans sends each p[i] to i, and
+    the points above the degree to themselves."""
+    n = len(p)
+    if type(p) is bytes:
+        return bytes.maketrans(p, _BYTES[:n])[:n]
+    inv = [0] * n
     for i, x in enumerate(p):
         inv[x] = i
     return tuple(inv)
@@ -46,10 +76,10 @@ class _Level:
 
     def __init__(self, base: int) -> None:
         self.base = base
-        self.gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.gens: list[tuple[_Perm, _Perm]] = []
         self.orbit: list[int] = []
-        self.reps: dict[int, tuple[int, ...]] = {}
-        self.coreps: dict[int, tuple[int, ...]] = {}
+        self.reps: dict[int, _Perm] = {}
+        self.coreps: dict[int, _Perm] = {}
         self.tested: list[int] = []
         self.todo = 0
 
@@ -59,10 +89,10 @@ class StabilizerChain:
     product of the orbit lengths. add completes the chain after each new
     element: every Schreier generator of every level is sifted through the
     levels below it, and a nontrivial residue becomes a strong generator.
-    Each orbit point holds two image tuples, its coset representative and
+    Each orbit point holds two elements, its coset representative and
     that one's inverse, so the chain holds at most 2|G| permutations; the
     point images of both are counted as the point is stored and refused
-    past CHAIN_CAP.
+    past CHAIN_CAP, whichever form _perm gives them.
 
     grow takes a stream of elements instead and only extends orbits, so
     its chain is partial. Sifting through a partial chain has no false
@@ -80,7 +110,7 @@ class StabilizerChain:
     that the chain, still complete, can grow past it."""
 
     def __init__(self, degree: int, bound: int = 0) -> None:
-        self.identity = tuple(range(degree))
+        self.identity = _perm(range(degree))
         self._levels: list[_Level] = []
         self._images = 0
         self._size = 1  # the product of the orbit lengths
@@ -104,9 +134,11 @@ class StabilizerChain:
         is the order, so their primes are those of the order."""
         return [len(lev.orbit) for lev in self._levels]
 
-    def walk(self, square: tuple[int, ...] | None = None):
-        """Every element g of the group once, or, given square, only those
-        with g(g(x)) = square(x) at the first point x that square moves. g is
+    def walk(self, square: Sequence[int] | None = None):
+        """Every element g of the group once, in the chain's form, or, given
+        square, only those with g(g(x)) = square(x) at the first point x that
+        square moves. Each is composed in C up to degree 256, so a caller
+        that composes what it yields should keep that form. g is
         the product c_n * ... * c_1 * c_0 of one coset representative c_i per
         level i, which sends the base point of level i to a point of its
         orbit, and c_0 varies fastest (the identity if there are no levels).
@@ -116,7 +148,7 @@ class StabilizerChain:
         last = [levels[0].coreps[z] for z in levels[0].orbit] if levels else [self.identity]
         x = 0 if square is None else next(i for i, z in enumerate(square) if i != z)
 
-        def walk(i: int, prefix: tuple[int, ...]):
+        def walk(i: int, prefix: _Perm):
             if i:
                 coreps = levels[i].coreps
                 for z in levels[i].orbit:
@@ -129,7 +161,7 @@ class StabilizerChain:
 
         yield from walk(max(len(levels) - 1, 0), self.identity)
 
-    def _sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...] | None, int]:
+    def _sift(self, g: _Perm, start: int = 0) -> tuple[_Perm | None, int]:
         """Strip g through the levels from start on. Returns the residue, or
         None if g strips to the identity, and the level whose orbit misses
         g, or len(levels) if none does."""
@@ -147,28 +179,28 @@ class StabilizerChain:
                 return None, len(levels)
         return (None if g == identity else g), len(levels)
 
-    def contains(self, g: tuple[int, ...]) -> bool:
-        return self._sift(g)[0] is None
+    def contains(self, g: Sequence[int]) -> bool:
+        return self._sift(_perm(g))[0] is None
 
-    def add(self, g: tuple[int, ...]) -> bool:
+    def add(self, g: Sequence[int]) -> bool:
         """Extend the group by g and complete the chain. Returns False,
         changing nothing, if g is already a member."""
         if self._size == self._bound:
             return False
-        residue, j = self._sift(g)
+        residue, j = self._sift(_perm(g))
         if residue is None:
             return False
         self._insert(residue, 0, j)
         self._complete(j)
         return True
 
-    def grow(self, elements, conjugators) -> list[tuple[int, ...]]:
+    def grow(self, elements, conjugators) -> list[_Perm]:
         """Extend the group by the elements and by the conjugates
         g**-1 * y * g, for the pairs (g, g**-1) of conjugators, of every
         element y that extended it, until those are closed under them: the
         normal closure of the elements in the group the conjugators
         generate. Returns the elements that extended it, which generate
-        that closure.
+        that closure, in the chain's form.
 
         Each element is sifted through the partial chain. A residue that
         strips to the identity is a product of stored coset
@@ -179,14 +211,15 @@ class StabilizerChain:
         extended under it. No Schreier generator is sifted, so the chain is
         complete only once its orbit product reaches the bound, and growth
         stops there, or takes nothing if the chain is at the bound already."""
-        taken: list[tuple[int, ...]] = []
+        taken: list[_Perm] = []
         if self._size == self._bound:
             return taken
-        for y in elements:
+        for y in map(_perm, elements):
             if self._extend(y):
                 taken.append(y)
                 if self._size == self._bound:
                     return taken
+        conjugators = [(_perm(g), _perm(g_inv)) for g, g_inv in conjugators]
         for y in taken:  # grows while it is read
             for g, g_inv in conjugators:
                 z = _perm_compose(_perm_compose(g_inv, y), g)
@@ -196,7 +229,7 @@ class StabilizerChain:
                         return taken
         return taken
 
-    def _extend(self, g: tuple[int, ...]) -> bool:
+    def _extend(self, g: _Perm) -> bool:
         """Make the residue of g a strong generator and extend the orbits of
         its levels under it. Returns False, changing nothing, if g strips to
         the identity."""
@@ -229,7 +262,7 @@ class StabilizerChain:
             k += 1
 
     def _store(
-        self, lev: _Level, point: int, rep: tuple[int, ...], corep: tuple[int, ...] | None = None
+        self, lev: _Level, point: int, rep: _Perm, corep: _Perm | None = None
     ) -> None:
         degree = len(self.identity)
         if self._images + 2 * degree > CHAIN_CAP:
@@ -247,7 +280,7 @@ class StabilizerChain:
             lev.coreps[point] = corep
         lev.tested.append(0)
 
-    def _insert(self, h: tuple[int, ...], lo: int, hi: int) -> None:
+    def _insert(self, h: _Perm, lo: int, hi: int) -> None:
         """Make h, which fixes the base points before level hi, a strong
         generator of levels lo..hi, opening level hi if it is new."""
         if hi == len(self._levels):

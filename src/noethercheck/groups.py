@@ -32,7 +32,7 @@ from itertools import compress
 from math import gcd, lcm
 from operator import ne
 
-from .chain import StabilizerChain, _perm_compose, _perm_inverse
+from .chain import StabilizerChain, _Perm, _perm, _perm_compose, _perm_inverse
 from .exact import FACTORIZATION_CAP, Frozen, factorize, parse_ints
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
@@ -147,8 +147,8 @@ class Catalog(Frozen):
 GroupSpec = PermGens | Metacyclic | Catalog
 
 
-def _perm_power(p: tuple[int, ...], k: int) -> tuple[int, ...]:
-    out = tuple(range(len(p)))
+def _perm_power(p: _Perm, k: int) -> _Perm:
+    out = _perm(range(len(p)))
     while k:
         if k & 1:
             out = _perm_compose(out, p)
@@ -279,8 +279,9 @@ def _moved_orbits(pg: PermGens) -> list[list[int]]:
     return moved
 
 
-def _abelian_index(pg: PermGens) -> int:
-    """A divisor of |G/G'| read off the orbits of G. G' lies in the kernel
+def _abelian_index(pg: PermGens, moved: list[list[int]]) -> int:
+    """A divisor of |G/G'| read off the orbits of G that move points,
+    moved. G' lies in the kernel
     of every homomorphism from G to an abelian group, so |G/G'| is a
     multiple of the order of its image, and two such images are cheap:
     - g -> (sign of g on each orbit), whose image has 2**r elements for the
@@ -289,7 +290,6 @@ def _abelian_index(pg: PermGens) -> int:
       by leading bit, XOR-ing only while its leading bit hits one;
     - the action on an orbit whose image is abelian, which, being
       transitive, is then regular, with as many elements as the orbit."""
-    moved = _moved_orbits(pg)
     where = [0] * pg.degree
     for k, orbit in enumerate(moved):
         for x in orbit:
@@ -320,15 +320,15 @@ def _abelian_index(pg: PermGens) -> int:
     return out
 
 
-def _derived_subgroup(pg: PermGens, order: int) -> StabilizerChain:
+def _derived_subgroup(gens: tuple[_Perm, ...], bound: int) -> StabilizerChain:
     """A chain for G', the normal closure of the commutators of the
-    generators: a subgroup whose generators' conjugates by the generators
-    of G all lie in it is normal.
+    generators gens, in the chain's form: a subgroup whose generators'
+    conjugates by the generators of G all lie in it is normal.
 
     The chain is grown from the commutators and their conjugates by orbit
     extension alone, membership tested on the partial chain. Its orbit
-    product is at most |G'|, and given the order of G, |G'| is at most
-    |G| over the part of |G/G'| that _abelian_index reads off the orbits,
+    product is at most |G'|, and |G'| is at most the bound, |G| over the
+    part of |G/G'| that _abelian_index reads off the orbits, or 0 for none,
     so reaching that bound proves the chain complete: G' = G for a perfect
     group, G' the even part of S_n, and no Schreier generator sifted.
     Short of the bound, the grown chain holds a strong generator for every
@@ -336,10 +336,9 @@ def _derived_subgroup(pg: PermGens, order: int) -> StabilizerChain:
     each with every orbit point; the chain is built instead by adding the
     taken elements one at a time, each completed, so that exact membership
     drops the redundant ones."""
-    gens = pg.generators
+    degree = len(gens[0])
     invs = [_perm_inverse(g) for g in gens]
-    bound = order // _abelian_index(pg)
-    N = StabilizerChain(pg.degree, bound)
+    N = StabilizerChain(degree, bound)
     taken = N.grow(
         (
             reduce(_perm_compose, (invs[i], invs[j], gens[i], gens[j]))
@@ -350,14 +349,14 @@ def _derived_subgroup(pg: PermGens, order: int) -> StabilizerChain:
     )
     if N.order() == bound:
         return N
-    N = StabilizerChain(pg.degree, bound)
+    N = StabilizerChain(degree, bound)
     for y in taken:
         N.add(y)
     return N
 
 
 def _chain_invariants(
-    gens: tuple[tuple[int, ...], ...], order: int, primes: list[int], K: StabilizerChain
+    gens: tuple[_Perm, ...], order: int, primes: list[int], K: StabilizerChain
 ) -> tuple[int, ...]:
     """Invariant factors of G/G', descending and without 1s, from the order
     of G, the primes that may divide it and the complete chain K for G',
@@ -407,11 +406,11 @@ def _chain_invariants(
     return tuple(factors)
 
 
-def _sylow2_image(pg: PermGens, G: StabilizerChain) -> StabilizerChain | None:
-    """The chain of _perm_facts' orbit rule for a group G of 2-part 16: G
-    itself when it moves the points of one orbit only, of 16 or more, else
-    its image on the first such orbit that keeps that 2-part, or None."""
-    moved = _moved_orbits(pg)
+def _sylow2_image(pg: PermGens, moved: list[list[int]], G: StabilizerChain) -> StabilizerChain | None:
+    """The chain of _perm_facts' orbit rule for a group G of 2-part 16,
+    whose orbits that move points are moved: G itself when it moves the
+    points of one orbit only, of 16 or more, else its image on the first
+    such orbit that keeps that 2-part, or None."""
     if len(moved) == 1 and len(moved[0]) >= 16:
         return G
     for orbit in (o for o in moved if len(o) >= 16):
@@ -471,10 +470,12 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     gives that orbit 16 points or more. On any orbit where the image keeps
     the 2-part 16 the kernel has odd order, so P maps isomorphically onto a
     2-Sylow subgroup of the image."""
-    gens = pg.generators
-    if len(gens) == 1:
-        m = lcm(*map(len, _cycles(gens[0])))
+    if len(pg.generators) == 1:
+        m = lcm(*map(len, _cycles(pg.generators[0])))
         return _metacyclic_facts(Metacyclic(m, 1, 0, 1 % m))
+    # in the chain's form from here on, composed in C up to degree 256
+    gens = tuple(map(_perm, pg.generators))
+    moved = _moved_orbits(pg)
     G = StabilizerChain(pg.degree)
     for g in gens:
         G.add(g)
@@ -485,12 +486,13 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
             f"the 2-Sylow test of a group of order {order} needs its closure, "
             f"above closure cap {CLOSURE_CAP}"
         )
-    H = _sylow2_image(pg, G) if two_part == 16 else None
+    H = _sylow2_image(pg, moved, G) if two_part == 16 else None
     q16 = H is not None and _q16_search(H)
     # the primes of |G| are those of its orbit lengths, all at most degree
     primes = sorted({p for n in G.orbit_lengths() for p in factorize(n)})
     del G
-    invariants = _chain_invariants(gens, order, primes, _derived_subgroup(pg, order))
+    K = _derived_subgroup(gens, order // _abelian_index(pg, moved))
+    invariants = _chain_invariants(gens, order, primes, K)
     return GroupFacts(order, invariants, two_part, q16)
 
 

@@ -22,8 +22,9 @@ invariants of a table from the one source, group_facts of that spec; a
 quotient table records none. The tables, with their 2-Sylow search, are
 what the tests compare the facts against; the verdict builds none. From
 groups this module takes the specs, the catalog and the closure cap, none
-of the code that computes the facts, and from chain only the permutation
-product; the product of a metacyclic presentation is its own.
+of the code that computes the facts, and nothing from chain: the product
+of image tuples and that of a metacyclic presentation are its own, so the
+chain's product is checked against them, not shared.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from itertools import combinations, combinations_with_replacement
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .chain import _perm_compose
 from .exact import FieldDescriptor, Frozen, factorize
 from .groups import (
     CLOSURE_CAP,
@@ -688,6 +688,10 @@ def _metacyclic_compose(m: Metacyclic):
     return compose
 
 
+def _tuple_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(q.__getitem__, p))  # apply p, then q
+
+
 def build_group(spec: GroupSpec) -> FiniteGroupTable:
     """The closure table of a group spec, which it records. The table of a
     catalog spec is labelled by the name."""
@@ -700,7 +704,7 @@ def build_group(spec: GroupSpec) -> FiniteGroupTable:
     if isinstance(group, PermGens):
         identity = tuple(range(group.degree))
         label = label or f"perm(degree {group.degree})"
-        return FiniteGroupTable(identity, group.generators, _perm_compose, CLOSURE_CAP, label, spec)
+        return FiniteGroupTable(identity, group.generators, _tuple_compose, CLOSURE_CAP, label, spec)
     a, b, c, r = group.a, group.b, group.c, group.r
     if a * b > CLOSURE_CAP:
         raise ValueError(f"a table of order {a * b} exceeds closure cap {CLOSURE_CAP}")

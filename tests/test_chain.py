@@ -1,24 +1,42 @@
 """The contract of the stabilizer chain's interface, which any chain that
-replaces it must meet. On random permutation groups of degree 2 to 7: the
-order and membership of a chain against the closure table of oracles, a
-walk that lists every element once, and a chain built up to its bound
-that, once unbound, grows past it to the chain of the larger group."""
+replaces it must meet. On random permutation groups of degree 2 to 7, and
+on the same groups relabelled onto points of a degree above 256, where the
+chain's elements are tuples rather than bytes: the order and membership of
+a chain against the closure table of oracles, a walk that lists every
+element once, and a chain built up to its bound that, once unbound, grows
+past it to the chain of the larger group. And the chain's product and
+inverse against their definitions on either side of degree 256."""
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noethercheck.chain import StabilizerChain
+from noethercheck.chain import StabilizerChain, _perm, _perm_compose, _perm_inverse
 from noethercheck.groups import PermGens
 from noethercheck.oracles import build_group
 
 
+def _relabel(g, where, degree):
+    """g with each point i renamed where[i], on degree points, the others
+    fixed."""
+    image = list(range(degree))
+    for i, x in enumerate(g):
+        image[where[i]] = where[x]
+    return tuple(image)
+
+
 @st.composite
-def perm_gens(draw):
+def perm_gens(draw, above_256=False):
+    """A group on degree 2 to 7 points, and those points: 0..degree-1, or
+    above 256, points drawn from a larger degree that the group fixes."""
     degree = draw(st.integers(2, 7))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=4))
-    return PermGens(degree, tuple(tuple(g) for g in gens))
+    if not above_256:
+        return PermGens(degree, tuple(tuple(g) for g in gens)), list(range(degree))
+    n = draw(st.integers(257, 300))
+    where = draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree, unique=True))
+    return PermGens(n, tuple(_relabel(g, where, n) for g in gens)), where
 
 
 def _chain(degree, gens, bound=0):
@@ -28,19 +46,19 @@ def _chain(degree, gens, bound=0):
     return chain
 
 
-@settings(max_examples=100, deadline=None)
-@given(perm_gens(), st.integers(0, 2**32 - 1))
-def test_chain_meets_its_contract(pg, seed):
+def _meets_contract(pg, points, seed):
     table = build_group(pg)
     members = set(table._elems)
     chain = _chain(pg.degree, pg.generators)
     assert chain.order() == table.order
-    assert chain.identity == tuple(range(pg.degree))
+    assert tuple(chain.identity) == tuple(range(pg.degree))
     rng = random.Random(seed)
-    others = [tuple(rng.sample(range(pg.degree), pg.degree)) for _ in range(20)]
+    # permutations of the group's points, so that the larger group below
+    # moves no others
+    others = [_relabel(rng.sample(range(len(points)), len(points)), points, pg.degree) for _ in range(20)]
     for g in members | set(others):
         assert chain.contains(g) == (g in members), g
-    walked = list(chain.walk())
+    walked = [tuple(g) for g in chain.walk()]
     assert len(walked) == len(set(walked)) and set(walked) == members
     outside = next((g for g in others if g not in members), None)
     if outside is None:
@@ -53,3 +71,45 @@ def test_chain_meets_its_contract(pg, seed):
     assert bounded.order() == larger.order() > table.order
     assert set(bounded.walk()) == set(larger.walk())
     assert all(bounded.contains(g) == larger.contains(g) for g in others)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perm_gens(), st.integers(0, 2**32 - 1))
+def test_chain_meets_its_contract(group, seed):
+    _meets_contract(*group, seed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(perm_gens(above_256=True), st.integers(0, 2**32 - 1))
+def test_chain_meets_its_contract_above_degree_256(group, seed):
+    assert type(StabilizerChain(group[0].degree).identity) is tuple
+    _meets_contract(*group, seed)
+
+
+def _reversed(n):
+    return tuple(range(n - 1, -1, -1))
+
+
+def _rotated(n):
+    return tuple(range(1, n)) + (0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+@example((_reversed(1), _rotated(1)))
+@example((_reversed(256), _rotated(256)))
+@example((_reversed(257), _rotated(257)))
+def test_product_and_inverse_meet_their_definitions(pair):
+    p, q = map(tuple, pair)
+    n = len(p)
+    product = tuple(q[p[i]] for i in range(n))  # p, then q
+    inverse = [0] * n
+    for i in range(n):
+        inverse[p[i]] = i
+    P, Q = _perm(p), _perm(q)
+    assert type(P) is type(Q) is (bytes if n <= 256 else tuple)
+    assert tuple(P) == p and _perm(P) is P
+    assert type(_perm_compose(P, Q)) is type(P) and tuple(_perm_compose(P, Q)) == product
+    assert type(_perm_inverse(P)) is type(P) and tuple(_perm_inverse(P)) == tuple(inverse)
+    # tuples of any degree compose and invert as tuples
+    assert _perm_compose(p, q) == product and _perm_inverse(p) == tuple(inverse)

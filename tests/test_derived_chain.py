@@ -32,6 +32,17 @@ PERFECT = {
 ORDERS = {"A7": 2520, "A10": 1814400, "SL2_7": 336, "SL2_9": 720}
 
 
+def _abelian_index(pg):
+    return groups._abelian_index(pg, groups._moved_orbits(pg))
+
+
+def _derived_subgroup(pg, order):
+    """The chain for G' that _perm_facts builds given the order of G, or
+    with no bound for order 0."""
+    gens = tuple(map(chain._perm, pg.generators))
+    return groups._derived_subgroup(gens, order // _abelian_index(pg))
+
+
 def _chain(pg):
     G = chain.StabilizerChain(pg.degree)
     for g in pg.generators:
@@ -54,8 +65,8 @@ def test_bounded_chain_of_a_perfect_group_has_its_order():
     for name, pg in PERFECT.items():
         order = _chain(pg).order()
         assert order == ORDERS[name], name
-        bounded = groups._derived_subgroup(pg, order)
-        unbounded = groups._derived_subgroup(pg, 0)
+        bounded = _derived_subgroup(pg, order)
+        unbounded = _derived_subgroup(pg, 0)
         assert bounded.order() == unbounded.order() == order, name
         # every word is in G = G'; a random permutation of the points
         # mostly is not, and both chains must say the same
@@ -72,7 +83,7 @@ def test_derived_subgroup_of_a_symmetric_group_has_index_2():
     for n in (6, 9):
         pg = PermGens.from_cycles("(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")")
         order = _chain(pg).order()
-        assert groups._derived_subgroup(pg, order).order() == order // 2
+        assert _derived_subgroup(pg, order).order() == order // 2
         assert group_facts(pg).abelian_invariants == (2,)
 
 
@@ -133,7 +144,7 @@ def test_perfect_groups_sift_no_schreier_generator(monkeypatch):
     work = _count_chain_work(monkeypatch)
     for name, pg in PERFECT.items():
         # orbit extension alone reaches |G|, which proves G' = G
-        assert groups._derived_subgroup(pg, orders[name]).order() == orders[name], name
+        assert _derived_subgroup(pg, orders[name]).order() == orders[name], name
         assert work == {"schreier": 0, "complete": []}, name
 
 
@@ -144,12 +155,12 @@ def test_odd_generators_halve_the_bound_and_spare_the_completion(monkeypatch):
         # the sign of an odd generator halves the bound, which the grown
         # chain reaches: nothing is completed and no Schreier generator is
         # sifted
-        assert groups._abelian_index(pg) == 2, name
-        assert groups._derived_subgroup(pg, orders[name]).order() == derived_order, name
+        assert _abelian_index(pg) == 2, name
+        assert _derived_subgroup(pg, orders[name]).order() == derived_order, name
         assert work == {"schreier": 0, "complete": []}, name
         # unbounded, the chain is built by adding the elements the growth
         # took, each completed
-        assert groups._derived_subgroup(pg, 0).order() == derived_order, name
+        assert _derived_subgroup(pg, 0).order() == derived_order, name
         assert work["complete"], name
         work["complete"].clear()
         work["schreier"] = 0
@@ -160,7 +171,7 @@ def test_short_of_the_bound_the_taken_elements_are_added():
     # growth stops short of |G| / 2, and adding what it took gives G'
     pg = PermGens.from_cycles("(1 2)", "(1 2 3 4 5)", "(1 6)(2 7)(3 8)(4 9)(5 10)")
     order = _chain(pg).order()
-    assert (order, groups._abelian_index(pg)) == (28800, 2)
+    assert (order, _abelian_index(pg)) == (28800, 2)
     grown = chain.StabilizerChain(pg.degree, order // 2)
     gens, invs = pg.generators, [_perm_inverse(g) for g in pg.generators]
     commutators = [
@@ -170,7 +181,7 @@ def test_short_of_the_bound_the_taken_elements_are_added():
     ]
     taken = grown.grow(commutators, list(zip(gens, invs)))
     assert grown.order() < order // 2
-    derived = groups._derived_subgroup(pg, order)
+    derived = _derived_subgroup(pg, order)
     assert derived.order() == order // 4
     assert all(derived.contains(y) for y in taken)
     assert group_facts(pg).abelian_invariants == (2, 2)
@@ -191,8 +202,8 @@ def test_derived_chain_matches_the_table_oracle():
     # multiplication alone, and the sifts take most of the time
     for pg in _random_specs(random.Random(16), 240):
         order = _chain(pg).order()
-        bounded = groups._derived_subgroup(pg, order)
-        assert bounded.order() == groups._derived_subgroup(pg, 0).order(), pg
+        bounded = _derived_subgroup(pg, order)
+        assert bounded.order() == _derived_subgroup(pg, 0).order(), pg
         G = oracles.build_group(pg)
         derived = oracles.derived_subgroup(G).members
         assert bounded.order() == len(derived), pg
@@ -210,7 +221,7 @@ def test_quotient_chains_grow_past_the_derived_bound():
         "S5xC8": (PermGens.from_cycles("(1 2)", "(1 2 3 4 5)(6 7 8 9 10 11 12 13)"), 8, (8, 2)),
     }
     for name, (pg, index, invariants) in specs.items():
-        assert groups._abelian_index(pg) == index, name
+        assert _abelian_index(pg) == index, name
         assert group_facts(pg).abelian_invariants == invariants, name
         assert oracles.abelian_invariants_by_quotient(oracles.build_group(pg)) == invariants, name
 
@@ -224,11 +235,11 @@ def test_disjoint_transpositions_have_independent_signs():
             g = list(range(2 * n))
             g[2 * i], g[2 * i + 1] = 2 * i + 1, 2 * i
             gens.append(tuple(g))
-        assert groups._abelian_index(PermGens(2 * n, tuple(gens))) == 2**n, n
+        assert _abelian_index(PermGens(2 * n, tuple(gens))) == 2**n, n
     # a sign whose leading bit is taken is reduced, not dropped, and a
     # dependent one adds no rank
     pg = PermGens.from_cycles("(1 2)(5 6)", "(3 4)(5 6)", "(1 2)", "(1 2)(3 4)(5 6)")
-    assert groups._abelian_index(pg) == 8
+    assert _abelian_index(pg) == 8
 
 
 def test_growth_at_the_bound_takes_nothing(monkeypatch):
@@ -252,7 +263,7 @@ def test_growth_at_the_bound_takes_nothing(monkeypatch):
     monkeypatch.setattr(chain.StabilizerChain, "_sift", counted)
     bounded = chain.StabilizerChain(2 * n, 1)
     assert bounded.grow(iter(gens), [(g, g) for g in gens]) == []
-    assert groups._derived_subgroup(pg, 2**n).order() == 1
+    assert _derived_subgroup(pg, 2**n).order() == 1
     assert sifted == []
     monkeypatch.undo()
     assert group_facts(pg).abelian_invariants == (2,) * n
@@ -315,3 +326,35 @@ def test_p_power_series_grows_the_chain_for_g_prime(monkeypatch):
         group_facts(pg)
         counts[name] = len(built)
     assert counts == {"C4^3xC8": 3, "AGL(1,13)": 3, "S6xC347": 3, "Q16xC15015": 4}
+
+
+def test_facts_agree_on_either_side_of_degree_256(monkeypatch):
+    # each group on its own points, where the chains compose bytes, and
+    # with point 300 added and fixed, where they compose tuples; the Q16
+    # test of SL2_9 walks G itself, on all 300 points
+    walked = []
+    walk = chain.StabilizerChain.walk
+
+    def recorded(self, *args):
+        for g in walk(self, *args):
+            walked.append(type(g))
+            yield g
+
+    monkeypatch.setattr(chain.StabilizerChain, "walk", recorded)
+    specs = {
+        "SL2_7": groups._catalog_spec("SL2_7"),
+        "SL2_9": groups._catalog_spec("SL2_9"),
+        "S6": NOT_PERFECT["S6"][0],
+        "AGL(1,13)": SERIES_GROUPS["AGL(1,13)"][0],
+    }
+    for name, pg in specs.items():
+        padded = PermGens(300, tuple(g + tuple(range(pg.degree, 300)) for g in pg.generators))
+        walked.clear()
+        facts = group_facts(pg)
+        below = set(walked)
+        walked.clear()
+        assert group_facts(padded) == facts, name
+        if name.startswith("SL2"):
+            # the Q16 test walks both, each in the form of its degree
+            assert (below, set(walked)) == ({bytes}, {tuple}), name
+    assert group_facts(specs["SL2_9"]).sylow2_is_q16
