@@ -261,9 +261,7 @@ class StabilizerChain:
                         return
             k += 1
 
-    def _store(
-        self, lev: _Level, point: int, rep: _Perm, corep: _Perm | None = None
-    ) -> None:
+    def _store(self, lev: _Level, point: int, rep: _Perm, corep: _Perm | None = None) -> None:
         degree = len(self.identity)
         if self._images + 2 * degree > CHAIN_CAP:
             raise ValueError(

@@ -280,10 +280,10 @@ def _moved_orbits(pg: PermGens) -> list[list[int]]:
 
 
 def _abelian_index(pg: PermGens, moved: list[list[int]]) -> int:
-    """A divisor of |G/G'| read off the orbits of G that move points,
-    moved. G' lies in the kernel
-    of every homomorphism from G to an abelian group, so |G/G'| is a
-    multiple of the order of its image, and two such images are cheap:
+    """A divisor of |G/G'| read off moved, the orbits of G of more than one
+    point. G' lies in the kernel of every homomorphism from G to an
+    abelian group, so |G/G'| is a multiple of the order of its image, and
+    two such images are cheap:
     - g -> (sign of g on each orbit), whose image has 2**r elements for the
       rank r over F_2 of the generators' images; each image is a bitmask,
       one bit per orbit, reduced against a basis of those before it kept
@@ -328,10 +328,10 @@ def _derived_subgroup(gens: tuple[_Perm, ...], bound: int) -> StabilizerChain:
     The chain is grown from the commutators and their conjugates by orbit
     extension alone, membership tested on the partial chain. Its orbit
     product is at most |G'|, and |G'| is at most the bound, |G| over the
-    part of |G/G'| that _abelian_index reads off the orbits, or 0 for none,
-    so reaching that bound proves the chain complete: G' = G for a perfect
-    group, G' the even part of S_n, and no Schreier generator sifted.
-    Short of the bound, the grown chain holds a strong generator for every
+    part of |G/G'| that _abelian_index reads off the orbits (0 for no
+    bound), so reaching that bound proves the chain complete: G' = G for
+    a perfect group, G' the even part of S_n, and no Schreier generator
+    sifted. Short of the bound, the grown chain holds a strong generator for every
     element it took, most of them redundant, and one completion would pair
     each with every orbit point; the chain is built instead by adding the
     taken elements one at a time, each completed, so that exact membership
@@ -406,11 +406,13 @@ def _chain_invariants(
     return tuple(factors)
 
 
-def _sylow2_image(pg: PermGens, moved: list[list[int]], G: StabilizerChain) -> StabilizerChain | None:
+def _sylow2_image(
+    pg: PermGens, moved: list[list[int]], G: StabilizerChain
+) -> StabilizerChain | None:
     """The chain of _perm_facts' orbit rule for a group G of 2-part 16,
-    whose orbits that move points are moved: G itself when it moves the
-    points of one orbit only, of 16 or more, else its image on the first
-    such orbit that keeps that 2-part, or None."""
+    given moved, its orbits of more than one point: G itself when it moves
+    the points of one orbit only, of 16 or more, else its image on the
+    first such orbit that keeps that 2-part, or None."""
     if len(moved) == 1 and len(moved[0]) >= 16:
         return G
     for orbit in (o for o in moved if len(o) >= 16):
