@@ -2,8 +2,8 @@
 a base and strong generating set grown by the deterministic Schreier-Sims
 algorithm (Holt-Eick-O'Brien, Handbook of Computational Group Theory,
 section 4.4; Seress, Permutation Group Algorithms, ch. 4). Outside this
-module a chain is reached only through StabilizerChain(degree, bound=0),
-its identity and its methods add, grow, unbound, contains, walk, order and
+module a chain is reached only through StabilizerChain(degree), its
+identity and its methods add, grow, contains, walk, order and
 orbit_lengths. It imports nothing from the package.
 
 An element is the sequence of its point images, in the form _perm picks
@@ -95,36 +95,19 @@ class StabilizerChain:
     past CHAIN_CAP, whichever form _perm gives them.
 
     grow takes a stream of elements instead and only extends orbits, so
-    its chain is partial. Sifting through a partial chain has no false
+    its chain is partial unless it reaches the bound that grow alone takes
+    on the order. Sifting through a partial chain has no false
     positives, since an element that strips to the identity is a product
     of stored coset representatives, but may have false negatives. Sifting
     reads the representatives only, so grow leaves each inverse to be made
     when a Schreier generator first needs it; walk reads the inverses, and
-    walks only chains that add built.
+    walks only chains that add built."""
 
-    bound, if not 0, bounds the order of every group the chain is asked to
-    hold. The stored orbits lie inside the true basic orbits, so their
-    lengths multiply to at most the group's order; once that product reaches
-    bound the chain is complete, however little of it was verified, and
-    every later add or grow is a no-op until unbound drops the bound, so
-    that the chain, still complete, can grow past it."""
-
-    def __init__(self, degree: int, bound: int = 0) -> None:
+    def __init__(self, degree: int) -> None:
         self.identity = _perm(range(degree))
         self._levels: list[_Level] = []
         self._images = 0
         self._size = 1  # the product of the orbit lengths
-        self._bound = bound
-
-    def unbound(self) -> None:
-        """Drop the bound, so that the chain may grow past it. A chain at
-        its bound is complete however little of it was verified, so its
-        levels then count every Schreier generator as sifted."""
-        if self._size == self._bound:
-            for lev in self._levels:
-                lev.tested = [len(lev.gens)] * len(lev.orbit)
-                lev.todo = len(lev.orbit)
-        self._bound = 0
 
     def order(self) -> int:
         return self._size
@@ -185,8 +168,6 @@ class StabilizerChain:
     def add(self, g: Sequence[int]) -> bool:
         """Extend the group by g and complete the chain. Returns False,
         changing nothing, if g is already a member."""
-        if self._size == self._bound:
-            return False
         residue, j = self._sift(_perm(g))
         if residue is None:
             return False
@@ -194,7 +175,7 @@ class StabilizerChain:
         self._complete(j)
         return True
 
-    def grow(self, elements, conjugators) -> list[_Perm]:
+    def grow(self, elements, conjugators, bound: int) -> list[_Perm]:
         """Extend the group by the elements and by the conjugates
         g**-1 * y * g, for the pairs (g, g**-1) of conjugators, of every
         element y that extended it, until those are closed under them: the
@@ -208,46 +189,55 @@ class StabilizerChain:
         no false positives, and a false negative only takes one more
         element. A nontrivial residue becomes a strong generator of the
         levels down to the one that stopped it, and their orbits are
-        extended under it. No Schreier generator is sifted, so the chain is
-        complete only once its orbit product reaches the bound, and growth
-        stops there, or takes nothing if the chain is at the bound already."""
+        extended under it. No Schreier generator is sifted.
+
+        bound, if not 0, bounds the order of the closure. The stored orbits
+        lie inside the true basic orbits, so their lengths multiply to at
+        most the closure's order; once that product reaches bound the chain
+        is complete, however little of it was verified, so growth stops
+        there, or takes nothing if the chain is at the bound already, and
+        every Schreier generator counts as sifted, so that add may extend
+        the chain past the bound. Short of the bound the chain stays
+        partial: its order may fall short of the closure's, and contains
+        may miss a member."""
         taken: list[_Perm] = []
-        if self._size == self._bound:
+        if self._size == bound:
             return taken
         for y in map(_perm, elements):
-            if self._extend(y):
+            if self._extend(y, bound):
                 taken.append(y)
-                if self._size == self._bound:
+                if self._size == bound:
                     return taken
         conjugators = [(_perm(g), _perm(g_inv)) for g, g_inv in conjugators]
         for y in taken:  # grows while it is read
             for g, g_inv in conjugators:
                 z = _perm_compose(_perm_compose(g_inv, y), g)
-                if self._extend(z):
+                if self._extend(z, bound):
                     taken.append(z)
-                    if self._size == self._bound:
+                    if self._size == bound:
                         return taken
         return taken
 
-    def _extend(self, g: _Perm) -> bool:
+    def _extend(self, g: _Perm, bound: int) -> bool:
         """Make the residue of g a strong generator and extend the orbits of
-        its levels under it. Returns False, changing nothing, if g strips to
-        the identity."""
+        its levels under it, up to the bound. Returns False, changing
+        nothing, if g strips to the identity."""
         residue, j = self._sift(g)
         if residue is None:
             return False
         self._insert(residue, 0, j)
         for lev in self._levels[: j + 1]:
-            if self._size == self._bound:
+            if self._size == bound:
                 break
-            self._extend_orbit(lev)
+            self._extend_orbit(lev, bound)
         return True
 
-    def _extend_orbit(self, lev: _Level) -> None:
+    def _extend_orbit(self, lev: _Level, bound: int) -> None:
         """Close the orbit of lev, closed under all its generators but the
         last, under that one too: the last is applied to the old points and
         every generator to the new points only. It stops once the orbit
-        product reaches the bound."""
+        product reaches the bound, where the chain is complete, and counts
+        every Schreier generator of every level as sifted."""
         gens, orbit, reps = lev.gens, lev.orbit, lev.reps
         last, old = gens[-1:], len(orbit)
         k = 0
@@ -257,7 +247,10 @@ class StabilizerChain:
                 y = s[x]
                 if y not in reps:
                     self._store(lev, y, _perm_compose(s_inv, reps[x]))
-                    if self._size == self._bound:
+                    if self._size == bound:
+                        for done in self._levels:
+                            done.tested = [len(done.gens)] * len(done.orbit)
+                            done.todo = len(done.orbit)
                         return
             k += 1
 
@@ -294,7 +287,7 @@ class StabilizerChain:
         """Levels below i are complete; make levels i, i-1, ..., 0 complete
         too. A residue found at level i joins the levels after i, down to
         the one that stopped it, and the work resumes there."""
-        while i >= 0 and self._size != self._bound:
+        while i >= 0:
             found = self._schreier_residue(i)
             if found is None:
                 i -= 1
@@ -322,9 +315,6 @@ class StabilizerChain:
                 rep = reps.get(y)
                 if rep is None:
                     self._store(lev, y, _perm_compose(s_inv, reps[x]), _perm_compose(corep, s))
-                    if self._size == self._bound:
-                        lev.todo = k
-                        return None
                     continue
                 if y == x == lev.base:
                     # the Schreier generator is s, which _insert also made

@@ -326,19 +326,20 @@ def _derived_subgroup(gens: tuple[_Perm, ...], bound: int) -> StabilizerChain:
     conjugates by the generators of G all lie in it is normal.
 
     The chain is grown from the commutators and their conjugates by orbit
-    extension alone, membership tested on the partial chain. Its orbit
-    product is at most |G'|, and |G'| is at most the bound, |G| over the
-    part of |G/G'| that _abelian_index reads off the orbits (0 for no
-    bound), so reaching that bound proves the chain complete: G' = G for
-    a perfect group, G' the even part of S_n, and no Schreier generator
-    sifted. Short of the bound, the grown chain holds a strong generator for every
-    element it took, most of them redundant, and one completion would pair
-    each with every orbit point; the chain is built instead by adding the
-    taken elements one at a time, each completed, so that exact membership
-    drops the redundant ones."""
+    extension alone, membership tested on the partial chain, up to the
+    bound that grow takes. Its orbit product is at most |G'|, and |G'| is
+    at most the bound, |G| over the part of |G/G'| that _abelian_index
+    reads off the orbits (0 for no bound), so reaching that bound proves
+    the chain complete: G' = G for a perfect group, G' the even part of
+    S_n, and no Schreier generator sifted. Short of the bound, the grown
+    chain holds a strong generator for every element it took, most of
+    them redundant, and one completion would pair each with every orbit
+    point; a fresh chain is built instead by adding the taken elements
+    one at a time, each completed, so that exact membership drops the
+    redundant ones."""
     degree = len(gens[0])
     invs = [_perm_inverse(g) for g in gens]
-    N = StabilizerChain(degree, bound)
+    N = StabilizerChain(degree)
     taken = N.grow(
         (
             reduce(_perm_compose, (invs[i], invs[j], gens[i], gens[j]))
@@ -346,10 +347,11 @@ def _derived_subgroup(gens: tuple[_Perm, ...], bound: int) -> StabilizerChain:
             for j in range(i + 1, len(gens))
         ),
         list(zip(gens, invs)),
+        bound,
     )
     if N.order() == bound:
         return N
-    N = StabilizerChain(degree, bound)
+    N = StabilizerChain(degree)
     for y in taken:
         N.add(y)
     return N
@@ -360,7 +362,7 @@ def _chain_invariants(
 ) -> tuple[int, ...]:
     """Invariant factors of G/G', descending and without 1s, from the order
     of G, the primes that may divide it and the complete chain K for G',
-    which grows in place.
+    which add grows in place, also when grow built it up to its bound.
 
     Write A = G/G' additively, A_p for its p-part, of order p**e, and q for
     |A|/p**e. The elements g**(q*p**k), for the generators g, generate
@@ -373,7 +375,6 @@ def _chain_invariants(
     index, rest = divmod(order, K.order())
     if rest:
         raise AssertionError("the order of G' divides the order of G")
-    K.unbound()
     counts: dict[int, list[int]] = {}  # p -> the m_k, m_0 first and largest
     for p in primes:
         if index % p:
@@ -412,12 +413,13 @@ def _sylow2_image(
     """The chain of _perm_facts' orbit rule for a group G of 2-part 16,
     given moved, its orbits of more than one point: G itself when it moves
     the points of one orbit only, of 16 or more, else its image on the
-    first such orbit that keeps that 2-part, or None."""
+    first such orbit that keeps that 2-part, or None. Each image is a
+    complete chain that add builds."""
     if len(moved) == 1 and len(moved[0]) >= 16:
         return G
     for orbit in (o for o in moved if len(o) >= 16):
         where = {x: i for i, x in enumerate(orbit)}
-        H = StabilizerChain(len(orbit), G.order())
+        H = StabilizerChain(len(orbit))
         for g in pg.generators:
             H.add(tuple(where[g[x]] for x in orbit))
         if H.order() & -H.order() == 16:

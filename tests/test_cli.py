@@ -382,9 +382,10 @@ def test_oracle_isotropy_height_too_small_is_no_mismatch(capsys, monkeypatch):
     assert err == "error: height 1 is too small: <1,1,-5> needs height 2 for an integer zero\n"
     # a lying isotropic_Q is still a mismatch at a small height: the
     # search goes on to the limit and finds no zero of <1>
-    from noethercheck import oracles
+    from noethercheck import cli, oracles
 
     assert oracles.GRID_HEIGHT == 60
+    assert cli._ORACLE_LIMITS["isotropy"] == oracles.GRID_HEIGHT
     monkeypatch.setattr(oracles, "isotropic_Q", lambda f: True)
     code, out, err = _run(capsys, "oracle", "isotropy", "6")
     assert (code, out, err) == (1, "", "mismatch: no integer zero up to 60 for <1>\n")

@@ -74,8 +74,9 @@ def test_bounded_chain_of_a_perfect_group_has_its_order():
         for g in list(pg.generators) + _words(pg, rng, 200) + others:
             assert bounded.contains(g) == unbounded.contains(g), name
         assert all(bounded.contains(g) for g in pg.generators), name
-        # a full chain takes nothing more
-        assert not bounded.add(rng.choice(others)) and bounded.order() == order, name
+        # a full chain takes nothing more: a word in the generators is a
+        # member already
+        assert not bounded.add(_words(pg, rng, 1)[0]) and bounded.order() == order, name
         assert group_facts(pg).abelian_invariants == (), name
 
 
@@ -166,20 +167,31 @@ def test_odd_generators_halve_the_bound_and_spare_the_completion(monkeypatch):
         work["schreier"] = 0
 
 
+def test_growth_at_the_bound_counts_every_schreier_generator_as_sifted():
+    # a chain that grew to its bound is complete, so that the p-power
+    # series, which adds to it, pairs only its own elements with the orbits
+    groups_at_bound = {**PERFECT, **{name: pg for name, (pg, _) in NOT_PERFECT.items()}}
+    for name, pg in groups_at_bound.items():
+        grown = _derived_subgroup(pg, _chain(pg).order())
+        for lev in grown._levels:
+            assert lev.todo == len(lev.orbit), name
+            assert lev.tested == [len(lev.gens)] * len(lev.orbit), name
+
+
 def test_short_of_the_bound_the_taken_elements_are_added():
     # S5 wr S2 has |G/G'| = 4, but its orbit shows only the sign; the
     # growth stops short of |G| / 2, and adding what it took gives G'
     pg = PermGens.from_cycles("(1 2)", "(1 2 3 4 5)", "(1 6)(2 7)(3 8)(4 9)(5 10)")
     order = _chain(pg).order()
     assert (order, _abelian_index(pg)) == (28800, 2)
-    grown = chain.StabilizerChain(pg.degree, order // 2)
+    grown = chain.StabilizerChain(pg.degree)
     gens, invs = pg.generators, [_perm_inverse(g) for g in pg.generators]
     commutators = [
         reduce(_perm_compose, (invs[i], invs[j], gens[i], gens[j]))
         for i in range(3)
         for j in range(i + 1, 3)
     ]
-    taken = grown.grow(commutators, list(zip(gens, invs)))
+    taken = grown.grow(commutators, list(zip(gens, invs)), order // 2)
     assert grown.order() < order // 2
     derived = _derived_subgroup(pg, order)
     assert derived.order() == order // 4
@@ -261,8 +273,8 @@ def test_growth_at_the_bound_takes_nothing(monkeypatch):
         return sift(self, g, start)
 
     monkeypatch.setattr(chain.StabilizerChain, "_sift", counted)
-    bounded = chain.StabilizerChain(2 * n, 1)
-    assert bounded.grow(iter(gens), [(g, g) for g in gens]) == []
+    bounded = chain.StabilizerChain(2 * n)
+    assert bounded.grow(iter(gens), [(g, g) for g in gens], 1) == []
     assert _derived_subgroup(pg, 2**n).order() == 1
     assert sifted == []
     monkeypatch.undo()

@@ -33,7 +33,9 @@ Neither groups nor chain imports re or random: the chains are
 deterministic, and groups parses the catalog names by hand.
 The stabilizer chain is a leaf module, chain, that imports nothing from
 the package. groups reaches it through its interface only, reading none of
-its levels, fields or private methods, and oracles imports nothing from
+its levels, fields or private methods; that interface is the constructor,
+which takes the degree alone, and seven public names, of which only grow
+takes a bound, with no default. oracles imports nothing from
 it, so that the tables that check the chain do not share its product.
 Records bind their fields in one place, exact.Frozen: no other code reads
 object.__setattr__ or a slot's __set__, the two ways past a record's
@@ -42,6 +44,7 @@ Verdict, Catalog) define no __init__ of their own.
 """
 
 import ast
+import inspect
 import re
 import subprocess
 import sys
@@ -50,7 +53,7 @@ from pathlib import Path
 import pytest
 
 import noethercheck
-from noethercheck import groups, oracles
+from noethercheck import chain, groups, oracles
 
 PACKAGE = Path(noethercheck.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -407,6 +410,13 @@ def test_chain_is_a_leaf_behind_its_interface():
         "StabilizerChain", "_Perm", "_perm", "_perm_compose", "_perm_inverse"
     }
     assert _chain_internal_reads(tree) == []
+    Chain = chain.StabilizerChain
+    assert list(inspect.signature(Chain).parameters) == ["degree"]
+    assert {name for name in dir(Chain(1)) if not name.startswith("_")} == {
+        "identity", "add", "grow", "contains", "walk", "order", "orbit_lengths"
+    }
+    grow = inspect.signature(Chain.grow).parameters
+    assert "bound" in grow and grow["bound"].default is inspect.Parameter.empty
     # the tables that check the chain compose with a product of their own
     tree = _tree(PACKAGE / "oracles.py")
     assert "chain" not in _package_imports(tree)
