@@ -4,7 +4,8 @@ algorithm (Holt-Eick-O'Brien, Handbook of Computational Group Theory,
 section 4.4; Seress, Permutation Group Algorithms, ch. 4). Outside this
 module a chain is reached only through StabilizerChain(degree), its
 identity and its methods add, grow, contains, walk, order and
-orbit_lengths. It imports nothing from the package.
+orbit_lengths, and its cap error only through _check_chain_cap. It imports
+nothing from the package.
 
 An element is the sequence of its point images, in the form _perm picks
 from the degree: bytes up to degree 256, so that bytes.translate composes
@@ -30,6 +31,18 @@ CHAIN_CAP = 10**7
 # 7 both take about 0.2 us, so bytes serve every degree up to 256.
 _Perm = bytes | tuple[int, ...]
 _BYTES = bytes(range(256))
+
+
+def _check_chain_cap(degree: int, images: int) -> None:
+    """Refuse a chain of this degree that would store this many point
+    images in all, if that passes CHAIN_CAP: the one text of the chain's
+    cap error, which a caller that knows a chain's size in advance raises
+    too."""
+    if images > CHAIN_CAP:
+        raise ValueError(
+            f"a stabilizer chain of degree {degree} needs more than "
+            f"chain cap {CHAIN_CAP} stored point images"
+        )
 
 
 def _perm(images: Sequence[int]) -> _Perm:
@@ -256,11 +269,7 @@ class StabilizerChain:
 
     def _store(self, lev: _Level, point: int, rep: _Perm, corep: _Perm | None = None) -> None:
         degree = len(self.identity)
-        if self._images + 2 * degree > CHAIN_CAP:
-            raise ValueError(
-                f"a stabilizer chain of degree {degree} needs more than "
-                f"chain cap {CHAIN_CAP} stored point images"
-            )
+        _check_chain_cap(degree, self._images + 2 * degree)
         self._images += 2 * degree
         n = len(lev.orbit)
         if n:

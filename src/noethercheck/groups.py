@@ -8,13 +8,18 @@ enumerating the group: the invariants are (h*b/d, d) without 1s, for
 h = gcd(a, r - 1) and d = gcd(h, c, b), and so is the Q16 answer, which
 needs the 2-part 16 and then a 2-part 8 of a and two congruences on c and
 r. A permutation spec with one generator is the cyclic presentation
-of the lcm of its cycle lengths. Any other permutation spec is answered
-from stabilizer chains of the chain module: the order is the product of
-the orbit lengths of a chain for G, and the invariants come from a chain
-for the derived subgroup G', grown as _derived_subgroup describes, which
-then grows in place by the p-power series of G/G', one prime p at a time,
-the order it gains at each step counting the invariant factors divisible
-by a power of p. Only when the 2-part of |G| is 16, and |G| is within
+of the lcm of its cycle lengths. A spec whose generators' cycles prove it
+S_n or A_n, n >= 5, on its one moved orbit is answered in closed form, as
+_giant_facts describes: a power of one generator is a p-cycle, and either
+n/2 < p <= n - 3, which makes G primitive and so a giant by Jordan's
+theorem, or p is 2 or 3 and the smallest block holding the cycle is the
+orbit, which makes the normal closure of the cycle transitive. Any other
+permutation spec is answered from stabilizer chains of the chain module:
+the order is the product of the orbit lengths of a chain for G, and the
+invariants come from a chain for the derived subgroup G', grown as
+_derived_subgroup describes, which then grows in place by the p-power
+series of G/G', one prime p at a time, the order it gains at each step
+counting the invariant factors divisible by a power of p. Only when the 2-part of |G| is 16, and |G| is within
 CLOSURE_CAP, are elements walked for the Q16 test, and then only those of
 the image of G on one orbit: a Sylow Q16 has a regular orbit inside some
 orbit of G, and on any orbit where the image keeps the 2-part 16 the
@@ -29,11 +34,11 @@ from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
 from itertools import compress
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import ne
 
-from .chain import StabilizerChain, _Perm, _perm, _perm_compose, _perm_inverse
-from .exact import FACTORIZATION_CAP, Frozen, factorize, parse_ints
+from .chain import StabilizerChain, _check_chain_cap, _Perm, _perm, _perm_compose, _perm_inverse
+from .exact import FACTORIZATION_CAP, Frozen, factorize, is_prime, parse_ints
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
 # memory: every closure (a permutation or metacyclic table of oracles)
@@ -279,9 +284,9 @@ def _moved_orbits(pg: PermGens) -> list[list[int]]:
     return moved
 
 
-def _abelian_index(pg: PermGens, moved: list[list[int]]) -> int:
+def _abelian_index(pg: PermGens, moved: list[list[int]], cycles: list[list[list[int]]]) -> int:
     """A divisor of |G/G'| read off moved, the orbits of G of more than one
-    point. G' lies in the kernel of every homomorphism from G to an
+    point, and cycles, those of each generator as _cycles lists them. G' lies in the kernel of every homomorphism from G to an
     abelian group, so |G/G'| is a multiple of the order of its image, and
     two such images are cheap:
     - g -> (sign of g on each orbit), whose image has 2**r elements for the
@@ -296,10 +301,10 @@ def _abelian_index(pg: PermGens, moved: list[list[int]]) -> int:
             where[x] = k
     acting: list[list[tuple[int, ...]]] = [[] for _ in moved]
     basis: dict[int, int] = {}  # leading bit -> the basis vector it leads
-    for g in pg.generators:
+    for g, cs in zip(pg.generators, cycles):
         v = 0
         ks = set()
-        for cycle in _cycles(g):
+        for cycle in cs:
             k = where[cycle[0]]
             ks.add(k)
             if not len(cycle) & 1:  # a cycle of length n is n - 1 transpositions
@@ -318,6 +323,97 @@ def _abelian_index(pg: PermGens, moved: list[list[int]]) -> int:
         if all(g[h[x]] == h[g[x]] for i, g in enumerate(gens) for h in gens[:i] for x in orbit):
             out = lcm(out, len(orbit))
     return out
+
+
+def _block_is_orbit(gens: tuple[tuple[int, ...], ...], points: list[int], n: int) -> bool:
+    """Is the smallest block of the group of gens that holds points its
+    whole orbit, of n points? Atkinson's union-find: the points are merged
+    into one class, and for each merge of two classes, recorded as the
+    pair of their roots, the images of that pair under each generator are
+    merged too. The classes are then the blocks of the finest block system
+    that keeps the points together; the answer is known once one class
+    holds n points."""
+    parent = list(range(len(gens[0])))
+    size = [1] * len(parent)
+    pairs: list[tuple[int, int]] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> int:
+        """Merge the classes of x and y; the size of the merged class, or 0
+        if they were one already."""
+        x, y = find(x), find(y)
+        if x == y:
+            return 0
+        if size[x] < size[y]:
+            x, y = y, x
+        parent[y] = x
+        size[x] += size[y]
+        pairs.append((x, y))
+        return size[x]
+
+    for x in points[1:]:
+        union(points[0], x)
+    for a, b in pairs:  # grows while it is read
+        for g in gens:
+            if union(g[a], g[b]) == n:
+                return True
+    return size[find(points[0])] == n
+
+
+def _giant_facts(
+    pg: PermGens, moved: list[list[int]], cycles: list[list[list[int]]]
+) -> GroupFacts | None:
+    """The facts of G if the cycles of its generators prove it S_n or A_n,
+    for its one moved orbit of n >= 5 points; else None, and the caller
+    builds the chain.
+
+    A cycle of prime length p that is the only cycle of its generator g
+    whose length p divides makes g**m, for m the lcm of the other lengths,
+    a p-cycle of G. Either of two cases proves G >= A_n:
+    - n/2 < p <= n - 3: in a block system of G with blocks of b points,
+      1 < b < n, the p-cycle would either move p blocks, so p*b > p
+      points, or fix every block and lie in one, b >= p > n/2, which b,
+      a proper divisor of n, is not; so G is primitive, and contains A_n
+      by Jordan's theorem (Wielandt 13.9);
+    - p = 2 or 3 and the smallest block of G holding the cycle's points is
+      the orbit: the orbits of the normal closure N of the p-cycle are
+      blocks, the one holding the cycle is the orbit, and a transitive
+      group generated by transpositions is S_n, by 3-cycles A_n.
+    A giant is primitive, so a smallest block short of the orbit proves G
+    is not one, and only the first candidate with p = 2 or 3 is tested.
+
+    G is S_n if some generator is odd, with an odd number of cycles of even
+    length, and A_n otherwise: order n! or n!/2, invariants (2,) or (), and
+    no Q16, since the 2-Sylow subgroups of S_n and A_n, n >= 5, hold a
+    Klein four-group. Its chain would store 2*degree images per point of
+    the basic orbits, of lengths n down to 2 for S_n and to 3 for A_n, so
+    an input the chain would refuse is refused here with its error."""
+    if len(moved) != 1 or len(moved[0]) < 5:
+        return None
+    n = len(moved[0])
+    odd = proved = False
+    small = None
+    for cs in cycles:
+        lengths = list(map(len, cs))
+        # a cycle of length m is m - 1 transpositions
+        odd |= (sum(lengths) - len(lengths)) % 2 == 1
+        for p in set(lengths):
+            if lengths.count(p) == 1 and is_prime(p) and all(m % p for m in lengths if m != p):
+                if 2 * p > n and p <= n - 3:
+                    proved = True
+                elif p <= 3 and small is None:
+                    small = cs[lengths.index(p)]
+    if not proved and (small is None or not _block_is_orbit(pg.generators, small, n)):
+        return None
+    degree = pg.degree
+    _check_chain_cap(degree, 2 * degree * (n * (n + 1) // 2 - (1 if odd else 3)))
+    order = factorial(n) if odd else factorial(n) // 2
+    return GroupFacts(order, (2,) if odd else (), order & -order, False)
 
 
 def _derived_subgroup(gens: tuple[_Perm, ...], bound: int) -> StabilizerChain:
@@ -462,7 +558,11 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     element of G listed.
 
     One generator of order m generates C_m, which _metacyclic_facts answers
-    without the chain's O(degree**2) work on a long cycle. Otherwise the
+    without the chain's O(degree**2) work on a long cycle. The cycles of
+    the generators are listed once, for _giant_facts and _abelian_index
+    both: when they prove G to be S_n or A_n, _giant_facts gives the facts
+    in closed form and no chain is built, and it refuses with the chain's
+    own error an input whose chain would pass the chain cap. Otherwise the
     order is that of the chain and the invariants come from the chain for
     G', grown by the p-power series of G/G'. When the 2-part of |G| is 16 and |G| is
     within CLOSURE_CAP, the Q16 test walks the image of G on one orbit.
@@ -477,9 +577,13 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     if len(pg.generators) == 1:
         m = lcm(*map(len, _cycles(pg.generators[0])))
         return _metacyclic_facts(Metacyclic(m, 1, 0, 1 % m))
+    moved = _moved_orbits(pg)
+    cycles = [list(_cycles(g)) for g in pg.generators]
+    giant = _giant_facts(pg, moved, cycles)
+    if giant is not None:
+        return giant
     # in the chain's form from here on, composed in C up to degree 256
     gens = tuple(map(_perm, pg.generators))
-    moved = _moved_orbits(pg)
     G = StabilizerChain(pg.degree)
     for g in gens:
         G.add(g)
@@ -495,7 +599,7 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     # the primes of |G| are those of its orbit lengths, all at most degree
     primes = sorted({p for n in G.orbit_lengths() for p in factorize(n)})
     del G
-    K = _derived_subgroup(gens, order // _abelian_index(pg, moved))
+    K = _derived_subgroup(gens, order // _abelian_index(pg, moved, cycles))
     invariants = _chain_invariants(gens, order, primes, K)
     return GroupFacts(order, invariants, two_part, q16)
 

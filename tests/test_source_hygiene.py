@@ -35,8 +35,11 @@ The stabilizer chain is a leaf module, chain, that imports nothing from
 the package. groups reaches it through its interface only, reading none of
 its levels, fields or private methods; that interface is the constructor,
 which takes the degree alone, and seven public names, of which only grow
-takes a bound, with no default. oracles imports nothing from
-it, so that the tables that check the chain do not share its product.
+takes a bound, with no default; beside it, groups imports the element
+helpers and _check_chain_cap, which raises the chain's cap error where
+groups knows a chain's size without building it. oracles imports nothing
+from it, so that the tables that check the chain do not share its
+product.
 Records bind their fields in one place, exact.Frozen: no other code reads
 object.__setattr__ or a slot's __set__, the two ways past a record's
 __setattr__, and the records that only hold their fields (GroupFacts,
@@ -166,7 +169,7 @@ def test_groups_defines_no_lattice_reduction():
 
 FACT_CODE = {
     "group_facts", "_perm_facts", "_metacyclic_facts", "StabilizerChain", "_q16_search",
-    "_derived_subgroup", "_chain_invariants", "_abelian_index",
+    "_derived_subgroup", "_chain_invariants", "_abelian_index", "_giant_facts", "_block_is_orbit",
 }
 TABLE_CODE = {
     "_enumerate", "FiniteGroupTable", "Subgroup", "two_sylow", "is_generalized_quaternion16",
@@ -407,7 +410,7 @@ def test_chain_is_a_leaf_behind_its_interface():
     assert _package_imports(_tree(PACKAGE / "chain.py")) == set()
     tree = _tree(PACKAGE / "groups.py")
     assert _from_imports(tree)["chain"] == {
-        "StabilizerChain", "_Perm", "_perm", "_perm_compose", "_perm_inverse"
+        "StabilizerChain", "_Perm", "_perm", "_perm_compose", "_perm_inverse", "_check_chain_cap"
     }
     assert _chain_internal_reads(tree) == []
     Chain = chain.StabilizerChain
