@@ -27,6 +27,9 @@ The corpus is generated here, without importing the package:
 - the oracle subcommands at small bounds;
 - 2000 seeded permutation specs, a third of them groups of 2-part 16 on
   16 points or more;
+- S_n and A_n for n = 5..40, from a transposition and an n-cycle, from a
+  3-cycle and an n-cycle or an (n - 1)-cycle, and from the n - 1 adjacent
+  transpositions, and the groups in TRAPS, over Q, plain and --json;
 - every metacyclic presentation with 2-part 16 and a*b <= 1200, over
   Q(sqrt 17).
 """
@@ -115,6 +118,35 @@ def _regular(a: int, b: int, c: int, r: int) -> list[list[int]]:
 
     elems = [(i, j) for j in range(b) for i in range(a)]
     return [[k + a * m for k, m in (mult(x, g) for x in elems)] for g in ((1 % a, 0), (0, 1 % b))]
+
+
+# groups with a generator one of whose powers is a prime cycle, none of
+# them S_n or A_n: PSL(2,7) on the 8 points of the projective line,
+# PSL(2,5) on 6 points, PSL(2,8) on 9 points, AGL(1,13), C2 wr C3 from a
+# transposition, S3 wr S2 and S5 wr S2
+TRAPS = (
+    "perm:(1 2 3 4 5 6 7);(1 8)(2 7)(3 4)(5 6)",
+    "perm:(1 2 3 4 5);(1 6)(2 5)",
+    "perm:(2 3 5 4 7 8 6);(1 9)(3 6)(4 7)(5 8);(1 2)(3 4)(5 6)(7 8)",
+    "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13);(2 3 5 9 4 7 13 12 10 6 11 8)",
+    "perm:(1 2);(1 3 5)(2 4 6)",
+    "perm:(1 2 3);(1 2);(1 4)(2 5)(3 6)",
+    "perm:(1 2);(1 2 3 4 5);(1 6)(2 7)(3 8)(4 9)(5 10)",
+)
+
+
+def _giants() -> list[str]:
+    """S_n and A_n for n = 5..40 from four generating sets each."""
+    out = []
+    for n in range(5, 41):
+        adjacent = ";".join(f"({i} {i + 1})" for i in range(1, n))
+        out += [
+            "perm:(1 2);" + _cycle(1, n),
+            "perm:(1 2 3);" + _cycle(1, n),
+            "perm:(1 2 3);" + _cycle(2, n - 1),
+            "perm:" + adjacent,
+        ]
+    return out
 
 
 # (a, b, c, r) of Q16, D16, SD16, C16, C8xC2, M16, C4:C4 and C4xC4
@@ -224,6 +256,8 @@ def corpus(catalog: list[str]) -> list[list[str]]:
     for k in range(PERM_SPECS):
         spec = _two_part_16(rng) if k % 3 == 0 else _random_perm(rng)
         lines.append(_check(spec, FIELDS[k % len(FIELDS)], *(["--json"] if k % 2 else [])))
+    for spec in _giants() + list(TRAPS):
+        lines += [_check(spec, "Q"), _check(spec, "Q", "--json")]
     for a in range(1, 1201):
         for b in range(1, 1200 // a + 1):
             if a * b & -(a * b) != 16:
