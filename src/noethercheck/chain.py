@@ -269,8 +269,12 @@ class StabilizerChain:
 
     def _store(self, lev: _Level, point: int, rep: _Perm, corep: _Perm | None = None) -> None:
         degree = len(self.identity)
-        _check_chain_cap(degree, self._images + 2 * degree)
-        self._images += 2 * degree
+        images = self._images + 2 * degree
+        # tested here first, since a call for every stored point costs
+        # about 2% of a small chain
+        if images > CHAIN_CAP:
+            _check_chain_cap(degree, images)
+        self._images = images
         n = len(lev.orbit)
         if n:
             self._size = self._size // n * (n + 1)

@@ -396,12 +396,10 @@ def _giant_facts(
     if len(moved) != 1 or len(moved[0]) < 5:
         return None
     n = len(moved[0])
-    odd = proved = False
+    proved = False
     small = None
     for cs in cycles:
         lengths = list(map(len, cs))
-        # a cycle of length m is m - 1 transpositions
-        odd |= (sum(lengths) - len(lengths)) % 2 == 1
         for p in set(lengths):
             if lengths.count(p) == 1 and is_prime(p) and all(m % p for m in lengths if m != p):
                 if 2 * p > n and p <= n - 3:
@@ -410,6 +408,8 @@ def _giant_facts(
                     small = cs[lengths.index(p)]
     if not proved and (small is None or not _block_is_orbit(pg.generators, small, n)):
         return None
+    # a cycle of m points is m - 1 transpositions
+    odd = any((sum(map(len, cs)) - len(cs)) % 2 for cs in cycles)
     degree = pg.degree
     _check_chain_cap(degree, 2 * degree * (n * (n + 1) // 2 - (1 if odd else 3)))
     order = factorial(n) if odd else factorial(n) // 2

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from noethercheck import groups
 from noethercheck.exact import factorize
 from noethercheck.galois import verdict
 from noethercheck.groups import (
@@ -207,7 +208,7 @@ def _cycle(n):
     return "(" + " ".join(map(str, range(1, n + 1))) + ")"
 
 
-def test_large_symmetric_and_alternating_groups():
+def test_large_symmetric_and_alternating_groups(monkeypatch):
     expected = {
         ("(1 2)", _cycle(9)): (362880, (2,)),
         ("(1 2)", _cycle(10)): (3628800, (2,)),
@@ -218,6 +219,10 @@ def test_large_symmetric_and_alternating_groups():
         facts = group_facts(PermGens.from_cycles(*gens))
         assert (facts.order, facts.abelian_invariants) == (order, invariants), gens
         assert facts.sylow2_order == order & -order and not facts.sylow2_is_q16
+        # the chains, with the closed form of S_n and A_n off, agree
+        with monkeypatch.context() as m:
+            m.setattr(groups, "_giant_facts", lambda *args: None)
+            assert group_facts(PermGens.from_cycles(*gens)) == facts, gens
 
 
 @st.composite
