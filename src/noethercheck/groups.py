@@ -19,11 +19,12 @@ the order is the product of the orbit lengths of a chain for G, and the
 invariants come from a chain for the derived subgroup G', grown as
 _derived_subgroup describes, which then grows in place by the p-power
 series of G/G', one prime p at a time, the order it gains at each step
-counting the invariant factors divisible by a power of p. Only when the 2-part of |G| is 16, and |G| is within
-CLOSURE_CAP, are elements walked for the Q16 test, and then only those of
-the image of G on one orbit: a Sylow Q16 has a regular orbit inside some
-orbit of G, and on any orbit where the image keeps the 2-part 16 the
-2-Sylow subgroups map isomorphically. Every catalog group is one of these
+counting the invariant factors divisible by a power of p. Only when the
+2-part of |G| is 16, and |G| is within CLOSURE_CAP, are elements walked
+for the Q16 test, and then only those of the image of G on one orbit: a
+Sylow Q16 has a regular orbit inside some orbit of G, and on any orbit
+where the image keeps the 2-part 16 the 2-Sylow subgroups map
+isomorphically. Every catalog group is one of these
 two kinds of spec.
 
 The multiplication tables the facts are tested against live in oracles,
@@ -37,7 +38,14 @@ from itertools import compress
 from math import factorial, gcd, lcm
 from operator import ne
 
-from .chain import StabilizerChain, _check_chain_cap, _Perm, _perm, _perm_compose, _perm_inverse
+from .chain import (
+    StabilizerChain,
+    _check_chain_cap,
+    _Perm,
+    _perm,
+    _perm_compose,
+    _perm_inverse,
+)
 from .exact import FACTORIZATION_CAP, Frozen, factorize, is_prime, parse_ints
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
@@ -284,11 +292,14 @@ def _moved_orbits(pg: PermGens) -> list[list[int]]:
     return moved
 
 
-def _abelian_index(pg: PermGens, moved: list[list[int]], cycles: list[list[list[int]]]) -> int:
+def _abelian_index(
+    pg: PermGens, moved: list[list[int]], cycles: list[list[list[int]]]
+) -> int:
     """A divisor of |G/G'| read off moved, the orbits of G of more than one
-    point, and cycles, those of each generator as _cycles lists them. G' lies in the kernel of every homomorphism from G to an
-    abelian group, so |G/G'| is a multiple of the order of its image, and
-    two such images are cheap:
+    point, and cycles, those of each generator as _cycles lists them. G'
+    lies in the kernel of every homomorphism from G to an abelian group, so
+    |G/G'| is a multiple of the order of its image, and two such images are
+    cheap:
     - g -> (sign of g on each orbit), whose image has 2**r elements for the
       rank r over F_2 of the generators' images; each image is a bitmask,
       one bit per orbit, reduced against a basis of those before it kept
@@ -564,8 +575,9 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     in closed form and no chain is built, and it refuses with the chain's
     own error an input whose chain would pass the chain cap. Otherwise the
     order is that of the chain and the invariants come from the chain for
-    G', grown by the p-power series of G/G'. When the 2-part of |G| is 16 and |G| is
-    within CLOSURE_CAP, the Q16 test walks the image of G on one orbit.
+    G', grown by the p-power series of G/G'. When the 2-part of |G| is 16
+    and |G| is within CLOSURE_CAP, the Q16 test walks the image of G on one
+    orbit.
 
     The orbit is the first of 16 or more points on which the image keeps
     the 2-part 16, and if none does, no 2-Sylow subgroup P is Q16: every
