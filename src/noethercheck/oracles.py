@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
@@ -356,28 +356,47 @@ def isotropy_grid_check(height: int = GRID_HEIGHT) -> int:
     return checked
 
 
+# every prime up to some bound, ascending: empty until the first
+# factorize_by_trial_division, and extended whenever its walk runs past it
+_PRIMES: list[int] = []
+
+
+def _sieve_more_primes() -> None:
+    """Extend _PRIMES to every prime up to twice its largest (2**10 at
+    first), by a sieve of Eratosthenes over the whole range: a number that
+    no smaller prime has struck out is prime."""
+    top = 2 * _PRIMES[-1] if _PRIMES else 1 << 10
+    sieve = bytearray([1]) * (top + 1)
+    for p in range(2, isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    start = _PRIMES[-1] + 1 if _PRIMES else 2
+    _PRIMES.extend(compress(range(start, top + 1), sieve[start:]))
+
+
 def factorize_by_trial_division(n: int) -> dict[int, int]:
     """Prime factorization of |n| > 0 as {prime: exponent}, keys ascending,
-    by trial division through 2, 3 and every 6k +- 1 up to the square root
-    of what is left. Slow above 10**12, but it shares nothing with the
-    Miller-Rabin and rho path of exact.factorize."""
+    by trial division by the primes in ascending order, read from a sieve of
+    its own, until the square of the prime passes what is left. Slow above
+    10**12, but it shares nothing with exact.factorize: neither its 2, 3,
+    6k +- 1 trial loop nor its Miller-Rabin and rho path."""
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3):
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            _sieve_more_primes()
+        p = _PRIMES[i]
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+        i += 1
+    if n > 1:  # no prime up to its square root divides it
+        out[n] = 1
     return out
 
 

@@ -14,6 +14,7 @@ import sys
 import time
 
 import pytest
+from families import ORDER_16, cycle, cyclic_product, perm_spec, regular
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -592,45 +593,6 @@ def test_leading_zeros_do_not_count_against_the_cap(capsys):
     assert out.startswith("group: perm:(1 2) (order 2)\n")
 
 
-def _cycle(first, last):
-    return "(" + " ".join(map(str, range(first, last + 1))) + ")"
-
-
-def _q16_regular_with_cycles(lengths):
-    """Q16 acting on itself by right multiplication, as <s, t | s^8 = 1,
-    t^2 = s^4, t s t^-1 = s^-1> on the 16 points s^i t^j, times one cycle
-    of each given length on further points, carried by s."""
-
-    def point(i, j):
-        return 1 + i + 8 * j
-
-    def times_s(i, j):
-        # s^i t^j s = s^(i + (-1)^j) t^j
-        return ((i + (1 if j == 0 else -1)) % 8, j)
-
-    def times_t(i, j):
-        # s^i t^j t = s^(i + 4j) t^(1 - j), since t^2 = s^4
-        return ((i + 4 * j) % 8, 1 - j)
-
-    def cycles(step):
-        seen, out = set(), []
-        for start in ((i, j) for j in (0, 1) for i in range(8)):
-            cyc, x = [], start
-            while x not in seen:
-                seen.add(x)
-                cyc.append(point(*x))
-                x = step(*x)
-            if len(cyc) > 1:
-                out.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(out)
-
-    extra, first = "", 17
-    for n in lengths:
-        extra += _cycle(first, first + n - 1)
-        first += n
-    return f"perm:{cycles(times_s)}{extra};{cycles(times_t)}"
-
-
 def _child_check(spec, *flags):
     """`check --group spec --field Q` in a fresh interpreter: (exit code,
     stdout, stderr, peak RSS in MB). The peak is the child's own VmHWM:
@@ -655,14 +617,15 @@ def _child_check(spec, *flags):
 def test_check_q16_sylow_above_closure_cap_exits_1(capsys):
     from noethercheck.groups import CLOSURE_CAP
 
-    spec = _q16_regular_with_cycles((3, 5, 7, 11, 13, 17))
+    # Q16 on itself by right multiplication, its cycles carried by s
+    spec = perm_spec(regular(*ORDER_16["Q16"], odd=(3, 5, 7, 11, 13, 17), carried=True))
     start = time.perf_counter()
     code, out, err = _run(capsys, "check", "--group", spec, "--field", "Q")
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     assert "order 4084080" in err and f"closure cap {CLOSURE_CAP}" in err
     # the same group without the cycles is Q16, and the test fires
-    code, out, err = _run(capsys, "check", "--group", _q16_regular_with_cycles(()), "--field", "Q")
+    code, out, err = _run(capsys, "check", "--group", perm_spec(regular(*ORDER_16["Q16"])), "--field", "Q")
     assert code == 0 and "(order 16)" in out and "theorem 1.5" in out
 
 
@@ -670,7 +633,8 @@ def test_check_q16_times_cycles_walks_the_chain():
     # order 16 * 15015 = 240240 on 55 points: the Q16 test walks the chain
     # and keeps no element, so neither time nor memory grows with |G|
     start = time.perf_counter()
-    code, out, err, rss_mb = _child_check(_q16_regular_with_cycles((3, 5, 7, 11, 13)), "--json")
+    spec = perm_spec(regular(*ORDER_16["Q16"], odd=(3, 5, 7, 11, 13), carried=True))
+    code, out, err, rss_mb = _child_check(spec, "--json")
     assert time.perf_counter() - start < 2
     assert (code, err) == (0, "")
     group = json.loads(out)["group"]
@@ -682,7 +646,7 @@ def test_check_permutation_chain_above_cap_exits_1():
     from noethercheck.chain import CHAIN_CAP
 
     start = time.perf_counter()
-    code, _, err, rss_mb = _child_check("perm:(1 2);" + _cycle(1, 3000))
+    code, _, err, rss_mb = _child_check("perm:(1 2);" + cycle(1, 3000))
     assert time.perf_counter() - start < 10
     assert code == 1
     assert err.startswith("error:") and f"chain cap {CHAIN_CAP}" in err
@@ -693,10 +657,7 @@ def test_check_single_generator_above_metacyclic_cap_exits_1(capsys):
     from noethercheck.groups import METACYCLIC_CAP
 
     primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
-    cycles, first = "", 1
-    for p in primes:
-        cycles += _cycle(first, first + p - 1)
-        first += p
+    cycles = "".join(cyclic_product(primes))
     code, out, err = _run(capsys, "check", "--group", "perm:" + cycles, "--field", "Q")
     assert (code, out) == (1, "")
     assert err.startswith("error:") and f"metacyclic cap {METACYCLIC_CAP}" in err
@@ -704,7 +665,7 @@ def test_check_single_generator_above_metacyclic_cap_exits_1(capsys):
 
 def test_check_long_cycle_answers_fast(capsys):
     start = time.perf_counter()
-    code, out, err = _run(capsys, "check", "--group", "perm:" + _cycle(1, 12000), "--field", "Q")
+    code, out, err = _run(capsys, "check", "--group", "perm:" + cycle(1, 12000), "--field", "Q")
     assert time.perf_counter() - start < 0.5
     assert (code, err) == (0, "")
     assert "(order 12000)" in out and "theorem 1.2" in out

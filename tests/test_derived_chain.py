@@ -18,6 +18,7 @@ import random
 from functools import reduce
 
 import pytest
+from families import ORDER_16, TRAPS, cycle, cyclic_product, regular
 
 from noethercheck import chain, groups, oracles
 from noethercheck.chain import CHAIN_CAP, _perm_compose, _perm_inverse
@@ -83,7 +84,7 @@ def test_bounded_chain_of_a_perfect_group_has_its_order():
 
 def test_derived_subgroup_of_a_symmetric_group_has_index_2():
     for n in (6, 9):
-        pg = PermGens.from_cycles("(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")")
+        pg = PermGens.from_cycles("(1 2)", cycle(1, n))
         order = _chain(pg).order()
         assert _derived_subgroup(pg, order).order() == order // 2
         assert group_facts(pg).abelian_invariants == (2,)
@@ -91,7 +92,7 @@ def test_derived_subgroup_of_a_symmetric_group_has_index_2():
 
 def test_cap_errors_are_unchanged():
     # a chain for S_3000 passes the chain cap at its first level
-    spec = PermGens.from_cycles("(1 2)", "(" + " ".join(map(str, range(1, 3001))) + ")")
+    spec = PermGens.from_cycles("(1 2)", cycle(1, 3000))
     with pytest.raises(ValueError) as err:
         group_facts(spec)
     assert str(err.value) == (
@@ -182,7 +183,7 @@ def test_growth_at_the_bound_counts_every_schreier_generator_as_sifted():
 def test_short_of_the_bound_the_taken_elements_are_added():
     # S5 wr S2 has |G/G'| = 4, but its orbit shows only the sign; the
     # growth stops short of |G| / 2, and adding what it took gives G'
-    pg = PermGens.from_cycles("(1 2)", "(1 2 3 4 5)", "(1 6)(2 7)(3 8)(4 9)(5 10)")
+    pg = PermGens.from_cycles(*TRAPS["S5wrS2"][0])
     order = _chain(pg).order()
     assert (order, _abelian_index(pg)) == (28800, 2)
     grown = chain.StabilizerChain(pg.degree)
@@ -282,31 +283,17 @@ def test_growth_at_the_bound_takes_nothing(monkeypatch):
     assert group_facts(pg).abelian_invariants == (2,) * n
 
 
-def _cycle(first, n):
-    return "(" + " ".join(map(str, range(first, first + n))) + ")"
-
-
-# Q16 = <a, b | a**8 = 1, b**2 = a**4, b*a*b**-1 = a**-1> acting on itself
-# by right multiplication, a**i * b**j numbered 1 + i + 8*j: a sends a**i
-# to a**(i + 1) and a**i * b to a**(i - 1) * b, and b sends a**i to
-# a**i * b and a**i * b to a**(i + 4)
-_Q16_A = "(1 2 3 4 5 6 7 8)(9 16 15 14 13 12 11 10)"
-_Q16_B = "(1 9 5 13)(2 10 6 14)(3 11 7 15)(4 12 8 16)"
-
 # invariants written from each group's structure: C_4**3 x C_8; AGL(1, 13)
-# = C_13 : C_12, generated by x -> x + 1 and x -> 2x on the points x + 1
-# for x in F_13, whose derived subgroup is the translations; S_6 x C_347,
-# whose quotient is C_2 x C_347; and Q16 x C_15015, with Q16/Q16' = C_2**2
-# and the C_15015 on cycles of lengths 3 to 13, all on 55 points
+# = C_13 : C_12, whose derived subgroup is the translations; S_6 x C_347,
+# whose quotient is C_2 x C_347; and Q16 x C_15015, Q16 acting on itself
+# with Q16/Q16' = C_2**2 and the C_15015 on cycles of lengths 3 to 13
+# carried by its first generator, all on 55 points
 SERIES_GROUPS = {
-    "C4^3xC8": (PermGens.from_cycles(_cycle(1, 4), _cycle(5, 4), _cycle(9, 4), _cycle(13, 8)), (8, 4, 4, 4)),
-    "AGL(1,13)": (PermGens.from_cycles(_cycle(1, 13), "(2 3 5 9 4 7 13 12 10 6 11 8)"), (12,)),
-    "S6xC347": (PermGens.from_cycles("(1 2)", _cycle(1, 6), _cycle(7, 347)), (694,)),
+    "C4^3xC8": (PermGens.from_cycles(*cyclic_product((4, 4, 4, 8))), (8, 4, 4, 4)),
+    "AGL(1,13)": (PermGens.from_cycles(*TRAPS["AGL(1,13)"][0]), (12,)),
+    "S6xC347": (PermGens.from_cycles("(1 2)", cycle(1, 6), cycle(7, 347)), (694,)),
     "Q16xC15015": (
-        PermGens.from_cycles(
-            _Q16_A + _cycle(17, 3) + _cycle(20, 5) + _cycle(25, 7) + _cycle(32, 11) + _cycle(43, 13),
-            _Q16_B,
-        ),
+        PermGens.from_cycles(*regular(*ORDER_16["Q16"], odd=(3, 5, 7, 11, 13), carried=True)),
         (30030, 2),
     ),
 }

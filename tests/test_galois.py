@@ -5,6 +5,7 @@ import time
 from collections import Counter
 
 import pytest
+from families import CYCLIC_PRODUCTS, cyclic_product
 
 from noethercheck import galois, groups, localfields, oracles, quadforms
 from noethercheck.exact import QQ, FieldDescriptor, squarefree_part
@@ -453,20 +454,6 @@ def test_verdict_stays_off_the_form_stack(monkeypatch):
 ASSEMBLY_FIELDS = [QQ] + [FieldDescriptor(d) for d in (-1, 2, -2, 17, -7, 33, -15)]
 
 
-def _cyclic_product(*orders):
-    """C_m1 x C_m2 x ... as one cycle per factor, on disjoint points."""
-    cycles, start = [], 1
-    for m in orders:
-        cycles.append("(" + " ".join(map(str, range(start, start + m))) + ")")
-        start += m
-    return PermGens.from_cycles(*cycles)
-
-
-# no catalog group has two invariant 2-exponents >= 3, so the first three
-# products are what take bailey_e above 1; C4 x C4 has two below 3
-CYCLIC_PRODUCTS = [_cyclic_product(*ms) for ms in ((8, 8), (16, 8, 4), (32, 8, 8), (4, 4))]
-
-
 def _two_adic(m):
     e = 0
     while m % 2 == 0:
@@ -508,6 +495,7 @@ def _assembled(facts, k, cyclic, anisotropic):
 
 
 def test_verdict_assembly_over_the_catalog():
+    products = [PermGens.from_cycles(*cyclic_product(orders)) for orders in CYCLIC_PRODUCTS]
     start = time.perf_counter()
     seen = Counter()
     for k in ASSEMBLY_FIELDS:
@@ -522,7 +510,7 @@ def test_verdict_assembly_over_the_catalog():
                 levels[n] = cyclotomic_galois(k, n).is_cyclic()
             return levels[n]
 
-        for spec in [Catalog(name) for name in groups.CATALOG_NAMES] + CYCLIC_PRODUCTS:
+        for spec in [Catalog(name) for name in groups.CATALOG_NAMES] + products:
             v = verdict(spec, k)
             expected = _assembled(groups.group_facts(spec), k, cyclic, anisotropic)
             got = (v.theorem, v.witness, v.bailey_e, [(c.name, c.result) for c in v.checks])

@@ -7,16 +7,13 @@ exactly where the chain would."""
 import random
 
 import pytest
+from families import TRAPS, cycle, giants, perm_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noethercheck import chain, groups
 from noethercheck.cli import main
 from noethercheck.groups import PermGens, group_facts
-
-
-def _cycle(first, n):
-    return "(" + " ".join(map(str, range(first, first + n))) + ")"
 
 
 def _chain_facts(monkeypatch, pg):
@@ -45,37 +42,23 @@ def _answered(monkeypatch):
     return answers
 
 
-# each with a prime cycle that a power of one generator isolates, and none
-# a giant: PSL(2,7) on the 8 points of the projective line (a 7-cycle,
-# p = n - 1), PSL(2,5) on 6 points (p = n - 1), PSL(2,8) on 9 points (a
-# 7-cycle, p = n - 2), AGL(1,13) (a 13-cycle, p = n), C2 wr C3 from a
-# transposition and S3 wr S2 and S5 wr S2 from a transposition or a 3- or
-# 5-cycle inside a block of half the points (p = n/2 in the last two)
-TRAPS = {
-    "PSL(2,7)": (["(1 2 3 4 5 6 7)", "(1 8)(2 7)(3 4)(5 6)"], 168),
-    "PSL(2,5)": (["(1 2 3 4 5)", "(1 6)(2 5)"], 60),
-    "PSL(2,8)": (["(2 3 5 4 7 8 6)", "(1 9)(3 6)(4 7)(5 8)", "(1 2)(3 4)(5 6)(7 8)"], 504),
-    "AGL(1,13)": ([_cycle(1, 13), "(2 3 5 9 4 7 13 12 10 6 11 8)"], 156),
-    "C2wrC3": (["(1 2)", "(1 3 5)(2 4 6)"], 24),
-    "S3wrS2": (["(1 2 3)", "(1 2)", "(1 4)(2 5)(3 6)"], 72),
-    "S5wrS2": (["(1 2)", "(1 2 3 4 5)", "(1 6)(2 7)(3 8)(4 9)(5 10)"], 28800),
-}
-
 # S_n and A_n that each case of the recognizer answers: Jordan's n/2 < p
 # <= n - 3 with p = 5 (S8 from a 5-cycle times a transposition, A9 from a
 # 5-cycle beside an odd 3-cycle-free part), and a transposition or a
 # 3-cycle whose smallest block is the orbit, also moved up the points
 GIANTS = {
-    "S6": (["(1 2)", _cycle(1, 6)], 720),
+    "S6": (["(1 2)", cycle(1, 6)], 720),
     "A7": (["(1 2 3)", "(3 4 5 6 7)"], 2520),
-    "S8": (["(1 2 3 4 5)(6 7)", _cycle(1, 8)], 40320),
-    "A9": (["(1 2 3 4 5)(6 7)(8 9)", _cycle(1, 9)], 181440),
-    "S10 on 11..20": (["(11 12)", _cycle(11, 10)], 3628800),
+    "S8": (["(1 2 3 4 5)(6 7)", cycle(1, 8)], 40320),
+    "A9": (["(1 2 3 4 5)(6 7)(8 9)", cycle(1, 9)], 181440),
+    "S10 on 11..20": (["(11 12)", cycle(11, 10)], 3628800),
     "A5 adjacent": (["(1 2 3)", "(2 3 4)", "(3 4 5)"], 60),
 }
 
 
 def test_traps_reach_the_chain(monkeypatch):
+    # each with a prime cycle that a power of one generator isolates, and
+    # none a giant
     answers = _answered(monkeypatch)
     for name, (gens, order) in TRAPS.items():
         answers.clear()
@@ -144,20 +127,18 @@ def test_recognizer_agrees_with_the_chain(monkeypatch):
     assert 0 < sum(answers) < len(answers)
 
 
-def _giant_specs(n):
-    """S_n from a transposition and an n-cycle; A_n from a 3-cycle and the
-    even one of an n-cycle and an (n - 1)-cycle."""
-    long = _cycle(1, n) if n % 2 else _cycle(2, n - 1)
-    return {"S": "perm:(1 2);" + _cycle(1, n), "A": "perm:(1 2 3);" + long}
-
-
 @pytest.mark.parametrize("n", range(5, 16))
 def test_cap_refusals_match_the_chain(monkeypatch, capsys, n):
     # the chain of S_n stores 2n images per point of orbits of lengths n
     # down to 2, and that of A_n down to 3: a cap at that total lets the
     # chain pass, one less refuses it, and the recognizer must agree both
     # times, exit code and message
-    for kind, spec in _giant_specs(n).items():
+    # S_n from a transposition and an n-cycle; A_n from a 3-cycle and the
+    # even one of an n-cycle and an (n - 1)-cycle
+    sets = giants(n)
+    specs = {"S": sets["transposition"], "A": sets["3-cycle, n-cycle" if n % 2 else "3-cycle, (n-1)-cycle"]}
+    for kind, gens in specs.items():
+        spec = perm_spec(gens)
         images = 2 * n * (n * (n + 1) // 2 - (1 if kind == "S" else 3))
         for cap in (images, images - 1):
             monkeypatch.setattr(chain, "CHAIN_CAP", cap)

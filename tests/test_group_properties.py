@@ -10,6 +10,7 @@ import random
 from math import gcd, lcm, prod
 
 import pytest
+from families import cycle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -204,16 +205,12 @@ def test_chain_facts_match_sympy():
         assert (facts.order, prime_powers) == (G.order(), sorted(G.abelian_invariants())), spec
 
 
-def _cycle(n):
-    return "(" + " ".join(map(str, range(1, n + 1))) + ")"
-
-
 def test_large_symmetric_and_alternating_groups(monkeypatch):
     expected = {
-        ("(1 2)", _cycle(9)): (362880, (2,)),
-        ("(1 2)", _cycle(10)): (3628800, (2,)),
+        ("(1 2)", cycle(1, 9)): (362880, (2,)),
+        ("(1 2)", cycle(1, 10)): (3628800, (2,)),
         ("(1 2 3)", "(2 3 4 5 6 7 8 9 10)"): (1814400, ()),
-        ("(1 2)", _cycle(12)): (479001600, (2,)),
+        ("(1 2)", cycle(1, 12)): (479001600, (2,)),
     }
     for gens, (order, invariants) in expected.items():
         facts = group_facts(PermGens.from_cycles(*gens))

@@ -1,12 +1,15 @@
 """The comparison of tools/parity.py on hand-made records: which records
 differ, which of them a change expected, and which expected differences
-did not happen. No corpus is run."""
+did not happen. No corpus is run, but its command lines are pinned."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from noethercheck.groups import CATALOG_NAMES
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
 _spec = importlib.util.spec_from_file_location("parity", _PATH)
@@ -77,3 +80,14 @@ def test_the_expect_file_holds_one_json_argv_per_line(tmp_path, capsys):
     with pytest.raises(SystemExit):
         parity._read_expected(str(tmp_path / "absent.jsonl"), parser)
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_the_corpus_is_pinned():
+    # the command lines, as main writes them to the corpus file: a change to
+    # the corpus, or to the families it reads, shows here as a new count or
+    # digest
+    lines = parity.corpus(list(CATALOG_NAMES))
+    text = "".join(json.dumps(argv) + "\n" for argv in lines)
+    assert len(lines) == 88218
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "7d763e6352de1a0ebf945dceac351056933ea8a65eb56612790260e19ef913a7"

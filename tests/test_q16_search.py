@@ -14,6 +14,7 @@ import random
 from itertools import combinations
 from math import gcd
 
+from families import ORDER_16, cycle, regular
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,20 +31,6 @@ from noethercheck.oracles import (
     two_sylow,
 )
 
-# groups of order 16 with a metacyclic presentation: the six with an
-# element of order 8, and two without
-ORDER_16 = {
-    "Q16": Metacyclic(8, 2, 4, 7),
-    "D16": Metacyclic(8, 2, 0, 7),
-    "SD16": Metacyclic(8, 2, 0, 3),
-    "C16": Metacyclic(16, 1, 0, 1),
-    "C8xC2": Metacyclic(8, 2, 0, 1),
-    "M16": Metacyclic(8, 2, 0, 5),
-    "C4:C4": Metacyclic(4, 4, 0, 3),
-    "C4xC4": Metacyclic(4, 4, 0, 1),
-}
-
-
 def _by_sylow(G):
     return G.sylow2_order == 16 and is_generalized_quaternion16(two_sylow(G))
 
@@ -52,34 +39,17 @@ def _cycle(first, n):
     return tuple(range(first + 1, first + n)) + (first,)
 
 
-def _regular(m, odd=(), carried=False):
-    """m acting on its 16 elements by right multiplication, times one cycle
-    of each odd length on further points: as generators of their own, or
-    carried by the first generator of m, which gives the same product
-    since the orders are coprime."""
-    G = build_group(m)
-    gens = [tuple(G.mult(x, g) for x in range(G.order)) for g in G.generator_indices]
-    degree = G.order + sum(odd)
-    gens = [g + tuple(range(G.order, degree)) for g in gens]
-    first = G.order
-    for n in odd:
-        cyc = tuple(range(first)) + _cycle(first, n) + tuple(range(first + n, degree))
-        if carried:
-            gens[0] = tuple(cyc[x] for x in gens[0])
-        else:
-            gens.append(cyc)
-        first += n
-    return PermGens(degree, tuple(gens))
-
-
 def test_regular_groups_of_order_16():
-    for name, m in ORDER_16.items():
+    # each on itself, then times odd cycles as generators of their own or
+    # carried by the first generator, which gives the same product since
+    # the orders are coprime
+    for name, params in ORDER_16.items():
         for spec in (
-            m,
-            _regular(m),
-            _regular(m, (3,)),
-            _regular(m, (3, 5)),
-            _regular(m, (3, 9), carried=True),
+            Metacyclic(*params),
+            PermGens.from_cycles(*regular(*params)),
+            PermGens.from_cycles(*regular(*params, odd=(3,))),
+            PermGens.from_cycles(*regular(*params, odd=(3, 5))),
+            PermGens.from_cycles(*regular(*params, odd=(3, 9), carried=True)),
         ):
             facts = group_facts(spec)
             assert facts.sylow2_order == 16, (name, spec)
@@ -270,17 +240,13 @@ def _count_walks(monkeypatch):
     return walks
 
 
-def _cycle_string(first, n):
-    return "(" + " ".join(str(first + i) for i in range(n)) + ")"
-
-
 def test_s6_times_long_odd_cycle_walks_nothing(monkeypatch):
     # the 2-part is 16, but the only orbit of 16 or more points carries the
     # odd cycle alone, so no 2-Sylow subgroup is Q16 and no element is
     # walked; the whole group would be 249840 elements for C_347
     walks = _count_walks(monkeypatch)
     for n in (101, 347):
-        spec = PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6)", _cycle_string(7, n))
+        spec = PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6)", cycle(7, n))
         facts = group_facts(spec)
         assert (facts.order, facts.sylow2_order, facts.sylow2_is_q16) == (720 * n, 16, False)
         assert facts.abelian_invariants == (2 * n,)
@@ -301,7 +267,7 @@ def test_orbit_rule_agrees_with_the_sylow_route(monkeypatch):
     specs = {
         "C17 then SL2_7": (c17_then_sl2_7, True, 48),
         "SL2_7 x C5": (sl2_7_c5, True, 48),
-        "Q16 x C17": (_regular(ORDER_16["Q16"], (17,)), True, 16),
+        "Q16 x C17": (PermGens.from_cycles(*regular(*ORDER_16["Q16"], odd=(17,))), True, 16),
         "S6 on 3-subsets": (_s6_on_3_subsets(), False, 20),
         "S6 on points and 3-subsets": (_s6_on_3_subsets(natural=True), False, 20),
     }

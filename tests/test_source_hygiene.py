@@ -44,6 +44,10 @@ Records bind their fields in one place, exact.Frozen: no other code reads
 object.__setattr__ or a slot's __set__, the two ways past a record's
 __setattr__, and the records that only hold their fields (GroupFacts,
 Verdict, Catalog) define no __init__ of their own.
+The families that the tests and the parity corpus share, in
+tools/families.py, and tools/parity.py itself import nothing from the
+package, so that what they build does not depend on the program they
+check; the families import the standard library alone, and not random.
 """
 
 import ast
@@ -60,6 +64,7 @@ from noethercheck import chain, groups, oracles
 
 PACKAGE = Path(noethercheck.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def _tree(path):
@@ -266,6 +271,13 @@ def _top_level_imports(tree):
 
 def test_no_module_imports_sympy():
     assert {p.name for p in MODULES if "sympy" in _top_level_imports(_tree(p))} == set()
+
+
+def test_tools_import_nothing_from_the_package():
+    for name in ("families.py", "parity.py"):
+        assert "noethercheck" not in _top_level_imports(_tree(TOOLS / name)), name
+    imports = _top_level_imports(_tree(TOOLS / "families.py"))
+    assert imports <= sys.stdlib_module_names - {"random"}
 
 
 def test_groups_imports_neither_re_nor_random():

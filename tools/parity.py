@@ -16,7 +16,9 @@ differs is printed with both outputs, as expected. The run then fails on
 any differing record that FILE does not list, and on any listed argv
 whose record did not change, the corpus not holding it included.
 
-The corpus is generated here, without importing the package:
+The corpus is generated here, without importing the package, from the
+families that the tests share in tools/families.py and the seeded specs
+below:
 - the catalog subcommand, and every name that REV's catalog lists over a
   fixed list of fields, plain and --json;
 - the GROUP_ITEMS of bench/workloads.py, read from its source;
@@ -29,7 +31,8 @@ The corpus is generated here, without importing the package:
   16 points or more;
 - S_n and A_n for n = 5..40, from a transposition and an n-cycle, from a
   3-cycle and an n-cycle or an (n - 1)-cycle, and from the n - 1 adjacent
-  transpositions, and the groups in TRAPS, over Q, plain and --json;
+  transpositions, and the look-alike groups in TRAPS, over Q, plain and
+  --json;
 - every metacyclic presentation with 2-part 16 and a*b <= 1200, over
   Q(sqrt 17).
 """
@@ -51,12 +54,22 @@ from itertools import zip_longest
 from math import gcd
 from pathlib import Path
 
+from families import (
+    CYCLIC_PRODUCTS,
+    ORDER_16,
+    TRAPS,
+    cycle,
+    cycle_string,
+    cyclic_product,
+    giants,
+    perm_spec,
+    regular,
+)
+
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20191
 PERM_SPECS = 2000
 FIELDS = ("Q", "Q(sqrt -1)", "Q(sqrt 2)", "Q(sqrt -7)", "Q(sqrt 17)", "Q(sqrt 999999999989)")
-# C8xC8, C16xC8xC4, C32xC8xC8 and C4xC4
-CYCLIC_PRODUCTS = ((8, 8), (16, 8, 4), (32, 8, 8), (4, 4))
 
 # Runs in the child: argv[1] is the src/ directory to import from, argv[2]
 # the corpus, one JSON argv per line, argv[3] the file for the records.
@@ -85,77 +98,6 @@ def _check(group: str, field: str, *flags: str) -> list[str]:
     return ["check", "--group", group, "--field", field, *flags]
 
 
-def _cycle(first: int, n: int) -> str:
-    return "(" + " ".join(str(first + i) for i in range(n)) + ")"
-
-
-def _cycle_string(perm: list[int], shift: int = 0) -> str:
-    """perm on 0..n-1 in 1-based cycle notation, its points moved up by shift."""
-    seen, out = set(), []
-    for i in range(len(perm)):
-        if i in seen or perm[i] == i:
-            continue
-        cycle, j = [], i
-        while j not in seen:
-            seen.add(j)
-            cycle.append(str(j + 1 + shift))
-            j = perm[j]
-        out.append("(" + " ".join(cycle) + ")")
-    return "".join(out) or "()"
-
-
-def _regular(a: int, b: int, c: int, r: int) -> list[list[int]]:
-    """<s, t | s**a, t**b = s**c, t*s*t**-1 = s**r> acting on its a*b
-    elements s**i * t**j, numbered i + a*j, by right multiplication: the
-    images of s and t."""
-
-    def mult(x, y):
-        (i1, j1), (i2, j2) = x, y
-        i, j = i1 + i2 * pow(r, j1, a), j1 + j2
-        if j >= b:
-            i, j = i + c, j - b
-        return i % a, j
-
-    elems = [(i, j) for j in range(b) for i in range(a)]
-    return [[k + a * m for k, m in (mult(x, g) for x in elems)] for g in ((1 % a, 0), (0, 1 % b))]
-
-
-# groups with a generator one of whose powers is a prime cycle, none of
-# them S_n or A_n: PSL(2,7) on the 8 points of the projective line,
-# PSL(2,5) on 6 points, PSL(2,8) on 9 points, AGL(1,13), C2 wr C3 from a
-# transposition, S3 wr S2 and S5 wr S2
-TRAPS = (
-    "perm:(1 2 3 4 5 6 7);(1 8)(2 7)(3 4)(5 6)",
-    "perm:(1 2 3 4 5);(1 6)(2 5)",
-    "perm:(2 3 5 4 7 8 6);(1 9)(3 6)(4 7)(5 8);(1 2)(3 4)(5 6)(7 8)",
-    "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13);(2 3 5 9 4 7 13 12 10 6 11 8)",
-    "perm:(1 2);(1 3 5)(2 4 6)",
-    "perm:(1 2 3);(1 2);(1 4)(2 5)(3 6)",
-    "perm:(1 2);(1 2 3 4 5);(1 6)(2 7)(3 8)(4 9)(5 10)",
-)
-
-
-def _giants() -> list[str]:
-    """S_n and A_n for n = 5..40 from four generating sets each."""
-    out = []
-    for n in range(5, 41):
-        adjacent = ";".join(f"({i} {i + 1})" for i in range(1, n))
-        out += [
-            "perm:(1 2);" + _cycle(1, n),
-            "perm:(1 2 3);" + _cycle(1, n),
-            "perm:(1 2 3);" + _cycle(2, n - 1),
-            "perm:" + adjacent,
-        ]
-    return out
-
-
-# (a, b, c, r) of Q16, D16, SD16, C16, C8xC2, M16, C4:C4 and C4xC4
-ORDER_16 = [
-    (8, 2, 4, 7), (8, 2, 0, 7), (8, 2, 0, 3), (16, 1, 0, 1),
-    (8, 2, 0, 1), (8, 2, 0, 5), (4, 4, 0, 3), (4, 4, 0, 1),
-]
-
-
 def _two_part_16(rng: random.Random) -> str:
     """A group of 2-part 16 on 16 points or more: a regular group of order
     16, or S4 x C2 or A4 x C4, on shifted points, times odd cycles on
@@ -163,34 +105,34 @@ def _two_part_16(rng: random.Random) -> str:
     shift = rng.randint(0, 6)
     kind = rng.randrange(len(ORDER_16) + 2)
     if kind < len(ORDER_16):
-        gens = [_cycle_string(g, shift) for g in _regular(*ORDER_16[kind])]
+        gens = regular(*list(ORDER_16.values())[kind], shift=shift)
         first = shift + 17
     elif kind == len(ORDER_16):
-        gens = [_cycle(shift + 1, 2), _cycle(shift + 1, 4), _cycle(shift + 5, 2)]
+        gens = [cycle(shift + 1, 2), cycle(shift + 1, 4), cycle(shift + 5, 2)]
         first = shift + 7
     else:
         double = f"({shift + 1} {shift + 2})({shift + 3} {shift + 4})"
-        gens = [_cycle(shift + 1, 3), double, _cycle(shift + 5, 4)]
+        gens = [cycle(shift + 1, 3), double, cycle(shift + 5, 4)]
         first = shift + 9
     for n in rng.sample((3, 5, 7, 9, 11, 13, 15), rng.randint(0, 3)):
-        cycle = _cycle(first, n)
+        odd = cycle(first, n)
         first += n
         if rng.random() < 0.5:
-            gens.append(cycle)
+            gens.append(odd)
         else:
-            gens[0] += cycle
+            gens[0] += odd
     if first <= 17:  # a fixed point that raises the degree to 16 or more
         gens[-1] += f"({rng.randint(17, 24)})"
     rng.shuffle(gens)
-    return "perm:" + ";".join(gens)
+    return perm_spec(gens)
 
 
 def _random_perm(rng: random.Random) -> str:
     degree = rng.randint(2, 9)
     gens = []
     for _ in range(rng.randint(1, 4)):
-        gens.append(_cycle_string(rng.sample(range(degree), degree)))
-    return "perm:" + ";".join(gens)
+        gens.append(cycle_string(rng.sample(range(degree), degree)))
+    return perm_spec(gens)
 
 
 def _group_items() -> list[str]:
@@ -212,18 +154,14 @@ def corpus(catalog: list[str]) -> list[list[str]]:
         for field in ("Q", "Q(sqrt -1)"):
             lines += [_check(spec, field), _check(spec, field, "--json")]
     for orders in CYCLIC_PRODUCTS:
-        firsts = [1 + sum(orders[:i]) for i in range(len(orders))]
-        spec = "perm:" + ";".join(_cycle(f, n) for f, n in zip(firsts, orders))
+        spec = perm_spec(cyclic_product(orders))
         for field in FIELDS:
             lines += [_check(spec, field), _check(spec, field, "--json")]
-    s, t = (_cycle_string(g) for g in _regular(8, 2, 4, 7))
-    first, odd = 17, ""
-    for n in (3, 5, 7, 11, 13, 17):
-        odd, first = odd + _cycle(first, n), first + n
     caps = [
-        "perm:(1 2);" + _cycle(1, 3000),  # the chain cap
+        perm_spec(["(1 2)", cycle(1, 3000)]),  # the chain cap
         "perm:(1 1000001)",  # the degree cap
-        f"perm:{s}{odd};{t}",  # the closure cap of the Q16 test
+        # the closure cap of the Q16 test
+        perm_spec(regular(*ORDER_16["Q16"], odd=(3, 5, 7, 11, 13, 17), carried=True)),
         "metacyclic:a=1000000000000,b=1000000000001,c=0,r=1",  # the metacyclic cap
         "metacyclic:a=" + "9" * 30 + ",b=1,c=0,r=1",
         "perm:(1 " + "9" * 30 + ")",
@@ -256,7 +194,9 @@ def corpus(catalog: list[str]) -> list[list[str]]:
     for k in range(PERM_SPECS):
         spec = _two_part_16(rng) if k % 3 == 0 else _random_perm(rng)
         lines.append(_check(spec, FIELDS[k % len(FIELDS)], *(["--json"] if k % 2 else [])))
-    for spec in _giants() + list(TRAPS):
+    # S_n and A_n, then the groups that look like them
+    specs = [perm_spec(gens) for n in range(5, 41) for gens in giants(n).values()]
+    for spec in specs + [perm_spec(gens) for gens, _ in TRAPS.values()]:
         lines += [_check(spec, "Q"), _check(spec, "Q", "--json")]
     for a in range(1, 1201):
         for b in range(1, 1200 // a + 1):
