@@ -5,7 +5,9 @@ section 4.4; Seress, Permutation Group Algorithms, ch. 4). Outside this
 module a chain is reached only through StabilizerChain(degree), its
 identity and its methods add, grow, contains, walk, order and
 orbit_lengths, and its cap error only through _check_chain_cap. It imports
-nothing from the package.
+nothing from the package. Each orbit point stores one element, its coset
+representative, and walk lists the products of those, so it serves a chain
+that grow built as well as one that add built.
 
 An element is the sequence of its point images, in the form _perm picks
 from the degree: bytes up to degree 256, so that bytes.translate composes
@@ -21,9 +23,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import itemgetter
 
-# A stabilizer chain stores two elements of degree point images per orbit
-# point of each level; it stops once their total length would pass 10**7,
-# about 80 MB of tuple slots, or 10 MB as bytes, which it counts alike.
+# A stabilizer chain stores one element of degree point images per orbit
+# point of each level, but counts 2*degree images for each, as it did when it
+# stored each representative's inverse too, so that every refusal, and the
+# closed-form count that groups checks for S_n and A_n, stays as it was; it
+# stops once that count would pass 10**7, about 40 MB of tuple slots, or 5 MB
+# as bytes, which it counts alike.
 CHAIN_CAP = 10**7
 
 # On a 2-CPU VM with Python 3.11, composing two elements of 80 points takes
@@ -79,20 +84,19 @@ class _Level:
     """One level of a stabilizer chain: the base point, the strong
     generators that fix the earlier base points (each with its inverse),
     the orbit of the base point under them in discovery order, and for each
-    orbit point x the coset representative reps[x] that sends x to the base
-    point and its inverse coreps[x], which a chain that grow built makes
-    only when a Schreier generator first needs it. The Schreier generators
-    pairing orbit[i] with gens[:tested[i]] have been sifted; every orbit
-    point before `todo` has been paired with every generator."""
+    orbit point x the one element stored for it, the coset representative
+    reps[x] that sends x to the base point, in the orbit's order. The
+    Schreier generators pairing orbit[i] with gens[:tested[i]] have been
+    sifted; every orbit point before `todo` has been paired with every
+    generator."""
 
-    __slots__ = ("base", "gens", "orbit", "reps", "coreps", "tested", "todo")
+    __slots__ = ("base", "gens", "orbit", "reps", "tested", "todo")
 
     def __init__(self, base: int) -> None:
         self.base = base
         self.gens: list[tuple[_Perm, _Perm]] = []
         self.orbit: list[int] = []
         self.reps: dict[int, _Perm] = {}
-        self.coreps: dict[int, _Perm] = {}
         self.tested: list[int] = []
         self.todo = 0
 
@@ -102,19 +106,19 @@ class StabilizerChain:
     product of the orbit lengths. add completes the chain after each new
     element: every Schreier generator of every level is sifted through the
     levels below it, and a nontrivial residue becomes a strong generator.
-    Each orbit point holds two elements, its coset representative and
-    that one's inverse, so the chain holds at most 2|G| permutations; the
-    point images of both are counted as the point is stored and refused
-    past CHAIN_CAP, whichever form _perm gives them.
+    Each orbit point holds one element, its coset representative, so the
+    chain holds at most |G| permutations besides its strong generators; a
+    Schreier generator inverts the representative of its orbit point when
+    it needs to. Each stored point counts 2*degree point images against
+    CHAIN_CAP, whichever form _perm gives them.
 
     grow takes a stream of elements instead and only extends orbits, so
     its chain is partial unless it reaches the bound that grow alone takes
     on the order. Sifting through a partial chain has no false
     positives, since an element that strips to the identity is a product
-    of stored coset representatives, but may have false negatives. Sifting
-    reads the representatives only, so grow leaves each inverse to be made
-    when a Schreier generator first needs it; walk reads the inverses, and
-    walks only chains that add built."""
+    of stored coset representatives, but may have false negatives. walk
+    reads the representatives too, so it serves every chain, and lists the
+    whole group once the chain is complete, however it was built."""
 
     def __init__(self, degree: int) -> None:
         self.identity = _perm(range(degree))
@@ -134,28 +138,32 @@ class StabilizerChain:
         """Every element g of the group once, in the chain's form, or, given
         square, only those with g(g(x)) = square(x) at the first point x that
         square moves. Each is composed in C up to degree 256, so a caller
-        that composes what it yields should keep that form. g is
-        the product c_n * ... * c_1 * c_0 of one coset representative c_i per
-        level i, which sends the base point of level i to a point of its
-        orbit, and c_0 varies fastest (the identity if there are no levels).
-        Only the partial products on the current path are kept, and g(z) =
-        c_0[prefix[z]] is read at x before anything is composed."""
+        that composes what it yields should keep that form. g is the
+        product r_0 * r_1 * ... * r_n, applied left to right, of one coset
+        representative r_i per level i, which sends a point of its orbit to
+        the base point of level i, and the deepest, r_n, varies fastest (the
+        identity if there are no levels). These products are the inverses
+        of the products r_n**-1 * ... * r_0**-1 that the cosets of the
+        chain's stabilizers give, so each element of the group is listed
+        exactly once. Only the partial products on the current path are
+        kept, and g(z) = r_n[prefix[z]] is read at x before anything is
+        composed."""
         levels = self._levels
-        last = [levels[0].coreps[z] for z in levels[0].orbit] if levels else [self.identity]
+        deepest = len(levels) - 1
+        last = list(levels[-1].reps.values()) if levels else [self.identity]
         x = 0 if square is None else next(i for i, z in enumerate(square) if i != z)
 
         def walk(i: int, prefix: _Perm):
-            if i:
-                coreps = levels[i].coreps
-                for z in levels[i].orbit:
-                    yield from walk(i - 1, _perm_compose(prefix, coreps[z]))
+            if i < deepest:
+                for rep in levels[i].reps.values():
+                    yield from walk(i + 1, _perm_compose(prefix, rep))
                 return
             px = prefix[x]
             for c in last:
                 if square is None or c[prefix[c[px]]] == square[x]:
                     yield _perm_compose(prefix, c)
 
-        yield from walk(max(len(levels) - 1, 0), self.identity)
+        yield from walk(0, self.identity)
 
     def _sift(self, g: _Perm, start: int = 0) -> tuple[_Perm | None, int]:
         """Strip g through the levels from start on. Returns the residue, or
@@ -267,7 +275,7 @@ class StabilizerChain:
                         return
             k += 1
 
-    def _store(self, lev: _Level, point: int, rep: _Perm, corep: _Perm | None = None) -> None:
+    def _store(self, lev: _Level, point: int, rep: _Perm) -> None:
         degree = len(self.identity)
         images = self._images + 2 * degree
         # tested here first, since a call for every stored point costs
@@ -280,8 +288,6 @@ class StabilizerChain:
             self._size = self._size // n * (n + 1)
         lev.orbit.append(point)
         lev.reps[point] = rep
-        if corep is not None:
-            lev.coreps[point] = corep
         lev.tested.append(0)
 
     def _insert(self, h: _Perm, lo: int, hi: int) -> None:
@@ -289,7 +295,7 @@ class StabilizerChain:
         generator of levels lo..hi, opening level hi if it is new."""
         if hi == len(self._levels):
             lev = _Level(next(i for i, x in enumerate(h) if i != x))
-            self._store(lev, lev.base, self.identity, self.identity)
+            self._store(lev, lev.base, self.identity)
             self._levels.append(lev)
         gen = (h, _perm_inverse(h))
         for lev in self._levels[lo : hi + 1]:
@@ -314,31 +320,33 @@ class StabilizerChain:
         orbit along the way, until one leaves a nontrivial residue below
         level i. Returns (residue, level) for that one, or None."""
         lev = self._levels[i]
-        gens, orbit, reps, coreps, tested = lev.gens, lev.orbit, lev.reps, lev.coreps, lev.tested
+        gens, orbit, reps, tested = lev.gens, lev.orbit, lev.reps, lev.tested
         k = lev.todo
         while k < len(orbit):
             x = orbit[k]
-            corep = coreps.get(x)
-            if corep is None and tested[k] < len(gens):
-                corep = coreps[x] = _perm_inverse(reps[x])
+            rx, rx_inv = reps[x], None
             while tested[k] < len(gens):
                 s, s_inv = gens[tested[k]]
                 tested[k] += 1
                 y = s[x]
                 rep = reps.get(y)
                 if rep is None:
-                    self._store(lev, y, _perm_compose(s_inv, reps[x]), _perm_compose(corep, s))
+                    self._store(lev, y, _perm_compose(s_inv, rx))
                     continue
                 if y == x == lev.base:
                     # the Schreier generator is s, which _insert also made
                     # a strong generator of the next level
                     continue
-                # the Schreier generator coreps[x] * s * rep fixes the base
-                # point; it is the identity on the orbit's tree edges
-                h = _perm_compose(_perm_compose(corep, s), rep)
-                if h == self.identity:
+                # the Schreier generator rx**-1 * s * rep fixes the base
+                # point; it is the identity, with s * rep = rx, on the
+                # orbit's tree edges, and rx's inverse is made only when a
+                # generator is not
+                sr = _perm_compose(s, rep)
+                if sr == rx:
                     continue
-                h, j = self._sift(h, i + 1)
+                if rx_inv is None:
+                    rx_inv = _perm_inverse(rx)
+                h, j = self._sift(_perm_compose(rx_inv, sr), i + 1)
                 if h is not None:
                     lev.todo = k
                     return h, j

@@ -371,7 +371,9 @@ def _block_is_orbit(gens: tuple[tuple[int, ...], ...], points: list[int], n: int
         union(points[0], x)
     for a, b in pairs:  # grows while it is read
         for g in gens:
-            if union(g[a], g[b]) == n:
+            # a generator that fixes both points maps the pair to itself
+            ga, gb = g[a], g[b]
+            if (ga != a or gb != b) and union(ga, gb) == n:
                 return True
     return size[find(points[0])] == n
 

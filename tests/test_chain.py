@@ -4,9 +4,12 @@ on such groups relabelled onto points of a degree above 256, where the
 chain's elements are tuples rather than bytes: the order and membership of
 a chain against the closure table of oracles, a walk that lists every
 element once, and a chain that grow closes up to the group's order, which
-stops it, and that add then extends past it to the order and membership of
-the larger group. And the chain's product and inverse against their
-definitions on either side of degree 256."""
+stops it, which walks every element once as well, and which add then
+extends past it to the order and membership of the larger group. The chain
+stores one coset representative per orbit point, and a walk lists the
+products of those, whichever of add and grow built the chain. And the
+chain's product and inverse against their definitions on either side of
+degree 256."""
 
 import random
 
@@ -63,11 +66,15 @@ def _meets_contract(pg, points, seed):
     walked = [tuple(g) for g in chain.walk()]
     assert len(walked) == len(set(walked)) and set(walked) == members
     # the normal closure of the generators under conjugation by themselves
-    # is the group; a grown chain stores no inverses, so it is held to
-    # order and membership, not walked
+    # is the group; a grown chain stores the same representatives as one
+    # that add built, so once it reaches the group's order it walks every
+    # member once too
     grown = StabilizerChain(pg.degree)
     grown.grow(pg.generators, [(g, _perm_inverse(g)) for g in pg.generators], table.order)
     assert grown.order() <= table.order
+    if grown.order() == table.order:
+        walked = [tuple(g) for g in grown.walk()]
+        assert len(walked) == len(set(walked)) and set(walked) == members
     outside = next((g for g in others if g not in members), None)
     if grown.order() < table.order or outside is None:
         return

@@ -300,6 +300,38 @@ def test_filtered_walk_keeps_every_square_root():
             assert set(kept) == {g for g in elements if g[g[x]] == c[x]}, name
 
 
+class _WalkFrom:
+    """A chain whose plain walk yields a alone and whose filtered walk is
+    H's: _q16_search reads only identity and walk, so on this it tests a
+    as its element of order 8."""
+
+    def __init__(self, H, a):
+        self.identity, self._H, self._a = H.identity, H, a
+
+    def walk(self, square=None):
+        return iter([self._a]) if square is None else self._H.walk(square)
+
+
+def test_q16_rule_gives_one_answer_for_every_element_of_order_8():
+    # which element of order 8 the search takes depends on the walk's order
+    # only, so every one must give the same answer
+    for name, params in ORDER_16.items():
+        for odd, carried in (((), False), ((3,), False), ((3, 5), True)):
+            spec = PermGens.from_cycles(*regular(*params, odd=odd, carried=carried))
+            H = chain.StabilizerChain(spec.degree)
+            for g in spec.generators:
+                H.add(g)
+            of_order_8 = []
+            for a in H.walk():
+                a4 = _perm_compose(_perm_compose(a, a), _perm_compose(a, a))
+                if a4 != H.identity and _perm_compose(a4, a4) == H.identity:
+                    of_order_8.append(a)
+            answers = {groups._q16_search(_WalkFrom(H, a)) for a in of_order_8}
+            expected = {name == "Q16"} if of_order_8 else set()
+            assert answers == expected and (name != "Q16" or of_order_8), (name, odd)
+            assert groups._q16_search(H) == (name == "Q16"), (name, odd)
+
+
 def test_verdict_builds_no_table(monkeypatch):
     calls = []
     enumerate_ = oracles._enumerate

@@ -398,7 +398,7 @@ def test_check_over_Q_builds_no_prime_table():
     assert _output_of(run.format("Q(sqrt 999999999989)")).split() == ["1"]
 
 
-CHAIN_INTERNALS = {"levels", "orbit", "reps", "coreps", "tested", "todo", "images", "bound", "size"}
+CHAIN_INTERNALS = {"levels", "orbit", "reps", "tested", "todo", "images", "bound", "size"}
 
 
 def _chain_internal_reads(tree):
