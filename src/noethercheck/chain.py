@@ -4,10 +4,13 @@ algorithm (Holt-Eick-O'Brien, Handbook of Computational Group Theory,
 section 4.4; Seress, Permutation Group Algorithms, ch. 4). Outside this
 module a chain is reached only through StabilizerChain(degree), its
 identity and its methods add, grow, contains, walk, order and
-orbit_lengths, and its cap error only through _check_chain_cap. It imports
-nothing from the package. Each orbit point stores one element, its coset
-representative, and walk lists the products of those, so it serves a chain
-that grow built as well as one that add built.
+orbit_lengths, and its cap error only through _check_chain_cap, which
+takes a number of stored orbit points. It imports nothing from the
+package. Each orbit point stores one element, its coset representative,
+and walk lists the products of those, so it serves a chain that grow built
+as well as one that add built. A level keeps, per orbit point, the number
+of its generators already paired with that point, and nothing else of the
+work done: a Schreier pass starts at the first orbit point each time.
 
 An element is the sequence of its point images, in the form _perm picks
 from the degree: bytes up to degree 256, so that bytes.translate composes
@@ -25,10 +28,10 @@ from operator import itemgetter
 
 # A stabilizer chain stores one element of degree point images per orbit
 # point of each level, but counts 2*degree images for each, as it did when it
-# stored each representative's inverse too, so that every refusal, and the
-# closed-form count that groups checks for S_n and A_n, stays as it was; it
-# stops once that count would pass 10**7, about 40 MB of tuple slots, or 5 MB
-# as bytes, which it counts alike.
+# stored each representative's inverse too, so that every refusal stays as it
+# was; it stops once that count would pass 10**7, about 40 MB of tuple slots,
+# or 5 MB as bytes, which it counts alike. Only this module knows that count:
+# groups passes _check_chain_cap a number of orbit points.
 CHAIN_CAP = 10**7
 
 # On a 2-CPU VM with Python 3.11, composing two elements of 80 points takes
@@ -38,12 +41,12 @@ _Perm = bytes | tuple[int, ...]
 _BYTES = bytes(range(256))
 
 
-def _check_chain_cap(degree: int, images: int) -> None:
-    """Refuse a chain of this degree that would store this many point
-    images in all, if that passes CHAIN_CAP: the one text of the chain's
-    cap error, which a caller that knows a chain's size in advance raises
-    too."""
-    if images > CHAIN_CAP:
+def _check_chain_cap(degree: int, points: int) -> None:
+    """Refuse a chain of this degree that would store this many orbit
+    points in all, counted as 2*degree point images each, if that passes
+    CHAIN_CAP: the one text of the chain's cap error, which a caller that
+    knows a chain's orbit lengths in advance raises too."""
+    if 2 * degree * points > CHAIN_CAP:
         raise ValueError(
             f"a stabilizer chain of degree {degree} needs more than "
             f"chain cap {CHAIN_CAP} stored point images"
@@ -87,10 +90,9 @@ class _Level:
     orbit point x the one element stored for it, the coset representative
     reps[x] that sends x to the base point, in the orbit's order. The
     Schreier generators pairing orbit[i] with gens[:tested[i]] have been
-    sifted; every orbit point before `todo` has been paired with every
-    generator."""
+    sifted, so a point is done with once tested[i] == len(gens)."""
 
-    __slots__ = ("base", "gens", "orbit", "reps", "tested", "todo")
+    __slots__ = ("base", "gens", "orbit", "reps", "tested")
 
     def __init__(self, base: int) -> None:
         self.base = base
@@ -98,7 +100,6 @@ class _Level:
         self.orbit: list[int] = []
         self.reps: dict[int, _Perm] = {}
         self.tested: list[int] = []
-        self.todo = 0
 
 
 class StabilizerChain:
@@ -109,8 +110,9 @@ class StabilizerChain:
     Each orbit point holds one element, its coset representative, so the
     chain holds at most |G| permutations besides its strong generators; a
     Schreier generator inverts the representative of its orbit point when
-    it needs to. Each stored point counts 2*degree point images against
-    CHAIN_CAP, whichever form _perm gives them.
+    it needs to. The chain counts its stored orbit points, and
+    _check_chain_cap weighs them against CHAIN_CAP, whichever form _perm
+    gives them.
 
     grow takes a stream of elements instead and only extends orbits, so
     its chain is partial unless it reaches the bound that grow alone takes
@@ -123,7 +125,7 @@ class StabilizerChain:
     def __init__(self, degree: int) -> None:
         self.identity = _perm(range(degree))
         self._levels: list[_Level] = []
-        self._images = 0
+        self._points = 0
         self._size = 1  # the product of the orbit lengths
 
     def order(self) -> int:
@@ -202,7 +204,9 @@ class StabilizerChain:
         element y that extended it, until those are closed under them: the
         normal closure of the elements in the group the conjugators
         generate. Returns the elements that extended it, which generate
-        that closure, in the chain's form.
+        that closure, in the chain's form. One loop reads one stream: the
+        elements, then the conjugates of each element taken, in the order
+        taken, by each pair in turn.
 
         Each element is sifted through the partial chain. A residue that
         strips to the identity is a product of stored coset
@@ -216,42 +220,35 @@ class StabilizerChain:
         lie inside the true basic orbits, so their lengths multiply to at
         most the closure's order; once that product reaches bound the chain
         is complete, however little of it was verified, so growth stops
-        there, or takes nothing if the chain is at the bound already, and
-        every Schreier generator counts as sifted, so that add may extend
-        the chain past the bound. Short of the bound the chain stays
-        partial: its order may fall short of the closure's, and contains
-        may miss a member."""
+        there: it takes nothing if the chain is at the bound already, and
+        returns as soon as an orbit extension reaches it, drawing no further
+        element and composing no further conjugate. Every Schreier
+        generator then counts as sifted, so that add may extend the chain
+        past the bound. Short of the bound the chain stays partial: its
+        order may fall short of the closure's, and contains may miss a
+        member."""
         taken: list[_Perm] = []
         if self._size == bound:
             return taken
-        for y in map(_perm, elements):
-            if self._extend(y, bound):
-                taken.append(y)
+
+        def stream():
+            yield from map(_perm, elements)
+            pairs = [(_perm(g), _perm(g_inv)) for g, g_inv in conjugators]
+            for y in taken:  # grows while it is read
+                for g, g_inv in pairs:
+                    yield _perm_compose(_perm_compose(g_inv, y), g)
+
+        for y in stream():
+            residue, j = self._sift(y)
+            if residue is None:
+                continue
+            taken.append(y)
+            self._insert(residue, 0, j)
+            for lev in self._levels[: j + 1]:
+                self._extend_orbit(lev, bound)
                 if self._size == bound:
                     return taken
-        conjugators = [(_perm(g), _perm(g_inv)) for g, g_inv in conjugators]
-        for y in taken:  # grows while it is read
-            for g, g_inv in conjugators:
-                z = _perm_compose(_perm_compose(g_inv, y), g)
-                if self._extend(z, bound):
-                    taken.append(z)
-                    if self._size == bound:
-                        return taken
         return taken
-
-    def _extend(self, g: _Perm, bound: int) -> bool:
-        """Make the residue of g a strong generator and extend the orbits of
-        its levels under it, up to the bound. Returns False, changing
-        nothing, if g strips to the identity."""
-        residue, j = self._sift(g)
-        if residue is None:
-            return False
-        self._insert(residue, 0, j)
-        for lev in self._levels[: j + 1]:
-            if self._size == bound:
-                break
-            self._extend_orbit(lev, bound)
-        return True
 
     def _extend_orbit(self, lev: _Level, bound: int) -> None:
         """Close the orbit of lev, closed under all its generators but the
@@ -271,18 +268,16 @@ class StabilizerChain:
                     if self._size == bound:
                         for done in self._levels:
                             done.tested = [len(done.gens)] * len(done.orbit)
-                            done.todo = len(done.orbit)
                         return
             k += 1
 
     def _store(self, lev: _Level, point: int, rep: _Perm) -> None:
-        degree = len(self.identity)
-        images = self._images + 2 * degree
+        degree, points = len(self.identity), self._points + 1
         # tested here first, since a call for every stored point costs
         # about 2% of a small chain
-        if images > CHAIN_CAP:
-            _check_chain_cap(degree, images)
-        self._images = images
+        if 2 * degree * points > CHAIN_CAP:
+            _check_chain_cap(degree, points)
+        self._points = points
         n = len(lev.orbit)
         if n:
             self._size = self._size // n * (n + 1)
@@ -300,7 +295,6 @@ class StabilizerChain:
         gen = (h, _perm_inverse(h))
         for lev in self._levels[lo : hi + 1]:
             lev.gens.append(gen)
-            lev.todo = 0
 
     def _complete(self, i: int) -> None:
         """Levels below i are complete; make levels i, i-1, ..., 0 complete
@@ -318,12 +312,14 @@ class StabilizerChain:
     def _schreier_residue(self, i: int):
         """Sift the untested Schreier generators of level i, extending its
         orbit along the way, until one leaves a nontrivial residue below
-        level i. Returns (residue, level) for that one, or None."""
+        level i. Returns (residue, level) for that one, or None. Each pass
+        reads the orbit from its first point, skipping the points paired
+        with every generator already."""
         lev = self._levels[i]
         gens, orbit, reps, tested = lev.gens, lev.orbit, lev.reps, lev.tested
-        k = lev.todo
-        while k < len(orbit):
-            x = orbit[k]
+        for k, x in enumerate(orbit):  # grows while it is read
+            if tested[k] == len(gens):
+                continue
             rx, rx_inv = reps[x], None
             while tested[k] < len(gens):
                 s, s_inv = gens[tested[k]]
@@ -348,8 +344,5 @@ class StabilizerChain:
                     rx_inv = _perm_inverse(rx)
                 h, j = self._sift(_perm_compose(rx_inv, sr), i + 1)
                 if h is not None:
-                    lev.todo = k
                     return h, j
-            k += 1
-        lev.todo = k
         return None

@@ -302,8 +302,8 @@ def _abelian_index(
     cheap:
     - g -> (sign of g on each orbit), whose image has 2**r elements for the
       rank r over F_2 of the generators' images; each image is a bitmask,
-      one bit per orbit, reduced against a basis of those before it kept
-      by leading bit, XOR-ing only while its leading bit hits one;
+      one bit per orbit, reduced by min(v, v ^ b) against each reduced
+      vector b kept before it, and kept itself if it is not then 0;
     - the action on an orbit whose image is abelian, which, being
       transitive, is then regular, with as many elements as the orbit."""
     where = [0] * pg.degree
@@ -311,7 +311,7 @@ def _abelian_index(
         for x in orbit:
             where[x] = k
     acting: list[list[tuple[int, ...]]] = [[] for _ in moved]
-    basis: dict[int, int] = {}  # leading bit -> the basis vector it leads
+    basis: list[int] = []
     for g, cs in zip(pg.generators, cycles):
         v = 0
         ks = set()
@@ -322,13 +322,10 @@ def _abelian_index(
                 v ^= 1 << k
         for k in ks:
             acting[k].append(g)
-        while v:
-            top = v.bit_length()
-            b = basis.get(top)
-            if b is None:
-                basis[top] = v
-                break
-            v ^= b
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
     out = 1 << len(basis)
     for orbit, gens in zip(moved, acting):
         if all(g[h[x]] == h[g[x]] for i, g in enumerate(gens) for h in gens[:i] for x in orbit):
@@ -403,9 +400,11 @@ def _giant_facts(
     G is S_n if some generator is odd, with an odd number of cycles of even
     length, and A_n otherwise: order n! or n!/2, invariants (2,) or (), and
     no Q16, since the 2-Sylow subgroups of S_n and A_n, n >= 5, hold a
-    Klein four-group. Its chain would store 2*degree images per point of
-    the basic orbits, of lengths n down to 2 for S_n and to 3 for A_n, so
-    an input the chain would refuse is refused here with its error."""
+    Klein four-group. Its chain would store one representative per point
+    of the basic orbits, of lengths n down to 2 for S_n and to 3 for A_n,
+    n(n+1)/2 - 1 or n(n+1)/2 - 3 points in all, the count _check_chain_cap
+    takes, so an input the chain would refuse is refused here with its
+    error."""
     if len(moved) != 1 or len(moved[0]) < 5:
         return None
     n = len(moved[0])
@@ -423,8 +422,7 @@ def _giant_facts(
         return None
     # a cycle of m points is m - 1 transpositions
     odd = any((sum(map(len, cs)) - len(cs)) % 2 for cs in cycles)
-    degree = pg.degree
-    _check_chain_cap(degree, 2 * degree * (n * (n + 1) // 2 - (1 if odd else 3)))
+    _check_chain_cap(pg.degree, n * (n + 1) // 2 - (1 if odd else 3))
     order = factorial(n) if odd else factorial(n) // 2
     return GroupFacts(order, (2,) if odd else (), order & -order, False)
 

@@ -176,8 +176,30 @@ def test_growth_at_the_bound_counts_every_schreier_generator_as_sifted():
     for name, pg in groups_at_bound.items():
         grown = _derived_subgroup(pg, _chain(pg).order())
         for lev in grown._levels:
-            assert lev.todo == len(lev.orbit), name
             assert lev.tested == [len(lev.gens)] * len(lev.orbit), name
+
+
+def test_growth_stops_at_its_bound():
+    # G' is G for SL2_7 and A7 and A6 for S6, so growth from commutators of
+    # random words reaches the bound: it must then draw no further element,
+    # so the stream sees the chain short of the bound at every draw
+    rng = random.Random(37)
+    specs = {"SL2_7": PERFECT["SL2_7"], "A7": PERFECT["A7"], "S6": NOT_PERFECT["S6"][0]}
+    for name, pg in specs.items():
+        bound = _chain(pg).order() // _abelian_index(pg)
+        grown = chain.StabilizerChain(pg.degree)
+        seen = []
+
+        def commutators():
+            for _ in range(40):
+                seen.append(grown.order())
+                a, b = _words(pg, rng, 2)
+                yield reduce(_perm_compose, (_perm_inverse(a), _perm_inverse(b), a, b))
+
+        conjugators = [(g, _perm_inverse(g)) for g in pg.generators]
+        grown.grow(commutators(), conjugators, bound)
+        assert grown.order() == bound, name
+        assert len(seen) < 40 and bound not in seen, name
 
 
 def test_short_of_the_bound_the_taken_elements_are_added():

@@ -274,10 +274,12 @@ def test_no_module_imports_sympy():
 
 
 def test_tools_import_nothing_from_the_package():
-    for name in ("families.py", "parity.py"):
+    for name in ("families.py", "parity.py", "chainwork.py"):
         assert "noethercheck" not in _top_level_imports(_tree(TOOLS / name)), name
     imports = _top_level_imports(_tree(TOOLS / "families.py"))
     assert imports <= sys.stdlib_module_names - {"random"}
+    imports = _top_level_imports(_tree(TOOLS / "chainwork.py"))
+    assert imports <= sys.stdlib_module_names | {"families", "parity"}
 
 
 def test_groups_imports_neither_re_nor_random():
@@ -398,7 +400,7 @@ def test_check_over_Q_builds_no_prime_table():
     assert _output_of(run.format("Q(sqrt 999999999989)")).split() == ["1"]
 
 
-CHAIN_INTERNALS = {"levels", "orbit", "reps", "tested", "todo", "images", "bound", "size"}
+CHAIN_INTERNALS = {"levels", "orbit", "reps", "tested", "points", "bound", "size"}
 
 
 def _chain_internal_reads(tree):

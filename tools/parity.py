@@ -209,8 +209,24 @@ def corpus(catalog: list[str]) -> list[list[str]]:
     return lines
 
 
-def _run(src: Path, corpus_path: Path, out_path: Path) -> None:
-    cmd = [sys.executable, "-I", "-S", "-c", RUNNER, str(src), str(corpus_path), str(out_path)]
+def export(rev: str, dest: Path) -> Path:
+    """Extract the src/ of the git revision rev under dest, with git
+    archive, and return that src/. Raises ValueError with git's message
+    for a revision it cannot export."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"], capture_output=True
+    )
+    if archive.returncode:
+        raise ValueError(archive.stderr.decode(errors="replace").strip())
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def _run(src: Path, corpus_path: Path, out_path: Path, runner: str = RUNNER) -> None:
+    """Run runner in a fresh interpreter with the arguments src, corpus_path
+    and out_path."""
+    cmd = [sys.executable, "-I", "-S", "-c", runner, str(src), str(corpus_path), str(out_path)]
     # argparse wraps its usage lines to the terminal width it reads
     subprocess.run(cmd, check=True, timeout=600, env={**os.environ, "COLUMNS": "80"})
 
@@ -295,20 +311,16 @@ def main(argv: list[str] | None = None) -> int:
     expected = _read_expected(args.expect_diff, parser) if args.expect_diff else []
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", "--format=tar", args.against, "src"],
-            capture_output=True,
-        )
-        if archive.returncode:  # a revision git cannot export is a usage error
-            parser.error(archive.stderr.decode(errors="replace").strip())
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
-        lines = corpus(_catalog_names(tmp / "rev" / "src", tmp))
+        try:
+            rev_src = export(args.against, tmp / "rev")
+        except ValueError as exc:  # a revision git cannot export is a usage error
+            parser.error(str(exc))
+        lines = corpus(_catalog_names(rev_src, tmp))
         corpus_path = tmp / "corpus.jsonl"
         corpus_path.write_text("".join(json.dumps(a) + "\n" for a in lines), encoding="utf-8")
         ours, theirs = tmp / "tree.jsonl", tmp / "rev.jsonl"
         _run(ROOT / "src", corpus_path, ours)
-        _run(tmp / "rev" / "src", corpus_path, theirs)
+        _run(rev_src, corpus_path, theirs)
         with open(ours, encoding="utf-8") as a, open(theirs, encoding="utf-8") as b:
             digest, unexpected, as_expected, unchanged = compare(a, b, expected)
     for x, y in as_expected:
