@@ -6,7 +6,7 @@ Conventions, fixed once for the whole package:
 * hilbert_symbol(a, b, v) is +1 iff z**2 = a*x**2 + b*y**2 has a nontrivial
   solution over the completion at v.
 * hasse_invariant(f, v) is the product of hilbert_symbol(a_i, a_j, v) over
-  pairs i < j.
+  pairs i < j, though it is computed from exponent sums, not pair by pair.
 * With that normalization, a form of dim 3 is isotropic over Q_v iff
   hasse_invariant(f, v) == hilbert_symbol(-1, -disc(f), v), and a form of
   dim 4 is anisotropic over Q_v iff disc(f) is a square in Q_v and
@@ -188,17 +188,55 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: Place) -> int:
 
 
 def _hasse(cs: list[int], v: Place) -> int:
-    """Product of (c_i, c_j)_v over i < j, for integer classes c."""
-    out = 1
-    for i in range(len(cs)):
-        c = cs[i]
-        for j in range(i + 1, len(cs)):
-            out *= hilbert_symbol(c, cs[j], v)
-    return out
+    """Product of (c_i, c_j)_v over i < j, for integer classes c, by
+    exponent sums rather than one symbol per pair.
+
+    Write c_i = p**alpha_i * u_i with p not dividing u_i, alpha_i the
+    parity of v_p(c_i), and k = sum alpha_i. Multiplying out the formula
+    of hilbert_symbol (Serre, A Course in Arithmetic, III.1.2) over the
+    pairs, u_i meets the alpha_j of every j != i, k - alpha_i of them in
+    all, and the pairs of odd alpha number k*(k - 1)/2. So at odd p
+
+        (-1)**(eps(p)*k*(k - 1)/2) * (x/p),
+
+    with x the product of the u_i whose k - alpha_i is odd: one Euler
+    power, the sign folded into x since (-1/p) = (-1)**eps(p). At p = 2
+    it is (-1)**(e*(e - 1)/2 + sum of omega(u_i) over those same i), with
+    e the number of u_i = 3 mod 4, and at the real place (-1)**(s*(s - 1)/2)
+    with s the number of negative c_i.
+    """
+    p = v.p
+    if p is None:
+        s = sum(1 for c in cs if c < 0)
+        return -1 if s * (s - 1) >> 1 & 1 else 1
+    split = []
+    k = 0
+    for c in cs:
+        alpha = 0
+        while not c % p:
+            c //= p
+            alpha ^= 1
+        k += alpha
+        split.append((alpha, c))
+    if p != 2:
+        # eps(p) = 1 iff p = 3 mod 4
+        x = -1 if p & 2 and k * (k - 1) >> 1 & 1 else 1
+        for alpha, u in split:
+            if (k - alpha) & 1:
+                x = x * u % p
+        return 1 if pow(x, (p - 1) >> 1, p) == 1 else -1
+    e = sum(1 for _, u in split if u % 4 == 3)
+    exp = e * (e - 1) >> 1
+    for alpha, u in split:
+        if (k - alpha) & 1 and u % 8 in (3, 5):
+            exp += 1
+    return -1 if exp & 1 else 1
 
 
 def hasse_invariant(f: DiagonalForm, v: Place) -> int:
-    """Product of (a_i, a_j)_v over i < j."""
+    """Product of (a_i, a_j)_v over i < j, computed by the exponent sums
+    of _hasse (Serre, A Course in Arithmetic, III.1.2) with no symbol per
+    pair."""
     return _hasse([_int_class(c) for c in f.coeffs], v)
 
 

@@ -64,21 +64,23 @@ def grid_forms() -> list[DiagonalForm]:
 
 class LocalZeroOracle:
     """Decides isotropy over Q_p for small-coefficient forms of dim <= 4 by
-    looking for primitive zeros modulo m = p**5 (m = 32 when p = 2).
+    looking for primitive zeros modulo m = p**3 (m = 32 when p = 2).
 
-    Exactness for coefficients with |v_p(a)| <= 1: a zero of the form over
-    Q_p scales to a primitive integral zero and reduces mod m; conversely a
-    primitive zero mod m has a coordinate x_i that is a unit, so
-    v_p(2*a_i*x_i) <= 2 and the valuation slack m demands (at least
-    2*v + 1 more than twice the derivative's valuation) lets Hensel's lemma
-    lift it back to Z_p. No Hilbert symbol is consulted anywhere.
+    Exactness for integer coefficients with v_p(a) <= 1, the only ones
+    has_primitive_zero accepts: a zero of the form over Q_p scales to a
+    primitive integral zero and reduces mod m; conversely a primitive zero
+    mod m has a coordinate x_i that is a unit, so the derivative's
+    valuation delta = v_p(2*a_i*x_i) is at most 1 for odd p and at most 2
+    for p = 2, and Hensel's lemma lifts a zero mod p**(2*delta + 1) back to
+    Z_p: p**3 and 2**5 are those bounds. No Hilbert symbol is consulted
+    anywhere.
 
     Value sets are bitmasks over residues mod m, and representing zero with
     the right primitivity pattern is a single AND against a reflected mask.
     Every value mask here, primitive or not, is closed under multiplication
     by the unit squares U**2 of Z/m: c*(u*x)**2 = u**2 * c*x**2, and
     x -> u*x keeps p from dividing x. So every mask is a union of
-    U**2-orbits (11 for odd p, 16 for m = 32): _single_mask(c, True) is the
+    U**2-orbits (7 for odd p, 16 for m = 32): _single_mask(c, True) is the
     orbit of c, and _single_mask(c, False) the union of the orbits of
     c*p**(2k) for p**(2k) < m, plus 0. A sum of two such sets is again a
     union of orbits, so _sumset decides membership once per orbit instead
@@ -88,7 +90,7 @@ class LocalZeroOracle:
 
     def __init__(self, p: int):
         self.p = p
-        self.m = 32 if p == 2 else p**5
+        self.m = 32 if p == 2 else p**3
         self._full = (1 << self.m) - 1
         self._single: dict[tuple[int, bool], int] = {}
         self._pair: dict[tuple[int, int, bool], int] = {}
@@ -120,15 +122,15 @@ class LocalZeroOracle:
         is a union of them.
 
         For odd p, the orbit of 0 is {0}, and a nonzero residue is p**k * u
-        with k < 5 and p not dividing u. Its orbit is p**k times the classes
-        u * s mod p**(5-k), s in U**2, and by Hensel's lemma (2x is a unit,
-        so a simple root of x**2 - u mod p lifts) a unit mod p**j is a
-        square iff it is one mod p. So the orbit is every p**k * j whose
-        j mod p lies in the quadratic class of u mod p: a pattern of p
-        slots spaced by p**k, repeated every p**(k+1) by multiplying with a
-        repunit. The residues come from the squares x*x mod p alone. At
-        m = 32, where the unit squares are the residues 1 mod 8, the orbits
-        are enumerated."""
+        with k < 3 and p not dividing u, so there are 2*3 + 1 = 7 orbits.
+        Its orbit is p**k times the classes u * s mod p**(3-k), s in U**2,
+        and by Hensel's lemma (2x is a unit, so a simple root of x**2 - u
+        mod p lifts) a unit mod p**j is a square iff it is one mod p. So
+        the orbit is every p**k * j whose j mod p lies in the quadratic
+        class of u mod p: a pattern of p slots spaced by p**k, repeated
+        every p**(k+1) by multiplying with a repunit. The residues come
+        from the squares x*x mod p alone. At m = 32, where the unit squares
+        are the residues 1 mod 8, the orbits are enumerated."""
         out = self._orbit_list
         if out is None:
             m, p = self.m, self.p
@@ -203,8 +205,16 @@ class LocalZeroOracle:
         return out
 
     def has_primitive_zero(self, form: DiagonalForm) -> bool:
+        """Has the form a primitive zero mod m? Exact over Q_p only for
+        integer coefficients with v_p(c) <= 1, and anything else raises
+        ValueError: mod m a coefficient divisible by p**2 can vanish on
+        its own where Q_p has no zero."""
         if any(type(c) is not int for c in form.coeffs):
             raise ValueError("the modular oracle needs integer coefficients")
+        p = self.p
+        for c in form.coeffs:
+            if not c % (p * p):
+                raise ValueError(f"the modular oracle at p = {p} needs v_p(c) <= 1, got c = {c}")
         return self._primitive_zero(form.coeffs)
 
     def _primitive_zero(self, cs: tuple[int, ...]) -> bool:
@@ -231,40 +241,45 @@ def local_oracle(p: int) -> LocalZeroOracle:
     return LocalZeroOracle(p)
 
 
-_WITNESS_TABLES: dict[tuple[tuple[int, ...], int], dict[int, tuple[int, ...]]] = {}
+# one half of a form at one height: its (value, vector) list in product
+# order and its first-vector table
+_HalfEntry = tuple[list[tuple[int, tuple[int, ...]]], dict[int, tuple[int, ...]]]
+
+# (coefficients, height) -> the entry of that half, shared by the left and
+# right halves of every search
+_WITNESS_TABLES: dict[tuple[tuple[int, ...], int], _HalfEntry] = {}
 
 
-def _half_sums(coeffs: tuple[int, ...], height: int):
+def _half_sums(coeffs: tuple[int, ...], height: int) -> list[tuple[int, tuple[int, ...]]]:
     """(sum of c*x*x, x) for every vector x over [0, height], in the order
     product(range(height + 1), repeat=len(coeffs)) yields them: each
-    coefficient in turn extends every partial sum by every square. The
-    last coefficient's step is lazy, so a search that stops at its first
-    hit never builds the rest."""
+    coefficient in turn extends every partial sum by every square."""
     squares = [(x, x * x) for x in range(height + 1)]
     sums = [(0, ())]
-    for c in coeffs[:-1]:
+    for c in coeffs:
         sums = [(val + c * s, vec + (x,)) for val, vec in sums for x, s in squares]
-    if not coeffs:
-        return iter(sums)
-    last = coeffs[-1]
-    return ((val + last * s, vec + (x,)) for val, vec in sums for x, s in squares)
+    return sums
 
 
-def _left_table(coeffs: tuple[int, ...], height: int) -> dict[int, tuple[int, ...]]:
-    """value -> the first vector over [0, height] attaining it, preferring
-    a nonzero vector when the value is attainable by one."""
+def _half_table(coeffs: tuple[int, ...], height: int) -> _HalfEntry:
+    """The cache entry of one half at one height: the values of
+    _half_sums in product order, which the search reads as its right
+    half, and the table value -> the first vector over [0, height]
+    attaining it, preferring a nonzero vector when the value is
+    attainable by one, which it reads as its left half. Each entry runs
+    _half_sums once, whichever side asks first."""
     key = (coeffs, height)
-    table = _WITNESS_TABLES.get(key)
-    if table is None:
-        sums = list(_half_sums(coeffs, height))
+    entry = _WITNESS_TABLES.get(key)
+    if entry is None:
+        sums = _half_sums(coeffs, height)
         # written last to first, so the first vector of each value stays
         table = dict(reversed(sums))
         for val, vec in sums:
             if not val and any(vec):
                 table[0] = vec
                 break
-        _WITNESS_TABLES[key] = table
-    return table
+        entry = _WITNESS_TABLES[key] = (sums, table)
+    return entry
 
 
 def isotropy_witness(form: DiagonalForm, height: int) -> tuple[int, ...] | None:
@@ -294,10 +309,13 @@ def _integer_witness(cs: tuple[int, ...], height: int) -> tuple[int, ...] | None
 
 
 def _witness_at(cs: tuple[int, ...], height: int) -> tuple[int, ...] | None:
-    """The meet-in-the-middle search at one height."""
+    """The meet-in-the-middle search at one height: the table of the left
+    half against the value list of the right one, both from the shared
+    per-half cache of _half_table, so a half that recurs across forms and
+    calls is summed once per height."""
     k = (len(cs) + 1) // 2
-    table = _left_table(cs[:k], height)
-    for val, vec in _half_sums(cs[k:], height):
+    table = _half_table(cs[:k], height)[1]
+    for val, vec in _half_table(cs[k:], height)[0]:
         hit = table.get(-val)
         if hit is not None and (any(hit) or any(vec)):
             return hit + vec

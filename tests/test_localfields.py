@@ -202,6 +202,26 @@ def test_hasse_invariant_known():
     assert hasse_invariant(h, Place(5)) == 1
 
 
+def test_hasse_invariant_matches_the_pairwise_product():
+    # the exponent-sum formula against the definition, the product of
+    # hilbert_symbol over the pairs i < j, on seeded lists of 1 to 6 ints
+    # and Fractions with both signs and with p, p**2 and p**3 in numerators
+    # and denominators
+    rng = random.Random(0)
+    for v in [REAL_PLACE] + [Place(p) for p in (2, 3, 5, 7, 11, 10007)]:
+        q = v.p or 3
+        for _ in range(300):
+            cs = []
+            for _ in range(rng.randint(1, 6)):
+                c = rng.choice((1, -1)) * rng.randint(1, 60) * rng.choice((1, q, q**2, q**3))
+                if rng.random() < 0.3:
+                    c = Fraction(c, rng.randint(1, 60) * rng.choice((1, q, q**2, q**3)))
+                cs.append(c)
+            f = DiagonalForm(tuple(cs))
+            want = prod(hilbert_symbol(a, b, v) for a, b in combinations(f.coeffs, 2))
+            assert hasse_invariant(f, v) == want, (f, v)
+
+
 def test_is_local_square():
     assert is_local_square(2, REAL_PLACE)
     assert not is_local_square(-2, REAL_PLACE)

@@ -53,6 +53,16 @@ def test_local_oracle_rejects():
         local_oracle(3).has_primitive_zero(DiagonalForm.repeated(5))
 
 
+@pytest.mark.parametrize("coeffs, c", [((243,), 243), ((27,), 27), ((1, 27), 27)])
+def test_local_oracle_rejects_coefficients_outside_its_domain(coeffs, c):
+    # none of these forms has a zero over Q_3, yet a coefficient divisible
+    # by 27 vanishes mod 27 on its own: above v_p(c) = 1 the oracle refuses
+    # instead of answering wrongly
+    with pytest.raises(ValueError) as exc:
+        local_oracle(3).has_primitive_zero(DiagonalForm(coeffs))
+    assert str(exc.value) == f"the modular oracle at p = 3 needs v_p(c) <= 1, got c = {c}"
+
+
 def _check_witness(form, w):
     assert w is not None
     assert any(w)
@@ -359,8 +369,10 @@ def test_orbits_match_enumeration(p):
 def test_orbit_count_and_rotations():
     assert len(LocalZeroOracle(2)._orbits()) == 16
     for p in (3, 5, 7):
-        assert len(LocalZeroOracle(p)._orbits()) == 11
+        # {0} and two classes at each of p**0, p**1, p**2 mod p**3
+        assert len(LocalZeroOracle(p)._orbits()) == 7
     o = LocalZeroOracle(7)
+    orbits = len(o._orbits())
     rotate = o._rotate
     calls = 0
 
@@ -371,11 +383,63 @@ def test_orbit_count_and_rotations():
 
     o._rotate = counted
     o._pair_mask(3, -5, False)
-    assert calls <= 11
+    assert calls <= orbits
     # the primitive pair mask is a union of two sumsets
     calls = 0
     o._pair_mask(2, -7, True)
-    assert calls <= 22
+    assert calls <= 2 * orbits
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_modulus_p3_answers_as_p5_does(p):
+    # Hensel's lemma needs a zero mod p**3 at odd p for coefficients with
+    # v_p(c) <= 1; the reference decides every grid form mod p**5 with the
+    # value sets of c*x**2 listed residue by residue and summed by plain
+    # rotations, no orbits
+    o = LocalZeroOracle(p)
+    assert o.m == p**3
+    m = p**5
+    full = (1 << m) - 1
+    single, pair, refl = {}, {}, {}
+
+    def values(c, prim):
+        if (c, prim) not in single:
+            single[c, prim] = sum(1 << r for r in {c * x * x % m for x in range(m) if not prim or x % p})
+        return single[c, prim]
+
+    def sumset(a, b):
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        out = 0
+        for r in _residues(a):
+            out |= ((b << r) | (b >> (m - r))) & full
+        return out
+
+    def pair_values(c1, c2):
+        if (c1, c2) not in pair:
+            a1, a2 = values(c1, False), values(c2, False)
+            prim = sumset(values(c1, True), a2) | sumset(a1, values(c2, True))
+            pair[c1, c2] = prim, sumset(a1, a2)
+        return pair[c1, c2]
+
+    def negated(mask):
+        if mask not in refl:
+            refl[mask] = sum(1 << (-r % m) for r in _residues(mask))
+        return refl[mask]
+
+    for f in grid_forms():
+        cs = f.coeffs
+        if len(cs) == 1:
+            want = bool(values(cs[0], True) & 1)
+        else:
+            k = 1 if len(cs) == 2 else 2
+            (a_prim, a_any), (b_prim, b_any) = (
+                pair_values(*half) if len(half) == 2 else (values(half[0], True), values(half[0], False))
+                for half in (cs[:k], cs[k:])
+            )
+            want = bool(a_prim & negated(b_any) or a_any & negated(b_prim))
+        assert o._primitive_zero(cs) == want, (f, p)
+        assert o.has_primitive_zero(f) == want, (f, p)
 
 
 def test_isotropy_grid_check_fails_under_optimize():
