@@ -192,10 +192,11 @@ def _brent_rho(n: int, c: int) -> int:
     return g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; raises ValueError for n above
-    FACTORIZATION_CAP, where it is not proven exact."""
+    FACTORIZATION_CAP, where it is not proven exact. Memoized in a bounded
+    cache that holds the 1229 primes below 10**4 with room to spare."""
     if n < 2:
         return False
     if n > FACTORIZATION_CAP:

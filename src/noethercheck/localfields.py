@@ -76,17 +76,20 @@ class DiagonalForm(Frozen):
     """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q.
 
     Each coefficient is stored in its canonical exact type: an int when it
-    is integral, and a Fraction in lowest terms only otherwise. 3,
-    Fraction(3) and True all store 3, and Fraction(1, 2) stays a Fraction;
-    the value, ==, hash and str of the form are the same either way. An
-    int coefficient builds no Fraction, and every reader of coeffs takes
-    an int as it is.
+    is integral, and a Fraction in lowest terms only otherwise. 3 and
+    Fraction(3) both store 3, True stores 1, and Fraction(1, 2) stays a
+    Fraction; the value, ==, hash and str of the form are the same either
+    way. A tuple of ints is stored as it is, an int coefficient builds no
+    Fraction, and every reader of coeffs takes an int as it is.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Fraction | int, ...]) -> None:
-        cs = tuple(c if type(c) is int else _canonical(c) for c in coeffs)
+        if type(coeffs) is tuple and set(map(type, coeffs)) == {int}:
+            cs = coeffs
+        else:
+            cs = tuple(c if type(c) is int else _canonical(c) for c in coeffs)
         if not cs:
             raise ValueError("a form needs at least one coefficient")
         if 0 in cs:

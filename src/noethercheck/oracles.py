@@ -236,7 +236,7 @@ class LocalZeroOracle:
         return bool((a_prim & self._reflect(b_any)) | (a_any & self._reflect(b_prim)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def local_oracle(p: int) -> LocalZeroOracle:
     return LocalZeroOracle(p)
 

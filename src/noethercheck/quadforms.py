@@ -8,13 +8,17 @@ local criterion of localfields.local_isotropic at each candidate place of
 f where is_local_square(d, v) holds; over Q every place splits, and the
 test is skipped. The integer classes of the coefficients are read once per
 form, not once per place (an int coefficient is its own class, so a form
-with integral coefficients builds no Fraction anywhere in the scan), and
-each distinct numerator or denominator of f is factored once per form. A
-prime's place is the one interned Place of localfields._place, not a new
-record per form. No isotropic vectors are ever searched for here.
+with integral coefficients builds no Fraction anywhere in the scan). The
+set of distinct numerators and denominators of a form is factored once
+per process per coefficient set, in a bounded cache; a refused part is
+not cached. A prime's place is the one interned Place of
+localfields._place, not a new record per form. No isotropic vectors are
+ever searched for here.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .exact import QQ, FieldDescriptor, Frozen, factorize, is_square
 from .localfields import (
@@ -32,16 +36,29 @@ def candidate_places(f: DiagonalForm) -> tuple[Place, ...]:
     """Places where any local invariant of f can be nontrivial: the real
     place, 2, and odd primes dividing some numerator or denominator.
 
-    The finite places come sorted, then REAL_PLACE. Each distinct absolute
-    numerator or denominator above 1 is factored once, each part apart, so
-    the factorization cap applies part by part; each prime maps to its one
-    interned Place. An int coefficient gives its own numerator and its
-    denominator 1 through the int attributes, with no Fraction."""
+    The finite places come sorted, then REAL_PLACE. The distinct absolute
+    numerators and denominators above 1 are the key of _places_of, which
+    factors each set of them once per process in a bounded cache; a part
+    above the factorization cap raises on every call and leaves no entry.
+    An int coefficient gives its own numerator and its denominator 1, with
+    no Fraction."""
     parts = set()
     for c in f.coeffs:
-        parts.add(abs(c.numerator))
-        parts.add(c.denominator)
+        if type(c) is int:
+            parts.add(abs(c))
+        else:
+            parts.add(abs(c.numerator))
+            parts.add(c.denominator)
     parts.discard(1)
+    return _places_of(frozenset(parts))
+
+
+@lru_cache(maxsize=1024)
+def _places_of(parts: frozenset[int]) -> tuple[Place, ...]:
+    """The candidate places of a form whose absolute numerators and
+    denominators above 1 are parts: each part factored apart, so the
+    factorization cap applies part by part, and each prime mapped to its
+    one interned Place, sorted, then REAL_PLACE."""
     ps = {2}
     for n in parts:
         ps.update(factorize(n))
@@ -62,9 +79,9 @@ def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:
     places come sorted, so a scan that stops at the first failure does the
     same work in every process.
 
-    The integer classes of the coefficients are read once per form, and
-    every place of the scan asks the same local criterion local_isotropic
-    does, on those classes.
+    The integer classes of the coefficients are read once per form, an int
+    coefficient as its own class, and every place of the scan asks the same
+    local criterion local_isotropic does, on those classes.
     """
     n = f.dim
     if n == 1:
@@ -72,7 +89,7 @@ def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:
     if n == 2:
         return is_square(-f.coeffs[0] * f.coeffs[1], k)
     places = candidate_places(f)
-    cs = [_int_class(c) for c in f.coeffs]
+    cs = [c if type(c) is int else _int_class(c) for c in f.coeffs]
     d = k.d  # None over Q, where every place splits
     return all(_isotropic_at(cs, v) for v in places if d is None or is_local_square(d, v))
 

@@ -37,6 +37,10 @@ def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(-3, 25):
         assert is_prime(n) == (n in primes)
+    # bounded, with room for the 1229 primes below 10**4 whose places the
+    # reciprocity check builds
+    maxsize = is_prime.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 1229
 
 
 def test_squarefree_part_known():

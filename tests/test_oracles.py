@@ -500,3 +500,38 @@ def test_hilbert_symbol_count_is_reproducible_across_processes():
         assert r.returncode == 0, r.stderr
         counts.append(int(r.stdout))
     assert counts[0] == counts[1] > 0
+
+
+def test_grid_work_in_a_fresh_process():
+    # the grid's ten coefficients have 16 sets of parts above 1, subsets of
+    # {2, 3, 5, 7} holding 32 parts in all: quadforms factors each set once
+    # per process (1940 factorizations when each form factored its own),
+    # and the scan computes 662 Hilbert symbols
+    code = (
+        "import noethercheck\n"
+        "from noethercheck import localfields, oracles, quadforms\n"
+        "real_symbol, real_factorize = localfields.hilbert_symbol, quadforms.factorize\n"
+        "symbols = factored = 0\n"
+        "def counted_symbol(*args):\n"
+        "    global symbols\n"
+        "    symbols += 1\n"
+        "    return real_symbol(*args)\n"
+        "def counted_factorize(n):\n"
+        "    global factored\n"
+        "    factored += 1\n"
+        "    return real_factorize(n)\n"
+        "for mod in (noethercheck, *(getattr(noethercheck, m) for m in\n"
+        "        ('exact', 'localfields', 'quadforms', 'galois', 'oracles'))):\n"
+        "    for name, val in list(vars(mod).items()):\n"
+        "        if val is real_symbol:\n"
+        "            setattr(mod, name, counted_symbol)\n"
+        "quadforms.factorize = counted_factorize\n"
+        "oracles.isotropy_grid_check(60)\n"
+        "print(factored, symbols)\n"
+    )
+    src = str(Path(noethercheck.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["32", "662"]

@@ -188,9 +188,11 @@ def _distinct_parts(f):
 
 
 def test_one_factorization_per_coefficient_and_no_checked_legendre(monkeypatch):
-    # a form of dim >= 3 costs one factorization of each distinct numerator
-    # and denominator above 1 per call, and its primes come from Places, so
-    # the checked legendre_symbol (a second primality test) is never needed
+    # with the cache cleared, the first decision of a form of dim >= 3
+    # factors each distinct numerator and denominator above 1 once, and
+    # every later decision over the same parts, over any field, factors
+    # nothing; its primes come from Places, so the checked legendre_symbol
+    # (a second primality test) is never needed
     forms = [
         F7,
         DiagonalForm.of(1, 1, -3),
@@ -215,18 +217,55 @@ def test_one_factorization_per_coefficient_and_no_checked_legendre(monkeypatch):
         for name, val in list(vars(mod).items()):
             if val is real_legendre:
                 monkeypatch.setattr(mod, name, refuse)
+    quadforms._places_of.cache_clear()
     for f, (iso_q, iso_k) in zip(forms, before):
         factored.clear()
         assert isotropic_Q(f) == iso_q
         assert sorted(factored) == sorted(_distinct_parts(f))
+        factored.clear()
         for d, expected in zip(ds, iso_k):
-            factored.clear()
             assert isotropic_quad(f, d) == expected
-            assert sorted(factored) == sorted(_distinct_parts(f))
-    factored.clear()
+        assert isotropic_Q(f) == iso_q
+        assert factored == []
+    # the same parts in other coefficients, signs and order: no factoring
+    same_parts = [
+        DiagonalForm.of(-7, -1, 1, 1),
+        DiagonalForm.of(Fraction(1, 7), 7, -1),
+        DiagonalForm.of(3, Fraction(-1, 3), 1),
+        DiagonalForm.of(Fraction(4, 17), Fraction(-13, 3), 7, 1),
+    ]
+    for f in same_parts:
+        isotropic_Q(f)
+        for d in ds:
+            isotropic_quad(f, d)
     for d in (2, 17, -7, 5):
         isotropic_quad(F7, d)
-    assert len(factored) == 4
+    assert factored == []
+
+
+def test_places_of_is_bounded():
+    info = quadforms._places_of.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, 1, FACTORIZATION_CAP + 1),
+        (1, Fraction(2, FACTORIZATION_CAP + 3), -7),
+    ],
+)
+def test_a_part_above_the_cap_keeps_no_cache_entry(coeffs):
+    # a refused part set raises on every call, and each call misses: the
+    # cache keeps no entry for it
+    f = DiagonalForm(coeffs)
+    info = quadforms._places_of.cache_info()
+    for i in range(1, 4):
+        for decide in (candidate_places, isotropic_Q, lambda f: isotropic_quad(f, -7)):
+            with pytest.raises(ValueError, match=f"exceeds factorization cap {FACTORIZATION_CAP}$"):
+                decide(f)
+        after = quadforms._places_of.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (info.hits, info.misses + 3 * i, info.currsize)
 
 
 # fields with both signs and both residues of d mod 8, the real place

@@ -44,6 +44,8 @@ Records bind their fields in one place, exact.Frozen: no other code reads
 object.__setattr__ or a slot's __set__, the two ways past a record's
 __setattr__, and the records that only hold their fields (GroupFacts,
 Verdict, Catalog) define no __init__ of their own.
+Every functools cache in the package has a finite maxsize, unless its key
+space is finite: UNBOUNDED_CACHES names each exception and why.
 The families that the tests and the parity corpus share, in
 tools/families.py, and tools/parity.py itself import nothing from the
 package, so that what they build does not depend on the program they
@@ -130,6 +132,55 @@ def _imported_names(tree):
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def _unbounded_caches(tree):
+    """Where tree makes a functools cache with no bound, cache or
+    lru_cache with maxsize None: the name of the function it decorates, or
+    its line."""
+    aliases, module = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            module.update(a.asname or a.name for a in node.names if a.name == "functools")
+
+    def kind(node):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in module:
+            return node.attr
+        return None
+
+    def unbounded(node):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return kind(node) == "cache"
+        if isinstance(node, ast.Call) and kind(node.func) == "lru_cache":
+            bound = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            return any(isinstance(b, ast.Constant) and b.value is None for b in bound)
+        return False
+
+    decorated = {
+        id(d): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for d in node.decorator_list
+    }
+    return sorted(decorated.get(id(n), f"line {n.lineno}") for n in ast.walk(tree) if unbounded(n))
+
+
+# the functools caches whose key space is finite, so that no bound is needed
+UNBOUNDED_CACHES = {
+    "groups._catalog_facts": "keyed on a catalog name, and a name outside the catalog raises",
+    "oracles.catalog_group": "keyed on a catalog name, and a name outside the catalog raises",
+    "exact._trial_primes": "takes no argument: one entry",
+    "cli._build_parser": "takes no argument: one entry",
+}
+
+
+def test_every_cache_is_bounded_or_has_a_finite_key_space():
+    found = {f"{p.stem}.{name}" for p in MODULES for name in _unbounded_caches(_tree(p))}
+    assert found == set(UNBOUNDED_CACHES)
 
 
 def test_no_unused_module_imports():
@@ -498,5 +549,12 @@ def test_checks_catch_what_they_claim():
         "            object.__getattr__, self.__setattr__\n"
     )
     assert _setter_reads(tree) == ["", "A.f", "A.f.g"]
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache as lc\n@cache\ndef a(): pass\n"
+        "@lc(maxsize=None)\ndef b(x): pass\n@lc(None)\ndef c(x): pass\n@lc(maxsize=8)\ndef d(x): pass\n"
+        "@lc\ndef e(x): pass\n@functools.lru_cache(maxsize=None)\ndef f(x): pass\n"
+        "g = functools.cache(len)\nh = lc(maxsize=None)(len)\ncache_size = 3\n"
+    )
+    assert _unbounded_caches(tree) == ["a", "b", "c", "f", "line 15", "line 16"]
     tree = ast.parse("def f(G, H):\n    G.levels, G._sift(H.identity), G.__class__, _Level, size\n")
     assert _chain_internal_reads(tree) == ["_Level (line 2)", "_sift (line 2)", "levels (line 2)"]
