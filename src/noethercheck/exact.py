@@ -5,9 +5,10 @@ Every scalar in this package is a ``fractions.Fraction`` or an
 arbitrary-precision int. A stored rational, such as a coefficient of
 localfields.DiagonalForm, takes its canonical exact type: an int when it is
 integral, and a Fraction in lowest terms only otherwise. Nothing here or
-downstream touches floats. The verdict reads ints only, so fractions is
-imported inside the two functions that take rationals, on first use, and
-is_square builds no Fraction for an int.
+downstream touches floats: a rational argument passes exact_rational,
+which refuses a float, Decimal, complex or str by naming the argument. The
+verdict reads ints only, so fractions is imported inside the functions that
+take rationals, on first use, and is_square builds no Fraction for an int.
 """
 
 from __future__ import annotations
@@ -247,6 +248,19 @@ def squarefree_part(n: int) -> tuple[int, int]:
     return s, m
 
 
+def exact_rational(x: object, name: str) -> Fraction | int:
+    """x itself when it is an int (bool included, True being 1) or a
+    Fraction. Any other type, float, Decimal, complex and str among them,
+    raises a TypeError naming the argument: a float would be read as its
+    binary value, and a str parsed. Callers pass an int past this on their
+    own fast path."""
+    from fractions import Fraction
+
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"{name} must be an int or a Fraction, not {type(x).__name__}: {x!r}")
+
+
 def padic_valuation(x: Fraction | int, p: int) -> int:
     """v_p(x) for nonzero rational x and prime p."""
     from fractions import Fraction
@@ -361,7 +375,7 @@ def is_square(x: Fraction | int, field: FieldDescriptor = QQ) -> bool:
     if type(x) is not int:
         from fractions import Fraction
 
-        x = Fraction(x)
+        x = Fraction(exact_rational(x, "x"))
     return _is_rational_square(x) or (not field.is_rational and _is_rational_square(field.d * x))
 
 

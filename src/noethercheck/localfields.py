@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Frozen, is_prime
+from .exact import Frozen, exact_rational, is_prime
 
 
 class Place(Frozen):
@@ -66,9 +66,11 @@ def _place(p: int) -> Place:
 def _canonical(c: Fraction | int) -> Fraction | int:
     """c in its canonical exact type: an int when c is integral, else a
     Fraction in lowest terms. A non-integral Fraction is returned as it
-    is, since Fraction(c) on one would redo its type checks."""
+    is, since Fraction(c) on one would redo its type checks; any other
+    type passes exact_rational first, which refuses a float, Decimal,
+    complex or str."""
     if type(c) is not Fraction:
-        c = Fraction(c)
+        c = Fraction(exact_rational(c, "coefficient"))
     return c.numerator if c.denominator == 1 else c
 
 
@@ -80,7 +82,8 @@ class DiagonalForm(Frozen):
     Fraction(3) both store 3, True stores 1, and Fraction(1, 2) stays a
     Fraction; the value, ==, hash and str of the form are the same either
     way. A tuple of ints is stored as it is, an int coefficient builds no
-    Fraction, and every reader of coeffs takes an int as it is.
+    Fraction, and every reader of coeffs takes an int as it is. A float,
+    Decimal, complex or str coefficient is refused with a TypeError.
     """
 
     __slots__ = ("coeffs",)
@@ -125,14 +128,15 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) >> 1, p) == 1 else -1
 
 
-def _int_class(x: Fraction | int) -> int:
+def _int_class(x: Fraction | int, name: str = "x") -> int:
     """The integer n*d for x = n/d: it differs from x by the square d**2,
     so every symbol below reads the same on it. No factoring is done, and
-    an int is its own class."""
+    an int is its own class. Any type but int and Fraction passes
+    exact_rational, which names the argument name when it refuses x."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        x = Fraction(exact_rational(x, name))
     n, d = x.as_integer_ratio()
     return n * d
 
@@ -156,9 +160,9 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: Place) -> int:
     prime to p, so the power is 1 or p - 1, never 0.
     """
     if type(a) is not int:
-        a = _int_class(a)
+        a = _int_class(a, "a")
     if type(b) is not int:
-        b = _int_class(b)
+        b = _int_class(b, "b")
     if not a or not b:
         raise ValueError("hilbert_symbol needs nonzero entries")
     p = v.p

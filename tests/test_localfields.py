@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noethercheck import localfields
-from noethercheck.exact import factorize
+from noethercheck.exact import FieldDescriptor, factorize, is_square
 from noethercheck.localfields import (
     REAL_PLACE,
     DiagonalForm,
@@ -34,6 +35,47 @@ def test_place():
     assert Place(7).p == 7
     with pytest.raises(ValueError):
         Place(6)
+
+
+_INEXACT = [0.1, 0.25, 2.0, Decimal("0.5"), Decimal(3), 1j, complex(3, 0), "3", "1/2", "x"]
+# each entry point that takes a rational, and the argument it names
+_ENTRY_POINTS = [
+    pytest.param("coefficient", lambda x: DiagonalForm.of(1, x, -1), id="DiagonalForm.of"),
+    pytest.param("coefficient", lambda x: DiagonalForm((x,)), id="DiagonalForm"),
+    pytest.param("coefficient", lambda x: DiagonalForm.repeated(3, x), id="DiagonalForm.repeated"),
+    pytest.param("x", lambda x: is_square(x), id="is_square"),
+    pytest.param("x", lambda x: is_square(x, FieldDescriptor(2)), id="is_square-over-Q(sqrt 2)"),
+    pytest.param("a", lambda x: hilbert_symbol(x, -1, Place(3)), id="hilbert_symbol-a"),
+    pytest.param("b", lambda x: hilbert_symbol(-1, x, REAL_PLACE), id="hilbert_symbol-b"),
+    pytest.param("x", lambda x: is_local_square(x, Place(2)), id="is_local_square"),
+]
+
+
+@pytest.mark.parametrize("value", _INEXACT, ids=repr)
+@pytest.mark.parametrize("name, call", _ENTRY_POINTS)
+def test_inexact_numbers_are_refused_by_name(name, call, value):
+    # float, Decimal, complex and str, a numeral str included, are refused
+    # with a TypeError that names the argument, never read as a number
+    message = f"{name} must be an int or a Fraction, not {type(value).__name__}: {value!r}"
+    with pytest.raises(TypeError) as err:
+        call(value)
+    assert str(err.value) == message
+
+
+def test_bool_counts_as_an_int():
+    # True is 1 and False is 0 wherever an int is taken
+    f = DiagonalForm.of(True, 1, -1)
+    assert f == DiagonalForm.of(1, 1, -1) and [type(c) for c in f.coeffs] == [int] * 3
+    assert DiagonalForm.repeated(2, True).coeffs == (1, 1)
+    assert is_square(True) and is_square(False)
+    assert hilbert_symbol(True, -1, REAL_PLACE) == hilbert_symbol(1, -1, REAL_PLACE) == 1
+    assert is_local_square(True, Place(7))
+    with pytest.raises(ValueError, match="nonzero"):
+        DiagonalForm.of(1, False)
+    # a Fraction is exact, and taken
+    assert DiagonalForm.of(Fraction(6, 3), 1).coeffs == (2, 1)
+    assert is_square(Fraction(1, 4))
+    assert hilbert_symbol(Fraction(1, 2), 3, Place(3)) == hilbert_symbol(2, 3, Place(3)) == -1
 
 
 def test_diagonal_form():

@@ -242,7 +242,6 @@ BAD_ARGUMENTS = [
     (lambda: DiagonalForm(()), "a form needs at least one coefficient"),
     (lambda: DiagonalForm.of(1, 0), "diagonal coefficients must be nonzero"),
     (lambda: DiagonalForm.repeated(0), "n must be positive"),
-    (lambda: DiagonalForm.of(1, "x"), "Invalid literal for Fraction: 'x'"),
     (lambda: IsotropyOutcome("undecided"), "bad kind: undecided"),
     (lambda: UnitSubgroup2n(0, frozenset({1})), "n must be at least 1"),
     (lambda: UnitSubgroup2n(3, frozenset({7})), "unit subgroups contain 1"),
