@@ -40,15 +40,12 @@ def candidate_places(f: DiagonalForm) -> tuple[Place, ...]:
     numerators and denominators above 1 are the key of _places_of, which
     factors each set of them once per process in a bounded cache; a part
     above the factorization cap raises on every call and leaves no entry.
-    An int coefficient gives its own numerator and its denominator 1, with
-    no Fraction."""
+    An int coefficient gives its own numerator and its denominator 1
+    through the int attributes, with no Fraction."""
     parts = set()
     for c in f.coeffs:
-        if type(c) is int:
-            parts.add(abs(c))
-        else:
-            parts.add(abs(c.numerator))
-            parts.add(c.denominator)
+        parts.add(abs(c.numerator))
+        parts.add(c.denominator)
     parts.discard(1)
     return _places_of(frozenset(parts))
 

@@ -243,11 +243,6 @@ def test_one_factorization_per_coefficient_and_no_checked_legendre(monkeypatch):
     assert factored == []
 
 
-def test_places_of_is_bounded():
-    info = quadforms._places_of.cache_info()
-    assert info.maxsize is not None and 0 < info.maxsize
-
-
 @pytest.mark.parametrize(
     "coeffs",
     [
@@ -256,10 +251,11 @@ def test_places_of_is_bounded():
     ],
 )
 def test_a_part_above_the_cap_keeps_no_cache_entry(coeffs):
-    # a refused part set raises on every call, and each call misses: the
-    # cache keeps no entry for it
+    # the cache is bounded; a refused part set raises on every call, and
+    # each call misses: the cache keeps no entry for it
     f = DiagonalForm(coeffs)
     info = quadforms._places_of.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize
     for i in range(1, 4):
         for decide in (candidate_places, isotropic_Q, lambda f: isotropic_quad(f, -7)):
             with pytest.raises(ValueError, match=f"exceeds factorization cap {FACTORIZATION_CAP}$"):

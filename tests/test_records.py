@@ -207,6 +207,9 @@ def test_diagonal_form_converts_each_coefficient_once():
     assert str(g) == "<3,3,1,2>" and str(f) == "<1/2,3,-7>"
     assert f == DiagonalForm.of(half, 3, -7) == DiagonalForm([half, Fraction(3), -7])
     assert DiagonalForm.repeated(3, half).coeffs == (half,) * 3
+    # a tuple of ints is stored as it is
+    ints = (3, -7, 1)
+    assert DiagonalForm(ints).coeffs is ints
 
 
 # Each bad argument and the message the dataclass records raised for it
