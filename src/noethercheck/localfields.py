@@ -108,7 +108,7 @@ class DiagonalForm(Frozen):
         """n*<c>."""
         if n < 1:
             raise ValueError("n must be positive")
-        return cls((_canonical(c),) * n)
+        return cls((c if type(c) is int else _canonical(c),) * n)
 
     @property
     def dim(self) -> int:
