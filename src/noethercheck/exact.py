@@ -248,8 +248,8 @@ def squarefree_part(n: int) -> tuple[int, int]:
     return s, m
 
 
-def exact_rational(x: object, name: str) -> Fraction | int:
-    """x itself when it is an int (bool included, True being 1) or a
+def exact_rational(x: object, name: str) -> Fraction:
+    """x as a Fraction when it is an int (bool included, True being 1) or a
     Fraction. Any other type, float, Decimal, complex and str among them,
     raises a TypeError naming the argument: a float would be read as its
     binary value, and a str parsed. Callers pass an int past this on their
@@ -257,7 +257,7 @@ def exact_rational(x: object, name: str) -> Fraction | int:
     from fractions import Fraction
 
     if isinstance(x, (int, Fraction)):
-        return x
+        return Fraction(x)
     raise TypeError(f"{name} must be an int or a Fraction, not {type(x).__name__}: {x!r}")
 
 
@@ -373,9 +373,7 @@ def is_square(x: Fraction | int, field: FieldDescriptor = QQ) -> bool:
     no Fraction: its denominator is 1.
     """
     if type(x) is not int:
-        from fractions import Fraction
-
-        x = Fraction(exact_rational(x, "x"))
+        x = exact_rational(x, "x")
     return _is_rational_square(x) or (not field.is_rational and _is_rational_square(field.d * x))
 
 

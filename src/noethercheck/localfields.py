@@ -70,7 +70,7 @@ def _canonical(c: Fraction | int) -> Fraction | int:
     type passes exact_rational first, which refuses a float, Decimal,
     complex or str."""
     if type(c) is not Fraction:
-        c = Fraction(exact_rational(c, "coefficient"))
+        c = exact_rational(c, "coefficient")
     return c.numerator if c.denominator == 1 else c
 
 
@@ -136,7 +136,7 @@ def _int_class(x: Fraction | int, name: str = "x") -> int:
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(exact_rational(x, name))
+        x = exact_rational(x, name)
     n, d = x.as_integer_ratio()
     return n * d
 
