@@ -6,9 +6,10 @@ arbitrary-precision int. A stored rational, such as a coefficient of
 localfields.DiagonalForm, takes its canonical exact type: an int when it is
 integral, and a Fraction in lowest terms only otherwise. Nothing here or
 downstream touches floats: a rational argument passes exact_rational,
-which refuses a float, Decimal, complex or str by naming the argument. The
-verdict reads ints only, so fractions is imported inside the functions that
-take rationals, on first use, and is_square builds no Fraction for an int.
+the one helper that puts a rational in that type and refuses a float,
+Decimal, complex or str by naming the argument. The verdict reads ints
+only, so fractions is imported inside exact_rational alone, once it meets
+a number that is not an int.
 """
 
 from __future__ import annotations
@@ -248,17 +249,23 @@ def squarefree_part(n: int) -> tuple[int, int]:
     return s, m
 
 
-def exact_rational(x: object, name: str) -> Fraction:
-    """x as a Fraction when it is an int (bool included, True being 1) or a
-    Fraction. Any other type, float, Decimal, complex and str among them,
-    raises a TypeError naming the argument: a float would be read as its
-    binary value, and a str parsed. Callers pass an int past this on their
-    own fast path."""
+def exact_rational(x: object, name: str) -> Fraction | int:
+    """x in its canonical exact type: an int when it is integral, else a
+    Fraction in lowest terms. An int is returned as it is, with fractions
+    not imported, and a non-integral Fraction is the very object given; a
+    bool or another subclass of int or Fraction goes through Fraction(x)
+    first, so True is 1. Any other type, float, Decimal, complex and str
+    among them, raises a TypeError naming the argument: a float would be
+    read as its binary value, and a str parsed."""
+    if type(x) is int:
+        return x
     from fractions import Fraction
 
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"{name} must be an int or a Fraction, not {type(x).__name__}: {x!r}")
+    if type(x) is not Fraction:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{name} must be an int or a Fraction, not {type(x).__name__}: {x!r}")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def padic_valuation(x: Fraction | int, p: int) -> int:
@@ -372,8 +379,7 @@ def is_square(x: Fraction | int, field: FieldDescriptor = QQ) -> bool:
     isqrt decides without factoring either. An int is read as it is, with
     no Fraction: its denominator is 1.
     """
-    if type(x) is not int:
-        x = exact_rational(x, "x")
+    x = exact_rational(x, "x")
     return _is_rational_square(x) or (not field.is_rational and _is_rational_square(field.d * x))
 
 

@@ -32,18 +32,12 @@ public legendre_symbol checks its p.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import Frozen, exact_rational, is_prime
 
 
 class Place(Frozen):
-    """A place of Q: a finite prime, or the real place (p = None).
-
-    Place(p) is the checked constructor and builds a new record each call;
-    code that asks for the places of many forms takes the one interned
-    Place of each prime from _place instead.
-    """
+    """A place of Q: a finite prime, or the real place (p = None)."""
 
     __slots__ = ("p",)
 
@@ -56,24 +50,6 @@ class Place(Frozen):
 REAL_PLACE = Place(None)
 
 
-@lru_cache(maxsize=1024)
-def _place(p: int) -> Place:
-    """The interned Place(p) of a prime p. A non-prime raises, as Place(p)
-    does, and lru_cache keeps no entry for a call that raised."""
-    return Place(p)
-
-
-def _canonical(c: Fraction | int) -> Fraction | int:
-    """c in its canonical exact type: an int when c is integral, else a
-    Fraction in lowest terms. A non-integral Fraction is returned as it
-    is, since Fraction(c) on one would redo its type checks; any other
-    type passes exact_rational first, which refuses a float, Decimal,
-    complex or str."""
-    if type(c) is not Fraction:
-        c = exact_rational(c, "coefficient")
-    return c.numerator if c.denominator == 1 else c
-
-
 class DiagonalForm(Frozen):
     """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q.
 
@@ -82,8 +58,9 @@ class DiagonalForm(Frozen):
     Fraction(3) both store 3, True stores 1, and Fraction(1, 2) stays a
     Fraction; the value, ==, hash and str of the form are the same either
     way. A tuple of ints is stored as it is, an int coefficient builds no
-    Fraction, and every reader of coeffs takes an int as it is. A float,
-    Decimal, complex or str coefficient is refused with a TypeError.
+    Fraction, and every reader of coeffs takes an int as it is. Any other
+    coefficient passes exact_rational, which refuses a float, Decimal,
+    complex or str with a TypeError.
     """
 
     __slots__ = ("coeffs",)
@@ -92,7 +69,7 @@ class DiagonalForm(Frozen):
         if type(coeffs) is tuple and set(map(type, coeffs)) == {int}:
             cs = coeffs
         else:
-            cs = tuple(c if type(c) is int else _canonical(c) for c in coeffs)
+            cs = tuple(c if type(c) is int else exact_rational(c, "coefficient") for c in coeffs)
         if not cs:
             raise ValueError("a form needs at least one coefficient")
         if 0 in cs:
@@ -108,7 +85,7 @@ class DiagonalForm(Frozen):
         """n*<c>."""
         if n < 1:
             raise ValueError("n must be positive")
-        return cls((c if type(c) is int else _canonical(c),) * n)
+        return cls((c if type(c) is int else exact_rational(c, "coefficient"),) * n)
 
     @property
     def dim(self) -> int:
@@ -131,14 +108,10 @@ def legendre_symbol(a: int, p: int) -> int:
 def _int_class(x: Fraction | int, name: str = "x") -> int:
     """The integer n*d for x = n/d: it differs from x by the square d**2,
     so every symbol below reads the same on it. No factoring is done, and
-    an int is its own class. Any type but int and Fraction passes
-    exact_rational, which names the argument name when it refuses x."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = exact_rational(x, name)
-    n, d = x.as_integer_ratio()
-    return n * d
+    an int is its own class. x passes exact_rational, which names the
+    argument name when it refuses x."""
+    x = exact_rational(x, name)
+    return x.numerator * x.denominator
 
 
 def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: Place) -> int:

@@ -86,6 +86,9 @@ class LocalZeroOracle:
     union of orbits, so _sumset decides membership once per orbit instead
     of once per residue. For odd p the orbits have a closed form (see
     _orbits), so the only residues ever enumerated are the 16 at m = 32.
+    A mask depends only on the residues of its coefficients mod m, so the
+    memos are keyed on those: at most 2*m single and m*(m + 1) pair
+    entries, however many coefficients are asked about.
     """
 
     def __init__(self, p: int):
@@ -101,19 +104,18 @@ class LocalZeroOracle:
         """Values of c*x**2 mod m over x prime to p (prim) or over every x.
         The first is the orbit of c; x = p**k * u adds the orbits of
         c*p**(2k) while p**(2k) < m, and 0 beyond that and at x = 0."""
-        key = (c, prim)
-        out = self._single.get(key)
+        m = self.m
+        r = c % m
+        out = self._single.get((r, prim))
         if out is None:
-            m, p = self.m, self.p
             if prim:
-                r = c % m
                 out = next(orbit for _, orbit in self._orbits() if orbit >> r & 1)
             else:
                 out, q = 1, 1
                 while q < m:
-                    out |= self._single_mask(c * q, True)
-                    q *= p * p
-            self._single[key] = out
+                    out |= self._single_mask(r * q, True)
+                    q *= self.p * self.p
+            self._single[r, prim] = out
         return out
 
     def _orbits(self) -> list[tuple[int, int]]:
@@ -178,6 +180,7 @@ class LocalZeroOracle:
         return out
 
     def _pair_mask(self, c1: int, c2: int, prim: bool) -> int:
+        c1, c2 = c1 % self.m, c2 % self.m
         if c1 > c2:
             c1, c2 = c2, c1
         key = (c1, c2, prim)
@@ -241,15 +244,6 @@ def local_oracle(p: int) -> LocalZeroOracle:
     return LocalZeroOracle(p)
 
 
-# one half of a form at one height: its (value, vector) list in product
-# order and its first-vector table
-_HalfEntry = tuple[list[tuple[int, tuple[int, ...]]], dict[int, tuple[int, ...]]]
-
-# (coefficients, height) -> the entry of that half, shared by the left and
-# right halves of every search
-_WITNESS_TABLES: dict[tuple[tuple[int, ...], int], _HalfEntry] = {}
-
-
 def _half_sums(coeffs: tuple[int, ...], height: int) -> list[tuple[int, tuple[int, ...]]]:
     """(sum of c*x*x, x) for every vector x over [0, height], in the order
     product(range(height + 1), repeat=len(coeffs)) yields them: each
@@ -261,25 +255,25 @@ def _half_sums(coeffs: tuple[int, ...], height: int) -> list[tuple[int, tuple[in
     return sums
 
 
-def _half_table(coeffs: tuple[int, ...], height: int) -> _HalfEntry:
-    """The cache entry of one half at one height: the values of
-    _half_sums in product order, which the search reads as its right
-    half, and the table value -> the first vector over [0, height]
-    attaining it, preferring a nonzero vector when the value is
-    attainable by one, which it reads as its left half. Each entry runs
-    _half_sums once, whichever side asks first."""
-    key = (coeffs, height)
-    entry = _WITNESS_TABLES.get(key)
-    if entry is None:
-        sums = _half_sums(coeffs, height)
-        # written last to first, so the first vector of each value stays
-        table = dict(reversed(sums))
-        for val, vec in sums:
-            if not val and any(vec):
-                table[0] = vec
-                break
-        entry = _WITNESS_TABLES[key] = (sums, table)
-    return entry
+@lru_cache(maxsize=1024)
+def _half_table(
+    coeffs: tuple[int, ...], height: int
+) -> tuple[list[tuple[int, tuple[int, ...]]], dict[int, tuple[int, ...]]]:
+    """One half of a form at one height: the values of _half_sums in
+    product order, which the search reads as its right half, and the
+    table value -> the first vector over [0, height] attaining it,
+    preferring a nonzero vector when the value is attainable by one,
+    which it reads as its left half. Each half runs _half_sums once per
+    height, whichever side asks first, while it stays in the cache; the
+    grid check needs 184 of them."""
+    sums = _half_sums(coeffs, height)
+    # written last to first, so the first vector of each value stays
+    table = dict(reversed(sums))
+    for val, vec in sums:
+        if not val and any(vec):
+            table[0] = vec
+            break
+    return sums, table
 
 
 def isotropy_witness(form: DiagonalForm, height: int) -> tuple[int, ...] | None:
@@ -310,9 +304,9 @@ def _integer_witness(cs: tuple[int, ...], height: int) -> tuple[int, ...] | None
 
 def _witness_at(cs: tuple[int, ...], height: int) -> tuple[int, ...] | None:
     """The meet-in-the-middle search at one height: the table of the left
-    half against the value list of the right one, both from the shared
-    per-half cache of _half_table, so a half that recurs across forms and
-    calls is summed once per height."""
+    half against the value list of the right one, both from the bounded
+    cache of _half_table, so a half that recurs across forms and calls is
+    summed once per height."""
     k = (len(cs) + 1) // 2
     table = _half_table(cs[:k], height)[1]
     for val, vec in _half_table(cs[k:], height)[0]:

@@ -10,10 +10,9 @@ test is skipped. The integer classes of the coefficients are read once per
 form, not once per place (an int coefficient is its own class, so a form
 with integral coefficients builds no Fraction anywhere in the scan). The
 set of distinct numerators and denominators of a form is factored once
-per process per coefficient set, in a bounded cache; a refused part is
-not cached. A prime's place is the one interned Place of
-localfields._place, not a new record per form. No isotropic vectors are
-ever searched for here.
+per process per coefficient set, in a bounded cache that holds the whole
+tuple of its places; a refused part is not cached. No isotropic vectors
+are ever searched for here.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .localfields import (
     REAL_PLACE,
     _int_class,
     _isotropic_at,
-    _place,
     is_local_square,
 )
 
@@ -54,12 +52,12 @@ def candidate_places(f: DiagonalForm) -> tuple[Place, ...]:
 def _places_of(parts: frozenset[int]) -> tuple[Place, ...]:
     """The candidate places of a form whose absolute numerators and
     denominators above 1 are parts: each part factored apart, so the
-    factorization cap applies part by part, and each prime mapped to its
-    one interned Place, sorted, then REAL_PLACE."""
+    factorization cap applies part by part, and the Place of each prime,
+    sorted, then REAL_PLACE."""
     ps = {2}
     for n in parts:
         ps.update(factorize(n))
-    return tuple([_place(p) for p in sorted(ps)]) + (REAL_PLACE,)
+    return tuple([Place(p) for p in sorted(ps)]) + (REAL_PLACE,)
 
 
 def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:

@@ -10,7 +10,7 @@ import pytest
 
 import noethercheck
 from noethercheck import oracles
-from noethercheck.localfields import DiagonalForm
+from noethercheck.localfields import DiagonalForm, Place, local_isotropic
 from noethercheck.oracles import (
     GRID_COEFFS,
     LocalZeroOracle,
@@ -63,6 +63,24 @@ def test_local_oracle_rejects_coefficients_outside_its_domain(coeffs, c):
     assert str(exc.value) == f"the modular oracle at p = 3 needs v_p(c) <= 1, got c = {c}"
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_local_oracle_memos_are_keyed_on_residues(p):
+    # a mask depends only on its coefficients mod m: many coefficients of
+    # a few residues leave the memos within the residues, and every answer
+    # is still the Hilbert symbol criterion's
+    oracle = LocalZeroOracle(p)
+    m = oracle.m
+    rng = random.Random(p)
+    residues = (1, p, m - 1, m - p)
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        cs = [rng.choice((1, -1)) * (rng.choice(residues) + m * rng.randrange(10**6)) for _ in range(dim)]
+        f = DiagonalForm(tuple(cs))
+        assert oracle.has_primitive_zero(f) == local_isotropic(f, Place(p)), f
+    assert len(oracle._single) <= 2 * m
+    assert len(oracle._pair) <= m * m
+
+
 def _check_witness(form, w):
     assert w is not None
     assert any(w)
@@ -97,7 +115,7 @@ def _witness_at_one_height(cs, height):
     return None
 
 
-def test_deepening_witness_search_is_exact():
+def test_deepening_witness_search_is_exact(monkeypatch):
     forms = grid_forms() + [
         DiagonalForm.of(1, 1, 1, -6),
         DiagonalForm.of(1, -1),
@@ -114,9 +132,17 @@ def test_deepening_witness_search_is_exact():
                 assert sum(c * x * x for c, x in zip(f.coeffs, w)) == 0, (f, h, w)
     # every isotropic grid form has a zero with entries up to 7, so a cold
     # check at height 60 stops deepening at 8
-    oracles._WITNESS_TABLES.clear()
+    heights = []
+    real_half_sums = oracles._half_sums
+
+    def recorded(coeffs, height):
+        heights.append(height)
+        return real_half_sums(coeffs, height)
+
+    monkeypatch.setattr(oracles, "_half_sums", recorded)
+    oracles._half_table.cache_clear()
     assert isotropy_grid_check(60) == 1000
-    assert max(height for _, height in oracles._WITNESS_TABLES) <= 8
+    assert heights and max(heights) <= 8
 
 
 def _deepened_reference(cs, height):

@@ -45,7 +45,9 @@ object.__setattr__ or a slot's __set__, the two ways past a record's
 __setattr__, and the records that only hold their fields (GroupFacts,
 Verdict, Catalog) define no __init__ of their own.
 Every functools cache in the package has a finite maxsize, unless its key
-space is finite: UNBOUNDED_CACHES names each exception and why.
+space is finite: UNBOUNDED_CACHES names each exception and why. Nor does
+a module keep a memo of its own: a module-level dict, list or set that a
+function changes is named, with its reason, in MUTABLE_MODULE_STATE.
 The families that the tests and the parity corpus share, in
 tools/families.py, and tools/parity.py itself import nothing from the
 package, so that what they build does not depend on the program they
@@ -181,6 +183,72 @@ UNBOUNDED_CACHES = {
 def test_every_cache_is_bounded_or_has_a_finite_key_space():
     found = {f"{p.stem}.{name}" for p in MODULES for name in _unbounded_caches(_tree(p))}
     assert found == set(UNBOUNDED_CACHES)
+
+
+# the calls that change a list, dict or set in place
+_MUTATORS = {"append", "extend", "update", "setdefault", "add", "pop", "clear"}
+
+
+def _mutated_module_state(tree):
+    """The module-level names bound to a dict, list or set, by display,
+    comprehension or call, that some function in tree changes: by item
+    assignment, a mutating method or +=. A function that binds the name
+    itself, without declaring it global, changes its own local."""
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    state = set()
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, containers) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set")
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            state.update(t.id for t in targets if isinstance(t, ast.Name))
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(fn))
+        declared = {name for n in nodes if isinstance(n, ast.Global) for name in n.names}
+        bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        bound.update(n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+        visible = state - (bound - declared)
+        for n in nodes:
+            if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del)):
+                target = n.value
+            elif isinstance(n, ast.AugAssign):
+                target = n.target
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in _MUTATORS:
+                target = n.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in visible:
+                found.add(target.id)
+    return sorted(found)
+
+
+# the module-level containers that a function changes, each with why it
+# is not a bounded functools cache
+MUTABLE_MODULE_STATE = {
+    "oracles._PRIMES": "a sieve that grows to the square root of the largest input",
+}
+
+
+def test_module_state_is_a_bounded_cache_not_a_hand_rolled_one():
+    found = {f"{p.stem}.{name}" for p in MODULES for name in _mutated_module_state(_tree(p))}
+    assert found == set(MUTABLE_MODULE_STATE)
+
+
+def test_mutated_module_state_is_found():
+    tree = ast.parse(
+        "A = {}\nB = []\nC = set()\nD = {}\nE = []\nF = {}\nG = ()\n"
+        "def f(x):\n    A[x] = 1\n    B.append(x)\n    G[0] = x\n"
+        "def g(D):\n    D[0] = 1\n"
+        "def h():\n    global E\n    E += [1]\n    C.add(1)\n"
+        "class K:\n    def k(self):\n        del F[0]\n"
+    )
+    assert _mutated_module_state(tree) == ["A", "B", "C", "E", "F"]
 
 
 def test_no_unused_module_imports():
