@@ -269,12 +269,11 @@ def exact_rational(x: object, name: str) -> Fraction | int:
 
 
 def padic_valuation(x: Fraction | int, p: int) -> int:
-    """v_p(x) for nonzero rational x and prime p."""
-    from fractions import Fraction
-
+    """v_p(x) for nonzero rational x and prime p. x passes exact_rational,
+    which refuses a float, Decimal, complex or str by naming it."""
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
-    x = Fraction(x)
+    x = exact_rational(x, "x")
     if x == 0:
         raise ValueError("v_p(0) is undefined")
     v = 0

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -117,6 +118,16 @@ def test_padic_valuation_rejects():
         padic_valuation(Fraction(1, 2), 6)
     with pytest.raises(ValueError):
         padic_valuation(0, 2)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.25, Decimal("0.5"), 1j, "9/4", "3"], ids=repr)
+def test_padic_valuation_refuses_inexact_numbers(value):
+    # read through Fraction(x), 0.5 and '9/4' had valuations -1 at 2 and 2
+    # at 3; they are refused by name, as at the form API
+    for p in (2, 3):
+        with pytest.raises(TypeError) as err:
+            padic_valuation(value, p)
+        assert str(err.value) == f"x must be an int or a Fraction, not {type(value).__name__}: {value!r}"
 
 
 def test_parse_ints_reads_what_int_reads():
