@@ -74,8 +74,9 @@ def test_local_oracle_memos_are_keyed_on_residues(p):
     residues = (1, p, m - 1, m - p)
     for _ in range(400):
         dim = rng.randint(1, 4)
-        cs = [rng.choice((1, -1)) * (rng.choice(residues) + m * rng.randrange(10**6)) for _ in range(dim)]
-        f = DiagonalForm(tuple(cs))
+        f = DiagonalForm(tuple(
+            rng.choice((1, -1)) * (rng.choice(residues) + m * rng.randrange(10**6)) for _ in range(dim)
+        ))
         assert oracle.has_primitive_zero(f) == local_isotropic(f, Place(p)), f
     assert len(oracle._single) <= 2 * m
     assert len(oracle._pair) <= m * m

@@ -219,7 +219,9 @@ def _mutated_module_state(tree):
                 target = n.value
             elif isinstance(n, ast.AugAssign):
                 target = n.target
-            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in _MUTATORS:
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                if n.func.attr not in _MUTATORS:
+                    continue
                 target = n.func.value
             else:
                 continue
