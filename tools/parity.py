@@ -26,6 +26,8 @@ below:
   two or three 2-power invariants of order at least 8, over the same
   fields, plain and --json;
 - the cap errors and the usage errors;
+- numerals with a sign, leading zeros, an underscore or non-ASCII digits,
+  in each place a command line holds one;
 - the oracle subcommands at small bounds;
 - 2000 seeded permutation specs, a third of them groups of 2-part 16 on
   16 points or more;
@@ -179,6 +181,13 @@ def corpus(catalog: list[str]) -> list[list[str]]:
         ("catalog:C8", "R"), ("catalog:C8", "Q(sqrt 1_7)"), ("catalog:C8", "Q(sqrt ١٧)"),
     ]
     lines += [_check(g, f) for g, f in bad]
+    numerals = [
+        ("catalog:C8", "Q(sqrt +17)"), ("catalog:C8", "Q(sqrt 0017)"),
+        ("metacyclic:a=008,b=2,c=4,r=7", "Q"), ("metacyclic:a=1_6,b=1,c=0,r=1", "Q"),
+        ("perm:(01 2)", "Q"), ("perm:(1_0 2)", "Q"), ("perm:(١ 2)", "Q"),
+    ]
+    lines += [_check(g, f) for g, f in numerals]
+    lines += [["oracle", "three-squares", "+50"], ["oracle", "three-squares", "1_000"]]
     lines += [
         [], ["check"], ["check", "--group"], ["check", "--group", "catalog:C8"],
         ["check", "--field", "Q"], ["frobnicate"], ["catalog", "extra"], ["oracle"],
