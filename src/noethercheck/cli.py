@@ -9,7 +9,8 @@ Group specs: "catalog:NAME", "perm:(1 2);(1 2 3 4)" (generators separated
 by semicolons, cycles on 1-based points), or "metacyclic:a=8,b=2,c=4,r=7"
 (order a*b up to the metacyclic cap 10**24).
 Fields: "Q" or "Q(sqrt D)" with D a nonsquare integer; D is reduced to its
-squarefree part.
+squarefree part. Each integer of a line, D, a parameter, a point or a bound,
+is a sign and ASCII digits, as exact.parse_ints reads it.
 
 Exit codes for check: 0 when an obstruction fires, 2 when the verdict is
 inconclusive, 1 on bad input. The other subcommands exit 0 on success and
@@ -50,7 +51,7 @@ def parse_field(text: str) -> FieldDescriptor:
     s = text.strip()
     if s == "Q":
         return QQ
-    m = re.fullmatch(r"Q\s*\(\s*sqrt\s*(-?\d+)\s*\)", s)
+    m = re.fullmatch(r"Q\s*\(\s*sqrt\s*([^\s()]+)\s*\)", s)
     if not m:
         raise ValueError(f'bad field (expected "Q" or "Q(sqrt D)"): {text!r}')
     (d,) = parse_ints([m.group(1)], FACTORIZATION_CAP, "radicand", "factorization")
@@ -149,8 +150,8 @@ def cmd_oracle(args) -> int:
     from .oracles import isotropy_grid_check, reciprocity_failures, three_squares_sieve
     from .quadforms import three_squares_nat
 
-    bound = args.bound
     limit = _ORACLE_LIMITS[args.kind]
+    (bound,) = parse_ints([args.bound], limit, f"bound for {args.kind}", "oracle")
     if not 1 <= bound <= limit:
         raise ValueError(f"bound for {args.kind} must be in [1, {limit}]")
     if args.kind == "three-squares":
@@ -205,7 +206,7 @@ def _build_parser():
 
     p_oracle = sub.add_parser("oracle", help="run a self-contained cross-check")
     p_oracle.add_argument("kind", choices=tuple(_ORACLE_LIMITS))
-    p_oracle.add_argument("bound", type=int)
+    p_oracle.add_argument("bound")
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser

@@ -210,29 +210,27 @@ def is_prime(n: int) -> bool:
 
 
 def parse_ints(texts: list[str], cap: int, what: str, cap_name: str) -> list[int]:
-    """int() of each numeral of an input bounded by cap. A numeral whose
-    significant digits outnumber cap's is refused first, by naming the cap:
-    int() would refuse one of more than sys.get_int_max_str_digits() digits,
-    leading zeros counted, by naming that setting, and with the limit off
-    take quadratic time. Leading zeros are dropped before int() runs. A
-    text int() refuses is refused by naming what it should have been."""
+    """The integers that numerals of an input bounded by cap write: the
+    one reader of a command-line integer. After strip(), a numeral is an
+    optional + or - and one or more ASCII digits 0-9; anything else, an
+    underscore, a non-ASCII digit or an inner space among them, is refused
+    by naming what it should have been. A numeral whose significant digits
+    outnumber cap's is refused by naming the cap, so int() reads only
+    short ASCII digit strings; leading zeros are not counted."""
     width = len(str(cap))
     out = []
     for text in texts:
         numeral = text
-        if len(text) > width:
+        if len(text) > width or not (text.isascii() and text.isdigit()):
             body = text.strip()
-            sign = body[:1] if body[:1] in ("+", "-") else ""
-            rest = body[len(sign):]
-            digits = rest.lstrip("0")
-            if (n := len(digits) - digits.count("_")) > width:
-                raise ValueError(f"{what} of {n} digits exceeds {cap_name} cap {cap}")
-            if digits != rest:
-                numeral = sign + "0" + digits
-        try:
-            out.append(int(numeral))
-        except ValueError:
-            raise ValueError(f"{what} is not an integer: {text!r}") from None
+            digits = body[1:] if body[:1] in ("+", "-") else body
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"{what} is not an integer: {text!r}")
+            significant = digits.lstrip("0") or "0"
+            if len(significant) > width:
+                raise ValueError(f"{what} of {len(significant)} digits exceeds {cap_name} cap {cap}")
+            numeral = body[: len(body) - len(digits)] + significant
+        out.append(int(numeral))
     return out
 
 

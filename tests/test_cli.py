@@ -56,9 +56,11 @@ def test_parse_field():
     assert parse_field("Q(sqrt 8)").d == 2
     assert parse_field("Q( sqrt -4 )").d == -1
     assert str(parse_field("Q(sqrt 12)")) == "Q(sqrt 3)"
-    for bad in ("q", "Q[sqrt 2]", "Q(sqrt x)", "Q(sqrt 2", "", "Q()"):
+    for bad in ("q", "Q[sqrt 2]", "Q(sqrt 2", "", "Q()"):
         with pytest.raises(ValueError, match="bad field"):
             parse_field(bad)
+    with pytest.raises(ValueError, match="^radicand is not an integer: 'x'$"):
+        parse_field("Q(sqrt x)")
 
 
 def test_parse_field_returns_the_same_descriptor_for_a_repeated_text():

@@ -131,12 +131,13 @@ def test_padic_valuation_refuses_inexact_numbers(value):
 
 
 def test_parse_ints_reads_what_int_reads():
-    texts = ["0", "-0", "7", " +12 ", "-999", "1_000", "0_1", "0007", "-000", "\u0661\u0662"]
+    texts = ["0", "-0", "7", " +12 ", "-999", "0007", "-000"]
     assert parse_ints(texts, 1000, "x", "test") == [int(t) for t in texts]
     assert parse_ints([], 1000, "x", "test") == []
     # past the cap's length, leading zeros are dropped before int() reads it
-    assert parse_ints(["0" * 5000 + "1_0", " -0000012 "], 1000, "x", "test") == [10, -12]
-    for text in ("", "-", "1.5", "_1", "1__0", "0x10", "+-1", "0" * 10 + "x", "00000__1", "1e3"):
+    assert parse_ints(["0" * 5000 + "10", " -0000012 "], 1000, "x", "test") == [10, -12]
+    for text in ("", "-", "1.5", "_1", "1__0", "0x10", "+-1", "0" * 10 + "x", "00000__1", "1e3",
+                 "1_000", "0_1", "\u0661\u0662"):
         with pytest.raises(ValueError) as err:
             parse_ints(["1", text], 1000, "x", "test")
         # the field is named, with the text as given, leading zeros and all
@@ -147,7 +148,7 @@ def test_parse_ints_refuses_more_digits_than_the_cap_by_naming_it():
     # numerals of the cap's own length pass through to int(); the value
     # check against the cap is the caller's
     assert parse_ints(["9999", "-" + "0" * 5000 + "12"], 1000, "x", "test") == [9999, -12]
-    assert parse_ints(["1_000_000"], 10**6, "x", "test") == [10**6]
+    assert parse_ints(["1000000"], 10**6, "x", "test") == [10**6]
     for text, n in (("10000", 5), ("-10000", 5), ("0010000", 5), ("9" * 5000, 5000)):
         with pytest.raises(ValueError, match=f"^x of {n} digits exceeds test cap 1000$"):
             parse_ints(["1", text], 1000, "x", "test")
