@@ -7,8 +7,8 @@ Q16. A metacyclic presentation gives them from its parameters without
 enumerating the group: the invariants are (h*b/d, d) without 1s, for
 h = gcd(a, r - 1) and d = gcd(h, c, b), and so is the Q16 answer, which
 needs the 2-part 16 and then a 2-part 8 of a and two congruences on c and
-r. A permutation spec with one generator is the cyclic presentation
-of the lcm of its cycle lengths. A spec whose generators' cycles prove it
+r. A permutation spec with one generator is cyclic, of order the lcm
+of its cycle lengths. A spec whose generators' cycles prove it
 S_n or A_n, n >= 5, on its one moved orbit is answered in closed form, as
 _giant_facts describes: a power of one generator is a p-cycle, and either
 n/2 < p <= n - 3, which makes G primitive and so a giant by Jordan's
@@ -568,16 +568,16 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     """The facts of a permutation group from a stabilizer chain, with no
     element of G listed.
 
-    One generator of order m generates C_m, which _metacyclic_facts answers
-    without the chain's O(degree**2) work on a long cycle. The cycles of
-    the generators are listed once, for _giant_facts and _abelian_index
-    both: when they prove G to be S_n or A_n, _giant_facts gives the facts
-    in closed form and no chain is built, and it refuses with the chain's
-    own error an input whose chain would pass the chain cap. Otherwise the
-    order is that of the chain and the invariants come from the chain for
-    G', grown by the p-power series of G/G'. When the 2-part of |G| is 16
-    and |G| is within CLOSURE_CAP, the Q16 test walks the image of G on one
-    orbit.
+    One generator generates C_m, for m the lcm of its cycle lengths, under
+    1700 digits by Landau's bound, and needs no chain and no cap. The
+    cycles of the generators are listed once, for _giant_facts and
+    _abelian_index both: when they prove G to be S_n or A_n, _giant_facts
+    gives the facts in closed form and no chain is built, and it refuses
+    with the chain's own error an input whose chain would pass the chain
+    cap. Otherwise the order is that of the chain and the invariants come
+    from the chain for G', grown by the p-power series of G/G'. When the
+    2-part of |G| is 16 and |G| is within CLOSURE_CAP, the Q16 test walks
+    the image of G on one orbit.
 
     The orbit is the first of 16 or more points on which the image keeps
     the 2-part 16, and if none does, no 2-Sylow subgroup P is Q16: every
@@ -588,7 +588,7 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     2-Sylow subgroup of the image."""
     if len(pg.generators) == 1:
         m = lcm(*map(len, _cycles(pg.generators[0])))
-        return _metacyclic_facts(Metacyclic(m, 1, 0, 1 % m))
+        return GroupFacts(m, (m,) if m > 1 else (), m & -m, False)
     moved = _moved_orbits(pg)
     cycles = [list(_cycles(g)) for g in pg.generators]
     giant = _giant_facts(pg, moved, cycles)

@@ -25,7 +25,8 @@ below:
 - four products of cyclic 2-groups on disjoint points, three of them with
   two or three 2-power invariants of order at least 8, over the same
   fields, plain and --json;
-- the cap errors and the usage errors;
+- the cap errors and the usage errors, and one generator of an order past
+  the metacyclic cap;
 - numerals with a sign, leading zeros, an underscore or non-ASCII digits,
   in each place a command line holds one;
 - the oracle subcommands at small bounds;
@@ -167,6 +168,9 @@ def corpus(catalog: list[str]) -> list[list[str]]:
         "metacyclic:a=1000000000000,b=1000000000001,c=0,r=1",  # the metacyclic cap
         "metacyclic:a=" + "9" * 30 + ",b=1,c=0,r=1",
         "perm:(1 " + "9" * 30 + ")",
+        # one generator of the prime orders up to 71, of order about 5.6 * 10**26,
+        # which no metacyclic cap bounds
+        perm_spec(["".join(cyclic_product(p for p in range(2, 72) if all(p % q for q in range(2, p))))]),
     ]
     lines += [_check(spec, "Q") for spec in caps]
     for radicand in ("1000000000000000000000001", "7" * 40):  # the factorization cap
