@@ -9,8 +9,9 @@ takes a number of stored orbit points. It imports nothing from the
 package. Each orbit point stores one element, its coset representative,
 and walk lists the products of those, so it serves a chain that grow built
 as well as one that add built. A level keeps, per orbit point, the number
-of its generators already paired with that point, and nothing else of the
-work done: a Schreier pass starts at the first orbit point each time.
+of its generators already paired with that point, and the inverse of a
+representative from its second use on, and nothing else of the work done:
+a Schreier pass starts at the first orbit point each time.
 
 An element is the sequence of its point images, in the form _perm picks
 from the degree: bytes up to degree 256, so that bytes.translate composes
@@ -29,9 +30,10 @@ from operator import itemgetter
 # A stabilizer chain stores one element of degree point images per orbit
 # point of each level, but counts 2*degree images for each, as it did when it
 # stored each representative's inverse too, so that every refusal stays as it
-# was; it stops once that count would pass 10**7, about 40 MB of tuple slots,
-# or 5 MB as bytes, which it counts alike. Only this module knows that count:
-# groups passes _check_chain_cap a number of orbit points.
+# was, and an inverse a level keeps stays inside those 2*degree images; it
+# stops once that count would pass 10**7, about 40 MB of tuple slots, or 5 MB
+# as bytes, which it counts alike. Only this module knows that count: groups
+# passes _check_chain_cap a number of orbit points.
 CHAIN_CAP = 10**7
 
 # On a 2-CPU VM with Python 3.11, composing two elements of 80 points takes
@@ -90,9 +92,11 @@ class _Level:
     orbit point x the one element stored for it, the coset representative
     reps[x] that sends x to the base point, in the orbit's order. The
     Schreier generators pairing orbit[i] with gens[:tested[i]] have been
-    sifted, so a point is done with once tested[i] == len(gens)."""
+    sifted, so a point is done with once tested[i] == len(gens). inverses
+    marks, with None, each point whose representative was inverted once,
+    and holds the inverse of each inverted again."""
 
-    __slots__ = ("base", "gens", "orbit", "reps", "tested")
+    __slots__ = ("base", "gens", "orbit", "reps", "tested", "inverses")
 
     def __init__(self, base: int) -> None:
         self.base = base
@@ -100,6 +104,7 @@ class _Level:
         self.orbit: list[int] = []
         self.reps: dict[int, _Perm] = {}
         self.tested: list[int] = []
+        self.inverses: dict[int, _Perm | None] = {}
 
 
 class StabilizerChain:
@@ -336,12 +341,16 @@ class StabilizerChain:
                 # the Schreier generator rx**-1 * s * rep fixes the base
                 # point; it is the identity, with s * rep = rx, on the
                 # orbit's tree edges, and rx's inverse is made only when a
-                # generator is not
+                # generator is not. It is kept from its second use on, as
+                # later passes revisit x; kept from its first, it would
+                # double the peak of a chain that inverts each point once
                 sr = _perm_compose(s, rep)
                 if sr == rx:
                     continue
                 if rx_inv is None:
-                    rx_inv = _perm_inverse(rx)
+                    kept = lev.inverses
+                    rx_inv = kept.get(x) or _perm_inverse(rx)
+                    kept[x] = rx_inv if x in kept else None
                 h, j = self._sift(_perm_compose(rx_inv, sr), i + 1)
                 if h is not None:
                     return h, j

@@ -9,7 +9,8 @@ extends past it to the order and membership of the larger group. The chain
 stores one coset representative per orbit point, and a walk lists the
 products of those, whichever of add and grow built the chain. And the
 chain's product and inverse against their definitions on either side of
-degree 256."""
+degree 256. And a level inverts each representative at most twice: once,
+and once more to keep the inverse for the passes that revisit its point."""
 
 import random
 
@@ -131,3 +132,24 @@ def test_product_and_inverse_meet_their_definitions(pair):
     assert type(_perm_inverse(P)) is type(P) and tuple(_perm_inverse(P)) == tuple(inverse)
     # tuples of any degree compose and invert as tuples
     assert _perm_compose(p, q) == product and _perm_inverse(p) == tuple(inverse)
+
+
+def test_disjoint_transpositions_invert_each_representative_at_most_twice(monkeypatch):
+    # each new transposition joins the generators of every level above the
+    # one it moves, so each later Schreier pass revisits the points there;
+    # one inverse per visit made about k**2 / 2 of them
+    from noethercheck import chain, groups
+
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return _perm_inverse(p)
+
+    monkeypatch.setattr(chain, "_perm_inverse", counted)
+    monkeypatch.setattr(groups, "_perm_inverse", counted)
+    k = 129  # on 258 points, so the elements are tuples
+    pg = PermGens.from_cycles(*(f"({2 * i + 1} {2 * i + 2})" for i in range(k)))
+    facts = groups._perm_facts(pg)
+    assert (facts.order, facts.abelian_invariants) == (2**k, (2,) * k)
+    assert len(calls) <= 4 * k
