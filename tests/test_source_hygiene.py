@@ -30,7 +30,10 @@ subcommand or the first use of the form API, which the package serves on
 demand. Nor does a check over Q sieve the primes that factorize splits off
 large inputs.
 Neither groups nor chain imports re or random: the chains are
-deterministic, and groups parses the catalog names by hand.
+deterministic, and groups parses the catalog names by hand. And cli and
+groups read every integer of a command line through exact.parse_ints, the
+one numeral grammar: neither calls int, passes int to a call, as
+argparse's type=int does, or writes a \\d pattern.
 The stabilizer chain is a leaf module, chain, that imports nothing from
 the package. groups reaches it through its interface only, reading none of
 its levels, fields or private methods; that interface is the constructor,
@@ -411,6 +414,31 @@ def test_groups_imports_neither_re_nor_random():
         assert _top_level_imports(_tree(PACKAGE / name)) & {"re", "random"} == set(), name
 
 
+def _numeral_readers(tree):
+    """Where tree reads an integer from text by a rule of its own: a call
+    of int, int passed to a call other than a type test, or a string
+    holding the class \\d."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func.id if isinstance(node.func, ast.Name) else None
+            if func == "int":
+                out.append((node.lineno, "int()"))
+            if func in ("isinstance", "issubclass"):
+                continue
+            for arg in [*node.args, *(k.value for k in node.keywords)]:
+                if isinstance(arg, ast.Name) and arg.id == "int":
+                    out.append((node.lineno, "int passed"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "\\d" in node.value:
+            out.append((node.lineno, "\\d"))
+    return [f"{what} (line {line})" for line, what in sorted(out)]
+
+
+def test_cli_and_groups_read_numerals_through_parse_ints():
+    for name in ("cli.py", "groups.py"):
+        assert _numeral_readers(_tree(PACKAGE / name)) == [], name
+
+
 def test_no_module_imports_dataclasses_or_typing():
     problems = {
         p.name: sorted(found)
@@ -602,6 +630,13 @@ def test_checks_catch_what_they_claim():
     )
     assert _unused_imports(tree) == ["Fraction (line 2)", "z (line 3)"]
     assert _float_uses(tree) == ["math.inf (line 4)", "float() (line 5)", "literal 0.5 (line 6)"]
+    tree = ast.parse(
+        "a = int('1')\nb = p.add_argument('n', type=int)\nc = list(map(int, x))\n"
+        "d = r'-?\\d+'\ne: int = len(x)\nf = isinstance(e, int)\n"
+    )
+    assert _numeral_readers(tree) == [
+        "int() (line 1)", "int passed (line 2)", "int passed (line 3)", "\\d (line 4)"
+    ]
     tree = ast.parse(
         "import random\nfrom .exact import QQ\nfrom . import quadforms\nimport noethercheck.oracles\n"
         "from noethercheck import cli\ndef f():\n    from noethercheck.localfields import Place\n"
