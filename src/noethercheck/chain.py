@@ -348,9 +348,8 @@ class StabilizerChain:
                 if sr == rx:
                     continue
                 if rx_inv is None:
-                    kept = lev.inverses
-                    rx_inv = kept.get(x) or _perm_inverse(rx)
-                    kept[x] = rx_inv if x in kept else None
+                    rx_inv = lev.inverses.get(x) or _perm_inverse(rx)
+                    lev.inverses[x] = rx_inv if x in lev.inverses else None
                 h, j = self._sift(_perm_compose(rx_inv, sr), i + 1)
                 if h is not None:
                     return h, j

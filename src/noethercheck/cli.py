@@ -10,7 +10,7 @@ by semicolons, cycles on 1-based points), or "metacyclic:a=8,b=2,c=4,r=7"
 (order a*b up to the metacyclic cap 10**24).
 Fields: "Q" or "Q(sqrt D)" with D a nonsquare integer; D is reduced to its
 squarefree part. Each integer of a line, D, a parameter, a point or a bound,
-is a sign and ASCII digits, as exact.parse_ints reads it.
+is an optional sign and ASCII digits, as exact.parse_ints reads it.
 
 Exit codes for check: 0 when an obstruction fires, 2 when the verdict is
 inconclusive, 1 on bad input. The other subcommands exit 0 on success and

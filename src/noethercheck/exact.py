@@ -210,7 +210,7 @@ def is_prime(n: int) -> bool:
 
 
 def parse_ints(texts: list[str], cap: int, what: str, cap_name: str) -> list[int]:
-    """The integers that numerals of an input bounded by cap write: the
+    """The integer each numeral writes, for an input bounded by cap: the
     one reader of a command-line integer. After strip(), a numeral is an
     optional + or - and one or more ASCII digits 0-9; anything else, an
     underscore, a non-ASCII digit or an inner space among them, is refused
