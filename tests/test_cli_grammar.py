@@ -66,12 +66,14 @@ def _cycles(draw, degree: int) -> list:
     perm = draw(st.permutations(range(degree)))
     seen, out = set(), []
     for start in range(degree):
+        if start in seen:
+            continue
         cycle, x = [], start
         while x not in seen:
             seen.add(x)
             cycle.append(("point", x + 1))
             x = perm[x]
-        if len(cycle) > 1 or cycle and draw(st.integers(0, 3)) == 0:
+        if len(cycle) > 1 or draw(st.integers(0, 3)) == 0:
             out += ["(", *(part for p in cycle for part in (p, " "))][:-1] + [")"]
     return out or ["()"]
 
