@@ -15,16 +15,18 @@ n/2 < p <= n - 3, which makes G primitive and so a giant by Jordan's
 theorem, or p is 2 or 3 and the smallest block holding the cycle is the
 orbit, which makes the normal closure of the cycle transitive. Any other
 permutation spec is answered from stabilizer chains of the chain module:
-the order is the product of the orbit lengths of a chain for G, and the
-invariants come from a chain for the derived subgroup G', grown as
-_derived_subgroup describes, which then grows in place by the p-power
-series of G/G', one prime p at a time, the order it gains at each step
-counting the invariant factors divisible by a power of p. Only when the
-2-part of |G| is 16, and |G| is within CLOSURE_CAP, are elements walked
-for the Q16 test, and then only those of the image of G on one orbit: a
-Sylow Q16 has a regular orbit inside some orbit of G, and on any orbit
-where the image keeps the 2-part 16 the 2-Sylow subgroups map
-isomorphically. Every catalog group is one of these
+the order is the product of the orbit lengths of a chain for G. When the
+orbits show no abelian quotient and the orders of a few fixed words in the
+generators prove G perfect, as _proved_perfect describes, the invariants
+are () and no other chain is built. Otherwise they come from a chain for
+the derived subgroup G', grown as _derived_subgroup describes, which then
+grows in place by the p-power series of G/G', one prime p at a time, the
+order it gains at each step counting the invariant factors divisible by a
+power of p. Only when the 2-part of |G| is 16, and |G| is within
+CLOSURE_CAP, are elements walked for the Q16 test, and then only those of
+the image of G on one orbit: a Sylow Q16 has a regular orbit inside some
+orbit of G, and on any orbit where the image keeps the 2-part 16 the
+2-Sylow subgroups map isomorphically. Every catalog group is one of these
 two kinds of spec.
 
 The multiplication tables the facts are tested against live in oracles,
@@ -333,6 +335,76 @@ def _abelian_index(
     return out
 
 
+def _order_prime_to(w: _Perm, p: int) -> bool:
+    """Is the order of w, the lcm of its cycle lengths, prime to p? Read off
+    one scan of its cycles, with no power of w taken."""
+    return all(len(cycle) % p for cycle in _cycles(w))
+
+
+def _proved_perfect(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> bool:
+    """True if the orders of a few fixed words in gens prove G = G', for the
+    generators gens in the chain's form and cycles, those of each generator
+    as _cycles lists them; False if no proof is found, which proves nothing.
+
+    Write A = G/G' additively, A_p for its p-part and S_p for the
+    generators whose order the prime p divides.
+    - A generator outside S_p has order prime to p, so it maps to 0 in A_p.
+    - So the image of a word in A_p/pA_p depends only on its exponent sums
+      mod p in the generators of S_p. Take g_i in S_p and a word c whose
+      exponent sum is 0 (mod p) in every generator of S_p: then g_i*c and
+      g_i have the same image in A_p/pA_p.
+    - If g_i*c has order prime to p, that image is 0.
+    - If a witness c exists for every g_i in S_p, the images of the
+      generators, which generate A_p/pA_p, are all 0: A_p = pA_p, so A_p =
+      0 for the finite p-group A_p.
+    - If that holds for every prime of every generator's order, A = 1. A
+      prime that divides no generator's order gives A_p = 0 at once.
+    The candidates for c are fixed and tried lazily, the cheapest first,
+    and each is composed at most once:
+    - g_j and g_j**-1 for each g_j outside S_p;
+    - the commutators g_j**-1 * g_k**-1 * g_j * g_k of the cyclically
+      adjacent generators, k = j + 1 (mod the number of generators);
+    - g_j**p for each g_j in S_p.
+    Those with j = i are skipped: g_i times its commutator with g_k is
+    g_k**-1 * g_i * g_k, and g_i**(p + 1) has the p-part of g_i's order."""
+    n = len(gens)
+    lengths = [{len(cycle) for cycle in cs} for cs in cycles]
+    primes = sorted({p for ms in lengths for m in ms for p in factorize(m)})
+    made: dict[tuple[str, int, int], _Perm] = {}
+
+    def cached(key: tuple[str, int, int], make) -> _Perm:
+        if key not in made:
+            made[key] = make()
+        return made[key]
+
+    def inverse(j: int) -> _Perm:
+        return cached(("inverse", j, 0), lambda: _perm_inverse(gens[j]))
+
+    def candidates(i: int, p: int, in_p: list[bool]):
+        for j in range(n):
+            if not in_p[j]:
+                yield gens[j]
+                yield inverse(j)
+        for j in range(n):
+            if j != i:
+                k = (j + 1) % n
+                yield cached(
+                    ("commutator", j, 0),
+                    lambda: reduce(_perm_compose, (inverse(j), inverse(k), gens[j], gens[k])),
+                )
+        for j in range(n):
+            if in_p[j] and j != i:
+                yield cached(("power", j, p), lambda: _perm_power(gens[j], p))
+
+    for p in primes:
+        in_p = [any(m % p == 0 for m in ms) for ms in lengths]
+        for i in compress(range(n), in_p):
+            words = candidates(i, p, in_p)
+            if not any(_order_prime_to(_perm_compose(gens[i], c), p) for c in words):
+                return False
+    return True
+
+
 def _block_is_orbit(gens: tuple[tuple[int, ...], ...], points: list[int], n: int) -> bool:
     """Is the smallest block of the group of gens that holds points its
     whole orbit, of n points? Atkinson's union-find: the points are merged
@@ -574,10 +646,13 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     _abelian_index both: when they prove G to be S_n or A_n, _giant_facts
     gives the facts in closed form and no chain is built, and it refuses
     with the chain's own error an input whose chain would pass the chain
-    cap. Otherwise the order is that of the chain and the invariants come
-    from the chain for G', grown by the p-power series of G/G'. When the
-    2-part of |G| is 16 and |G| is within CLOSURE_CAP, the Q16 test walks
-    the image of G on one orbit.
+    cap. Otherwise the order is that of the chain. When _abelian_index
+    reads 1, which it does for every perfect group since it divides
+    |G/G'|, and _proved_perfect finds its witnesses, the invariants are ()
+    and no chain for G' is built; else they come from the chain for G',
+    grown by the p-power series of G/G'. When the 2-part of |G| is 16 and
+    |G| is within CLOSURE_CAP, the Q16 test walks the image of G on one
+    orbit.
 
     The orbit is the first of 16 or more points on which the image keeps
     the 2-part 16, and if none does, no 2-Sylow subgroup P is Q16: every
@@ -608,10 +683,13 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
         )
     H = _sylow2_image(pg, moved, G) if two_part == 16 else None
     q16 = H is not None and _q16_search(H)
+    index = _abelian_index(pg, moved, cycles)
+    if index == 1 and _proved_perfect(gens, cycles):
+        return GroupFacts(order, (), two_part, q16)
     # the primes of |G| are those of its orbit lengths, all at most degree
     primes = sorted({p for n in G.orbit_lengths() for p in factorize(n)})
     del G
-    K = _derived_subgroup(gens, order // _abelian_index(pg, moved, cycles))
+    K = _derived_subgroup(gens, order // index)
     invariants = _chain_invariants(gens, order, primes, K)
     return GroupFacts(order, invariants, two_part, q16)
 

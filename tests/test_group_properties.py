@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noethercheck import groups
+from noethercheck.chain import _perm
 from noethercheck.exact import factorize
 from noethercheck.galois import verdict
 from noethercheck.groups import (
@@ -177,6 +178,16 @@ def test_permutation_facts_match_table(spec):
     # one generator goes through the cyclic presentation, more through the
     # stabilizer chain; both against the closure's relators and 2-Sylow
     assert group_facts(spec) == _table_facts(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_specs(min_gens=1))
+def test_proved_perfect_groups_are_perfect_in_the_table(spec):
+    # the proof from element orders, run with or without the gate that
+    # _perm_facts puts before it, against the closure's relators
+    cycles = [list(groups._cycles(g)) for g in spec.generators]
+    if groups._proved_perfect(tuple(map(_perm, spec.generators)), cycles):
+        assert abelian_invariants_by_relators(build_group(spec)) == ()
 
 
 def _random_perm_gens(rng, degree):

@@ -5,11 +5,12 @@ tree and, optionally, in a revision.
 
 Runs group_facts, in one fresh interpreter per tree as tools/parity.py
 does, on every distinct perm: spec of parity's corpus and on
-catalog:SL2_7 and catalog:SL2_9, and counts four kinds of work for each:
+catalog:SL2_7 and catalog:SL2_9, and counts five kinds of work for each:
 compositions (chain._perm_compose, and the name groups imported), inverses
-(chain._perm_inverse, likewise), sifts (StabilizerChain._sift) and
-Schreier passes (StabilizerChain._schreier_residue). A spec refused with
-an error counts the work done before it. Prints the four totals, the
+(chain._perm_inverse, likewise), sifts (StabilizerChain._sift), Schreier
+passes (StabilizerChain._schreier_residue) and chains (constructions of a
+StabilizerChain). A spec refused with an error counts the work done
+before it. Prints the five totals, the
 counts of each catalog SL2 and of each group of TRAPS, and one SHA-256
 over the facts, or the errors, of every spec.
 
@@ -31,7 +32,7 @@ from pathlib import Path
 from families import TRAPS, perm_spec
 from parity import ROOT, _run, corpus, export
 
-KINDS = ("compositions", "inverses", "sifts", "schreier passes")
+KINDS = ("compositions", "inverses", "sifts", "schreier passes", "chains")
 CATALOG = ("catalog:SL2_7", "catalog:SL2_9")
 
 # Runs in the child: argv[1] is the src/ directory to import from, argv[2]
@@ -42,7 +43,7 @@ sys.path.insert(0, sys.argv[1])
 from noethercheck import chain, cli, groups
 if not chain.__file__.startswith(sys.argv[1]):
     sys.exit(f"imported {chain.__file__}, not from {sys.argv[1]}")
-counts = [0, 0, 0, 0]
+counts = [0, 0, 0, 0, 0]
 
 def counted(kind, f):
     def wrapped(*args, **kwargs):
@@ -55,6 +56,7 @@ chain._perm_inverse = groups._perm_inverse = counted(1, chain._perm_inverse)
 Chain = chain.StabilizerChain
 Chain._sift = counted(2, Chain._sift)
 Chain._schreier_residue = counted(3, Chain._schreier_residue)
+Chain.__init__ = counted(4, Chain.__init__)
 with open(sys.argv[2], encoding="utf-8") as specs, open(sys.argv[3], "w", encoding="utf-8") as out:
     for line in specs:
         spec = json.loads(line)

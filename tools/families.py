@@ -111,6 +111,28 @@ def giants(n: int) -> dict[str, list[str]]:
     }
 
 
+def sl2(p: int) -> list[str]:
+    """SL2(p), for an odd prime p, on the p**2 - 1 nonzero column vectors
+    (x, y) of F_p**2, the vector (x, y) the point x + p*y: the cycles of
+    [[1, 1], [0, 1]], (x, y) -> (x + y, y), and of [[0, -1], [1, 0]],
+    (x, y) -> (-y, x)."""
+    vectors = [(x, y) for y in range(p) for x in range(p)][1:]  # point k is vectors[k - 1]
+    return [
+        cycle_string([(u % p) + p * (v % p) - 1 for u, v in (move(x, y) for x, y in vectors)])
+        for move in (lambda x, y: (x + y, y), lambda x, y: (-y, x))
+    ]
+
+
+def sl2_facts(p: int) -> tuple[int, tuple[int, ...], int, bool]:
+    """The order, abelian invariants, 2-part of the order and Q16 answer of
+    SL2(p), p an odd prime: order p(p**2 - 1); perfect for p >= 5, and
+    SL2(3) = Q8 : C3 has abelianization C3; the 2-part that of p**2 - 1;
+    and its 2-Sylow subgroup is generalized quaternion of order the 2-part
+    of p**2 - 1, so Q16 iff that is 16, iff p = 7 or 9 (mod 16)."""
+    order = p * (p * p - 1)
+    return order, (3,) if p == 3 else (), order & -order, p % 16 in (7, 9)
+
+
 # each with a generator one of whose powers is a prime cycle, and none of
 # them S_n or A_n, with its order: PSL(2,7) on the 8 points of the
 # projective line (a 7-cycle, p = n - 1), PSL(2,5) on 6 points (p = n - 1),
