@@ -7,13 +7,14 @@ Q16. A metacyclic presentation gives them from its parameters without
 enumerating the group: the invariants are (h*b/d, d) without 1s, for
 h = gcd(a, r - 1) and d = gcd(h, c, b), and so is the Q16 answer, which
 needs the 2-part 16 and then a 2-part 8 of a and two congruences on c and
-r. A permutation spec with one generator is cyclic, of order the lcm
-of its cycle lengths. A spec whose generators' cycles prove it
-S_n or A_n, n >= 5, on its one moved orbit is answered in closed form, as
-_giant_facts describes: a power of one generator is a p-cycle, and either
-n/2 < p <= n - 3, which makes G primitive and so a giant by Jordan's
-theorem, or p is 2 or 3 and the smallest block holding the cycle is the
-orbit, which makes the normal closure of the cycle transitive. Any other
+r. A permutation spec is read from its distinct generators other than
+the identity; with one, it is cyclic, of order the lcm of its cycle
+lengths. A spec whose generators' cycles prove it S_n or A_n, n >= 5, on
+its one moved orbit is answered in closed form, as _giant_facts
+describes: a power of one generator is a p-cycle, and either n/2 < p <=
+n - 3, which makes G primitive and so a giant by Jordan's theorem, or p
+is 2 or 3 and the smallest block holding the cycle is the orbit, which
+makes the normal closure of the cycle transitive. Any other
 permutation spec is answered from stabilizer chains of the chain module:
 the order is the product of the orbit lengths of a chain for G. When the
 orbits show no abelian quotient and the orders of a few fixed words in the
@@ -640,8 +641,10 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     """The facts of a permutation group from a stabilizer chain, with no
     element of G listed.
 
-    One generator generates C_m, for m the lcm of its cycle lengths, under
-    1700 digits by Landau's bound, and needs no chain and no cap. The
+    G is read from its distinct generators other than the identity, in
+    the order first given. One such generator generates C_m, for m the lcm
+    of its cycle lengths, under 1700 digits by Landau's bound, and needs
+    no chain and no cap; with none, G = 1. The
     cycles of the generators are listed once, for _giant_facts and
     _abelian_index both: when they prove G to be S_n or A_n, _giant_facts
     gives the facts in closed form and no chain is built, and it refuses
@@ -661,9 +664,13 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     gives that orbit 16 points or more. On any orbit where the image keeps
     the 2-part 16 the kernel has odd order, so P maps isomorphically onto a
     2-Sylow subgroup of the image."""
-    if len(pg.generators) == 1:
-        m = lcm(*map(len, _cycles(pg.generators[0])))
+    identity = tuple(range(pg.degree))
+    distinct = tuple(dict.fromkeys(g for g in pg.generators if g != identity))
+    if len(distinct) <= 1:
+        m = lcm(*map(len, _cycles(distinct[0]))) if distinct else 1
         return GroupFacts(m, (m,) if m > 1 else (), m & -m, False)
+    if distinct != pg.generators:
+        pg = PermGens(pg.degree, distinct)
     moved = _moved_orbits(pg)
     cycles = [list(_cycles(g)) for g in pg.generators]
     giant = _giant_facts(pg, moved, cycles)

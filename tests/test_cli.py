@@ -673,13 +673,29 @@ def test_check_single_generator_above_metacyclic_cap_is_answered(capsys):
                           "--field", "Q")
     assert (code, err) == (2, "")
     assert facts(out) == (f"{m})", f"abelian invariants: ({m})", "2-Sylow: order 2, Q16 = no")
-    # given twice, the generator goes through the chain, which refuses the
-    # 4227 points above at its cap but answers the primes up to 71
-    g = "".join(cyclic_product([p for p in primes if p <= 71]))
+    # beside its inverse, written as the reversed cycles, the generator goes
+    # through the chain, which refuses the 4227 points above at its cap but
+    # answers the primes up to 71
+    cycles = cyclic_product([p for p in primes if p <= 71])
+    g = "".join(cycles)
+    g_inv = "".join("(" + " ".join(c[1:-1].split()[::-1]) + ")" for c in cycles)
+    one = _run(capsys, "check", "--group", f"perm:{g}", "--field", "Q")
+    two = _run(capsys, "check", "--group", f"perm:{g};{g_inv}", "--field", "Q")
+    assert one[0] == two[0] == 2 and one[2] == two[2] == ""
+    assert facts(one[1]) == facts(two[1])
+
+
+def test_check_repeated_generator_is_read_once(capsys):
+    # the cycles of the 46 primes below 200 given twice: one distinct
+    # generator, answered as perm:G is, where a chain would pass its cap;
+    # the spec is echoed as typed
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    g = "".join(cyclic_product(primes))
     one = _run(capsys, "check", "--group", f"perm:{g}", "--field", "Q")
     two = _run(capsys, "check", "--group", f"perm:{g};{g}", "--field", "Q")
     assert one[0] == two[0] == 2 and one[2] == two[2] == ""
-    assert facts(one[1]) == facts(two[1])
+    assert two[1] == one[1].replace(f"perm:{g} ", f"perm:{g};{g} ", 1)
+    assert two[1].startswith(f"group: perm:{g};{g} (order {prod(primes)})\n")
 
 
 def test_check_long_cycle_answers_fast(capsys):

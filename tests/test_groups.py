@@ -82,6 +82,20 @@ def test_perm_gens_validation():
         PermGens.from_cycles("(1 2)", f"({CLOSURE_CAP + 1})")
 
 
+def test_repeated_and_identity_generators_are_read_once():
+    # the facts of the distinct generators other than the identity, with
+    # the spec itself kept as given
+    s3 = PermGens.from_cycles("(1 2 3)", "(1 2)")
+    padded = PermGens.from_cycles("(1 2 3)", "()", "(1 2)", "(1 2 3)", "(1 2)")
+    assert len(padded.generators) == 5
+    assert group_facts(padded) == group_facts(s3)
+    assert (group_facts(s3).order, group_facts(s3).abelian_invariants) == (6, (2,))
+    c4 = group_facts(PermGens.from_cycles("(1 2 3 4)", "()", "(1 2 3 4)"))
+    assert (c4.order, c4.abelian_invariants, c4.sylow2_order) == (4, (4,), 4)
+    trivial = group_facts(PermGens.from_cycles("()", "(3)"))
+    assert (trivial.order, trivial.abelian_invariants, trivial.sylow2_order) == (1, (), 1)
+
+
 def _one_cycle(cycle, degree):
     img = list(range(degree))
     for x, y in zip(cycle, cycle[1:] + cycle[:1]):

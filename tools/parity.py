@@ -25,8 +25,8 @@ below:
 - four products of cyclic 2-groups on disjoint points, three of them with
   two or three 2-power invariants of order at least 8, over the same
   fields, plain and --json;
-- the cap errors and the usage errors, and one generator of an order past
-  the metacyclic cap;
+- the cap errors and the usage errors, one generator of an order past
+  the metacyclic cap, and a longer one given twice;
 - numerals with a sign, leading zeros, an underscore or non-ASCII digits,
   in each place a command line holds one;
 - the oracle subcommands at small bounds;
@@ -171,6 +171,9 @@ def corpus(catalog: list[str]) -> list[list[str]]:
         # one generator of the prime orders up to 71, of order about 5.6 * 10**26,
         # which no metacyclic cap bounds
         perm_spec(["".join(cyclic_product(p for p in range(2, 72) if all(p % q for q in range(2, p))))]),
+        # one generator of the 46 primes below 200 given twice, whose chain
+        # would pass the chain cap
+        perm_spec(["".join(cyclic_product(p for p in range(2, 200) if all(p % q for q in range(2, p))))] * 2),
     ]
     lines += [_check(spec, "Q") for spec in caps]
     for radicand in ("1000000000000000000000001", "7" * 40):  # the factorization cap
