@@ -336,12 +336,6 @@ def _abelian_index(
     return out
 
 
-def _order_prime_to(w: _Perm, p: int) -> bool:
-    """Is the order of w, the lcm of its cycle lengths, prime to p? Read off
-    one scan of its cycles, with no power of w taken."""
-    return all(len(cycle) % p for cycle in _cycles(w))
-
-
 def _proved_perfect(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> bool:
     """True if the orders of a few fixed words in gens prove G = G', for the
     generators gens in the chain's form and cycles, those of each generator
@@ -354,7 +348,9 @@ def _proved_perfect(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> b
       mod p in the generators of S_p. Take g_i in S_p and a word c whose
       exponent sum is 0 (mod p) in every generator of S_p: then g_i*c and
       g_i have the same image in A_p/pA_p.
-    - If g_i*c has order prime to p, that image is 0.
+    - If g_i*c has order prime to p, that image is 0. The order is the lcm
+      of the cycle lengths, so this is read off one scan of the cycles,
+      with no power of g_i*c taken.
     - If a witness c exists for every g_i in S_p, the images of the
       generators, which generate A_p/pA_p, are all 0: A_p = pA_p, so A_p =
       0 for the finite p-group A_p.
@@ -400,8 +396,10 @@ def _proved_perfect(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> b
     for p in primes:
         in_p = [any(m % p == 0 for m in ms) for ms in lengths]
         for i in compress(range(n), in_p):
-            words = candidates(i, p, in_p)
-            if not any(_order_prime_to(_perm_compose(gens[i], c), p) for c in words):
+            for c in candidates(i, p, in_p):
+                if all(len(cycle) % p for cycle in _cycles(_perm_compose(gens[i], c))):
+                    break
+            else:
                 return False
     return True
 

@@ -299,7 +299,7 @@ def test_groups_defines_no_lattice_reduction():
 FACT_CODE = {
     "group_facts", "_perm_facts", "_metacyclic_facts", "StabilizerChain", "_q16_search",
     "_derived_subgroup", "_chain_invariants", "_abelian_index", "_giant_facts", "_block_is_orbit",
-    "_proved_perfect", "_order_prime_to",
+    "_proved_perfect",
 }
 TABLE_CODE = {
     "_enumerate", "FiniteGroupTable", "Subgroup", "two_sylow", "is_generalized_quaternion16",
