@@ -11,10 +11,10 @@ r. A permutation spec is read from its distinct generators other than
 the identity; with one, it is cyclic, of order the lcm of its cycle
 lengths. A spec whose generators' cycles prove it S_n or A_n, n >= 5, on
 its one moved orbit is answered in closed form, as _giant_facts
-describes: a power of one generator is a p-cycle, and either n/2 < p <=
-n - 3, which makes G primitive and so a giant by Jordan's theorem, or p
-is 2 or 3 and the smallest block holding the cycle is the orbit, which
-makes the normal closure of the cycle transitive. Any other
+describes: a power of one generator is a p-cycle for a prime p <=
+max(3, n - 3), the smallest block holding the cycle is the orbit, which
+makes G primitive, and a primitive group with such a cycle is a giant by
+Jordan's theorems. Any other
 permutation spec is answered from stabilizer chains of the chain module:
 the order is the product of the orbit lengths of a chain for G. When the
 orbits show no abelian quotient and the orders of a few fixed words in the
@@ -435,6 +435,10 @@ def _block_is_orbit(gens: tuple[tuple[int, ...], ...], points: list[int], n: int
         pairs.append((x, y))
         return size[x]
 
+    # a block of a transitive group has a size that divides n, so a block
+    # of more than n/2 points is the orbit
+    if 2 * len(points) > n:
+        return True
     for x in points[1:]:
         union(points[0], x)
     for a, b in pairs:  # grows while it is read
@@ -453,20 +457,24 @@ def _giant_facts(
     for its one moved orbit of n >= 5 points; else None, and the caller
     builds the chain.
 
-    A cycle of prime length p that is the only cycle of its generator g
-    whose length p divides makes g**m, for m the lcm of the other lengths,
-    a p-cycle of G. Either of two cases proves G >= A_n:
-    - n/2 < p <= n - 3: in a block system of G with blocks of b points,
-      1 < b < n, the p-cycle would either move p blocks, so p*b > p
-      points, or fix every block and lie in one, b >= p > n/2, which b,
-      a proper divisor of n, is not; so G is primitive, and contains A_n
-      by Jordan's theorem (Wielandt 13.9);
-    - p = 2 or 3 and the smallest block of G holding the cycle's points is
-      the orbit: the orbits of the normal closure N of the p-cycle are
-      blocks, the one holding the cycle is the orbit, and a transitive
-      group generated by transpositions is S_n, by 3-cycles A_n.
-    A giant is primitive, so a smallest block short of the orbit proves G
-    is not one, and only the first candidate with p = 2 or 3 is tested.
+    The candidate is the longest cycle, of prime length p <= max(3, n - 3),
+    that is the only cycle of its generator g whose length p divides, and
+    G is a giant iff the smallest block of G holding its points is the
+    orbit:
+    - g**m, for m the lcm of the other lengths of g, is a p-cycle c of G;
+    - c fixes every block of a system whose blocks have b >= 2 points: if
+      c moved a block B, it would move every point of B, and the c-orbit
+      of B would be p blocks of b points each, p*b > p points inside the p
+      points of c;
+    - so a block holding one point of c holds all of them, and the
+      smallest block holding c's points is the orbit iff G is primitive;
+    - a primitive group with a p-cycle contains A_n if p <= 3 (Wielandt
+      13.3), or if p <= n - 3 (Jordan; Wielandt 13.9);
+    - a giant is primitive, so a smallest block short of the orbit proves
+      G is not one, and one candidate decides.
+    A chain for G, giant or not, would store the whole orbit at its first
+    level, so an orbit past the chain cap is refused before the block
+    test, with the chain's error.
 
     G is S_n if some generator is odd, with an odd number of cycles of even
     length, and A_n otherwise: order n! or n!/2, invariants (2,) or (), and
@@ -479,17 +487,21 @@ def _giant_facts(
     if len(moved) != 1 or len(moved[0]) < 5:
         return None
     n = len(moved[0])
-    proved = False
-    small = None
+    best: list[int] = []
     for cs in cycles:
         lengths = list(map(len, cs))
         for p in set(lengths):
-            if lengths.count(p) == 1 and is_prime(p) and all(m % p for m in lengths if m != p):
-                if 2 * p > n and p <= n - 3:
-                    proved = True
-                elif p <= 3 and small is None:
-                    small = cs[lengths.index(p)]
-    if not proved and (small is None or not _block_is_orbit(pg.generators, small, n)):
+            if (
+                len(best) < p <= max(3, n - 3)
+                and lengths.count(p) == 1
+                and is_prime(p)
+                and all(m % p for m in lengths if m != p)
+            ):
+                best = cs[lengths.index(p)]
+    if not best:
+        return None
+    _check_chain_cap(pg.degree, n)
+    if not _block_is_orbit(pg.generators, best, n):
         return None
     # a cycle of m points is m - 1 transpositions
     odd = any((sum(map(len, cs)) - len(cs)) % 2 for cs in cycles)
