@@ -4,6 +4,7 @@ the same generators, groups that look like giants but are not, which must
 reach the chain, and the chain-cap error, which the closed form must raise
 exactly where the chain would."""
 
+import math
 import random
 
 import pytest
@@ -42,10 +43,12 @@ def _answered(monkeypatch):
     return answers
 
 
-# S_n and A_n that each case of the recognizer answers: Jordan's n/2 < p
-# <= n - 3 with p = 5 (S8 from a 5-cycle times a transposition, A9 from a
-# 5-cycle beside an odd 3-cycle-free part), and a transposition or a
-# 3-cycle whose smallest block is the orbit, also moved up the points
+# S_n and A_n that the recognizer answers: a 5-cycle of more than half the
+# points, which needs no block test (S8 from a 5-cycle times a
+# transposition, A9 from a 5-cycle beside an odd 3-cycle-free part); a
+# transposition or a 3-cycle whose smallest block is the orbit; and a 5- or
+# 7-cycle of at most half the points whose smallest block is the orbit;
+# also moved up the points
 GIANTS = {
     "S6": (["(1 2)", cycle(1, 6)], 720),
     "A7": (["(1 2 3)", "(3 4 5 6 7)"], 2520),
@@ -53,6 +56,10 @@ GIANTS = {
     "A9": (["(1 2 3 4 5)(6 7)(8 9)", cycle(1, 9)], 181440),
     "S10 on 11..20": (["(11 12)", cycle(11, 10)], 3628800),
     "A5 adjacent": (["(1 2 3)", "(2 3 4)", "(3 4 5)"], 60),
+    "S10 5-cycle": ([cycle(1, 5), cycle(1, 10)], 3628800),
+    "A11 5-cycle": ([cycle(1, 5), cycle(1, 11)], 19958400),
+    "S14 7-cycle": ([cycle(1, 7), cycle(1, 14)], 87178291200),
+    "A11 5-cycle on 101..111": ([cycle(101, 5), cycle(101, 11)], 19958400),
 }
 
 
@@ -78,22 +85,26 @@ def test_named_giants_skip_the_chain(monkeypatch):
 
 @st.composite
 def generator_sets(draw):
-    """Two to four permutations of n = 5..9 points: each at random, a short
-    cycle, or, for n = 6, 8 and 9, one that keeps a system of blocks of b
-    points, so that imprimitive groups with transpositions and 3-cycles are
+    """Two to four permutations of n = 5..16 points: each at random or a
+    short cycle; or, half the time for n not prime, each keeping one system
+    of blocks of b points, either a cycle of 2 to 7 points inside one block
+    or a permutation of the blocks that also permutes inside them, so that
+    imprimitive groups with prime cycles of at most half the points are
     drawn too; then, half the time, the points moved up into a larger
-    degree. One seeded Random makes every choice, which keeps a draw cheap."""
+    degree. One seeded Random makes every choice, which keeps a draw
+    cheap."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    n = rng.randint(5, 9)
+    n = rng.randint(5, 16)
     sizes = [b for b in range(2, n) if n % b == 0]
     b = rng.choice(sizes) if sizes and rng.random() < 0.5 else None
     gens = []
     for _ in range(rng.randint(2, 4)):
-        kind = rng.choice(["random", "short", "blocks"] if b else ["random", "short"])
+        kind = rng.choice(["short", "blocks"] if b else ["random", "short"])
         if kind == "random":
             gens.append(rng.sample(range(n), n))
         elif kind == "short":
-            pts = rng.sample(range(n), rng.randint(2, 5))
+            first, m = (rng.randrange(n // b) * b, b) if b else (0, n)
+            pts = rng.sample(range(first, first + m), rng.randint(2, min(m, 7)))
             g = list(range(n))
             for x, y in zip(pts, pts[1:] + pts[:1]):
                 g[x] = y
@@ -115,6 +126,14 @@ def generator_sets(draw):
 
 def test_recognizer_agrees_with_the_chain(monkeypatch):
     answers = _answered(monkeypatch)
+    tests = []  # (p, n, outcome) of each block test
+    block_is_orbit = groups._block_is_orbit
+
+    def recorded(gens, points, n):
+        tests.append((len(points), n, block_is_orbit(gens, points, n)))
+        return tests[-1][2]
+
+    monkeypatch.setattr(groups, "_block_is_orbit", recorded)
 
     @settings(max_examples=300, deadline=None)
     @given(generator_sets())
@@ -123,8 +142,57 @@ def test_recognizer_agrees_with_the_chain(monkeypatch):
         assert facts == _chain_facts(monkeypatch, pg)
 
     agrees()
-    # the draws reach both outcomes
+    # the draws reach both outcomes, and both outcomes of the block test on
+    # a prime cycle of more than 3 and at most half the points
     assert 0 < sum(answers) < len(answers)
+    assert {outcome for p, n, outcome in tests if 3 < p and 2 * p <= n} == {True, False}
+
+
+def _isolated_primes(pg):
+    """The primes p <= n - 3 for which some generator of pg, on n moved
+    points, has exactly one cycle whose length p divides, of length p."""
+    n = sum(x != y for x, y in enumerate(pg.generators[0]))
+    found = set()
+    for g in pg.generators:
+        lengths = [len(c) for c in groups._cycles(g)]
+        for p in set(lengths):
+            if p <= n - 3 and all(p % q for q in range(2, p)) and [m % p for m in lengths].count(0) == 1:
+                found.add(p)
+    return found
+
+
+# seeds of random.Random, each drawing two random permutations of 200
+# points that generate S200 or A200 and whose only certificates are prime
+# cycles of 3 < p <= 100: seed 0 (p = 19, S200), 1 (p = 17, A200), 4 (p = 11,
+# S200; its 79- and 83-cycles are not isolated) and 7 (p = 17 and 29, S200),
+# sent to the chain by a recognizer that tested blocks only for p <= 3
+RANDOM_PAIRS = {0: "S", 1: "A", 4: "S", 7: "S"}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_PAIRS))
+def test_random_pairs_with_a_short_prime_cycle_skip_the_chain(monkeypatch, seed):
+    rng = random.Random(seed)
+    pg = PermGens(200, tuple(tuple(rng.sample(range(200), 200)) for _ in range(2)))
+    primes = _isolated_primes(pg)
+    assert primes and 3 < min(primes) and 2 * max(primes) <= 200
+    chains = []
+    monkeypatch.setattr(groups, "StabilizerChain", lambda degree: chains.append(degree))
+    facts = group_facts(pg)
+    order = math.factorial(200) // (1 if RANDOM_PAIRS[seed] == "S" else 2)
+    assert (facts.order, chains) == (order, [])
+
+
+@pytest.mark.parametrize("first", ["(1 2)", "(1 2 3 4 5)"])
+def test_an_orbit_past_the_chain_cap_is_refused_before_the_block_test(monkeypatch, capsys, first):
+    # the first level of a chain for one moved orbit stores that orbit, so a
+    # 3000-point orbit is refused before any block test or chain
+    calls = []
+    monkeypatch.setattr(groups, "_block_is_orbit", lambda *args: calls.append("blocks"))
+    monkeypatch.setattr(groups, "StabilizerChain", lambda degree: calls.append("chain"))
+    code = main(["check", "--group", perm_spec([first, cycle(1, 3000)]), "--field", "Q"])
+    out, err = capsys.readouterr()
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error:") and f"chain cap {chain.CHAIN_CAP}" in err
 
 
 @pytest.mark.parametrize("n", range(5, 16))

@@ -88,6 +88,6 @@ def test_the_corpus_is_pinned():
     # digest
     lines = parity.corpus(list(CATALOG_NAMES))
     text = "".join(json.dumps(argv) + "\n" for argv in lines)
-    assert len(lines) == 88229
+    assert len(lines) == 88299
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == "350ceb8d361c423ddc366db2278d61a8d448a09b1ee9db79c9dcbf9f76dbe0b7"
+    assert digest == "16be693704ffc8205eed9f30cf0ec483025708aa581acb9ec2e71d22efa61471"

@@ -9,8 +9,10 @@ catalog:SL2_7 and catalog:SL2_9, and counts five kinds of work for each:
 compositions (chain._perm_compose, and the name groups imported), inverses
 (chain._perm_inverse, likewise), sifts (StabilizerChain._sift), Schreier
 passes (StabilizerChain._schreier_residue) and chains (constructions of a
-StabilizerChain). A spec refused with an error counts the work done
-before it. Prints the five totals, the
+StabilizerChain); and, sixth, whether groups._giant_facts answered it, so
+that a spec moved onto or off that closed-form route shows as such. A
+spec refused with an error counts the work done before it. Prints the six
+totals, the
 counts of each catalog SL2 and of each group of TRAPS, and one SHA-256
 over the facts, or the errors, of every spec.
 
@@ -32,7 +34,7 @@ from pathlib import Path
 from families import TRAPS, perm_spec
 from parity import ROOT, _run, corpus, export
 
-KINDS = ("compositions", "inverses", "sifts", "schreier passes", "chains")
+KINDS = ("compositions", "inverses", "sifts", "schreier passes", "chains", "certified giants")
 CATALOG = ("catalog:SL2_7", "catalog:SL2_9")
 
 # Runs in the child: argv[1] is the src/ directory to import from, argv[2]
@@ -43,7 +45,7 @@ sys.path.insert(0, sys.argv[1])
 from noethercheck import chain, cli, groups
 if not chain.__file__.startswith(sys.argv[1]):
     sys.exit(f"imported {chain.__file__}, not from {sys.argv[1]}")
-counts = [0, 0, 0, 0, 0]
+counts = [0, 0, 0, 0, 0, 0]
 
 def counted(kind, f):
     def wrapped(*args, **kwargs):
@@ -57,6 +59,14 @@ Chain = chain.StabilizerChain
 Chain._sift = counted(2, Chain._sift)
 Chain._schreier_residue = counted(3, Chain._schreier_residue)
 Chain.__init__ = counted(4, Chain.__init__)
+giant_facts = groups._giant_facts
+
+def answered(*args):
+    facts = giant_facts(*args)
+    counts[5] += facts is not None
+    return facts
+
+groups._giant_facts = answered
 with open(sys.argv[2], encoding="utf-8") as specs, open(sys.argv[3], "w", encoding="utf-8") as out:
     for line in specs:
         spec = json.loads(line)

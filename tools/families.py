@@ -102,13 +102,18 @@ def giants(n: int) -> dict[str, list[str]]:
     """S_n and A_n on the points 1..n, n >= 5, from four generating sets:
     a transposition and an n-cycle (S_n); a 3-cycle and an n-cycle, or an
     (n - 1)-cycle, of which the odd one gives S_n and the even one A_n; and
-    the n - 1 adjacent transpositions (S_n)."""
-    return {
+    the n - 1 adjacent transpositions (S_n). For n >= 8 a fifth, the
+    5-cycle (1 2 3 4 5) and an n-cycle, gives S_n for even n and A_n for
+    odd n, since the 5-cycle is even and the n-cycle odd iff n is even."""
+    sets = {
         "transposition": ["(1 2)", cycle(1, n)],
         "3-cycle, n-cycle": ["(1 2 3)", cycle(1, n)],
         "3-cycle, (n-1)-cycle": ["(1 2 3)", cycle(2, n - 1)],
         "adjacent": [f"({i} {i + 1})" for i in range(1, n)],
     }
+    if n >= 8:
+        sets["5-cycle, n-cycle"] = [cycle(1, 5), cycle(1, n)]
+    return sets
 
 
 def sl2(p: int) -> list[str]:
@@ -138,9 +143,10 @@ def sl2_facts(p: int) -> tuple[int, tuple[int, ...], int, bool]:
 # projective line (a 7-cycle, p = n - 1), PSL(2,5) on 6 points (p = n - 1),
 # PSL(2,8) on 9 points (a 7-cycle, p = n - 2), AGL(1,13) = C13:C12 from
 # x -> x + 1 and x -> 2x on the points x + 1 for x in F_13 (a 13-cycle,
-# p = n), C2 wr C3 from a transposition, and S3 wr S2 and S5 wr S2 from a
-# transposition or a 3- or 5-cycle inside a block of half the points
-# (p = n/2 in the last two)
+# p = n), C2 wr C3 from a transposition, S3 wr S2, S5 wr S2 and S7 wr S2
+# from a transposition or a 3-, 5- or 7-cycle inside a block of half the
+# points (p = n/2 in the last three), and S5 wr S3 from a transposition or
+# a 5-cycle inside a block of a third of the points (p = n/3)
 TRAPS = {
     "PSL(2,7)": (["(1 2 3 4 5 6 7)", "(1 8)(2 7)(3 4)(5 6)"], 168),
     "PSL(2,5)": (["(1 2 3 4 5)", "(1 6)(2 5)"], 60),
@@ -149,4 +155,9 @@ TRAPS = {
     "C2wrC3": (["(1 2)", "(1 3 5)(2 4 6)"], 24),
     "S3wrS2": (["(1 2 3)", "(1 2)", "(1 4)(2 5)(3 6)"], 72),
     "S5wrS2": (["(1 2)", "(1 2 3 4 5)", "(1 6)(2 7)(3 8)(4 9)(5 10)"], 28800),
+    "S7wrS2": (["(1 2)", cycle(1, 7), "(1 8)(2 9)(3 10)(4 11)(5 12)(6 13)(7 14)"], 50803200),
+    "S5wrS3": (
+        ["(1 2)", cycle(1, 5), "(1 6 11)(2 7 12)(3 8 13)(4 9 14)(5 10 15)", "(1 6)(2 7)(3 8)(4 9)(5 10)"],
+        10368000,
+    ),
 }

@@ -33,9 +33,9 @@ below:
 - 2000 seeded permutation specs, a third of them groups of 2-part 16 on
   16 points or more;
 - S_n and A_n for n = 5..40, from a transposition and an n-cycle, from a
-  3-cycle and an n-cycle or an (n - 1)-cycle, and from the n - 1 adjacent
-  transpositions, and the look-alike groups in TRAPS, over Q, plain and
-  --json;
+  3-cycle and an n-cycle or an (n - 1)-cycle, from the n - 1 adjacent
+  transpositions and, for n >= 8, from a 5-cycle and an n-cycle, and the
+  look-alike groups in TRAPS, over Q, plain and --json;
 - every metacyclic presentation with 2-part 16 and a*b <= 1200, over
   Q(sqrt 17).
 """
