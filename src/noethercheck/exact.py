@@ -7,16 +7,18 @@ localfields.DiagonalForm, takes its canonical exact type: an int when it is
 integral, and a Fraction in lowest terms only otherwise. Nothing here or
 downstream touches floats: a rational argument passes exact_rational,
 the one helper that puts a rational in that type and refuses a float,
-Decimal, complex or str by naming the argument. The verdict reads ints
-only, so fractions is imported inside exact_rational alone, once it meets
-a number that is not an int.
+Decimal, complex or str by naming the argument, and an integer field of a
+record passes exact_int, which stores a plain int and refuses anything
+that is not an integer type by name. The verdict reads ints only, so
+fractions is imported inside exact_rational alone, once it meets a number
+that is not an int.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
 from math import gcd, isqrt, prod
-from operator import attrgetter
+from operator import attrgetter, index
 
 # Miller-Rabin with the bases _MR_BASES is proven exact only below
 # 3.3 * 10**24, so inputs whose absolute value exceeds this cap are rejected
@@ -266,6 +268,21 @@ def exact_rational(x: object, name: str) -> Fraction | int:
     return x.numerator if x.denominator == 1 else x
 
 
+def exact_int(x: object, name: str) -> int:
+    """x as a plain int, read through operator.index (PEP 357): an int is
+    returned as it is, and a bool, a numpy integer or another type that
+    declares itself an integer gives the int it stands for, so True is 1.
+    Any other type, float, Fraction, Decimal, complex and str among them,
+    raises a TypeError naming the argument, even where its value is
+    integral: a record of integers takes integers only."""
+    if type(x) is int:
+        return x
+    try:
+        return index(x)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, not {type(x).__name__}: {x!r}") from None
+
+
 def padic_valuation(x: Fraction | int, p: int) -> int:
     """v_p(x) for nonzero rational x and prime p. x passes exact_rational,
     which refuses a float, Decimal, complex or str by naming it."""
@@ -348,6 +365,7 @@ class FieldDescriptor(Frozen):
 
     def __init__(self, d: int | None = None) -> None:
         if d is not None:
+            d = exact_int(d, "d")
             if d == 0:
                 raise ValueError("d = 0 does not give a field")
             s, _ = squarefree_part(d)

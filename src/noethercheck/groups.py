@@ -49,7 +49,7 @@ from .chain import (
     _perm_compose,
     _perm_inverse,
 )
-from .exact import FACTORIZATION_CAP, Frozen, factorize, is_prime, parse_ints
+from .exact import FACTORIZATION_CAP, Frozen, exact_int, factorize, is_prime, parse_ints
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
 # memory: every closure (a permutation or metacyclic table of oracles)
@@ -88,17 +88,25 @@ def _parse_cycle_string(s: str) -> tuple[list[list[int]], int]:
 
 
 class PermGens(Frozen):
-    """Permutation group given by generators as image tuples on 0..degree-1."""
+    """Permutation group given by generators as image tuples on 0..degree-1.
+
+    The degree and every image pass exact_int, which stores a plain int and
+    refuses a float, Fraction, Decimal, complex or str by name; a generator
+    of ints only is stored as it is."""
 
     __slots__ = ("degree", "generators")
 
     def __init__(self, degree: int, generators: tuple[tuple[int, ...], ...]) -> None:
+        degree = exact_int(degree, "degree")
         if degree < 1:
             raise ValueError("degree must be at least 1")
         if not generators:
             raise ValueError("at least one generator is required")
         # image tuples, so that the record hashes and compares by value
-        generators = tuple(map(tuple, generators))
+        generators = tuple(
+            g if set(map(type, g)) == {int} else tuple(exact_int(x, "image") for x in g)
+            for g in map(tuple, generators)
+        )
         for g in generators:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
@@ -134,11 +142,14 @@ class Metacyclic(Frozen):
 
     The consistency conditions r**b = 1 and c*(r - 1) = 0 (mod a) make the
     set {s**i t**j} of size a*b a group; construction rejects anything else.
+    Each parameter passes exact_int, so True is stored as 1 and a float is
+    refused by name.
     """
 
     __slots__ = ("a", "b", "c", "r")
 
     def __init__(self, a: int, b: int, c: int, r: int) -> None:
+        a, b, c, r = exact_int(a, "a"), exact_int(b, "b"), exact_int(c, "c"), exact_int(r, "r")
         if a < 1 or b < 1:
             raise ValueError("a and b must be positive")
         if a * b > METACYCLIC_CAP:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Frozen, exact_rational, is_prime
+from .exact import Frozen, exact_int, exact_rational, is_prime
 
 
 class Place(Frozen):
@@ -42,8 +42,10 @@ class Place(Frozen):
     __slots__ = ("p",)
 
     def __init__(self, p: int | None) -> None:
-        if p is not None and not is_prime(p):
-            raise ValueError(f"not a prime: {p}")
+        if p is not None:
+            p = exact_int(p, "p")
+            if not is_prime(p):
+                raise ValueError(f"not a prime: {p}")
         super().__init__(p)
 
 

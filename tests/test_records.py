@@ -1,15 +1,20 @@
 """The package's immutable records on their shared slotted base: equality
 and hashing by value within a class and never across classes, the repr a
 frozen dataclass printed, no assignment or deletion of a field, copy and
-pickle, keyword construction, and the ValueError of each bad argument."""
+pickle, keyword construction, the ValueError of each bad argument, and
+integer fields that store a plain int or refuse a value by name."""
 
 import copy
 import dataclasses
+import operator
 import pickle
+from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noethercheck.exact import FieldDescriptor, Frozen
 from noethercheck.galois import Check, Verdict, verdict
@@ -269,3 +274,66 @@ def test_bad_arguments_raise_the_same_message(make, message):
     with pytest.raises(ValueError) as err:
         make()
     assert str(err.value) == message
+
+
+try:
+    from numpy import int64
+except ImportError:  # the numpy case is skipped where numpy is not installed
+    int64 = None
+
+INTEGER_TYPES = [t for t in (int, bool, int64) if t is not None]
+OTHER_TYPES = [float, Fraction, Decimal, complex, str]
+
+# each record with integer fields, made from a list of ints: the names its
+# errors give them, and a valid list to vary one entry of
+RECORDS_OF_INTS = {
+    "FieldDescriptor": (FieldDescriptor, ["d"], [17]),
+    "Place": (Place, ["p"], [3]),
+    "Metacyclic": (Metacyclic, ["a", "b", "c", "r"], [8, 2, 4, 7]),
+    "PermGens": (
+        lambda degree, *image: PermGens(degree, (image, (1, 2, 0))),
+        ["degree", "image", "image", "image"],
+        [3, 1, 0, 2],
+    ),
+}
+
+
+def _stored_ints(record):
+    """Every integer the record stores, the images of PermGens included."""
+    if isinstance(record, PermGens):
+        return [record.degree, *chain.from_iterable(record.generators)]
+    return [getattr(record, name) for name in record.__slots__]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(RECORDS_OF_INTS)),
+    st.integers(0, 3),
+    st.integers(-20, 20),
+    st.sampled_from(INTEGER_TYPES + OTHER_TYPES),
+)
+def test_integer_fields_store_ints_or_refuse_by_name(kind, at, n, cls):
+    # an integer type is read as the int it stands for, so the record and
+    # any ValueError are those of that int; any other type is refused by
+    # the field's name, an integral float or Fraction too
+    make, names, ints = RECORDS_OF_INTS[kind]
+    at %= len(ints)
+    value = cls(n)
+    args, plain = list(ints), list(ints)
+    args[at] = value
+    if cls in OTHER_TYPES:
+        with pytest.raises(TypeError) as err:
+            make(*args)
+        assert str(err.value) == f"{names[at]} must be an int, not {cls.__name__}: {value!r}"
+        return
+    plain[at] = operator.index(value)
+    try:
+        expected = make(*plain)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            make(*args)
+        assert str(err.value) == str(exc)
+        return
+    record = make(*args)
+    assert record == expected
+    assert all(type(x) is int for x in _stored_ints(record) if x is not None)
