@@ -149,9 +149,9 @@ def test_recognizer_agrees_with_the_chain(monkeypatch):
 
 
 def _isolated_primes(pg):
-    """The primes p <= n - 3 for which some generator of pg, on n moved
-    points, has exactly one cycle whose length p divides, of length p."""
-    n = sum(x != y for x, y in enumerate(pg.generators[0]))
+    """The primes p <= n - 3, for n the degree of pg, for which some
+    generator has exactly one cycle whose length p divides, of length p."""
+    n = pg.degree
     found = set()
     for g in pg.generators:
         lengths = [len(c) for c in groups._cycles(g)]
