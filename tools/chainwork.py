@@ -17,9 +17,13 @@ counts of each catalog SL2 and of each group of TRAPS, and one SHA-256
 over the facts, or the errors, of every spec.
 
 With --against, REV's src/ is exported with git archive and run too, both
-trees are printed, and so are the first spec whose counts differ and the
-first whose facts differ; the exit status is then 1 if either exists, and
-0 if every spec does the same work with the same facts.
+trees are printed, and then the specs are compared one by one: for each
+kind of work, how many specs did more, less and the same work in the
+working tree, and the five largest increases; the specs whose route
+changed, that is, whose certified-giant count flipped; and the specs whose
+facts differ. The exit status is then 1 if any spec's facts differ or any
+spec does more work of any kind, and 0 if the only differences are
+savings.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from families import TRAPS, perm_spec
 from parity import ROOT, _run, corpus, export
 
 KINDS = ("compositions", "inverses", "sifts", "schreier passes", "chains", "certified giants")
+WORK = KINDS[:-1]  # the last kind is a route, not work
 CATALOG = ("catalog:SL2_7", "catalog:SL2_9")
 
 # Runs in the child: argv[1] is the src/ directory to import from, argv[2]
@@ -116,10 +121,57 @@ def digest(records: list[list]) -> str:
     return facts.hexdigest()
 
 
-def first_difference(ours: list[list], theirs: list[list], field: int):
-    """The first pair of records, one spec's in each tree, that differ at
-    field (1 the counts, 2 the facts), or None."""
-    return next(((x, y) for x, y in zip(ours, theirs) if x[field] != y[field]), None)
+def compare(ours: list[list], theirs: list[list]):
+    """Compare the [spec, counts, facts] records of two runs over the same
+    specs, in the same order, spec by spec. Returns, for each kind of work
+    in WORK, the (more, less, same) number of specs in ours against theirs
+    and the (increase, spec) of its five largest increases, largest first;
+    the (spec, ours, theirs) certified-giant counts that flipped; and the
+    (spec, ours, theirs) facts that differ."""
+    table = [[0, 0, 0] for _ in WORK]
+    increases: list[list[tuple[int, str]]] = [[] for _ in WORK]
+    routes, facts = [], []
+    for (spec, counts, answer), (other, before, was) in zip(ours, theirs, strict=True):
+        if spec != other:
+            raise ValueError(f"the runs read different specs: {spec!r} and {other!r}")
+        for k in range(len(WORK)):
+            delta = counts[k] - before[k]
+            table[k][0 if delta > 0 else 1 if delta < 0 else 2] += 1
+            if delta > 0:
+                increases[k].append((delta, spec))
+        if counts[-1] != before[-1]:
+            routes.append((spec, counts[-1], before[-1]))
+        if answer != was:
+            facts.append((spec, answer, was))
+    largest = [sorted(found, key=lambda pair: -pair[0])[:5] for found in increases]
+    return [tuple(row) for row in table], largest, routes, facts
+
+
+def _short(spec: str) -> str:
+    return spec if len(spec) <= 72 else f"{spec[:60]}… ({len(spec)} characters)"
+
+
+def show(against: str, table, largest, routes, facts) -> int:
+    """Print what compare found, and return the exit status: 1 if any
+    facts differ or any spec does more work of any kind, else 0."""
+    print(f"per spec, working tree against {against}:")
+    print(f"  {'kind':<16} {'more':>6} {'less':>6} {'same':>6}")
+    for kind, (more, less, same) in zip(WORK, table):
+        print(f"  {kind:<16} {more:>6} {less:>6} {same:>6}")
+    for kind, found in zip(WORK, largest):
+        if found:
+            print(f"  largest increases in {kind}:")
+            for delta, spec in found:
+                print(f"    +{delta} {_short(spec)}")
+    print(f"specs whose route changed: {len(routes)}")
+    for spec, now, was in routes:
+        print(f"  {_short(spec)}: {'onto' if now > was else 'off'} the certified-giant route")
+    print(f"specs whose facts differ: {len(facts)}")
+    for spec, now, was in facts:
+        print(f"  {_short(spec)}")
+        print(f"    working tree: {now}")
+        print(f"    {against}: {was}")
+    return 1 if facts or any(more for more, _, _ in table) else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,17 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     if theirs is None:
         return 0
     report(args.against, theirs)
-    status = 0
-    for field, what in ((1, "counts"), (2, "facts")):
-        pair = first_difference(ours, theirs, field)
-        if pair is None:
-            print(f"every spec has the same {what} in both trees")
-            continue
-        status = 1
-        print(f"first spec whose {what} differ: {pair[0][0]}")
-        print(f"  working tree: {pair[0][field]}")
-        print(f"  {args.against}: {pair[1][field]}")
-    return status
+    return show(args.against, *compare(ours, theirs))
 
 
 if __name__ == "__main__":
