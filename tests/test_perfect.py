@@ -46,7 +46,7 @@ def _chains_built(monkeypatch, pg):
 
 def test_sl2_family_matches_its_closed_forms():
     start = time.perf_counter()
-    for p in (3, 5, 7, 11, 13):
+    for p in (3, 5, 7, 11, 13, 23):
         facts = group_facts(PermGens.from_cycles(*sl2(p)))
         got = (facts.order, facts.abelian_invariants, facts.sylow2_order, facts.sylow2_is_q16)
         assert got == sl2_facts(p), p

@@ -36,6 +36,9 @@ below:
   3-cycle and an n-cycle or an (n - 1)-cycle, from the n - 1 adjacent
   transpositions and, for n >= 8, from a 5-cycle and an n-cycle, and the
   look-alike groups in TRAPS, over Q, plain and --json;
+- SL2(p) on its p**2 - 1 nonzero vectors for p in SL2_PRIMES, over Q and
+  Q(sqrt 17), plain and --json;
+- S_8 and the regular Q16 on a few points just below 10**6, over Q;
 - every metacyclic presentation with 2-part 16 and a*b <= 1200, over
   Q(sqrt 17).
 """
@@ -67,11 +70,13 @@ from families import (
     giants,
     perm_spec,
     regular,
+    sl2,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20191
 PERM_SPECS = 2000
+SL2_PRIMES = (5, 7, 11, 13, 23)
 FIELDS = ("Q", "Q(sqrt -1)", "Q(sqrt 2)", "Q(sqrt -7)", "Q(sqrt 17)", "Q(sqrt 999999999989)")
 
 # Runs in the child: argv[1] is the src/ directory to import from, argv[2]
@@ -214,6 +219,14 @@ def corpus(catalog: list[str]) -> list[list[str]]:
     specs = [perm_spec(gens) for n in range(5, 41) for gens in giants(n).values()]
     for spec in specs + [perm_spec(gens) for gens, _ in TRAPS.values()]:
         lines += [_check(spec, "Q"), _check(spec, "Q", "--json")]
+    for p in SL2_PRIMES:
+        spec = perm_spec(sl2(p))
+        for field in ("Q", "Q(sqrt 17)"):
+            lines += [_check(spec, field), _check(spec, field, "--json")]
+    # S_8 and the regular Q16 on the points 999993...10**6 and 999985...10**6,
+    # a few moved points at the top of the degree cap
+    high = [["(999993 999994)", cycle(999993, 8)], regular(*ORDER_16["Q16"], shift=999984)]
+    lines += [_check(perm_spec(gens), "Q") for gens in high]
     for a in range(1, 1201):
         for b in range(1, 1200 // a + 1):
             if a * b & -(a * b) != 16:
