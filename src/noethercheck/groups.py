@@ -7,15 +7,16 @@ Q16. A metacyclic presentation gives them from its parameters without
 enumerating the group: the invariants are (h*b/d, d) without 1s, for
 h = gcd(a, r - 1) and d = gcd(h, c, b), and so is the Q16 answer, which
 needs the 2-part 16 and then a 2-part 8 of a and two congruences on c and
-r. A permutation spec is read from its distinct generators other than
-the identity; with one, it is cyclic, of order the lcm of its cycle
-lengths. A spec whose generators' cycles prove it S_n or A_n, n >= 5, on
-its one moved orbit is answered in closed form, as _giant_facts
-describes: a power of one generator is a p-cycle for a prime p <=
-max(3, n - 3), the smallest block holding the cycle is the orbit, which
-makes G primitive, and a primitive group with such a cycle is a giant by
-Jordan's theorems. Any other
-permutation spec is answered from stabilizer chains of the chain module:
+r. A permutation spec is read once, from its distinct non-identity
+generators, each in the chain's form with its cycles listed, and its
+orbits are grown from the least point of each cycle; with one, it is
+cyclic, of order the lcm of its cycle lengths. A spec whose generators'
+cycles prove it S_n or A_n, n >= 5, on its one moved orbit is answered in
+closed form, as _giant_facts describes: a power of one generator is a
+p-cycle for a prime p <= max(3, n - 3), the smallest block holding the
+cycle is the orbit, which makes G primitive, and a primitive group with
+such a cycle is a giant by Jordan's theorems. Any other permutation spec
+is answered from stabilizer chains of the chain module:
 the order is the product of the orbit lengths of a chain for G. When the
 orbits show no abelian quotient and the orders of a few fixed words in the
 generators prove G perfect, as _proved_perfect describes, the invariants
@@ -289,25 +290,28 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     return GroupFacts(order, invariants, two_part, q16)
 
 
-def _moved_orbits(pg: PermGens) -> list[list[int]]:
-    """The orbits of more than one point, each in discovery order."""
-    seen = bytearray(pg.degree)
+def _moved_orbits(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> list[list[int]]:
+    """The orbits of more than one point, by least point, each in discovery
+    order, searched from the least point of each cycle: an orbit's least
+    point lies on a cycle inside it, so no point that gens fix is read."""
+    seen = bytearray(len(gens[0]))
     moved = []
-    for start in range(pg.degree):
-        orbit = [] if seen[start] else [start]
+    for start in sorted({cycle[0] for cs in cycles for cycle in cs}):
+        if seen[start]:
+            continue
         seen[start] = 1
+        orbit = [start]
         for x in orbit:  # grows while it is read
-            for g in pg.generators:
+            for g in gens:
                 if not seen[g[x]]:
                     seen[g[x]] = 1
                     orbit.append(g[x])
-        if len(orbit) > 1:
-            moved.append(orbit)
+        moved.append(orbit)
     return moved
 
 
 def _abelian_index(
-    pg: PermGens, moved: list[list[int]], cycles: list[list[list[int]]]
+    gens: tuple[_Perm, ...], moved: list[list[int]], cycles: list[list[list[int]]]
 ) -> int:
     """A divisor of |G/G'| read off moved, the orbits of G of more than one
     point, and cycles, those of each generator as _cycles lists them. G'
@@ -320,13 +324,13 @@ def _abelian_index(
       vector b kept before it, and kept itself if it is not then 0;
     - the action on an orbit whose image is abelian, which, being
       transitive, is then regular, with as many elements as the orbit."""
-    where = [0] * pg.degree
+    where = [0] * len(gens[0])
     for k, orbit in enumerate(moved):
         for x in orbit:
             where[x] = k
-    acting: list[list[tuple[int, ...]]] = [[] for _ in moved]
+    acting: list[list[_Perm]] = [[] for _ in moved]
     basis: list[int] = []
-    for g, cs in zip(pg.generators, cycles):
+    for g, cs in zip(gens, cycles):
         v = 0
         ks = set()
         for cycle in cs:
@@ -341,8 +345,8 @@ def _abelian_index(
         if v:
             basis.append(v)
     out = 1 << len(basis)
-    for orbit, gens in zip(moved, acting):
-        if all(g[h[x]] == h[g[x]] for i, g in enumerate(gens) for h in gens[:i] for x in orbit):
+    for orbit, on in zip(moved, acting):
+        if all(g[h[x]] == h[g[x]] for i, g in enumerate(on) for h in on[:i] for x in orbit):
             out = lcm(out, len(orbit))
     return out
 
@@ -415,7 +419,7 @@ def _proved_perfect(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> b
     return True
 
 
-def _block_is_orbit(gens: tuple[tuple[int, ...], ...], points: list[int], n: int) -> bool:
+def _block_is_orbit(gens: tuple[_Perm, ...], points: list[int], n: int) -> bool:
     """Is the smallest block of the group of gens that holds points its
     whole orbit, of n points? Atkinson's union-find: the points are merged
     into one class, and for each merge of two classes, recorded as the
@@ -462,7 +466,7 @@ def _block_is_orbit(gens: tuple[tuple[int, ...], ...], points: list[int], n: int
 
 
 def _giant_facts(
-    pg: PermGens, moved: list[list[int]], cycles: list[list[list[int]]]
+    gens: tuple[_Perm, ...], moved: list[list[int]], cycles: list[list[list[int]]]
 ) -> GroupFacts | None:
     """The facts of G if the cycles of its generators prove it S_n or A_n,
     for its one moved orbit of n >= 5 points; else None, and the caller
@@ -511,12 +515,12 @@ def _giant_facts(
                 best = cs[lengths.index(p)]
     if not best:
         return None
-    _check_chain_cap(pg.degree, n)
-    if not _block_is_orbit(pg.generators, best, n):
+    _check_chain_cap(len(gens[0]), n)
+    if not _block_is_orbit(gens, best, n):
         return None
     # a cycle of m points is m - 1 transpositions
     odd = any((sum(map(len, cs)) - len(cs)) % 2 for cs in cycles)
-    _check_chain_cap(pg.degree, n * (n + 1) // 2 - (1 if odd else 3))
+    _check_chain_cap(len(gens[0]), n * (n + 1) // 2 - (1 if odd else 3))
     order = factorial(n) if odd else factorial(n) // 2
     return GroupFacts(order, (2,) if odd else (), order & -order, False)
 
@@ -609,7 +613,7 @@ def _chain_invariants(
 
 
 def _sylow2_image(
-    pg: PermGens, moved: list[list[int]], G: StabilizerChain
+    gens: tuple[_Perm, ...], moved: list[list[int]], G: StabilizerChain
 ) -> StabilizerChain | None:
     """The chain of _perm_facts' orbit rule for a group G of 2-part 16,
     given moved, its orbits of more than one point: G itself when it moves
@@ -621,7 +625,7 @@ def _sylow2_image(
     for orbit in (o for o in moved if len(o) >= 16):
         where = {x: i for i, x in enumerate(orbit)}
         H = StabilizerChain(len(orbit))
-        for g in pg.generators:
+        for g in gens:
             H.add(tuple(where[g[x]] for x in orbit))
         if H.order() & -H.order() == 16:
             return H
@@ -662,12 +666,13 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     """The facts of a permutation group from a stabilizer chain, with no
     element of G listed.
 
-    G is read from its distinct generators other than the identity, in
-    the order first given. One such generator generates C_m, for m the lcm
-    of its cycle lengths, under 1700 digits by Landau's bound, and needs
-    no chain and no cap; with none, G = 1. The
-    cycles of the generators are listed once, for _giant_facts and
-    _abelian_index both: when they prove G to be S_n or A_n, _giant_facts
+    G is read once, from its distinct generators other than the identity,
+    in the order first given: each is put in the chain's form and its
+    cycles are listed, once, for every helper. One such generator
+    generates C_m, for m the lcm of its cycle lengths, under 1700 digits
+    by Landau's bound, and needs no chain and no cap; with none, G = 1.
+    The orbits are grown from the least point of each cycle, so no fixed
+    point is read. When the cycles prove G to be S_n or A_n, _giant_facts
     gives the facts in closed form and no chain is built, and it refuses
     with the chain's own error an input whose chain would pass the chain
     cap. Otherwise the order is that of the chain. When _abelian_index
@@ -675,8 +680,7 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     |G/G'|, and _proved_perfect finds its witnesses, the invariants are ()
     and no chain for G' is built; else they come from the chain for G',
     grown by the p-power series of G/G'. When the 2-part of |G| is 16 and
-    |G| is within CLOSURE_CAP, the Q16 test walks the image of G on one
-    orbit.
+    |G| is within CLOSURE_CAP, the Q16 test walks G's image on one orbit.
 
     The orbit is the first of 16 or more points on which the image keeps
     the 2-part 16, and if none does, no 2-Sylow subgroup P is Q16: every
@@ -685,20 +689,16 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     gives that orbit 16 points or more. On any orbit where the image keeps
     the 2-part 16 the kernel has odd order, so P maps isomorphically onto a
     2-Sylow subgroup of the image."""
-    identity = tuple(range(pg.degree))
-    distinct = tuple(dict.fromkeys(g for g in pg.generators if g != identity))
-    if len(distinct) <= 1:
-        m = lcm(*map(len, _cycles(distinct[0]))) if distinct else 1
+    identity = _perm(range(pg.degree))
+    gens = tuple(dict.fromkeys(g for g in map(_perm, pg.generators) if g != identity))
+    cycles = [list(_cycles(g)) for g in gens]
+    if len(gens) <= 1:
+        m = lcm(*map(len, cycles[0])) if gens else 1
         return GroupFacts(m, (m,) if m > 1 else (), m & -m, False)
-    if distinct != pg.generators:
-        pg = PermGens(pg.degree, distinct)
-    moved = _moved_orbits(pg)
-    cycles = [list(_cycles(g)) for g in pg.generators]
-    giant = _giant_facts(pg, moved, cycles)
+    moved = _moved_orbits(gens, cycles)
+    giant = _giant_facts(gens, moved, cycles)
     if giant is not None:
         return giant
-    # in the chain's form from here on, composed in C up to degree 256
-    gens = tuple(map(_perm, pg.generators))
     G = StabilizerChain(pg.degree)
     for g in gens:
         G.add(g)
@@ -709,9 +709,9 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
             f"the 2-Sylow test of a group of order {order} needs its closure, "
             f"above closure cap {CLOSURE_CAP}"
         )
-    H = _sylow2_image(pg, moved, G) if two_part == 16 else None
+    H = _sylow2_image(gens, moved, G) if two_part == 16 else None
     q16 = H is not None and _q16_search(H)
-    index = _abelian_index(pg, moved, cycles)
+    index = _abelian_index(gens, moved, cycles)
     if index == 1 and _proved_perfect(gens, cycles):
         return GroupFacts(order, (), two_part, q16)
     # the primes of |G| are those of its orbit lengths, all at most degree

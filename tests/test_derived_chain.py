@@ -34,8 +34,9 @@ ORDERS = {"A7": 2520, "A10": 1814400, "SL2_7": 336, "SL2_9": 720}
 
 
 def _abelian_index(pg):
-    cycles = [list(groups._cycles(g)) for g in pg.generators]
-    return groups._abelian_index(pg, groups._moved_orbits(pg), cycles)
+    gens = tuple(map(chain._perm, pg.generators))
+    cycles = [list(groups._cycles(g)) for g in gens]
+    return groups._abelian_index(gens, groups._moved_orbits(gens, cycles), cycles)
 
 
 def _derived_subgroup(pg, order):

@@ -55,8 +55,9 @@ def test_sl2_family_matches_its_closed_forms():
 
 def test_non_perfect_groups_that_pass_the_gate_fall_back():
     for name, (pg, invariants) in GATE_PASSING.items():
-        moved = groups._moved_orbits(pg)
-        assert groups._abelian_index(pg, moved, _cycles(pg)) == 1, name
+        gens, cycles = tuple(map(_perm, pg.generators)), _cycles(pg)
+        moved = groups._moved_orbits(gens, cycles)
+        assert groups._abelian_index(gens, moved, cycles) == 1, name
         assert not _proved_perfect(pg), name
         assert group_facts(pg).abelian_invariants == invariants, name
 
