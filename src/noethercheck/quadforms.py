@@ -11,8 +11,9 @@ form, not once per place (an int coefficient is its own class, so a form
 with integral coefficients builds no Fraction anywhere in the scan). The
 set of distinct numerators and denominators of a form is factored once
 per process per coefficient set, in a bounded cache that holds the whole
-tuple of its places; a refused part is not cached. No isotropic vectors
-are ever searched for here.
+tuple of its places; a refused part is not cached. The radicand d of
+isotropic_quad is factored once per process too, in a bounded cache of
+its field. No isotropic vectors are ever searched for here.
 """
 
 from __future__ import annotations
@@ -120,20 +121,28 @@ ISOTROPIC = IsotropyOutcome("isotropic")
 ANISOTROPIC = IsotropyOutcome("anisotropic")
 
 
-def isotropic_quad(f: DiagonalForm, d: int) -> IsotropyOutcome:
-    """Decide isotropy of the rational form f over Q(sqrt d).
-
-    d must be squarefree, not 0 or 1; it is factored once, to build the
-    field. The decision is the one scan of isotropic_Q with k = Q(sqrt d)
-    in place of Q (d = 1): dim 2 is a square-class test in k, and for
-    dim >= 3 f must be isotropic over Q_v at each candidate place v of f
-    that splits in k, that is where d is a square in Q_v. The real place
-    is one of them when d > 0.
-    """
+@lru_cache(maxsize=1024, typed=True)
+def _quadratic_field(d: int) -> FieldDescriptor:
+    """Q(sqrt d), its radicand factored once per process per d; a refused d
+    keeps no entry and raises on every call. typed keeps 2.0 and True apart
+    from 2 and 1, so that each is refused as FieldDescriptor refuses it."""
     k = FieldDescriptor(d) if d not in (0, 1) else None
     if k is None or k.d != d:
         raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")
-    return ISOTROPIC if _isotropic_over(f, k) else ANISOTROPIC
+    return k
+
+
+def isotropic_quad(f: DiagonalForm, d: int) -> IsotropyOutcome:
+    """Decide isotropy of the rational form f over Q(sqrt d).
+
+    d must be squarefree, not 0 or 1; it is factored once per process, to
+    build the field, which a bounded memo keeps. The decision is the one
+    scan of isotropic_Q with k = Q(sqrt d) in place of Q (d = 1): dim 2 is
+    a square-class test in k, and for dim >= 3 f must be isotropic over
+    Q_v at each candidate place v of f that splits in k, that is where d
+    is a square in Q_v. The real place is one of them when d > 0.
+    """
+    return ISOTROPIC if _isotropic_over(f, _quadratic_field(d)) else ANISOTROPIC
 
 
 def level(k: FieldDescriptor) -> int | None:

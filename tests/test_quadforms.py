@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noethercheck import localfields, quadforms
+from noethercheck import exact, localfields, quadforms
 from noethercheck.exact import (
     FACTORIZATION_CAP,
     QQ,
@@ -103,6 +103,40 @@ def test_isotropic_quad_rejects():
     for d in (0, 1, 4, 12, -8):
         with pytest.raises(ValueError):
             isotropic_quad(F7, d)
+
+
+def test_isotropic_quad_factors_its_radicand_once(monkeypatch):
+    # 500 decisions over one large d factor it once, into the memo of its
+    # field; a refused d keeps no entry and raises on every call, 2.0 and
+    # True as well, though 2 and 1 hash alike
+    d = 10**12 + 39
+    forms = [DiagonalForm.of(1, 1, 1, -k) for k in range(1, 501)]
+    expected = [quadforms._isotropic_over(f, FieldDescriptor(d)) for f in forms]
+    real_factorize = exact.factorize
+    factored = []
+
+    def counted(n):
+        factored.append(n)
+        return real_factorize(n)
+
+    monkeypatch.setattr(exact, "factorize", counted)
+    quadforms._quadratic_field.cache_clear()
+    assert [isotropic_quad(f, d).is_isotropic for f in forms] == expected
+    assert factored == [d]
+    isotropic_quad(F7, 2)
+    entries = quadforms._quadratic_field.cache_info().currsize
+    refused = {
+        8: (ValueError, "d must be squarefree and not 0 or 1, got 8"),
+        True: (ValueError, "d must be squarefree and not 0 or 1, got True"),
+        2.0: (TypeError, "d must be an int, not float: 2.0"),
+    }
+    for bad, (error, message) in refused.items():
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                isotropic_quad(F7, bad)
+            assert str(caught.value) == message
+    info = quadforms._quadratic_field.cache_info()
+    assert info.currsize == entries and 0 < info.maxsize < 10**4
 
 
 def test_isotropic_quad_extension_is_monotone():
