@@ -124,8 +124,8 @@ ANISOTROPIC = IsotropyOutcome("anisotropic")
 @lru_cache(maxsize=1024, typed=True)
 def _quadratic_field(d: int) -> FieldDescriptor:
     """Q(sqrt d), its radicand factored once per process per d; a refused d
-    keeps no entry and raises on every call. typed keeps 2.0 and True apart
-    from 2 and 1, so that each is refused as FieldDescriptor refuses it."""
+    keeps no entry and raises on every call. typed keeps 2.0 and
+    Fraction(2), which hash as 2 does, apart from 2, so they stay refused."""
     k = FieldDescriptor(d) if d not in (0, 1) else None
     if k is None or k.d != d:
         raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")

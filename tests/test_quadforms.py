@@ -108,7 +108,7 @@ def test_isotropic_quad_rejects():
 def test_isotropic_quad_factors_its_radicand_once(monkeypatch):
     # 500 decisions over one large d factor it once, into the memo of its
     # field; a refused d keeps no entry and raises on every call, 2.0 and
-    # True as well, though 2 and 1 hash alike
+    # Fraction(2) too after 2 was asked, though the three hash alike
     d = 10**12 + 39
     forms = [DiagonalForm.of(1, 1, 1, -k) for k in range(1, 501)]
     expected = [quadforms._isotropic_over(f, FieldDescriptor(d)) for f in forms]
@@ -125,12 +125,13 @@ def test_isotropic_quad_factors_its_radicand_once(monkeypatch):
     assert factored == [d]
     isotropic_quad(F7, 2)
     entries = quadforms._quadratic_field.cache_info().currsize
-    refused = {
-        8: (ValueError, "d must be squarefree and not 0 or 1, got 8"),
-        True: (ValueError, "d must be squarefree and not 0 or 1, got True"),
-        2.0: (TypeError, "d must be an int, not float: 2.0"),
-    }
-    for bad, (error, message) in refused.items():
+    refused = [
+        (8, ValueError, "d must be squarefree and not 0 or 1, got 8"),
+        (True, ValueError, "d must be squarefree and not 0 or 1, got True"),
+        (2.0, TypeError, "d must be an int, not float: 2.0"),
+        (Fraction(2), TypeError, "d must be an int, not Fraction: Fraction(2, 1)"),
+    ]
+    for bad, error, message in refused:
         for _ in range(2):
             with pytest.raises(error) as caught:
                 isotropic_quad(F7, bad)
