@@ -689,9 +689,9 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     gives that orbit 16 points or more. On any orbit where the image keeps
     the 2-part 16 the kernel has odd order, so P maps isomorphically onto a
     2-Sylow subgroup of the image."""
-    identity = _perm(range(pg.degree))
-    gens = tuple(dict.fromkeys(g for g in map(_perm, pg.generators) if g != identity))
-    cycles = [list(_cycles(g)) for g in gens]
+    found = {g: list(_cycles(g)) for g in dict.fromkeys(map(_perm, pg.generators))}
+    gens = tuple(g for g, cs in found.items() if cs)  # the identity has no cycle
+    cycles = [cs for cs in found.values() if cs]
     if len(gens) <= 1:
         m = lcm(*map(len, cycles[0])) if gens else 1
         return GroupFacts(m, (m,) if m > 1 else (), m & -m, False)
