@@ -1,21 +1,26 @@
 """Local computations over Q_p and R: Hilbert symbols, Hasse invariants,
 and isotropy of diagonal forms over completions of Q.
 
-Conventions, fixed once for the whole package:
+Conventions:
 
 * hilbert_symbol(a, b, v) is +1 iff z**2 = a*x**2 + b*y**2 has a nontrivial
   solution over the completion at v.
 * hasse_invariant(f, v) is the product of hilbert_symbol(a_i, a_j, v) over
-  pairs i < j, though it is computed from exponent sums, not pair by pair.
-* With that normalization, a form of dim 3 is isotropic over Q_v iff
-  hasse_invariant(f, v) == hilbert_symbol(-1, -disc(f), v), and a form of
-  dim 4 is anisotropic over Q_v iff disc(f) is a square in Q_v and
-  hasse_invariant(f, v) == -hilbert_symbol(-1, -1, v).
+  pairs i < j. No isotropy decision reads it.
+* <a, b, c> is isotropic over Q_v iff (-a*c, -b*c)_v = +1: scaled by c it
+  is <a*c, b*c, 1>, and z**2 = -a*c*x**2 - b*c*y**2 is the symbol's own
+  equation.
+* <a, b, c, e> is anisotropic over Q_v iff a*b*c*e is a square in Q_v and
+  (-a*b, -a*c)_v = -1. A non-square discriminant leaves it isotropic.
+  With a*b*c*e a square, e is a*b*c up to a square, and the form is
+  a*<1, a*b, a*c, b*c> = a*<1, -alpha, -beta, alpha*beta> for alpha = -a*b
+  and beta = -a*c: a multiple of the norm form of the quaternion algebra
+  (alpha, beta), which is anisotropic iff that algebra is division, iff
+  (alpha, beta)_v = -1 (Serre, A Course in Arithmetic, IV.2.2; Lam,
+  Introduction to Quadratic Forms over Fields).
 
-The other textbook normalization differs by a factor (-1, -1)_v and silently
-flips the dim 3/4 answers at finitely many places if mixed in; the bundle
-above is therefore pinned by tests against a modular counting oracle rather
-than trusted from the formulas.
+Both criteria are pinned by tests against a modular counting oracle and
+against Serre's criteria read from the Hasse invariant.
 
 Every symbol here depends only on the square classes of its entries, so a
 rational n/d stands as the integer n*d, which differs from it by the square
@@ -32,6 +37,8 @@ public legendre_symbol checks its p.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 from .exact import Frozen, exact_int, exact_rational, is_prime
 
@@ -169,57 +176,10 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: Place) -> int:
     return -1 if exp else 1
 
 
-def _hasse(cs: list[int], v: Place) -> int:
-    """Product of (c_i, c_j)_v over i < j, for integer classes c, by
-    exponent sums rather than one symbol per pair.
-
-    Write c_i = p**alpha_i * u_i with p not dividing u_i, alpha_i the
-    parity of v_p(c_i), and k = sum alpha_i. Multiplying out the formula
-    of hilbert_symbol (Serre, A Course in Arithmetic, III.1.2) over the
-    pairs, u_i meets the alpha_j of every j != i, k - alpha_i of them in
-    all, and the pairs of odd alpha number k*(k - 1)/2. So at odd p
-
-        (-1)**(eps(p)*k*(k - 1)/2) * (x/p),
-
-    with x the product of the u_i whose k - alpha_i is odd: one Euler
-    power, the sign folded into x since (-1/p) = (-1)**eps(p). At p = 2
-    it is (-1)**(e*(e - 1)/2 + sum of omega(u_i) over those same i), with
-    e the number of u_i = 3 mod 4, and at the real place (-1)**(s*(s - 1)/2)
-    with s the number of negative c_i.
-    """
-    p = v.p
-    if p is None:
-        s = sum(1 for c in cs if c < 0)
-        return -1 if s * (s - 1) >> 1 & 1 else 1
-    split = []
-    k = 0
-    for c in cs:
-        alpha = 0
-        while not c % p:
-            c //= p
-            alpha ^= 1
-        k += alpha
-        split.append((alpha, c))
-    if p != 2:
-        # eps(p) = 1 iff p = 3 mod 4
-        x = -1 if p & 2 and k * (k - 1) >> 1 & 1 else 1
-        for alpha, u in split:
-            if (k - alpha) & 1:
-                x = x * u % p
-        return 1 if pow(x, (p - 1) >> 1, p) == 1 else -1
-    e = sum(1 for _, u in split if u % 4 == 3)
-    exp = e * (e - 1) >> 1
-    for alpha, u in split:
-        if (k - alpha) & 1 and u % 8 in (3, 5):
-            exp += 1
-    return -1 if exp & 1 else 1
-
-
 def hasse_invariant(f: DiagonalForm, v: Place) -> int:
-    """Product of (a_i, a_j)_v over i < j, computed by the exponent sums
-    of _hasse (Serre, A Course in Arithmetic, III.1.2) with no symbol per
-    pair."""
-    return _hasse([_int_class(c) for c in f.coeffs], v)
+    """Product of (a_i, a_j)_v over the pairs i < j."""
+    cs = [_int_class(c) for c in f.coeffs]
+    return prod(hilbert_symbol(a, b, v) for a, b in combinations(cs, 2))
 
 
 def is_local_square(x: Fraction | int, v: Place) -> bool:
@@ -247,7 +207,7 @@ def local_isotropic(f: DiagonalForm, v: Place) -> bool:
     """Does f have a nontrivial zero over the completion at v?
 
     Dimension by dimension over Q_p: dim 1 never, dim 2 iff -a1*a2 is a
-    local square, dim 3 and 4 by the Hasse invariant criteria stated in the
+    local square, dim 3 and 4 by the one-symbol criteria stated in the
     module docstring, dim >= 5 always. At the real place isotropy is just
     indefiniteness.
     """
@@ -256,8 +216,9 @@ def local_isotropic(f: DiagonalForm, v: Place) -> bool:
 
 def _isotropic_at(cs: list[int], v: Place) -> bool:
     """local_isotropic for the form whose coefficients have the integer
-    classes cs, whose product is a class of the discriminant. A scan over
-    many places reads the classes once and asks here at each place."""
+    classes cs. A scan over many places reads the classes once and asks
+    here at each place, where dim 3 and 4 take at most one Hilbert symbol
+    by the criteria of the module docstring."""
     n = len(cs)
     if n == 1:
         return False
@@ -268,9 +229,8 @@ def _isotropic_at(cs: list[int], v: Place) -> bool:
         return True
     if n == 2:
         return is_local_square(-cs[0] * cs[1], v)
-    disc = 1
-    for c in cs:
-        disc *= c
     if n == 3:
-        return _hasse(cs, v) == hilbert_symbol(-1, -disc, v)
-    return not (is_local_square(disc, v) and _hasse(cs, v) == -hilbert_symbol(-1, -1, v))
+        a, b, c = cs
+        return hilbert_symbol(-a * c, -b * c, v) == 1
+    a, b, c, e = cs
+    return not (is_local_square(a * b * c * e, v) and hilbert_symbol(-a * b, -a * c, v) == -1)

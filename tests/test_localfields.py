@@ -244,12 +244,15 @@ def test_hasse_invariant_known():
     assert hasse_invariant(h, Place(5)) == 1
 
 
-def test_hasse_invariant_matches_the_pairwise_product():
-    # the exponent-sum formula against the definition, the product of
-    # hilbert_symbol over the pairs i < j, on seeded lists of 1 to 6 ints
-    # and Fractions with both signs and with p, p**2 and p**3 in numerators
-    # and denominators
+def test_local_isotropic_matches_the_hasse_invariant_criteria():
+    # Serre's criteria (A Course in Arithmetic, IV.2.2), read from the
+    # Hasse invariant c(f), the product of hilbert_symbol over the pairs
+    # i < j: dim 3 is isotropic iff c(f) = (-1, -d)_v, and dim 4 is
+    # anisotropic iff d is a square and c(f) = -(-1, -1)_v. Seeded lists of
+    # 1 to 6 ints and Fractions with both signs and with p, p**2 and p**3 in
+    # numerators and denominators; the forms of dim 3 and 4 are compared.
     rng = random.Random(0)
+    seen = set()
     for v in [REAL_PLACE] + [Place(p) for p in (2, 3, 5, 7, 11, 10007)]:
         q = v.p or 3
         for _ in range(300):
@@ -260,8 +263,16 @@ def test_hasse_invariant_matches_the_pairwise_product():
                     c = Fraction(c, rng.randint(1, 60) * rng.choice((1, q, q**2, q**3)))
                 cs.append(c)
             f = DiagonalForm(tuple(cs))
-            want = prod(hilbert_symbol(a, b, v) for a, b in combinations(f.coeffs, 2))
-            assert hasse_invariant(f, v) == want, (f, v)
+            if f.dim not in (3, 4):
+                continue
+            c, d = hasse_invariant(f, v), prod(f.coeffs)
+            if f.dim == 3:
+                want = c == hilbert_symbol(-1, -d, v)
+            else:
+                want = not (is_local_square(d, v) and c == -hilbert_symbol(-1, -1, v))
+            assert local_isotropic(f, v) == want, (f, v)
+            seen.add((f.dim, want))
+    assert seen == {(3, True), (3, False), (4, True), (4, False)}
 
 
 def test_is_local_square():
@@ -298,13 +309,34 @@ def test_local_isotropic_known():
 
 
 def test_local_isotropic_matches_zero_counting_oracle():
-    # Every grid form at every candidate bad prime: the Hasse-invariant
-    # criteria must agree with honest counting of primitive zeros mod p**k.
+    # Every grid form at every candidate bad prime: the one-symbol criteria
+    # must agree with honest counting of primitive zeros mod p**k.
     for f in grid_forms():
         for p in (2, 3, 5, 7):
             assert local_isotropic(f, Place(p)) == local_oracle(p).has_primitive_zero(f)
         pos = sum(c > 0 for c in f.coeffs)
         assert local_isotropic(f, REAL_PLACE) == (0 < pos < f.dim)
+
+
+def test_local_isotropic_matches_zero_counting_oracle_on_squarefree_forms():
+    # Grid coefficients reach few square classes at 2 (no +-6, +-10 or
+    # +-14), so draw seeded forms of dim 2 to 4 whose coefficients are
+    # +- products of distinct primes up to 13: every |v_p| <= 1, where the
+    # modular oracle is exact.
+    rng = random.Random(47)
+    values = []
+    for k in range(7):
+        for combo in combinations((2, 3, 5, 7, 11, 13), k):
+            values += [prod(combo), -prod(combo)]
+    oracles = [(LocalZeroOracle(p), Place(p)) for p in (2, 3, 5, 7)]
+    seen = set()
+    for _ in range(1500):
+        f = DiagonalForm(tuple(rng.choice(values) for _ in range(rng.randint(2, 4))))
+        for oracle, v in oracles:
+            want = oracle.has_primitive_zero(f)
+            assert local_isotropic(f, v) == want, (f, v)
+            seen.add((f.dim, v.p, want))
+    assert seen == {(n, p, z) for n in (2, 3, 4) for p in (2, 3, 5, 7) for z in (True, False)}
 
 
 def test_hilbert_symbol_matches_zero_counting_oracle():
