@@ -62,9 +62,11 @@ def factorize(n: int) -> dict[int, int]:
 
     Below TRIAL_BOUND**2, trial division. Above it, the primes below
     TRIAL_BOUND are found by one gcd with their product, and the cofactor
-    goes to Miller-Rabin with size-tiered bases and Brent's rho. Raises
-    ValueError for n = 0 or |n| > FACTORIZATION_CAP.
+    goes to Miller-Rabin with size-tiered bases and Brent's rho. n passes
+    exact_int, which refuses a float, Fraction, Decimal or str by name.
+    Raises ValueError for n = 0 or |n| > FACTORIZATION_CAP.
     """
+    n = n if type(n) is int else exact_int(n, "n")
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
@@ -196,11 +198,14 @@ def _brent_rho(n: int, c: int) -> int:
     return g
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; raises ValueError for n above
-    FACTORIZATION_CAP, where it is not proven exact. Memoized in a bounded
-    cache that holds the 1229 primes below 10**4 with room to spare."""
+    FACTORIZATION_CAP, where it is not proven exact. n passes exact_int.
+    Memoized in a bounded cache that holds the 1229 primes below 10**4 with
+    room to spare; typed keeps 2.0, which hashes as 2 does, from reading
+    2's entry, so it stays refused."""
+    n = n if type(n) is int else exact_int(n, "n")
     if n < 2:
         return False
     if n > FACTORIZATION_CAP:
@@ -237,7 +242,9 @@ def parse_ints(texts: list[str], cap: int, what: str, cap_name: str) -> list[int
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
-    """Write n = s * m**2 with s squarefree, m > 0, sign(s) = sign(n)."""
+    """Write n = s * m**2 with s squarefree, m > 0, sign(s) = sign(n).
+    n passes exact_int."""
+    n = n if type(n) is int else exact_int(n, "n")
     if n == 0:
         raise ValueError("0 has no squarefree part")
     s = 1 if n > 0 else -1
@@ -285,7 +292,9 @@ def exact_int(x: object, name: str) -> int:
 
 def padic_valuation(x: Fraction | int, p: int) -> int:
     """v_p(x) for nonzero rational x and prime p. x passes exact_rational,
-    which refuses a float, Decimal, complex or str by naming it."""
+    which refuses a float, Decimal, complex or str by naming it, and p
+    passes exact_int."""
+    p = p if type(p) is int else exact_int(p, "p")
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
     x = exact_rational(x, "x")

@@ -1,12 +1,10 @@
-"""Local computations over Q_p and R: Hilbert symbols, Hasse invariants,
+"""Local computations over Q_p and R: Hilbert symbols, local squares,
 and isotropy of diagonal forms over completions of Q.
 
 Conventions:
 
 * hilbert_symbol(a, b, v) is +1 iff z**2 = a*x**2 + b*y**2 has a nontrivial
   solution over the completion at v.
-* hasse_invariant(f, v) is the product of hilbert_symbol(a_i, a_j, v) over
-  pairs i < j. No isotropy decision reads it.
 * <a, b, c> is isotropic over Q_v iff (-a*c, -b*c)_v = +1: scaled by c it
   is <a*c, b*c, 1>, and z**2 = -a*c*x**2 - b*c*y**2 is the symbol's own
   equation.
@@ -20,7 +18,8 @@ Conventions:
   Introduction to Quadratic Forms over Fields).
 
 Both criteria are pinned by tests against a modular counting oracle and
-against Serre's criteria read from the Hasse invariant.
+against Serre's criteria, read from a Hasse invariant that the test
+computes itself as the product of hilbert_symbol over the pairs i < j.
 
 Every symbol here depends only on the square classes of its entries, so a
 rational n/d stands as the integer n*d, which differs from it by the square
@@ -30,15 +29,11 @@ parities, the unit parts and the signs of n/d and n*d agree.
 
 At an odd prime p a Place has already proved p prime, so a Legendre
 symbol there is Euler's criterion evaluated in place, one
-pow(x, (p - 1)/2, p) on a unit x, with no second primality test; only the
-public legendre_symbol checks its p.
+pow(x, (p - 1)/2, p) on a unit x, with no second primality test. The
+annotations are strings, so fractions loads only with a Fraction argument.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from itertools import combinations
-from math import prod
 
 from .exact import Frozen, exact_int, exact_rational, is_prime
 
@@ -104,16 +99,6 @@ class DiagonalForm(Frozen):
         return "<" + ",".join(str(c) for c in self.coeffs) + ">"
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """(a/p) in {-1, 0, +1} for an odd prime p, by Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) >> 1, p) == 1 else -1
-
-
 def _int_class(x: Fraction | int, name: str = "x") -> int:
     """The integer n*d for x = n/d: it differs from x by the square d**2,
     so every symbol below reads the same on it. No factoring is done, and
@@ -174,12 +159,6 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, v: Place) -> int:
     if beta and um in (3, 5):
         exp = not exp
     return -1 if exp else 1
-
-
-def hasse_invariant(f: DiagonalForm, v: Place) -> int:
-    """Product of (a_i, a_j)_v over the pairs i < j."""
-    cs = [_int_class(c) for c in f.coeffs]
-    return prod(hilbert_symbol(a, b, v) for a, b in combinations(cs, 2))
 
 
 def is_local_square(x: Fraction | int, v: Place) -> bool:

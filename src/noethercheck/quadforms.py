@@ -6,21 +6,24 @@ isotropic over k = Q(sqrt d) only at a place of Q that splits in k, one
 where d is a square in Q_v (the real place included), so it asks the
 local criterion of localfields.local_isotropic at each candidate place of
 f where is_local_square(d, v) holds; over Q every place splits, and the
-test is skipped. The integer classes of the coefficients are read once per
-form, not once per place (an int coefficient is its own class, so a form
-with integral coefficients builds no Fraction anywhere in the scan). The
-set of distinct numerators and denominators of a form is factored once
-per process per coefficient set, in a bounded cache that holds the whole
-tuple of its places; a refused part is not cached. The radicand d of
-isotropic_quad is factored once per process too, in a bounded cache of
-its field. No isotropic vectors are ever searched for here.
+test is skipped. The real place is asked first, so a definite form is
+refused by its signs before any finite place takes a Hilbert symbol. The
+integer classes of the coefficients are read once per form, not once per
+place (an int coefficient is its own class, so a form with integral
+coefficients builds no Fraction anywhere in the scan, and loads no
+fractions). The set of distinct numerators and denominators of a form is
+factored once per process per coefficient set, in a bounded cache that
+holds the whole tuple of its places; a refused part is not cached. The
+radicand d of isotropic_quad is factored once per process too, in a
+bounded cache of its field. No isotropic vectors are ever searched for
+here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact import QQ, FieldDescriptor, Frozen, factorize, is_square
+from .exact import QQ, FieldDescriptor, Frozen, exact_int, factorize, is_square
 from .localfields import (
     DiagonalForm,
     Place,
@@ -71,13 +74,15 @@ def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:
     invariants, so every Hilbert symbol with rational entries is +1 over E
     and a rational form of dim >= 3 is isotropic at w; complex places never
     obstruct. At a split place k_w = Q_v, and outside the candidate places
-    of f the coefficients are odd units and f is isotropic. The candidate
-    places come sorted, so a scan that stops at the first failure does the
-    same work in every process.
+    of f the coefficients are odd units and f is isotropic.
 
-    The integer classes of the coefficients are read once per form, an int
-    coefficient as its own class, and every place of the scan asks the same
-    local criterion local_isotropic does, on those classes.
+    The candidate places are read first, so a part above the factorization
+    cap raises whatever the signs; then the real place where it splits (d
+    is None or d > 0), which refuses a definite form with no Hilbert
+    symbol; then the finite places, sorted, so a scan that stops at the
+    first failure does the same work in every process. The integer classes
+    of the coefficients are read once per form, an int coefficient as its
+    own class, and every place asks the criterion local_isotropic does.
     """
     n = f.dim
     if n == 1:
@@ -87,7 +92,9 @@ def _isotropic_over(f: DiagonalForm, k: FieldDescriptor) -> bool:
     places = candidate_places(f)
     cs = [c if type(c) is int else _int_class(c) for c in f.coeffs]
     d = k.d  # None over Q, where every place splits
-    return all(_isotropic_at(cs, v) for v in places if d is None or is_local_square(d, v))
+    if (d is None or d > 0) and not _isotropic_at(cs, REAL_PLACE):
+        return False
+    return all(_isotropic_at(cs, v) for v in places[:-1] if d is None or is_local_square(d, v))
 
 
 def isotropic_Q(f: DiagonalForm) -> bool:
@@ -163,7 +170,9 @@ def level(k: FieldDescriptor) -> int | None:
 
 
 def three_squares_nat(n: int) -> bool:
-    """Sum of three integer squares: n not of the form 4**a * (8b + 7)."""
+    """Sum of three integer squares: n not of the form 4**a * (8b + 7).
+    n passes exact_int."""
+    n = n if type(n) is int else exact_int(n, "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
     while n % 4 == 0:

@@ -17,6 +17,7 @@ from noethercheck.exact import (
     parse_ints,
     squarefree_part,
 )
+from noethercheck.quadforms import three_squares_nat
 
 
 def test_factorize_known():
@@ -42,6 +43,54 @@ def test_is_prime():
     # reciprocity check builds
     maxsize = is_prime.cache_info().maxsize
     assert maxsize is not None and maxsize >= 1229
+
+
+# each entry point that takes an integer, and the argument it names
+_INTEGER_ENTRY_POINTS = [
+    pytest.param("n", factorize, id="factorize"),
+    pytest.param("n", is_prime, id="is_prime"),
+    pytest.param("n", squarefree_part, id="squarefree_part"),
+    pytest.param("p", lambda p: padic_valuation(12, p), id="padic_valuation-p"),
+    pytest.param("n", three_squares_nat, id="three_squares_nat"),
+]
+
+
+@pytest.mark.parametrize("value", [12.5, 12.0, Fraction(12), Decimal(12), "12"], ids=repr)
+@pytest.mark.parametrize("name, call", _INTEGER_ENTRY_POINTS)
+def test_integer_entry_points_refuse_non_integers_by_name(name, call, value):
+    # 12.5 was a float prime of factorize and 12.0 factored as 12; an
+    # integral value of another type is refused too, as exact_int refuses it
+    with pytest.raises(TypeError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be an int, not {type(value).__name__}: {value!r}"
+
+
+try:
+    from numpy import int8, int64
+except ImportError:  # the numpy values are left out where numpy is not installed
+    int8 = int64 = None
+
+
+def _outcome(call, value):
+    """What call(value) returns, or the type and message of what it raises."""
+    try:
+        return call(value)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name, call", _INTEGER_ENTRY_POINTS)
+def test_integer_entry_points_take_a_bool_or_a_numpy_integer(name, call):
+    # what exact_int takes, they take, as the int it stands for
+    values = [True, 12] + ([int64(12), int8(2)] if int64 is not None else [])
+    for value in values:
+        assert _outcome(call, value) == _outcome(call, int(value)), value
+
+
+def test_a_float_never_reads_the_cached_answer_of_an_int():
+    assert is_prime(2)
+    with pytest.raises(TypeError, match="^n must be an int, not float: 2.0$"):
+        is_prime(2.0)
 
 
 def test_squarefree_part_known():

@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import prod
 
@@ -14,10 +15,8 @@ from noethercheck.localfields import (
     REAL_PLACE,
     DiagonalForm,
     Place,
-    hasse_invariant,
     hilbert_symbol,
     is_local_square,
-    legendre_symbol,
     local_isotropic,
 )
 from noethercheck.oracles import (
@@ -28,6 +27,40 @@ from noethercheck.oracles import (
 )
 
 _PLACES = [Place(2), Place(3), Place(5), Place(7), Place(11), REAL_PLACE]
+
+
+def _hasse_invariant(f, v):
+    """c(f), the product of hilbert_symbol over the pairs i < j."""
+    return prod(hilbert_symbol(a, b, v) for a, b in combinations(f.coeffs, 2))
+
+
+@cache
+def _squares(p):
+    """The nonzero squares mod p."""
+    return frozenset(x * x % p for x in range(1, p))
+
+
+def _legendre(a, p):
+    """(a/p) for an odd prime p, read off the set of nonzero squares mod p."""
+    a %= p
+    return 0 if a == 0 else 1 if a in _squares(p) else -1
+
+
+def _jacobi(a, n):
+    """(a/n) for odd n > 0 by quadratic reciprocity, with no power taken:
+    the Legendre symbol at a prime too large to list its squares."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
 
 
 def test_place():
@@ -89,15 +122,6 @@ def test_diagonal_form():
         DiagonalForm.of(1, 0)
     with pytest.raises(ValueError):
         DiagonalForm.repeated(0)
-
-
-def test_legendre_symbol():
-    assert legendre_symbol(2, 7) == 1
-    assert legendre_symbol(3, 7) == -1
-    assert legendre_symbol(14, 7) == 0
-    assert [legendre_symbol(a, 5) for a in (1, 2, 3, 4)] == [1, -1, -1, 1]
-    with pytest.raises(ValueError):
-        legendre_symbol(1, 2)
 
 
 def test_hilbert_symbol_known():
@@ -182,7 +206,7 @@ def test_hilbert_symbol_reads_the_integer_class(n, d, b, s, t):
 
 def test_symbols_at_a_place_skip_the_primality_check(monkeypatch):
     # a Place has proved its prime, so neither hilbert_symbol nor
-    # is_local_square may test it again or go through legendre_symbol
+    # is_local_square may test it again
     rng = random.Random(3)
     places = [Place(p) for p in (2, 3, 5, 7, 11, 13, 97, 101, 9973)] + [REAL_PLACE]
 
@@ -198,13 +222,8 @@ def test_symbols_at_a_place_skip_the_primality_check(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(localfields, "is_prime", forbidden)
-        m.setattr(localfields, "legendre_symbol", forbidden)
         assert [hilbert_symbol(a, b, v) for a, b, v in cases] == symbols
         assert [is_local_square(a, v) for a, _, v in cases] == squares
-    with pytest.raises(ValueError):
-        legendre_symbol(1, 2)
-    with pytest.raises(ValueError):
-        legendre_symbol(3, 9)
 
 
 def test_hilbert_reciprocity_small():
@@ -233,15 +252,15 @@ def test_hilbert_reciprocity_small():
 
 def test_hasse_invariant_known():
     f = DiagonalForm.of(1, 1, 1, -7)
-    assert hasse_invariant(f, Place(2)) == 1
-    assert hasse_invariant(f, Place(7)) == 1
-    assert hasse_invariant(f, REAL_PLACE) == 1
+    assert _hasse_invariant(f, Place(2)) == 1
+    assert _hasse_invariant(f, Place(7)) == 1
+    assert _hasse_invariant(f, REAL_PLACE) == 1
     g = DiagonalForm.of(1, -1)
-    assert all(hasse_invariant(g, v) == 1 for v in _PLACES)
+    assert all(_hasse_invariant(g, v) == 1 for v in _PLACES)
     h = DiagonalForm.of(-1, -1, -1)
-    assert hasse_invariant(h, REAL_PLACE) == -1
-    assert hasse_invariant(h, Place(2)) == -1
-    assert hasse_invariant(h, Place(5)) == 1
+    assert _hasse_invariant(h, REAL_PLACE) == -1
+    assert _hasse_invariant(h, Place(2)) == -1
+    assert _hasse_invariant(h, Place(5)) == 1
 
 
 def test_local_isotropic_matches_the_hasse_invariant_criteria():
@@ -265,7 +284,7 @@ def test_local_isotropic_matches_the_hasse_invariant_criteria():
             f = DiagonalForm(tuple(cs))
             if f.dim not in (3, 4):
                 continue
-            c, d = hasse_invariant(f, v), prod(f.coeffs)
+            c, d = _hasse_invariant(f, v), prod(f.coeffs)
             if f.dim == 3:
                 want = c == hilbert_symbol(-1, -d, v)
             else:
@@ -364,20 +383,42 @@ def _split(x, p):
     return alpha, x
 
 
-def _serre_hilbert_symbol(a, b, p):
+def _serre_hilbert_symbol(a, b, p, legendre):
     """(a, b)_p at an odd prime p as Serre states it (Cours d'arithmetique,
     III.1.2, Theorem 1): for a = p**alpha*u and b = p**beta*v with u, v
     units, (-1)**(alpha*beta*eps(p)) * (u/p)**beta * (v/p)**alpha, where
-    eps(p) = (p - 1)/2 mod 2."""
+    eps(p) = (p - 1)/2 mod 2 and legendre(u, p) is (u/p)."""
     (alpha, u), (beta, v) = _split(a, p), _split(b, p)
     eps = (p - 1) // 2 % 2
-    return (-1) ** (alpha * beta * eps) * legendre_symbol(u, p) ** beta * legendre_symbol(v, p) ** alpha
+    return (-1) ** (alpha * beta * eps) * legendre(u, p) ** beta * legendre(v, p) ** alpha
+
+
+_SMALL_ODD_PRIMES = [p for p in range(3, 50, 2) if all(p % q for q in range(3, p, 2))]
+
+
+def test_odd_place_symbols_match_the_squares_mod_p():
+    # every odd prime p < 50, and every a, b among the units u and the
+    # multiples p*u for 1 <= u < p: each square class of Q_p, with the
+    # Legendre symbol read off the nonzero squares mod p
+    assert (_legendre(2, 7), _legendre(3, 7), _legendre(14, 7)) == (1, -1, 0)
+    assert [_legendre(a, 5) for a in (1, 2, 3, 4)] == [1, -1, -1, 1]
+    for p in _SMALL_ODD_PRIMES:
+        v = Place(p)
+        entries = [*range(1, p), *range(p, p * p, p)]
+        assert [_jacobi(u, p) for u in range(p)] == [_legendre(u, p) for u in range(p)], p
+        for a in entries:
+            # p*u has odd valuation; a unit u is a square iff it is one mod p
+            assert is_local_square(a, v) == (a < p and a in _squares(p)), (a, p)
+            for b in entries:
+                want = _serre_hilbert_symbol(a, b, p, _legendre)
+                assert hilbert_symbol(a, b, v) == want, (a, b, p)
 
 
 def test_hilbert_symbol_at_odd_p_matches_serre():
     # entries up to 10**8, as the reciprocity samples have them, times a
     # power of p, so every pair of valuation parities occurs at primes
-    # 1 and 3 mod 4
+    # 1 and 3 mod 4; the Legendre symbols are Jacobi symbols by
+    # reciprocity, which the test above checks against the squares mod p
     rng = random.Random(12)
     primes = (3, 5, 7, 13, 9967, 9973, 99999971, 99999989)
     seen = {}
@@ -386,7 +427,7 @@ def test_hilbert_symbol_at_odd_p_matches_serre():
         i, j = rng.randrange(4), rng.randrange(4)
         a = rng.randint(1, 10**8) * rng.choice((1, -1)) * p**i
         b = rng.randint(1, 10**8) * rng.choice((1, -1)) * p**j
-        want = _serre_hilbert_symbol(a, b, p)
+        want = _serre_hilbert_symbol(a, b, p, _jacobi)
         assert hilbert_symbol(a, b, Place(p)) == want, (a, b, p)
         key = (p % 4, _split(a, p)[0] % 2, _split(b, p)[0] % 2, want)
         seen[key] = seen.get(key, 0) + 1
@@ -424,6 +465,6 @@ def test_local_answers_ignore_a_square_with_p_in_its_denominator():
                 tuple(c * Fraction(rng.randint(1, 50), q * rng.randint(1, 9)) ** 2 for c in f.coeffs)
             )
             assert local_isotropic(g, v) == local_isotropic(f, v), (g, v)
-            assert hasse_invariant(g, v) == hasse_invariant(f, v), (g, v)
+            assert _hasse_invariant(g, v) == _hasse_invariant(f, v), (g, v)
             squares = [is_local_square(c, v) for c in f.coeffs]
             assert [is_local_square(c, v) for c in g.coeffs] == squares, (g, v)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from noethercheck.localfields import (
     REAL_PLACE,
     DiagonalForm,
     Place,
-    hasse_invariant,
+    hilbert_symbol,
     is_local_square,
     local_isotropic,
 )
@@ -34,6 +35,11 @@ from noethercheck.quadforms import (
 )
 
 F7 = DiagonalForm.of(1, 1, 1, -7)
+
+
+def _hasse_invariant(f, v):
+    """c(f), the product of hilbert_symbol over the pairs i < j."""
+    return prod(hilbert_symbol(a, b, v) for a, b in combinations(f.coeffs, 2))
 
 
 def _sample_form(rng, dim):
@@ -209,7 +215,7 @@ def test_int_and_fraction_coefficients_answer_alike(pairs):
     for d in (-1, 2, -7, 17):
         assert isotropic_quad(ints, d) == isotropic_quad(scaled, d), d
     for v in dict.fromkeys(candidate_places(ints) + candidate_places(scaled)):
-        assert hasse_invariant(ints, v) == hasse_invariant(scaled, v), v
+        assert _hasse_invariant(ints, v) == _hasse_invariant(scaled, v), v
         assert local_isotropic(ints, v) == local_isotropic(scaled, v), v
     # the same values given as Fraction(c) make the same form, stored as ints
     fractions = DiagonalForm(tuple(Fraction(c) for c, _ in pairs))
@@ -226,8 +232,7 @@ def test_one_factorization_per_coefficient_and_no_checked_legendre(monkeypatch):
     # with the cache cleared, the first decision of a form of dim >= 3
     # factors each distinct numerator and denominator above 1 once, and
     # every later decision over the same parts, over any field, factors
-    # nothing; its primes come from Places, so the checked legendre_symbol
-    # (a second primality test) is never needed
+    # nothing
     forms = [
         F7,
         DiagonalForm.of(1, 1, -3),
@@ -243,15 +248,7 @@ def test_one_factorization_per_coefficient_and_no_checked_legendre(monkeypatch):
         factored.append(n)
         return real_factorize(n)
 
-    def refuse(*args):
-        raise AssertionError("checked legendre_symbol called")
-
     monkeypatch.setattr(quadforms, "factorize", counted)
-    real_legendre = localfields.legendre_symbol
-    for mod in (localfields, quadforms):
-        for name, val in list(vars(mod).items()):
-            if val is real_legendre:
-                monkeypatch.setattr(mod, name, refuse)
     quadforms._places_of.cache_clear()
     for f, (iso_q, iso_k) in zip(forms, before):
         factored.clear()
@@ -406,6 +403,10 @@ def test_candidate_places_match_the_parent_rule():
         (-(FACTORIZATION_CAP + 2), 3, 5, 7),
         (1, Fraction(2, FACTORIZATION_CAP + 3), -1),
         (FACTORIZATION_CAP + 1, 1, FACTORIZATION_CAP + 1),
+        # definite: the candidate places are read before the real place
+        # would refuse the form by its signs
+        (1, 1, 1, FACTORIZATION_CAP + 1),
+        (-1, -2, Fraction(-1, FACTORIZATION_CAP + 3)),
     ],
 )
 def test_a_part_above_the_cap_raises_the_same_error(coeffs):
@@ -419,6 +420,28 @@ def test_a_part_above_the_cap_raises_the_same_error(coeffs):
         with pytest.raises(ValueError) as err:
             decide(f)
         assert str(err.value) == message
+
+
+def test_a_definite_form_takes_no_hilbert_symbol(monkeypatch):
+    # the real place is asked first wherever it splits, over Q and over
+    # real quadratic fields, and a definite form fails there by its signs
+    calls = []
+    real_symbol = localfields.hilbert_symbol
+
+    def counted(*args):
+        calls.append(args)
+        return real_symbol(*args)
+
+    monkeypatch.setattr(localfields, "hilbert_symbol", counted)
+    definite = (DiagonalForm.of(1, 2, 3, 5), DiagonalForm.of(-1, -3, Fraction(-5, 7), -14))
+    for f in (DiagonalForm.repeated(4), *definite):
+        assert not isotropic_Q(f), f
+        for d in (2, 3, 17):
+            assert isotropic_quad(f, d) == ANISOTROPIC, (f, d)
+    assert calls == []
+    # where the real place does not split, the finite places take symbols
+    assert isotropic_quad(DiagonalForm.repeated(4), -7) == ANISOTROPIC
+    assert calls != []
 
 
 def test_level():

@@ -1,9 +1,13 @@
 """Source checks on the package, with the standard library's ast only.
 
 Outside __init__, every module-level import is used: code deleted from a
-module must take its imports with it. And the arithmetic stays exact, so
-no module writes a float literal, calls float() or reaches for math.inf or
-math.nan.
+module must take its imports with it. Every public name that the product
+modules (exact, chain, groups, galois, localfields, quadforms, cli) define
+at module level is part of the product: code in those modules reads it,
+the package exports it, or the acceptance tests import it. A name only
+other tests read is not, and UNREAD_PUBLIC_NAMES names each exception and
+why. And the arithmetic stays exact, so no module writes a float literal,
+calls float() or reaches for math.inf or math.nan.
 And galois, which decides both criteria in closed form, imports nothing
 from the package beyond exact and groups, while quadforms takes its local
 criteria whole from localfields and imports none of the symbols they are
@@ -27,8 +31,10 @@ integers only, so neither a check, over Q or a quadratic field, nor
 catalog loads rational arithmetic: not fractions (nor the decimal and
 numbers it pulls in), localfields or quadforms. They load with the oracle
 subcommand or the first use of the form API, which the package serves on
-demand. Nor does a check over Q sieve the primes that factorize splits off
-large inputs.
+demand, and even then fractions loads only with a Fraction: no module
+imports it at module level, and an integer form, the oracle subcommand and
+the oracles load none of it. Nor does a check over Q sieve the primes that
+factorize splits off large inputs.
 Neither groups nor chain imports re or random: the chains are
 deterministic, and groups parses the catalog names by hand. And cli and
 groups read every integer of a command line through exact.parse_ints, the
@@ -71,7 +77,8 @@ from noethercheck import chain, groups, oracles
 
 PACKAGE = Path(noethercheck.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+TESTS = Path(__file__).resolve().parent
+TOOLS = TESTS.parent / "tools"
 
 
 def _tree(path):
@@ -265,6 +272,65 @@ def test_no_unused_module_imports():
         if unused:
             problems[path.name] = unused
     assert problems == {}
+
+
+# the modules whose public names must be read by the product itself
+PRODUCT_MODULES = ("exact", "chain", "groups", "galois", "localfields", "quadforms", "cli")
+
+# the public names that no product code reads, each with why it stays
+UNREAD_PUBLIC_NAMES = {
+    "localfields.local_isotropic": "the public face of _isotropic_at, which the isotropy scan runs",
+}
+
+
+def _public_definitions(tree):
+    """The public names that tree's module-level defs, classes and
+    assignments bind."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stores = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            out.update(n.id for n in stores if isinstance(n.ctx, ast.Store))
+    return {name for name in out if not name.startswith("_")}
+
+
+def _loaded_names(tree):
+    """Every name tree loads, bare or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    }
+
+
+def _import_time_imports(tree):
+    """Top-level names of the absolute imports that run when tree's module
+    is imported: every import outside a function body."""
+    out, nodes = set(), list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.partition(".")[0] for a in node.names)
+        nodes.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_public_name_is_part_of_the_product():
+    trees = {name: _tree(PACKAGE / f"{name}.py") for name in PRODUCT_MODULES}
+    read = set().union(*map(_loaded_names, trees.values()))
+    read |= set(noethercheck.__all__) | _imported_names(_tree(TESTS / "test_acceptance.py"))
+    unread = {f"{m}.{name}" for m, tree in trees.items() for name in _public_definitions(tree) - read}
+    assert unread == set(UNREAD_PUBLIC_NAMES)
+    # fractions loads with the first Fraction, inside exact_rational, and
+    # with no module
+    assert {p.name for p in MODULES if "fractions" in _import_time_imports(_tree(p))} == set()
 
 
 def test_no_floats():
@@ -522,9 +588,20 @@ def test_check_and_catalog_load_no_rational_arithmetic():
     ):
         added = _modules_added_by(run.format(argv))
         assert "noethercheck.galois" in added and added & RATIONAL_MODULES == set(), argv
-    # the check sees them when the oracle subcommand or the form API loads them
-    assert RATIONAL_MODULES <= _modules_added_by(run.format(["oracle", "three-squares", "10"]))
-    assert RATIONAL_MODULES <= _modules_added_by("from noethercheck import DiagonalForm")
+    # the oracle subcommand, the oracles and the form API load the form
+    # modules, and with integer coefficients no rational arithmetic
+    forms = {"noethercheck.localfields", "noethercheck.quadforms"}
+    isotropic = "from noethercheck import DiagonalForm, isotropic_Q\nisotropic_Q(DiagonalForm.of({}))"
+    for statement in (
+        run.format(["oracle", "three-squares", "10"]),
+        "import noethercheck.oracles",
+        isotropic.format("1, 1, -2"),
+    ):
+        added = _modules_added_by(statement)
+        assert forms <= added and added & RATIONAL_MODULES == forms, statement
+    # the check sees fractions, decimal and numbers when a Fraction loads them
+    statement = "from fractions import Fraction\n" + isotropic.format("1, 1, Fraction(-1, 2)")
+    assert RATIONAL_MODULES <= _modules_added_by(statement)
 
 
 def test_star_import_binds_all_public_names():
@@ -649,6 +726,17 @@ def test_checks_catch_what_they_claim():
     assert [n.lineno for n in _reads(ast.parse("a = b.a\na(c)\n"), "a")] == [1, 2]
     tree = ast.parse("import sympy.combinatorics\nfrom . import x\ndef f():\n    from sympy import S\n")
     assert _top_level_imports(tree) == {"sympy"}
+    tree = ast.parse(
+        "import a.b\nif x:\n    from c import d\nclass K:\n    import e\n    def f(self):\n"
+        "        import g\ndef h():\n    from i import j\n"
+    )
+    assert _import_time_imports(tree) == {"a", "c", "e"}
+    tree = ast.parse(
+        "A = 1\n_B = 2\nC: int = 3\nD, E = 4, 5\ndef f(): pass\nclass G: pass\nH.x = 6\n"
+        "def _i():\n    J = A.k\n    return L(_B)\n"
+    )
+    assert _public_definitions(tree) == {"A", "C", "D", "E", "f", "G"}
+    assert _loaded_names(tree) == {"int", "H", "x", "A", "k", "L", "_B"}
     tree = ast.parse(
         "s = object.__setattr__\nclass A:\n    def f(self):\n        object.__setattr__(self, 'x', 1)\n"
         "        def g():\n            setattr(self, 'y', 2)\n            A.x.__set__(self, 3)\n"
