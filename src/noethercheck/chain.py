@@ -3,9 +3,9 @@ a base and strong generating set grown by the deterministic Schreier-Sims
 algorithm (Holt-Eick-O'Brien, Handbook of Computational Group Theory,
 section 4.4; Seress, Permutation Group Algorithms, ch. 4). Outside this
 module a chain is reached only through StabilizerChain(degree), its
-identity and its methods add, grow, contains, walk, order and
-orbit_lengths, and its cap error only through _check_chain_cap, which
-takes a number of stored orbit points. It imports nothing from the
+identity and its methods add, grow, contains, walk and order, and its cap
+error only through _check_chain_cap, which takes a number of stored orbit
+points. It imports nothing from the
 package. Each orbit point stores one element, its coset representative,
 and walk lists the products of those, so it serves a chain that grow built
 as well as one that add built. A level keeps, per orbit point, the number
@@ -135,11 +135,6 @@ class StabilizerChain:
 
     def order(self) -> int:
         return self._size
-
-    def orbit_lengths(self) -> list[int]:
-        """The orbit length of each level, base point first; their product
-        is the order, so their primes are those of the order."""
-        return [len(lev.orbit) for lev in self._levels]
 
     def walk(self, square: Sequence[int] | None = None):
         """Every element g of the group once, in the chain's form, or, given

@@ -351,10 +351,13 @@ def _abelian_index(
     return out
 
 
-def _proved_perfect(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> bool:
+def _proved_perfect(
+    gens: tuple[_Perm, ...], cycles: list[list[list[int]]], primes: list[int]
+) -> bool:
     """True if the orders of a few fixed words in gens prove G = G', for the
-    generators gens in the chain's form and cycles, those of each generator
-    as _cycles lists them; False if no proof is found, which proves nothing.
+    generators gens in the chain's form, cycles, those of each generator as
+    _cycles lists them, and primes, those of their cycle lengths, ascending;
+    False if no proof is found, which proves nothing.
 
     Write A = G/G' additively, A_p for its p-part and S_p for the
     generators whose order the prime p divides.
@@ -381,7 +384,6 @@ def _proved_perfect(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> b
     g_k**-1 * g_i * g_k, and g_i**(p + 1) has the p-part of g_i's order."""
     n = len(gens)
     lengths = [{len(cycle) for cycle in cs} for cs in cycles]
-    primes = sorted({p for ms in lengths for m in ms for p in factorize(m)})
     made: dict[tuple[str, int, int], _Perm] = {}
 
     def cached(key: tuple[str, int, int], make) -> _Perm:
@@ -566,8 +568,9 @@ def _chain_invariants(
     gens: tuple[_Perm, ...], order: int, primes: list[int], K: StabilizerChain
 ) -> tuple[int, ...]:
     """Invariant factors of G/G', descending and without 1s, from the order
-    of G, the primes that may divide it and the complete chain K for G',
-    which add grows in place, also when grow built it up to its bound.
+    of G, primes, which hold every prime of |G/G'| and are skipped where
+    they do not divide it, and the complete chain K for G', which add grows
+    in place, also when grow built it up to its bound.
 
     Write A = G/G' additively, A_p for its p-part, of order p**e, and q for
     |A|/p**e. The elements g**(q*p**k), for the generators g, generate
@@ -679,7 +682,9 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     reads 1, which it does for every perfect group since it divides
     |G/G'|, and _proved_perfect finds its witnesses, the invariants are ()
     and no chain for G' is built; else they come from the chain for G',
-    grown by the p-power series of G/G'. When the 2-part of |G| is 16 and
+    grown by the p-power series of G/G'. Both read the primes of the
+    generators' cycle lengths, listed once: G/G' is generated by their
+    images, so its primes are among them. When the 2-part of |G| is 16 and
     |G| is within CLOSURE_CAP, the Q16 test walks G's image on one orbit.
 
     The orbit is the first of 16 or more points on which the image keeps
@@ -712,10 +717,9 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     H = _sylow2_image(gens, moved, G) if two_part == 16 else None
     q16 = H is not None and _q16_search(H)
     index = _abelian_index(gens, moved, cycles)
-    if index == 1 and _proved_perfect(gens, cycles):
+    primes = sorted({p for n in {len(c) for cs in cycles for c in cs} for p in factorize(n)})
+    if index == 1 and _proved_perfect(gens, cycles, primes):
         return GroupFacts(order, (), two_part, q16)
-    # the primes of |G| are those of its orbit lengths, all at most degree
-    primes = sorted({p for n in G.orbit_lengths() for p in factorize(n)})
     del G
     K = _derived_subgroup(gens, order // index)
     invariants = _chain_invariants(gens, order, primes, K)

@@ -84,13 +84,6 @@ class DiagonalForm(Frozen):
     def of(cls, *coeffs: Fraction | int) -> DiagonalForm:
         return cls(coeffs)
 
-    @classmethod
-    def repeated(cls, n: int, c: Fraction | int = 1) -> DiagonalForm:
-        """n*<c>."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        return cls((c if type(c) is int else exact_rational(c, "coefficient"),) * n)
-
     @property
     def dim(self) -> int:
         return len(self.coeffs)

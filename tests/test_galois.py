@@ -16,7 +16,7 @@ from noethercheck.oracles import UnitSubgroup2n, cyclotomic_galois
 from noethercheck.quadforms import isotropic_Q, isotropic_quad
 
 F7 = DiagonalForm.of(1, 1, 1, -7)
-F8 = DiagonalForm.repeated(8)
+F8 = DiagonalForm((1,) * 8)
 # the 20-digit primes of test_cli, one in each odd class mod 8
 BIG_PRIMES = (
     10000000000000000097,

@@ -186,7 +186,8 @@ def test_proved_perfect_groups_are_perfect_in_the_table(spec):
     # the proof from element orders, run with or without the gate that
     # _perm_facts puts before it, against the closure's relators
     cycles = [list(groups._cycles(g)) for g in spec.generators]
-    if groups._proved_perfect(tuple(map(_perm, spec.generators)), cycles):
+    primes = sorted({p for cs in cycles for c in cs for p in factorize(len(c))})
+    if groups._proved_perfect(tuple(map(_perm, spec.generators)), cycles, primes):
         assert abelian_invariants_by_relators(build_group(spec)) == ()
 
 

@@ -75,7 +75,6 @@ _INEXACT = [0.1, 0.25, 2.0, Decimal("0.5"), Decimal(3), 1j, complex(3, 0), "3", 
 _ENTRY_POINTS = [
     pytest.param("coefficient", lambda x: DiagonalForm.of(1, x, -1), id="DiagonalForm.of"),
     pytest.param("coefficient", lambda x: DiagonalForm((x,)), id="DiagonalForm"),
-    pytest.param("coefficient", lambda x: DiagonalForm.repeated(3, x), id="DiagonalForm.repeated"),
     pytest.param("x", lambda x: is_square(x), id="is_square"),
     pytest.param("x", lambda x: is_square(x, FieldDescriptor(2)), id="is_square-over-Q(sqrt 2)"),
     pytest.param("a", lambda x: hilbert_symbol(x, -1, Place(3)), id="hilbert_symbol-a"),
@@ -99,7 +98,7 @@ def test_bool_counts_as_an_int():
     # True is 1 and False is 0 wherever an int is taken
     f = DiagonalForm.of(True, 1, -1)
     assert f == DiagonalForm.of(1, 1, -1) and [type(c) for c in f.coeffs] == [int] * 3
-    assert DiagonalForm.repeated(2, True).coeffs == (1, 1)
+    assert DiagonalForm((True,) * 2).coeffs == (1, 1)
     assert is_square(True) and is_square(False)
     assert hilbert_symbol(True, -1, REAL_PLACE) == hilbert_symbol(1, -1, REAL_PLACE) == 1
     assert is_local_square(True, Place(7))
@@ -115,13 +114,11 @@ def test_diagonal_form():
     f = DiagonalForm.of(1, 1, 1, -7)
     assert f.dim == 4
     assert str(f) == "<1,1,1,-7>"
-    assert DiagonalForm.repeated(3).coeffs == (1, 1, 1)
+    assert DiagonalForm((1,) * 3).coeffs == (1, 1, 1)
     with pytest.raises(ValueError):
         DiagonalForm.of()
     with pytest.raises(ValueError):
         DiagonalForm.of(1, 0)
-    with pytest.raises(ValueError):
-        DiagonalForm.repeated(0)
 
 
 def test_hilbert_symbol_known():
@@ -316,11 +313,11 @@ def test_local_isotropic_known():
     assert not local_isotropic(f7, Place(2))
     assert local_isotropic(f7, Place(7))
     assert local_isotropic(f7, REAL_PLACE)
-    f8 = DiagonalForm.repeated(8)
+    f8 = DiagonalForm((1,) * 8)
     assert not local_isotropic(f8, REAL_PLACE)
     assert local_isotropic(f8, Place(2))
-    assert not local_isotropic(DiagonalForm.repeated(3), Place(2))
-    assert not local_isotropic(DiagonalForm.repeated(4), Place(2))
+    assert not local_isotropic(DiagonalForm((1,) * 3), Place(2))
+    assert not local_isotropic(DiagonalForm((1,) * 4), Place(2))
     assert local_isotropic(DiagonalForm.of(1, -3), Place(11))
     assert not local_isotropic(DiagonalForm.of(1, -3), Place(5))
     assert not local_isotropic(DiagonalForm.of(1), Place(2))

@@ -35,8 +35,8 @@ def test_grid_forms():
 def test_local_oracle_known():
     o2 = local_oracle(2)
     assert o2 is local_oracle(2)
-    assert not o2.has_primitive_zero(DiagonalForm.repeated(3))
-    assert not o2.has_primitive_zero(DiagonalForm.repeated(4))
+    assert not o2.has_primitive_zero(DiagonalForm((1,) * 3))
+    assert not o2.has_primitive_zero(DiagonalForm((1,) * 4))
     assert not o2.has_primitive_zero(DiagonalForm.of(1, 1, 1, -7))
     assert o2.has_primitive_zero(DiagonalForm.of(1, -1))
     assert not o2.has_primitive_zero(DiagonalForm.of(1, 1))
@@ -50,7 +50,7 @@ def test_local_oracle_rejects():
     with pytest.raises(ValueError):
         local_oracle(3).has_primitive_zero(DiagonalForm.of(Fraction(1, 2)))
     with pytest.raises(ValueError):
-        local_oracle(3).has_primitive_zero(DiagonalForm.repeated(5))
+        local_oracle(3).has_primitive_zero(DiagonalForm((1,) * 5))
 
 
 @pytest.mark.parametrize("coeffs, c", [((243,), 243), ((27,), 27), ((1, 27), 27)])
@@ -97,7 +97,7 @@ def test_isotropy_witness():
     _check_witness(h, isotropy_witness(h, 8))
     assert isotropy_witness(DiagonalForm.of(1, 1, 1, -7), 25) is None
     assert isotropy_witness(DiagonalForm.of(5), 10) is None
-    assert isotropy_witness(DiagonalForm.repeated(4), 10) is None
+    assert isotropy_witness(DiagonalForm((1,) * 4), 10) is None
 
 
 def _witness_at_one_height(cs, height):

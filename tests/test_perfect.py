@@ -10,6 +10,7 @@ from families import regular, sl2, sl2_facts
 
 from noethercheck import chain, groups
 from noethercheck.chain import _perm
+from noethercheck.exact import factorize
 from noethercheck.groups import PermGens, group_facts
 
 # A4; SL2(3) = Q8 : C3 on its 8 nonzero vectors; Q8 acting on itself by
@@ -26,7 +27,9 @@ def _cycles(pg):
 
 
 def _proved_perfect(pg):
-    return groups._proved_perfect(tuple(map(_perm, pg.generators)), _cycles(pg))
+    cycles = _cycles(pg)
+    primes = sorted({p for cs in cycles for c in cs for p in factorize(len(c))})
+    return groups._proved_perfect(tuple(map(_perm, pg.generators)), cycles, primes)
 
 
 def _chains_built(monkeypatch, pg):

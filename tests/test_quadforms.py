@@ -59,7 +59,7 @@ def test_isotropic_Q_known():
     assert isotropic_Q(DiagonalForm.of(1, -1))
     assert not isotropic_Q(DiagonalForm.of(1, -2))
     assert not isotropic_Q(DiagonalForm.of(1, 1, -3))
-    assert not isotropic_Q(DiagonalForm.repeated(8))
+    assert not isotropic_Q(DiagonalForm((1,) * 8))
     assert not isotropic_Q(DiagonalForm.of(1))
     assert isotropic_Q(DiagonalForm.of(1, 1, 1, 1, -7))
     # 7/2 is a sum of three rational squares though 7 is not
@@ -81,16 +81,16 @@ def test_isotropic_quad_known():
     assert isotropic_quad(F7, 5) == ISOTROPIC
     assert isotropic_quad(F7, -1) == ISOTROPIC
     assert isotropic_quad(DiagonalForm.of(1, 1, 1, Fraction(-7, 4)), 17) == ANISOTROPIC
-    f8 = DiagonalForm.repeated(8)
+    f8 = DiagonalForm((1,) * 8)
     assert isotropic_quad(f8, 17) == ANISOTROPIC
     assert isotropic_quad(f8, 2) == ANISOTROPIC
     assert isotropic_quad(f8, -7) == ISOTROPIC
-    three = DiagonalForm.repeated(3)
+    three = DiagonalForm((1,) * 3)
     assert isotropic_quad(three, 2) == ANISOTROPIC
     assert isotropic_quad(three, -7) == ANISOTROPIC
     assert isotropic_quad(three, -2) == ISOTROPIC
-    assert isotropic_quad(DiagonalForm.repeated(4), -7) == ANISOTROPIC
-    assert isotropic_quad(DiagonalForm.repeated(5), -7) == ISOTROPIC
+    assert isotropic_quad(DiagonalForm((1,) * 4), -7) == ANISOTROPIC
+    assert isotropic_quad(DiagonalForm((1,) * 5), -7) == ISOTROPIC
     assert isotropic_quad(DiagonalForm.of(1, -2), 2) == ISOTROPIC
     assert isotropic_quad(DiagonalForm.of(1, -2), 3) == ANISOTROPIC
     assert isotropic_quad(DiagonalForm.of(1, 1), -1) == ISOTROPIC
@@ -434,13 +434,13 @@ def test_a_definite_form_takes_no_hilbert_symbol(monkeypatch):
 
     monkeypatch.setattr(localfields, "hilbert_symbol", counted)
     definite = (DiagonalForm.of(1, 2, 3, 5), DiagonalForm.of(-1, -3, Fraction(-5, 7), -14))
-    for f in (DiagonalForm.repeated(4), *definite):
+    for f in (DiagonalForm((1,) * 4), *definite):
         assert not isotropic_Q(f), f
         for d in (2, 3, 17):
             assert isotropic_quad(f, d) == ANISOTROPIC, (f, d)
     assert calls == []
     # where the real place does not split, the finite places take symbols
-    assert isotropic_quad(DiagonalForm.repeated(4), -7) == ANISOTROPIC
+    assert isotropic_quad(DiagonalForm((1,) * 4), -7) == ANISOTROPIC
     assert calls != []
 
 

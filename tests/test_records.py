@@ -211,7 +211,7 @@ def test_diagonal_form_converts_each_coefficient_once():
     assert g.coeffs == (3, 3, 1, 2) and all(type(c) is int for c in g.coeffs)
     assert str(g) == "<3,3,1,2>" and str(f) == "<1/2,3,-7>"
     assert f == DiagonalForm.of(half, 3, -7) == DiagonalForm([half, Fraction(3), -7])
-    assert DiagonalForm.repeated(3, half).coeffs == (half,) * 3
+    assert DiagonalForm((half,) * 3).coeffs == (half,) * 3
     # a tuple of ints is stored as it is
     ints = (3, -7, 1)
     assert DiagonalForm(ints).coeffs is ints
@@ -249,7 +249,6 @@ BAD_ARGUMENTS = [
     (lambda: Place(1), "not a prime: 1"),
     (lambda: DiagonalForm(()), "a form needs at least one coefficient"),
     (lambda: DiagonalForm.of(1, 0), "diagonal coefficients must be nonzero"),
-    (lambda: DiagonalForm.repeated(0), "n must be positive"),
     (lambda: IsotropyOutcome("undecided"), "bad kind: undecided"),
     (lambda: UnitSubgroup2n(0, frozenset({1})), "n must be at least 1"),
     (lambda: UnitSubgroup2n(3, frozenset({7})), "unit subgroups contain 1"),

@@ -4,7 +4,9 @@ Outside __init__, every module-level import is used: code deleted from a
 module must take its imports with it. Every public name that the product
 modules (exact, chain, groups, galois, localfields, quadforms, cli) define
 at module level is part of the product: code in those modules reads it,
-the package exports it, or the acceptance tests import it. A name only
+the package exports it, or the acceptance tests import it. So is every
+public method, property and __slots__ field of their classes: that code or
+the acceptance tests load it, as a name or an attribute. A name only
 other tests read is not, and UNREAD_PUBLIC_NAMES names each exception and
 why. And the arithmetic stays exact, so no module writes a float literal,
 calls float() or reaches for math.inf or math.nan.
@@ -43,7 +45,7 @@ argparse's type=int does, or writes a \\d pattern.
 The stabilizer chain is a leaf module, chain, that imports nothing from
 the package. groups reaches it through its interface only, reading none of
 its levels, fields or private methods; that interface is the constructor,
-which takes the degree alone, and seven public names, of which only grow
+which takes the degree alone, and six public names, of which only grow
 takes a bound, with no default; beside it, groups imports the element
 helpers and _check_chain_cap, which raises the chain's cap error where
 groups knows a chain's size without building it. oracles imports nothing
@@ -297,6 +299,26 @@ def _public_definitions(tree):
     return {name for name in out if not name.startswith("_")}
 
 
+def _public_members(tree):
+    """The public methods, properties and __slots__ fields of tree's
+    module-level classes, as "Class.name"."""
+    out = set()
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        names = []
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.append(node.name)
+            elif isinstance(node, ast.Assign) and "__slots__" in {
+                getattr(t, "id", None) for t in node.targets
+            }:
+                names.extend(
+                    c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+        out.update(f"{cls.name}.{name}" for name in names if not name.startswith("_"))
+    return out
+
+
 def _loaded_names(tree):
     """Every name tree loads, bare or as an attribute."""
     return {
@@ -325,8 +347,18 @@ def _import_time_imports(tree):
 def test_every_public_name_is_part_of_the_product():
     trees = {name: _tree(PACKAGE / f"{name}.py") for name in PRODUCT_MODULES}
     read = set().union(*map(_loaded_names, trees.values()))
-    read |= set(noethercheck.__all__) | _imported_names(_tree(TESTS / "test_acceptance.py"))
+    acceptance = _tree(TESTS / "test_acceptance.py")
+    # a member counts as read wherever its name is loaded, bare or as an
+    # attribute, in the product or the acceptance tests
+    members_read = read | _loaded_names(acceptance)
+    read |= set(noethercheck.__all__) | _imported_names(acceptance)
     unread = {f"{m}.{name}" for m, tree in trees.items() for name in _public_definitions(tree) - read}
+    unread |= {
+        f"{m}.{member}"
+        for m, tree in trees.items()
+        for member in _public_members(tree)
+        if member.partition(".")[2] not in members_read
+    }
     assert unread == set(UNREAD_PUBLIC_NAMES)
     # fractions loads with the first Fraction, inside exact_rational, and
     # with no module
@@ -657,7 +689,7 @@ def test_chain_is_a_leaf_behind_its_interface():
     Chain = chain.StabilizerChain
     assert list(inspect.signature(Chain).parameters) == ["degree"]
     assert {name for name in dir(Chain(1)) if not name.startswith("_")} == {
-        "identity", "add", "grow", "contains", "walk", "order", "orbit_lengths"
+        "identity", "add", "grow", "contains", "walk", "order"
     }
     grow = inspect.signature(Chain.grow).parameters
     assert "bound" in grow and grow["bound"].default is inspect.Parameter.empty
@@ -737,6 +769,12 @@ def test_checks_catch_what_they_claim():
     )
     assert _public_definitions(tree) == {"A", "C", "D", "E", "f", "G"}
     assert _loaded_names(tree) == {"int", "H", "x", "A", "k", "L", "_B"}
+    tree = ast.parse(
+        "class A:\n    __slots__ = ('x', '_y')\n    k = 1\n    def f(self): pass\n"
+        "    @property\n    def g(self): pass\n    def _h(self): pass\n    def __str__(self): pass\n"
+        "class B:\n    __slots__ = 'z'\n    @classmethod\n    def of(cls): pass\ndef m(): pass\n"
+    )
+    assert _public_members(tree) == {"A.x", "A.f", "A.g", "B.z", "B.of"}
     tree = ast.parse(
         "s = object.__setattr__\nclass A:\n    def f(self):\n        object.__setattr__(self, 'x', 1)\n"
         "        def g():\n            setattr(self, 'y', 2)\n            A.x.__set__(self, 3)\n"
