@@ -13,7 +13,7 @@ what the tests compare them against; nothing here calls either.
 
 from __future__ import annotations
 
-from .exact import FieldDescriptor, Frozen, QQ
+from .exact import FieldDescriptor, Frozen, QQ, exact_int
 from .groups import GroupSpec, group_facts
 
 
@@ -27,8 +27,9 @@ def is_cyclic_ext(k: FieldDescriptor, n: int) -> bool:
     {x = 1 mod 4}, generated by 5; over Q(sqrt -2) it is {x = 1, 3 mod 8},
     generated by 3; over Q(sqrt 2) it is {x = +-1 mod 8} = <-1> x <9>,
     whose second factor is trivial only for n = 3. oracles.cyclotomic_galois
-    enumerates the same groups, and the tests compare the two.
+    enumerates the same groups, which the tests compare. n passes exact_int.
     """
+    n = n if type(n) is int else exact_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     return n <= 2 or k.d in (-1, -2) or (k.d == 2 and n == 3)
@@ -56,8 +57,9 @@ def bailey_group(k: FieldDescriptor, dvec: tuple[int, ...]) -> tuple[int, str]:
     k(zeta_{2^d_i})/k is not cyclic.
 
     Non-cyclicity is monotone in the level, so the counted indices form a
-    prefix of the descending vector.
+    prefix of the descending vector. Each entry passes exact_int.
     """
+    dvec = tuple(d if type(d) is int else exact_int(d, "dvec entry") for d in dvec)
     if any(d < 1 for d in dvec):
         raise ValueError("entries of dvec must be at least 1")
     if any(dvec[i] < dvec[i + 1] for i in range(len(dvec) - 1)):
@@ -119,8 +121,10 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
     Criterion "1.5" fires when the 2-Sylow subgroup is Q16 and both
     3<1>+<-7> and 8<1> stay anisotropic over k. Either one yields
     "not_retract_rational"; otherwise the verdict is "inconclusive" with one
-    reason per failed hypothesis.
+    reason per failed hypothesis; a spec or field of another type is a TypeError.
     """
+    if not isinstance(field, FieldDescriptor):
+        raise TypeError(f"field must be a FieldDescriptor, not {type(field).__name__}: {field!r}")
     facts = group_facts(spec)
     invs = facts.abelian_invariants
     # the exponent of 2 in m is the index of its lowest set bit; for a few

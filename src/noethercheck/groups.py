@@ -734,11 +734,14 @@ def _catalog_facts(name: str) -> GroupFacts:
 def group_facts(spec: GroupSpec) -> GroupFacts:
     """The facts the verdict needs: from the presentation for metacyclic
     specs, memoized per name for catalog specs, and from a stabilizer
-    chain for permutation specs."""
+    chain for permutation specs; any other spec is a TypeError."""
     if isinstance(spec, Metacyclic):
         return _metacyclic_facts(spec)
     if isinstance(spec, Catalog):
         return _catalog_facts(spec.name)
+    if not isinstance(spec, PermGens):
+        kind = type(spec).__name__
+        raise TypeError(f"spec must be a PermGens, Metacyclic or Catalog, not {kind}: {spec!r}")
     return _perm_facts(spec)
 
 

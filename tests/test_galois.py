@@ -3,6 +3,8 @@ import random
 import sys
 import time
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from families import CYCLIC_PRODUCTS, cyclic_product
@@ -14,6 +16,11 @@ from noethercheck.groups import Catalog, Metacyclic, PermGens
 from noethercheck.localfields import DiagonalForm
 from noethercheck.oracles import UnitSubgroup2n, cyclotomic_galois
 from noethercheck.quadforms import isotropic_Q, isotropic_quad
+
+try:
+    from numpy import int64
+except ImportError:  # the numpy value is left out where numpy is not installed
+    int64 = None
 
 F7 = DiagonalForm.of(1, 1, 1, -7)
 F8 = DiagonalForm((1,) * 8)
@@ -211,6 +218,42 @@ def test_bailey_group():
         bailey_group(QQ, (0,))
     with pytest.raises(ValueError):
         bailey_group(QQ, (2, 3))
+
+
+# each Galois rule that takes a level, and the argument it names
+_LEVEL_ENTRY_POINTS = [
+    pytest.param("n", lambda n: is_cyclic_ext(QQ, n), id="is_cyclic_ext"),
+    pytest.param("dvec entry", lambda d: bailey_group(QQ, (d,)), id="bailey_group"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, Fraction(7, 2), Decimal(3), "3"], ids=repr)
+@pytest.mark.parametrize("name, call", _LEVEL_ENTRY_POINTS)
+def test_galois_rules_refuse_a_non_integer_level_by_name(name, call, value):
+    # is_cyclic_ext answered for the level 2.5 and bailey_group counted an
+    # entry 3.5, and "3" raised a bare TypeError from the comparison; an
+    # integral value of another type is refused too, as exact_int refuses it
+    with pytest.raises(TypeError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be an int, not {type(value).__name__}: {value!r}"
+
+
+@pytest.mark.parametrize("name, call", _LEVEL_ENTRY_POINTS)
+def test_galois_rules_take_a_bool_or_a_numpy_integer(name, call):
+    values = [True, 3] + ([int64(3)] if int64 is not None else [])
+    for value in values:
+        assert call(value) == call(int(value)), value
+
+
+def test_a_spec_or_field_of_the_wrong_type_is_refused_by_name():
+    with pytest.raises(TypeError) as err:
+        verdict("catalog:C8")
+    assert str(err.value) == (
+        "spec must be a PermGens, Metacyclic or Catalog, not str: 'catalog:C8'"
+    )
+    with pytest.raises(TypeError) as err:
+        verdict(Catalog("C8"), 17)
+    assert str(err.value) == "field must be a FieldDescriptor, not int: 17"
 
 
 def test_check_validation():
