@@ -368,6 +368,26 @@ def test_oracle_hilbert(capsys):
     assert out == "reciprocity holds on 300 samples\n"
 
 
+def test_oracle_three_squares_reports_the_first_mismatch(capsys, monkeypatch):
+    from noethercheck import quadforms
+
+    real = quadforms.three_squares_nat
+    monkeypatch.setattr(quadforms, "three_squares_nat", lambda n: real(n) != (n == 7))
+    assert _run(capsys, "oracle", "three-squares", "50") == (1, "", "mismatch at n = 7\n")
+
+
+def test_oracle_hilbert_reports_the_failures(capsys, monkeypatch):
+    # a symbol with the wrong sign at the real place breaks the product
+    # formula on every sample
+    from noethercheck import oracles
+
+    real = oracles.hilbert_symbol
+    monkeypatch.setattr(
+        oracles, "hilbert_symbol", lambda a, b, v: -real(a, b, v) if v.p is None else real(a, b, v)
+    )
+    assert _run(capsys, "oracle", "hilbert", "100") == (1, "", "100 reciprocity failures\n")
+
+
 def test_oracle_isotropy(capsys):
     code, out, err = _run(capsys, "oracle", "isotropy", "60")
     assert code == 0

@@ -33,6 +33,8 @@ def test_factorize_rejects():
         factorize(0)
     with pytest.raises(ValueError):
         factorize(FACTORIZATION_CAP * 10)
+    with pytest.raises(ValueError, match="^0 has no squarefree part$"):
+        squarefree_part(0)
 
 
 def test_is_prime():

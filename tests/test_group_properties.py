@@ -177,7 +177,13 @@ def test_catalog_facts_match_table():
 def test_permutation_facts_match_table(spec):
     # one generator goes through the cyclic presentation, more through the
     # stabilizer chain; both against the closure's relators and 2-Sylow
-    assert group_facts(spec) == _table_facts(spec)
+    facts = _table_facts(spec)
+    assert group_facts(spec) == facts
+    # every prime of |G/G'| divides some generator's cycle length, the fact
+    # that lets _perm_facts list the primes from the generators alone
+    lengths = {len(c) for g in spec.generators for c in groups._cycles(g)}
+    for p in factorize(prod(facts.abelian_invariants)):
+        assert any(m % p == 0 for m in lengths), p
 
 
 @settings(max_examples=200, deadline=None)
