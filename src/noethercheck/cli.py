@@ -100,14 +100,15 @@ def cmd_check(args) -> int:
     spec = parse_group(args.group)
     field = parse_field(args.field)
     v = verdict(spec, field)
+    g = v.group
     if args.json:
         payload = {
             "group": {
                 "spec": group_spec_string(spec),
-                "order": v.group_order,
-                "abelian_invariants": list(v.abelian_invariants),
-                "sylow2_order": v.sylow_order,
-                "sylow2_is_q16": v.sylow_is_q16,
+                "order": g.order,
+                "abelian_invariants": list(g.abelian_invariants),
+                "sylow2_order": g.sylow2_order,
+                "sylow2_is_q16": g.sylow2_is_q16,
             },
             "field": str(field),
             "verdict": v.outcome,
@@ -120,11 +121,11 @@ def cmd_check(args) -> int:
         }
         print(json.dumps(payload, separators=(",", ":")))
     else:
-        invs = ",".join(str(m) for m in v.abelian_invariants) or "-"
-        print(f"group: {group_spec_string(spec)} (order {v.group_order})")
+        invs = ",".join(str(m) for m in g.abelian_invariants) or "-"
+        print(f"group: {group_spec_string(spec)} (order {g.order})")
         print(f"field: {field}")
         print(f"abelian invariants: ({invs})")
-        print(f"2-Sylow: order {v.sylow_order}, Q16 = {'yes' if v.sylow_is_q16 else 'no'}")
+        print(f"2-Sylow: order {g.sylow2_order}, Q16 = {'yes' if g.sylow2_is_q16 else 'no'}")
         print(f"bailey_e: {v.bailey_e}")
         for c in v.checks:
             print(f"  {c.name}: {c.result} ({c.detail})")

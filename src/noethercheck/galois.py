@@ -2,13 +2,14 @@
 that combines them.
 
 The first criterion needs to know whether k(zeta_{2^n})/k is cyclic, which
-is_cyclic_ext answers in closed form. The second criterion needs the
-2-Sylow recognizer together with anisotropy of two fixed forms over k,
-which forms_anisotropic answers in closed form from d alone. Everything is
-assembled into a Verdict with named checks so a caller can see which
-hypothesis failed. The general procedures both rules stand in for, the
-enumerated Galois group in oracles and Hasse-Minkowski in quadforms, are
-what the tests compare them against; nothing here calls either.
+noncyclic_level answers in closed form as one threshold level. The second
+criterion needs the 2-Sylow recognizer together with anisotropy of two
+fixed forms over k, which forms_anisotropic answers in closed form from d
+alone. Everything is assembled into a Verdict with named checks so a caller
+can see which hypothesis failed. The general procedures both rules stand
+in for, the enumerated Galois group in oracles and Hasse-Minkowski in
+quadforms, are what the tests compare them against; nothing here calls
+either.
 """
 
 from __future__ import annotations
@@ -17,22 +18,23 @@ from .exact import FieldDescriptor, Frozen, QQ, exact_int
 from .groups import GroupSpec, group_facts
 
 
-def is_cyclic_ext(k: FieldDescriptor, n: int) -> bool:
-    """Is k(zeta_{2^n})/k a cyclic extension?
+def noncyclic_level(k: FieldDescriptor) -> int | None:
+    """The least n with k(zeta_{2^n})/k not cyclic; the extension stays
+    non-cyclic at every level above it. None over Q(sqrt -1) and
+    Q(sqrt -2), where it is cyclic at every level, 4 over Q(sqrt 2), and 3
+    over every other k.
 
-    Yes iff n <= 2, or k is Q(sqrt -1) or Q(sqrt -2), or k = Q(sqrt 2) and
-    n = 3. The only quadratic subfields of Q(zeta_{2^n}) are Q(i) and
-    Q(sqrt +-2), so over every other k the Galois group is all of
-    (Z/2^n)*, which is cyclic only for n <= 2. Over Q(i) it is
-    {x = 1 mod 4}, generated by 5; over Q(sqrt -2) it is {x = 1, 3 mod 8},
-    generated by 3; over Q(sqrt 2) it is {x = +-1 mod 8} = <-1> x <9>,
-    whose second factor is trivial only for n = 3. oracles.cyclotomic_galois
-    enumerates the same groups, which the tests compare. n passes exact_int.
+    The only quadratic subfields of Q(zeta_{2^n}) are Q(i) and Q(sqrt +-2),
+    so over every other k the Galois group is all of (Z/2^n)*, which is
+    cyclic only for n <= 2. Over Q(i) it is {x = 1 mod 4}, generated by 5;
+    over Q(sqrt -2) it is {x = 1, 3 mod 8}, generated by 3; over Q(sqrt 2)
+    it is {x = +-1 mod 8} = <-1> x <9>, whose second factor is trivial
+    only for n = 3. oracles.cyclotomic_galois enumerates the same groups,
+    which the tests compare.
     """
-    n = n if type(n) is int else exact_int(n, "n")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return n <= 2 or k.d in (-1, -2) or (k.d == 2 and n == 3)
+    if not isinstance(k, FieldDescriptor):
+        raise TypeError(f"field must be a FieldDescriptor, not {type(k).__name__}: {k!r}")
+    return None if k.d in (-1, -2) else 4 if k.d == 2 else 3
 
 
 def forms_anisotropic(k: FieldDescriptor) -> tuple[bool, bool]:
@@ -53,18 +55,18 @@ def forms_anisotropic(k: FieldDescriptor) -> tuple[bool, bool]:
 def bailey_group(k: FieldDescriptor, dvec: tuple[int, ...]) -> tuple[int, str]:
     """Elementary abelian unramified Brauer quotient attached to a 2-power
     invariant-factor profile: for dvec = (d_1 >= d_2 >= ...) the group is
-    (Z/2)^e with e the number of indices where d_i >= 3 and
-    k(zeta_{2^d_i})/k is not cyclic.
-
-    Non-cyclicity is monotone in the level, so the counted indices form a
-    prefix of the descending vector. Each entry passes exact_int.
+    (Z/2)^e with e the number of indices where k(zeta_{2^d_i})/k is not
+    cyclic, that is d_i >= noncyclic_level(k): a prefix of the descending
+    vector, empty where there is no such level. Each entry passes
+    exact_int.
     """
     dvec = tuple(d if type(d) is int else exact_int(d, "dvec entry") for d in dvec)
     if any(d < 1 for d in dvec):
         raise ValueError("entries of dvec must be at least 1")
     if any(dvec[i] < dvec[i + 1] for i in range(len(dvec) - 1)):
         raise ValueError(f"dvec must be non-increasing: {dvec}")
-    e = sum(1 for d in dvec if d >= 3 and not is_cyclic_ext(k, d))
+    level = noncyclic_level(k)
+    e = 0 if level is None else sum(1 for d in dvec if d >= level)
     return e, "trivial" if e == 0 else f"(Z/2)^{e}"
 
 
@@ -80,8 +82,7 @@ class Check(Frozen):
 
 
 class Verdict(Frozen):
-    __slots__ = ("outcome", "theorem", "witness", "reasons", "bailey_e", "abelian_invariants",
-                 "group_order", "sylow_order", "sylow_is_q16", "checks")
+    __slots__ = ("outcome", "theorem", "witness", "reasons", "bailey_e", "group", "checks")
 
     @property
     def fired(self) -> bool:
@@ -113,27 +114,24 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
     group over the given base field.
 
     Criterion "1.2" fires when the group has a cyclic quotient of order 2^n
-    with n >= 3 and k(zeta_{2^n})/k is not cyclic at the largest such n.
-    Non-cyclicity is upward monotone, so one scan finds the least
-    non-cyclic level n: it decides the largest one and is the witness, and
-    bailey_e, the e of bailey_group, is the number of entries of the 2-power
-    profile from n on (0 when no level is non-cyclic).
+    with n >= 3 and k(zeta_{2^n})/k is not cyclic at the largest such n,
+    that is when noncyclic_level(k) is at most that n: the level is then
+    the witness, and bailey_e, the e of bailey_group, is the number of
+    entries of the 2-power profile from it on (0 when it does not fire).
     Criterion "1.5" fires when the 2-Sylow subgroup is Q16 and both
     3<1>+<-7> and 8<1> stay anisotropic over k. Either one yields
     "not_retract_rational"; otherwise the verdict is "inconclusive" with one
     reason per failed hypothesis; a spec or field of another type is a TypeError.
+    The verdict carries the GroupFacts it read as its group.
     """
-    if not isinstance(field, FieldDescriptor):
-        raise TypeError(f"field must be a FieldDescriptor, not {type(field).__name__}: {field!r}")
+    level = noncyclic_level(field)
     facts = group_facts(spec)
-    invs = facts.abelian_invariants
     # the exponent of 2 in m is the index of its lowest set bit; for a few
     # factors a list comprehension builds the tuple faster than a generator
-    dvec = tuple([(m & -m).bit_length() - 1 for m in invs if m % 2 == 0])
+    dvec = tuple([(m & -m).bit_length() - 1 for m in facts.abelian_invariants if m % 2 == 0])
     # the invariant factors divide one another, so the first carries the
     # largest 2-power
     d1 = dvec[0] if dvec else 0
-    sylow_order = facts.sylow2_order
     q16 = facts.sylow2_is_q16
     k = str(field)  # once: the descriptor formats itself anew on each call
     checks: list[Check] = []
@@ -144,17 +142,17 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
               f"no cyclic quotient of order 2^n with n >= 3 (largest is 2^{d1})")
     n = None
     if _record(checks, reasons, "cyclic_2power_quotient", d1 >= 3, detail):
-        n = next((m for m in range(3, d1 + 1) if not is_cyclic_ext(field, m)), None)
+        n = level if level is not None and level <= d1 else None
         detail = (f"{k}(zeta_(2^{d1}))/{k} is not cyclic" if n else
                   f"cyclotomic extension cyclic: {k}(zeta_(2^{d1}))/{k}")
         _record(checks, reasons, "cyclotomic_noncyclic", n is not None, detail)
-    bailey_e = sum(1 for m in dvec if m >= n) if n else 0
+    bailey_e = 0 if level is None else sum(1 for m in dvec if m >= level)
     theorem = witness = None
     if n:
         theorem, witness = "1.2", {"n": n, "d1": d1}
     else:
         detail = ("2-Sylow subgroup is Q16" if q16 else
-                  f"2-Sylow subgroup is not Q16 (order {sylow_order})")
+                  f"2-Sylow subgroup is not Q16 (order {facts.sylow2_order})")
         ok = _record(checks, reasons, "sylow2_q16", q16, detail)
         for (name, form, short), anisotropic in zip(_FORMS, forms_anisotropic(field)):
             detail = f"{form} {'anisotropic' if anisotropic else 'isotropic'} over {k}"
@@ -165,5 +163,4 @@ def verdict(spec: GroupSpec, field: FieldDescriptor = QQ) -> Verdict:
             reasons.clear()
 
     outcome = "not_retract_rational" if theorem else "inconclusive"
-    return Verdict(outcome, theorem, witness, tuple(reasons), bailey_e, invs, facts.order,
-                   sylow_order, q16, tuple(checks))
+    return Verdict(outcome, theorem, witness, tuple(reasons), bailey_e, facts, tuple(checks))

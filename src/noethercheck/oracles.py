@@ -5,7 +5,7 @@ Nothing here uses Hilbert symbols or Hasse invariants to produce an answer;
 local isotropy is decided by counting zeros modulo a fixed prime power, and
 global isotropy by exhibiting an integer zero. The Galois group of
 k(zeta_{2^n})/k is enumerated as a subgroup of the units mod 2^n, which is
-what galois.is_cyclic_ext is compared against. Abelian invariants come two
+what galois.noncyclic_level is compared against. Abelian invariants come two
 ways, neither through groups.group_facts: from the derived subgroup, the
 quotient by it and element orders counted in that quotient; and from the
 relators a breadth-first spanning tree of the table yields, whose lattice

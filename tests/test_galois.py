@@ -11,7 +11,7 @@ from families import CYCLIC_PRODUCTS, cyclic_product
 
 from noethercheck import galois, groups, localfields, oracles, quadforms
 from noethercheck.exact import QQ, FieldDescriptor, squarefree_part
-from noethercheck.galois import Check, bailey_group, forms_anisotropic, is_cyclic_ext, verdict
+from noethercheck.galois import Check, bailey_group, forms_anisotropic, noncyclic_level, verdict
 from noethercheck.groups import Catalog, Metacyclic, PermGens
 from noethercheck.localfields import DiagonalForm
 from noethercheck.oracles import UnitSubgroup2n, cyclotomic_galois
@@ -182,27 +182,29 @@ def test_unit_subgroup_validation():
         UnitSubgroup2n(3, frozenset({1, 9}))
 
 
+def _is_cyclic_ext(k, n):
+    """Is k(zeta_{2^n})/k cyclic, as noncyclic_level states it: below the
+    level, and at every n where there is none."""
+    level = noncyclic_level(k)
+    return level is None or n < level
+
+
 def test_is_cyclic_ext_table():
-    assert is_cyclic_ext(QQ, 1)
-    assert is_cyclic_ext(QQ, 2)
-    assert not is_cyclic_ext(QQ, 3)
-    assert not is_cyclic_ext(QQ, 5)
+    assert noncyclic_level(QQ) == 3 and noncyclic_level(K2) == 4
+    assert noncyclic_level(K_I) is None and noncyclic_level(KM2) is None
+    assert noncyclic_level(FieldDescriptor(5)) == noncyclic_level(KM7) == 3
+    assert _is_cyclic_ext(QQ, 1)
+    assert _is_cyclic_ext(QQ, 2)
+    assert not _is_cyclic_ext(QQ, 3)
+    assert not _is_cyclic_ext(QQ, 5)
     for n in (1, 2, 3, 4, 5, 6):
-        assert is_cyclic_ext(K_I, n)
-        assert is_cyclic_ext(KM2, n)
-    assert is_cyclic_ext(K2, 3)
-    assert not is_cyclic_ext(K2, 4)
-    assert not is_cyclic_ext(K2, 5)
-    assert not is_cyclic_ext(FieldDescriptor(5), 3)
-    assert not is_cyclic_ext(KM7, 3)
-
-
-def test_is_cyclic_ext_monotone():
-    # Once non-cyclic, non-cyclic at every higher level.
-    for d in (None, -1, 2, -2, 5, -7, 17, 3):
-        k = QQ if d is None else FieldDescriptor(d)
-        flags = [is_cyclic_ext(k, n) for n in range(1, 7)]
-        assert flags == sorted(flags, reverse=True)
+        assert _is_cyclic_ext(K_I, n)
+        assert _is_cyclic_ext(KM2, n)
+    assert _is_cyclic_ext(K2, 3)
+    assert not _is_cyclic_ext(K2, 4)
+    assert not _is_cyclic_ext(K2, 5)
+    assert not _is_cyclic_ext(FieldDescriptor(5), 3)
+    assert not _is_cyclic_ext(KM7, 3)
 
 
 def test_bailey_group():
@@ -220,9 +222,8 @@ def test_bailey_group():
         bailey_group(QQ, (2, 3))
 
 
-# each Galois rule that takes a level, and the argument it names
+# the Galois rule that takes a level, and the argument it names
 _LEVEL_ENTRY_POINTS = [
-    pytest.param("n", lambda n: is_cyclic_ext(QQ, n), id="is_cyclic_ext"),
     pytest.param("dvec entry", lambda d: bailey_group(QQ, (d,)), id="bailey_group"),
 ]
 
@@ -230,9 +231,9 @@ _LEVEL_ENTRY_POINTS = [
 @pytest.mark.parametrize("value", [2.5, 3.0, Fraction(7, 2), Decimal(3), "3"], ids=repr)
 @pytest.mark.parametrize("name, call", _LEVEL_ENTRY_POINTS)
 def test_galois_rules_refuse_a_non_integer_level_by_name(name, call, value):
-    # is_cyclic_ext answered for the level 2.5 and bailey_group counted an
-    # entry 3.5, and "3" raised a bare TypeError from the comparison; an
-    # integral value of another type is refused too, as exact_int refuses it
+    # bailey_group counted an entry 3.5, and "3" raised a bare TypeError
+    # from the comparison; an integral value of another type is refused
+    # too, as exact_int refuses it
     with pytest.raises(TypeError) as err:
         call(value)
     assert str(err.value) == f"{name} must be an int, not {type(value).__name__}: {value!r}"
@@ -270,8 +271,8 @@ def test_verdict_fires_12():
     assert v.witness == {"n": 3, "d1": 3}
     assert v.reasons == ()
     assert v.bailey_e == 1
-    assert v.abelian_invariants == (8,)
-    assert v.group_order == 8 and v.sylow_order == 8 and not v.sylow_is_q16
+    assert v.group.abelian_invariants == (8,)
+    assert v.group.order == 8 and v.group.sylow2_order == 8 and not v.group.sylow2_is_q16
     assert [c.name for c in v.checks] == ["cyclic_2power_quotient", "cyclotomic_noncyclic"]
     assert all(c.result == "pass" for c in v.checks)
     assert v.checks[0].detail == "largest cyclic 2-power quotient 2^3"
@@ -281,7 +282,7 @@ def test_verdict_fires_12():
 def test_verdict_witness_records_smallest_level():
     v = verdict(Catalog("Ex3_3"))
     assert v.theorem == "1.2" and v.witness == {"n": 3, "d1": 4}
-    assert v.abelian_invariants == (16, 2)
+    assert v.group.abelian_invariants == (16, 2)
     assert v.bailey_e == 1
     v = verdict(Catalog("Ex3_3"), K2)
     assert v.theorem == "1.2" and v.witness == {"n": 4, "d1": 4}
@@ -297,8 +298,8 @@ def test_verdict_fires_15():
         "form_8_1_anisotropic": True,
     }
     assert v.reasons == ()
-    assert v.sylow_order == 16 and v.sylow_is_q16
-    assert v.abelian_invariants == () and v.bailey_e == 0
+    assert v.group.sylow2_order == 16 and v.group.sylow2_is_q16
+    assert v.group.abelian_invariants == () and v.bailey_e == 0
     names = [c.name for c in v.checks]
     assert names == [
         "cyclic_2power_quotient",
@@ -347,8 +348,8 @@ def test_verdict_order_98304_within_seconds():
     v = verdict(Metacyclic(49152, 2, 0, 1))
     elapsed = time.perf_counter() - start
     assert v.theorem == "1.2" and v.witness == {"n": 3, "d1": 14}
-    assert v.abelian_invariants == (49152, 2)
-    assert v.group_order == 98304 and v.sylow_order == 32768 and not v.sylow_is_q16
+    assert v.group.abelian_invariants == (49152, 2)
+    assert v.group.order == 98304 and v.group.sylow2_order == 32768 and not v.group.sylow2_is_q16
     assert elapsed < 10
 
 
@@ -361,8 +362,8 @@ def test_verdict_dicyclic_near_metacyclic_cap_within_a_second():
     start = time.perf_counter()
     v = verdict(spec)
     elapsed = time.perf_counter() - start
-    assert v.theorem == "1.5" and v.sylow_is_q16
-    assert v.abelian_invariants == (2, 2) and v.sylow_order == 16
+    assert v.theorem == "1.5" and v.group.sylow2_is_q16
+    assert v.group.abelian_invariants == (2, 2) and v.group.sylow2_order == 16
     assert elapsed < 1
 
 
@@ -373,8 +374,8 @@ def test_verdict_huge_b_closes_only_the_sylow_within_a_second():
     start = time.perf_counter()
     v = verdict(Metacyclic(3, b, 0, 2))
     elapsed = time.perf_counter() - start
-    assert v.group_order == 3 * b and v.sylow_order == 16 and not v.sylow_is_q16
-    assert v.abelian_invariants == (b,)
+    assert v.group.order == 3 * b and v.group.sylow2_order == 16 and not v.group.sylow2_is_q16
+    assert v.group.abelian_invariants == (b,)
     assert v.theorem == "1.2" and v.witness == {"n": 3, "d1": 4}
     assert elapsed < 1
 
@@ -382,8 +383,8 @@ def test_verdict_huge_b_closes_only_the_sylow_within_a_second():
 def test_verdict_s7():
     v = verdict(PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6 7)"))
     assert v.outcome == "inconclusive" and v.theorem is None
-    assert v.abelian_invariants == (2,)
-    assert v.group_order == 5040 and v.sylow_order == 16 and not v.sylow_is_q16
+    assert v.group.abelian_invariants == (2,)
+    assert v.group.order == 5040 and v.group.sylow2_order == 16 and not v.group.sylow2_is_q16
     assert v.reasons == (
         "no cyclic quotient of order 2^n with n >= 3 (largest is 2^1)",
         "2-Sylow subgroup is not Q16 (order 16)",
@@ -419,26 +420,26 @@ def test_sylow_work_only_when_two_part_is_16(monkeypatch):
     # metacyclic specs answer from the presentation, Q16 included: nothing
     # is enumerated or searched, whatever the 2-part
     for spec, two_part in ((Metacyclic(4096, 1, 0, 1), 4096), (Metacyclic(3, 2048, 0, 2), 2048)):
-        assert verdict(spec).sylow_order == two_part
+        assert verdict(spec).group.sylow2_order == two_part
     # dicyclic of order 48: 2-part 16, and Q16 is read off the parameters
-    assert verdict(Metacyclic(24, 2, 12, 23)).sylow_is_q16
+    assert verdict(Metacyclic(24, 2, 12, 23)).group.sylow2_is_q16
     assert calls["_q16_search"] == 0
     assert calls["two_sylow"] == calls["is_generalized_quaternion16"] == 0
     assert calls["cyclotomic_galois"] == calls["mult"] == 0 and closed == []
     verdict(Catalog("SL2_9"))
     calls.clear()
     v = verdict(Catalog("SL2_9"), FieldDescriptor(17))
-    assert v.theorem == "1.5" and v.sylow_is_q16
+    assert v.theorem == "1.5" and v.group.sylow2_is_q16
     assert not calls and not closed
 
 
 @pytest.mark.parametrize("d", [None, -1, 2, -2, 3, -3, 5, -7, 17, 6, -6])
 def test_is_cyclic_ext_matches_enumeration(d):
+    # cyclic below the level and not from it on: the enumeration checks
+    # both the threshold and that non-cyclicity never stops above it
     k = QQ if d is None else FieldDescriptor(d)
     for n in range(1, 13):
-        assert is_cyclic_ext(k, n) == cyclotomic_galois(k, n).is_cyclic(), (k, n)
-    with pytest.raises(ValueError):
-        is_cyclic_ext(k, 0)
+        assert _is_cyclic_ext(k, n) == cyclotomic_galois(k, n).is_cyclic(), (k, n)
 
 
 def test_forms_anisotropic_matches_hasse_minkowski():
@@ -554,8 +555,9 @@ def test_verdict_assembly_over_the_catalog():
             return levels[n]
 
         for spec in [Catalog(name) for name in groups.CATALOG_NAMES] + products:
-            v = verdict(spec, k)
-            expected = _assembled(groups.group_facts(spec), k, cyclic, anisotropic)
+            v, facts = verdict(spec, k), groups.group_facts(spec)
+            assert v.group == facts, spec
+            expected = _assembled(facts, k, cyclic, anisotropic)
             got = (v.theorem, v.witness, v.bailey_e, [(c.name, c.result) for c in v.checks])
             assert got + (v.reasons,) == expected, (spec, str(k))
             seen[v.theorem] += 1

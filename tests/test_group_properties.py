@@ -157,8 +157,8 @@ def test_permutation_invariants_match_oracle(spec):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(metacyclic_specs(), perm_specs()))
 def test_sylow_order_is_two_part(spec):
-    v = verdict(spec)
-    assert v.sylow_order == _two_part(v.group_order)
+    facts = verdict(spec).group
+    assert facts.sylow2_order == _two_part(facts.order)
 
 
 @settings(max_examples=300, deadline=None)

@@ -349,9 +349,9 @@ def test_verdict_builds_no_table(monkeypatch):
     monkeypatch.setattr(FiniteGroupTable, "__init__", init_counted)
     groups._catalog_facts.cache_clear()
     catalog_group.cache_clear()
-    assert not verdict(PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6)")).sylow_is_q16
-    assert verdict(Catalog("SL2_9")).sylow_is_q16
-    assert verdict(Metacyclic(24, 2, 12, 23)).sylow_is_q16
+    assert not verdict(PermGens.from_cycles("(1 2)", "(1 2 3 4 5 6)")).group.sylow2_is_q16
+    assert verdict(Catalog("SL2_9")).group.sylow2_is_q16
+    assert verdict(Metacyclic(24, 2, 12, 23)).group.sylow2_is_q16
     assert calls == []
     # the counters see a table when one is built
     catalog_group("SL2_9")
