@@ -290,6 +290,15 @@ def exact_int(x: object, name: str) -> int:
         raise TypeError(f"{name} must be an int, not {type(x).__name__}: {x!r}") from None
 
 
+def exact_field(k: object) -> FieldDescriptor:
+    """k itself when it is a FieldDescriptor; anything else, an int or None
+    among them, raises a TypeError naming it, so a rule that takes a field
+    never answers from, or fails deep inside, something that is not one."""
+    if isinstance(k, FieldDescriptor):
+        return k
+    raise TypeError(f"field must be a FieldDescriptor, not {type(k).__name__}: {k!r}")
+
+
 def padic_valuation(x: Fraction | int, p: int) -> int:
     """v_p(x) for nonzero rational x and prime p. x passes exact_rational,
     which refuses a float, Decimal, complex or str by naming it, and p
@@ -401,9 +410,10 @@ def is_square(x: Fraction | int, field: FieldDescriptor = QQ) -> bool:
     x = d*y**2 has the square root y*sqrt(d). A positive rational in lowest
     terms is a square iff its numerator and its denominator are, which
     isqrt decides without factoring either. An int is read as it is, with
-    no Fraction: its denominator is 1.
+    no Fraction: its denominator is 1. The field passes exact_field.
     """
     x = exact_rational(x, "x")
+    field = exact_field(field)
     return _is_rational_square(x) or (not field.is_rational and _is_rational_square(field.d * x))
 
 

@@ -14,7 +14,7 @@ either.
 
 from __future__ import annotations
 
-from .exact import FieldDescriptor, Frozen, QQ, exact_int
+from .exact import FieldDescriptor, Frozen, QQ, exact_field, exact_int
 from .groups import GroupSpec, group_facts
 
 
@@ -30,10 +30,9 @@ def noncyclic_level(k: FieldDescriptor) -> int | None:
     over Q(sqrt -2) it is {x = 1, 3 mod 8}, generated by 3; over Q(sqrt 2)
     it is {x = +-1 mod 8} = <-1> x <9>, whose second factor is trivial
     only for n = 3. oracles.cyclotomic_galois enumerates the same groups,
-    which the tests compare.
+    which the tests compare. k passes exact_field.
     """
-    if not isinstance(k, FieldDescriptor):
-        raise TypeError(f"field must be a FieldDescriptor, not {type(k).__name__}: {k!r}")
+    k = exact_field(k)
     return None if k.d in (-1, -2) else 4 if k.d == 2 else 3
 
 
@@ -46,8 +45,9 @@ def forms_anisotropic(k: FieldDescriptor) -> tuple[bool, bool]:
     discriminant -7, a square in Q_2; over Q its only local obstruction is
     at 2 and every quadratic extension of Q_2 splits it, so it stays
     anisotropic iff 2 splits in k. quadforms.isotropic_quad decides both
-    by Hasse-Minkowski, and the tests compare the two.
+    by Hasse-Minkowski, and the tests compare the two. k passes exact_field.
     """
+    k = exact_field(k)
     D = 1 if k.is_rational else k.d
     return D % 8 == 1, D > 0
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact import QQ, FieldDescriptor, Frozen, exact_int, factorize, is_square
+from .exact import QQ, FieldDescriptor, Frozen, exact_field, exact_int, factorize, is_square
 from .localfields import (
     DiagonalForm,
     Place,
@@ -158,8 +158,9 @@ def level(k: FieldDescriptor) -> int | None:
 
     For imaginary quadratic fields the level is 1 for Q(i), 4 when d = 1
     mod 8 (the dyadic place splits and 3<1> stays anisotropic there), and 2
-    otherwise.
+    otherwise. k passes exact_field.
     """
+    k = exact_field(k)
     if k.is_rational or k.d > 0:
         return None
     if k.d == -1:

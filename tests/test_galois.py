@@ -10,7 +10,7 @@ import pytest
 from families import CYCLIC_PRODUCTS, cyclic_product
 
 from noethercheck import galois, groups, localfields, oracles, quadforms
-from noethercheck.exact import QQ, FieldDescriptor, squarefree_part
+from noethercheck.exact import QQ, FieldDescriptor, is_square, squarefree_part
 from noethercheck.galois import Check, bailey_group, forms_anisotropic, noncyclic_level, verdict
 from noethercheck.groups import Catalog, Metacyclic, PermGens
 from noethercheck.localfields import DiagonalForm
@@ -255,6 +255,28 @@ def test_a_spec_or_field_of_the_wrong_type_is_refused_by_name():
     with pytest.raises(TypeError) as err:
         verdict(Catalog("C8"), 17)
     assert str(err.value) == "field must be a FieldDescriptor, not int: 17"
+
+
+# each public rule that takes a field; bailey_group with an empty profile
+# and is_square of 4 answered without reading the field at all
+_FIELD_ENTRY_POINTS = [
+    pytest.param(noncyclic_level, id="noncyclic_level"),
+    pytest.param(lambda k: verdict(Catalog("C8"), k), id="verdict"),
+    pytest.param(lambda k: bailey_group(k, ()), id="bailey_group"),
+    pytest.param(forms_anisotropic, id="forms_anisotropic"),
+    pytest.param(quadforms.level, id="level"),
+    pytest.param(lambda k: is_square(4, k), id="is_square"),
+]
+
+
+@pytest.mark.parametrize("value", [17, None, "Q", 2.0], ids=repr)
+@pytest.mark.parametrize("call", _FIELD_ENTRY_POINTS)
+def test_rules_that_take_a_field_refuse_anything_else_by_name(call, value):
+    with pytest.raises(TypeError) as err:
+        call(value)
+    assert str(err.value) == f"field must be a FieldDescriptor, not {type(value).__name__}: {value!r}"
+    for k in (QQ, KM2):
+        call(k)
 
 
 def test_check_validation():
