@@ -257,8 +257,9 @@ def test_a_spec_or_field_of_the_wrong_type_is_refused_by_name():
     assert str(err.value) == "field must be a FieldDescriptor, not int: 17"
 
 
-# each public rule that takes a field; bailey_group with an empty profile
-# and is_square of 4 answered without reading the field at all
+# each public rule that takes a field; bailey_group of an empty profile and
+# is_square of 4 need not read the field to answer, so they show that the
+# field is checked first
 _FIELD_ENTRY_POINTS = [
     pytest.param(noncyclic_level, id="noncyclic_level"),
     pytest.param(lambda k: verdict(Catalog("C8"), k), id="verdict"),
