@@ -26,10 +26,10 @@ from operator import attrgetter, index
 # primes near 10**12, takes rho under a second.
 FACTORIZATION_CAP = 10**24
 
-# The primes below this bound are split off first: by trial division below
-# TRIAL_BOUND**2, and above it by one gcd with their product. A cofactor
-# left over is tested by Miller-Rabin and, if composite, split by Brent's
-# rho.
+# The primes below this bound are split off first: below it by dividing by
+# _MR_BASES, and from it on by one gcd with their product. A cofactor left
+# over is prime below TRIAL_BOUND**2; above it, it is tested by Miller-Rabin
+# and, if composite, split by Brent's rho.
 TRIAL_BOUND = 1000
 _TRIAL_SQUARE = TRIAL_BOUND * TRIAL_BOUND
 
@@ -60,11 +60,19 @@ _MR_TIERS = tuple(
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}, keys ascending.
 
-    Below TRIAL_BOUND**2, trial division. Above it, the primes below
-    TRIAL_BOUND are found by one gcd with their product, and the cofactor
-    goes to Miller-Rabin with size-tiered bases and Brent's rho. n passes
-    exact_int, which refuses a float, Fraction, Decimal or str by name.
-    Raises ValueError for n = 0 or |n| > FACTORIZATION_CAP.
+    One walk splits off the small primes, over one screen per size. Below
+    TRIAL_BOUND it is the 13 primes of _MR_BASES, with g = n, and no prime
+    table is built: 43**2 > TRIAL_BOUND, so every composite there has a
+    prime among them. From TRIAL_BOUND on it is the primes below
+    TRIAL_BOUND, with g = gcd(n, their product). The walk divides each
+    prime of g out of n fully, keeps in g what of it n still holds, and
+    stops once p**2 passes g, which then has no prime below p and so is 1
+    or a prime, divided out in turn. The cofactor left has no prime below
+    TRIAL_BOUND, so below TRIAL_BOUND**2 it is prime; a larger one goes to
+    Miller-Rabin with size-tiered bases and, if composite, is split by
+    Brent's rho. n passes exact_int, which refuses a float, Fraction,
+    Decimal or str by name. Raises ValueError for n = 0 or
+    |n| > FACTORIZATION_CAP.
     """
     n = n if type(n) is int else exact_int(n, "n")
     if n == 0:
@@ -72,63 +80,32 @@ def factorize(n: int) -> dict[int, int]:
     n = abs(n)
     if n > FACTORIZATION_CAP:
         raise ValueError(f"|n| exceeds factorization cap {FACTORIZATION_CAP}")
+    if n < TRIAL_BOUND:
+        primes, g = _MR_BASES, n
+    else:
+        primes, primorial = _trial_primes()
+        g = gcd(n, primorial)
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n >= _TRIAL_SQUARE:
-        return _factorize_rough(n, out)
-    # below TRIAL_BOUND**2 trial division finishes under the bound
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
+    for p in primes:
+        if p * p > g:
+            break
+        if g % p == 0:
+            e = 0
             while n % p == 0:
-                out[p] = out.get(p, 0) + 1
+                e += 1
                 n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-@cache
-def _trial_primes() -> tuple[tuple[int, ...], int]:
-    """The primes in [5, TRIAL_BOUND) and their product, sieved on first
-    use so that importing the module does not pay for them."""
-    sieve = bytearray([1]) * TRIAL_BOUND
-    for p in range(2, isqrt(TRIAL_BOUND - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, TRIAL_BOUND, p)))
-    primes = tuple(p for p in range(5, TRIAL_BOUND) if sieve[p])
-    return primes, prod(primes)
-
-
-def _factorize_rough(n: int, out: dict[int, int]) -> dict[int, int]:
-    """Finish factorize for n >= TRIAL_BOUND**2 with no factor 2 or 3.
-
-    g = gcd(n, product of the primes in [5, TRIAL_BOUND)) names the small
-    primes of n; each is divided out fully, and the walk stops once g is
-    used up. The cofactor then has no prime below TRIAL_BOUND, so below
-    TRIAL_BOUND**2 it is prime; larger ones are tested and split, and
-    their primes, all above every key already in out, are added in
-    ascending order.
-    """
-    primes, primorial = _trial_primes()
-    g = gcd(n, primorial)
+            out[p] = e
+            g = gcd(g, n)
     if g > 1:
-        for p in primes:
-            if g % p == 0:
-                e = 0
-                while n % p == 0:
-                    e += 1
-                    n //= p
-                out[p] = e
-                g //= p
-                if g == 1:
-                    break
+        e = 0
+        while n % g == 0:
+            e += 1
+            n //= g
+        out[g] = e
+    if n == 1:
+        return out
     found = []
-    stack = [n] if n > 1 else []
+    stack = [n]
     while stack:
         m = stack.pop()
         if m < _TRIAL_SQUARE or _strong_probable_prime(m):
@@ -145,6 +122,19 @@ def _factorize_rough(n: int, out: dict[int, int]) -> dict[int, int]:
     for p in sorted(found):
         out[p] = out.get(p, 0) + 1
     return out
+
+
+@cache
+def _trial_primes() -> tuple[tuple[int, ...], int]:
+    """The primes below TRIAL_BOUND and their product, sieved on first use
+    by a factorization from TRIAL_BOUND on, so that importing the module
+    and factoring smaller n do not pay for them."""
+    sieve = bytearray([1]) * TRIAL_BOUND
+    for p in range(2, isqrt(TRIAL_BOUND - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, TRIAL_BOUND, p)))
+    primes = tuple(p for p in range(2, TRIAL_BOUND) if sieve[p])
+    return primes, prod(primes)
 
 
 def _strong_probable_prime(n: int) -> bool:

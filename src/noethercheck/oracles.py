@@ -390,8 +390,9 @@ def factorize_by_trial_division(n: int) -> dict[int, int]:
     """Prime factorization of |n| > 0 as {prime: exponent}, keys ascending,
     by trial division by the primes in ascending order, read from a sieve of
     its own, until the square of the prime passes what is left. Slow above
-    10**12, but it shares nothing with exact.factorize: neither its 2, 3,
-    6k +- 1 trial loop nor its Miller-Rabin and rho path."""
+    10**12, but it shares nothing with exact.factorize: neither its
+    screens, the 13 primes of _MR_BASES and the gcd with the primes below
+    TRIAL_BOUND, nor its Miller-Rabin and rho path."""
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)

@@ -1,8 +1,9 @@
 """exact.factorize against the plain trial division in oracles, which shares
-no code with it. Below TRIAL_BOUND**2 factorize divides by trial; above it
-one gcd with the product of the primes below TRIAL_BOUND finds the small
-primes, and the cofactor goes to Miller-Rabin, with as many bases as its
-size needs, and Brent's rho.
+no code with it. Below TRIAL_BOUND factorize divides by the 13 primes of
+_MR_BASES alone, which every composite there has a factor among; from
+TRIAL_BOUND on one gcd with the product of the primes below TRIAL_BOUND
+finds the small primes, and the cofactor goes to Miller-Rabin, with as
+many bases as its size needs, and Brent's rho.
 
 The table of base tiers is checked against the least strong pseudoprimes
 psi_k (OEIS A014233) with a strong-probable-prime test written here, and
@@ -45,6 +46,12 @@ ADVERSARIAL = (
     997**3 * 991**2 * 999983,
     1009**2, 1009 * 1013,
     999999, 10**6, 10**6 + 3,
+    # on both sides of the switch from _MR_BASES to the gcd at TRIAL_BOUND,
+    # where the walk over the primes of the gcd stops early, and powers of
+    # 2 and 3, which the gcd route divides out like any other small prime
+    997, 999, 1000, 1001, 41 * 43,
+    7 * 991, 991 * 997, 997**2, 991 * 1009,
+    2**79, 3**49,
 )
 
 
@@ -76,6 +83,22 @@ def test_factorize_matches_trial_division(n):
 def test_factorize_adversarial(n):
     _check(n)
     assert is_prime(n) == (factorize_by_trial_division(n) == {n: 1})
+
+
+def test_small_composites_have_a_base_prime():
+    # below TRIAL_BOUND the 13 primes of _MR_BASES alone are tried, so every
+    # composite there must have one of them as a factor: 43**2 > TRIAL_BOUND
+    for n in range(4, TRIAL_BOUND):
+        if factorize_by_trial_division(n) != {n: 1}:
+            assert any(n % p == 0 for p in exact._MR_BASES), n
+
+
+def test_prime_table_is_built_from_trial_bound_on():
+    exact._trial_primes.cache_clear()
+    assert factorize(TRIAL_BOUND - 1) == factorize_by_trial_division(TRIAL_BOUND - 1)
+    assert exact._trial_primes.cache_info().currsize == 0
+    assert factorize(TRIAL_BOUND) == factorize_by_trial_division(TRIAL_BOUND)
+    assert exact._trial_primes.cache_info().currsize == 1
 
 
 def test_factorize_small_range():

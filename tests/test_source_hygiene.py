@@ -646,8 +646,9 @@ def test_star_import_binds_all_public_names():
 
 def test_check_over_Q_builds_no_prime_table():
     # the primes below TRIAL_BOUND and their product are sieved on first
-    # use, by a factorization above TRIAL_BOUND**2, which neither importing
-    # the CLI nor a check over Q makes
+    # use, by a factorization from TRIAL_BOUND on, which neither importing
+    # the CLI nor a check over Q makes here: SL2_7's cycle lengths are all
+    # below TRIAL_BOUND, though a group with a longer one would build it
     run = (
         "import contextlib, io, noethercheck.cli as cli, noethercheck.exact as exact\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
