@@ -3,14 +3,16 @@ gives, in closed form for a metacyclic presentation and from a stabilizer
 chain for a permutation group, against a Smith normal form of the defining
 relations, the relator lattice of the closure table and the
 derived-subgroup quotient oracle; the reported 2-Sylow order against the
-2-part of |G|; and the facts that a presentation or a chain gives without
-enumeration against the closure table and, where it is installed, sympy."""
+2-part of |G|; the facts that a presentation or a chain gives without
+enumeration against the closure table and, where it is installed, sympy;
+and the AGL(1, p), PSL2(p) and ASL2(p) families of tools/families.py
+against their facts in closed form."""
 
 import random
 from math import gcd, lcm, prod
 
 import pytest
-from families import cycle
+from families import agl1, agl1_facts, asl2, asl2_facts, cycle, psl2, psl2_facts
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -184,6 +186,22 @@ def test_permutation_facts_match_table(spec):
     lengths = {len(c) for g in spec.generators for c in groups._cycles(g)}
     for p in factorize(prod(facts.abelian_invariants)):
         assert any(m % p == 0 for m in lengths), p
+
+
+@pytest.mark.parametrize(("family", "facts", "p"), [
+    *((agl1, agl1_facts, p) for p in (3, 5, 7, 11, 13)),
+    *((psl2, psl2_facts, p) for p in (5, 7, 11, 13)),
+    *((asl2, asl2_facts, p) for p in (3, 5, 7)),
+])
+def test_families_match_their_closed_forms(family, facts, p):
+    # the facts from textbook formulas; ASL2(7) is Q16; at the smallest p
+    # of each family, the closure table agrees too
+    spec = PermGens.from_cycles(*family(p))
+    expected = GroupFacts(*facts(p))
+    assert group_facts(spec) == expected
+    assert expected.sylow2_is_q16 == (family is asl2 and p == 7)
+    if p == {agl1: 3, psl2: 5, asl2: 3}[family]:
+        assert _table_facts(spec) == expected
 
 
 @settings(max_examples=200, deadline=None)

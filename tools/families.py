@@ -138,6 +138,72 @@ def sl2_facts(p: int) -> tuple[int, tuple[int, ...], int, bool]:
     return order, (3,) if p == 3 else (), order & -order, p % 16 in (7, 9)
 
 
+def _primitive_root(p: int) -> int:
+    """The least g whose powers give all p - 1 units mod the prime p."""
+    return next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+
+
+def agl1(p: int) -> list[str]:
+    """AGL(1, p) = F_p : F_p*, for a prime p, on the points x + 1 for x in
+    F_p: the cycles of x -> x + 1 and of x -> g*x, g a primitive root."""
+    g = _primitive_root(p)
+    return [cycle_string([(x + 1) % p for x in range(p)]), cycle_string([g * x % p for x in range(p)])]
+
+
+def agl1_facts(p: int) -> tuple[int, tuple[int, ...], int, bool]:
+    """The facts of AGL(1, p), p an odd prime, in the order of sl2_facts:
+    order p(p - 1); its derived subgroup is the translations, so the
+    abelianization is F_p* = C_(p-1); its 2-Sylow subgroup lies in that
+    cyclic group, of the 2-part of p - 1, so it is never Q16."""
+    order = p * (p - 1)
+    return order, (p - 1,), order & -order, False
+
+
+def psl2(p: int) -> list[str]:
+    """PSL2(p), for a prime p >= 5, on the projective line F_p u {oo}, the
+    point x + 1 for x in F_p and p + 1 for oo: the cycles of x -> x + 1 and
+    of x -> -1/x, which generate it."""
+
+    def minus_inverse(x):
+        return p if x == 0 else 0 if x == p else -pow(x, -1, p) % p
+
+    return [
+        cycle_string([(x + 1) % p if x < p else p for x in range(p + 1)]),
+        cycle_string([minus_inverse(x) for x in range(p + 1)]),
+    ]
+
+
+def psl2_facts(p: int) -> tuple[int, tuple[int, ...], int, bool]:
+    """The facts of PSL2(p), p a prime >= 5: order p(p**2 - 1)/2; simple,
+    so perfect; the 2-part half that of p**2 - 1; and its 2-Sylow subgroup
+    is dihedral, or Klein four, so it is never Q16."""
+    order = p * (p * p - 1) // 2
+    return order, (), order & -order, False
+
+
+def asl2(p: int) -> list[str]:
+    """ASL2(p) = F_p**2 : SL2(p), for an odd prime p, on all p**2 column
+    vectors (x, y), the vector (x, y) the point x + p*y + 1: the
+    translation by (1, 0) and the two generators of sl2(p). SL2(p) moves
+    (1, 0) to every nonzero vector, so these give every translation."""
+    vectors = [(x, y) for y in range(p) for x in range(p)]
+    return [
+        cycle_string([(u % p) + p * (v % p) for u, v in (move(x, y) for x, y in vectors)])
+        for move in (lambda x, y: (x + 1, y), lambda x, y: (x + y, y), lambda x, y: (-y, x))
+    ]
+
+
+def asl2_facts(p: int) -> tuple[int, tuple[int, ...], int, bool]:
+    """The facts of ASL2(p), p an odd prime: order p**3 (p**2 - 1); SL2(p)
+    has no fixed nonzero vector, so the translations lie in the derived
+    subgroup, and the abelianization is that of SL2(p): trivial for p >= 5
+    and C3 at p = 3; the translations have odd order, so the 2-Sylow
+    subgroup is that of SL2(p), generalized quaternion of the 2-part of
+    p**2 - 1, and Q16 iff that is 16."""
+    order = p**3 * (p * p - 1)
+    return order, (3,) if p == 3 else (), order & -order, order & -order == 16
+
+
 # each with a generator one of whose powers is a prime cycle, and none of
 # them S_n or A_n, with its order: PSL(2,7) on the 8 points of the
 # projective line (a 7-cycle, p = n - 1), PSL(2,5) on 6 points (p = n - 1),
