@@ -2,24 +2,25 @@
 a base and strong generating set grown by the deterministic Schreier-Sims
 algorithm (Holt-Eick-O'Brien, Handbook of Computational Group Theory,
 section 4.4; Seress, Permutation Group Algorithms, ch. 4). Outside this
-module a chain is reached only through StabilizerChain(degree), its
-identity and its methods add, grow, contains, walk and order, and its cap
-error only through _check_chain_cap, which takes a number of stored orbit
-points. It imports nothing from the
-package. Each orbit point stores one element, its coset representative,
-and walk lists the products of those, so it serves a chain that grow built
-as well as one that add built. A level keeps, per orbit point, the number
-of its generators already paired with that point, and the inverse of a
-representative from its second use on, and nothing else of the work done:
-a Schreier pass starts at the first orbit point each time.
+module a chain is reached only through StabilizerChain(degree, lattice),
+its identity and its methods add, walk and order, and its cap error only
+through _check_chain_cap, which takes a number of stored orbit points. It
+imports nothing from the package: the lattice that its relators are folded
+into, exact.RelationLattice for the product, is passed in. Each orbit
+point stores one element, its coset representative, with the exponent
+vector of a word in the added elements that equals it, and walk lists the
+products of the representatives. A level keeps, per orbit point, the
+number of its generators already paired with that point, and the inverse
+of a representative from its second use on, and nothing else of the work
+done: a Schreier pass starts at the first orbit point each time.
 
 An element is the sequence of its point images, in the form _perm picks
 from the degree: bytes up to degree 256, so that bytes.translate composes
 two elements and bytes.maketrans inverts one, each in C at a cost that
 hardly depends on the degree; above 256, where a point no longer fits in a
 byte, a tuple, composed by an itemgetter. The chain's identity and every
-element it stores or walks have that form, and add, contains and grow
-take any sequence of images and put it in that form.
+element it stores or walks have that form, and add takes any sequence of
+images and puts it in that form.
 """
 
 from __future__ import annotations
@@ -87,10 +88,10 @@ def _perm_inverse(p: _Perm) -> _Perm:
 
 class _Level:
     """One level of a stabilizer chain: the base point, the strong
-    generators that fix the earlier base points (each with its inverse),
-    the orbit of the base point under them in discovery order, and for each
-    orbit point x the one element stored for it, the coset representative
-    reps[x] that sends x to the base point, in the orbit's order. The
+    generators that fix the earlier base points, each with its inverse and
+    its exponent vector, the orbit of the base point under them in
+    discovery order, and as reps[x], in the orbit's order, the coset
+    representative that sends x to the base point, with its vector. The
     Schreier generators pairing orbit[i] with gens[:tested[i]] have been
     sifted, so a point is done with once tested[i] == len(gens). inverses
     marks, with None, each point whose representative was inverted once,
@@ -100,9 +101,9 @@ class _Level:
 
     def __init__(self, base: int) -> None:
         self.base = base
-        self.gens: list[tuple[_Perm, _Perm]] = []
+        self.gens: list[tuple[_Perm, _Perm, int]] = []
         self.orbit: list[int] = []
-        self.reps: dict[int, _Perm] = {}
+        self.reps: dict[int, tuple[_Perm, int]] = {}
         self.tested: list[int] = []
         self.inverses: dict[int, _Perm | None] = {}
 
@@ -117,21 +118,45 @@ class StabilizerChain:
     Schreier generator inverts the representative of its orbit point when
     it needs to. The chain counts its stored orbit points, and
     _check_chain_cap weighs them against CHAIN_CAP, whichever form _perm
-    gives them.
+    gives them. walk reads the representatives and lists the whole group.
 
-    grow takes a stream of elements instead and only extends orbits, so
-    its chain is partial unless it reaches the bound that grow alone takes
-    on the order. Sifting through a partial chain has no false
-    positives, since an element that strips to the identity is a product
-    of stored coset representatives, but may have false negatives. walk
-    reads the representatives too, so it serves every chain, and lists the
-    whole group once the chain is complete, however it was built."""
+    Given a lattice, the chain also presents its group (Sims; Holt-Eick-
+    O'Brien ch. 6). The k-th element that add takes is the generator g_k,
+    and every stored representative and strong generator carries the
+    exponent vector over the g_k of a word that equals it: one int whose
+    field k, bits wide, holds the exponent of g_k, signed, so that adding
+    the ints adds the vectors. lattice.fold takes the fields of each
+    relation met: a Schreier generator that sifts to the identity, an
+    orbit tree edge s * reps[s(x)] = reps[x] whose vector is not 0, and an
+    element that add finds to be a member already. With ord(g_k) * e_k
+    these span the relations among the images of the g_k in G/G'.
+    lattice.orders holds a multiple of each ord(g_k), modulo which each
+    field of a new strong generator is reduced, so no field passes
+    (degree + 1)**2 * max(orders): a representative is at most degree - 1
+    strong generators and their inverses, a Schreier generator two
+    representatives and a strong generator, and a sift adds at most
+    degree representatives; bits holds that bound and a sign. Once fold
+    returns True, G/G' is trivial, and no further relator is passed.
+    """
 
-    def __init__(self, degree: int) -> None:
+    def __init__(self, degree: int, lattice=None) -> None:
         self.identity = _perm(range(degree))
         self._levels: list[_Level] = []
+        # each level's base point and representatives, for _sift
+        self._bases: list[int] = []
+        self._reps: list[dict[int, tuple[_Perm, int]]] = []
         self._points = 0
         self._size = 1  # the product of the orbit lengths
+        self._lattice = lattice
+        self._added = 0  # the elements add took
+        orders = lattice.orders if lattice is not None else []
+        self._bits = bits = ((degree + 1) ** 2 * max(orders, default=1)).bit_length() + 1
+        # half of each field's range in every field: v + _offset has each
+        # field in [0, 2**bits), so a mask reads them modulo 2**k, k < bits
+        self._offset = ((1 << bits * len(orders)) - 1) // ((1 << bits) - 1) << bits - 1
+        self._index = lattice.index if lattice is not None else 1  # at the last key
+        self._low = -1  # the mask that reads a relator's key
+        self._known: set[int] = set()
 
     def order(self) -> int:
         return self._size
@@ -152,12 +177,12 @@ class StabilizerChain:
         composed."""
         levels = self._levels
         deepest = len(levels) - 1
-        last = list(levels[-1].reps.values()) if levels else [self.identity]
+        last = [rep for rep, _ in levels[-1].reps.values()] if levels else [self.identity]
         x = 0 if square is None else next(i for i, z in enumerate(square) if i != z)
 
         def walk(i: int, prefix: _Perm):
             if i < deepest:
-                for rep in levels[i].reps.values():
+                for rep, _ in levels[i].reps.values():
                     yield from walk(i + 1, _perm_compose(prefix, rep))
                 return
             px = prefix[x]
@@ -167,111 +192,80 @@ class StabilizerChain:
 
         yield from walk(0, self.identity)
 
-    def _sift(self, g: _Perm, start: int = 0) -> tuple[_Perm | None, int]:
-        """Strip g through the levels from start on. Returns the residue, or
-        None if g strips to the identity, and the level whose orbit misses
-        g, or len(levels) if none does."""
-        levels, identity = self._levels, self.identity
-        for j in range(start, len(levels)):
-            lev = levels[j]
-            x = g[lev.base]
-            if x == lev.base:
+    def _sift(self, g: _Perm, v: int, start: int = 0) -> tuple[_Perm | None, int, int]:
+        """Strip g, of exponent vector v, through the levels from start on.
+        Returns the residue, or None if g strips to the identity; its
+        vector; and the level whose orbit misses g, or len(levels) if none
+        does."""
+        bases, reps, identity = self._bases, self._reps, self.identity
+        for j in range(start, len(bases)):
+            base = bases[j]
+            x = g[base]
+            if x == base:
                 continue
-            rep = lev.reps.get(x)
+            rep = reps[j].get(x)
             if rep is None:
-                return g, j
-            g = _perm_compose(g, rep)
+                return g, v, j
+            g = _perm_compose(g, rep[0])
+            v += rep[1]
             if g == identity:
-                return None, len(levels)
-        return (None if g == identity else g), len(levels)
-
-    def contains(self, g: Sequence[int]) -> bool:
-        return self._sift(_perm(g))[0] is None
+                return None, v, len(bases)
+        return (None if g == identity else g), v, len(bases)
 
     def add(self, g: Sequence[int]) -> bool:
         """Extend the group by g and complete the chain. Returns False,
-        changing nothing, if g is already a member."""
-        residue, j = self._sift(_perm(g))
+        changing nothing but the relators, if g is already a member."""
+        v = 1 << self._bits * self._added if self._lattice is not None else 0
+        self._added += 1
+        residue, v, j = self._sift(_perm(g), v)
         if residue is None:
+            if v and self._lattice is not None:
+                self._relator(v)
             return False
-        self._insert(residue, 0, j)
+        self._insert(residue, v, 0, j)
         self._complete(j)
         return True
 
-    def grow(self, elements, conjugators, bound: int) -> list[_Perm]:
-        """Extend the group by the elements and by the conjugates
-        g**-1 * y * g, for the pairs (g, g**-1) of conjugators, of every
-        element y that extended it, until those are closed under them: the
-        normal closure of the elements in the group the conjugators
-        generate. Returns the elements that extended it, which generate
-        that closure, in the chain's form. One loop reads one stream: the
-        elements, then the conjugates of each element taken, in the order
-        taken, by each pair in turn.
+    def _fields(self, v: int) -> list[int]:
+        """The signed fields of the vector v, up to its last nonzero one."""
+        bits = self._bits
+        half, mask = 1 << bits - 1, (1 << bits) - 1
+        zeros = ((v & -v).bit_length() - 1) // bits  # the fields below are 0
+        fields = [0] * zeros
+        v >>= bits * zeros
+        while v:
+            f = ((v + half) & mask) - half
+            fields.append(f)
+            v = (v - f) >> bits
+        return fields
 
-        Each element is sifted through the partial chain. A residue that
-        strips to the identity is a product of stored coset
-        representatives, so the element is already a member: the test has
-        no false positives, and a false negative only takes one more
-        element. A nontrivial residue becomes a strong generator of the
-        levels down to the one that stopped it, and their orbits are
-        extended under it. No Schreier generator is sifted.
+    def _relator(self, v: int) -> None:
+        """Fold the relator of vector v, not 0, into the lattice, unless one
+        of the same key was folded since the index last changed. The key is
+        v + _offset, masked to its fields modulo 2**k while the index is
+        2**k, k < bits, as 2**k * Z^m then lies in the lattice. The known
+        keys never outnumber the stored orbit points."""
+        key = (v + self._offset) & self._low
+        known = self._known
+        if key in known:
+            return
+        lattice = self._lattice
+        if lattice.fold(self._fields(v)):
+            self._lattice = None
+            return
+        index = lattice.index
+        if index != self._index:
+            k = index.bit_length() - 1
+            ones = self._offset >> self._bits - 1
+            self._low = (ones << k) - ones if index == 1 << k and k < self._bits else -1
+            self._index, self._known = index, set()
+            known = self._known
+            key = (v + self._offset) & self._low
+        elif len(known) >= self._points:
+            known.clear()
+        known.add(key)
 
-        bound, if not 0, bounds the order of the closure. The stored orbits
-        lie inside the true basic orbits, so their lengths multiply to at
-        most the closure's order; once that product reaches bound the chain
-        is complete, however little of it was verified, so growth stops
-        there: it takes nothing if the chain is at the bound already, and
-        returns as soon as an orbit extension reaches it, drawing no further
-        element and composing no further conjugate. Every Schreier
-        generator then counts as sifted, so that add may extend the chain
-        past the bound. Short of the bound the chain stays partial: its
-        order may fall short of the closure's, and contains may miss a
-        member."""
-        taken: list[_Perm] = []
-        if self._size == bound:
-            return taken
-
-        def stream():
-            yield from map(_perm, elements)
-            pairs = [(_perm(g), _perm(g_inv)) for g, g_inv in conjugators]
-            for y in taken:  # grows while it is read
-                for g, g_inv in pairs:
-                    yield _perm_compose(_perm_compose(g_inv, y), g)
-
-        for y in stream():
-            residue, j = self._sift(y)
-            if residue is None:
-                continue
-            taken.append(y)
-            self._insert(residue, 0, j)
-            for lev in self._levels[: j + 1]:
-                self._extend_orbit(lev, bound)
-                if self._size == bound:
-                    return taken
-        return taken
-
-    def _extend_orbit(self, lev: _Level, bound: int) -> None:
-        """Close the orbit of lev, closed under all its generators but the
-        last, under that one too: the last is applied to the old points and
-        every generator to the new points only. It stops once the orbit
-        product reaches the bound, where the chain is complete, and counts
-        every Schreier generator of every level as sifted."""
-        gens, orbit, reps = lev.gens, lev.orbit, lev.reps
-        last, old = gens[-1:], len(orbit)
-        k = 0
-        while k < len(orbit):  # grows while it is read
-            x = orbit[k]
-            for s, s_inv in last if k < old else gens:
-                y = s[x]
-                if y not in reps:
-                    self._store(lev, y, _perm_compose(s_inv, reps[x]))
-                    if self._size == bound:
-                        for done in self._levels:
-                            done.tested = [len(done.gens)] * len(done.orbit)
-                        return
-            k += 1
-
-    def _store(self, lev: _Level, point: int, rep: _Perm) -> None:
+    def _store(self, lev: _Level, point: int, rep: _Perm, v: int) -> None:
         degree, points = len(self.identity), self._points + 1
         # tested here first, since a call for every stored point costs
         # about 2% of a small chain
@@ -282,17 +276,27 @@ class StabilizerChain:
         if n:
             self._size = self._size // n * (n + 1)
         lev.orbit.append(point)
-        lev.reps[point] = rep
+        lev.reps[point] = rep, v
         lev.tested.append(0)
 
-    def _insert(self, h: _Perm, lo: int, hi: int) -> None:
-        """Make h, which fixes the base points before level hi, a strong
-        generator of levels lo..hi, opening level hi if it is new."""
+    def _insert(self, h: _Perm, v: int, lo: int, hi: int) -> None:
+        """Make h, of vector v, which fixes the base points before level hi,
+        a strong generator of levels lo..hi, opening level hi if it is new.
+        Each field of v is reduced modulo its generator's order, and every
+        field is 0 once no relator is passed."""
         if hi == len(self._levels):
             lev = _Level(next(i for i, x in enumerate(h) if i != x))
-            self._store(lev, lev.base, self.identity)
+            self._store(lev, lev.base, self.identity, 0)
             self._levels.append(lev)
-        gen = (h, _perm_inverse(h))
+            self._bases.append(lev.base)
+            self._reps.append(lev.reps)
+        if self._lattice is None:
+            v = 0
+        elif v:
+            bits = self._bits
+            orders = self._lattice.orders
+            v = sum(f % orders[k] << bits * k for k, f in enumerate(self._fields(v)))
+        gen = (h, _perm_inverse(h), v)
         for lev in self._levels[lo : hi + 1]:
             lev.gens.append(gen)
 
@@ -305,29 +309,29 @@ class StabilizerChain:
             if found is None:
                 i -= 1
             else:
-                h, j = found
-                self._insert(h, i + 1, j)
+                h, v, j = found
+                self._insert(h, v, i + 1, j)
                 i = j
 
     def _schreier_residue(self, i: int):
         """Sift the untested Schreier generators of level i, extending its
         orbit along the way, until one leaves a nontrivial residue below
-        level i. Returns (residue, level) for that one, or None. Each pass
-        reads the orbit from its first point, skipping the points paired
-        with every generator already."""
+        level i. Returns (residue, vector, level) for that one, or None.
+        Each pass reads the orbit from its first point, skipping the points
+        paired with every generator already."""
         lev = self._levels[i]
         gens, orbit, reps, tested = lev.gens, lev.orbit, lev.reps, lev.tested
         for k, x in enumerate(orbit):  # grows while it is read
             if tested[k] == len(gens):
                 continue
-            rx, rx_inv = reps[x], None
+            (rx, vx), rx_inv = reps[x], None
             while tested[k] < len(gens):
-                s, s_inv = gens[tested[k]]
+                s, s_inv, vs = gens[tested[k]]
                 tested[k] += 1
                 y = s[x]
                 rep = reps.get(y)
                 if rep is None:
-                    self._store(lev, y, _perm_compose(s_inv, rx))
+                    self._store(lev, y, _perm_compose(s_inv, rx), vx - vs)
                     continue
                 if y == x == lev.base:
                     # the Schreier generator is s, which _insert also made
@@ -339,13 +343,18 @@ class StabilizerChain:
                 # generator is not. It is kept from its second use on, as
                 # later passes revisit x; kept from its first, it would
                 # double the peak of a chain that inverts each point once
-                sr = _perm_compose(s, rep)
+                sr = _perm_compose(s, rep[0])
+                v = vs + rep[1] - vx
                 if sr == rx:
+                    if v and self._lattice is not None:
+                        self._relator(v)
                     continue
                 if rx_inv is None:
                     rx_inv = lev.inverses.get(x) or _perm_inverse(rx)
                     lev.inverses[x] = rx_inv if x in lev.inverses else None
-                h, j = self._sift(_perm_compose(rx_inv, sr), i + 1)
+                h, v, j = self._sift(_perm_compose(rx_inv, sr), v, i + 1)
                 if h is not None:
-                    return h, j
+                    return h, v, j
+                if v and self._lattice is not None:
+                    self._relator(v)
         return None

@@ -17,7 +17,7 @@ that is not an int.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from operator import attrgetter, index
 
 # Miller-Rabin with the bases _MR_BASES is proven exact only below
@@ -309,6 +309,103 @@ def padic_valuation(x: Fraction | int, p: int) -> int:
         d //= p
         v -= 1
     return v
+
+
+class RelationLattice:
+    """The relations L among m generators of a finite abelian group, folded
+    one relator at a time; the group is Z^m / L.
+
+    orders holds a multiple of each generator's order, so orders[j] * e_j
+    lies in L, and so does D * Z^m for their lcm D, the modulus: entries
+    are kept modulo D (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 2.4.8). The basis is a Hermite form, lower
+    triangular: row j has its pivot, a divisor of D, at column j and its
+    other entries before it, and starts as orders[j] * e_j. fold reduces a
+    relator from its last column down; where a pivot does not divide the
+    relator's entry, one unimodular 2 x 2 step of extended Euclid leaves
+    their gcd as the pivot."""
+
+    __slots__ = ("orders", "modulus", "index", "_rows")
+
+    def __init__(self, orders: list[int]) -> None:
+        self.orders = orders
+        self.modulus = lcm(*orders)
+        self.index = prod(orders)  # of L in Z^m: the product of the pivots
+        self._rows = [[0] * j + [n] for j, n in enumerate(orders)]
+
+    def fold(self, v: list[int]) -> bool:
+        """Add the relator v, a list of at most m integers that it reduces
+        in place, to L. Returns True once L is all of Z^m, so that no
+        relator can change it: the group is then trivial."""
+        D, rows = self.modulus, self._rows
+        for j in range(len(v) - 1, -1, -1):
+            a = v[j] % D
+            if not a:
+                continue
+            row = rows[j]
+            p = row[j]
+            if a % p:
+                x, y, u, w = _unimodular(p, a)
+                rows[j] = [(x * t + y * s) % D for t, s in zip(row, v)]
+                self.index = self.index // p * rows[j][j]
+                v = [(u * t + w * s) % D for t, s in zip(row, v[:j])]
+            else:
+                q = a // p
+                for i in range(j):
+                    v[i] -= q * row[i]
+        return self.index == 1
+
+    def invariants(self) -> tuple[int, ...]:
+        """The invariant factors of Z^m / L, descending and without 1s.
+
+        A Smith form of the Hermite form, built from its last index down:
+        the row and the column of pivot k are cleared, among the indices up
+        to k, by unimodular column and row steps in turn, until both are
+        clear; each step that does not clear outright leaves a proper
+        divisor of the pivot. A lower triangular form starts with each
+        column clear, and a diagonal one takes no step. Then gcd and lcm
+        of pairs turn the diagonal into a chain of divisors."""
+        if self.index == 1:
+            return ()
+        D, m = self.modulus, len(self._rows)
+        M = [row + [0] * (m - 1 - j) for j, row in enumerate(self._rows)]
+        factors = []
+        for k in range(m - 1, -1, -1):
+            while any(M[k][:k]):
+                for i in range(k):  # row k, by column steps
+                    if M[k][i]:
+                        x, y, u, w = _unimodular(M[k][k] or D, M[k][i])
+                        for row in M[: k + 1]:
+                            t, s = row[k], row[i]
+                            row[k], row[i] = (x * t + y * s) % D, (u * t + w * s) % D
+                for i in range(k):  # column k, by row steps
+                    if M[i][k]:
+                        x, y, u, w = _unimodular(M[k][k] or D, M[i][k])
+                        t, s = M[k], M[i]
+                        M[k] = [(x * a + y * b) % D for a, b in zip(t, s)]
+                        M[i] = [(u * a + w * b) % D for a, b in zip(t, s)]
+            factors.append(M[k][k] or D)
+        factors = sorted(n for n in factors if n > 1)
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                if factors[j] % factors[i]:
+                    g = gcd(factors[i], factors[j])
+                    factors[i], factors[j] = g, factors[i] * factors[j] // g
+        return tuple(n for n in reversed(factors) if n > 1)
+
+
+def _unimodular(p: int, a: int) -> tuple[int, int, int, int]:
+    """(x, y, u, w) with x*w - y*u = 1 that send a pivot p > 0 and an entry
+    a to x*p + y*a = gcd(p, a) and u*p + w*a = 0: (1, 0, -a/p, 1) if p
+    divides a, else from extended Euclid."""
+    if a % p == 0:
+        return 1, 0, -(a // p), 1
+    x0, x1, y0, y1, g, b = 1, 0, 0, 1, p, a
+    while b:
+        q, g, b = g // b, b, g % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return x0, y0, -(a // g), p // g
 
 
 class Frozen:

@@ -16,19 +16,15 @@ closed form, as _giant_facts describes: a power of one generator is a
 p-cycle for a prime p <= max(3, n - 3), the smallest block holding the
 cycle is the orbit, which makes G primitive, and a primitive group with
 such a cycle is a giant by Jordan's theorems. Any other permutation spec
-is answered from stabilizer chains of the chain module:
-the order is the product of the orbit lengths of a chain for G. When the
-orbits show no abelian quotient and the orders of a few fixed words in the
-generators prove G perfect, as _proved_perfect describes, the invariants
-are () and no other chain is built. Otherwise they come from a chain for
-the derived subgroup G', grown as _derived_subgroup describes, which then
-grows in place by the p-power series of G/G', one prime p at a time, the
-order it gains at each step counting the invariant factors divisible by a
-power of p. Only when the 2-part of |G| is 16, and |G| is within
-CLOSURE_CAP, are elements walked for the Q16 test, and then only those of
-the image of G on one orbit: a Sylow Q16 has a regular orbit inside some
-orbit of G, and on any orbit where the image keeps the 2-part 16 the
-2-Sylow subgroups map isomorphically. Every catalog group is one of these
+is answered from a stabilizer chain for G, of the chain module: the order
+is the product of its orbit lengths, and the invariants come from the
+relators it meets, each an exponent vector over the generators, folded
+into an exact.RelationLattice whose Smith form is G/G'. Only when the
+2-part of |G| is 16, and |G| is within CLOSURE_CAP, are elements walked
+for the Q16 test, and then only those of the image of G on one orbit: a
+Sylow Q16 has a regular orbit inside some orbit of G, and on any orbit
+where the image keeps the 2-part 16 the 2-Sylow subgroups map
+isomorphically. Every catalog group is one of these
 two kinds of spec.
 
 The multiplication tables the facts are tested against live in oracles,
@@ -37,20 +33,13 @@ which imports this module and never the reverse; the verdict builds none.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from itertools import compress
 from math import factorial, gcd, lcm
 from operator import ne
 
-from .chain import (
-    StabilizerChain,
-    _check_chain_cap,
-    _Perm,
-    _perm,
-    _perm_compose,
-    _perm_inverse,
-)
-from .exact import FACTORIZATION_CAP, Frozen, exact_int, factorize, is_prime, parse_ints
+from .chain import StabilizerChain, _check_chain_cap, _Perm, _perm, _perm_compose
+from .exact import FACTORIZATION_CAP, Frozen, RelationLattice, exact_int, is_prime, parse_ints
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
 # memory: every closure (a permutation or metacyclic table of oracles)
@@ -173,16 +162,6 @@ class Catalog(Frozen):
 
 
 GroupSpec = PermGens | Metacyclic | Catalog
-
-
-def _perm_power(p: _Perm, k: int) -> _Perm:
-    out = _perm(range(len(p)))
-    while k:
-        if k & 1:
-            out = _perm_compose(out, p)
-        p = _perm_compose(p, p)
-        k >>= 1
-    return out
 
 
 def _cycles(p: tuple[int, ...]):
@@ -310,117 +289,6 @@ def _moved_orbits(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> lis
     return moved
 
 
-def _abelian_index(
-    gens: tuple[_Perm, ...], moved: list[list[int]], cycles: list[list[list[int]]]
-) -> int:
-    """A divisor of |G/G'| read off moved, the orbits of G of more than one
-    point, and cycles, those of each generator as _cycles lists them. G'
-    lies in the kernel of every homomorphism from G to an abelian group, so
-    |G/G'| is a multiple of the order of its image, and two such images are
-    cheap:
-    - g -> (sign of g on each orbit), whose image has 2**r elements for the
-      rank r over F_2 of the generators' images; each image is a bitmask,
-      one bit per orbit, reduced by min(v, v ^ b) against each reduced
-      vector b kept before it, and kept itself if it is not then 0;
-    - the action on an orbit whose image is abelian, which, being
-      transitive, is then regular, with as many elements as the orbit."""
-    where = [0] * len(gens[0])
-    for k, orbit in enumerate(moved):
-        for x in orbit:
-            where[x] = k
-    acting: list[list[_Perm]] = [[] for _ in moved]
-    basis: list[int] = []
-    for g, cs in zip(gens, cycles):
-        v = 0
-        ks = set()
-        for cycle in cs:
-            k = where[cycle[0]]
-            ks.add(k)
-            if not len(cycle) & 1:  # a cycle of length n is n - 1 transpositions
-                v ^= 1 << k
-        for k in ks:
-            acting[k].append(g)
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    out = 1 << len(basis)
-    for orbit, on in zip(moved, acting):
-        if all(g[h[x]] == h[g[x]] for i, g in enumerate(on) for h in on[:i] for x in orbit):
-            out = lcm(out, len(orbit))
-    return out
-
-
-def _proved_perfect(
-    gens: tuple[_Perm, ...], cycles: list[list[list[int]]], primes: list[int]
-) -> bool:
-    """True if the orders of a few fixed words in gens prove G = G', for the
-    generators gens in the chain's form, cycles, those of each generator as
-    _cycles lists them, and primes, those of their cycle lengths, ascending;
-    False if no proof is found, which proves nothing.
-
-    Write A = G/G' additively, A_p for its p-part and S_p for the
-    generators whose order the prime p divides.
-    - A generator outside S_p has order prime to p, so it maps to 0 in A_p.
-    - So the image of a word in A_p/pA_p depends only on its exponent sums
-      mod p in the generators of S_p. Take g_i in S_p and a word c whose
-      exponent sum is 0 (mod p) in every generator of S_p: then g_i*c and
-      g_i have the same image in A_p/pA_p.
-    - If g_i*c has order prime to p, that image is 0. The order is the lcm
-      of the cycle lengths, so this is read off one scan of the cycles,
-      with no power of g_i*c taken.
-    - If a witness c exists for every g_i in S_p, the images of the
-      generators, which generate A_p/pA_p, are all 0: A_p = pA_p, so A_p =
-      0 for the finite p-group A_p.
-    - If that holds for every prime of every generator's order, A = 1. A
-      prime that divides no generator's order gives A_p = 0 at once.
-    The candidates for c are fixed and tried lazily, the cheapest first,
-    and each is composed at most once:
-    - g_j and g_j**-1 for each g_j outside S_p;
-    - the commutators g_j**-1 * g_k**-1 * g_j * g_k of the cyclically
-      adjacent generators, k = j + 1 (mod the number of generators);
-    - g_j**p for each g_j in S_p.
-    Those with j = i are skipped: g_i times its commutator with g_k is
-    g_k**-1 * g_i * g_k, and g_i**(p + 1) has the p-part of g_i's order."""
-    n = len(gens)
-    lengths = [{len(cycle) for cycle in cs} for cs in cycles]
-    made: dict[tuple[str, int, int], _Perm] = {}
-
-    def cached(key: tuple[str, int, int], make) -> _Perm:
-        if key not in made:
-            made[key] = make()
-        return made[key]
-
-    def inverse(j: int) -> _Perm:
-        return cached(("inverse", j, 0), lambda: _perm_inverse(gens[j]))
-
-    def candidates(i: int, p: int, in_p: list[bool]):
-        for j in range(n):
-            if not in_p[j]:
-                yield gens[j]
-                yield inverse(j)
-        for j in range(n):
-            if j != i:
-                k = (j + 1) % n
-                yield cached(
-                    ("commutator", j, 0),
-                    lambda: reduce(_perm_compose, (inverse(j), inverse(k), gens[j], gens[k])),
-                )
-        for j in range(n):
-            if in_p[j] and j != i:
-                yield cached(("power", j, p), lambda: _perm_power(gens[j], p))
-
-    for p in primes:
-        in_p = [any(m % p == 0 for m in ms) for ms in lengths]
-        for i in compress(range(n), in_p):
-            for c in candidates(i, p, in_p):
-                if all(len(cycle) % p for cycle in _cycles(_perm_compose(gens[i], c))):
-                    break
-            else:
-                return False
-    return True
-
-
 def _block_is_orbit(gens: tuple[_Perm, ...], points: list[int], n: int) -> bool:
     """Is the smallest block of the group of gens that holds points its
     whole orbit, of n points? Atkinson's union-find: the points are merged
@@ -527,94 +395,6 @@ def _giant_facts(
     return GroupFacts(order, (2,) if odd else (), order & -order, False)
 
 
-def _derived_subgroup(gens: tuple[_Perm, ...], bound: int) -> StabilizerChain:
-    """A chain for G', the normal closure of the commutators of the
-    generators gens, in the chain's form: a subgroup whose generators'
-    conjugates by the generators of G all lie in it is normal.
-
-    The chain is grown from the commutators and their conjugates by orbit
-    extension alone, membership tested on the partial chain, up to the
-    bound that grow takes. Its orbit product is at most |G'|, and |G'| is
-    at most the bound, |G| over the part of |G/G'| that _abelian_index
-    reads off the orbits (0 for no bound), so reaching that bound proves
-    the chain complete: G' = G for a perfect group, G' the even part of
-    S_n, and no Schreier generator sifted. Short of the bound, the grown
-    chain holds a strong generator for every element it took, most of
-    them redundant, and one completion would pair each with every orbit
-    point; a fresh chain is built instead by adding the taken elements
-    one at a time, each completed, so that exact membership drops the
-    redundant ones."""
-    degree = len(gens[0])
-    invs = [_perm_inverse(g) for g in gens]
-    N = StabilizerChain(degree)
-    taken = N.grow(
-        (
-            reduce(_perm_compose, (invs[i], invs[j], gens[i], gens[j]))
-            for i in range(len(gens))
-            for j in range(i + 1, len(gens))
-        ),
-        list(zip(gens, invs)),
-        bound,
-    )
-    if N.order() == bound:
-        return N
-    N = StabilizerChain(degree)
-    for y in taken:
-        N.add(y)
-    return N
-
-
-def _chain_invariants(
-    gens: tuple[_Perm, ...], order: int, primes: list[int], K: StabilizerChain
-) -> tuple[int, ...]:
-    """Invariant factors of G/G', descending and without 1s, from the order
-    of G, primes, which hold every prime of |G/G'| and are skipped where
-    they do not divide it, and the complete chain K for G', which add grows
-    in place, also when grow built it up to its bound.
-
-    Write A = G/G' additively, A_p for its p-part, of order p**e, and q for
-    |A|/p**e. The elements g**(q*p**k), for the generators g, generate
-    p**k A_p modulo G', and p**k A_p over p**(k+1) A_p has order p**m_k,
-    for m_k the number of invariant factors divisible by p**(k+1). So the
-    layers k >= 1 that leave G' are added to K from the top down, each
-    growing |K| by p**m_k, and m_0 is what is left of e. A is the direct
-    sum of its p-parts, so the layers of a later prime grow K by the same
-    ratios on top of those of the earlier ones, and meet them only in G'."""
-    index, rest = divmod(order, K.order())
-    if rest:
-        raise AssertionError("the order of G' divides the order of G")
-    counts: dict[int, list[int]] = {}  # p -> the m_k, m_0 first and largest
-    for p in primes:
-        if index % p:
-            continue
-        p_part, e = 1, 0
-        while index % (p_part * p) == 0:
-            p_part, e = p_part * p, e + 1
-        layers = []
-        layer = [g for g in (_perm_power(g, index // p_part) for g in gens) if not K.contains(g)]
-        while layer:
-            layers.append(layer)
-            layer = [g for g in (_perm_power(g, p) for g in layer) if not K.contains(g)]
-        steps = []  # m_k, from the top layer k down to 1
-        for layer in layers[:0:-1]:
-            before = K.order()
-            for g in layer:
-                K.add(g)
-            step, r = 0, K.order() // before
-            while r > 1:
-                r //= p
-                step += 1
-            steps.append(step)
-        counts[p] = [e - sum(steps), *steps]
-    factors = []
-    for t in range(max((c[0] for c in counts.values()), default=0)):
-        n = 1
-        for p, c in counts.items():
-            n *= p ** sum(1 for r in c if r > t)
-        factors.append(n)
-    return tuple(factors)
-
-
 def _sylow2_image(
     gens: tuple[_Perm, ...], moved: list[list[int]], G: StabilizerChain
 ) -> StabilizerChain | None:
@@ -678,14 +458,13 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     point is read. When the cycles prove G to be S_n or A_n, _giant_facts
     gives the facts in closed form and no chain is built, and it refuses
     with the chain's own error an input whose chain would pass the chain
-    cap. Otherwise the order is that of the chain. When _abelian_index
-    reads 1, which it does for every perfect group since it divides
-    |G/G'|, and _proved_perfect finds its witnesses, the invariants are ()
-    and no chain for G' is built; else they come from the chain for G',
-    grown by the p-power series of G/G'. Both read the primes of the
-    generators' cycle lengths, listed once: G/G' is generated by their
-    images, so its primes are among them. When the 2-part of |G| is 16 and
-    |G| is within CLOSURE_CAP, the Q16 test walks G's image on one orbit.
+    cap. Otherwise the order is that of the chain, and the invariants are
+    those of the lattice its relators are folded into, the relations among
+    the generators' images in G/G', which starts from each generator's
+    order, the lcm of its cycle lengths. A perfect group's lattice reaches
+    Z^m while the chain is built, and is folded no further. When the
+    2-part of |G| is 16 and |G| is within CLOSURE_CAP, the Q16 test walks
+    G's image on one orbit.
 
     The orbit is the first of 16 or more points on which the image keeps
     the 2-part 16, and if none does, no 2-Sylow subgroup P is Q16: every
@@ -704,7 +483,8 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     giant = _giant_facts(gens, moved, cycles)
     if giant is not None:
         return giant
-    G = StabilizerChain(pg.degree)
+    lattice = RelationLattice([lcm(*map(len, cs)) for cs in cycles])
+    G = StabilizerChain(pg.degree, lattice)
     for g in gens:
         G.add(g)
     order = G.order()
@@ -716,14 +496,7 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
         )
     H = _sylow2_image(gens, moved, G) if two_part == 16 else None
     q16 = H is not None and _q16_search(H)
-    index = _abelian_index(gens, moved, cycles)
-    primes = sorted({p for n in {len(c) for cs in cycles for c in cs} for p in factorize(n)})
-    if index == 1 and _proved_perfect(gens, cycles, primes):
-        return GroupFacts(order, (), two_part, q16)
-    del G
-    K = _derived_subgroup(gens, order // index)
-    invariants = _chain_invariants(gens, order, primes, K)
-    return GroupFacts(order, invariants, two_part, q16)
+    return GroupFacts(order, lattice.invariants(), two_part, q16)
 
 
 @lru_cache(maxsize=None)

@@ -3,13 +3,11 @@ replaces it must meet. On random permutation groups of degree 2 to 7, and
 on such groups relabelled onto points of a degree above 256, where the
 chain's elements are tuples rather than bytes: the order and membership of
 a chain against the closure table of oracles, a walk that lists every
-element once, and a chain that grow closes up to the group's order, which
-stops it, which walks every element once as well, and which add then
-extends past it to the order and membership of the larger group. The chain
-stores one coset representative per orbit point, and a walk lists the
-products of those, whichever of add and grow built the chain. And the
-chain's product and inverse against their definitions on either side of
-degree 256. And a level inverts each representative at most twice: once,
+element once, an add of a member that changes nothing, and an add of a
+permutation outside that extends the chain to the order and the elements
+of the larger group. The chain stores one coset representative per orbit
+point, and a walk lists the products of those. And the chain's product
+and inverse against their definitions on either side of degree 256. And a level inverts each representative at most twice: once,
 and once more to keep the inverse for the passes that revisit its point."""
 
 import random
@@ -17,7 +15,9 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noethercheck import oracles
 from noethercheck.chain import StabilizerChain, _perm, _perm_compose, _perm_inverse
+from noethercheck.exact import RelationLattice
 from noethercheck.groups import PermGens
 from noethercheck.oracles import build_group
 
@@ -57,33 +57,24 @@ def _meets_contract(pg, points, seed):
     chain = _chain(pg.degree, pg.generators)
     assert chain.order() == table.order
     assert tuple(chain.identity) == tuple(range(pg.degree))
-    rng = random.Random(seed)
-    # permutations of the group's points, so that the larger group below
-    # moves no others
-    n = len(points)
-    others = [_relabel(rng.sample(range(n), n), points, pg.degree) for _ in range(20)]
-    for g in members | set(others):
-        assert chain.contains(g) == (g in members), g
     walked = [tuple(g) for g in chain.walk()]
     assert len(walked) == len(set(walked)) and set(walked) == members
-    # the normal closure of the generators under conjugation by themselves
-    # is the group; a grown chain stores the same representatives as one
-    # that add built, so once it reaches the group's order it walks every
-    # member once too
-    grown = StabilizerChain(pg.degree)
-    grown.grow(pg.generators, [(g, _perm_inverse(g)) for g in pg.generators], table.order)
-    assert grown.order() <= table.order
-    if grown.order() == table.order:
-        walked = [tuple(g) for g in grown.walk()]
-        assert len(walked) == len(set(walked)) and set(walked) == members
+    # a member leaves the chain as it is; permutations of the group's
+    # points, so that the larger group moves no others, mostly are not
+    # members, and the first of those extends the chain to the order and
+    # the elements of the larger group
+    rng = random.Random(seed)
+    n = len(points)
+    others = [_relabel(rng.sample(range(n), n), points, pg.degree) for _ in range(20)]
+    for g in rng.sample(sorted(members), min(20, len(members))):
+        assert not chain.add(g) and chain.order() == table.order, g
     outside = next((g for g in others if g not in members), None)
-    if grown.order() < table.order or outside is None:
+    if outside is None:
         return
-    assert all(grown.contains(g) == (g in members) for g in members | set(others))
-    assert grown.add(outside)
-    larger = _chain(pg.degree, pg.generators + (outside,))
-    assert grown.order() == larger.order() > table.order
-    assert all(grown.contains(g) == larger.contains(g) for g in members | set(others))
+    assert chain.add(outside)
+    larger = build_group(PermGens(pg.degree, pg.generators + (outside,)))
+    assert chain.order() == larger.order
+    assert {tuple(g) for g in chain.walk()} == set(larger._elems)
 
 
 @settings(max_examples=100, deadline=None)
@@ -147,9 +138,59 @@ def test_disjoint_transpositions_invert_each_representative_at_most_twice(monkey
         return _perm_inverse(p)
 
     monkeypatch.setattr(chain, "_perm_inverse", counted)
-    monkeypatch.setattr(groups, "_perm_inverse", counted)
     k = 129  # on 258 points, so the elements are tuples
     pg = PermGens.from_cycles(*(f"({2 * i + 1} {2 * i + 2})" for i in range(k)))
     facts = groups._perm_facts(pg)
     assert (facts.order, facts.abelian_invariants) == (2**k, (2,) * k)
     assert len(calls) <= 4 * k
+
+
+class _Recording(RelationLattice):
+    """A relation lattice that keeps a copy of each relator it folds."""
+
+    def __init__(self, orders):
+        super().__init__(orders)
+        self.relators = []
+
+    def fold(self, v):
+        self.relators.append(list(v))
+        return super().fold(v)
+
+
+def _relators(pg):
+    """The table of pg and the lattice its chain's relators went into, for
+    generators of the orders the table gives."""
+    table = build_group(pg)
+    lattice = _Recording([table.element_order(x) for x in table.generator_indices])
+    chain = StabilizerChain(pg.degree, lattice)
+    for g in pg.generators:
+        chain.add(g)
+    return table, lattice
+
+
+@settings(max_examples=80, deadline=None)
+@given(perm_gens())
+def test_every_relator_is_a_relation(group):
+    # the product of the generators' powers that a relator names lies in
+    # G', in the table, whatever their order; and with the orders they
+    # give G/G'
+    pg, _ = group
+    table, lattice = _relators(pg)
+    derived = oracles.derived_subgroup(table).members
+    for v in lattice.relators:
+        x = table.identity
+        for g, e in zip(table.generator_indices, v):
+            x = table.mult(x, table.power(g, e))
+        assert x in derived, v
+    assert lattice.invariants() == oracles.abelian_invariants_by_quotient(table)
+
+
+def test_an_element_already_a_member_is_a_relator():
+    # (1 2 3)(4 5) is the product of the first two: add takes nothing, and
+    # passes the relator e_3 - e_1 - e_2, up to the generators' orders
+    pg = PermGens.from_cycles("(1 2 3)", "(4 5)", "(1 2 3)(4 5)")
+    table, lattice = _relators(pg)
+    assert table.order == 6
+    last = lattice.relators[-1] + [0] * (3 - len(lattice.relators[-1]))
+    assert (last[0] % 3, last[1] % 2, last[2] % 6) == (2, 1, 1)
+    assert lattice.invariants() == (6,)

@@ -1,7 +1,8 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import pytest
 
@@ -10,6 +11,7 @@ from noethercheck.exact import (
     FACTORIZATION_CAP,
     QQ,
     FieldDescriptor,
+    RelationLattice,
     factorize,
     is_prime,
     is_square,
@@ -226,3 +228,64 @@ def test_is_square():
     assert is_square(18, k2)
     assert not is_square(-2, k2)
     assert is_square(-4, FieldDescriptor(-1))
+
+
+def _closure_invariants(orders, relators):
+    """The invariant factors of Z^m modulo the relators and the
+    orders[j] * e_j, from the group itself: the subgroup S that the
+    relators span in the product P of the Z/orders[j], closed by
+    breadth-first search, and for each n the number of elements of P/S
+    that n kills, |{x in P : n*x in S}| / |S|, which is the product of
+    gcd(n, d) over the invariant factors d; the largest is the least n
+    that kills them all, and dividing it out leaves the others."""
+    span = {(0,) * len(orders)}
+    frontier = list(span)
+    while frontier:
+        new = []
+        for x in frontier:
+            for r in relators:
+                y = tuple((a + b) % n for a, b, n in zip(x, r, orders))
+                if y not in span:
+                    span.add(y)
+                    new.append(y)
+        frontier = new
+    size = prod(orders) // len(span)
+    killed = {
+        n: sum(tuple(n * a % o for a, o in zip(x, orders)) in span for x in product(*map(range, orders)))
+        // len(span)
+        for n in range(1, size + 1)
+        if size % n == 0
+    }
+    factors = []
+    while size > 1:
+        largest = min(n for n, k in killed.items() if k == size)
+        factors.append(largest)
+        size //= largest
+        killed = {n: k // gcd(n, largest) for n, k in killed.items() if size % n == 0}
+    return tuple(factors)
+
+
+def test_relation_lattice_matches_a_closure_of_its_relators():
+    rng = random.Random(52)
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        orders = [rng.choice((2, 3, 4, 6, 8, 9, 12)) for _ in range(m)]
+        if prod(orders) > 400:
+            continue
+        relators = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(rng.randint(0, 4))]
+        lattice = RelationLattice(orders)
+        for r in relators:
+            lattice.fold(list(r))
+        assert lattice.invariants() == _closure_invariants(orders, relators), (orders, relators)
+
+
+def test_relation_lattice_is_whole_at_index_1():
+    # fold answers True exactly when the relators span Z^m, and the index
+    # is the order of the quotient throughout
+    lattice = RelationLattice([4, 6])
+    assert (lattice.index, lattice.modulus) == (24, 12)
+    assert not lattice.fold([2, 0]) and lattice.index == 12
+    assert not lattice.fold([1, 1]) and lattice.index == 2
+    assert lattice.invariants() == (2,)
+    assert lattice.fold([1, 0]) and lattice.index == 1
+    assert lattice.invariants() == ()

@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noethercheck import groups
-from noethercheck.chain import _perm
 from noethercheck.exact import factorize
 from noethercheck.galois import verdict
 from noethercheck.groups import (
@@ -181,8 +180,8 @@ def test_permutation_facts_match_table(spec):
     # stabilizer chain; both against the closure's relators and 2-Sylow
     facts = _table_facts(spec)
     assert group_facts(spec) == facts
-    # every prime of |G/G'| divides some generator's cycle length, the fact
-    # that lets _perm_facts list the primes from the generators alone
+    # every prime of |G/G'| divides some generator's cycle length, and so
+    # the lcm of the generators' orders, the modulus of the relator lattice
     lengths = {len(c) for g in spec.generators for c in groups._cycles(g)}
     for p in factorize(prod(facts.abelian_invariants)):
         assert any(m % p == 0 for m in lengths), p
@@ -202,17 +201,6 @@ def test_families_match_their_closed_forms(family, facts, p):
     assert expected.sylow2_is_q16 == (family is asl2 and p == 7)
     if p == {agl1: 3, psl2: 5, asl2: 3}[family]:
         assert _table_facts(spec) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(perm_specs(min_gens=1))
-def test_proved_perfect_groups_are_perfect_in_the_table(spec):
-    # the proof from element orders, run with or without the gate that
-    # _perm_facts puts before it, against the closure's relators
-    cycles = [list(groups._cycles(g)) for g in spec.generators]
-    primes = sorted({p for cs in cycles for c in cs for p in factorize(len(c))})
-    if groups._proved_perfect(tuple(map(_perm, spec.generators)), cycles, primes):
-        assert abelian_invariants_by_relators(build_group(spec)) == ()
 
 
 def _random_perm_gens(rng, degree):
@@ -239,6 +227,95 @@ def test_chain_facts_match_sympy():
         # sympy lists the prime-power invariants, ascending
         prime_powers = sorted(p**e for n in facts.abelian_invariants for p, e in factorize(n).items())
         assert (facts.order, prime_powers) == (G.order(), sorted(G.abelian_invariants())), spec
+
+
+def _wreath_elements(n, rng, count):
+    """count random elements of C2 wr S_n on the blocks {2i, 2i + 1}: each
+    a random permutation of the blocks, each block flipped or not."""
+    out = []
+    for _ in range(count):
+        blocks = rng.sample(range(n), n)
+        image = [0] * (2 * n)
+        for i, b in enumerate(blocks):
+            flip = rng.random() < 0.5
+            image[2 * i], image[2 * i + 1] = 2 * b + flip, 2 * b + 1 - flip
+        out.append(tuple(image))
+    return out
+
+
+def _sym_wr_s2(m):
+    """S_m wr S_2 on 2m points: a transposition and an m-cycle in the first
+    block, and the swap of the blocks."""
+    swap = tuple(range(m, 2 * m)) + tuple(range(m))
+    return [tuple([1, 0] + list(range(2, 2 * m))), tuple(list(range(1, m)) + [0] + list(range(m, 2 * m))), swap]
+
+
+def _intransitive(rng, degree):
+    """Two or three random groups on consecutive runs of points."""
+    cuts = sorted(rng.sample(range(2, degree - 1), rng.randint(1, 2)))
+    runs = list(zip([0] + cuts, cuts + [degree]))
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        image = list(range(degree))
+        for lo, hi in runs:
+            if rng.random() < 0.7:
+                image[lo:hi] = [lo + x for x in rng.sample(range(hi - lo), hi - lo)]
+        gens.append(tuple(image))
+    return gens
+
+
+def test_imprimitive_and_intransitive_invariants_match_sympy():
+    # degrees 11 to 40, where no table reaches: C2 wr S_n from random
+    # elements, which may generate a proper subgroup, S_m wr S_2, whose
+    # block sign no orbit shows, and products on runs of points
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(52)
+    specs = [_wreath_elements(n, rng, rng.randint(2, 4)) for n in (6, 9, 13, 20)]
+    specs += [_sym_wr_s2(m) for m in (6, 11, 20)]
+    specs += [_intransitive(rng, rng.randint(11, 40)) for _ in range(4)]
+    for gens in specs:
+        facts = group_facts(PermGens(len(gens[0]), tuple(gens)))
+        G = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+        prime_powers = sorted(p**e for n in facts.abelian_invariants for p, e in factorize(n).items())
+        assert (facts.order, prime_powers) == (G.order(), sorted(G.abelian_invariants())), gens
+
+
+def _compose(p, q):
+    """p, then q."""
+    return tuple(q[x] for x in p)
+
+
+@st.composite
+def generating_set_moves(draw):
+    """A spec of two to four generators on up to 9 points and, for one of
+    the moves that keep the group, the spec it makes: the generators
+    reversed, a Nielsen move g_i -> g_i * g_j, a product g_i * g_j
+    appended, or every generator conjugated by one permutation."""
+    degree = draw(st.integers(2, 9))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=4))
+    gens = [tuple(g) for g in gens]
+    i, j = draw(st.permutations(range(len(gens))))[:2]
+    move = draw(st.sampled_from(["reverse", "nielsen", "append", "conjugate"]))
+    if move == "reverse":
+        moved = gens[::-1]
+    elif move == "nielsen":
+        moved = gens[:i] + [_compose(gens[i], gens[j])] + gens[i + 1 :]
+    elif move == "append":
+        moved = gens + [_compose(gens[i], gens[j])]
+    else:
+        c = tuple(draw(st.permutations(range(degree))))
+        c_inv = tuple(sorted(range(degree), key=c.__getitem__))
+        moved = [_compose(_compose(c_inv, g), c) for g in gens]
+    return PermGens(degree, tuple(gens)), PermGens(degree, tuple(moved))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generating_set_moves())
+def test_moves_of_the_generators_keep_the_facts(pair):
+    # each move changes every relator of the chain but not the group, so
+    # not its facts
+    spec, moved = pair
+    assert group_facts(moved) == group_facts(spec)
 
 
 def test_large_symmetric_and_alternating_groups(monkeypatch):

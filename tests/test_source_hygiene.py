@@ -45,10 +45,10 @@ argparse's type=int does, or writes a \\d pattern.
 The stabilizer chain is a leaf module, chain, that imports nothing from
 the package. groups reaches it through its interface only, reading none of
 its levels, fields or private methods; that interface is the constructor,
-which takes the degree alone, and six public names, of which only grow
-takes a bound, with no default; beside it, groups imports the element
-helpers and _check_chain_cap, which raises the chain's cap error where
-groups knows a chain's size without building it. oracles imports nothing
+which takes the degree and, by default None, the lattice that the chain's
+relators are folded into, and four public names; beside it, groups imports
+the element helpers and _check_chain_cap, which raises the chain's cap
+error where groups knows a chain's size without building it. oracles imports nothing
 from it, so that the tables that check the chain do not share its
 product.
 Records bind their fields in one place, exact.Frozen: no other code reads
@@ -396,8 +396,7 @@ def test_groups_defines_no_lattice_reduction():
 
 FACT_CODE = {
     "group_facts", "_perm_facts", "_metacyclic_facts", "StabilizerChain", "_q16_search",
-    "_derived_subgroup", "_chain_invariants", "_abelian_index", "_giant_facts", "_block_is_orbit",
-    "_proved_perfect",
+    "RelationLattice", "_giant_facts", "_block_is_orbit",
 }
 TABLE_CODE = {
     "_enumerate", "FiniteGroupTable", "Subgroup", "two_sylow", "is_generalized_quaternion16",
@@ -684,16 +683,15 @@ def test_chain_is_a_leaf_behind_its_interface():
     assert _package_imports(_tree(PACKAGE / "chain.py")) == set()
     tree = _tree(PACKAGE / "groups.py")
     assert _from_imports(tree)["chain"] == {
-        "StabilizerChain", "_Perm", "_perm", "_perm_compose", "_perm_inverse", "_check_chain_cap"
+        "StabilizerChain", "_Perm", "_perm", "_perm_compose", "_check_chain_cap"
     }
     assert _chain_internal_reads(tree) == []
     Chain = chain.StabilizerChain
-    assert list(inspect.signature(Chain).parameters) == ["degree"]
+    parameters = inspect.signature(Chain).parameters
+    assert list(parameters) == ["degree", "lattice"] and parameters["lattice"].default is None
     assert {name for name in dir(Chain(1)) if not name.startswith("_")} == {
-        "identity", "add", "grow", "contains", "walk", "order"
+        "identity", "add", "walk", "order"
     }
-    grow = inspect.signature(Chain.grow).parameters
-    assert "bound" in grow and grow["bound"].default is inspect.Parameter.empty
     # the tables that check the chain compose with a product of their own
     tree = _tree(PACKAGE / "oracles.py")
     assert "chain" not in _package_imports(tree)

@@ -3,8 +3,8 @@ degree. The orbits are grown from the least point of each cycle, so they
 read no point that the generators fix, and they are the orbits, in the
 order and with the point order, that a search from every point of the
 degree finds. A spec relabelled onto sparse points of a larger degree has
-the facts of the spec it came from, on the chain, G' and Q16 routes as on
-the closed-form ones."""
+the facts of the spec it came from, on the chain, G/G' and Q16 routes as
+on the closed-form ones."""
 
 import random
 
@@ -120,16 +120,19 @@ def relabellings(draw):
 
 def test_relabelled_specs_keep_their_facts(monkeypatch):
     reached = set()
-    derived_subgroup, q16_search = groups._derived_subgroup, groups._q16_search
+    q16_search = groups._q16_search
 
     class Chain(chain.StabilizerChain):
-        def __init__(self, degree):
+        def __init__(self, degree, lattice=None):
             reached.add("chain of tuples" if degree > 256 else "chain of bytes")
-            super().__init__(degree)
+            super().__init__(degree, lattice)
 
-    def derived(*args):
-        reached.add("G'")
-        return derived_subgroup(*args)
+    class Lattice(groups.RelationLattice):
+        def invariants(self):
+            found = super().invariants()
+            if found:
+                reached.add("G/G'")
+            return found
 
     def q16(H):
         found = q16_search(H)
@@ -137,7 +140,7 @@ def test_relabelled_specs_keep_their_facts(monkeypatch):
         return found
 
     monkeypatch.setattr(groups, "StabilizerChain", Chain)
-    monkeypatch.setattr(groups, "_derived_subgroup", derived)
+    monkeypatch.setattr(groups, "RelationLattice", Lattice)
     monkeypatch.setattr(groups, "_q16_search", q16)
 
     @settings(max_examples=200, deadline=None)
@@ -147,4 +150,4 @@ def test_relabelled_specs_keep_their_facts(monkeypatch):
         assert group_facts(moved) == group_facts(pg)
 
     keeps()
-    assert reached == {"chain of tuples", "chain of bytes", "G'", "Q16 True", "Q16 False"}
+    assert reached == {"chain of tuples", "chain of bytes", "G/G'", "Q16 True", "Q16 False"}
