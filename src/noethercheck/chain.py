@@ -19,13 +19,14 @@ from the degree: bytes up to degree 256, so that bytes.translate composes
 two elements and bytes.maketrans inverts one, each in C at a cost that
 hardly depends on the degree; above 256, where a point no longer fits in a
 byte, a tuple, composed by an itemgetter. The chain's identity and every
-element it stores or walks have that form, and add takes any sequence of
-images and puts it in that form.
+element it stores or walks have that form; add, the one place that
+converts, puts any sequence of images in it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import prod
 from operator import itemgetter
 
 # A stabilizer chain stores one element of degree point images per orbit
@@ -146,7 +147,6 @@ class StabilizerChain:
         self._bases: list[int] = []
         self._reps: list[dict[int, tuple[_Perm, int]]] = []
         self._points = 0
-        self._size = 1  # the product of the orbit lengths
         self._lattice = lattice
         self._added = 0  # the elements add took
         orders = lattice.orders if lattice is not None else []
@@ -159,7 +159,7 @@ class StabilizerChain:
         self._known: set[int] = set()
 
     def order(self) -> int:
-        return self._size
+        return prod(len(lev.orbit) for lev in self._levels)
 
     def walk(self, square: Sequence[int] | None = None):
         """Every element g of the group once, in the chain's form, or, given
@@ -272,9 +272,6 @@ class StabilizerChain:
         if 2 * degree * points > CHAIN_CAP:
             _check_chain_cap(degree, points)
         self._points = points
-        n = len(lev.orbit)
-        if n:
-            self._size = self._size // n * (n + 1)
         lev.orbit.append(point)
         lev.reps[point] = rep, v
         lev.tested.append(0)

@@ -322,8 +322,8 @@ class RelationLattice:
     triangular: row j has its pivot, a divisor of D, at column j and its
     other entries before it, and starts as orders[j] * e_j. fold reduces a
     relator from its last column down; where a pivot does not divide the
-    relator's entry, one unimodular 2 x 2 step of extended Euclid leaves
-    their gcd as the pivot."""
+    relator's entry, one unimodular 2 x 2 step, from a modular inverse,
+    leaves their gcd as the pivot."""
 
     __slots__ = ("orders", "modulus", "index", "_rows")
 
@@ -396,16 +396,12 @@ class RelationLattice:
 
 def _unimodular(p: int, a: int) -> tuple[int, int, int, int]:
     """(x, y, u, w) with x*w - y*u = 1 that send a pivot p > 0 and an entry
-    a to x*p + y*a = gcd(p, a) and u*p + w*a = 0: (1, 0, -a/p, 1) if p
-    divides a, else from extended Euclid."""
-    if a % p == 0:
-        return 1, 0, -(a // p), 1
-    x0, x1, y0, y1, g, b = 1, 0, 0, 1, p, a
-    while b:
-        q, g, b = g // b, b, g % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return x0, y0, -(a // g), p // g
+    a to x*p + y*a = g = gcd(p, a) and u*p + w*a = 0: y inverts a/g modulo
+    p/g, so y*a = g (mod p), and (1, 0, -a/p, 1) if p divides a, as
+    inverting modulo 1 gives 0."""
+    g = gcd(p, a)
+    y = pow(a // g, -1, p // g)
+    return (g - y * a) // p, y, -(a // g), p // g
 
 
 class Frozen:

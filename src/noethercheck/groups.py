@@ -7,10 +7,10 @@ Q16. A metacyclic presentation gives them from its parameters without
 enumerating the group: the invariants are (h*b/d, d) without 1s, for
 h = gcd(a, r - 1) and d = gcd(h, c, b), and so is the Q16 answer, which
 needs the 2-part 16 and then a 2-part 8 of a and two congruences on c and
-r. A permutation spec is read once, from its distinct non-identity
-generators, each in the chain's form with its cycles listed, and its
-orbits are grown from the least point of each cycle; with one, it is
-cyclic, of order the lcm of its cycle lengths. A spec whose generators'
+r. A permutation spec is read once, from the image tuples of its distinct
+non-identity generators, with their cycles listed, and its orbits are
+grown from the least point of each cycle; with one, it is cyclic, of
+order the lcm of its cycle lengths. A spec whose generators'
 cycles prove it S_n or A_n, n >= 5, on its one moved orbit is answered in
 closed form, as _giant_facts describes: a power of one generator is a
 p-cycle for a prime p <= max(3, n - 3), the smallest block holding the
@@ -38,7 +38,7 @@ from itertools import compress
 from math import factorial, gcd, lcm
 from operator import ne
 
-from .chain import StabilizerChain, _check_chain_cap, _Perm, _perm, _perm_compose
+from .chain import StabilizerChain, _check_chain_cap, _perm_compose
 from .exact import FACTORIZATION_CAP, Frozen, RelationLattice, exact_int, is_prime, parse_ints
 
 # Hard ceilings so a typo in a generating set fails fast instead of eating
@@ -269,7 +269,9 @@ def _metacyclic_facts(m: Metacyclic) -> GroupFacts:
     return GroupFacts(order, invariants, two_part, q16)
 
 
-def _moved_orbits(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> list[list[int]]:
+def _moved_orbits(
+    gens: tuple[tuple[int, ...], ...], cycles: list[list[list[int]]]
+) -> list[list[int]]:
     """The orbits of more than one point, by least point, each in discovery
     order, searched from the least point of each cycle: an orbit's least
     point lies on a cycle inside it, so no point that gens fix is read."""
@@ -289,7 +291,7 @@ def _moved_orbits(gens: tuple[_Perm, ...], cycles: list[list[list[int]]]) -> lis
     return moved
 
 
-def _block_is_orbit(gens: tuple[_Perm, ...], points: list[int], n: int) -> bool:
+def _block_is_orbit(gens: tuple[tuple[int, ...], ...], points: list[int], n: int) -> bool:
     """Is the smallest block of the group of gens that holds points its
     whole orbit, of n points? Atkinson's union-find: the points are merged
     into one class, and for each merge of two classes, recorded as the
@@ -336,7 +338,9 @@ def _block_is_orbit(gens: tuple[_Perm, ...], points: list[int], n: int) -> bool:
 
 
 def _giant_facts(
-    gens: tuple[_Perm, ...], moved: list[list[int]], cycles: list[list[list[int]]]
+    gens: tuple[tuple[int, ...], ...],
+    moved: list[list[int]],
+    cycles: list[list[list[int]]],
 ) -> GroupFacts | None:
     """The facts of G if the cycles of its generators prove it S_n or A_n,
     for its one moved orbit of n >= 5 points; else None, and the caller
@@ -396,7 +400,7 @@ def _giant_facts(
 
 
 def _sylow2_image(
-    gens: tuple[_Perm, ...], moved: list[list[int]], G: StabilizerChain
+    gens: tuple[tuple[int, ...], ...], moved: list[list[int]], G: StabilizerChain
 ) -> StabilizerChain | None:
     """The chain of _perm_facts' orbit rule for a group G of 2-part 16,
     given moved, its orbits of more than one point: G itself when it moves
@@ -450,8 +454,9 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     element of G listed.
 
     G is read once, from its distinct generators other than the identity,
-    in the order first given: each is put in the chain's form and its
-    cycles are listed, once, for every helper. One such generator
+    in the order first given, as the image tuples PermGens holds, which
+    only StabilizerChain.add puts in the chain's form; their cycles are
+    listed once, for every helper. One such generator
     generates C_m, for m the lcm of its cycle lengths, under 1700 digits
     by Landau's bound, and needs no chain and no cap; with none, G = 1.
     The orbits are grown from the least point of each cycle, so no fixed
@@ -473,7 +478,7 @@ def _perm_facts(pg: PermGens) -> GroupFacts:
     gives that orbit 16 points or more. On any orbit where the image keeps
     the 2-part 16 the kernel has odd order, so P maps isomorphically onto a
     2-Sylow subgroup of the image."""
-    found = {g: list(_cycles(g)) for g in dict.fromkeys(map(_perm, pg.generators))}
+    found = {g: list(_cycles(g)) for g in dict.fromkeys(pg.generators)}
     gens = tuple(g for g, cs in found.items() if cs)  # the identity has no cycle
     cycles = [cs for cs in found.values() if cs]
     if len(gens) <= 1:

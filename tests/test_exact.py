@@ -12,6 +12,7 @@ from noethercheck.exact import (
     QQ,
     FieldDescriptor,
     RelationLattice,
+    _unimodular,
     factorize,
     is_prime,
     is_square,
@@ -289,3 +290,20 @@ def test_relation_lattice_is_whole_at_index_1():
     assert lattice.invariants() == (2,)
     assert lattice.fold([1, 0]) and lattice.index == 1
     assert lattice.invariants() == ()
+
+
+def test_unimodular_steps_leave_the_gcd_as_pivot():
+    # a pivot p > 0 and an entry a: a = 0, p | a, p = 1, a common factor,
+    # 150-bit values, then random pairs, with entries of either sign
+    rng = random.Random(53)
+    big = 2**150
+    pairs = [(1, 0), (1, 7), (5, 0), (6, 18), (7, 7), (12, 18), (12, 8), (9, 6)]
+    pairs += [(big + 1, 3 * (big + 1)), (big - 1, big + 3), (3 * big, 6 * big + 9), (big, 0)]
+    pairs += [(1, big - 5), (big + 7, 1), (12, -8), (5, -15)]
+    for _ in range(300):
+        pairs.append((rng.randint(1, 10 ** rng.randint(1, 45)), rng.randint(-(10**40), 10**40)))
+    for p, a in pairs:
+        x, y, u, w = _unimodular(p, a)
+        assert x * w - y * u == 1, (p, a)
+        assert x * p + y * a == gcd(p, a), (p, a)
+        assert u * p + w * a == 0, (p, a)

@@ -28,8 +28,8 @@ def _relabelled(pg, labels, degree):
 
 
 class _Recorded:
-    """A generator in the chain's form that records each point it is asked
-    the image of."""
+    """A generator, as the image tuple PermGens holds, that records each
+    point it is asked the image of."""
 
     __slots__ = ("images", "read")
 
@@ -80,7 +80,7 @@ def test_orbits_read_only_the_points_of_the_cycles():
         pg = PermGens.from_cycles(*cycles)
         for seed, degree in enumerate((pg.degree + 1, 1000, 5000)):
             labels = random.Random(seed).sample(range(degree), pg.degree)
-            gens = tuple(map(chain._perm, _relabelled(pg, labels, degree).generators))
+            gens = _relabelled(pg, labels, degree).generators
             cycles_of = [list(groups._cycles(g)) for g in gens]
             support = {x for cs in cycles_of for cycle in cs for x in cycle}
             read = set()

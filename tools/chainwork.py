@@ -7,7 +7,7 @@ Runs group_facts, in one fresh interpreter per tree as tools/parity.py
 does, on every distinct perm: spec of parity's corpus and on
 catalog:SL2_7 and catalog:SL2_9, and counts five kinds of work for each:
 compositions (chain._perm_compose, and the name groups imported), inverses
-(chain._perm_inverse, likewise), sifts (StabilizerChain._sift), Schreier
+(chain._perm_inverse), sifts (StabilizerChain._sift), Schreier
 passes (StabilizerChain._schreier_residue) and chains (constructions of a
 StabilizerChain); and, sixth, whether groups._giant_facts answered it, so
 that a spec moved onto or off that closed-form route shows as such. A
@@ -59,7 +59,7 @@ def counted(kind, f):
     return wrapped
 
 chain._perm_compose = groups._perm_compose = counted(0, chain._perm_compose)
-chain._perm_inverse = groups._perm_inverse = counted(1, chain._perm_inverse)
+chain._perm_inverse = counted(1, chain._perm_inverse)
 Chain = chain.StabilizerChain
 Chain._sift = counted(2, Chain._sift)
 Chain._schreier_residue = counted(3, Chain._schreier_residue)
