@@ -126,9 +126,9 @@ class StabilizerChain:
     and every stored representative and strong generator carries the
     exponent vector over the g_k of a word that equals it: one int whose
     field k, bits wide, holds the exponent of g_k, signed, so that adding
-    the ints adds the vectors. lattice.fold takes the fields of each
-    relation met: a Schreier generator that sifts to the identity, an
-    orbit tree edge s * reps[s(x)] = reps[x] whose vector is not 0, and an
+    the ints adds the vectors. _relator, the lattice's one gate, takes
+    the vector of each relation met: a Schreier generator that sifts to
+    the identity, an orbit tree edge s * reps[s(x)] = reps[x], and an
     element that add finds to be a member already. With ord(g_k) * e_k
     these span the relations among the images of the g_k in G/G'.
     lattice.orders holds a multiple of each ord(g_k), modulo which each
@@ -137,7 +137,7 @@ class StabilizerChain:
     strong generators and their inverses, a Schreier generator two
     representatives and a strong generator, and a sift adds at most
     degree representatives; bits holds that bound and a sign. Once fold
-    returns True, G/G' is trivial, and no further relator is passed.
+    returns True, G/G' is trivial, and _relator drops the lattice.
     """
 
     def __init__(self, degree: int, lattice=None) -> None:
@@ -154,7 +154,6 @@ class StabilizerChain:
         # half of each field's range in every field: v + _offset has each
         # field in [0, 2**bits), so a mask reads them modulo 2**k, k < bits
         self._offset = ((1 << bits * len(orders)) - 1) // ((1 << bits) - 1) << bits - 1
-        self._index = lattice.index if lattice is not None else 1  # at the last key
         self._low = -1  # the mask that reads a relator's key
         self._known: set[int] = set()
 
@@ -219,8 +218,7 @@ class StabilizerChain:
         self._added += 1
         residue, v, j = self._sift(_perm(g), v)
         if residue is None:
-            if v and self._lattice is not None:
-                self._relator(v)
+            self._relator(v)
             return False
         self._insert(residue, v, 0, j)
         self._complete(j)
@@ -240,26 +238,28 @@ class StabilizerChain:
         return fields
 
     def _relator(self, v: int) -> None:
-        """Fold the relator of vector v, not 0, into the lattice, unless one
-        of the same key was folded since the index last changed. The key is
-        v + _offset, masked to its fields modulo 2**k while the index is
-        2**k, k < bits, as 2**k * Z^m then lies in the lattice. The known
-        keys never outnumber the stored orbit points."""
+        """Fold the relator of vector v into the lattice, unless v is 0, no
+        lattice is left, or one of the same key was folded since the index
+        last changed. The key is v + _offset, masked to its fields modulo
+        2**k while the index is 2**k, k < bits, as 2**k * Z^m then lies in
+        the lattice. The known keys never outnumber the orbit points."""
+        lattice = self._lattice
+        if not v or lattice is None:
+            return
         key = (v + self._offset) & self._low
         known = self._known
         if key in known:
             return
-        lattice = self._lattice
+        before = lattice.index
         if lattice.fold(self._fields(v)):
             self._lattice = None
             return
         index = lattice.index
-        if index != self._index:
+        if index != before:
             k = index.bit_length() - 1
             ones = self._offset >> self._bits - 1
             self._low = (ones << k) - ones if index == 1 << k and k < self._bits else -1
-            self._index, self._known = index, set()
-            known = self._known
+            self._known = known = set()
             key = (v + self._offset) & self._low
         elif len(known) >= self._points:
             known.clear()
@@ -339,19 +339,16 @@ class StabilizerChain:
                 # orbit's tree edges, and rx's inverse is made only when a
                 # generator is not. It is kept from its second use on, as
                 # later passes revisit x; kept from its first, it would
-                # double the peak of a chain that inverts each point once
+                # double the peak of a chain that inverts each point once.
+                # One that sifts to the identity leaves v as a relator
                 sr = _perm_compose(s, rep[0])
                 v = vs + rep[1] - vx
-                if sr == rx:
-                    if v and self._lattice is not None:
-                        self._relator(v)
-                    continue
-                if rx_inv is None:
-                    rx_inv = lev.inverses.get(x) or _perm_inverse(rx)
-                    lev.inverses[x] = rx_inv if x in lev.inverses else None
-                h, v, j = self._sift(_perm_compose(rx_inv, sr), v, i + 1)
-                if h is not None:
-                    return h, v, j
-                if v and self._lattice is not None:
-                    self._relator(v)
+                if sr != rx:
+                    if rx_inv is None:
+                        rx_inv = lev.inverses.get(x) or _perm_inverse(rx)
+                        lev.inverses[x] = rx_inv if x in lev.inverses else None
+                    h, v, j = self._sift(_perm_compose(rx_inv, sr), v, i + 1)
+                    if h is not None:
+                        return h, v, j
+                self._relator(v)
         return None

@@ -129,7 +129,10 @@ def test_relator_keys_spare_the_folds(monkeypatch):
         return fold(self, v)
 
     def counted_relator(self, v):
-        keys.append(1)
+        # only the calls that reach the key lookup: _relator returns at
+        # once for a zero vector or a retired lattice
+        if v and self._lattice is not None:
+            keys.append(1)
         return relator(self, v)
 
     monkeypatch.setattr(groups, "_giant_facts", lambda *args: None)

@@ -448,6 +448,40 @@ def test_closure():
     assert len(G.closure([G.mult(g, g)])) == 6
 
 
+def _sl2_images(q, add, mul, matrix):
+    """The images of the matrix on the nonzero column vectors (x, y) of
+    F_q**2, the vector numbered x + q*y and the points 1-based, as the
+    0-based image tuple that PermGens holds."""
+    (a, b), (c, d) = matrix
+    images = []
+    for n in range(1, q * q):
+        x, y = n % q, n // q
+        images.append(add(mul(a, x), mul(b, y)) + q * add(mul(c, x), mul(d, y)) - 1)
+    return tuple(images)
+
+
+def test_catalog_sl2_literals_are_their_matrices():
+    # F_7 is Z/7; F_9 is F_3[i], i**2 = -1, u + v*i numbered u + 3*v, so
+    # -1 is 2 and 1 + i is 4
+    def add7(a, b):
+        return (a + b) % 7
+
+    def mul7(a, b):
+        return a * b % 7
+
+    def add9(a, b):
+        return (a + b) % 3 + 3 * ((a // 3 + b // 3) % 3)
+
+    def mul9(a, b):
+        (v, u), (t, s) = divmod(a, 3), divmod(b, 3)
+        return (u * s - v * t) % 3 + 3 * ((u * t + v * s) % 3)
+
+    sl2_7 = [_sl2_images(7, add7, mul7, m) for m in (((1, 1), (0, 1)), ((1, 0), (1, 1)))]
+    sl2_9 = [_sl2_images(9, add9, mul9, m) for m in (((1, 1), (0, 1)), ((0, 1), (2, 4)))]
+    assert groups._catalog_spec("SL2_7").generators == tuple(sl2_7)
+    assert groups._catalog_spec("SL2_9").generators == tuple(sl2_9)
+
+
 def test_catalog():
     assert len(CATALOG_NAMES) == 72
     assert len(set(CATALOG_NAMES)) == 72
